@@ -170,7 +170,8 @@ def canonical_cert(
             raise ValueError("cells must partition the vertices")
     search = _CanonSearch(n, d.rows, d.in_rows)
     search.run(start)
-    assert search.best is not None
+    if search.best is None:
+        raise RuntimeError("canonical search reached no leaf")
     return n.to_bytes(2, "big") + bytes([len(seen)]) + search.best
 
 
@@ -180,7 +181,8 @@ def canonical_order(d: Digraph) -> list[int]:
         return []
     search = _CanonSearch(d.n, d.rows, d.in_rows)
     search.run([list(range(d.n))])
-    assert search.best_order is not None
+    if search.best_order is None:
+        raise RuntimeError("canonical search reached no leaf")
     return search.best_order
 
 

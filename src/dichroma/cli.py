@@ -71,7 +71,8 @@ def cmd_dichi(args) -> int:
     d = load_digraph(text, args.format)
     t0 = time.time()
     k, col = dichromatic_number(d)
-    assert verify_dicolouring(d, col, max(k, 1))
+    if not verify_dicolouring(d, col, max(k, 1)):
+        raise RuntimeError("the solver's dicolouring failed verification")
     report = RunReport(
         command="dichi",
         inputs=_digest(text),

@@ -7,24 +7,30 @@ a processed/unprocessed vertex partition inside the certificate, so states
 whose completions explore isomorphic territory collapse early; that is what
 keeps dense underlying graphs (whole tournaments in the worst case) within
 reach.
+
+Each orientation state carries what its parent already proved.  Degree
+bounds force arcs: when vertex t is added, a back-neighbour with no out-
+(in-) degree slack left must take the arc towards (from) t, so only the
+submasks of the free edges are enumerated, in the same ascending order as a
+full scan.  Vertices not adjacent to t keep their degrees and are not
+rechecked.  In the census, every state also carries the class masks of a
+(k-1)-dicolouring of its prefix; a child first tries to put t into one of
+its parent's classes, and the solver runs only when none takes it.  Found
+colourings are certificates, so the pruning is exact.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Iterator, Sequence
 
-from .canon import canonical_cert, canonical_form, graph_cert
+from .canon import canonical_cert, canonical_form
 from .digraphs import Digraph, Graph, bidirect, iter_bits, underlying_graph
+from .solver import _creates_cycle, is_k_dicolourable
 
 GEN_CAP = 10
-
-
-def _graph_cert_rows(n: int, rows: Sequence[int]) -> bytes:
-    return canonical_cert(Digraph(n, rows))
 
 
 def gen_graphs(n: int, min_degree: int) -> list[Graph]:
@@ -52,7 +58,7 @@ def gen_graphs(n: int, min_degree: int) -> list[Graph]:
                     r.bit_count() < floor for r in child
                 ):
                     continue
-                cert = _graph_cert_rows(t + 1, child)
+                cert = canonical_cert(Digraph(t + 1, child))
                 if cert not in seen:
                     seen[cert] = tuple(child)
         reps = [seen[c] for c in sorted(seen)]
@@ -143,67 +149,134 @@ def _mixed_cert(n, rows, g, t):
     )
 
 
+def _submasks(free: int) -> Iterator[int]:
+    """The submasks of free, ascending."""
+    sub = 0
+    while True:
+        yield sub
+        if sub == free:
+            return
+        sub = (sub - free) & free
+
+
+def _extend(classes, rows, irows, t):
+    """The classes with vertex t added to the first that stays acyclic, or
+    None.  rows[t] and irows[t] hold t's arcs to the earlier vertices."""
+    for c, cmask in enumerate(classes):
+        if not _creates_cycle(rows, irows, t, cmask):
+            return classes[:c] + (cmask | 1 << t,) + classes[c + 1 :]
+    return None
+
+
+def _class_masks(colouring: Sequence[int], colours: int) -> tuple[int, ...]:
+    masks = [0] * colours
+    for v, c in enumerate(colouring):
+        masks[c - 1] |= 1 << v
+    return tuple(masks)
+
+
 def _orientation_stream(
     g: Graph,
     min_in: int,
     min_out: int,
-    prefix_filter: Callable[[Digraph], bool] | None = None,
-    final_filter: Callable[[Digraph], bool] | None = None,
+    colours: int | None = None,
 ) -> tuple[list[Digraph], int]:
     """Orientation classes of g with the given degree bounds, plus the count
     of raw final-level candidates that met the degree bounds.
 
-    prefix_filter prunes deduplicated partial states (sound only for
-    hereditary targets); final_filter runs before the last deduplication, so
-    with it the stream is only isomorph-free within the filtered set.
+    With colours set, only partial states whose prefix is colours-
+    dicolourable are kept (sound for hereditary targets), and only complete
+    orientations that are not; the final test runs before the last
+    deduplication, so the stream is then isomorph-free within that set.
     """
     n = g.n
     if n == 0:
         return [], 0
-    states: list[tuple[int, ...]] = [tuple([0] * n)]
+    # a state is (rows, classes): the arcs among the processed prefix and,
+    # with colours, the class masks of a colours-dicolouring of the prefix
+    states: list[tuple[tuple[int, ...], tuple[int, ...] | None]] = [
+        ((0,) * n, None if colours is None else (0,) * colours)
+    ]
     candidates = 0
+    irows = [0] * n  # _creates_cycle reads only the placed vertex's in-row
     for t in range(n):
-        back = list(iter_bits(g.rows[t] & ((1 << t) - 1)))
-        above = ~((1 << (t + 1)) - 1)
-        fut = [(g.rows[v] & above).bit_count() for v in range(t + 1)]
+        prefix = (1 << t) - 1
+        back = g.rows[t] & prefix
+        above = ~((2 << t) - 1)
+        # each back-neighbour w's out-degree in the prefix must lie in a
+        # window, or the edge wt is forced: below it w -> t, above it t -> w
+        window = []
+        for w in iter_bits(back):
+            fut = (g.rows[w] & above).bit_count()
+            deg = (g.rows[w] & prefix).bit_count()
+            window.append((w, 1 << w, min_out - fut, deg + fut - min_in))
+        fut = (g.rows[t] & above).bit_count()
+        lo = min_out - fut  # window of t's own out-degree into the prefix
+        hi = back.bit_count() + fut - min_in
         last = t == n - 1
-        seen: dict[bytes, tuple[int, ...]] = {}
-        for rows in states:
-            for mask in range(1 << len(back)):
-                child = list(rows)
-                for i, w in enumerate(back):
-                    if mask >> i & 1:
-                        child[t] |= 1 << w
-                    else:
-                        child[w] |= 1 << t
-                ok = True
-                for v in range(t + 1):
-                    outd = (child[v] & ((1 << (t + 1)) - 1)).bit_count()
-                    ind = sum(child[w] >> v & 1 for w in range(t + 1))
-                    if outd + fut[v] < min_out or ind + fut[v] < min_in:
-                        ok = False
-                        break
-                if not ok:
+        seen: dict[bytes, tuple[tuple[int, ...], tuple[int, ...] | None]] = {}
+        rejected: set[bytes] = set()
+        for rows, classes in states:
+            into_t = out_of_t = 0
+            for w, wbit, low, high in window:
+                outd = rows[w].bit_count()
+                if outd < low:
+                    into_t |= wbit
+                if outd > high:
+                    out_of_t |= wbit
+            if into_t & out_of_t:
+                continue
+            base = list(rows)
+            for sub in _submasks(back & ~into_t & ~out_of_t):
+                mask = out_of_t | sub  # t -> w for w in mask, else w -> t
+                if not lo <= mask.bit_count() <= hi:
                     continue
+                base[t] = mask
+                irows[t] = back & ~mask
                 if last:
                     candidates += 1
-                    d = Digraph(n, child)
-                    if final_filter is not None and not final_filter(d):
-                        continue
+                    # a colouring of the parent that extends to t settles
+                    # a final candidate before any digraph is built
+                    if classes is not None:
+                        if _extend(classes, base, irows, t) is not None:
+                            continue
+                    d = Digraph(n, _attach(rows, t, mask, back))
+                    if classes is not None:
+                        if is_k_dicolourable(d, colours) is not None:
+                            continue
                     cert = canonical_cert(d)
+                    if cert not in seen:
+                        seen[cert] = (d.rows, None)
+                    continue
+                child = _attach(rows, t, mask, back)
+                cert = _mixed_cert(n, child, g, t + 1)
+                if cert in seen or cert in rejected:
+                    continue
+                if classes is not None:
+                    child_classes = _extend(classes, base, irows, t)
+                    if child_classes is None:
+                        pre = Digraph(t + 1, child[: t + 1])
+                        col = is_k_dicolourable(pre, colours)
+                        if col is None:
+                            rejected.add(cert)
+                            continue
+                        child_classes = _class_masks(col, colours)
+                    seen[cert] = (child, child_classes)
                 else:
-                    cert = _mixed_cert(n, child, g, t + 1)
-                if cert not in seen:
-                    seen[cert] = tuple(child)
+                    seen[cert] = (child, None)
         states = [seen[c] for c in sorted(seen)]
-        if prefix_filter is not None and not last:
-            pm = (1 << (t + 1)) - 1
-            states = [
-                rows
-                for rows in states
-                if prefix_filter(Digraph(t + 1, tuple(r & pm for r in rows[: t + 1])))
-            ]
-    return [Digraph(n, rows) for rows in states], candidates
+    return [Digraph(n, rows) for rows, _ in states], candidates
+
+
+def _attach(rows, t, mask, back) -> tuple[int, ...]:
+    """rows with vertex t attached: t -> w for w in mask, w -> t for the
+    rest of back."""
+    child = list(rows)
+    child[t] = mask
+    bit = 1 << t
+    for w in iter_bits(back & ~mask):
+        child[w] |= bit
+    return tuple(child)
 
 
 def gen_orientations(g: Graph, min_in: int, min_out: int) -> list[Digraph]:
@@ -260,22 +333,13 @@ class CensusReport:
 
 def _census_graph_task(args) -> dict:
     from .formats import d6_decode, d6_encode
-    from .solver import is_dicritical, is_k_dicolourable
+    from .solver import is_dicritical
 
     g6, k = args
     g = underlying_graph(d6_decode(g6))
-
-    def prefix_ok(d: Digraph) -> bool:
-        # every proper induced subdigraph of a k-dicritical digraph is
-        # (k-1)-dicolourable, so prefixes that are not can be dropped
-        return is_k_dicolourable(d, k - 1) is not None
-
-    def final_ok(d: Digraph) -> bool:
-        return is_k_dicolourable(d, k - 1) is None
-
-    survivors, candidates = _orientation_stream(
-        g, k - 1, k - 1, prefix_filter=prefix_ok, final_filter=final_ok
-    )
+    # every proper induced subdigraph of a k-dicritical digraph is
+    # (k-1)-dicolourable, so prefixes that are not can be dropped
+    survivors, candidates = _orientation_stream(g, k - 1, k - 1, colours=k - 1)
     found = []
     for d in survivors:
         if is_dicritical(d, k).is_dicritical:
@@ -300,7 +364,7 @@ def dicritical_census(
     bounded orientations, exact dicriticality.  Results are independent of
     the filter choice and the worker count.
     """
-    from .formats import d6_decode, d6_encode
+    from .formats import d6_decode, d6_encode, open_checkpoint
 
     if filter not in ("vertex", "edge"):
         raise ValueError("filter must be 'vertex' or 'edge'")
@@ -313,22 +377,12 @@ def dicritical_census(
     tasks = [(d6_encode(bidirect(g)), k) for g in kept]
 
     done: dict[str, dict] = {}
-    header = {"kind": "census", "n": n, "k": k, "filter": filter}
     ck = None
     if checkpoint:
-        if os.path.exists(checkpoint):
-            with open(checkpoint) as fh:
-                lines = [json.loads(ln) for ln in fh if ln.strip()]
-            if lines and lines[0] != header:
-                raise ValueError(
-                    f"checkpoint {checkpoint} belongs to a different run"
-                )
-            for rec in lines[1:]:
-                done[rec["graph"]] = rec
-        ck = open(checkpoint, "a")
-        if not done and ck.tell() == 0:
-            ck.write(json.dumps(header) + "\n")
-            ck.flush()
+        header = {"kind": "census", "n": n, "k": k, "filter": filter}
+        records, ck = open_checkpoint(checkpoint, header)
+        for rec in records:
+            done[rec["graph"]] = rec
 
     def record(res: dict) -> None:
         done[res["graph"]] = res

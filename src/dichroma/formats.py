@@ -5,9 +5,16 @@ row-major adjacency bits (bit i*n+j = 1 iff arc i->j) packed big-endian into
 6-bit groups, each emitted as chr(group+63), zero-padded.
 
 Arc list: first line "n m", then m lines "u v" (0-indexed, arc u->v).
+
+Run checkpoints are JSON lines: a header naming the run, then one record
+per finished task.
 """
 
 from __future__ import annotations
+
+import json
+import os
+from typing import TextIO
 
 from .digraphs import Digraph
 
@@ -118,3 +125,39 @@ def dump_digraph(d: Digraph, fmt: str | None = None) -> str:
     if fmt == "arclist":
         return arclist_encode(d)
     raise ValueError(f"unknown digraph format {fmt!r}")
+
+
+def open_checkpoint(path: str, header: dict) -> tuple[list[dict], TextIO]:
+    """The records of a run checkpoint, and the file opened for appending.
+
+    A checkpoint whose header differs belongs to another run and raises
+    ValueError.  A kill mid-write leaves a torn last line (no newline, or
+    not JSON); it is dropped and cut off the file before anything is
+    appended.  A missing or empty file starts with the header.
+    """
+    lines: list[dict] = []
+    intact = size = 0  # intact: bytes up to the end of the last good line
+    if os.path.exists(path):
+        with open(path, "rb") as fh:
+            data = fh.read()
+        size = len(data)
+        whole = data.split(b"\n")[:-1]  # the part after the last newline is torn
+        last = max((i for i, raw in enumerate(whole) if raw.strip()), default=-1)
+        for i, raw in enumerate(whole):
+            if raw.strip():
+                try:
+                    lines.append(json.loads(raw))
+                except ValueError:
+                    if i < last:
+                        raise ValueError(f"checkpoint {path}: line {i + 1} is not JSON")
+                    break
+            intact += len(raw) + 1
+    if lines and lines[0] != header:
+        raise ValueError(f"checkpoint {path} belongs to a different run")
+    if intact < size:
+        os.truncate(path, intact)
+    fh = open(path, "a")
+    if not lines:
+        fh.write(json.dumps(header) + "\n")
+        fh.flush()
+    return lines[1:], fh

@@ -469,9 +469,7 @@ def _bound_chunk(args) -> tuple[int, bool, str | None]:
 
 
 def _verify_bound_streamed(parents, n, k, jobs, checkpoint):
-    import os
-
-    from .formats import d6_decode, d6_encode
+    from .formats import d6_decode, d6_encode, open_checkpoint
 
     chunk_size = 256
     chunks = [
@@ -479,20 +477,12 @@ def _verify_bound_streamed(parents, n, k, jobs, checkpoint):
         for i in range(0, len(parents), chunk_size)
     ]
     done: dict[int, tuple[bool, str | None]] = {}
-    header = {"kind": "tournament-bound", "n": n, "k": k, "chunks": len(chunks)}
-    if checkpoint and os.path.exists(checkpoint):
-        with open(checkpoint) as fh:
-            lines = [json.loads(ln) for ln in fh if ln.strip()]
-        if lines and lines[0] != header:
-            raise ValueError(f"checkpoint {checkpoint} belongs to a different run")
-        for rec in lines[1:]:
-            done[rec["chunk"]] = (rec["ok"], rec.get("counterexample"))
     ck = None
     if checkpoint:
-        ck = open(checkpoint, "a")
-        if not done and ck.tell() == 0:
-            ck.write(json.dumps(header) + "\n")
-            ck.flush()
+        header = {"kind": "tournament-bound", "n": n, "k": k, "chunks": len(chunks)}
+        records, ck = open_checkpoint(checkpoint, header)
+        for rec in records:
+            done[rec["chunk"]] = (rec["ok"], rec.get("counterexample"))
 
     def record(idx, ok, counter):
         done[idx] = (ok, counter)

@@ -146,16 +146,12 @@ def brute_max_induced_forest(g: Graph) -> int:
 
 def _digraph_class_key(d: Digraph) -> int:
     """Smallest adjacency encoding over all vertex relabellings."""
-    best = None
-    for perm in itertools.permutations(range(d.n)):
-        code = 0
-        for u in range(d.n):
-            for v in range(d.n):
-                if u != v and d.has_arc(u, v):
-                    code |= 1 << (perm[u] * d.n + perm[v])
-        if best is None or code < best:
-            best = code
-    return best
+    n = d.n
+    arcs = list(d.arcs())
+    return min(
+        sum(1 << (perm[u] * n + perm[v]) for u, v in arcs)
+        for perm in itertools.permutations(range(n))
+    )
 
 
 def brute_digraph_classes(digraphs) -> set[int]:

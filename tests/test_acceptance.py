@@ -85,6 +85,8 @@ def test_criterion_2_census_7_unique_and_6_empty():
     with criterion(2, 600, "3-dicritical census: order 7 has a unique "
                    "20-arc witness, order 6 is empty"):
         rep7 = dicritical_census(7, 3)
+        assert rep7.stats["graphs_after_arboricity"] == 13
+        assert rep7.stats["orientation_candidates"] == 17920
         assert rep7.count == 3
         assert rep7.min_arcs == 20
         assert rep7.witnesses == [CENSUS_7_3_WITNESS]

@@ -5,8 +5,9 @@ from math import comb
 
 import pytest
 
-from dichroma.canon import canonical_cert
+from dichroma.canon import canonical_cert, canonical_form
 from dichroma.digraphs import (
+    bidirect,
     build_digraph,
     build_graph,
     is_oriented,
@@ -14,6 +15,7 @@ from dichroma.digraphs import (
 )
 from dichroma.enumeration import (
     GEN_CAP,
+    _census_graph_task,
     arboricity,
     dicritical_census,
     edge_arboricity,
@@ -22,7 +24,8 @@ from dichroma.enumeration import (
     gen_tournaments,
     validate_census,
 )
-from dichroma.formats import d6_decode
+from dichroma.formats import d6_decode, d6_encode
+from dichroma.solver import is_dicritical
 
 from bruteforce import (
     brute_digraph_classes,
@@ -110,18 +113,36 @@ def test_arboricity_examples():
 
 def test_gen_orientations_matches_bruteforce():
     rng = random.Random(7)
-    cases = [random_graph(rng, rng.randint(1, 5), 0.5) for _ in range(12)]
-    cases.append(build_graph(4, [(a, b) for a in range(4)
-                                 for b in range(a + 1, 4)]))
-    for g in cases:
-        for floors in ((0, 0), (1, 1)):
-            ours = gen_orientations(g, *floors)
-            brute = brute_orientation_classes(g, *floors)
-            assert len(ours) == len(brute)
-            assert brute_digraph_classes(ours) == brute_digraph_classes(brute)
-            for d in ours:
-                assert is_oriented(d)
-                assert d.m == g.m
+    graphs = [random_graph(rng, rng.randint(1, 5), 0.5) for _ in range(12)]
+    graphs.append(build_graph(4, [(a, b) for a in range(4)
+                                  for b in range(a + 1, 4)]))
+    cases = [(g, floors) for g in graphs for floors in ((0, 0), (1, 1))]
+    # floors (2, 2) on minimum degree 4 leave a vertex little slack, so
+    # degree-forced arcs bind; K6 is left out, its brute force takes seconds
+    cases += [(g, (2, 2)) for g in gen_graphs(6, 4) if g.m < 15]
+    for g, floors in cases:
+        ours = gen_orientations(g, *floors)
+        brute = brute_orientation_classes(g, *floors)
+        assert len(ours) == len(brute)
+        assert brute_digraph_classes(ours) == brute_digraph_classes(brute)
+        for d in ours:
+            assert is_oriented(d)
+            assert d.m == g.m
+
+
+def test_census_task_matches_unfiltered_stream():
+    # the census worker prunes by dicolouring; the reference orients every
+    # order-7 census graph without any colouring and checks each class
+    graphs = [g for g in gen_graphs(7, 4) if arboricity(g) >= 3]
+    assert len(graphs) == 13
+    for g in graphs:
+        g6 = d6_encode(bidirect(g))
+        want = sorted(
+            d6_encode(canonical_form(d))
+            for d in gen_orientations(g, 2, 2)
+            if is_dicritical(d, 3).is_dicritical
+        )
+        assert _census_graph_task((g6, 3))["dicritical"] == want
 
 
 def test_gen_tournaments_counts_and_classes():
@@ -184,6 +205,17 @@ def test_census_checkpoint_resume(tmp_path):
     # a finished checkpoint answers without recomputation
     again = dicritical_census(5, 2, checkpoint=str(ck))
     assert again.all_dicritical == first.all_dicritical
+
+    # a kill mid-write leaves the last record cut mid-line; it is dropped
+    # and recomputed, giving the same file and report
+    finished = ck.read_bytes()
+    torn = tmp_path / "torn.ckpt"
+    torn.write_bytes(finished[: finished.rstrip(b"\n").rfind(b"\n") + 10])
+    resumed = dicritical_census(5, 2, checkpoint=str(torn))
+    assert torn.read_bytes() == finished
+    for rep in (first, resumed):
+        del rep.stats["seconds"]
+    assert json.dumps(resumed.to_json()) == json.dumps(first.to_json())
 
     # checkpoints are bound to their run parameters
     with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ from dichroma.formats import (
     d6_encode,
     dump_digraph,
     load_digraph,
+    open_checkpoint,
 )
 
 
@@ -92,3 +93,37 @@ def test_dump_prefers_d6_when_it_fits():
 def test_census_witness_decodes():
     d = d6_decode("&FKD`qUFHw?")
     assert d.n == 7 and d.m == 20
+
+
+def test_open_checkpoint_drops_torn_tail(tmp_path):
+    header = {"kind": "test", "n": 1}
+    ck = tmp_path / "run.ckpt"
+    records, fh = open_checkpoint(str(ck), header)
+    with fh:
+        fh.write('{"task": 1}\n')
+    assert records == []
+    good = ck.read_bytes()
+    for tail in (b'{"task": 2', b'{"task": 2, "x"\n', b'\xff\xfe'):
+        ck.write_bytes(good + tail)
+        records, fh = open_checkpoint(str(ck), header)
+        fh.close()
+        assert records == [{"task": 1}]
+        assert ck.read_bytes() == good
+
+    # a bad line before the last is corruption, not a torn write
+    ck.write_bytes(good + b"garbage\n" + b'{"task": 2}\n')
+    with pytest.raises(ValueError):
+        open_checkpoint(str(ck), header)
+
+    # another run's checkpoint is refused and left as it is
+    ck.write_bytes(good + b'{"task": 2')
+    with pytest.raises(ValueError):
+        open_checkpoint(str(ck), {"kind": "other"})
+    assert ck.read_bytes() == good + b'{"task": 2'
+
+    # a torn header starts the file afresh
+    ck.write_bytes(good[:5])
+    records, fh = open_checkpoint(str(ck), header)
+    fh.close()
+    assert records == []
+    assert ck.read_bytes() == good.split(b"\n")[0] + b"\n"

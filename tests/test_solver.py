@@ -243,6 +243,12 @@ def test_verify_census_bound_streaming_with_checkpoint(tmp_path):
     # resuming from the finished checkpoint reproduces the verdict
     ok2, cex2 = verify_census_bound(9, 2, checkpoint=str(ck))
     assert not ok2 and cex2 == cex
+    # a torn last record is dropped and recomputed
+    finished = ck.read_bytes()
+    ck.write_bytes(finished[:-5])
+    ok3, cex3 = verify_census_bound(9, 2, checkpoint=str(ck))
+    assert not ok3 and cex3 == cex
+    assert ck.read_bytes() == finished
 
 
 def test_find_circulant_candidate_small():
