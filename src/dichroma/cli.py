@@ -16,7 +16,9 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from .digraphs import Digraph, circulant_tournament, is_k_diregular, is_oriented
+from .claims import CLAIMS as _CLAIMS  # bench/make_reference.py reads cli._CLAIMS
+from .claims import ClaimContext
+from .digraphs import is_oriented
 from .formats import dump_digraph, load_digraph
 
 
@@ -262,322 +264,18 @@ def cmd_critical_check(args) -> int:
     return 0 if rep.is_dicritical else 1
 
 
-# -- verify-paper claim suite ---------------------------------------------
-
-
-def _claim_st11_dichromatic(rng, jobs):
-    from .canon import is_arc_transitive
-    from .solver import dichromatic_number
-
-    st11 = circulant_tournament(11, (1, 3, 4, 5, 9))
-    k, _ = dichromatic_number(st11)
-    return k == 4 and is_arc_transitive(st11), {"k": k}
-
-
-def _claim_st11_dicritical(rng, jobs):
-    from .solver import is_dicritical
-
-    st11 = circulant_tournament(11, (1, 3, 4, 5, 9))
-    rep = is_dicritical(st11, 4)
-    return rep.is_dicritical, {"reason": rep.reason}
-
-
-def _claim_tournaments6(rng, jobs):
-    from .solver import verify_census_bound
-
-    ok, cex = verify_census_bound(6, 2)
-    return ok, {"counterexample": None if cex is None else dump_digraph(cex)}
-
-
-def _claim_census63(rng, jobs):
-    from .enumeration import dicritical_census
-
-    rep = dicritical_census(6, 3)
-    return rep.count == 0, {"count": rep.count}
-
-
-def _claim_census73(rng, jobs):
-    from .enumeration import dicritical_census, validate_census
-
-    rep = dicritical_census(7, 3, jobs=jobs)
-    problems = validate_census(rep)
-    ok = rep.min_arcs == 20 and len(rep.witnesses) == 1 and not problems
-    return ok, {"min_arcs": rep.min_arcs, "witnesses": rep.witnesses,
-                "problems": problems}
-
-
-def _claim_stearns(rng, jobs, nmax):
-    from .enumeration import gen_tournaments
-    from .solver import max_induced_acyclic
-
-    expected = {4: 4, 5: 12, 6: 56, 7: 456, 8: 6880}
-    details = {}
-    for n in range(4, nmax + 1):
-        ts = gen_tournaments(n)
-        details[n] = len(ts)
-        if len(ts) != expected[n]:
-            return False, details
-        floor = n.bit_length()  # floor(log2 n) + 1
-        if any(len(max_induced_acyclic(t)) < floor for t in ts):
-            return False, details
-    return True, details
-
-
-def _claim_circulant13(rng, jobs):
-    from .digraphs import delete_vertex
-    from .solver import find_circulant_candidate, max_induced_acyclic
-
-    d, s = find_circulant_candidate(13, 4)
-    if not is_k_diregular(d, 6):
-        return False, {"set": s}
-    for v in range(13):
-        dd = delete_vertex(d, v)
-        if dd.m < 60:
-            return False, {"set": s, "deleted": v}
-        if any(
-            dd.out_degree(u) < 5 or dd.in_degree(u) < 5 for u in range(dd.n)
-        ):
-            return False, {"set": s, "deleted": v}
-    return True, {"set": s, "acyclic_order": len(max_induced_acyclic(d))}
-
-
-def _claim_surface_bounds(rng, jobs):
-    from fractions import Fraction
-
-    from .surfaces import (
-        dicritical_min_arcs,
-        dicritical_order_bound,
-        heawood_number,
-        surface_table,
-    )
-
-    checks = [
-        heawood_number(0) == 7,
-        heawood_number(1) == 6,
-        heawood_number(-8) == 11,
-        dicritical_order_bound(4, -1, oriented=True) == 13,
-        dicritical_order_bound(4, -8, oriented=True) == 76,
-        dicritical_min_arcs(4, 23) == Fraction(70),
-        dicritical_min_arcs(4, 1) == Fraction(70, 23),
-    ]
-    table = surface_table()
-    expected = [
-        ("sphere", 2, 3), ("N1", 3, 3), ("N2", 3, 3), ("S1", 3, 3),
-        ("N3", 3, 3), ("S2, N4", 3, 4), ("N5", 3, 4), ("S3, N6", 3, 4),
-        ("N7", 3, 4), ("S4, N8", 3, 4), ("N9", 3, 4), ("S5, N10", 4, 4),
-    ]
-    rows = [(r["surface"], r["lower"], r["upper"]) for r in table]
-    return all(checks) and rows == expected, {"rows": rows}
-
-
-def _claim_cacti(rng, jobs, trials):
-    from .digraphs import induced_graph
-    from .structure import (
-        cactus_edge_bound,
-        cactus_induced_forest,
-        random_cactus,
-    )
-
-    for t in range(trials):
-        n = rng.randint(1, 40)
-        g = random_cactus(n, seed=rng.getrandbits(32))
-        m, bound, tight = cactus_edge_bound(g)
-        if m > bound:
-            return False, {"trial": t, "n": n}
-        forest = cactus_induced_forest(g)
-        if 3 * len(forest) < 2 * n:
-            return False, {"trial": t, "n": n, "forest": len(forest)}
-        sub = induced_graph(g, forest)
-        # a graph is a forest iff m = n - number of components
-        comps = 0
-        seen = 0
-        for v in range(sub.n):
-            if seen >> v & 1:
-                continue
-            comps += 1
-            stack = [v]
-            while stack:
-                x = stack.pop()
-                if seen >> x & 1:
-                    continue
-                seen |= 1 << x
-                stack.extend(
-                    w for w in range(sub.n)
-                    if sub.rows[x] >> w & 1 and not seen >> w & 1
-                )
-        if len(list(sub.edges())) != sub.n - comps:
-            return False, {"trial": t, "n": n, "not_forest": True}
-    return True, {"trials": trials}
-
-
-def _claim_census_gallai(rng, jobs):
-    from .enumeration import dicritical_census
-    from .formats import load_digraph as load
-    from .structure import gallai_property_check
-
-    rep = dicritical_census(7, 3, jobs=jobs)
-    bad = [w for w in rep.all_dicritical
-           if not gallai_property_check(load(w), 3)]
-    return not bad, {"checked": len(rep.all_dicritical), "bad": bad}
-
-
-def _random_formula(rng, max_vars=6, max_clauses=10):
-    from .reductions import CnfFormula
-
-    nv = rng.randint(1, max_vars)
-    nc = rng.randint(1, max_clauses)
-    clauses = []
-    for _ in range(nc):
-        clauses.append(tuple(
-            rng.randint(1, nv) * rng.choice((1, -1)) for _ in range(3)
-        ))
-    return CnfFormula(nv, tuple(clauses))
-
-
-def _claim_reduce_digon(rng, jobs, trials):
-    from .reductions import (
-        CnfFormula,
-        reduce_digon,
-        single_face_embedding,
-        verify_equivalence,
-    )
-
-    for t in range(trials):
-        phi = _random_formula(rng)
-        if not verify_equivalence(phi, reduce_digon(phi)):
-            return False, {"trial": t, "clauses": phi.clauses}
-    phi = CnfFormula(3, ((1, -2, 3),))
-    emb = single_face_embedding(phi)
-    hub = reduce_digon(phi)
-    planar = reduce_digon(phi, emb)
-    ok = verify_equivalence(phi, hub) and verify_equivalence(phi, planar)
-    return ok, {"trials": trials}
-
-
-def _claim_reduce_oriented(rng, jobs, trials):
-    from .reductions import (
-        default_g3,
-        make_eq_gadget,
-        make_neq_gadget,
-        reduce_oriented,
-        verify_equivalence,
-    )
-
-    neq = make_neq_gadget(make_eq_gadget(default_g3(), (0, 2)))
-    if not is_oriented(neq.digraph):
-        return False, {"stage": "gadget"}
-    for t in range(trials):
-        phi = _random_formula(rng)
-        out = reduce_oriented(phi)
-        if not is_oriented(out.digraph):
-            return False, {"trial": t}
-        if not verify_equivalence(phi, out):
-            return False, {"trial": t, "clauses": phi.clauses}
-    return True, {"trials": trials}
-
-
-def _claim_solver_oracle(rng, jobs, trials):
-    import itertools
-
-    from .solver import is_k_dicolourable, verify_dicolouring
-
-    for t in range(trials):
-        n = rng.randint(1, 7)
-        arcs = [
-            (u, v)
-            for u in range(n)
-            for v in range(n)
-            if u != v and rng.random() < 0.35
-        ]
-        d = Digraph.from_arcs(n, arcs)
-        k = rng.randint(1, 3)
-        col = is_k_dicolourable(d, k)
-        brute = None
-        for assign in itertools.product(range(1, k + 1), repeat=n):
-            if verify_dicolouring(d, list(assign), k):
-                brute = assign
-                break
-        if (col is None) != (brute is None):
-            return False, {"trial": t, "n": n, "k": k}
-        if col is not None and not verify_dicolouring(d, col, k):
-            return False, {"trial": t}
-    return True, {"trials": trials}
-
-
-_CLAIMS = [
-    # (slug, description, level, fn)
-    ("st11-dichromatic-4",
-     "11-vertex circulant tournament has dichromatic number 4 and is arc-transitive",
-     "quick", _claim_st11_dichromatic),
-    ("st11-4-dicritical",
-     "all 55 arc deletions of the 11-vertex circulant are 3-dicolourable",
-     "quick", _claim_st11_dicritical),
-    ("tournaments-6-2-dicolourable",
-     "every tournament on 6 vertices is 2-dicolourable",
-     "quick", _claim_tournaments6),
-    ("census-6-3-empty",
-     "no 3-dicritical oriented graph on 6 vertices exists",
-     "quick", _claim_census63),
-    ("census-7-3-min-20-unique",
-     "3-dicritical oriented graphs on 7 vertices: minimum 20 arcs, unique witness",
-     "quick", _claim_census73),
-    ("stearns-tournaments",
-     "every small tournament has an induced acyclic set of floor(log2 n)+1 vertices",
-     "quick", lambda rng, jobs: _claim_stearns(rng, jobs, 7)),
-    ("stearns-tournaments-8",
-     "order-8 tournaments (6880 classes) meet the acyclic-set bound",
-     "full", lambda rng, jobs: _claim_stearns(rng, jobs, 8)),
-    ("circulant-13-no-tt5",
-     "a 6-diregular circulant on 13 vertices has maximum acyclic order 4; deletions keep 60+ arcs and degrees 5+",
-     "quick", _claim_circulant13),
-    ("surface-bounds-table",
-     "closed-form surface bounds and the 12-row bounds table reproduce exactly",
-     "quick", _claim_surface_bounds),
-    ("cactus-suite",
-     "random cacti meet the edge bound and the two-thirds induced forest bound",
-     "quick", lambda rng, jobs: _claim_cacti(rng, jobs, 100)),
-    ("cactus-suite-500",
-     "500 random cacti meet the edge and induced forest bounds",
-     "full", lambda rng, jobs: _claim_cacti(rng, jobs, 500)),
-    ("census-dicritical-gallai",
-     "every census 3-dicritical graph passes the low-vertex structure check",
-     "quick", _claim_census_gallai),
-    ("reduction-digon-equivalence",
-     "satisfiability matches 2-dicolourability for digon-mode compilations",
-     "quick", lambda rng, jobs: _claim_reduce_digon(rng, jobs, 10)),
-    ("reduction-digon-equivalence-50",
-     "50 seeded instances verify the digon-mode equivalence",
-     "full", lambda rng, jobs: _claim_reduce_digon(rng, jobs, 50)),
-    ("reduction-oriented-equivalence",
-     "digon-free compilations keep the equivalence; gadgets verified exhaustively",
-     "quick", lambda rng, jobs: _claim_reduce_oriented(rng, jobs, 5)),
-    ("reduction-oriented-equivalence-20",
-     "20 seeded digon-free instances verify the equivalence",
-     "full", lambda rng, jobs: _claim_reduce_oriented(rng, jobs, 20)),
-    ("solver-oracle",
-     "solver agrees with brute force over all colour assignments",
-     "quick", lambda rng, jobs: _claim_solver_oracle(rng, jobs, 40)),
-    ("solver-oracle-200",
-     "200 seeded instances agree with the brute-force oracle",
-     "full", lambda rng, jobs: _claim_solver_oracle(rng, jobs, 200)),
-]
-
-
 def cmd_verify_paper(args) -> int:
-    import random
-
-    jobs = _jobs(args)
+    ctx = ClaimContext(args.seed, _jobs(args))
     failures = []
     timings: dict[str, float] = {}
     results: dict[str, dict] = {}
     t_all = time.time()
-    for slug, desc, level, fn in _CLAIMS:
+    for slug, desc, level, check in _CLAIMS:
         if args.level == "quick" and level != "quick":
             continue
-        rng = random.Random(args.seed)
         t0 = time.time()
         try:
-            ok, details = fn(rng, jobs)
+            ok, details = ctx.run(check)
         except Exception as exc:  # a crash is a failure, not a verdict
             ok, details = False, {"error": repr(exc)}
         dt = time.time() - t0

@@ -21,7 +21,6 @@ colourings are certificates, so the pruning is exact.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
@@ -364,7 +363,7 @@ def dicritical_census(
     bounded orientations, exact dicriticality.  Results are independent of
     the filter choice and the worker count.
     """
-    from .formats import d6_decode, d6_encode, open_checkpoint
+    from .formats import checkpointed_map, d6_decode, d6_encode
 
     if filter not in ("vertex", "edge"):
         raise ValueError("filter must be 'vertex' or 'edge'")
@@ -375,35 +374,13 @@ def dicritical_census(
     arbf = arboricity if filter == "vertex" else edge_arboricity
     kept = [g for g in graphs if arbf(g) >= k]
     tasks = [(d6_encode(bidirect(g)), k) for g in kept]
-
-    done: dict[str, dict] = {}
-    ck = None
-    if checkpoint:
-        header = {"kind": "census", "n": n, "k": k, "filter": filter}
-        records, ck = open_checkpoint(checkpoint, header)
-        for rec in records:
-            done[rec["graph"]] = rec
-
-    def record(res: dict) -> None:
-        done[res["graph"]] = res
-        if ck:
-            ck.write(json.dumps(res) + "\n")
-            ck.flush()
-
-    todo = [t for t in tasks if t[0] not in done]
-    try:
-        if jobs > 1 and todo:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                for res in pool.map(_census_graph_task, todo):
-                    record(res)
-        else:
-            for t in todo:
-                record(_census_graph_task(t))
-    finally:
-        if ck:
-            ck.close()
+    header = {"kind": "census", "n": n, "k": k, "filter": filter}
+    done = {
+        res["graph"]: res
+        for res in checkpointed_map(
+            _census_graph_task, tasks, "graph", header, checkpoint, jobs
+        )
+    }
 
     all_dicritical: list[str] = []
     candidates = 0

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import TextIO
+from typing import Callable, Iterator, TextIO
 
 from .digraphs import Digraph
 
@@ -161,3 +161,43 @@ def open_checkpoint(path: str, header: dict) -> tuple[list[dict], TextIO]:
         fh.write(json.dumps(header) + "\n")
         fh.flush()
     return lines[1:], fh
+
+
+def checkpointed_map(
+    fn: Callable[[tuple], dict],
+    tasks: list[tuple],
+    key: str,
+    header: dict,
+    checkpoint: str | None,
+    jobs: int,
+) -> Iterator[dict]:
+    """Yield the record fn(task) of every task, resuming from a checkpoint.
+
+    A task's first item names it, and its record holds that name under
+    key.  The records a checkpoint already holds (see open_checkpoint) come
+    first, in file order, and their tasks are skipped; the rest run in task
+    order, in a process pool when jobs > 1, and each new record is appended
+    and flushed before it is yielded.  A caller that stops early just leaves
+    its loop: closing the generator cancels the tasks not yet started and
+    closes the file.
+    """
+    records, ck = open_checkpoint(checkpoint, header) if checkpoint else ([], None)
+    pool = None
+    try:
+        yield from records
+        done = {rec[key] for rec in records}
+        todo = [t for t in tasks if t[0] not in done]
+        if jobs > 1 and todo:
+            from concurrent.futures import ProcessPoolExecutor
+
+            pool = ProcessPoolExecutor(max_workers=jobs)
+        for rec in pool.map(fn, todo) if pool else map(fn, todo):
+            if ck:
+                ck.write(json.dumps(rec) + "\n")
+                ck.flush()
+            yield rec
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
+        if ck:
+            ck.close()

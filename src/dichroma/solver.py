@@ -8,7 +8,6 @@ every positive answer pass verify_dicolouring.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -407,15 +406,6 @@ def is_list_dicolourable(
     return [values[c] for c in res]
 
 
-def colouring_json(d: Digraph, k: int, colouring: Sequence[int]) -> str:
-    return json.dumps({"n": d.n, "k": k, "colouring": list(colouring)})
-
-
-def colouring_from_json(text: str) -> tuple[int, int, list[int]]:
-    obj = json.loads(text)
-    return int(obj["n"]), int(obj["k"]), [int(c) for c in obj["colouring"]]
-
-
 # -- exhaustive small-order bound checks ----------------------------------
 
 
@@ -468,65 +458,29 @@ def _bound_chunk(args) -> tuple[int, bool, str | None]:
     return chunk_idx, True, None
 
 
+def _bound_record(args) -> dict:
+    """_bound_chunk's verdict as a checkpoint record."""
+    idx, ok, counter = _bound_chunk(args)
+    rec = {"chunk": idx, "ok": ok}
+    if counter:
+        rec["counterexample"] = counter
+    return rec
+
+
 def _verify_bound_streamed(parents, n, k, jobs, checkpoint):
-    from .formats import d6_decode, d6_encode, open_checkpoint
+    from .formats import checkpointed_map, d6_decode, d6_encode
 
     chunk_size = 256
-    chunks = [
-        [d6_encode(t) for t in parents[i : i + chunk_size]]
+    tasks = [
+        (i // chunk_size, [d6_encode(t) for t in parents[i : i + chunk_size]], k)
         for i in range(0, len(parents), chunk_size)
     ]
-    done: dict[int, tuple[bool, str | None]] = {}
-    ck = None
-    if checkpoint:
-        header = {"kind": "tournament-bound", "n": n, "k": k, "chunks": len(chunks)}
-        records, ck = open_checkpoint(checkpoint, header)
-        for rec in records:
-            done[rec["chunk"]] = (rec["ok"], rec.get("counterexample"))
-
-    def record(idx, ok, counter):
-        done[idx] = (ok, counter)
-        if ck:
-            rec = {"chunk": idx, "ok": ok}
-            if counter:
-                rec["counterexample"] = counter
-            ck.write(json.dumps(rec) + "\n")
-            ck.flush()
-
-    # chunks run in index order, so the first failure seen is the lowest;
-    # anything past a known failure is never worth computing
-    known_failures = [i for i, (ok, _) in done.items() if not ok]
-    cutoff = min(known_failures) if known_failures else len(chunks)
-    todo = [
-        (i, chunk, k)
-        for i, chunk in enumerate(chunks)
-        if i not in done and i < cutoff
-    ]
-    try:
-        if jobs > 1 and todo:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                for idx, ok, counter in pool.map(_bound_chunk, todo):
-                    record(idx, ok, counter)
-                    if not ok:
-                        break
-        else:
-            for args in todo:
-                idx, ok, counter = _bound_chunk(args)
-                record(idx, ok, counter)
-                if not ok:
-                    break
-    finally:
-        if ck:
-            ck.close()
-    # deterministic verdict: lowest failing chunk wins
-    for i in range(len(chunks)):
-        if i not in done:
-            raise AssertionError("chunk processing stopped without a failure")
-        ok, counter = done[i]
-        if not ok:
-            return False, d6_decode(counter)
+    header = {"kind": "tournament-bound", "n": n, "k": k, "chunks": len(tasks)}
+    # records come in chunk order and none is written past a failure, so
+    # the first failure is the lowest failing chunk, whatever the jobs
+    for rec in checkpointed_map(_bound_record, tasks, "chunk", header, checkpoint, jobs):
+        if not rec["ok"]:
+            return False, d6_decode(rec["counterexample"])
     return True, None
 
 

@@ -34,26 +34,6 @@ class BlockDecomposition:
     cut_vertices: frozenset[int]
     isolated: tuple[int, ...]
 
-    @property
-    def forest_edges(self) -> list[tuple[int, int]]:
-        """Bipartite incidence (block index, cut vertex)."""
-        return [
-            (i, v)
-            for i, verts in enumerate(self.blocks)
-            for v in verts
-            if v in self.cut_vertices
-        ]
-
-    def leaf_blocks(self) -> list[tuple[int, int | None]]:
-        """(block index, attachment cut vertex) for blocks touching at most
-        one cut vertex; a component's only block has attachment None."""
-        out = []
-        for i, verts in enumerate(self.blocks):
-            cuts = [v for v in verts if v in self.cut_vertices]
-            if len(cuts) <= 1:
-                out.append((i, cuts[0] if cuts else None))
-        return out
-
     def to_json(self) -> dict:
         return {
             "n": self.n,

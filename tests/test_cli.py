@@ -9,6 +9,35 @@ from dichroma.cli import main
 
 TRIANGLE_D6 = "&BP_"
 
+FULL_CLAIMS = [
+    "st11-dichromatic-4",
+    "st11-4-dicritical",
+    "tournaments-6-2-dicolourable",
+    "census-6-3-empty",
+    "census-7-3-min-20-unique",
+    "stearns-tournaments",
+    "stearns-tournaments-8",
+    "circulant-13-no-tt5",
+    "surface-bounds-table",
+    "cactus-suite",
+    "cactus-suite-500",
+    "census-dicritical-gallai",
+    "reduction-digon-equivalence",
+    "reduction-digon-equivalence-50",
+    "reduction-oriented-equivalence",
+    "reduction-oriented-equivalence-20",
+    "solver-oracle",
+    "solver-oracle-200",
+]
+FULL_ONLY = {
+    "stearns-tournaments-8",
+    "cactus-suite-500",
+    "reduction-digon-equivalence-50",
+    "reduction-oriented-equivalence-20",
+    "solver-oracle-200",
+}
+QUICK_CLAIMS = [s for s in FULL_CLAIMS if s not in FULL_ONLY]
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -199,5 +228,31 @@ def test_verify_paper_quick_all_pass(capsys):
     blob = json.loads(out)
     assert blob["command"] == "verify-paper"
     assert blob["seed"] == 20260825
-    assert blob["results"]
+    assert sorted(blob["results"]) == sorted(QUICK_CLAIMS)
     assert all(r["pass"] for r in blob["results"].values())
+
+
+def test_verify_paper_full_censuses_once_per_run(capsys, monkeypatch, tmp_path):
+    from dichroma import claims, enumeration
+
+    census = enumeration.dicritical_census
+    calls = []
+
+    def counted(n, k, **kwargs):
+        calls.append((n, k))
+        return census(n, k, **kwargs)
+
+    monkeypatch.setattr(enumeration, "dicritical_census", counted)
+    monkeypatch.chdir(tmp_path)  # failure artifacts land here
+    results = []
+    for _ in range(2):
+        calls.clear()
+        code, out, _ = run_cli(capsys, "verify-paper", "--level", "full", "--json")
+        assert code == 0
+        assert calls.count((7, 3)) == 1
+        results.append(json.loads(out)["results"])
+    assert results[0] == results[1]
+    assert sorted(results[0]) == sorted(FULL_CLAIMS)
+    assert [slug for slug, *_ in claims.CLAIMS] == FULL_CLAIMS
+    quick = [slug for slug, _, level, _ in claims.CLAIMS if level == "quick"]
+    assert quick == QUICK_CLAIMS

@@ -11,8 +11,6 @@ from dichroma.digraphs import (
     circulant_tournament,
 )
 from dichroma.solver import (
-    colouring_from_json,
-    colouring_json,
     dichromatic_number,
     dicolouring_cnf,
     enumerate_dicolourings,
@@ -208,12 +206,6 @@ def test_list_dicolouring_vs_bruteforce():
         if got is not None:
             assert all(got[v] in lists[v] for v in range(n))
             assert verify_dicolouring(d, got, lists=lists)
-
-
-def test_colouring_json_roundtrip():
-    tri = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
-    obj = colouring_json(tri, 2, [1, 1, 2])
-    assert colouring_from_json(obj) == (3, 2, [1, 1, 2])
 
 
 def test_cnf_export_matches_dpll():
