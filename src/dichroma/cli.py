@@ -94,12 +94,11 @@ def cmd_census(args) -> int:
         args.k,
         jobs=_jobs(args),
         checkpoint=args.checkpoint,
-        filter=args.filter,
     )
     problems = validate_census(rep)
     report = RunReport(
         command="census",
-        inputs=f"n={args.n} k={args.k} filter={args.filter}",
+        inputs=f"n={args.n} k={args.k}",
         results=dict(rep.to_json(), problems=problems),
         timings={"census": time.time() - t0},
     )
@@ -338,7 +337,6 @@ def main(argv=None) -> int:
     p.add_argument("k", type=int)
     p.add_argument("--jobs", type=int, default=None)
     p.add_argument("--checkpoint", default=None)
-    p.add_argument("--filter", choices=("vertex", "edge"), default="vertex")
     add_common(p, fmt=None)
     p.set_defaults(func=cmd_census)
 

@@ -1,5 +1,5 @@
 """Isomorph-free generation of graphs, orientations and tournaments, the
-arboricity filters, and the census of dicritical oriented graphs.
+vertex arboricity filter, and the census of dicritical oriented graphs.
 
 Generation is by vertex extension with canonical-certificate rejection at
 every level.  Partial orientations carry their unoriented edges as digons and
@@ -27,7 +27,7 @@ from typing import Iterator, Sequence
 
 from .canon import canonical_cert, canonical_form
 from .digraphs import Digraph, Graph, bidirect, iter_bits, underlying_graph
-from .solver import _creates_cycle, is_k_dicolourable
+from .solver import _creates_cycle, _extend_tournament, is_k_dicolourable
 
 GEN_CAP = 10
 
@@ -113,25 +113,6 @@ def arboricity(g: Graph) -> int:
     while not ok(k):
         k += 1
     return k
-
-
-def edge_arboricity(g: Graph) -> int:
-    """Nash-Williams arboricity: max over subsets of ceil(m_S/(|S|-1)).
-
-    The maximum over subgraphs is attained on induced subgraphs, so vertex
-    subsets suffice.
-    """
-    n = g.n
-    best = 0
-    for mask in range(1, 1 << n):
-        s = mask.bit_count()
-        if s < 2:
-            continue
-        m = sum((g.rows[v] & mask).bit_count() for v in iter_bits(mask)) // 2
-        val = -(-m // (s - 1))
-        if val > best:
-            best = val
-    return best
 
 
 def _mixed_cert(n, rows, g, t):
@@ -292,13 +273,8 @@ def gen_tournaments(n: int) -> list[Digraph]:
     for t in range(1, n):
         seen: dict[bytes, Digraph] = {}
         for tour in reps:
-            rows_base = list(tour.rows)
             for mask in range(1 << t):
-                rows = [
-                    r | ((~mask >> i & 1) << t) for i, r in enumerate(rows_base)
-                ]
-                rows.append(mask)
-                child = Digraph(t + 1, rows)
+                child = _extend_tournament(tour, mask)
                 cert = canonical_cert(child)
                 if cert not in seen:
                     seen[cert] = child
@@ -314,7 +290,6 @@ class CensusReport:
     min_arcs: int | None
     witnesses: list[str]
     all_dicritical: list[str]
-    filter: str
     stats: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
@@ -325,7 +300,6 @@ class CensusReport:
             "min_arcs": self.min_arcs,
             "witnesses": self.witnesses,
             "all_dicritical": self.all_dicritical,
-            "filter": self.filter,
             "stats": self.stats,
         }
 
@@ -355,26 +329,25 @@ def dicritical_census(
     k: int,
     jobs: int = 1,
     checkpoint: str | None = None,
-    filter: str = "vertex",
 ) -> CensusReport:
     """All k-dicritical oriented graphs of order n.
 
-    Pipeline: graphs of min degree 2(k-1), arboricity filter at k, degree
-    bounded orientations, exact dicriticality.  Results are independent of
-    the filter choice and the worker count.
+    Pipeline: graphs of min degree 2(k-1), vertex arboricity filter at k,
+    degree bounded orientations, exact dicriticality.  Results are
+    independent of the worker count.
     """
     from .formats import checkpointed_map, d6_decode, d6_encode
 
-    if filter not in ("vertex", "edge"):
-        raise ValueError("filter must be 'vertex' or 'edge'")
     if k < 2:
         raise ValueError("census needs k >= 2")
     t0 = time.perf_counter()
     graphs = gen_graphs(n, 2 * (k - 1))
-    arbf = arboricity if filter == "vertex" else edge_arboricity
-    kept = [g for g in graphs if arbf(g) >= k]
+    kept = [g for g in graphs if arboricity(g) >= k]
     tasks = [(d6_encode(bidirect(g)), k) for g in kept]
-    header = {"kind": "census", "n": n, "k": k, "filter": filter}
+    # keep these exact bytes: checkpoints written when the filter was a
+    # choice carry "filter", must still resume, and bench/make_reference.py
+    # compares against this header
+    header = {"kind": "census", "n": n, "k": k, "filter": "vertex"}
     done = {
         res["graph"]: res
         for res in checkpointed_map(
@@ -399,7 +372,6 @@ def dicritical_census(
         min_arcs=min_arcs,
         witnesses=witnesses,
         all_dicritical=all_dicritical,
-        filter=filter,
         stats={
             "graphs": len(graphs),
             "graphs_after_arboricity": len(kept),

@@ -419,19 +419,31 @@ def verify_census_bound(
     this extends to every oriented graph of order n.  Returns (ok,
     counterexample); the counterexample is None when ok.
 
-    For n >= 9 the check streams the 2^(n-1) dominance extensions of every
-    tournament class of order n-1 (covering all order-n classes, duplicates
-    harmless for a universal property) and can be parallelized/checkpointed.
+    The check streams the 2^(n-1) dominance extensions of every tournament
+    class of order n-1 (covering all order-n classes, duplicates harmless
+    for a universal property) in chunks of 256 parents, which run in
+    parallel with jobs > 1 and resume from a checkpoint.
     """
     from .enumeration import gen_tournaments
+    from .formats import checkpointed_map, d6_decode, d6_encode
 
-    if n <= 8:
-        for t in gen_tournaments(n):
-            if is_k_dicolourable(t, k) is None:
-                return False, t
-        return True, None
+    if n < 1 or k < 1:
+        raise ValueError(f"need n >= 1 and k >= 1, got n={n} k={k}")
+    if n == 1:
+        return True, None  # no order-0 parent to extend
     parents = gen_tournaments(n - 1)
-    return _verify_bound_streamed(parents, n, k, jobs, checkpoint)
+    chunk_size = 256
+    tasks = [
+        (i // chunk_size, [d6_encode(t) for t in parents[i : i + chunk_size]], k)
+        for i in range(0, len(parents), chunk_size)
+    ]
+    header = {"kind": "tournament-bound", "n": n, "k": k, "chunks": len(tasks)}
+    # records come in chunk order and none is written past a failure, so
+    # the first failure is the lowest failing chunk, whatever the jobs
+    for rec in checkpointed_map(_bound_record, tasks, "chunk", header, checkpoint, jobs):
+        if not rec["ok"]:
+            return False, d6_decode(rec["counterexample"])
+    return True, None
 
 
 def _extend_tournament(t: Digraph, mask: int) -> Digraph:
@@ -465,23 +477,6 @@ def _bound_record(args) -> dict:
     if counter:
         rec["counterexample"] = counter
     return rec
-
-
-def _verify_bound_streamed(parents, n, k, jobs, checkpoint):
-    from .formats import checkpointed_map, d6_decode, d6_encode
-
-    chunk_size = 256
-    tasks = [
-        (i // chunk_size, [d6_encode(t) for t in parents[i : i + chunk_size]], k)
-        for i in range(0, len(parents), chunk_size)
-    ]
-    header = {"kind": "tournament-bound", "n": n, "k": k, "chunks": len(tasks)}
-    # records come in chunk order and none is written past a failure, so
-    # the first failure is the lowest failing chunk, whatever the jobs
-    for rec in checkpointed_map(_bound_record, tasks, "chunk", header, checkpoint, jobs):
-        if not rec["ok"]:
-            return False, d6_decode(rec["counterexample"])
-    return True, None
 
 
 # -- optional CNF export (cross-checks only, never used by the solver) ----

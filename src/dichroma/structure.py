@@ -166,13 +166,20 @@ def decomposition_report(d: Digraph) -> dict:
     return report
 
 
-def is_cactus(g: Graph) -> bool:
-    """Every block is a single edge or a cycle."""
+def _cactus_decomposition(g: Graph) -> BlockDecomposition | None:
+    """g's block decomposition if every block is a single edge or a cycle."""
     dec = block_decomposition(g)
-    return all(
+    if all(
         len(edges) == 1 or len(edges) == len(verts)
         for verts, edges in zip(dec.blocks, dec.block_edges)
-    )
+    ):
+        return dec
+    return None
+
+
+def is_cactus(g: Graph) -> bool:
+    """Every block is a single edge or a cycle."""
+    return _cactus_decomposition(g) is not None
 
 
 def is_directed_cactus(d: Digraph) -> bool:
@@ -193,10 +200,9 @@ def is_directed_gallai_forest(d: Digraph) -> bool:
 
 
 def _require_cactus(g: Graph) -> BlockDecomposition:
-    dec = block_decomposition(g)
-    for verts, edges in zip(dec.blocks, dec.block_edges):
-        if len(edges) != 1 and len(edges) != len(verts):
-            raise ValueError("input is not a cactus")
+    dec = _cactus_decomposition(g)
+    if dec is None:
+        raise ValueError("input is not a cactus")
     return dec
 
 

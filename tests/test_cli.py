@@ -1,10 +1,12 @@
 import io
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import dichroma
 from dichroma.cli import main
 
 TRIANGLE_D6 = "&BP_"
@@ -211,12 +213,15 @@ def test_unknown_subcommand_is_usage_error(capsys):
 
 
 def test_module_entry_point_subprocess():
+    # the subprocess imports the same source tree as this test process
+    src = os.path.dirname(os.path.dirname(dichroma.__file__))
     proc = subprocess.run(
         [sys.executable, "-m", "dichroma.cli", "dichi", "-"],
         input=TRIANGLE_D6 + "\n",
         capture_output=True,
         text=True,
         timeout=60,
+        env=dict(os.environ, PYTHONPATH=src),
     )
     assert proc.returncode == 0
     assert "k=2" in proc.stdout

@@ -223,22 +223,29 @@ def test_verify_census_bound_small():
     assert not ok and cex is not None and cex.n == 3
     ok, cex = verify_census_bound(4, 2)
     assert ok and cex is None
+    assert verify_census_bound(1, 1) == (True, None)
+    for n, k in ((0, 1), (1, 0), (9, 0)):
+        with pytest.raises(ValueError):
+            verify_census_bound(n, k)
+    serial = verify_census_bound(8, 2)
+    assert not serial[0] and is_k_dicolourable(serial[1], 2) is None
+    assert verify_census_bound(8, 2, jobs=2) == serial
 
 
 def test_verify_census_bound_streaming_with_checkpoint(tmp_path):
-    # n >= 9 takes the streaming path; k=2 fails fast on an early chunk
+    # k=2 fails fast, in chunk 0
     ck = tmp_path / "bound.ckpt"
-    ok, cex = verify_census_bound(9, 2, checkpoint=str(ck))
-    assert not ok and cex is not None and cex.n == 9
+    ok, cex = verify_census_bound(7, 2, checkpoint=str(ck))
+    assert not ok and cex is not None and cex.n == 7
     assert is_k_dicolourable(cex, 2) is None
     assert ck.exists()
     # resuming from the finished checkpoint reproduces the verdict
-    ok2, cex2 = verify_census_bound(9, 2, checkpoint=str(ck))
+    ok2, cex2 = verify_census_bound(7, 2, checkpoint=str(ck))
     assert not ok2 and cex2 == cex
     # a torn last record is dropped and recomputed
     finished = ck.read_bytes()
     ck.write_bytes(finished[:-5])
-    ok3, cex3 = verify_census_bound(9, 2, checkpoint=str(ck))
+    ok3, cex3 = verify_census_bound(7, 2, checkpoint=str(ck))
     assert not ok3 and cex3 == cex
     assert ck.read_bytes() == finished
 
