@@ -12,9 +12,57 @@ instances a seed draws do not depend on the fixed cases.
 
 from __future__ import annotations
 
+import itertools
 import random
+from fractions import Fraction
 
-from .digraphs import circulant_tournament, is_k_diregular, is_oriented
+from .canon import is_arc_transitive
+from .digraphs import (
+    Digraph,
+    circulant_tournament,
+    delete_arc,
+    delete_vertex,
+    is_k_diregular,
+    is_oriented,
+)
+from .enumeration import (
+    _forest_mask,
+    dicritical_census,
+    gen_tournaments,
+    validate_census,
+    verify_census_bound,
+)
+from .formats import d6_decode, dump_digraph
+from .reductions import (
+    CnfFormula,
+    PlanarIncidenceEmbedding,
+    default_g3,
+    make_eq_gadget,
+    make_neq_gadget,
+    reduce_digon,
+    reduce_oriented,
+    single_face_embedding,
+    verify_equivalence,
+)
+from .solver import (
+    dichromatic_number,
+    enumerate_dicolourings,
+    find_circulant_candidate,
+    is_dicritical,
+    is_k_dicolourable,
+    max_induced_acyclic,
+    verify_dicolouring,
+)
+from .structure import (
+    block_decomposition,
+    cactus_edge_bound,
+    cactus_induced_forest,
+    gallai_property_check,
+    random_cactus,
+)
+from .surfaces import (
+    dicritical_min_arcs, dicritical_order_bound, heawood_number, surface_table
+)
 
 ST11_SET = (1, 3, 4, 5, 9)
 # frozen outputs of completed census runs; re-derived by the census checks
@@ -34,8 +82,6 @@ class ClaimContext:
         self._censuses: dict = {}
 
     def census(self, n: int, k: int):
-        from .enumeration import dicritical_census
-
         if (n, k) not in self._censuses:
             self._censuses[n, k] = dicritical_census(n, k, jobs=self.jobs)
         return self._censuses[n, k]
@@ -53,18 +99,12 @@ def _verdict(checks: dict[str, bool], details: dict) -> tuple[bool, dict]:
 
 
 def _st11_dichromatic(ctx):
-    from .canon import is_arc_transitive
-    from .solver import dichromatic_number
-
     st11 = circulant_tournament(11, ST11_SET)
     k, _ = dichromatic_number(st11)
     return k == 4 and is_arc_transitive(st11), {"k": k}
 
 
 def _st11_dicritical(ctx):
-    from .digraphs import delete_arc
-    from .solver import is_dicritical, is_k_dicolourable
-
     st11 = circulant_tournament(11, ST11_SET)
     rep = is_dicritical(st11, 4)
     if st11.m != 55 or not rep.is_dicritical:
@@ -77,10 +117,6 @@ def _st11_dicritical(ctx):
 
 
 def _tournaments6(ctx):
-    from .enumeration import gen_tournaments
-    from .formats import dump_digraph
-    from .solver import verify_census_bound
-
     classes = len(gen_tournaments(6))
     ok, cex = verify_census_bound(6, 2)
     details = {"classes": classes,
@@ -94,8 +130,6 @@ def _census63(ctx):
 
 
 def _census73(ctx):
-    from .enumeration import validate_census
-
     rep = ctx.census(7, 3)
     problems = validate_census(rep)
     return _verdict(
@@ -112,13 +146,10 @@ def _census73(ctx):
     )
 
 
-def _stearns(ctx, nmax):
-    from .enumeration import gen_tournaments
-    from .solver import max_induced_acyclic
-
+def _stearns(ctx, orders):
     expected = {4: 4, 5: 12, 6: 56, 7: 456, 8: 6880}
     details = {}
-    for n in range(4, nmax + 1):
+    for n in orders:
         ts = gen_tournaments(n)
         details[n] = len(ts)
         if len(ts) != expected[n]:
@@ -130,9 +161,6 @@ def _stearns(ctx, nmax):
 
 
 def _circulant13(ctx):
-    from .digraphs import delete_vertex
-    from .solver import find_circulant_candidate, max_induced_acyclic
-
     d, s = find_circulant_candidate(13, 4)
     order = len(max_induced_acyclic(d))
     details = {"set": s, "acyclic_order": order}
@@ -148,16 +176,6 @@ def _circulant13(ctx):
 
 
 def _surface_bounds(ctx):
-    from fractions import Fraction
-
-    from .formats import d6_decode
-    from .surfaces import (
-        dicritical_min_arcs,
-        dicritical_order_bound,
-        heawood_number,
-        surface_table,
-    )
-
     rows = [(r["surface"], r["lower"], r["upper"]) for r in surface_table()]
     expected = [
         ("sphere", 2, 3), ("N1", 3, 3), ("N2", 3, 3), ("S1", 3, 3),
@@ -189,14 +207,6 @@ def _surface_bounds(ctx):
 
 
 def _cacti(ctx, trials):
-    from .enumeration import _forest_mask
-    from .structure import (
-        block_decomposition,
-        cactus_edge_bound,
-        cactus_induced_forest,
-        random_cactus,
-    )
-
     rng = ctx.rng
     for t in range(trials):
         n = rng.randint(1, 40)
@@ -219,9 +229,6 @@ def _cacti(ctx, trials):
 
 
 def _census_gallai(ctx):
-    from .formats import d6_decode
-    from .structure import gallai_property_check
-
     rep = ctx.census(7, 3)
     bad = [w for w in rep.all_dicritical
            if not gallai_property_check(d6_decode(w), 3)]
@@ -230,8 +237,6 @@ def _census_gallai(ctx):
 
 
 def _random_formula(rng):
-    from .reductions import CnfFormula
-
     nv = rng.randint(1, 6)
     nc = rng.randint(1, 10)
     clauses = tuple(
@@ -242,14 +247,6 @@ def _random_formula(rng):
 
 
 def _reduce_digon(ctx, trials):
-    from .reductions import (
-        CnfFormula,
-        PlanarIncidenceEmbedding,
-        reduce_digon,
-        single_face_embedding,
-        verify_equivalence,
-    )
-
     for t in range(trials):
         phi = _random_formula(ctx.rng)
         if not verify_equivalence(phi, reduce_digon(phi)):
@@ -279,16 +276,6 @@ def _reduce_digon(ctx, trials):
 
 
 def _reduce_oriented(ctx, trials):
-    from .reductions import (
-        CnfFormula,
-        default_g3,
-        make_eq_gadget,
-        make_neq_gadget,
-        reduce_oriented,
-        verify_equivalence,
-    )
-    from .solver import enumerate_dicolourings
-
     g3 = default_g3()
     eq = make_eq_gadget(g3, min(g3.arcs()))
     neq = make_neq_gadget(eq)
@@ -317,11 +304,6 @@ def _reduce_oriented(ctx, trials):
 
 
 def _solver_oracle(ctx, trials):
-    import itertools
-
-    from .digraphs import Digraph
-    from .solver import is_k_dicolourable, verify_dicolouring
-
     rng = ctx.rng
     for t in range(trials):
         n = rng.randint(1, 8)
@@ -364,10 +346,10 @@ CLAIMS = [
      "quick", _census73),
     ("stearns-tournaments",
      "every small tournament has an induced acyclic set of floor(log2 n)+1 vertices",
-     "quick", lambda ctx: _stearns(ctx, 7)),
+     "quick", lambda ctx: _stearns(ctx, range(4, 8))),
     ("stearns-tournaments-8",
      "order-8 tournaments (6880 classes) meet the acyclic-set bound",
-     "full", lambda ctx: _stearns(ctx, 8)),
+     "full", lambda ctx: _stearns(ctx, (8,))),
     ("circulant-13-no-tt5",
      "a 6-diregular circulant on 13 vertices has maximum acyclic order 4; deletions keep 60+ arcs and degrees 5+",
      "quick", _circulant13),

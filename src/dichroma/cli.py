@@ -2,8 +2,9 @@
 compilation, structure reports, and the claim-verification driver.
 
 Exit codes: 0 success, 1 a verified claim or property fails, 2 usage or
-parse errors.  DICHROMA_JOBS sets the default worker count.  All randomness
-sits behind --seed with a fixed default, so reruns are bit-reproducible.
+parse errors, 3 an internal error (a self-check of the program failed).
+DICHROMA_JOBS sets the default worker count.  All randomness sits behind
+--seed with a fixed default, so reruns are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -18,8 +19,28 @@ from dataclasses import dataclass, field
 
 from .claims import CLAIMS as _CLAIMS  # bench/make_reference.py reads cli._CLAIMS
 from .claims import ClaimContext
-from .digraphs import is_oriented
+from .digraphs import is_oriented, underlying_graph
+from .enumeration import dicritical_census, validate_census
 from .formats import dump_digraph, load_digraph
+from .reductions import (
+    CnfFormula,
+    PlanarIncidenceEmbedding,
+    reduce_digon,
+    reduce_oriented,
+    verify_equivalence,
+)
+from .solver import dichromatic_number, is_dicritical, verify_dicolouring
+from .structure import (
+    cactus_edge_bound,
+    cactus_induced_forest,
+    decomposition_report,
+    is_cactus,
+    is_directed_cactus,
+    is_directed_gallai_forest,
+)
+from .surfaces import (
+    dichromatic_bounds, parse_surface, surface_from_characteristic, surface_table
+)
 
 
 @dataclass
@@ -67,8 +88,6 @@ def _emit(args, report: RunReport, lines: list[str]) -> None:
 
 
 def cmd_dichi(args) -> int:
-    from .solver import dichromatic_number, verify_dicolouring
-
     text = _read_text(args.path)
     d = load_digraph(text, args.format)
     t0 = time.time()
@@ -86,8 +105,6 @@ def cmd_dichi(args) -> int:
 
 
 def cmd_census(args) -> int:
-    from .enumeration import dicritical_census, validate_census
-
     t0 = time.time()
     rep = dicritical_census(
         args.n,
@@ -114,13 +131,6 @@ def cmd_census(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    from .surfaces import (
-        dichromatic_bounds,
-        parse_surface,
-        surface_from_characteristic,
-        surface_table,
-    )
-
     results: dict = {}
     lines: list[str] = []
     if args.surface:
@@ -161,20 +171,10 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    from .reductions import (
-        CnfFormula,
-        PlanarIncidenceEmbedding,
-        reduce_digon,
-        reduce_oriented,
-        verify_equivalence,
-    )
-
     text = _read_text(args.path)
     phi = CnfFormula.from_dimacs(text)
     embedding = None
-    if args.mode == "planar":
-        if not args.embedding:
-            raise ValueError("planar mode needs --embedding FILE")
+    if args.embedding:
         with open(args.embedding) as fh:
             embedding = PlanarIncidenceEmbedding.from_json(json.load(fh))
     t0 = time.time()
@@ -205,16 +205,6 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_structure(args) -> int:
-    from .structure import (
-        cactus_edge_bound,
-        cactus_induced_forest,
-        decomposition_report,
-        is_cactus,
-        is_directed_cactus,
-        is_directed_gallai_forest,
-    )
-    from .digraphs import underlying_graph
-
     text = _read_text(args.path)
     d = load_digraph(text, args.format)
     g = underlying_graph(d)
@@ -242,8 +232,6 @@ def cmd_structure(args) -> int:
 
 
 def cmd_critical_check(args) -> int:
-    from .solver import is_dicritical
-
     text = _read_text(args.path)
     d = load_digraph(text, args.format)
     t0 = time.time()
@@ -351,10 +339,10 @@ def main(argv=None) -> int:
     p = sub.add_parser("reduce", help="compile 3-SAT into 2-dicolourability")
     p.add_argument("path", nargs="?", default="-",
                    help="DIMACS CNF file or - for stdin")
-    p.add_argument("--mode", choices=("hub", "planar"), default="hub")
     p.add_argument("--gadget", choices=("digon", "oriented"), default="digon")
     p.add_argument("--embedding", default=None,
-                   help="JSON face data (planar mode)")
+                   help="JSON face data; one face vertex per face "
+                   "instead of a single hub")
     p.add_argument("--verify", action="store_true",
                    help="also run the brute-force equivalence check")
     add_common(p, fmt=("d6", "arclist", "dimacs"))
@@ -385,6 +373,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -152,9 +152,6 @@ class Graph:
             rows[v] |= 1 << u
         return Graph(n, rows)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.rows[u] >> v & 1)
-
     def degree(self, v: int) -> int:
         return self.rows[v].bit_count()
 

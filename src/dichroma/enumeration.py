@@ -1,5 +1,8 @@
 """Isomorph-free generation of graphs, orientations and tournaments, the
-vertex arboricity filter, and the census of dicritical oriented graphs.
+vertex arboricity filter, the census of dicritical oriented graphs, and the
+exhaustive tournament bound (every tournament of order n k-dicolourable),
+which streams the generated tournament classes through a checkpointed,
+optionally parallel task loop.
 
 Generation is by vertex extension with canonical-certificate rejection at
 every level.  Partial orientations carry their unoriented edges as digons and
@@ -26,8 +29,14 @@ from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from .canon import canonical_cert, canonical_form
-from .digraphs import Digraph, Graph, bidirect, iter_bits, underlying_graph
-from .solver import _creates_cycle, _extend_tournament, is_k_dicolourable
+from .digraphs import (
+    Digraph, Graph, bidirect, is_k_diregular, is_oriented, iter_bits, underlying_graph
+)
+from .formats import checkpointed_map, d6_decode, d6_encode
+from .solver import (
+    _bound_chunk, _creates_cycle, _extend_tournament, is_dicritical, is_k_dicolourable
+)
+from .structure import gallai_property_check
 
 GEN_CAP = 10
 
@@ -282,6 +291,49 @@ def gen_tournaments(n: int) -> list[Digraph]:
     return reps
 
 
+def verify_census_bound(
+    n: int,
+    k: int,
+    jobs: int = 1,
+    checkpoint: str | None = None,
+) -> tuple[bool, Digraph | None]:
+    """Are all tournaments of order n k-dicolourable?  By arc-monotonicity
+    this extends to every oriented graph of order n.  Returns (ok,
+    counterexample); the counterexample is None when ok.
+
+    The check streams the 2^(n-1) dominance extensions of every tournament
+    class of order n-1 (covering all order-n classes, duplicates harmless
+    for a universal property) in chunks of 256 parents, which run in
+    parallel with jobs > 1 and resume from a checkpoint.
+    """
+    if n < 1 or k < 1:
+        raise ValueError(f"need n >= 1 and k >= 1, got n={n} k={k}")
+    if n == 1:
+        return True, None  # no order-0 parent to extend
+    parents = gen_tournaments(n - 1)
+    chunk_size = 256
+    tasks = [
+        (i // chunk_size, [d6_encode(t) for t in parents[i : i + chunk_size]], k)
+        for i in range(0, len(parents), chunk_size)
+    ]
+    header = {"kind": "tournament-bound", "n": n, "k": k, "chunks": len(tasks)}
+    # records come in chunk order and none is written past a failure, so
+    # the first failure is the lowest failing chunk, whatever the jobs
+    for rec in checkpointed_map(_bound_record, tasks, "chunk", header, checkpoint, jobs):
+        if not rec["ok"]:
+            return False, d6_decode(rec["counterexample"])
+    return True, None
+
+
+def _bound_record(args) -> dict:
+    """_bound_chunk's verdict as a checkpoint record."""
+    idx, ok, counter = _bound_chunk(args)
+    rec = {"chunk": idx, "ok": ok}
+    if counter:
+        rec["counterexample"] = counter
+    return rec
+
+
 @dataclass
 class CensusReport:
     n: int
@@ -305,9 +357,6 @@ class CensusReport:
 
 
 def _census_graph_task(args) -> dict:
-    from .formats import d6_decode, d6_encode
-    from .solver import is_dicritical
-
     g6, k = args
     g = underlying_graph(d6_decode(g6))
     # every proper induced subdigraph of a k-dicritical digraph is
@@ -336,8 +385,6 @@ def dicritical_census(
     degree bounded orientations, exact dicriticality.  Results are
     independent of the worker count.
     """
-    from .formats import checkpointed_map, d6_decode, d6_encode
-
     if k < 2:
         raise ValueError("census needs k >= 2")
     t0 = time.perf_counter()
@@ -384,11 +431,6 @@ def dicritical_census(
 def validate_census(report: CensusReport) -> list[str]:
     """Independent re-verification of a census report; returns a list of
     failure descriptions (empty when everything checks out)."""
-    from .digraphs import is_k_diregular, is_oriented
-    from .formats import d6_decode
-    from .solver import is_dicritical
-    from .structure import gallai_property_check
-
     problems = []
     k = report.k
     for s in report.all_dicritical:

@@ -188,6 +188,7 @@ def checkpointed_map(
         done = {rec[key] for rec in records}
         todo = [t for t in tasks if t[0] not in done]
         if jobs > 1 and todo:
+            # imported here: serial runs never pay for the pool machinery
             from concurrent.futures import ProcessPoolExecutor
 
             pool = ProcessPoolExecutor(max_workers=jobs)

@@ -13,8 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .digraphs import Digraph, is_oriented
-from .solver import enumerate_dicolourings, is_dicritical
+from .digraphs import Digraph, delete_arc, is_oriented
+from .formats import d6_decode, dump_digraph
+from .solver import (
+    enumerate_dicolourings, is_dicritical, is_k_dicolourable, verify_dicolouring
+)
 
 # the unique 20-arc 3-dicritical oriented graph of order 7 (census output),
 # default seed for the oriented inequality gadget
@@ -22,8 +25,6 @@ DEFAULT_G3_D6 = "&FKD`qUFHw?"
 
 
 def default_g3() -> Digraph:
-    from .formats import d6_decode
-
     return d6_decode(DEFAULT_G3_D6)
 
 
@@ -213,12 +214,18 @@ class PlanarIncidenceEmbedding:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PlanarIncidenceEmbedding":
-        return cls(
-            faces=tuple(tuple(w) for w in obj["faces"]),
-            clause_faces=tuple(
-                (int(a), int(b), int(c)) for a, b, c in obj["clause_faces"]
-            ),
-        )
+        try:
+            faces = tuple(tuple(w) for w in obj["faces"])
+            if not all(isinstance(x, str) for w in faces for x in w):
+                raise TypeError("face walks must list vertex names")
+            return cls(
+                faces=faces,
+                clause_faces=tuple(
+                    (int(a), int(b), int(c)) for a, b, c in obj["clause_faces"]
+                ),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"malformed embedding JSON: {exc!r}") from None
 
 
 @dataclass(frozen=True)
@@ -256,12 +263,10 @@ def make_eq_gadget(g3: Digraph, arc: tuple[int, int]) -> EqGadget:
         raise ValueError(f"({u},{v}) is not an arc of the seed digraph")
     if not is_dicritical(g3, 3).is_dicritical:
         raise ValueError("equality gadget seed must be 3-dicritical")
-    from .digraphs import delete_arc
-
     gadget = delete_arc(g3, u, v)
     patterns = _endpoint_patterns(gadget, u, v)
     if set(patterns) != {(1, 1), (2, 2)}:
-        raise AssertionError(
+        raise RuntimeError(
             "gadget endpoints admit patterns "
             f"{sorted(patterns)}; equality forcing failed"
         )
@@ -284,10 +289,10 @@ def make_neq_gadget(eq: EqGadget) -> NeqGadget:
         arcs.extend((mapping[p], mapping[q]) for p, q in g.arcs())
     d = Digraph.from_arcs(n, arcs)
     if not is_oriented(d):
-        raise AssertionError("inequality gadget contains a digon")
+        raise RuntimeError("inequality gadget contains a digon")
     patterns = _endpoint_patterns(d, 0, 3)
     if set(patterns) != {(1, 2), (2, 1)}:
-        raise AssertionError(
+        raise RuntimeError(
             "gadget endpoints admit patterns "
             f"{sorted(patterns)}; inequality forcing failed"
         )
@@ -312,8 +317,6 @@ class ReductionOutput:
         return None
 
     def to_json(self) -> dict:
-        from .formats import dump_digraph
-
         return {
             "mode": self.mode,
             "n": self.digraph.n,
@@ -464,8 +467,6 @@ def solve_reduction(output: ReductionOutput) -> list[int] | None:
     re-checked on the actual output, so the positive answer never rests on
     that argument.
     """
-    from .solver import is_k_dicolourable, verify_dicolouring
-
     if output.gadget is None:
         return is_k_dicolourable(output.digraph, 2)
     twin = reduce_digon(output.formula, output.embedding)
@@ -483,15 +484,13 @@ def solve_reduction(output: ReductionOutput) -> list[int] | None:
             if local not in (neq.u, neq.w):
                 full[mapping[local]] = colour
     if not verify_dicolouring(output.digraph, full, 2):
-        raise AssertionError("lifted colouring failed re-verification")
+        raise RuntimeError("lifted colouring failed re-verification")
     return full
 
 
 def verify_equivalence(phi: CnfFormula, output: ReductionOutput) -> bool:
     """Brute-force satisfiability against solver 2-dicolourability, plus
     decode checking on the satisfiable side."""
-    from .solver import verify_dicolouring
-
     sat = phi.brute_force_satisfiable()
     col = solve_reduction(output)
     if (sat is not None) != (col is not None):

@@ -1,4 +1,8 @@
-"""Exact decision procedures for dicolouring.
+"""Exact decision procedures for dicolouring: (list-)dicolourability, the
+dichromatic number, dicriticality and maximum induced acyclic sets, plus
+the chunk worker that checks dominance extensions of tournaments for the
+exhaustive tournament bound (the bound itself lives with tournament
+generation).
 
 All searches are deterministic: dynamic most-saturated-first vertex choice
 with lowest-index tie-breaks, colour symmetry broken by allowing a vertex
@@ -8,10 +12,12 @@ every positive answer pass verify_dicolouring.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .digraphs import Digraph, iter_bits
+from .digraphs import Digraph, circulant_tournament, delete_arc, iter_bits
+from .formats import d6_decode, d6_encode
 
 # saturation weight for an assigned digon partner; digon partners force the
 # opposite colour at k=2, so they are branched first
@@ -288,8 +294,6 @@ def is_dicritical(d: Digraph, k: int) -> CriticalityReport:
             is_dicritical=False,
             reason=f"not even {k}-dicolourable",
         )
-    from .digraphs import delete_arc
-
     arc_cols: list[tuple[tuple[int, int], list[int]]] = []
     for u, v in d.arcs():
         sub = is_k_dicolourable(delete_arc(d, u, v), k - 1)
@@ -406,44 +410,7 @@ def is_list_dicolourable(
     return [values[c] for c in res]
 
 
-# -- exhaustive small-order bound checks ----------------------------------
-
-
-def verify_census_bound(
-    n: int,
-    k: int,
-    jobs: int = 1,
-    checkpoint: str | None = None,
-) -> tuple[bool, Digraph | None]:
-    """Are all tournaments of order n k-dicolourable?  By arc-monotonicity
-    this extends to every oriented graph of order n.  Returns (ok,
-    counterexample); the counterexample is None when ok.
-
-    The check streams the 2^(n-1) dominance extensions of every tournament
-    class of order n-1 (covering all order-n classes, duplicates harmless
-    for a universal property) in chunks of 256 parents, which run in
-    parallel with jobs > 1 and resume from a checkpoint.
-    """
-    from .enumeration import gen_tournaments
-    from .formats import checkpointed_map, d6_decode, d6_encode
-
-    if n < 1 or k < 1:
-        raise ValueError(f"need n >= 1 and k >= 1, got n={n} k={k}")
-    if n == 1:
-        return True, None  # no order-0 parent to extend
-    parents = gen_tournaments(n - 1)
-    chunk_size = 256
-    tasks = [
-        (i // chunk_size, [d6_encode(t) for t in parents[i : i + chunk_size]], k)
-        for i in range(0, len(parents), chunk_size)
-    ]
-    header = {"kind": "tournament-bound", "n": n, "k": k, "chunks": len(tasks)}
-    # records come in chunk order and none is written past a failure, so
-    # the first failure is the lowest failing chunk, whatever the jobs
-    for rec in checkpointed_map(_bound_record, tasks, "chunk", header, checkpoint, jobs):
-        if not rec["ok"]:
-            return False, d6_decode(rec["counterexample"])
-    return True, None
+# -- the exhaustive tournament bound's worker ------------------------------
 
 
 def _extend_tournament(t: Digraph, mask: int) -> Digraph:
@@ -458,8 +425,8 @@ def _extend_tournament(t: Digraph, mask: int) -> Digraph:
 
 
 def _bound_chunk(args) -> tuple[int, bool, str | None]:
-    from .formats import d6_decode, d6_encode
-
+    """(chunk index, verdict, first counterexample): is every dominance
+    extension of the chunk's parent tournaments k-dicolourable?"""
     chunk_idx, parent_d6s, k = args
     for s in parent_d6s:
         t = d6_decode(s)
@@ -468,15 +435,6 @@ def _bound_chunk(args) -> tuple[int, bool, str | None]:
             if is_k_dicolourable(child, k) is None:
                 return chunk_idx, False, d6_encode(child)
     return chunk_idx, True, None
-
-
-def _bound_record(args) -> dict:
-    """_bound_chunk's verdict as a checkpoint record."""
-    idx, ok, counter = _bound_chunk(args)
-    rec = {"chunk": idx, "ok": ok}
-    if counter:
-        rec["counterexample"] = counter
-    return rec
 
 
 # -- optional CNF export (cross-checks only, never used by the solver) ----
@@ -515,8 +473,6 @@ def dicolouring_cnf(d: Digraph, k: int) -> tuple[int, list[list[int]]]:
     for u, v in d.arcs():
         for c in range(k):
             clauses.append([-x(u, c), -x(v, c), before(u, v)])
-    import itertools
-
     for a, b, c in itertools.combinations(range(n), 3):
         for p, q, r in itertools.permutations((a, b, c)):
             clauses.append([-before(p, q), -before(q, r), before(p, r)])
@@ -535,10 +491,6 @@ def find_circulant_candidate(
     """
     if n < 3 or n % 2 == 0:
         raise ValueError("circulant tournaments need odd n >= 3")
-    import itertools
-
-    from .digraphs import circulant_tournament
-
     pairs = [(d0, n - d0) for d0 in range(1, n // 2 + 1)]
     best: tuple[int, ...] | None = None
     for choice in itertools.product(*pairs):

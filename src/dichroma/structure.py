@@ -9,7 +9,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .digraphs import Digraph, Graph, build_digraph, build_graph, iter_bits
+from .digraphs import (
+    Digraph,
+    Graph,
+    build_digraph,
+    build_graph,
+    has_digon,
+    induced,
+    iter_bits,
+    underlying_graph,
+)
 
 SINGLE_EDGE = "single-edge"
 DIRECTED_CYCLE = "directed-cycle"
@@ -147,8 +156,6 @@ def _block_kind(d: Digraph, verts: Sequence[int], edges: Sequence[tuple[int, int
 
 
 def classify_blocks(d: Digraph, dec: BlockDecomposition | None = None) -> list[str]:
-    from .digraphs import underlying_graph
-
     if dec is None:
         dec = block_decomposition(underlying_graph(d))
     return [
@@ -158,8 +165,6 @@ def classify_blocks(d: Digraph, dec: BlockDecomposition | None = None) -> list[s
 
 
 def decomposition_report(d: Digraph) -> dict:
-    from .digraphs import underlying_graph
-
     dec = block_decomposition(underlying_graph(d))
     report = dec.to_json()
     report["kinds"] = classify_blocks(d, dec)
@@ -184,8 +189,6 @@ def is_cactus(g: Graph) -> bool:
 
 def is_directed_cactus(d: Digraph) -> bool:
     """Oriented, with every block a single arc or a directed cycle."""
-    from .digraphs import has_digon
-
     if has_digon(d):
         return False
     return all(
@@ -294,7 +297,7 @@ def cactus_induced_forest(g: Graph) -> list[int]:
     kept.sort()
     need = -(-2 * g.n // 3)
     if len(kept) < need:
-        raise AssertionError("induced forest below the cactus guarantee")
+        raise RuntimeError("induced forest below the cactus guarantee")
     return kept
 
 
@@ -311,8 +314,6 @@ def low_vertices(d: Digraph, k: int) -> list[int]:
 def gallai_property_check(d: Digraph, k: int) -> bool:
     """Do the low vertices induce a directed cactus (oriented input) or a
     directed Gallai forest (general input)?"""
-    from .digraphs import has_digon, induced
-
     sub = induced(d, low_vertices(d, k))
     if has_digon(d):
         return is_directed_gallai_forest(sub)

@@ -218,7 +218,7 @@ def surface_table() -> list[dict]:
         recs = [dichromatic_bounds(s) for s in surfaces]
         first = recs[0]
         if any((r.lower, r.upper) != (first.lower, first.upper) for r in recs):
-            raise AssertionError(f"row {label} is not homogeneous")
+            raise RuntimeError(f"row {label} is not homogeneous")
         rows.append(
             {
                 "surface": label,

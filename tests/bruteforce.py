@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 
-from dichroma.digraphs import Digraph, Graph
+from dichroma.digraphs import Digraph, Graph, induced_graph
 
 
 def kahn_acyclic(d: Digraph, verts) -> bool:
@@ -134,8 +134,6 @@ def is_forest(g: Graph) -> bool:
 
 
 def brute_max_induced_forest(g: Graph) -> int:
-    from dichroma.digraphs import induced_graph
-
     best = 0
     for mask in range(1 << g.n):
         verts = [v for v in range(g.n) if mask >> v & 1]

@@ -22,7 +22,22 @@ from contextlib import contextmanager
 import pytest
 
 import conftest
+from dichroma.canon import canonical_cert
 from dichroma.claims import CENSUS_8_3_WITNESS, CLAIMS, ClaimContext
+from dichroma.digraphs import Digraph, induced_graph
+from dichroma.enumeration import dicritical_census, validate_census, verify_census_bound
+from dichroma.solver import (
+    is_list_dicolourable, max_induced_acyclic, verify_dicolouring
+)
+from dichroma.structure import cactus_induced_forest, random_cactus
+
+from bruteforce import (
+    brute_max_induced_acyclic,
+    brute_tournament_classes,
+    is_forest,
+    kahn_acyclic,
+    random_digraph,
+)
 
 SEED = 20260825
 
@@ -92,8 +107,6 @@ def test_criterion_2_census_7_unique_and_6_empty(claims):
 
 @pytest.mark.extended
 def test_criterion_3_census_8_and_9():
-    from dichroma.enumeration import dicritical_census, validate_census
-
     with criterion(3, None, "3-dicritical census: minimum arc counts 21 "
                    "(order 8) and 23 (order 9), each witness unique"):
         rep8 = dicritical_census(
@@ -122,14 +135,9 @@ def test_criterion_4_order_6_tournaments(claims):
 
 
 def test_criterion_5_stearns_bound(claims):
-    from dichroma.canon import canonical_cert
-    from dichroma.digraphs import Digraph
-
-    from bruteforce import brute_tournament_classes
-
     with criterion(5, 300, "every tournament of order 4..8 contains an "
                    "induced acyclic set of floor(log2 n)+1 vertices"):
-        claims("stearns-tournaments-8")
+        claims("stearns-tournaments", "stearns-tournaments-8")
         # independent class counts up to order 6
         for n, count in ((4, 4), (5, 12)):
             assert len(brute_tournament_classes(n)) == count
@@ -165,11 +173,6 @@ def test_criterion_8_oriented_gadgets_and_reductions(claims):
 
 
 def test_criterion_9_structure_suite(claims):
-    from dichroma.digraphs import induced_graph
-    from dichroma.structure import cactus_induced_forest, random_cactus
-
-    from bruteforce import is_forest
-
     with criterion(9, 60, "500 random cacti meet the 3/2(n-1) edge bound "
                    "with triangle-only tightness and the 2n/3 induced "
                    "forest bound; census graphs pass the low-vertex check"):
@@ -190,18 +193,6 @@ def test_criterion_10_bounds_suite(claims):
 
 
 def test_criterion_11_oracle_suites(claims):
-    from dichroma.solver import (
-        is_list_dicolourable,
-        max_induced_acyclic,
-        verify_dicolouring,
-    )
-
-    from bruteforce import (
-        brute_max_induced_acyclic,
-        kahn_acyclic,
-        random_digraph,
-    )
-
     with criterion(11, 300, "solver, acyclic-set search and list "
                    "dicolouring agree with brute-force oracles"):
         claims("solver-oracle-200")
@@ -228,8 +219,6 @@ def test_criterion_11_oracle_suites(claims):
 
 @pytest.mark.extended
 def test_criterion_12_order_10_tournaments():
-    from dichroma.solver import verify_census_bound
-
     with criterion(12, None, "every tournament on 10 vertices is "
                    "3-dicolourable"):
         ok, cex = verify_census_bound(

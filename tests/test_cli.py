@@ -7,7 +7,9 @@ import sys
 import pytest
 
 import dichroma
+from dichroma import claims, solver
 from dichroma.cli import main
+from dichroma.reductions import CnfFormula, single_face_embedding
 
 TRIANGLE_D6 = "&BP_"
 
@@ -159,25 +161,27 @@ def test_reduce_oriented_arclist_output(tmp_path, capsys):
     assert len(header) == 2 and all(tok.isdigit() for tok in header)
 
 
-def test_reduce_planar_needs_embedding(tmp_path, capsys):
+def test_reduce_rejects_malformed_embedding(tmp_path, capsys):
     cnf = tmp_path / "phi.cnf"
     cnf.write_text("p cnf 3 1\n1 2 3 0\n")
-    code, _, err = run_cli(capsys, "reduce", str(cnf), "--mode", "planar")
-    assert code == 2
-    assert "embedding" in err
+    emb = tmp_path / "emb.json"
+    for bad in ('{"faces": [["v1", "c0", "v2"]], "clause_faces": [[0, 0, 0]]}',
+                '{"faces": [[["v1"], "c0"]], "clause_faces": [[0, 0, 0]]}',
+                '{"faces": []}', "not json"):
+        emb.write_text(bad)
+        code, out, err = run_cli(capsys, "reduce", str(cnf), "--embedding", str(emb))
+        assert code == 2 and out == ""
+        assert "error:" in err
 
 
 def test_reduce_planar_with_embedding(tmp_path, capsys):
-    from dichroma.reductions import CnfFormula, single_face_embedding
-
     cnf = tmp_path / "phi.cnf"
     cnf.write_text("p cnf 3 1\n1 2 3 0\n")
     emb = tmp_path / "emb.json"
     phi = CnfFormula(3, ((1, 2, 3),))
     emb.write_text(json.dumps(single_face_embedding(phi).to_json()))
     code, out, _ = run_cli(
-        capsys, "reduce", str(cnf), "--mode", "planar",
-        "--embedding", str(emb), "--verify",
+        capsys, "reduce", str(cnf), "--embedding", str(emb), "--verify",
     )
     assert code == 0
     assert "mode=digon-planar" in out
@@ -204,6 +208,18 @@ def test_critical_check_exit_codes(tmp_path, capsys):
     assert code == 1
     assert "dicritical=False" in out
     assert "reason:" in out
+
+
+def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
+    def broken(d, k):
+        raise RuntimeError("self-check failed")
+
+    monkeypatch.setattr(solver, "is_k_dicolourable", broken)
+    path = tmp_path / "tri.d6"
+    path.write_text(TRIANGLE_D6 + "\n")
+    code, out, err = run_cli(capsys, "dichi", str(path))
+    assert code == 3 and out == ""
+    assert err == "internal error: self-check failed\n"
 
 
 def test_unknown_subcommand_is_usage_error(capsys):
@@ -238,26 +254,26 @@ def test_verify_paper_quick_all_pass(capsys):
 
 
 def test_verify_paper_full_censuses_once_per_run(capsys, monkeypatch, tmp_path):
-    from dichroma import claims, enumeration
-
-    census = enumeration.dicritical_census
+    census = claims.dicritical_census
     calls = []
 
     def counted(n, k, **kwargs):
         calls.append((n, k))
         return census(n, k, **kwargs)
 
-    monkeypatch.setattr(enumeration, "dicritical_census", counted)
+    monkeypatch.setattr(claims, "dicritical_census", counted)
     monkeypatch.chdir(tmp_path)  # failure artifacts land here
     results = []
-    for _ in range(2):
+    # every census row is a quick row, so each level censuses (7, 3) once
+    for level in ("full", "quick"):
         calls.clear()
-        code, out, _ = run_cli(capsys, "verify-paper", "--level", "full", "--json")
+        code, out, _ = run_cli(capsys, "verify-paper", "--level", level, "--json")
         assert code == 0
         assert calls.count((7, 3)) == 1
         results.append(json.loads(out)["results"])
-    assert results[0] == results[1]
-    assert sorted(results[0]) == sorted(FULL_CLAIMS)
+    full, quick = results
+    assert sorted(full) == sorted(FULL_CLAIMS)
+    # claims are reseeded per row, so the quick rows repeat exactly
+    assert quick == {slug: full[slug] for slug in QUICK_CLAIMS}
     assert [slug for slug, *_ in claims.CLAIMS] == FULL_CLAIMS
-    quick = [slug for slug, _, level, _ in claims.CLAIMS if level == "quick"]
-    assert quick == QUICK_CLAIMS
+    assert [slug for slug, _, lvl, _ in claims.CLAIMS if lvl == "quick"] == QUICK_CLAIMS

@@ -10,6 +10,7 @@ from dichroma.digraphs import (
     build_graph,
     circulant_tournament,
 )
+from dichroma.enumeration import verify_census_bound
 from dichroma.solver import (
     dichromatic_number,
     dicolouring_cnf,
@@ -20,7 +21,6 @@ from dichroma.solver import (
     is_k_dicolourable,
     is_list_dicolourable,
     max_induced_acyclic,
-    verify_census_bound,
     verify_dicolouring,
 )
 
