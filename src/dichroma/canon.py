@@ -7,7 +7,7 @@ and let whole sibling branches be abandoned, which collapses the search on
 highly symmetric inputs (bidirected cliques, circulant tournaments).
 
 Only equality semantics are promised: cert(D1) == cert(D2) iff D1 and D2 are
-isomorphic (respecting any root sequence).  The labelling itself is an
+isomorphic (respecting any given cell partition).  The labelling itself is an
 implementation detail.
 """
 
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .digraphs import Digraph, Graph, bidirect, mask_of
+from .digraphs import Digraph, mask_of
 
 
 def _refine(out_rows, in_rows, cells):
@@ -132,89 +132,62 @@ class _CanonSearch:
 
 
 def canonical_cert(
-    d: Digraph,
-    roots: Sequence[int] = (),
-    cells: Sequence[Sequence[int]] | None = None,
+    d: Digraph, cells: Sequence[Sequence[int]] | None = None
 ) -> bytes:
     """Certificate equal across digraphs iff they are isomorphic.
 
-    Optional roots are individualized in order; rooted certs are equal iff an
-    isomorphism maps root sequence to root sequence elementwise.  An optional
-    ordered partition restricts isomorphisms to those preserving each cell
-    setwise; certs are comparable only across calls with matching cell shape.
+    An optional ordered partition restricts isomorphisms to those preserving
+    each cell setwise; certs are comparable only across calls with matching
+    cell shape.
     """
     n = d.n
-    seen = set()
-    for r in roots:
-        if not 0 <= r < n or r in seen:
-            raise ValueError(f"bad root sequence {tuple(roots)}")
-        seen.add(r)
     if n == 0:
-        return b"\x00\x00" + bytes([len(seen)])
-    start = [[r] for r in roots]
+        return b"\x00\x00"
     if cells is None:
-        rest = [v for v in range(n) if v not in seen]
-        if rest:
-            start.append(rest)
+        start = [list(range(n))]
     else:
-        covered = set(seen)
+        start = []
+        covered = set()
         for cell in cells:
-            part = [v for v in cell if v not in seen]
-            for v in part:
+            for v in cell:
                 if not 0 <= v < n or v in covered:
                     raise ValueError("cells must partition the vertices")
                 covered.add(v)
-            if part:
-                start.append(part)
+            if cell:
+                start.append(list(cell))
         if len(covered) != n:
             raise ValueError("cells must partition the vertices")
     search = _CanonSearch(n, d.rows, d.in_rows)
     search.run(start)
     if search.best is None:
         raise RuntimeError("canonical search reached no leaf")
-    return n.to_bytes(2, "big") + bytes([len(seen)]) + search.best
-
-
-def canonical_order(d: Digraph) -> list[int]:
-    """A canonical vertex order: relabelling by it gives a canonical form."""
-    if d.n == 0:
-        return []
-    search = _CanonSearch(d.n, d.rows, d.in_rows)
-    search.run([list(range(d.n))])
-    if search.best_order is None:
-        raise RuntimeError("canonical search reached no leaf")
-    return search.best_order
+    return n.to_bytes(2, "big") + search.best
 
 
 def canonical_form(d: Digraph) -> Digraph:
     """Canonical representative of the isomorphism class of d."""
-    order = canonical_order(d)
+    if d.n == 0:
+        return d
+    search = _CanonSearch(d.n, d.rows, d.in_rows)
+    search.run([list(range(d.n))])
+    if search.best_order is None:
+        raise RuntimeError("canonical search reached no leaf")
     pos = [0] * d.n
-    for new, old in enumerate(order):
+    for new, old in enumerate(search.best_order):
         pos[old] = new
     return d.relabel(pos)
-
-
-def graph_cert(g: Graph) -> bytes:
-    """Certificate for undirected graphs (via the bidirected digraph)."""
-    return canonical_cert(bidirect(g))
-
-
-def is_isomorphic(d1: Digraph, d2: Digraph) -> bool:
-    if d1.n != d2.n or d1.m != d2.m:
-        return False
-    return canonical_cert(d1) == canonical_cert(d2)
 
 
 def is_arc_transitive(d: Digraph) -> bool:
     """True iff the automorphism group acts transitively on arcs.
 
-    Uses pair-rooted certificates: arcs (u,v), (u',v') lie in one orbit iff
-    the certs of d rooted at (u,v) and (u',v') coincide.
+    Arcs (u,v), (u',v') lie in one orbit iff the certs of d with the cells
+    ([u], [v], rest) and ([u'], [v'], rest') coincide.
     """
     ref = None
     for u, v in d.arcs():
-        c = canonical_cert(d, roots=(u, v))
+        rest = [w for w in range(d.n) if w != u and w != v]
+        c = canonical_cert(d, cells=([u], [v], rest))
         if ref is None:
             ref = c
         elif c != ref:

@@ -3,8 +3,9 @@ compilation, structure reports, and the claim-verification driver.
 
 Exit codes: 0 success, 1 a verified claim or property fails, 2 usage or
 parse errors, 3 an internal error (a self-check of the program failed).
-DICHROMA_JOBS sets the default worker count.  All randomness sits behind
---seed with a fixed default, so reruns are bit-reproducible.
+DICHROMA_JOBS sets the default worker count, a positive integer like
+--jobs.  All randomness sits behind --seed with a fixed default, so reruns
+are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -72,11 +73,21 @@ def _read_text(path: str | None) -> str:
         return fh.read()
 
 
+def _positive_int(text: str) -> int:
+    """A worker count, from --jobs or DICHROMA_JOBS."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"worker count (--jobs, DICHROMA_JOBS) must be a positive "
+            f"integer, got {text!r}"
+        )
+    return int(text)
+
+
 def _jobs(args) -> int:
-    if getattr(args, "jobs", None):
+    if args.jobs is not None:
         return args.jobs
     env = os.environ.get("DICHROMA_JOBS")
-    return int(env) if env else 1
+    return _positive_int(env) if env else 1
 
 
 def _emit(args, report: RunReport, lines: list[str]) -> None:
@@ -195,8 +206,7 @@ def cmd_reduce(args) -> int:
         command="reduce", inputs=_digest(text), results=results, timings=timings
     )
     lines = [f"mode={out.mode} n={out.digraph.n} m={out.digraph.m}"]
-    out_fmt = None if args.format == "dimacs" else args.format
-    lines.append(dump_digraph(out.digraph, out_fmt))
+    lines.append(dump_digraph(out.digraph, args.format))
     lines.append("roles " + json.dumps(out.roles, sort_keys=True))
     if args.verify:
         lines.append(f"equivalence={results['equivalence']}")
@@ -307,12 +317,12 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, fmt=("d6", "arclist")):
+    def add_common(p, fmt_help="input format override (default: sniff)"):
         p.add_argument("--json", action="store_true",
                        help="emit a JSON run report")
-        if fmt:
-            p.add_argument("--format", choices=fmt, default=None,
-                           help="input format override (default: sniff)")
+        if fmt_help:
+            p.add_argument("--format", choices=("d6", "arclist"), default=None,
+                           help=fmt_help)
 
     p = sub.add_parser("dichi", help="dichromatic number with certificate")
     p.add_argument("path", nargs="?", default="-",
@@ -323,9 +333,9 @@ def main(argv=None) -> int:
     p = sub.add_parser("census", help="isomorph-free dicritical census")
     p.add_argument("n", type=int)
     p.add_argument("k", type=int)
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=_positive_int, default=None)
     p.add_argument("--checkpoint", default=None)
-    add_common(p, fmt=None)
+    add_common(p, fmt_help=None)
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("bounds", help="dichromatic number bounds per surface")
@@ -333,7 +343,7 @@ def main(argv=None) -> int:
                    help="surface name (sphere, torus, N2, S5, ...)")
     p.add_argument("--range", type=int, nargs=2, metavar=("LO", "HI"),
                    default=None, help="Euler characteristic range")
-    add_common(p, fmt=None)
+    add_common(p, fmt_help=None)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("reduce", help="compile 3-SAT into 2-dicolourability")
@@ -345,7 +355,8 @@ def main(argv=None) -> int:
                    "instead of a single hub")
     p.add_argument("--verify", action="store_true",
                    help="also run the brute-force equivalence check")
-    add_common(p, fmt=("d6", "arclist", "dimacs"))
+    add_common(p, fmt_help="output digraph format "
+               "(default: digraph6 when it fits, else arc list)")
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("structure", help="block decomposition and recognition")
@@ -362,7 +373,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("verify-paper",
                        help="run the claim suite and print a pass/fail table")
     p.add_argument("--level", choices=("quick", "full"), default="quick")
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=_positive_int, default=None)
     p.add_argument("--seed", type=int, default=20260825)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify_paper)
@@ -370,7 +381,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

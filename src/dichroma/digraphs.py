@@ -183,12 +183,6 @@ class Graph:
             rows[perm[u]] = r
         return Graph(self.n, rows)
 
-    def complement(self) -> "Graph":
-        full = (1 << self.n) - 1
-        return Graph(
-            self.n, [full & ~(self.rows[v] | 1 << v) for v in range(self.n)]
-        )
-
 
 # -- constructors ---------------------------------------------------------
 
@@ -248,34 +242,11 @@ def induced(d: Digraph, vertices: Iterable[int]) -> Digraph:
     return Digraph(len(verts), rows)
 
 
-def induced_graph(g: Graph, vertices: Iterable[int]) -> Graph:
-    verts = sorted(set(vertices))
-    pos = {v: i for i, v in enumerate(verts)}
-    rows = [0] * len(verts)
-    msk = mask_of(verts)
-    for v in verts:
-        r = 0
-        for w in iter_bits(g.rows[v] & msk):
-            r |= 1 << pos[w]
-        rows[pos[v]] = r
-    return Graph(len(verts), rows)
-
-
 def delete_arc(d: Digraph, u: int, v: int) -> Digraph:
     if not d.has_arc(u, v):
         raise ValueError(f"arc ({u}, {v}) not present")
     rows = list(d.rows)
     rows[u] &= ~(1 << v)
-    return Digraph(d.n, rows)
-
-
-def add_arc(d: Digraph, u: int, v: int) -> Digraph:
-    if u == v:
-        raise ValueError(f"self-loop at vertex {u}")
-    if d.has_arc(u, v):
-        raise ValueError(f"arc ({u}, {v}) already present")
-    rows = list(d.rows)
-    rows[u] |= 1 << v
     return Digraph(d.n, rows)
 
 
@@ -296,20 +267,6 @@ def is_oriented(d: Digraph) -> bool:
 
 def has_digon(d: Digraph) -> bool:
     return not is_oriented(d)
-
-
-def is_tournament(d: Digraph) -> bool:
-    """Exactly one arc between every vertex pair, no digons."""
-    if d.m != d.n * (d.n - 1) // 2:
-        return False
-    ir = d.in_rows
-    full = (1 << d.n) - 1
-    for v in range(d.n):
-        if d.rows[v] & ir[v]:
-            return False
-        if (d.rows[v] | ir[v] | 1 << v) != full:
-            return False
-    return True
 
 
 def is_k_diregular(d: Digraph, k: int) -> bool:

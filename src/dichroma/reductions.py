@@ -62,12 +62,6 @@ class CnfFormula:
                 return assignment
         return None
 
-    def to_dimacs(self) -> str:
-        lines = [f"p cnf {self.num_vars} {len(self.clauses)}"]
-        for cl in self.clauses:
-            lines.append(" ".join(str(lit) for lit in cl) + " 0")
-        return "\n".join(lines) + "\n"
-
     @classmethod
     def from_dimacs(cls, text: str) -> "CnfFormula":
         num_vars = None
@@ -309,12 +303,6 @@ class ReductionOutput:
     gadget: NeqGadget | None = None
     # per inequality link, the map gadget-local vertex -> output vertex
     gadget_copies: tuple[tuple[int, ...], ...] = ()
-
-    def role_of(self, vertex: int) -> str | None:
-        for name, v in self.roles.items():
-            if v == vertex:
-                return name
-        return None
 
     def to_json(self) -> dict:
         return {

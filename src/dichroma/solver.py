@@ -1,8 +1,8 @@
-"""Exact decision procedures for dicolouring: (list-)dicolourability, the
-dichromatic number, dicriticality and maximum induced acyclic sets, plus
-the chunk worker that checks dominance extensions of tournaments for the
-exhaustive tournament bound (the bound itself lives with tournament
-generation).
+"""Exact decision procedures for dicolouring: dicolourability, the
+dichromatic number, list-dicolourability (by reduction to dicolourability),
+dicriticality and maximum induced acyclic sets, plus the chunk worker that
+checks dominance extensions of tournaments for the exhaustive tournament
+bound (the bound itself lives with tournament generation).
 
 All searches are deterministic: dynamic most-saturated-first vertex choice
 with lowest-index tie-breaks, colour symmetry broken by allowing a vertex
@@ -71,20 +71,16 @@ def _creates_cycle(rows, irows, v, cmask):
     return False
 
 
-def _dfs_colour(d: Digraph, k: int, domains: list[int] | None) -> list[int] | None:
-    """Core search.  domains: per-vertex bitmask over colour indices 0..k-1,
-    or None for the symmetric full-domain case.  Returns 0-based colours."""
+def _dfs_colour(d: Digraph, k: int) -> list[int] | None:
+    """Core search.  Returns 0-based colours."""
     n = d.n
     if n == 0:
         return []
-    if domains is not None and any(dom == 0 for dom in domains):
-        return None
     rows = d.rows
     irows = d.in_rows
     und = d.underlying_rows
     digons = d.digon_rows
     full = (1 << n) - 1
-    symmetric = domains is None
 
     colour = [-1] * n
     class_masks = [0] * k
@@ -111,14 +107,8 @@ def _dfs_colour(d: Digraph, k: int, domains: list[int] | None) -> list[int] | No
             r ^= low
         return best_v
 
-    def cands(v: int, used_before: int) -> list[int]:
-        if symmetric:
-            return list(range(min(k, used_before + 1)))
-        dom = domains[v]
-        return list(iter_bits(dom))
-
     v0 = pick()
-    stack = [[v0, cands(v0, 0), 0, 0]]
+    stack = [[v0, list(range(min(k, 1))), 0, 0]]
     while stack:
         fr = stack[-1]
         v = fr[0]
@@ -140,7 +130,7 @@ def _dfs_colour(d: Digraph, k: int, domains: list[int] | None) -> list[int] | No
                 colour[v] = c
                 class_masks[c] |= 1 << v
                 assigned |= 1 << v
-                if symmetric and c == used:
+                if c == used:
                     used = c + 1
                 bump(v, 1)
                 placed = True
@@ -151,7 +141,7 @@ def _dfs_colour(d: Digraph, k: int, domains: list[int] | None) -> list[int] | No
         if assigned == full:
             return colour[:]
         nv = pick()
-        stack.append([nv, cands(nv, used), 0, used])
+        stack.append([nv, list(range(min(k, used + 1))), 0, used])
     return None
 
 
@@ -159,7 +149,7 @@ def is_k_dicolourable(d: Digraph, k: int) -> list[int] | None:
     """A k-dicolouring as a list of colours in 1..k, or None."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    res = _dfs_colour(d, k, None)
+    res = _dfs_colour(d, k)
     if res is None:
         return None
     return [c + 1 for c in res]
@@ -393,21 +383,33 @@ def max_induced_acyclic(d: Digraph) -> list[int]:
 def is_list_dicolourable(
     d: Digraph, lists: Sequence[Iterable[int]]
 ) -> list[int] | None:
-    """A colouring with each colour drawn from the vertex's own list, or None."""
+    """A colouring with each colour drawn from the vertex's own list, or None.
+
+    Reduces to k-dicolourability with k the number of distinct list values:
+    one new vertex per value, the new vertices a bidirected clique, and a
+    digon from v to each value vertex whose value is not in v's list.  The
+    clique takes all k colours, a digon keeps v out of its partner's class,
+    and a value vertex has no arc inside its own class, so the colourings
+    of d that the extension allows are exactly the list colourings.
+    """
     if len(lists) != d.n:
         raise ValueError("one list per vertex required")
-    values = sorted({c for lst in lists for c in lst})
-    index = {c: i for i, c in enumerate(values)}
-    domains = []
-    for lst in lists:
-        dom = 0
-        for c in lst:
-            dom |= 1 << index[c]
-        domains.append(dom)
-    res = _dfs_colour(d, max(1, len(values)), domains)
+    n = d.n
+    allowed = [set(lst) for lst in lists]
+    values = sorted(set().union(*allowed))
+    k = len(values)
+    clique = ((1 << k) - 1) << n
+    rows = list(d.rows) + [clique & ~(1 << (n + i)) for i in range(k)]
+    for i, c in enumerate(values):
+        for v in range(n):
+            if c not in allowed[v]:
+                rows[v] |= 1 << (n + i)
+                rows[n + i] |= 1 << v
+    res = _dfs_colour(Digraph(n + k, rows), k)
     if res is None:
         return None
-    return [values[c] for c in res]
+    value_of = {res[n + i]: c for i, c in enumerate(values)}
+    return [value_of[c] for c in res[:n]]
 
 
 # -- the exhaustive tournament bound's worker ------------------------------
@@ -435,48 +437,6 @@ def _bound_chunk(args) -> tuple[int, bool, str | None]:
             if is_k_dicolourable(child, k) is None:
                 return chunk_idx, False, d6_encode(child)
     return chunk_idx, True, None
-
-
-# -- optional CNF export (cross-checks only, never used by the solver) ----
-
-
-def dicolouring_cnf(d: Digraph, k: int) -> tuple[int, list[list[int]]]:
-    """CNF satisfiable iff d is k-dicolourable.
-
-    Variables x(v,c) = 1 + v*k + c ("v gets colour c") and order variables
-    y(u,v) for u < v ("u before v"); a monochromatic arc forces its tail
-    before its head, and transitivity of the order forbids monochromatic
-    cycles.
-    """
-    n = d.n
-    nx = n * k
-
-    def x(v, c):
-        return 1 + v * k + c
-
-    pair_index = {}
-    nxt = nx + 1
-    for u in range(n):
-        for v in range(u + 1, n):
-            pair_index[(u, v)] = nxt
-            nxt += 1
-
-    def before(u, v):
-        # literal meaning "u precedes v"
-        if u < v:
-            return pair_index[(u, v)]
-        return -pair_index[(v, u)]
-
-    clauses: list[list[int]] = []
-    for v in range(n):
-        clauses.append([x(v, c) for c in range(k)])
-    for u, v in d.arcs():
-        for c in range(k):
-            clauses.append([-x(u, c), -x(v, c), before(u, v)])
-    for a, b, c in itertools.combinations(range(n), 3):
-        for p, q, r in itertools.permutations((a, b, c)):
-            clauses.append([-before(p, q), -before(q, r), before(p, r)])
-    return nxt - 1, clauses
 
 
 def find_circulant_candidate(

@@ -12,7 +12,6 @@ from typing import Sequence
 from .digraphs import (
     Digraph,
     Graph,
-    build_digraph,
     build_graph,
     has_digon,
     induced,
@@ -119,8 +118,7 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
     for blk in blocks_edges:
         verts = sorted({x for e in blk for x in e})
         blocks.append(tuple(verts))
-        bedges.append(tuple((min(u, w), max(u, w)) for u, w in sorted(
-            (min(u, w), max(u, w)) for u, w in blk)))
+        bedges.append(tuple(sorted((min(u, w), max(u, w)) for u, w in blk)))
     return BlockDecomposition(
         n=n,
         blocks=tuple(blocks),
@@ -320,7 +318,7 @@ def gallai_property_check(d: Digraph, k: int) -> bool:
     return is_directed_cactus(sub)
 
 
-# -- seeded generators for property harnesses -----------------------------
+# -- seeded generator for property harnesses ------------------------------
 
 
 def random_cactus(order: int, seed: int) -> Graph:
@@ -335,7 +333,7 @@ def random_cactus(order: int, seed: int) -> Graph:
     while n < order:
         attach = rng.randrange(n)
         clen = rng.randint(3, 6)
-        if rng.random() < 0.5 or order - n < 2 or order - n + 1 < 3:
+        if rng.random() < 0.5 or order - n < 2:
             edges.append((attach, n))
             n += 1
             continue
@@ -345,85 +343,3 @@ def random_cactus(order: int, seed: int) -> Graph:
             edges.append((cyc[i], cyc[(i + 1) % clen]))
         n += clen - 1
     return build_graph(n, edges)
-
-
-def random_gallai_forest(order: int, k: int, seed: int) -> Digraph:
-    """Random directed Gallai forest with total degree at most 2k at every
-    vertex and no bidirected clique beyond K_k.  Growth may stop early if
-    every vertex runs out of degree budget."""
-    if order < 1 or k < 2:
-        raise ValueError("need order >= 1 and k >= 2")
-    rng = random.Random(seed)
-    n = 1
-    arcs: list[tuple[int, int]] = []
-    deg = [0]
-    budget = 2 * k
-    while n < order:
-        room = order - n
-        kinds = ["arc"]
-        if room >= 2:
-            kinds.append("dicycle")
-            if k >= 2:
-                kinds.append("bidcycle")
-                kinds.append("clique")
-        kind = rng.choice(kinds)
-        if kind == "arc":
-            cost = 1
-        elif kind == "dicycle":
-            cost = 2
-        elif kind == "bidcycle":
-            cost = 4
-        else:
-            size = rng.randint(2, max(2, min(k, room + 1)))
-            cost = 2 * (size - 1)
-        hosts = [v for v in range(n) if deg[v] + cost <= budget]
-        if not hosts:
-            hosts = [v for v in range(n) if deg[v] + 1 <= budget]
-            if not hosts:
-                break
-            kind, cost = "arc", 1
-        attach = rng.choice(hosts)
-        if kind == "arc":
-            new = n
-            deg.append(1)
-            deg[attach] += 1
-            arcs.append((attach, new) if rng.random() < 0.5 else (new, attach))
-            n += 1
-        elif kind == "dicycle":
-            clen = min(rng.randint(3, 6), room + 1)
-            cyc = [attach] + list(range(n, n + clen - 1))
-            for i in range(clen):
-                arcs.append((cyc[i], cyc[(i + 1) % clen]))
-            deg[attach] += 2
-            deg.extend([2] * (clen - 1))
-            n += clen - 1
-        elif kind == "bidcycle":
-            clen = min(rng.choice([3, 5]), room + 1)
-            if clen % 2 == 0:
-                clen -= 1
-            if clen < 3:
-                continue
-            cyc = [attach] + list(range(n, n + clen - 1))
-            for i in range(clen):
-                u, w = cyc[i], cyc[(i + 1) % clen]
-                arcs.append((u, w))
-                arcs.append((w, u))
-            deg[attach] += 4
-            deg.extend([4] * (clen - 1))
-            n += clen - 1
-        else:
-            size = max(2, min(size, room + 1))
-            clique = [attach] + list(range(n, n + size - 1))
-            for i, u in enumerate(clique):
-                for w in clique[i + 1 :]:
-                    arcs.append((u, w))
-                    arcs.append((w, u))
-            deg[attach] += 2 * (size - 1)
-            deg.extend([2 * (size - 1)] * (size - 1))
-            n += size - 1
-    return build_digraph(n, arcs)
-
-
-def gallai_density_bound(k: int, n: int) -> Fraction:
-    """Arc-count ceiling (k-1+2/k) n for the harnessed Gallai forests."""
-    return (Fraction(k - 1) + Fraction(2, k)) * n

@@ -1,6 +1,6 @@
-"""Closed-form surface bounds: Euler characteristics, Heawood numbers, edge
-and arboricity ceilings, order and density bounds for dicritical digraphs,
-and the combined per-surface dichromatic bounds table.
+"""Closed-form surface bounds: Euler characteristics, Heawood numbers,
+arboricity ceilings, order and density bounds for dicritical digraphs, and
+the combined per-surface dichromatic bounds table.
 
 Everything except the tournament lower bound is exact integer or rational
 arithmetic; that one bound divides by a logarithm, so it uses floats by
@@ -79,13 +79,6 @@ def heawood_number(c: int) -> int:
     if c > 2:
         raise ValueError(f"Heawood number needs characteristic <= 2, got {c}")
     return (7 + math.isqrt(49 - 24 * c)) // 2
-
-
-def max_edges(n: int, s: Surface) -> int:
-    """Edge ceiling 3n - 3c for simple graphs of order n >= 3 on s."""
-    if n < 3:
-        raise ValueError("edge bound needs n >= 3")
-    return 3 * n - 3 * euler_characteristic(s)
 
 
 def arboricity_bound(c: int) -> int:

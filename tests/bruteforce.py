@@ -7,8 +7,9 @@ or generator code is reused beyond the plain data types.
 from __future__ import annotations
 
 import itertools
+import random
 
-from dichroma.digraphs import Digraph, Graph, induced_graph
+from dichroma.digraphs import Digraph, Graph
 
 
 def kahn_acyclic(d: Digraph, verts) -> bool:
@@ -111,16 +112,18 @@ def brute_cut_vertices(g: Graph) -> set[int]:
     return {v for v in range(g.n) if ncomp(v) > base}
 
 
-def is_forest(g: Graph) -> bool:
+def is_forest(g: Graph, verts) -> bool:
+    """Does the subgraph of g induced by verts contain no cycle?"""
+    verts = sorted(set(verts))
     seen: set[int] = set()
-    for s in range(g.n):
+    for s in verts:
         if s in seen:
             continue
         stack = [(s, -1)]
         seen.add(s)
         while stack:
             x, parent = stack.pop()
-            for w in range(g.n):
+            for w in verts:
                 if not g.rows[x] >> w & 1:
                     continue
                 if w == parent:
@@ -137,7 +140,7 @@ def brute_max_induced_forest(g: Graph) -> int:
     best = 0
     for mask in range(1 << g.n):
         verts = [v for v in range(g.n) if mask >> v & 1]
-        if len(verts) > best and is_forest(induced_graph(g, verts)):
+        if len(verts) > best and is_forest(g, verts):
             best = len(verts)
     return best
 
@@ -248,6 +251,45 @@ def dpll(num_vars: int, clauses) -> bool:
     return solve([list(cl) for cl in clauses])
 
 
+def dicolouring_cnf(d: Digraph, k: int) -> tuple[int, list[list[int]]]:
+    """CNF satisfiable iff d is k-dicolourable.
+
+    Variables x(v,c) = 1 + v*k + c ("v gets colour c") and order variables
+    y(u,v) for u < v ("u before v"); a monochromatic arc forces its tail
+    before its head, and transitivity of the order forbids monochromatic
+    cycles.
+    """
+    n = d.n
+    nx = n * k
+
+    def x(v, c):
+        return 1 + v * k + c
+
+    pair_index = {}
+    nxt = nx + 1
+    for u in range(n):
+        for v in range(u + 1, n):
+            pair_index[(u, v)] = nxt
+            nxt += 1
+
+    def before(u, v):
+        # literal meaning "u precedes v"
+        if u < v:
+            return pair_index[(u, v)]
+        return -pair_index[(v, u)]
+
+    clauses: list[list[int]] = []
+    for v in range(n):
+        clauses.append([x(v, c) for c in range(k)])
+    for u, v in d.arcs():
+        for c in range(k):
+            clauses.append([-x(u, c), -x(v, c), before(u, v)])
+    for a, b, c in itertools.combinations(range(n), 3):
+        for p, q, r in itertools.permutations((a, b, c)):
+            clauses.append([-before(p, q), -before(q, r), before(p, r)])
+    return nxt - 1, clauses
+
+
 def random_digraph(rng, n: int, p: float = 0.35) -> Digraph:
     arcs = [
         (u, v)
@@ -266,3 +308,77 @@ def random_graph(rng, n: int, p: float = 0.4) -> Graph:
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
     return Graph(n, rows)
+
+
+def random_gallai_forest(order: int, k: int, seed: int) -> Digraph:
+    """Random directed Gallai forest with total degree at most 2k at every
+    vertex and no bidirected clique beyond K_k.  Growth may stop early if
+    every vertex runs out of degree budget."""
+    if order < 1 or k < 2:
+        raise ValueError("need order >= 1 and k >= 2")
+    rng = random.Random(seed)
+    n = 1
+    arcs: list[tuple[int, int]] = []
+    deg = [0]
+    budget = 2 * k
+    while n < order:
+        room = order - n
+        kinds = ["arc"]
+        if room >= 2:
+            kinds += ["dicycle", "bidcycle", "clique"]
+        kind = rng.choice(kinds)
+        if kind == "arc":
+            cost = 1
+        elif kind == "dicycle":
+            cost = 2
+        elif kind == "bidcycle":
+            cost = 4
+        else:
+            size = rng.randint(2, max(2, min(k, room + 1)))
+            cost = 2 * (size - 1)
+        hosts = [v for v in range(n) if deg[v] + cost <= budget]
+        if not hosts:
+            hosts = [v for v in range(n) if deg[v] + 1 <= budget]
+            if not hosts:
+                break
+            kind, cost = "arc", 1
+        attach = rng.choice(hosts)
+        if kind == "arc":
+            new = n
+            deg.append(1)
+            deg[attach] += 1
+            arcs.append((attach, new) if rng.random() < 0.5 else (new, attach))
+            n += 1
+        elif kind == "dicycle":
+            clen = min(rng.randint(3, 6), room + 1)
+            cyc = [attach] + list(range(n, n + clen - 1))
+            for i in range(clen):
+                arcs.append((cyc[i], cyc[(i + 1) % clen]))
+            deg[attach] += 2
+            deg.extend([2] * (clen - 1))
+            n += clen - 1
+        elif kind == "bidcycle":
+            clen = min(rng.choice([3, 5]), room + 1)
+            if clen % 2 == 0:
+                clen -= 1
+            if clen < 3:
+                continue
+            cyc = [attach] + list(range(n, n + clen - 1))
+            for i in range(clen):
+                u, w = cyc[i], cyc[(i + 1) % clen]
+                arcs.append((u, w))
+                arcs.append((w, u))
+            deg[attach] += 4
+            deg.extend([4] * (clen - 1))
+            n += clen - 1
+        else:
+            size = max(2, min(size, room + 1))
+            clique = [attach] + list(range(n, n + size - 1))
+            for i, u in enumerate(clique):
+                for w in clique[i + 1 :]:
+                    arcs.append((u, w))
+                    arcs.append((w, u))
+            deg[attach] += 2 * (size - 1)
+            deg.extend([2 * (size - 1)] * (size - 1))
+            n += size - 1
+    return Digraph.from_arcs(n, arcs)

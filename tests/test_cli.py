@@ -105,6 +105,20 @@ def test_census_jobs_env(capsys, monkeypatch):
     assert "count=1" in out
 
 
+def test_jobs_must_be_positive(capsys, monkeypatch):
+    for argv in (["census", "5", "2"], ["verify-paper"]):
+        for jobs in ("-3", "0", "two"):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--jobs", jobs])
+            assert exc.value.code == 2
+            assert "positive integer" in capsys.readouterr().err
+    for jobs in ("-3", "0"):
+        monkeypatch.setenv("DICHROMA_JOBS", jobs)
+        code, out, err = run_cli(capsys, "census", "5", "2")
+        assert code == 2 and out == ""
+        assert "positive integer" in err
+
+
 def test_bounds_single_surface(capsys):
     code, out, _ = run_cli(capsys, "bounds", "--surface", "N10")
     assert code == 0
@@ -159,6 +173,19 @@ def test_reduce_oriented_arclist_output(tmp_path, capsys):
     assert "mode=oriented-hub" in out
     header = out.splitlines()[1].split()
     assert len(header) == 2 and all(tok.isdigit() for tok in header)
+
+
+def test_reduce_format_is_an_output_format(tmp_path, capsys):
+    # the input is always DIMACS; --format names the output digraph format
+    cnf = tmp_path / "phi.cnf"
+    cnf.write_text("p cnf 3 1\n1 2 3 0\n")
+    code, default, _ = run_cli(capsys, "reduce", str(cnf))
+    assert code == 0
+    code, d6, _ = run_cli(capsys, "reduce", str(cnf), "--format", "d6")
+    assert code == 0 and d6 == default
+    with pytest.raises(SystemExit) as exc:
+        main(["reduce", str(cnf), "--format", "dimacs"])
+    assert exc.value.code == 2
 
 
 def test_reduce_rejects_malformed_embedding(tmp_path, capsys):

