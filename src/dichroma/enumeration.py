@@ -1,8 +1,13 @@
 """Isomorph-free generation of graphs, orientations and tournaments, the
 vertex arboricity filter, the census of dicritical oriented graphs, and the
-exhaustive tournament bound (every tournament of order n k-dicolourable),
-which streams the generated tournament classes through a checkpointed,
-optionally parallel task loop.
+exhaustive tournament bound (every tournament of order n k-dicolourable).
+
+The bound works in layers.  A tournament that is not k-dicolourable stays
+not (k-1)-dicolourable after deleting any vertex, so only the order-(n-1)
+classes that are not (k-1)-dicolourable need extending; a first layer finds
+them by the (k-1) colouring cover of the order-(n-2) classes, and the
+second decides their extensions by the k-cover.  Both stream through a
+checkpointed, optionally parallel task loop.
 
 Generation is by vertex extension with canonical-certificate rejection at
 every level.  Partial orientations carry their unoriented edges as digons and
@@ -34,7 +39,8 @@ from .digraphs import (
 )
 from .formats import checkpointed_map, d6_decode, d6_encode
 from .solver import (
-    _bound_chunk, _creates_cycle, _extend_tournament, is_dicritical, is_k_dicolourable
+    _bound_chunk, _class_masks, _creates_cycle, _extend_tournament, _uncovered,
+    is_dicritical, is_k_dicolourable,
 )
 from .structure import gallai_property_check
 
@@ -155,13 +161,6 @@ def _extend(classes, rows, irows, t):
         if not _creates_cycle(rows, irows, t, cmask):
             return classes[:c] + (cmask | 1 << t,) + classes[c + 1 :]
     return None
-
-
-def _class_masks(colouring: Sequence[int], colours: int) -> tuple[int, ...]:
-    masks = [0] * colours
-    for v, c in enumerate(colouring):
-        masks[c - 1] |= 1 << v
-    return tuple(masks)
 
 
 def _orientation_stream(
@@ -291,6 +290,52 @@ def gen_tournaments(n: int) -> list[Digraph]:
     return reps
 
 
+BOUND_CHUNK = 256  # parent tournaments per task of the bound's layers
+
+
+def _chunks(d6s: list[str], k: int) -> list[tuple[int, list[str], int]]:
+    return [
+        (i // BOUND_CHUNK, d6s[i : i + BOUND_CHUNK], k)
+        for i in range(0, len(d6s), BOUND_CHUNK)
+    ]
+
+
+def _hard_children(args) -> dict:
+    """The children of a chunk of parent tournaments that are not
+    k-dicolourable, each the first of its certificate in parent, then mask
+    order, as (certificate, digraph6) pairs."""
+    idx, parent_d6s, k = args
+    first: dict[bytes, str] = {}
+    for s in parent_d6s:
+        t = d6_decode(s)
+        for mask in _uncovered(t, k):
+            child = _extend_tournament(t, mask)
+            cert = canonical_cert(child)
+            if cert not in first:
+                first[cert] = d6_encode(child)
+    return {"chunk": idx, "hard": list(first.items())}
+
+
+def _hard_classes(n: int, k: int, jobs: int = 1) -> list[str]:
+    """The order-n tournament classes that are not k-dicolourable, in
+    digraph6, with the representatives and order gen_tournaments(n) gives
+    them; n >= 2.
+
+    Every order-n class extends some order-(n-1) class, so the k-cover
+    (solver._uncovered) of gen_tournaments(n-1) meets every hard class.
+    Hardness does not depend on labels, so the first hard child of each
+    certificate is the one gen_tournaments keeps, and sorting by
+    certificate restores its order.
+    """
+    parents = [d6_encode(t) for t in gen_tournaments(n - 1)]
+    tasks = _chunks(parents, k)
+    first: dict[bytes, str] = {}
+    for rec in checkpointed_map(_hard_children, tasks, "chunk", {}, None, jobs):
+        for cert, s in rec["hard"]:
+            first.setdefault(cert, s)
+    return [first[c] for c in sorted(first)]
+
+
 def verify_census_bound(
     n: int,
     k: int,
@@ -301,22 +346,36 @@ def verify_census_bound(
     this extends to every oriented graph of order n.  Returns (ok,
     counterexample); the counterexample is None when ok.
 
-    The check streams the 2^(n-1) dominance extensions of every tournament
-    class of order n-1 (covering all order-n classes, duplicates harmless
-    for a universal property) in chunks of 256 parents, which run in
-    parallel with jobs > 1 and resume from a checkpoint.
+    Every order-n class is a dominance extension of an order-(n-1) class,
+    and solver._bound_chunk decides all 2^(n-1) extensions of a parent at
+    once by its colouring cover (T + S is k-dicolourable iff a k-dicolouring
+    of T has a class C with S & C a sink-side suffix of C).  An order-n
+    tournament that is not k-dicolourable extends one of order n-1 that is
+    not (k-1)-dicolourable: delete any vertex, and the rest cannot take k-1
+    colours, or the vertex would take the k-th.  So for k >= 2 and n >= 3 a
+    first layer finds those hard order-(n-1) classes (_hard_classes) and
+    only they are extended; k = 1 and n <= 2 extend every class of
+    gen_tournaments(n-1).  Both layers run in chunks of 256 parents, in
+    parallel with jobs > 1; the second resumes from the checkpoint, whose
+    header records how many parents it streams.  The counterexample is the
+    first failing extension of the first failing parent in class order,
+    whatever the layering and the jobs.
     """
     if n < 1 or k < 1:
         raise ValueError(f"need n >= 1 and k >= 1, got n={n} k={k}")
     if n == 1:
         return True, None  # no order-0 parent to extend
-    parents = gen_tournaments(n - 1)
-    chunk_size = 256
-    tasks = [
-        (i // chunk_size, [d6_encode(t) for t in parents[i : i + chunk_size]], k)
-        for i in range(0, len(parents), chunk_size)
-    ]
-    header = {"kind": "tournament-bound", "n": n, "k": k, "chunks": len(tasks)}
+    if k == 1 or n <= 2:
+        parents = [d6_encode(t) for t in gen_tournaments(n - 1)]
+    else:
+        parents = _hard_classes(n - 1, k - 1, jobs)
+    tasks = _chunks(parents, k)
+    # version 2: records are chunks of the hard parents; a file written
+    # when they were chunks of every class must not be trusted
+    header = {
+        "kind": "tournament-bound", "version": 2, "n": n, "k": k,
+        "parents": len(parents), "chunks": len(tasks),
+    }
     # records come in chunk order and none is written past a failure, so
     # the first failure is the lowest failing chunk, whatever the jobs
     for rec in checkpointed_map(_bound_record, tasks, "chunk", header, checkpoint, jobs):

@@ -4,6 +4,15 @@ dicriticality and maximum induced acyclic sets, plus the chunk worker that
 checks dominance extensions of tournaments for the exhaustive tournament
 bound (the bound itself lives with tournament generation).
 
+The worker decides all 2^n extensions of a parent tournament T at once by
+a colouring cover (_uncovered).  A new vertex beating exactly the set S can
+join a colour class C of a dicolouring of T iff S & C is a sink-side suffix
+of C's transitive order.  Every dicolouring of T + S restricts to one of T,
+so T + S is k-dicolourable iff some k-dicolouring of T covers S that way.
+One solve settles T when it is (k-1)-dicolourable, as the new vertex then
+takes a class of its own; otherwise T's k-dicolourings are walked, once per
+class set, until every S is covered, and the masks left over are exact.
+
 All searches are deterministic: dynamic most-saturated-first vertex choice
 with lowest-index tie-breaks, colour symmetry broken by allowing a vertex
 only colours up to 1 + the number already in use.  Certificates returned by
@@ -191,27 +200,40 @@ def verify_dicolouring(
 def enumerate_dicolourings(d: Digraph, k: int) -> Iterator[tuple[int, ...]]:
     """All k-dicolourings (colours 1..k), in lexicographic order.
 
-    Exhaustive by design; meant for gadget-sized inputs.
+    Exhaustive by design; meant for gadget-sized inputs.  The colour list
+    is the search stack: vertex v holds the colour being tried, 0 while it
+    is unplaced, so depth is bounded by no recursion limit.
     """
     n = d.n
     rows, irows = d.rows, d.in_rows
     colour = [0] * n
     class_masks = [0] * k
-
-    def rec(v: int) -> Iterator[tuple[int, ...]]:
+    v = 0
+    while v >= 0:
         if v == n:
             yield tuple(colour)
-            return
-        for c in range(k):
-            if _creates_cycle(rows, irows, v, class_masks[c]):
-                continue
+            v -= 1
+            continue
+        c = colour[v]  # the next colour to try, 0-based
+        if c:
+            class_masks[c - 1] &= ~(1 << v)
+        while c < k and _creates_cycle(rows, irows, v, class_masks[c]):
+            c += 1
+        if c == k:
+            colour[v] = 0
+            v -= 1
+        else:
             colour[v] = c + 1
             class_masks[c] |= 1 << v
-            yield from rec(v + 1)
-            class_masks[c] &= ~(1 << v)
-        colour[v] = 0
+            v += 1
 
-    return rec(0)
+
+def _class_masks(colouring: Sequence[int], colours: int) -> tuple[int, ...]:
+    """The vertex mask of each colour 1..colours."""
+    masks = [0] * colours
+    for v, c in enumerate(colouring):
+        masks[c - 1] |= 1 << v
+    return tuple(masks)
 
 
 @dataclass
@@ -426,16 +448,74 @@ def _extend_tournament(t: Digraph, mask: int) -> Digraph:
     return Digraph(n + 1, rows)
 
 
+def _suffixes(rows: Sequence[int], cmask: int) -> frozenset[int]:
+    """The sink-side suffixes of an acyclic class of a tournament, empty
+    and whole class included.  The class is transitive, so its vertices
+    have distinct out-degrees inside it, and a suffix is a set of the
+    vertices of least such degree."""
+    order = sorted(iter_bits(cmask), key=lambda v: (rows[v] & cmask).bit_count())
+    sufs = [0]
+    for v in order:
+        sufs.append(sufs[-1] | 1 << v)
+    return frozenset(sufs)
+
+
+def _uncovered(t: Digraph, k: int) -> list[int]:
+    """The masks S, ascending, whose extension _extend_tournament(t, S) of
+    the tournament t is not k-dicolourable, by the cover lemma of the
+    module docstring: the new vertex beats exactly S, so a cycle through it
+    in class C needs some a in S & C that beats some b in C - S.  Each
+    colouring the answer relies on passes verify_dicolouring, or
+    RuntimeError is raised.
+    """
+    if k > 1:
+        col = is_k_dicolourable(t, k - 1)
+        if col is not None:
+            _verified(t, col, k - 1)
+            return []
+    rows = t.rows
+    left = list(range(1 << t.n))
+    seen: set[frozenset[int]] = set()
+    sufs: dict[int, frozenset[int]] = {}
+    for col in enumerate_dicolourings(t, k):
+        classes = _class_masks(col, k)
+        key = frozenset(classes)
+        if key in seen:
+            continue
+        seen.add(key)
+        kept = left
+        for c in classes:
+            if c not in sufs:
+                sufs[c] = _suffixes(rows, c)
+            suf = sufs[c]
+            kept = [s for s in kept if s & c not in suf]
+        if len(kept) < len(left):
+            _verified(t, col, k)
+            left = kept
+            if not left:
+                break
+    return left
+
+
+def _verified(t: Digraph, colouring: Sequence[int], k: int) -> None:
+    if not verify_dicolouring(t, colouring, k):
+        raise RuntimeError(
+            f"{k}-dicolouring {list(colouring)} of {d6_encode(t)} fails verification"
+        )
+
+
 def _bound_chunk(args) -> tuple[int, bool, str | None]:
     """(chunk index, verdict, first counterexample): is every dominance
-    extension of the chunk's parent tournaments k-dicolourable?"""
+    extension of the chunk's parent tournaments k-dicolourable?  The
+    counterexample is the first failing parent extended by its least
+    uncovered mask, the first failure of a scan over parents, then masks
+    ascending."""
     chunk_idx, parent_d6s, k = args
     for s in parent_d6s:
         t = d6_decode(s)
-        for mask in range(1 << t.n):
-            child = _extend_tournament(t, mask)
-            if is_k_dicolourable(child, k) is None:
-                return chunk_idx, False, d6_encode(child)
+        left = _uncovered(t, k)
+        if left:
+            return chunk_idx, False, d6_encode(_extend_tournament(t, left[0]))
     return chunk_idx, True, None
 
 

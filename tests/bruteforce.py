@@ -1,7 +1,9 @@
 """Independent brute-force oracles used to cross-check the library.
 
 Everything here recomputes from first principles: no solver, canonical-form,
-or generator code is reused beyond the plain data types.
+or generator code is reused beyond the plain data types.  The one exception
+is brute_bound_chunk, the tournament-bound worker as one solver call per
+dominance mask, the reference the colouring cover is checked against.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ import itertools
 import random
 
 from dichroma.digraphs import Digraph, Graph
+from dichroma.formats import d6_decode, d6_encode
+from dichroma.solver import _extend_tournament, is_k_dicolourable
 
 
 def kahn_acyclic(d: Digraph, verts) -> bool:
@@ -382,3 +386,16 @@ def random_gallai_forest(order: int, k: int, seed: int) -> Digraph:
             deg.extend([2 * (size - 1)] * (size - 1))
             n += size - 1
     return Digraph.from_arcs(n, arcs)
+
+
+def brute_bound_chunk(args) -> tuple[int, bool, str | None]:
+    """(chunk index, verdict, first counterexample): is every dominance
+    extension of the chunk's parent tournaments k-dicolourable?"""
+    chunk_idx, parent_d6s, k = args
+    for s in parent_d6s:
+        t = d6_decode(s)
+        for mask in range(1 << t.n):
+            child = _extend_tournament(t, mask)
+            if is_k_dicolourable(child, k) is None:
+                return chunk_idx, False, d6_encode(child)
+    return chunk_idx, True, None

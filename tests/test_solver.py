@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -9,8 +10,12 @@ from dichroma.digraphs import (
     build_graph,
     circulant_tournament,
 )
-from dichroma.enumeration import verify_census_bound
+from dichroma import solver
+from dichroma.enumeration import _hard_classes, gen_tournaments, verify_census_bound
+from dichroma.formats import d6_decode, d6_encode
 from dichroma.solver import (
+    _bound_chunk,
+    _uncovered,
     dichromatic_number,
     enumerate_dicolourings,
     find_circulant_candidate,
@@ -23,6 +28,7 @@ from dichroma.solver import (
 )
 
 from bruteforce import (
+    brute_bound_chunk,
     brute_chromatic_number,
     brute_dichromatic_number,
     brute_dicolourable,
@@ -215,17 +221,59 @@ def test_cnf_export_matches_dpll():
             assert dpll(nvars, clauses) == (is_k_dicolourable(d, k) is not None)
 
 
+def test_enumerate_dicolourings_deep_path():
+    # one frame per vertex would pass the recursion limit
+    n = 3000
+    path = Digraph.from_arcs(n, [(v, v + 1) for v in range(n - 1)])
+    assert list(enumerate_dicolourings(path, 1)) == [(1,) * n]
+
+
+def test_bound_chunk_matches_per_mask_loop():
+    # the cover against one solve per mask, one parent per call: same
+    # verdict and the same first counterexample, failing parents included
+    cases = [(n, k) for n in range(1, 7) for k in (1, 2, 3)] + [(7, 2)]
+    fails = 0
+    for n, k in cases:
+        for i, t in enumerate(gen_tournaments(n)):
+            task = (i, [d6_encode(t)], k)
+            got = _bound_chunk(task)
+            assert got == brute_bound_chunk(task), (n, k, task)
+            fails += not got[1]
+    assert fails == 1 + 2 + 4 + 12 + 56 + 10 + 265  # k=1 at n<=6, k=2 at n=6, 7
+
+
+def test_uncovered_checks_every_colouring_it_uses(monkeypatch):
+    cyclic = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
+    assert _uncovered(cyclic, 1) == list(range(8))  # nothing to verify
+    monkeypatch.setattr(solver, "verify_dicolouring", lambda *a: False)
+    for t, k in ((tt(3), 2), (cyclic, 2)):  # (k-1)-solve, then the walk
+        with pytest.raises(RuntimeError):
+            _uncovered(t, k)
+
+
+def test_hard_classes_are_the_classes_that_fail():
+    for n in range(3, 9):
+        for k in (2, 3):
+            want = [
+                d6_encode(t) for t in gen_tournaments(n - 1)
+                if is_k_dicolourable(t, k - 1) is None
+            ]
+            assert _hard_classes(n - 1, k - 1) == want, (n, k)
+    assert len(_hard_classes(8, 2)) == 258
+
+
 def test_verify_census_bound_small():
-    ok, cex = verify_census_bound(3, 1)
-    assert not ok and cex is not None and cex.n == 3
-    ok, cex = verify_census_bound(4, 2)
-    assert ok and cex is None
+    assert verify_census_bound(3, 1) == (False, d6_decode("&BP_"))
+    assert verify_census_bound(4, 2) == (True, None)
+    assert verify_census_bound(6, 2) == (True, None)
+    assert verify_census_bound(7, 2) == (False, d6_decode("&F\\F`GMsPq?"))
     assert verify_census_bound(1, 1) == (True, None)
     for n, k in ((0, 1), (1, 0), (9, 0)):
         with pytest.raises(ValueError):
             verify_census_bound(n, k)
     serial = verify_census_bound(8, 2)
-    assert not serial[0] and is_k_dicolourable(serial[1], 2) is None
+    assert serial == (False, d6_decode("&G]bwXAoEyI[O"))
+    assert is_k_dicolourable(serial[1], 2) is None
     assert verify_census_bound(8, 2, jobs=2) == serial
 
 
@@ -245,6 +293,23 @@ def test_verify_census_bound_streaming_with_checkpoint(tmp_path):
     ok3, cex3 = verify_census_bound(7, 2, checkpoint=str(ck))
     assert not ok3 and cex3 == cex
     assert ck.read_bytes() == finished
+
+
+def test_bound_checkpoint_is_versioned(tmp_path):
+    ck = tmp_path / "bound.ckpt"
+    assert verify_census_bound(4, 2, checkpoint=str(ck)) == (True, None)
+    header, record = (json.loads(ln) for ln in ck.read_text().splitlines())
+    assert header == {"kind": "tournament-bound", "version": 2, "n": 4,
+                      "k": 2, "parents": 1, "chunks": 1}  # the 3-cycle
+    assert record == {"chunk": 0, "ok": True}
+    # a finished file from before the layering: its chunks held every
+    # order-3 class, so it is refused and left as it was
+    old = b'{"kind": "tournament-bound", "n": 4, "k": 2, "chunks": 1}\n' \
+          b'{"chunk": 0, "ok": true}\n'
+    ck.write_bytes(old)
+    with pytest.raises(ValueError):
+        verify_census_bound(4, 2, checkpoint=str(ck))
+    assert ck.read_bytes() == old
 
 
 def test_find_circulant_candidate_small():
