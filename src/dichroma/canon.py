@@ -6,9 +6,18 @@ individualization-refinement tree; equal-encoding leaves witness automorphisms
 and let whole sibling branches be abandoned, which collapses the search on
 highly symmetric inputs (bidirected cliques, circulant tournaments).
 
+Refinement counts only against the cells that just split (McKay and
+Piperno's splitter idea, in rounds): every cell of an equitable partition
+has constant counts towards every cell, so after individualising v a child
+refines against [v] alone, and each later round against the sub-cells the
+previous round produced, less the last sub-cell of each split, whose counts
+follow from its siblings' and its parent's.  The ordered partition, and so
+every certificate byte, is that of recounting against every cell.
+
 Only equality semantics are promised: cert(D1) == cert(D2) iff D1 and D2 are
 isomorphic (respecting any given cell partition).  The labelling itself is an
-implementation detail.
+implementation detail, but it is kept stable and its bytes are pinned by the
+tests: generated representatives and stored results are picked by it.
 """
 
 from __future__ import annotations
@@ -18,39 +27,57 @@ from typing import Sequence
 from .digraphs import Digraph, mask_of
 
 
-def _refine(out_rows, in_rows, cells):
+def _refine(out_rows, in_rows, cells, fresh):
     """Equitable refinement of an ordered partition.
 
-    Cells are repeatedly split by (out-degree, in-degree) signatures towards
-    every cell; sub-cells are ordered by signature so the result depends only
-    on the isomorphism type and the initial cell order.
+    Each round splits every cell by its vertices' (out, in) counts towards
+    the cells of the partition the round starts from, sub-cells in ascending
+    order of the count tuples, until a round splits nothing or every cell is
+    a singleton.  The result depends only on the isomorphism type and the
+    initial cell order.
+
+    Only counts towards `fresh`, the masks of the cells whose counts may
+    differ inside a cell, are taken; the caller passes every cell at the
+    root and the individualised [v] at a child of an equitable partition.
+    Skipping the rest is exact: after a round every cell has constant counts
+    towards every cell the round started from.  So a cell that did not split
+    contributes a constant entry to all tuples of the next round, and the
+    last sub-cell of a split contributes its parent's constant count minus
+    its siblings' counts, an entry after theirs that cannot be the first to
+    differ.  The other sub-cells are the next round's fresh cells, and
+    comparing counts towards them alone gives the same buckets in the same
+    order.  Each (out, in) pair is one fixed-width field of an int key, so
+    int order is tuple order.
     """
-    while True:
-        masks = [mask_of(c) for c in cells]
+    n = len(out_rows)
+    width = n.bit_length()
+    while fresh and len(cells) < n:
         new_cells = []
-        changed = False
+        new_fresh = []
         for cell in cells:
             if len(cell) == 1:
                 new_cells.append(cell)
                 continue
-            buckets: dict[tuple, list[int]] = {}
+            buckets: dict[int, list[int]] = {}
             for v in cell:
                 ro = out_rows[v]
                 ri = in_rows[v]
-                sig = tuple(
-                    ((ro & mk).bit_count(), (ri & mk).bit_count())
-                    for mk in masks
-                )
-                buckets.setdefault(sig, []).append(v)
+                key = 0
+                for mk in fresh:
+                    key = (
+                        (key << width | (ro & mk).bit_count()) << width
+                        | (ri & mk).bit_count()
+                    )
+                buckets.setdefault(key, []).append(v)
             if len(buckets) == 1:
                 new_cells.append(cell)
             else:
-                changed = True
-                for sig in sorted(buckets):
-                    new_cells.append(buckets[sig])
-        if not changed:
-            return new_cells
+                subs = [buckets[key] for key in sorted(buckets)]
+                new_cells += subs
+                new_fresh += [mask_of(sub) for sub in subs[:-1]]
         cells = new_cells
+        fresh = new_fresh
+    return cells
 
 
 def _encode(n, rows, order):
@@ -59,7 +86,8 @@ def _encode(n, rows, order):
     for new, old in enumerate(order):
         pos[old] = new
     nb = (n + 7) // 8
-    out = bytearray()
+    shift = 8 * nb
+    acc = 0
     for old in order:
         r = rows[old]
         nr = 0
@@ -67,8 +95,8 @@ def _encode(n, rows, order):
             low = r & -r
             nr |= 1 << pos[low.bit_length() - 1]
             r ^= low
-        out += nr.to_bytes(nb, "big")
-    return bytes(out)
+        acc = acc << shift | nr
+    return acc.to_bytes(nb * n, "big")
 
 
 class _CanonSearch:
@@ -84,7 +112,8 @@ class _CanonSearch:
         self.path: list[int] = []
 
     def run(self, cells):
-        self._search(_refine(self.rows, self.irows, cells))
+        fresh = [mask_of(c) for c in cells]
+        self._search(_refine(self.rows, self.irows, cells, fresh))
 
     def _search(self, cells):
         """Returns None, or the branch-path index to abandon back to."""
@@ -121,7 +150,9 @@ class _CanonSearch:
         for v in cell:
             self.path.append(v)
             rest = [w for w in cell if w != v]
-            child = _refine(self.rows, self.irows, prefix + [[v], rest] + suffix)
+            child = _refine(
+                self.rows, self.irows, prefix + [[v], rest] + suffix, [1 << v]
+            )
             signal = self._search(child)
             self.path.pop()
             if signal is not None:

@@ -101,7 +101,7 @@ def _emit(args, report: RunReport, lines: list[str]) -> None:
 def cmd_dichi(args) -> int:
     text = _read_text(args.path)
     d = load_digraph(text, args.format)
-    t0 = time.time()
+    t0 = time.perf_counter()
     k, col = dichromatic_number(d)
     if not verify_dicolouring(d, col, max(k, 1)):
         raise RuntimeError("the solver's dicolouring failed verification")
@@ -109,14 +109,14 @@ def cmd_dichi(args) -> int:
         command="dichi",
         inputs=_digest(text),
         results={"n": d.n, "m": d.m, "k": k, "colouring": col},
-        timings={"solve": time.time() - t0},
+        timings={"solve": time.perf_counter() - t0},
     )
     _emit(args, report, [f"k={k}", "colouring: " + " ".join(map(str, col))])
     return 0
 
 
 def cmd_census(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep = dicritical_census(
         args.n,
         args.k,
@@ -128,7 +128,7 @@ def cmd_census(args) -> int:
         command="census",
         inputs=f"n={args.n} k={args.k}",
         results=dict(rep.to_json(), problems=problems),
-        timings={"census": time.time() - t0},
+        timings={"census": time.perf_counter() - t0},
     )
     lines = [
         f"count={rep.count} min_arcs={rep.min_arcs} "
@@ -188,18 +188,18 @@ def cmd_reduce(args) -> int:
     if args.embedding:
         with open(args.embedding) as fh:
             embedding = PlanarIncidenceEmbedding.from_json(json.load(fh))
-    t0 = time.time()
+    t0 = time.perf_counter()
     if args.gadget == "digon":
         out = reduce_digon(phi, embedding)
     else:
         out = reduce_oriented(phi, embedding=embedding)
-    timings = {"reduce": time.time() - t0}
+    timings = {"reduce": time.perf_counter() - t0}
     results = out.to_json()
     code = 0
     if args.verify:
-        t0 = time.time()
+        t0 = time.perf_counter()
         ok = verify_equivalence(phi, out)
-        timings["verify"] = time.time() - t0
+        timings["verify"] = time.perf_counter() - t0
         results["equivalence"] = ok
         code = 0 if ok else 1
     report = RunReport(
@@ -244,13 +244,13 @@ def cmd_structure(args) -> int:
 def cmd_critical_check(args) -> int:
     text = _read_text(args.path)
     d = load_digraph(text, args.format)
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep = is_dicritical(d, args.k)
     report = RunReport(
         command="critical-check",
         inputs=_digest(text),
         results=rep.to_json(),
-        timings={"check": time.time() - t0},
+        timings={"check": time.perf_counter() - t0},
     )
     lines = [f"dicritical={rep.is_dicritical} k={args.k}"]
     if not rep.is_dicritical:
@@ -266,16 +266,16 @@ def cmd_verify_paper(args) -> int:
     failures = []
     timings: dict[str, float] = {}
     results: dict[str, dict] = {}
-    t_all = time.time()
+    t_all = time.perf_counter()
     for slug, desc, level, check in _CLAIMS:
         if args.level == "quick" and level != "quick":
             continue
-        t0 = time.time()
+        t0 = time.perf_counter()
         try:
             ok, details = ctx.run(check)
         except Exception as exc:  # a crash is a failure, not a verdict
             ok, details = False, {"error": repr(exc)}
-        dt = time.time() - t0
+        dt = time.perf_counter() - t0
         timings[slug] = dt
         results[slug] = {"pass": ok, "details": details}
         status = "PASS" if ok else "FAIL"
@@ -304,7 +304,7 @@ def cmd_verify_paper(args) -> int:
         total = len(results)
         print(
             f"{total} claims, {total - len(failures)} passed, "
-            f"{len(failures)} failed ({time.time() - t_all:.1f}s)"
+            f"{len(failures)} failed ({time.perf_counter() - t_all:.1f}s)"
         )
     return 1 if failures else 0
 

@@ -83,9 +83,12 @@ class Digraph:
     def in_rows(self) -> tuple[int, ...]:
         if self._irows is None:
             irows = [0] * self.n
-            for u in range(self.n):
-                for v in iter_bits(self.rows[u]):
-                    irows[v] |= 1 << u
+            for u, r in enumerate(self.rows):
+                bit = 1 << u
+                while r:
+                    low = r & -r
+                    irows[low.bit_length() - 1] |= bit
+                    r ^= low
             self._irows = tuple(irows)
         return self._irows
 

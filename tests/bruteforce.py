@@ -1,9 +1,12 @@
 """Independent brute-force oracles used to cross-check the library.
 
 Everything here recomputes from first principles: no solver, canonical-form,
-or generator code is reused beyond the plain data types.  The one exception
-is brute_bound_chunk, the tournament-bound worker as one solver call per
-dominance mask, the reference the colouring cover is checked against.
+or generator code is reused beyond the plain data types.  Two references
+are earlier versions of library internals, kept to check their faster
+replacements: brute_bound_chunk, the tournament-bound worker as one solver
+call per dominance mask, which the colouring cover is checked against, and
+brute_refine, the canonical search's refinement recounting every vertex
+against every cell in every round.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from dichroma.digraphs import Digraph, Graph
+from dichroma.digraphs import Digraph, Graph, mask_of
 from dichroma.formats import d6_decode, d6_encode
 from dichroma.solver import _extend_tournament, is_k_dicolourable
 
@@ -399,3 +402,38 @@ def brute_bound_chunk(args) -> tuple[int, bool, str | None]:
             if is_k_dicolourable(child, k) is None:
                 return chunk_idx, False, d6_encode(child)
     return chunk_idx, True, None
+
+
+def brute_refine(out_rows, in_rows, cells):
+    """Equitable refinement of an ordered partition.
+
+    Cells are repeatedly split by (out-degree, in-degree) signatures towards
+    every cell; sub-cells are ordered by signature so the result depends only
+    on the isomorphism type and the initial cell order.
+    """
+    while True:
+        masks = [mask_of(c) for c in cells]
+        new_cells = []
+        changed = False
+        for cell in cells:
+            if len(cell) == 1:
+                new_cells.append(cell)
+                continue
+            buckets: dict[tuple, list[int]] = {}
+            for v in cell:
+                ro = out_rows[v]
+                ri = in_rows[v]
+                sig = tuple(
+                    ((ro & mk).bit_count(), (ri & mk).bit_count())
+                    for mk in masks
+                )
+                buckets.setdefault(sig, []).append(v)
+            if len(buckets) == 1:
+                new_cells.append(cell)
+            else:
+                changed = True
+                for sig in sorted(buckets):
+                    new_cells.append(buckets[sig])
+        if not changed:
+            return new_cells
+        cells = new_cells

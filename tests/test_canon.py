@@ -1,12 +1,13 @@
+import hashlib
 import itertools
 import random
 
 import pytest
 
-from dichroma.canon import canonical_cert, canonical_form, is_arc_transitive
-from dichroma.digraphs import Digraph, Graph, bidirect, circulant_tournament
+from dichroma.canon import _refine, canonical_cert, canonical_form, is_arc_transitive
+from dichroma.digraphs import Digraph, Graph, bidirect, circulant_tournament, mask_of
 
-from bruteforce import _digraph_class_key, random_digraph, random_graph
+from bruteforce import _digraph_class_key, brute_refine, random_digraph, random_graph
 
 
 def all_digraphs(n):
@@ -134,3 +135,74 @@ def test_graph_cert_invariance():
     assert canonical_cert(bidirect(random_graph(rng, 5))) != canonical_cert(
         bidirect(random_graph(rng, 6))
     )
+
+
+def test_certificate_bytes_are_frozen():
+    # Certificates are stored (census outputs, benchmark references) and
+    # pick the class representatives, so their bytes, not just their
+    # equality semantics, must survive changes to the search.
+    rng = random.Random(2014)
+    h = hashlib.sha256()
+    for _ in range(600):
+        n = rng.randint(1, 12)
+        d = random_digraph(rng, n, rng.choice((0.15, 0.35, 0.5, 0.8)))
+        h.update(canonical_cert(d))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        t = rng.randint(0, n - 1)
+        h.update(canonical_cert(d, cells=[perm[:t], perm[t:]]))
+    for n, conn in ((7, (1, 2, 4)), (11, (1, 3, 4, 5, 9)), (13, (1, 2, 3, 5, 6, 9))):
+        h.update(canonical_cert(circulant_tournament(n, conn)))
+    assert h.hexdigest() == (
+        "f689270c88c8736faf319b6ab7fe6c386c67847f56c2c5f37be11145d6c7df66"
+    )
+
+
+def _refine_inputs():
+    rng = random.Random(1403)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        yield random_digraph(rng, n, rng.choice((0.1, 0.3, 0.5, 0.7, 0.9)))
+    for _ in range(100):
+        # circulant digraphs, digons wherever the set meets its negation
+        n = rng.randint(2, 12)
+        conn = rng.sample(range(1, n), rng.randint(1, n - 1))
+        yield Digraph.from_arcs(n, [(u, (u + s) % n) for u in range(n) for s in conn])
+    for n, conn in ((5, (1, 2)), (7, (1, 2, 4)), (9, (1, 2, 3, 4)), (11, (1, 3, 4, 5, 9))):
+        yield circulant_tournament(n, conn)
+    yield bidirect(Graph(6, [0b111111 & ~(1 << v) for v in range(6)]))  # K6
+
+
+def test_refine_matches_whole_partition_refinement():
+    # _refine counts only against the cells that just split; brute_refine
+    # recounts against every cell.  Same ordered partition at the root (one
+    # cell or two) and at every child of one random branch of the search.
+    rng = random.Random(8)
+    children = 0
+    for d in _refine_inputs():
+        n = d.n
+        rows, irows = d.rows, d.in_rows
+        perm = list(range(n))
+        rng.shuffle(perm)
+        t = rng.randint(1, n - 1) if n > 1 else 1
+        for cells in ([list(range(n))], [perm[:t], perm[t:]]):
+            cells = [c for c in cells if c]
+            fresh = [mask_of(c) for c in cells]
+            want = brute_refine(rows, irows, cells)
+            assert _refine(rows, irows, cells, fresh) == want
+            while len(want) < n:
+                target = next(i for i, c in enumerate(want) if len(c) > 1)
+                cell = want[target]
+                step = None
+                for v in cell:
+                    child = (
+                        want[:target] + [[v], [w for w in cell if w != v]]
+                        + want[target + 1:]
+                    )
+                    got = _refine(rows, irows, child, [1 << v])
+                    assert got == brute_refine(rows, irows, child)
+                    children += 1
+                    if step is None or rng.random() < 0.5:
+                        step = got
+                want = step
+    assert children > 2000

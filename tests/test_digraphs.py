@@ -49,6 +49,22 @@ def test_degrees_and_in_rows():
     assert d.out_degree(0) == 2 and d.in_degree(0) == 0
     assert d.in_degree(2) == 2
     assert d.in_rows[2] == 0b011
+    # against a transpose built arc by arc; 70 vertices span several words
+    rng = random.Random(47)
+    with_digons = 0
+    for n in (1, 2, 5, 9, 70):
+        for p in (0.2, 0.6):
+            d = Digraph.from_arcs(
+                n,
+                [(u, v) for u in range(n) for v in range(n)
+                 if u != v and rng.random() < p],
+            )
+            want = [0] * n
+            for u, v in d.arcs():
+                want[v] |= 1 << u
+            assert d.in_rows == tuple(want)
+            with_digons += has_digon(d)
+    assert with_digons >= 4
 
 
 def test_digon_bookkeeping():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from functools import lru_cache
@@ -151,6 +152,21 @@ def test_gen_tournaments_counts_and_classes():
         )
     with pytest.raises(ValueError):
         gen_tournaments(0)
+
+
+def test_generated_representatives_are_frozen():
+    # The representatives and their order feed stored results (census
+    # inputs, the hard classes of the tournament bound, the benchmark
+    # reference), so a reordering must fail here, not only a miscount.
+    h = hashlib.sha256()
+    for t in gen_tournaments(7):
+        h.update(d6_encode(t).encode() + b"\n")
+    for d in range(7):
+        for g in gen_graphs(7, d):
+            h.update(d6_encode(bidirect(g)).encode() + b"\n")
+    assert h.hexdigest() == (
+        "3ebf28ed2b6327e7afe48455f61fc6f2a23f27db540fc86b279863f0efb593c8"
+    )
 
 
 def test_census_two_dicritical_is_single_directed_cycle():
