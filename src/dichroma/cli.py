@@ -189,10 +189,8 @@ def cmd_reduce(args) -> int:
         with open(args.embedding) as fh:
             embedding = PlanarIncidenceEmbedding.from_json(json.load(fh))
     t0 = time.perf_counter()
-    if args.gadget == "digon":
-        out = reduce_digon(phi, embedding)
-    else:
-        out = reduce_oriented(phi, embedding=embedding)
+    reducer = reduce_digon if args.gadget == "digon" else reduce_oriented
+    out = reducer(phi, embedding)
     timings = {"reduce": time.perf_counter() - t0}
     results = out.to_json()
     code = 0

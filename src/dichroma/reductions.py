@@ -1,11 +1,14 @@
 """Compilation of (planar) 3-SAT into 2-dicolourability.
 
-Two constructions share one clause topology: a digon serves as the
-inequality link, or, for digon-free outputs, an oriented inequality gadget
+Two constructions share one clause topology and differ only in the
+inequality gadget installed on every link: the digon, the trivial gadget
+with no interior vertex, or, for digon-free outputs, an oriented gadget
 spliced from copies of an equality gadget (a 3-dicritical oriented graph
-minus one arc forces its endpoints to share a colour).  Every gadget is
-re-verified exhaustively when built, and instance equivalence is checkable
-against a brute-force satisfiability oracle at desk scale.
+minus one arc forces its endpoints to share a colour).  As in the paper's
+proof, the oriented construction is the digon construction with each digon
+replaced by a gadget.  Every gadget is re-verified exhaustively when built,
+and instance equivalence is checkable against a brute-force satisfiability
+oracle at desk scale.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from .solver import (
 )
 
 # the unique 20-arc 3-dicritical oriented graph of order 7 (census output),
-# default seed for the oriented inequality gadget
+# the seed of the oriented inequality gadget
 DEFAULT_G3_D6 = "&FKD`qUFHw?"
 
 
@@ -243,11 +246,18 @@ class NeqGadget:
 
 
 def _endpoint_patterns(
-    d: Digraph, a: int, b: int
+    d: Digraph, a: int, b: int, want: set[tuple[int, int]], forcing: str
 ) -> dict[tuple[int, int], tuple[int, ...]]:
+    """One 2-dicolouring of d per colour pattern on (a, b); the patterns
+    that occur must be exactly want."""
     found: dict[tuple[int, int], tuple[int, ...]] = {}
     for col in enumerate_dicolourings(d, 2):
         found.setdefault((col[a], col[b]), tuple(col))
+    if set(found) != want:
+        raise RuntimeError(
+            f"gadget endpoints admit patterns {sorted(found)}; "
+            f"{forcing} forcing failed"
+        )
     return found
 
 
@@ -258,13 +268,17 @@ def make_eq_gadget(g3: Digraph, arc: tuple[int, int]) -> EqGadget:
     if not is_dicritical(g3, 3).is_dicritical:
         raise ValueError("equality gadget seed must be 3-dicritical")
     gadget = delete_arc(g3, u, v)
-    patterns = _endpoint_patterns(gadget, u, v)
-    if set(patterns) != {(1, 1), (2, 2)}:
-        raise RuntimeError(
-            "gadget endpoints admit patterns "
-            f"{sorted(patterns)}; equality forcing failed"
-        )
+    _endpoint_patterns(gadget, u, v, {(1, 1), (2, 2)}, "equality")
     return EqGadget(digraph=gadget, u=u, v=v)
+
+
+def _neq_gadget(d: Digraph, u: int, w: int) -> NeqGadget:
+    patterns = _endpoint_patterns(d, u, w, {(1, 2), (2, 1)}, "inequality")
+    return NeqGadget(digraph=d, u=u, w=w, extensions=patterns)
+
+
+# the trivial inequality gadget, with no interior vertex
+DIGON = _neq_gadget(Digraph.from_arcs(2, [(0, 1), (1, 0)]), 0, 1)
 
 
 def make_neq_gadget(eq: EqGadget) -> NeqGadget:
@@ -284,25 +298,19 @@ def make_neq_gadget(eq: EqGadget) -> NeqGadget:
     d = Digraph.from_arcs(n, arcs)
     if not is_oriented(d):
         raise RuntimeError("inequality gadget contains a digon")
-    patterns = _endpoint_patterns(d, 0, 3)
-    if set(patterns) != {(1, 2), (2, 1)}:
-        raise RuntimeError(
-            "gadget endpoints admit patterns "
-            f"{sorted(patterns)}; inequality forcing failed"
-        )
-    return NeqGadget(digraph=d, u=0, w=3, extensions=patterns)
+    return _neq_gadget(d, 0, 3)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReductionOutput:
     digraph: Digraph
     roles: dict[str, int]
     mode: str
     formula: CnfFormula
-    embedding: PlanarIncidenceEmbedding | None = None
-    gadget: NeqGadget | None = None
+    gadget: NeqGadget
     # per inequality link, the map gadget-local vertex -> output vertex
-    gadget_copies: tuple[tuple[int, ...], ...] = ()
+    gadget_copies: tuple[tuple[int, ...], ...]
+    embedding: PlanarIncidenceEmbedding | None = None
 
     def to_json(self) -> dict:
         return {
@@ -315,10 +323,12 @@ class ReductionOutput:
 
 
 class _Builder:
-    def __init__(self):
+    def __init__(self, gadget: NeqGadget):
+        self.gadget = gadget
         self.arcs: list[tuple[int, int]] = []
         self.n = 0
         self.roles: dict[str, int] = {}
+        self.copies: list[tuple[int, ...]] = []
 
     def add(self, role: str | None = None) -> int:
         v = self.n
@@ -327,61 +337,59 @@ class _Builder:
             self.roles[role] = v
         return v
 
-    def arc(self, u: int, v: int) -> None:
-        self.arcs.append((u, v))
+    def neq(self, x: int, y: int) -> None:
+        """Install a fresh copy of the inequality gadget from x to y."""
+        g = self.gadget
+        mapping = {g.u: x, g.w: y}
+        for t in range(g.digraph.n):
+            if t not in mapping:
+                mapping[t] = self.add()
+        self.arcs.extend((mapping[p], mapping[q]) for p, q in g.digraph.arcs())
+        self.copies.append(tuple(mapping[t] for t in range(g.digraph.n)))
 
 
 def _compile(
     phi: CnfFormula,
     embedding: PlanarIncidenceEmbedding | None,
-    install_neq,
-    mode: str,
+    gadget: NeqGadget,
+    kind: str,
 ) -> ReductionOutput:
-    b = _Builder()
+    b = _Builder(gadget)
     var_vertex = {i: b.add(f"var{i}") for i in range(1, phi.num_vars + 1)}
     if embedding is not None:
         embedding.validate(phi)
         face_vertex = [b.add(f"F{f}") for f in range(len(embedding.faces))]
+        clause_faces = embedding.clause_faces
     else:
-        hub = b.add("hub")
+        # the hub is the one face of every clause
+        face_vertex = [b.add("hub")]
+        clause_faces = ((0, 0, 0),) * len(phi.clauses)
     for j, clause in enumerate(phi.clauses):
-        xc = b.add(f"C{j}:x")
-        uc = b.add(f"C{j}:u")
-        yc = b.add(f"C{j}:y")
-        vc = b.add(f"C{j}:v")
-        zc = b.add(f"C{j}:z")
-        wc = b.add(f"C{j}:w")
-        for p, q in ((xc, uc), (uc, yc), (yc, vc), (vc, zc), (zc, wc), (wc, xc)):
-            b.arc(p, q)
+        ring = [b.add(f"C{j}:{r}") for r in "xuyvzw"]
+        xc, uc, yc, vc, zc, wc = ring
+        b.arcs.extend(zip(ring, ring[1:] + ring[:1]))
         tc = b.add(f"C{j}:t")
         for sep in (uc, vc, wc):
-            install_neq(b, tc, sep)
-        if embedding is not None:
-            f1, f2, f3 = embedding.clause_faces[j]
-            install_neq(b, face_vertex[f1], uc)
-            install_neq(b, face_vertex[f2], vc)
-            install_neq(b, face_vertex[f3], wc)
-        else:
-            install_neq(b, hub, uc)
-            install_neq(b, hub, vc)
-            install_neq(b, hub, wc)
-        for pos, attach, lit in (("x", xc, clause[0]), ("y", yc, clause[1]), ("z", zc, clause[2])):
+            b.neq(tc, sep)
+        for f, sep in zip(clause_faces[j], (uc, vc, wc)):
+            b.neq(face_vertex[f], sep)
+        for pos, attach, lit in zip("xyz", (xc, yc, zc), clause):
             a = var_vertex[abs(lit)]
             if lit < 0:
-                install_neq(b, a, attach)
+                b.neq(a, attach)
             else:
                 bar = b.add(f"C{j}:{pos}bar")
-                install_neq(b, bar, a)
-                install_neq(b, bar, attach)
-    d = Digraph.from_arcs(b.n, b.arcs)
+                b.neq(bar, a)
+                b.neq(bar, attach)
     return ReductionOutput(
-        digraph=d, roles=b.roles, mode=mode, formula=phi, embedding=embedding
+        digraph=Digraph.from_arcs(b.n, b.arcs),
+        roles=b.roles,
+        mode=f"{kind}-planar" if embedding is not None else f"{kind}-hub",
+        formula=phi,
+        gadget=gadget,
+        gadget_copies=tuple(b.copies),
+        embedding=embedding,
     )
-
-
-def _digon_neq(b: _Builder, x: int, y: int) -> None:
-    b.arc(x, y)
-    b.arc(y, x)
 
 
 def reduce_digon(
@@ -391,41 +399,19 @@ def reduce_digon(
     """Digon-link compilation: satisfiable iff the output is 2-dicolourable.
     With an embedding the output is planar (one t_F per face); without one,
     a single hub stands in for all the face vertices."""
-    mode = "digon-planar" if embedding is not None else "digon-hub"
-    return _compile(phi, embedding, _digon_neq, mode)
+    return _compile(phi, embedding, DIGON, "digon")
 
 
 def reduce_oriented(
     phi: CnfFormula,
-    g3: Digraph | None = None,
-    arc: tuple[int, int] | None = None,
     embedding: PlanarIncidenceEmbedding | None = None,
 ) -> ReductionOutput:
     """Digon-free compilation: every inequality link becomes a fresh copy of
-    the oriented gadget built from g3 minus the chosen arc.  The output is
-    planar only when g3 is; the default seed is not."""
-    if g3 is None:
-        g3 = default_g3()
-    if arc is None:
-        arc = min(g3.arcs())
-    neq = make_neq_gadget(make_eq_gadget(g3, arc))
-    g = neq.digraph
-    copies: list[tuple[int, ...]] = []
-
-    def install(b: _Builder, x: int, y: int) -> None:
-        mapping = {neq.u: x, neq.w: y}
-        for t in range(g.n):
-            if t not in mapping:
-                mapping[t] = b.add()
-        for p, q in g.arcs():
-            b.arc(mapping[p], mapping[q])
-        copies.append(tuple(mapping[t] for t in range(g.n)))
-
-    mode = "oriented-planar" if embedding is not None else "oriented-hub"
-    out = _compile(phi, embedding, install, mode)
-    out.gadget = neq
-    out.gadget_copies = tuple(copies)
-    return out
+    the oriented gadget built from the default seed minus its least arc.
+    The seed is not planar, so neither is the output."""
+    g3 = default_g3()
+    neq = make_neq_gadget(make_eq_gadget(g3, min(g3.arcs())))
+    return _compile(phi, embedding, neq, "oriented")
 
 
 def decode_assignment(
@@ -447,16 +433,14 @@ def decode_assignment(
 def solve_reduction(output: ReductionOutput) -> list[int] | None:
     """Decide 2-dicolourability of a compiled instance.
 
-    Digon outputs go straight to the solver.  Digon-free outputs are decided
-    on their digon-linked twin: gadget interiors multiply the search space
-    without changing the answer, since every copy forces its endpoints apart
-    and supports both endpoint patterns (checked exhaustively when the gadget
-    was built).  A twin colouring is lifted through the recorded copies and
-    re-checked on the actual output, so the positive answer never rests on
-    that argument.
+    Every output is decided on the formula's digon compilation, which for a
+    digon output is the output itself: gadget interiors multiply the search
+    space without changing the answer, since every copy forces its endpoints
+    apart and supports both endpoint patterns (checked exhaustively when the
+    gadget was built).  The digon colouring is lifted through the recorded
+    copies and re-checked on the actual output, so the positive answer never
+    rests on that argument.
     """
-    if output.gadget is None:
-        return is_k_dicolourable(output.digraph, 2)
     twin = reduce_digon(output.formula, output.embedding)
     tcol = is_k_dicolourable(twin.digraph, 2)
     if tcol is None:
@@ -465,12 +449,11 @@ def solve_reduction(output: ReductionOutput) -> list[int] | None:
     for role, v in output.roles.items():
         full[v] = tcol[twin.roles[role]]
     neq = output.gadget
-    for mapping in output.gadget_copies:
-        pattern = (full[mapping[neq.u]], full[mapping[neq.w]])
-        ext = neq.extensions[pattern]
-        for local, colour in enumerate(ext):
-            if local not in (neq.u, neq.w):
-                full[mapping[local]] = colour
+    for copy in output.gadget_copies:
+        # each extension agrees with its own endpoint pattern
+        ext = neq.extensions[full[copy[neq.u]], full[copy[neq.w]]]
+        for v, colour in zip(copy, ext):
+            full[v] = colour
     if not verify_dicolouring(output.digraph, full, 2):
         raise RuntimeError("lifted colouring failed re-verification")
     return full

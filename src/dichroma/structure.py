@@ -4,7 +4,6 @@ cacti, directed cacti and directed Gallai forests."""
 from __future__ import annotations
 
 import random
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -16,6 +15,7 @@ from .digraphs import (
     has_digon,
     induced,
     iter_bits,
+    mask_of,
     underlying_graph,
 )
 
@@ -186,9 +186,8 @@ def is_cactus(g: Graph) -> bool:
 
 
 def is_directed_cactus(d: Digraph) -> bool:
-    """Oriented, with every block a single arc or a directed cycle."""
-    if has_digon(d):
-        return False
+    """Oriented, with every block a single arc or a directed cycle.  A
+    digon's block is a bidirected clique or other, so the kinds reject it."""
     return all(
         kind in (SINGLE_EDGE, DIRECTED_CYCLE) for kind in classify_blocks(d)
     )
@@ -219,80 +218,38 @@ def cactus_induced_forest(g: Graph) -> list[int]:
     """A maximum induced forest of a cactus, which always reaches the
     ceil(2n/3) guarantee.
 
-    In a cactus the induced cycles are exactly the cycle blocks, so a vertex
-    set induces a forest iff it omits a vertex of every cycle block.  That
-    constraint splits over the block forest and yields an exact two-state
-    dynamic program (vertex kept or dropped).
+    In a cactus the cycles are exactly the cycle blocks, so a maximum
+    induced forest drops a least vertex set that meets every cycle block.
+    Root each component at its least vertex.  A block is entered through
+    its unique vertex nearest the root, its entry.  Take the cycle blocks
+    deepest entry first, and drop the entry of each block that no dropped
+    vertex meets yet.  This is exact by exchange: besides this block, any
+    other vertex of it lies only in blocks that hang below it.  Their
+    entries are deeper, so they were met before, and the entry meets every
+    block still unmet that the other vertex would.
     """
     dec = _require_cactus(g)
-    kept = list(dec.isolated)
-    vblocks: dict[int, list[int]] = defaultdict(list)
-    for i, verts in enumerate(dec.blocks):
-        for v in verts:
-            vblocks[v].append(i)
-    block_seen = [False] * len(dec.blocks)
-    vertex_seen = set(dec.isolated)
-
+    depth = [-1] * g.n
     for root in range(g.n):
-        if root in vertex_seen or g.rows[root] == 0:
-            continue
-        order = []
-        child_blocks: dict[int, list[int]] = defaultdict(list)
-        block_childv: dict[int, list[int]] = {}
-        queue = [root]
-        vertex_seen.add(root)
-        while queue:
-            x = queue.pop(0)
-            order.append(x)
-            for bi in vblocks[x]:
-                if block_seen[bi]:
-                    continue
-                block_seen[bi] = True
-                child_blocks[x].append(bi)
-                childs = [w for w in dec.blocks[bi] if w != x]
-                block_childv[bi] = childs
-                for w in childs:
-                    vertex_seen.add(w)
-                    queue.append(w)
-
-        fin: dict[int, int] = {}
-        fout: dict[int, int] = {}
-
-        def block_gain(bi: int, x_in: bool) -> tuple[int, list[bool]]:
-            """Best total over the block's child subtrees and the chosen
-            child states; a cycle block with x kept must drop a child."""
-            childs = block_childv[bi]
-            is_cycle = len(dec.block_edges[bi]) > 1
-            choice = [fin[w] >= fout[w] for w in childs]
-            total = sum(fin[w] if c else fout[w] for w, c in zip(childs, choice))
-            if is_cycle and x_in and all(choice):
-                j = min(
-                    range(len(childs)),
-                    key=lambda i: (fin[childs[i]] - fout[childs[i]], i),
-                )
-                choice[j] = False
-                total -= fin[childs[j]] - fout[childs[j]]
-            return total, choice
-
-        for x in reversed(order):
-            a, b = 1, 0
-            for bi in child_blocks[x]:
-                a += block_gain(bi, True)[0]
-                b += block_gain(bi, False)[0]
-            fin[x] = a
-            fout[x] = b
-
-        todo = [(root, fin[root] >= fout[root])]
-        while todo:
-            x, x_in = todo.pop()
-            if x_in:
-                kept.append(x)
-            for bi in child_blocks[x]:
-                _, choice = block_gain(bi, x_in)
-                for w, c in zip(block_childv[bi], choice):
-                    todo.append((w, c))
-
-    kept.sort()
+        if depth[root] < 0:
+            depth[root] = 0
+            queue = [root]
+            for x in queue:
+                for w in iter_bits(g.rows[x]):
+                    if depth[w] < 0:
+                        depth[w] = depth[x] + 1
+                        queue.append(w)
+    cycles = [
+        (min(verts, key=depth.__getitem__), mask_of(verts))
+        for verts, edges in zip(dec.blocks, dec.block_edges)
+        if len(edges) > 1
+    ]
+    cycles.sort(key=lambda c: depth[c[0]], reverse=True)
+    dropped = 0
+    for entry, verts in cycles:
+        if not dropped & verts:
+            dropped |= 1 << entry
+    kept = [v for v in range(g.n) if not dropped >> v & 1]
     need = -(-2 * g.n // 3)
     if len(kept) < need:
         raise RuntimeError("induced forest below the cactus guarantee")

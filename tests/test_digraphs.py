@@ -5,7 +5,6 @@ import pytest
 from dichroma.digraphs import (
     MAX_VERTICES,
     Digraph,
-    Graph,
     bidirect,
     build_digraph,
     build_graph,

@@ -4,6 +4,7 @@ import pytest
 
 from dichroma.digraphs import build_digraph, is_oriented
 from dichroma.reductions import (
+    DIGON,
     CnfFormula,
     PlanarIncidenceEmbedding,
     decode_assignment,
@@ -184,15 +185,18 @@ def test_embedding_rejects_bad_clause_face_data():
 
 
 def test_eq_gadget_forces_equal_endpoints():
+    # the seed is 3-dicritical, so deleting any one of its arcs leaves a
+    # gadget whose endpoints agree in every 2-dicolouring
     g3 = default_g3()
-    arc = min(g3.arcs())
-    eq = make_eq_gadget(g3, arc)
-    assert eq.digraph.m == g3.m - 1
-    seen = set()
-    for col in enumerate_dicolourings(eq.digraph, 2):
-        assert col[eq.u] == col[eq.v]
-        seen.add(col[eq.u])
-    assert seen == {1, 2}
+    for arc in g3.arcs():
+        eq = make_eq_gadget(g3, arc)
+        assert (eq.u, eq.v) == arc
+        assert eq.digraph.m == g3.m - 1
+        seen = set()
+        for col in enumerate_dicolourings(eq.digraph, 2):
+            assert col[eq.u] == col[eq.v]
+            seen.add(col[eq.u])
+        assert seen == {1, 2}
 
 
 def test_eq_gadget_errors():
@@ -225,6 +229,9 @@ def test_neq_gadget_forces_distinct_endpoints():
     for (a, b), ext in neq.extensions.items():
         assert (ext[neq.u], ext[neq.w]) == (a, b)
         assert verify_dicolouring(neq.digraph, ext, 2)
+    # the digon is the trivial inequality gadget
+    assert sorted(DIGON.digraph.arcs()) == [(0, 1), (1, 0)]
+    assert DIGON.extensions == {(1, 2): (1, 2), (2, 1): (2, 1)}
 
 
 # -- compiled instances -----------------------------------------------------
@@ -236,6 +243,9 @@ def test_digon_hub_satisfiable_clause():
     assert out.mode == "digon-hub"
     # 3 variables, hub, 6-cycle, t, one bar per positive literal
     assert out.digraph.n == 3 + 1 + 6 + 1 + 3
+    # t and the hub each meet u, v, w; a bar meets its variable and site
+    assert out.gadget is DIGON and len(out.gadget_copies) == 3 + 3 + 2 * 3
+    assert out.digraph.m == 6 + 2 * len(out.gadget_copies)
     col = solve_reduction(out)
     assert col is not None
     assert verify_dicolouring(out.digraph, col, 2)
@@ -314,13 +324,6 @@ def test_oriented_planar_mode():
     assert out.mode == "oriented-planar"
     assert is_oriented(out.digraph)
     assert verify_equivalence(phi, out)
-
-
-def test_oriented_alternate_arc_choice():
-    g3 = default_g3()
-    arc = max(g3.arcs())
-    out = reduce_oriented(claw(), g3=g3, arc=arc)
-    assert verify_equivalence(claw(), out)
 
 
 def test_empty_formula_compiles():

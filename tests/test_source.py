@@ -4,6 +4,7 @@ from pathlib import Path
 import dichroma
 
 PACKAGE = Path(dichroma.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 
 
 def _modules():
@@ -44,6 +45,27 @@ def test_package_imports_sit_at_module_top():
     })
     assert found == []
 
+
+def test_no_unused_imports():
+    # an import that nothing reads is dead code; a name in __all__ is read
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                used.update(ast.literal_eval(node.value))
+        found += [
+            f"{path.parent.name}/{path.name}:{node.lineno} {alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+            if (alias.asname or alias.name).split(".")[0] not in used
+        ]
+    assert found == []
 
 
 # functions kept without a caller in the package, with the reason

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -130,15 +131,51 @@ def test_cactus_edge_bound_and_tightness():
                                           for b in range(a + 1, 4)]))
 
 
+def random_cacti(rng, parts, order):
+    """The disjoint union of `parts` random cacti of 1..order vertices,
+    relabelled at random, so components interleave and root anywhere."""
+    cacti = [
+        random_cactus(rng.randint(1, order), seed=rng.getrandbits(32))
+        for _ in range(parts)
+    ]
+    perm = list(range(sum(c.n for c in cacti)))
+    rng.shuffle(perm)
+    edges, off = [], 0
+    for c in cacti:
+        edges += [(perm[u + off], perm[v + off]) for u, v in c.edges()]
+        off += c.n
+    return build_graph(len(perm), edges)
+
+
 def test_cactus_induced_forest_is_exact_maximum():
     rng = random.Random(12)
-    for _ in range(60):
-        n = rng.randint(1, 13)
-        g = random_cactus(n, seed=rng.getrandbits(32))
+    graphs = [
+        random_cactus(rng.randint(1, 13), seed=rng.getrandbits(32))
+        for _ in range(60)
+    ]
+    graphs += [random_cacti(rng, k, 14 // k) for k in (2, 3) * 20]
+    for g in graphs:
         forest = cactus_induced_forest(g)
+        assert forest == sorted(set(forest))
         assert is_forest(g, forest)
         assert len(forest) == brute_max_induced_forest(g)
-        assert 3 * len(forest) >= 2 * n
+        assert 3 * len(forest) >= 2 * g.n
+
+
+def test_cactus_induced_forest_sizes_are_frozen():
+    # sha256 over the maximum forest sizes of 400 cacti of up to 120
+    # vertices, beyond brute force, as the two-state block dynamic program
+    # computed them
+    rng = random.Random(2021)
+    sizes = []
+    for _ in range(400):
+        g = random_cacti(rng, rng.randint(1, 3), 40)
+        forest = cactus_induced_forest(g)
+        assert is_forest(g, forest)
+        sizes.append(len(forest))
+    assert hashlib.sha256(repr(sizes).encode()).hexdigest() == (
+        "41e361ab213f307c02956d41ed53cf88b4b8574d2a847f4cc9b0e0ff3030669f"
+    )
 
 
 def test_cactus_induced_forest_two_triangles():
