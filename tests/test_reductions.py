@@ -16,6 +16,7 @@ from dichroma.reductions import (
     single_face_embedding,
     solve_reduction,
     verify_equivalence,
+    _compile,
 )
 from dichroma.solver import enumerate_dicolourings, verify_dicolouring
 
@@ -324,6 +325,16 @@ def test_oriented_planar_mode():
     assert out.mode == "oriented-planar"
     assert is_oriented(out.digraph)
     assert verify_equivalence(phi, out)
+
+
+def test_oriented_alternate_arc_choice():
+    # reduce_oriented fixes the seed's least arc; the compilation stays
+    # sound with the gadget from another arc
+    g3 = default_g3()
+    neq = make_neq_gadget(make_eq_gadget(g3, max(g3.arcs())))
+    out = _compile(claw(), None, neq, "oriented")
+    assert out.gadget is neq and is_oriented(out.digraph)
+    assert verify_equivalence(claw(), out)
 
 
 def test_empty_formula_compiles():
