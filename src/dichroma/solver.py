@@ -330,11 +330,45 @@ def is_dicritical(d: Digraph, k: int) -> CriticalityReport:
 
 
 def _shortest_cycle(rows, irows, mask) -> list[int] | None:
-    """A shortest directed cycle within the mask, as a vertex list."""
+    """A shortest directed cycle within the mask, as a vertex list, or None.
+
+    The cycle is the one a BFS from each vertex s of the mask, ascending,
+    finds first, out-neighbours scanned ascending, a later s's cycle kept
+    only when strictly shorter.  Digons and triangles are found by bit
+    operations instead, which gives the same cycle: the BFS from s meets a
+    digon at depth 1 at the least w with s -> w -> s, and meets a triangle
+    at depth 2 through the first u of its discovery order (the out-
+    neighbours of s, ascending) that has an arc into an in-neighbour of s,
+    at the least such in-neighbour.  A shorter cycle from a later s would
+    have to be a digon.  So the answer is the first digon [s, w], s then w
+    least; failing that the first triangle [s, u, x], s, then u, then x
+    least.  Only a mask with no digon and no triangle runs the BFS.
+    """
+    m = mask
+    while m:
+        low = m & -m
+        s = low.bit_length() - 1
+        dig = rows[s] & irows[s] & mask
+        if dig:
+            return [s, (dig & -dig).bit_length() - 1]
+        m ^= low
+    m = mask
+    while m:
+        low = m & -m
+        s = low.bit_length() - 1
+        ins = irows[s] & mask
+        if ins:
+            out = rows[s] & mask
+            while out:
+                ulow = out & -out
+                u = ulow.bit_length() - 1
+                x = rows[u] & ins
+                if x:
+                    return [s, u, (x & -x).bit_length() - 1]
+                out ^= ulow
+        m ^= low
     best: list[int] | None = None
     for s in iter_bits(mask):
-        if best is not None and len(best) == 2:
-            break
         # BFS from s over arcs inside mask; stop when an in-neighbour of s is hit
         tgt = irows[s] & mask
         if not tgt or not rows[s] & mask:
@@ -371,34 +405,43 @@ def _shortest_cycle(rows, irows, mask) -> list[int] | None:
 
 
 def max_induced_acyclic(d: Digraph) -> list[int]:
-    """A maximum vertex set inducing an acyclic subdigraph.
+    """A maximum vertex set inducing an acyclic subdigraph, ascending.
 
     Branch and bound: branch over the vertices of a shortest remaining
     directed cycle (each must lose a vertex), pruning by candidate count and
-    by cycles made unbreakable by earlier keep decisions.
+    by cycles made unbreakable by earlier keep decisions.  The search runs
+    depth first on an explicit stack of (mask, keep) pairs, so its depth is
+    not bounded by Python's recursion limit.  A node's children go on in
+    reverse, the i-th keeping the cycle vertices the earlier ones removed,
+    and a child is pruned when it is popped, against the best that its
+    earlier siblings' subtrees left.  The answer is confirmed by the Kahn
+    peel, which shares nothing with the cycle search; RuntimeError is
+    raised if it fails.
     """
-    n = d.n
     rows, irows = d.rows, d.in_rows
     best_mask = 0
     best = -1
-
-    def bb(mask: int, keep: int) -> None:
-        nonlocal best_mask, best
+    stack = [((1 << d.n) - 1, 0)]
+    while stack:
+        mask, keep = stack.pop()
         size = mask.bit_count()
         if size <= best:
-            return
+            continue
         cyc = _shortest_cycle(rows, irows, mask)
         if cyc is None:
             best = size
             best_mask = mask
-            return
-        removable = [v for v in cyc if not keep >> v & 1]
-        newkeep = keep
-        for v in removable:
-            bb(mask & ~(1 << v), newkeep)
-            newkeep |= 1 << v
-
-    bb((1 << n) - 1, 0)
+            continue
+        children = []
+        for v in cyc:
+            if not keep >> v & 1:
+                children.append((mask & ~(1 << v), keep))
+                keep |= 1 << v
+        stack.extend(reversed(children))
+    if not _mask_acyclic(rows, best_mask):
+        raise RuntimeError(
+            f"induced set {list(iter_bits(best_mask))} is not acyclic"
+        )
     return list(iter_bits(best_mask))
 
 
@@ -438,14 +481,24 @@ def is_list_dicolourable(
 
 
 def _extend_tournament(t: Digraph, mask: int) -> Digraph:
-    """Add a vertex dominating exactly the mask-selected old vertices."""
+    """Add a vertex dominating exactly the mask-selected old vertices.
+
+    The child carries its in-rows, the parent's updated, so canonical_cert
+    need not transpose it."""
     n = t.n
+    new = 1 << n
     rows = list(t.rows)
+    irows = list(t.in_rows)
+    for v in range(n):
+        if mask >> v & 1:
+            irows[v] |= new
+        else:
+            rows[v] |= new
     rows.append(mask)
-    beaten = ((1 << n) - 1) & ~mask
-    for v in iter_bits(beaten):
-        rows[v] |= 1 << n
-    return Digraph(n + 1, rows)
+    irows.append((new - 1) & ~mask)
+    child = Digraph(n + 1, rows)
+    child._irows = tuple(irows)
+    return child
 
 
 def _suffixes(rows: Sequence[int], cmask: int) -> frozenset[int]:

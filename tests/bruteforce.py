@@ -1,12 +1,13 @@
 """Independent brute-force oracles used to cross-check the library.
 
 Everything here recomputes from first principles: no solver, canonical-form,
-or generator code is reused beyond the plain data types.  Two references
+or generator code is reused beyond the plain data types.  Three references
 are earlier versions of library internals, kept to check their faster
 replacements: brute_bound_chunk, the tournament-bound worker as one solver
-call per dominance mask, which the colouring cover is checked against, and
+call per dominance mask, which the colouring cover is checked against;
 brute_refine, the canonical search's refinement recounting every vertex
-against every cell in every round.
+against every cell in every round; and brute_shortest_cycle, the cycle
+search of max_induced_acyclic as a BFS from every vertex.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from dichroma.digraphs import Digraph, Graph, mask_of
+from dichroma.digraphs import Digraph, Graph, iter_bits, mask_of
 from dichroma.formats import d6_decode, d6_encode
 from dichroma.solver import _extend_tournament, is_k_dicolourable
 
@@ -307,6 +308,20 @@ def random_digraph(rng, n: int, p: float = 0.35) -> Digraph:
     return Digraph.from_arcs(n, arcs)
 
 
+def random_oriented(rng, n: int, p: float = 0.5) -> Digraph:
+    """Each pair an arc with probability p, in a random direction, so p = 1
+    gives a tournament."""
+    rows = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                if rng.random() < 0.5:
+                    rows[u] |= 1 << v
+                else:
+                    rows[v] |= 1 << u
+    return Digraph(n, rows)
+
+
 def random_graph(rng, n: int, p: float = 0.4) -> Graph:
     rows = [0] * n
     for u in range(n):
@@ -437,3 +452,44 @@ def brute_refine(out_rows, in_rows, cells):
         if not changed:
             return new_cells
         cells = new_cells
+
+
+def brute_shortest_cycle(rows, irows, mask) -> list[int] | None:
+    """A shortest directed cycle within the mask, as a vertex list."""
+    best: list[int] | None = None
+    for s in iter_bits(mask):
+        if best is not None and len(best) == 2:
+            break
+        # BFS from s over arcs inside mask; stop when an in-neighbour of s is hit
+        tgt = irows[s] & mask
+        if not tgt or not rows[s] & mask:
+            continue
+        parent = {s: -1}
+        frontier = [s]
+        depth = 0
+        found = None
+        while frontier and found is None:
+            depth += 1
+            if best is not None and depth >= len(best):
+                break
+            nxt = []
+            for u in frontier:
+                for w in iter_bits(rows[u] & mask):
+                    if w in parent:
+                        continue
+                    parent[w] = u
+                    if tgt >> w & 1:
+                        found = w
+                        break
+                    nxt.append(w)
+                if found is not None:
+                    break
+            frontier = nxt
+        if found is not None:
+            cyc = [found]
+            while parent[cyc[-1]] != -1:
+                cyc.append(parent[cyc[-1]])
+            cyc.reverse()
+            if best is None or len(cyc) < len(best):
+                best = cyc
+    return best

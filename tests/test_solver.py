@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -34,10 +35,12 @@ from bruteforce import (
     brute_dicolourable,
     brute_list_dicolourable,
     brute_max_induced_acyclic,
+    brute_shortest_cycle,
     dicolouring_cnf,
     dpll,
     kahn_acyclic,
     random_digraph,
+    random_oriented,
 )
 
 
@@ -185,6 +188,64 @@ def test_max_induced_acyclic_vs_bruteforce():
     assert sorted(max_induced_acyclic(acyclic)) == list(range(7))
 
 
+def test_shortest_cycle_matches_bfs_reference():
+    # the digon and triangle steps must return the BFS's own first
+    # shortest cycle, on every mask
+    rng = random.Random(1977)
+    groups = {
+        "digons": lambda n: random_digraph(rng, n, rng.choice((0.15, 0.35, 0.6))),
+        "oriented": lambda n: random_oriented(rng, n, rng.choice((0.3, 0.6, 0.85))),
+        "tournaments": lambda n: random_oriented(rng, n, 1.0),
+    }
+    for group, draw in groups.items():
+        lengths = set()
+        for _ in range(40):
+            d = draw(rng.randint(1, 8))
+            rows, irows = d.rows, d.in_rows
+            for mask in range(1 << d.n):
+                want = brute_shortest_cycle(rows, irows, mask)
+                got = solver._shortest_cycle(rows, irows, mask)
+                assert got == want, (group, rows, mask)
+                lengths.add(None if want is None else len(want))
+        assert {None, 3} <= lengths, group
+        assert (2 in lengths) == (group == "digons"), group
+        assert 4 in lengths or group == "tournaments", group
+
+
+def test_max_induced_acyclic_lists_are_frozen():
+    # sha256 over the returned lists, computed with the recursive search
+    # and the BFS cycle search: the visit order, not only the size, must
+    # survive changes to the search
+    rng = random.Random(3)
+    h = hashlib.sha256()
+    inputs = list(gen_tournaments(7))
+    for i in range(2000):
+        n = rng.randint(1, 11)
+        p = rng.choice((0.1, 0.25, 0.4, 0.6, 0.8, 1.0))
+        d = random_digraph(rng, n, p) if i % 2 else random_oriented(rng, n, p)
+        inputs.append(d)
+    for d in inputs:
+        h.update(repr(max_induced_acyclic(d)).encode() + b"\n")
+    assert h.hexdigest() == (
+        "23a056af4ce11dc3510c134fb29f9ab3974f016426a5d4565a189c4b564380a3"
+    )
+
+
+def test_max_induced_acyclic_checks_its_answer(monkeypatch):
+    tri = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
+    monkeypatch.setattr(solver, "_shortest_cycle", lambda *a: None)
+    with pytest.raises(RuntimeError):
+        max_induced_acyclic(tri)
+
+
+def test_max_induced_acyclic_deep_search():
+    # digons from the hub, labelled last, to 1,200 leaves: the first branch
+    # drops the leaves one by one, one frame per leaf for a recursive search
+    n = 1200
+    star = Digraph.from_arcs(n + 1, [a for v in range(n) for a in ((v, n), (n, v))])
+    assert max_induced_acyclic(star) == list(range(n))
+
+
 def test_list_dicolouring_examples():
     tri = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
     assert is_list_dicolourable(tt(4), [[1]] * 4) == [1] * 4
@@ -240,6 +301,13 @@ def test_bound_chunk_matches_per_mask_loop():
             assert got == brute_bound_chunk(task), (n, k, task)
             fails += not got[1]
     assert fails == 1 + 2 + 4 + 12 + 56 + 10 + 265  # k=1 at n<=6, k=2 at n=6, 7
+
+
+def test_extended_tournament_carries_its_in_rows():
+    for t in gen_tournaments(5):
+        for mask in range(1 << t.n):
+            child = solver._extend_tournament(t, mask)
+            assert child.in_rows == Digraph(child.n, child.rows).in_rows
 
 
 def test_uncovered_checks_every_colouring_it_uses(monkeypatch):

@@ -102,3 +102,47 @@ def test_every_function_has_a_caller_or_is_exported():
         and f"{mod}.{fn}" not in UNCALLED
     ]
     assert found == []
+
+
+# functions that still call themselves, each to become an explicit stack
+# (ROADMAP item 5); an entry that no longer recurses fails the check too,
+# so the list only shrinks
+RECURSIVE = {
+    "canon._CanonSearch._search",  # ROADMAP item 5
+    "enumeration.arboricity.ok.rec",  # ROADMAP item 5
+}
+
+
+def _functions(node, prefix):
+    """(qualified name, node) of every function below node, methods and
+    nested functions included."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = f"{prefix}.{child.name}"
+            if not isinstance(child, ast.ClassDef):
+                yield name, child
+            yield from _functions(child, name)
+        else:
+            yield from _functions(child, prefix)
+
+
+def test_no_recursion_outside_allowlist():
+    # a recursive search is bounded by Python's recursion limit, which
+    # inputs within MAX_VERTICES can pass
+    found = sorted(
+        name
+        for mod, tree in _modules()
+        for name, fn in _functions(tree, mod)
+        if any(
+            isinstance(call, ast.Call)
+            and (
+                isinstance(call.func, ast.Name) and call.func.id == fn.name
+                or isinstance(call.func, ast.Attribute)
+                and call.func.attr == fn.name
+                and isinstance(call.func.value, ast.Name)
+                and call.func.value.id == "self"
+            )
+            for call in ast.walk(fn)
+        )
+    )
+    assert found == sorted(RECURSIVE)
