@@ -2,9 +2,13 @@
 
 Refinement plus backtracking, no external dependency.  The certificate is the
 lexicographically least adjacency-matrix serialization over the leaves of an
-individualization-refinement tree; equal-encoding leaves witness automorphisms
-and let whole sibling branches be abandoned, which collapses the search on
-highly symmetric inputs (bidirected cliques, circulant tournaments).
+individualization-refinement tree, searched depth first on an explicit stack
+of frames, one per individualised vertex, so no input meets Python's
+recursion limit.  A leaf whose encoding equals the best one witnesses an
+automorphism mapping it onto the best leaf; the frames above the first index
+where the two paths diverge are then deleted, and the frame at that index
+moves on to its next child.  This collapses the search on highly symmetric
+inputs (bidirected cliques, circulant tournaments).
 
 Refinement counts only against the cells that just split (McKay and
 Piperno's splitter idea, in rounds): every cell of an equitable partition
@@ -99,67 +103,55 @@ def _encode(n, rows, order):
     return acc.to_bytes(nb * n, "big")
 
 
-class _CanonSearch:
-    __slots__ = ("n", "rows", "irows", "best", "best_order", "best_path", "path")
+def _canon(n, rows, irows, cells):
+    """(least leaf encoding, its vertex order) of the search from cells.
 
-    def __init__(self, n, rows, irows):
-        self.n = n
-        self.rows = rows
-        self.irows = irows
-        self.best: bytes | None = None
-        self.best_order: list[int] | None = None
-        self.best_path: list[int] = []
-        self.path: list[int] = []
-
-    def run(self, cells):
-        fresh = [mask_of(c) for c in cells]
-        self._search(_refine(self.rows, self.irows, cells, fresh))
-
-    def _search(self, cells):
-        """Returns None, or the branch-path index to abandon back to."""
-        target = -1
-        for idx, cell in enumerate(cells):
+    The stack holds one [partition, index of the target cell, next child]
+    frame per level, and path[i] is the vertex frame i individualised last.
+    An equal leaf is the best leaf's image under an automorphism, so the
+    subtree of the frame where their paths first diverge holds only images
+    of what that frame already explored.
+    """
+    best = order = None
+    best_path: list[int] = []
+    path: list[int] = []
+    stack = []
+    cells = _refine(rows, irows, cells, [mask_of(c) for c in cells])
+    while True:
+        for target, cell in enumerate(cells):
             if len(cell) > 1:
-                target = idx
+                stack.append([cells, target, 0])
                 break
-        if target < 0:
-            order = [c[0] for c in cells]
-            enc = _encode(self.n, self.rows, order)
-            if self.best is None or enc < self.best:
-                self.best = enc
-                self.best_order = order
-                self.best_path = list(self.path)
-                return None
-            if enc == self.best:
-                # Equal encoding: an automorphism maps this leaf onto the best
-                # one, so the sibling branch where their paths first diverge
-                # explores an isomorphic copy of already-covered territory.
-                bp = self.best_path
-                p = self.path
+        else:
+            leaf = [c[0] for c in cells]
+            enc = _encode(n, rows, leaf)
+            if best is None or enc < best:
+                best, order, best_path = enc, leaf, path[:]
+            elif enc == best:
+                # distinct leaves, so neither path is a prefix of the other
                 j = 0
-                while j < len(p) and j < len(bp) and p[j] == bp[j]:
+                while path[j] == best_path[j]:
                     j += 1
-                if j >= len(p) or j >= len(bp):
-                    return None
-                return j
-            return None
-        cell = cells[target]
-        prefix = cells[:target]
-        suffix = cells[target + 1:]
-        depth = len(self.path)
-        for v in cell:
-            self.path.append(v)
-            rest = [w for w in cell if w != v]
-            child = _refine(
-                self.rows, self.irows, prefix + [[v], rest] + suffix, [1 << v]
-            )
-            signal = self._search(child)
-            self.path.pop()
-            if signal is not None:
-                if signal < depth:
-                    return signal
-                # signal == depth: only the child just explored is abandoned
-        return None
+                del stack[j + 1:]
+        # the deepest frame with a child left individualises its next vertex
+        while stack:
+            frame = stack[-1]
+            parent, target, i = frame
+            cell = parent[target]
+            if i < len(cell):
+                break
+            stack.pop()
+        else:
+            break
+        frame[2] = i + 1
+        v = cell[i]
+        del path[len(stack) - 1:]
+        path.append(v)
+        child = parent[:target] + [[v], cell[:i] + cell[i + 1:]]
+        cells = _refine(rows, irows, child + parent[target + 1:], [1 << v])
+    if best is None:
+        raise RuntimeError("canonical search reached no leaf")
+    return best, order
 
 
 def canonical_cert(
@@ -188,23 +180,16 @@ def canonical_cert(
                 start.append(list(cell))
         if len(covered) != n:
             raise ValueError("cells must partition the vertices")
-    search = _CanonSearch(n, d.rows, d.in_rows)
-    search.run(start)
-    if search.best is None:
-        raise RuntimeError("canonical search reached no leaf")
-    return n.to_bytes(2, "big") + search.best
+    return n.to_bytes(2, "big") + _canon(n, d.rows, d.in_rows, start)[0]
 
 
 def canonical_form(d: Digraph) -> Digraph:
     """Canonical representative of the isomorphism class of d."""
     if d.n == 0:
         return d
-    search = _CanonSearch(d.n, d.rows, d.in_rows)
-    search.run([list(range(d.n))])
-    if search.best_order is None:
-        raise RuntimeError("canonical search reached no leaf")
+    order = _canon(d.n, d.rows, d.in_rows, [list(range(d.n))])[1]
     pos = [0] * d.n
-    for new, old in enumerate(search.best_order):
+    for new, old in enumerate(order):
         pos[old] = new
     return d.relabel(pos)
 

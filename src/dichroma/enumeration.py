@@ -102,31 +102,40 @@ def _forest_mask(rows: Sequence[int], mask: int) -> bool:
 
 
 def arboricity(g: Graph) -> int:
-    """Vertex arboricity: fewest classes each inducing a forest."""
+    """Vertex arboricity: fewest classes each inducing a forest.
+
+    For k = 1, 2, ... a depth-first search over the k-colourings in which
+    each vertex takes a colour at most one above those before it.  The
+    colour list is the search stack, as in solver.enumerate_dicolourings:
+    vertex v holds the colour being tried, 0 while it is unplaced; the
+    search for k + 1 starts when backtracking leaves vertex 0.
+    """
     n = g.n
-    if n == 0:
-        return 0
     rows = g.rows
-
-    def ok(k: int) -> bool:
-        masks = [0] * k
-
-        def rec(v: int, used: int) -> bool:
-            if v == n:
-                return True
-            for c in range(min(k, used + 1)):
-                if _forest_mask(rows, masks[c] | 1 << v):
-                    masks[c] |= 1 << v
-                    if rec(v + 1, max(used, c + 1)):
-                        return True
-                    masks[c] &= ~(1 << v)
-            return False
-
-        return rec(0, 0)
-
-    k = 1
-    while not ok(k):
-        k += 1
+    k = 1 if n else 0
+    masks = [0] * k
+    colour = [0] * n
+    used = [0] * (n + 1)  # used[v]: colours taken by the vertices before v
+    v = 0
+    while v < n:
+        if v < 0:
+            k += 1
+            masks = [0] * k
+            v = 0
+        c = colour[v]  # the next colour to try, 0-based
+        if c:
+            masks[c - 1] &= ~(1 << v)
+        top = min(k, used[v] + 1)
+        while c < top and not _forest_mask(rows, masks[c] | 1 << v):
+            c += 1
+        if c == top:
+            colour[v] = 0
+            v -= 1
+        else:
+            colour[v] = c + 1
+            masks[c] |= 1 << v
+            used[v + 1] = max(used[v], c + 1)
+            v += 1
     return k
 
 

@@ -266,8 +266,8 @@ class CriticalityReport:
 def is_dicritical(d: Digraph, k: int) -> CriticalityReport:
     """Exact dicriticality check: dichromatic number k and every arc deletion
     drops it.  Arc deletions suffice; vertex deletions are covered because a
-    vertex of positive degree loses an arc first, and isolated vertices are
-    banned by precondition for k >= 2."""
+    vertex of positive degree loses an arc first, and for k >= 2 the degree
+    check rejects an isolated vertex, whose out-degree 0 is below k - 1."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if k == 1:
@@ -279,9 +279,6 @@ def is_dicritical(d: Digraph, k: int) -> CriticalityReport:
             chi=1 if d.n else 0,
         )
     ir = d.in_rows
-    for v in range(d.n):
-        if d.rows[v] == 0 and ir[v] == 0:
-            raise ValueError(f"vertex {v} is isolated; precondition for k >= 2")
     # necessary degree bounds: a k-dicritical digraph has min in/out degree k-1
     for v in range(d.n):
         if d.rows[v].bit_count() < k - 1 or ir[v].bit_count() < k - 1:
@@ -474,7 +471,10 @@ def is_list_dicolourable(
     if res is None:
         return None
     value_of = {res[n + i]: c for i, c in enumerate(values)}
-    return [value_of[c] for c in res[:n]]
+    col = [value_of[c] for c in res[:n]]
+    if not verify_dicolouring(d, col, lists=allowed):
+        raise RuntimeError("list colouring failed verification")
+    return col
 
 
 # -- the exhaustive tournament bound's worker ------------------------------

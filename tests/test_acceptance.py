@@ -27,6 +27,7 @@ import pytest
 import conftest
 from dichroma.canon import canonical_cert
 from dichroma.claims import CENSUS_8_3_WITNESS, CLAIMS, ClaimContext
+from dichroma.cli import _positive_int
 from dichroma.digraphs import Digraph
 from dichroma.enumeration import dicritical_census, validate_census, verify_census_bound
 from dichroma.solver import (
@@ -78,7 +79,8 @@ def _checkpoint(env: str, default_name: str) -> str:
 
 
 def _env_jobs() -> int:
-    return int(os.environ.get("DICHROMA_JOBS", "1"))
+    # parsed as the CLI parses it: a bad value fails before any work
+    return _positive_int(os.environ.get("DICHROMA_JOBS") or "1")
 
 
 @pytest.fixture(scope="module")
@@ -112,8 +114,9 @@ def test_criterion_2_census_7_unique_and_6_empty(claims):
 def test_criterion_3_census_8_and_9():
     with criterion(3, None, "3-dicritical census: minimum arc counts 21 "
                    "(order 8) and 23 (order 9), each witness unique"):
+        jobs = _env_jobs()
         rep8 = dicritical_census(
-            8, 3, jobs=_env_jobs(),
+            8, 3, jobs=jobs,
             checkpoint=_checkpoint("DICHROMA_CENSUS8_CHECKPOINT",
                                    "census8.ckpt"),
         )
@@ -122,7 +125,7 @@ def test_criterion_3_census_8_and_9():
         assert rep8.witnesses == [CENSUS_8_3_WITNESS]
         assert validate_census(rep8) == []
         rep9 = dicritical_census(
-            9, 3, jobs=_env_jobs(),
+            9, 3, jobs=jobs,
             checkpoint=_checkpoint("DICHROMA_CENSUS9_CHECKPOINT",
                                    "census9.ckpt"),
         )

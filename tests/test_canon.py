@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+from dichroma import canon
 from dichroma.canon import _refine, canonical_cert, canonical_form, is_arc_transitive
 from dichroma.digraphs import Digraph, Graph, bidirect, circulant_tournament, mask_of
+from dichroma.enumeration import gen_tournaments
 
 from bruteforce import _digraph_class_key, brute_refine, random_digraph, random_graph
 
@@ -156,6 +158,24 @@ def test_certificate_bytes_are_frozen():
     assert h.hexdigest() == (
         "f689270c88c8736faf319b6ab7fe6c386c67847f56c2c5f37be11145d6c7df66"
     )
+
+
+def test_search_work_is_frozen(monkeypatch):
+    # A changed prune can leave every certificate byte as it was; the
+    # number of refinements and leaf encodings the search spends cannot.
+    calls = {"_refine": 0, "_encode": 0}
+    for name in calls:
+        def counted(*args, real=getattr(canon, name), name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(canon, name, counted)
+    for n, conn in ((7, (1, 2, 4)), (11, (1, 3, 4, 5, 9)), (13, (1, 2, 3, 5, 6, 9))):
+        canonical_cert(circulant_tournament(n, conn))
+    canonical_cert(bidirect(Graph(6, [0b111111 & ~(1 << v) for v in range(6)])))
+    assert calls == {"_refine": 134, "_encode": 55}
+    assert len(gen_tournaments(6)) == 56
+    assert calls == {"_refine": 828, "_encode": 675}
 
 
 def _refine_inputs():

@@ -235,6 +235,13 @@ def test_critical_check_exit_codes(tmp_path, capsys):
     assert code == 1
     assert "dicritical=False" in out
     assert "reason:" in out
+    # a digon and an isolated vertex: not 2-dicritical, exit 1 with reason
+    path = tmp_path / "isolated.arcs"
+    path.write_text("3 2\n0 1\n1 0\n")
+    code, out, _ = run_cli(capsys, "critical-check", str(path), "2")
+    assert code == 1
+    assert "dicritical=False" in out
+    assert "reason:" in out
 
 
 def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):

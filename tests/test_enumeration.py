@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 from functools import lru_cache
@@ -31,6 +32,7 @@ from bruteforce import (
     brute_graph_classes,
     brute_orientation_classes,
     brute_tournament_classes,
+    is_forest,
     random_graph,
 )
 
@@ -104,6 +106,31 @@ def test_arboricity_examples():
     assert arboricity(k5) == 3
     assert arboricity(c5) == 2
     assert arboricity(tree) == 1
+
+
+def _brute_arboricity(g):
+    """Fewest classes each inducing a forest, over all k^n assignments."""
+    n = g.n
+    for k in itertools.count(1):
+        for colour in itertools.product(range(k), repeat=n):
+            if all(
+                is_forest(g, [v for v in range(n) if colour[v] == c])
+                for c in range(k)
+            ):
+                return k
+
+
+def test_arboricity_vs_bruteforce():
+    graphs = [g for n in range(1, 7) for g in gen_graphs(n, 0)]
+    assert len(graphs) == 208
+    for g in graphs:
+        assert arboricity(g) == _brute_arboricity(g)
+
+
+def test_arboricity_long_path():
+    # one search frame per vertex, past Python's default recursion limit
+    n = 1200
+    assert arboricity(build_graph(n, [(v, v + 1) for v in range(n - 1)])) == 1
 
 
 def test_gen_orientations_matches_bruteforce():

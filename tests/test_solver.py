@@ -166,8 +166,10 @@ def test_dicritical_examples():
     assert rep.failing_arc is not None
     single = Digraph.from_arcs(1, [])
     assert is_dicritical(single, 1).is_dicritical
-    with pytest.raises(ValueError):
-        is_dicritical(Digraph.from_arcs(3, [(0, 1)]), 2)  # isolated vertex
+    # an isolated vertex fails the degree check like any other
+    rep = is_dicritical(Digraph.from_arcs(3, [(0, 1), (1, 0)]), 2)
+    assert not rep.is_dicritical
+    assert rep.reason == "vertex 2 has in- or out-degree below 1"
 
 
 def test_dicritical_report_json():
@@ -254,6 +256,14 @@ def test_list_dicolouring_examples():
     assert col == [5, 5, 9]
     with pytest.raises(ValueError):
         is_list_dicolourable(tri, [[1], [1]])  # one list per vertex
+
+
+def test_list_dicolouring_is_verified(monkeypatch):
+    # a search that returns a wrong colouring is caught, not passed on
+    monkeypatch.setattr(solver, "_dfs_colour", lambda d, k: [0] * d.n)
+    tri = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
+    with pytest.raises(RuntimeError):
+        is_list_dicolourable(tri, [[1, 2]] * 3)
 
 
 def test_list_dicolouring_vs_bruteforce():

@@ -104,15 +104,6 @@ def test_every_function_has_a_caller_or_is_exported():
     assert found == []
 
 
-# functions that still call themselves, each to become an explicit stack
-# (ROADMAP item 5); an entry that no longer recurses fails the check too,
-# so the list only shrinks
-RECURSIVE = {
-    "canon._CanonSearch._search",  # ROADMAP item 5
-    "enumeration.arboricity.ok.rec",  # ROADMAP item 5
-}
-
-
 def _functions(node, prefix):
     """(qualified name, node) of every function below node, methods and
     nested functions included."""
@@ -128,7 +119,8 @@ def _functions(node, prefix):
 
 def test_no_recursion_outside_allowlist():
     # a recursive search is bounded by Python's recursion limit, which
-    # inputs within MAX_VERTICES can pass
+    # inputs within MAX_VERTICES can pass, so every search runs on an
+    # explicit stack and no function calls itself
     found = sorted(
         name
         for mod, tree in _modules()
@@ -145,4 +137,4 @@ def test_no_recursion_outside_allowlist():
             for call in ast.walk(fn)
         )
     )
-    assert found == sorted(RECURSIVE)
+    assert found == []
