@@ -9,9 +9,23 @@ them by the (k-1) colouring cover of the order-(n-2) classes, and the
 second decides their extensions by the k-cover.  Both stream through a
 checkpointed, optionally parallel task loop.
 
-Generation is by vertex extension with canonical-certificate rejection at
-every level.  Partial orientations carry their unoriented edges as digons and
-a processed/unprocessed vertex partition inside the certificate, so states
+Graphs and tournaments are generated by vertex extension in one level loop
+(_generate).  Each level keeps, per certificate, the first child P_j + S in
+(parent, mask) order and sorts the kept children by certificate, so the
+representatives and their order are fixed by the certificate bytes.  At the
+last level a child is skipped without a certificate when it is known to be
+a duplicate (McKay's canonical deletion, used only to reject): if deleting
+some old vertex v leaves a class of rank i < j among the parents, then
+P_j + S is isomorphic to some P_i + S', which passes the same degree floor
+and comes earlier, so its class is already kept, by an earlier child.  The
+rank of P_j + S - v is read from the level below, where every child is
+certified and its rank recorded: P_j - v is mapped onto its class Q_m by
+the canonical orders of both, and S, less v, through that map.  Below the
+last level every child is still certified, since a skipped child's class
+would have no rank for the next level.
+
+Partial orientations carry their unoriented edges as digons and a
+processed/unprocessed vertex partition inside the certificate, so states
 whose completions explore isomorphic territory collapse early; that is what
 keeps dense underlying graphs (whole tournaments in the worst case) within
 reach.
@@ -33,7 +47,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from .canon import canonical_cert, canonical_form
+from .canon import _canon, canonical_cert, canonical_form
 from .digraphs import (
     Digraph, Graph, bidirect, is_k_diregular, is_oriented, iter_bits, underlying_graph
 )
@@ -47,36 +61,109 @@ from .structure import gallai_property_check
 GEN_CAP = 10
 
 
+def _generate(n: int, extend) -> list[Digraph]:
+    """One order-n digraph per class reachable by vertex extension from K1,
+    in certificate order.  extend(parent, mask) is the child whose new last
+    vertex meets the parent's vertices in mask one way and the rest the
+    other (adjacent or not; dominating or dominated), or None when a degree
+    floor filters it.  The skip at the last level (module docstring) needs
+    both to ignore labels: relabelling parent and mask alike gives an
+    isomorphic child, and only a child's class decides whether it is kept.
+    """
+    reps = [Digraph(1, (0,))]
+    prev: list[Digraph] | None = None  # the level below reps, once certified
+    # rank among reps of prev[m] + mask, at m << t-1 | mask; the entries share
+    # the int objects of the ranks, so reading them allocates nothing
+    ranks: list[int] = []
+    for t in range(1, n):
+        last = t == n - 1
+        skip = last and prev is not None
+        if skip:
+            labelled = [
+                _canon(q.n, q.rows, q.in_rows, [list(range(q.n))]) for q in prev
+            ]
+            index = {best: m for m, (best, _) in enumerate(labelled)}
+            orders = [order for _, order in labelled]
+        seen: dict[bytes, Digraph] = {}  # certificate -> first child
+        # below the last level, per (parent, mask): the first child of its
+        # class, or None when filtered
+        firsts: list[Digraph | None] = []
+        for j, parent in enumerate(reps):
+            masks = range(1 << t)
+            if skip:
+                low = _deletion_ranks(parent, index, orders, ranks)
+                masks = [s for s in masks if low[s] >= j]
+            for mask in masks:
+                child = extend(parent, mask)
+                if child is not None:
+                    child = seen.setdefault(canonical_cert(child), child)
+                if not last:
+                    firsts.append(child)
+        prev, reps = reps, [seen[c] for c in sorted(seen)]
+        if not last:
+            rank = {d: r for r, d in enumerate(reps)}
+            # a filtered child has no class; len(reps) exceeds every parent index
+            ranks = [len(reps) if d is None else rank[d] for d in firsts]
+    return reps
+
+
+def _deletion_ranks(p: Digraph, index, orders, ranks) -> list[int]:
+    """low[S]: the least rank, among the order-t classes, of p + S - v over
+    the old vertices v of p (order t); index maps the canonical encoding of
+    each order-(t-1) class to its position m, orders[m] is its canonical
+    order, and ranks[m << t-1 | mask] the rank of its child by mask."""
+    t = p.n
+    rows, irows = p.rows, p.in_rows
+    tables = []
+    for v in range(t):
+        below = (1 << v) - 1
+        rest = [w for w in range(t) if w != v]
+        out = [rows[w] & below | rows[w] >> 1 & ~below for w in rest]
+        inn = [irows[w] & below | irows[w] >> 1 & ~below for w in rest]
+        best, order = _canon(t - 1, out, inn, [list(range(t - 1))])
+        m = index[best]
+        # order lists p - v, and orders[m] the class, in canonical order, so
+        # pairing them maps p - v onto the class; S follows, bit v dropped
+        image = [0] * (t - 1)
+        for u, q in zip(order, orders[m]):
+            image[u] = 1 << q
+        image.insert(v, 0)
+        mapped = [0]
+        for bit in image:
+            mapped += [x | bit for x in mapped]
+        base = m << (t - 1)
+        tables.append([ranks[base | x] for x in mapped])
+    return list(map(min, *tables))
+
+
 def gen_graphs(n: int, min_degree: int) -> list[Graph]:
     """All graphs of the given order and minimum degree, one per class.
 
     Vertex extension with a degree look-ahead: at order t a vertex can still
     gain at most n-t neighbours, so deg >= min_degree-(n-t) already holds in
-    every extendable intermediate graph.
+    every extendable intermediate graph.  A child is then a graph of its
+    order with min degree at least its level's floor, so deleting a vertex
+    leaves one that met the floor below; the last level's skip needs that.
     """
     if not 1 <= n <= GEN_CAP:
         raise ValueError(f"order must be within 1..{GEN_CAP}, got {n}")
     if min_degree < 0 or min_degree >= n:
         raise ValueError(f"min degree {min_degree} infeasible at order {n}")
-    reps: list[tuple[int, ...]] = [(0,)]
-    for t in range(1, n):
+
+    def extend(g: Digraph, mask: int) -> Digraph | None:
+        t = g.n
         floor = min_degree - (n - t - 1)
-        seen: dict[bytes, tuple[int, ...]] = {}
-        for rows in reps:
-            for mask in range(1 << t):
-                if mask.bit_count() < floor:
-                    continue
-                child = [r | (mask >> i & 1) << t for i, r in enumerate(rows)]
-                child.append(mask)
-                if floor > 0 and any(
-                    r.bit_count() < floor for r in child
-                ):
-                    continue
-                cert = canonical_cert(Digraph(t + 1, child))
-                if cert not in seen:
-                    seen[cert] = tuple(child)
-        reps = [seen[c] for c in sorted(seen)]
-    return [Graph(n, rows) for rows in reps]
+        if mask.bit_count() < floor:
+            return None
+        child = [r | (mask >> i & 1) << t for i, r in enumerate(g.rows)]
+        child.append(mask)
+        if floor > 0 and any(r.bit_count() < floor for r in child):
+            return None
+        d = Digraph(t + 1, child)
+        d._irows = d.rows  # symmetric
+        return d
+
+    return [Graph(n, d.rows) for d in _generate(n, extend)]
 
 
 def _forest_mask(rows: Sequence[int], mask: int) -> bool:
@@ -101,6 +188,27 @@ def _forest_mask(rows: Sequence[int], mask: int) -> bool:
     return edges // 2 == len(verts) - comps
 
 
+def _joins_forest(rows: Sequence[int], forest: int, v: int) -> bool:
+    """Given that the mask forest induces a forest, does it still with v
+    added?  It does iff v's neighbours in it lie in distinct trees, so only
+    the trees of those neighbours are searched, none when v has at most
+    one."""
+    nb = rows[v] & forest
+    while nb & (nb - 1):  # two or more neighbours not yet searched
+        low = nb & -nb
+        nb ^= low
+        tree = todo = low
+        while todo:
+            w = todo & -todo
+            todo ^= w
+            new = rows[w.bit_length() - 1] & forest & ~tree
+            if new & nb:
+                return False
+            tree |= new
+            todo |= new
+    return True
+
+
 def arboricity(g: Graph) -> int:
     """Vertex arboricity: fewest classes each inducing a forest.
 
@@ -108,7 +216,9 @@ def arboricity(g: Graph) -> int:
     each vertex takes a colour at most one above those before it.  The
     colour list is the search stack, as in solver.enumerate_dicolourings:
     vertex v holds the colour being tried, 0 while it is unplaced; the
-    search for k + 1 starts when backtracking leaves vertex 0.
+    search for k + 1 starts when backtracking leaves vertex 0.  Every class
+    stays a forest throughout, so a placement is tested by _joins_forest
+    against the trees it touches, not by rescanning the class.
     """
     n = g.n
     rows = g.rows
@@ -126,7 +236,7 @@ def arboricity(g: Graph) -> int:
         if c:
             masks[c - 1] &= ~(1 << v)
         top = min(k, used[v] + 1)
-        while c < top and not _forest_mask(rows, masks[c] | 1 << v):
+        while c < top and not _joins_forest(rows, masks[c], v):
             c += 1
         if c == top:
             colour[v] = 0
@@ -283,20 +393,11 @@ def gen_orientations(g: Graph, min_in: int, min_out: int) -> list[Digraph]:
 
 
 def gen_tournaments(n: int) -> list[Digraph]:
-    """One tournament per isomorphism class, by vertex extension."""
-    if n < 1:
-        raise ValueError("order must be positive")
-    reps: list[Digraph] = [Digraph(1, (0,))]
-    for t in range(1, n):
-        seen: dict[bytes, Digraph] = {}
-        for tour in reps:
-            for mask in range(1 << t):
-                child = _extend_tournament(tour, mask)
-                cert = canonical_cert(child)
-                if cert not in seen:
-                    seen[cert] = child
-        reps = [seen[c] for c in sorted(seen)]
-    return reps
+    """One tournament per isomorphism class, by vertex extension; the new
+    vertex dominates exactly the mask-selected old vertices."""
+    if not 1 <= n <= GEN_CAP:
+        raise ValueError(f"order must be within 1..{GEN_CAP}, got {n}")
+    return _generate(n, _extend_tournament)
 
 
 BOUND_CHUNK = 256  # parent tournaments per task of the bound's layers
@@ -372,6 +473,11 @@ def verify_census_bound(
     """
     if n < 1 or k < 1:
         raise ValueError(f"need n >= 1 and k >= 1, got n={n} k={k}")
+    if n - 1 > GEN_CAP:
+        raise ValueError(
+            f"order {n} extends tournaments of order {n - 1}, past the"
+            f" generation cap {GEN_CAP}"
+        )
     if n == 1:
         return True, None  # no order-0 parent to extend
     if k == 1 or n <= 2:

@@ -1,13 +1,16 @@
 """Independent brute-force oracles used to cross-check the library.
 
-Everything here recomputes from first principles: no solver, canonical-form,
-or generator code is reused beyond the plain data types.  Three references
-are earlier versions of library internals, kept to check their faster
+The oracles recompute from first principles: no solver, canonical-form,
+or generator code is reused beyond the plain data types.  Five references
+are earlier versions of library internals, on top of the library's other
+layers (the solver, canonical certificates), kept to check their faster
 replacements: brute_bound_chunk, the tournament-bound worker as one solver
 call per dominance mask, which the colouring cover is checked against;
 brute_refine, the canonical search's refinement recounting every vertex
-against every cell in every round; and brute_shortest_cycle, the cycle
-search of max_induced_acyclic as a BFS from every vertex.
+against every cell in every round; brute_shortest_cycle, the cycle search
+of max_induced_acyclic as a BFS from every vertex; and brute_gen_graphs and
+brute_gen_tournaments, the generators certifying every child at every
+level, which the canonical-deletion skip is checked against.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import itertools
 import random
 
+from dichroma.canon import canonical_cert
 from dichroma.digraphs import Digraph, Graph, iter_bits, mask_of
 from dichroma.formats import d6_decode, d6_encode
 from dichroma.solver import _extend_tournament, is_k_dicolourable
@@ -493,3 +497,43 @@ def brute_shortest_cycle(rows, irows, mask) -> list[int] | None:
             if best is None or len(cyc) < len(best):
                 best = cyc
     return best
+
+
+def brute_gen_graphs(n: int, min_degree: int) -> list[Graph]:
+    """gen_graphs with a certificate for every child at every level: per
+    certificate the first child in (parent, mask) order, sorted by
+    certificate."""
+    reps: list[tuple[int, ...]] = [(0,)]
+    for t in range(1, n):
+        floor = min_degree - (n - t - 1)
+        seen: dict[bytes, tuple[int, ...]] = {}
+        for rows in reps:
+            for mask in range(1 << t):
+                if mask.bit_count() < floor:
+                    continue
+                child = [r | (mask >> i & 1) << t for i, r in enumerate(rows)]
+                child.append(mask)
+                if floor > 0 and any(
+                    r.bit_count() < floor for r in child
+                ):
+                    continue
+                cert = canonical_cert(Digraph(t + 1, child))
+                if cert not in seen:
+                    seen[cert] = tuple(child)
+        reps = [seen[c] for c in sorted(seen)]
+    return [Graph(n, rows) for rows in reps]
+
+
+def brute_gen_tournaments(n: int) -> list[Digraph]:
+    """gen_tournaments with a certificate for every child at every level."""
+    reps: list[Digraph] = [Digraph(1, (0,))]
+    for t in range(1, n):
+        seen: dict[bytes, Digraph] = {}
+        for tour in reps:
+            for mask in range(1 << t):
+                child = _extend_tournament(tour, mask)
+                cert = canonical_cert(child)
+                if cert not in seen:
+                    seen[cert] = child
+        reps = [seen[c] for c in sorted(seen)]
+    return reps

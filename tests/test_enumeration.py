@@ -7,6 +7,7 @@ from math import comb
 
 import pytest
 
+from dichroma import enumeration
 from dichroma.canon import canonical_cert, canonical_form
 from dichroma.digraphs import (
     bidirect,
@@ -29,6 +30,8 @@ from dichroma.solver import is_dicritical
 
 from bruteforce import (
     brute_digraph_classes,
+    brute_gen_graphs,
+    brute_gen_tournaments,
     brute_graph_classes,
     brute_orientation_classes,
     brute_tournament_classes,
@@ -177,8 +180,9 @@ def test_gen_tournaments_counts_and_classes():
         assert brute_digraph_classes(ours) == brute_digraph_classes(
             brute_tournament_classes(n)
         )
-    with pytest.raises(ValueError):
-        gen_tournaments(0)
+    for n in (0, GEN_CAP + 1):
+        with pytest.raises(ValueError):
+            gen_tournaments(n)
 
 
 def test_generated_representatives_are_frozen():
@@ -194,6 +198,49 @@ def test_generated_representatives_are_frozen():
     assert h.hexdigest() == (
         "3ebf28ed2b6327e7afe48455f61fc6f2a23f27db540fc86b279863f0efb593c8"
     )
+    # order 8, where the last level skips most certificates; these digests
+    # were taken from the generators that certified every child
+    tournaments = hashlib.sha256()
+    for t in gen_tournaments(8):
+        tournaments.update(d6_encode(t).encode() + b"\n")
+    assert tournaments.hexdigest() == (
+        "e255bfad9191f9df850017b59643340353fdc22740d7d8adf174854f956faf3b"
+    )
+    graphs = hashlib.sha256()
+    for g in gen_graphs(8, 4):
+        graphs.update(d6_encode(bidirect(g)).encode() + b"\n")
+    assert graphs.hexdigest() == (
+        "6375a88a8b1e1090c46e29c64157a412bd0eea59467a6870703f11654a108b15"
+    )
+
+
+def test_generators_match_certifying_every_child():
+    # the skipped children are duplicates only: same representatives, same
+    # order as certifying every child, for every floor
+    for n in range(1, 8):
+        assert gen_tournaments(n) == brute_gen_tournaments(n)
+        for d in range(n):
+            assert gen_graphs(n, d) == brute_gen_graphs(n, d)
+
+
+def test_generator_certificate_calls_are_frozen(monkeypatch):
+    # the number of children the generators certify; certifying every
+    # child, as brute_gen_* do, takes 470, 62,422 and 6,416
+    calls = [0]
+
+    def counted(d, real=enumeration.canonical_cert):
+        calls[0] += 1
+        return real(d)
+
+    monkeypatch.setattr(enumeration, "canonical_cert", counted)
+    made = []
+    for gen in (
+        lambda: gen_tournaments(6), lambda: gen_tournaments(8),
+        lambda: gen_graphs(8, 4),
+    ):
+        calls[0] = 0
+        made.append((len(gen()), calls[0]))
+    assert made == [(56, 174), (6880, 11866), (424, 2613)]
 
 
 def test_census_two_dicritical_is_single_directed_cycle():

@@ -11,8 +11,10 @@ from dichroma.digraphs import (
     build_graph,
     circulant_tournament,
 )
-from dichroma import solver
-from dichroma.enumeration import _hard_classes, gen_tournaments, verify_census_bound
+from dichroma import enumeration, solver
+from dichroma.enumeration import (
+    GEN_CAP, _hard_classes, gen_tournaments, verify_census_bound,
+)
 from dichroma.formats import d6_decode, d6_encode
 from dichroma.solver import (
     _bound_chunk,
@@ -353,6 +355,18 @@ def test_verify_census_bound_small():
     assert serial == (False, d6_decode("&G]bwXAoEyI[O"))
     assert is_k_dicolourable(serial[1], 2) is None
     assert verify_census_bound(8, 2, jobs=2) == serial
+
+
+def test_verify_census_bound_checks_the_cap_first(monkeypatch):
+    # order GEN_CAP + 1 extends tournaments of order GEN_CAP, which is
+    # allowed; one more is refused before any generation starts
+    def generate(n):
+        raise AssertionError(f"gen_tournaments({n}) called")
+
+    monkeypatch.setattr(enumeration, "gen_tournaments", generate)
+    for k in (1, 2, 3):
+        with pytest.raises(ValueError, match="generation cap"):
+            verify_census_bound(GEN_CAP + 2, k)
 
 
 def test_verify_census_bound_streaming_with_checkpoint(tmp_path):
