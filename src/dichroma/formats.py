@@ -2,7 +2,8 @@
 
 digraph6: header character '&', then chr(n+63) for n <= 62, then the n*n
 row-major adjacency bits (bit i*n+j = 1 iff arc i->j) packed big-endian into
-6-bit groups, each emitted as chr(group+63), zero-padded.
+6-bit groups, each emitted as chr(group+63), zero-padded.  Non-zero
+padding is rejected, so each digraph has exactly one string.
 
 Arc list: first line "n m", then m lines "u v" (0-indexed, arc u->v).
 
@@ -55,21 +56,22 @@ def d6_decode(s: str) -> Digraph:
         raise ValueError(
             f"digraph6 body length {len(body)}, expected {need} for n={n}"
         )
-    bits = []
+    x = 0
     for ch in body:
-        x = ord(ch) - 63
-        if not 0 <= x < 64:
+        c = ord(ch) - 63
+        if not 0 <= c < 64:
             raise ValueError(f"bad digraph6 character {ch!r}")
-        bits.extend((x >> (5 - i)) & 1 for i in range(6))
-    rows = [0] * n
+        x = x << 6 | c
+    pad = 6 * need - n * n
+    if x & ((1 << pad) - 1):
+        raise ValueError("digraph6 padding bits must be zero")
+    # read as one binary number, the reversed string has bit u*n + v set
+    # iff u -> v, so row u is the n-bit slice ending n*u digits from its end
+    bits = format(x >> pad, f"0{n * n}b")[::-1]
+    rows = [int(bits[(n - 1 - u) * n : (n - u) * n], 2) for u in range(n)]
     for u in range(n):
-        r = 0
-        for v in range(n):
-            if bits[u * n + v]:
-                if u == v:
-                    raise ValueError("digraph6 input encodes a self-loop")
-                r |= 1 << v
-        rows[u] = r
+        if rows[u] >> u & 1:
+            raise ValueError("digraph6 input encodes a self-loop")
     return Digraph(n, rows)
 
 

@@ -15,8 +15,14 @@ class set, until every S is covered, and the masks left over are exact.
 
 All searches are deterministic: dynamic most-saturated-first vertex choice
 with lowest-index tie-breaks, colour symmetry broken by allowing a vertex
-only colours up to 1 + the number already in use.  Certificates returned by
-every positive answer pass verify_dicolouring.
+only colours up to 1 + the number already in use.  The colouring search
+(_dfs_colour) reads each vertex's underlying and digon neighbours into
+lists once per call and keeps one integer frame per placed vertex on an
+explicit stack.  Certificates returned by every positive answer pass
+verify_dicolouring, whose acyclicity test (_mask_acyclic) is a sink peel
+driven by out-degree counts and in-rows: it shares no code with the
+class-cycle test (_creates_cycle) or any search, so a fault in a search
+cannot pass its own answers.
 """
 
 from __future__ import annotations
@@ -25,7 +31,9 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .digraphs import Digraph, circulant_tournament, delete_arc, iter_bits
+from .digraphs import (
+    Digraph, circulant_tournament, delete_arc, iter_bits, mask_of,
+)
 from .formats import d6_decode, d6_encode
 
 # saturation weight for an assigned digon partner; digon partners force the
@@ -33,27 +41,41 @@ from .formats import d6_decode, d6_encode
 _DIGON_W = 1 << 20
 
 
-def _mask_acyclic(rows: Sequence[int], mask: int) -> bool:
-    """Kahn peel of the subdigraph induced by the mask."""
-    verts = list(iter_bits(mask))
-    indeg = dict.fromkeys(verts, 0)
-    for v in verts:
-        for w in iter_bits(rows[v] & mask):
-            indeg[w] += 1
-    queue = [v for v in verts if indeg[v] == 0]
-    seen = 0
-    while queue:
-        v = queue.pop()
-        seen += 1
-        for w in iter_bits(rows[v] & mask):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    return seen == len(verts)
+def _mask_acyclic(rows: Sequence[int], irows: Sequence[int], mask: int) -> bool:
+    """Is the subdigraph induced by the mask acyclic?  A sink peel: each
+    vertex counts its out-neighbours inside the mask, and removing a sink
+    takes one from the count of each of its in-neighbours there.  The
+    subdigraph is acyclic iff every vertex is removed.  Each vertex is
+    removed at most once, so no pass rescans the mask."""
+    out = [0] * len(rows)
+    sinks = []
+    left = 0
+    m = mask
+    while m:
+        low = m & -m
+        v = low.bit_length() - 1
+        deg = (rows[v] & mask).bit_count()
+        if deg:
+            out[v] = deg
+            left += 1
+        else:
+            sinks.append(v)
+        m ^= low
+    while sinks:
+        r = irows[sinks.pop()] & mask
+        while r:
+            low = r & -r
+            u = low.bit_length() - 1
+            out[u] -= 1
+            if not out[u]:
+                sinks.append(u)
+                left -= 1
+            r ^= low
+    return not left
 
 
 def is_acyclic(d: Digraph) -> bool:
-    return _mask_acyclic(d.rows, (1 << d.n) - 1)
+    return _mask_acyclic(d.rows, d.in_rows, (1 << d.n) - 1)
 
 
 def _creates_cycle(rows, irows, v, cmask):
@@ -81,14 +103,23 @@ def _creates_cycle(rows, irows, v, cmask):
 
 
 def _dfs_colour(d: Digraph, k: int) -> list[int] | None:
-    """Core search.  Returns 0-based colours."""
+    """Core search.  Returns 0-based colours.
+
+    Each vertex's underlying and digon neighbours are read once into
+    lists, so a placement or its undo updates the saturations by two
+    plain loops.  (Lists, not tuples: CPython keeps up to 2,000 freed
+    tuples of each small length for reuse, which read as more peak
+    memory.)  A stack frame is [vertex, next colour to try, colour limit,
+    colours in use before the vertex]: the vertex may take the colours
+    below the limit, min(k, 1 + colours in use), tried ascending.
+    """
     n = d.n
     if n == 0:
         return []
     rows = d.rows
     irows = d.in_rows
-    und = d.underlying_rows
-    digons = d.digon_rows
+    und = [list(iter_bits(r)) for r in d.underlying_rows]
+    digons = [list(iter_bits(r)) if r else () for r in d.digon_rows]
     full = (1 << n) - 1
 
     colour = [-1] * n
@@ -96,13 +127,6 @@ def _dfs_colour(d: Digraph, k: int) -> list[int] | None:
     assigned = 0
     sat = [0] * n
     used = 0
-
-    def bump(u: int, delta: int) -> None:
-        for w in iter_bits(und[u]):
-            sat[w] += delta
-        dd = delta * _DIGON_W
-        for w in iter_bits(digons[u]):
-            sat[w] += dd
 
     def pick() -> int:
         best_v, best_s = -1, -1
@@ -116,41 +140,40 @@ def _dfs_colour(d: Digraph, k: int) -> list[int] | None:
             r ^= low
         return best_v
 
-    v0 = pick()
-    stack = [[v0, list(range(min(k, 1))), 0, 0]]
+    stack = [[pick(), 0, min(k, 1), 0]]
     while stack:
         fr = stack[-1]
         v = fr[0]
-        if colour[v] >= 0:
-            c = colour[v]
+        c = colour[v]
+        if c >= 0:
             colour[v] = -1
             class_masks[c] &= ~(1 << v)
             assigned &= ~(1 << v)
             used = fr[3]
-            bump(v, -1)
-        placed = False
-        options = fr[1]
-        idx = fr[2]
-        while idx < len(options):
-            c = options[idx]
-            idx += 1
-            if not _creates_cycle(rows, irows, v, class_masks[c]):
-                fr[2] = idx
-                colour[v] = c
-                class_masks[c] |= 1 << v
-                assigned |= 1 << v
-                if c == used:
-                    used = c + 1
-                bump(v, 1)
-                placed = True
-                break
-        if not placed:
+            for w in und[v]:
+                sat[w] -= 1
+            for w in digons[v]:
+                sat[w] -= _DIGON_W
+        c = fr[1]
+        limit = fr[2]
+        while c < limit and _creates_cycle(rows, irows, v, class_masks[c]):
+            c += 1
+        if c == limit:
             stack.pop()
             continue
+        fr[1] = c + 1
+        colour[v] = c
+        class_masks[c] |= 1 << v
+        assigned |= 1 << v
+        if c == used:
+            used = c + 1
+        for w in und[v]:
+            sat[w] += 1
+        for w in digons[v]:
+            sat[w] += _DIGON_W
         if assigned == full:
-            return colour[:]
-        nv = pick()
-        stack.append([nv, list(range(min(k, used + 1))), 0, used])
+            return colour
+        stack.append([pick(), 0, min(k, used + 1), used])
     return None
 
 
@@ -194,7 +217,8 @@ def verify_dicolouring(
     classes: dict[int, int] = {}
     for v, c in enumerate(colouring):
         classes[c] = classes.get(c, 0) | 1 << v
-    return all(_mask_acyclic(d.rows, m) for m in classes.values())
+    irows = d.in_rows
+    return all(_mask_acyclic(d.rows, irows, m) for m in classes.values())
 
 
 def enumerate_dicolourings(d: Digraph, k: int) -> Iterator[tuple[int, ...]]:
@@ -326,8 +350,10 @@ def is_dicritical(d: Digraph, k: int) -> CriticalityReport:
     )
 
 
-def _shortest_cycle(rows, irows, mask) -> list[int] | None:
+def _shortest_cycle(rows, irows, mask, digon_mask) -> list[int] | None:
     """A shortest directed cycle within the mask, as a vertex list, or None.
+    The digon_mask must hold every vertex with a digon partner; the digon
+    step scans only its vertices.
 
     The cycle is the one a BFS from each vertex s of the mask, ascending,
     finds first, out-neighbours scanned ascending, a later s's cycle kept
@@ -341,7 +367,7 @@ def _shortest_cycle(rows, irows, mask) -> list[int] | None:
     least; failing that the first triangle [s, u, x], s, then u, then x
     least.  Only a mask with no digon and no triangle runs the BFS.
     """
-    m = mask
+    m = mask & digon_mask
     while m:
         low = m & -m
         s = low.bit_length() - 1
@@ -411,11 +437,12 @@ def max_induced_acyclic(d: Digraph) -> list[int]:
     not bounded by Python's recursion limit.  A node's children go on in
     reverse, the i-th keeping the cycle vertices the earlier ones removed,
     and a child is pruned when it is popped, against the best that its
-    earlier siblings' subtrees left.  The answer is confirmed by the Kahn
-    peel, which shares nothing with the cycle search; RuntimeError is
-    raised if it fails.
+    earlier siblings' subtrees left.  The answer is confirmed by the sink
+    peel of _mask_acyclic, which shares nothing with the cycle search;
+    RuntimeError is raised if it fails.
     """
     rows, irows = d.rows, d.in_rows
+    digon_mask = mask_of(v for v, r in enumerate(d.digon_rows) if r)
     best_mask = 0
     best = -1
     stack = [((1 << d.n) - 1, 0)]
@@ -424,7 +451,7 @@ def max_induced_acyclic(d: Digraph) -> list[int]:
         size = mask.bit_count()
         if size <= best:
             continue
-        cyc = _shortest_cycle(rows, irows, mask)
+        cyc = _shortest_cycle(rows, irows, mask, digon_mask)
         if cyc is None:
             best = size
             best_mask = mask
@@ -435,7 +462,7 @@ def max_induced_acyclic(d: Digraph) -> list[int]:
                 children.append((mask & ~(1 << v), keep))
                 keep |= 1 << v
         stack.extend(reversed(children))
-    if not _mask_acyclic(rows, best_mask):
+    if not _mask_acyclic(rows, irows, best_mask):
         raise RuntimeError(
             f"induced set {list(iter_bits(best_mask))} is not acyclic"
         )

@@ -49,6 +49,26 @@ def test_d6_rejects_garbage():
         d6_decode("&B~~~~~")
 
 
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("&~", "order byte"),  # n = 63
+        ("&BP", "body length"),
+        ("&BP\x7f", "character"),
+        ("&@_", "self-loop"),  # the one arc of n = 1 is 0 -> 0
+        ("&BP`", "padding"),  # "&BP_" with its last padding bit set
+    ],
+)
+def test_d6_decode_errors(text, error):
+    with pytest.raises(ValueError, match=error):
+        d6_decode(text)
+
+
+def test_d6_empty_digraph():
+    assert d6_decode("&?") == Digraph(0, [])
+    assert d6_encode(Digraph(0, [])) == "&?"
+
+
 def test_arclist_roundtrip():
     rng = random.Random(3)
     for _ in range(20):

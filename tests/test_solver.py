@@ -10,6 +10,7 @@ from dichroma.digraphs import (
     bidirect,
     build_graph,
     circulant_tournament,
+    mask_of,
 )
 from dichroma import enumeration, solver
 from dichroma.enumeration import (
@@ -57,6 +58,31 @@ def test_is_acyclic_examples():
     assert not is_acyclic(Digraph.from_arcs(2, [(0, 1), (1, 0)]))
     assert not is_acyclic(circulant_tournament(11, (1, 3, 4, 5, 9)))
     assert is_acyclic(Digraph.from_arcs(0, []))
+
+
+def test_mask_acyclic_matches_bruteforce():
+    rng = random.Random(606)
+    seen = set()
+    for i in range(400):
+        n = rng.randint(1, 12)
+        p = rng.choice((0.1, 0.2, 0.35, 0.5))
+        d = random_digraph(rng, n, p) if i % 2 else random_oriented(rng, n, p)
+        for _ in range(8):
+            mask = rng.getrandbits(n)
+            want = kahn_acyclic(d, [v for v in range(n) if mask >> v & 1])
+            assert solver._mask_acyclic(d.rows, d.in_rows, mask) == want
+            seen.add(want)
+        assert is_acyclic(d) == kahn_acyclic(d, range(n))
+    assert seen == {False, True}
+    # each vertex is peeled once: a peel that rescanned the mask for sinks
+    # would make 3,000 passes over a path
+    n = 3000
+    forward = [(v, v + 1) for v in range(n - 1)]
+    backward = [(w, v) for v, w in forward]
+    for arcs, far in ((forward, (1, 0)), (backward, (n - 2, n - 1))):
+        assert is_acyclic(Digraph.from_arcs(n, arcs))
+        # a digon at the end away from the sink: all the rest is peeled
+        assert not is_acyclic(Digraph.from_arcs(n, arcs + [far]))
 
 
 def test_k_validation():
@@ -150,6 +176,35 @@ def test_enumerate_dicolourings_matches_bruteforce_count():
             assert got == want  # same set, same lexicographic order
 
 
+def test_colourings_are_frozen(monkeypatch):
+    # sha256 over the returned colourings and the number of class-cycle
+    # checks the search makes: its vertex and colour order, not only its
+    # answers, must survive changes to the search
+    calls = 0
+
+    def counted(*args, real=solver._creates_cycle):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(solver, "_creates_cycle", counted)
+    rng = random.Random(1312)
+    inputs = list(gen_tournaments(7))
+    for _ in range(2000):
+        n = rng.randint(1, 12)
+        inputs.append(random_digraph(rng, n, rng.choice((0.1, 0.2, 0.35, 0.5))))
+    h = hashlib.sha256()
+    for d in inputs:
+        for k in (1, 2, 3):
+            h.update(repr(is_k_dicolourable(d, k)).encode() + b"\n")
+    st11 = circulant_tournament(11, (1, 3, 4, 5, 9))
+    h.update(repr(is_dicritical(st11, 4).arc_colourings).encode())
+    assert (h.hexdigest(), calls) == (
+        "b83aeabe61919a1dff82f72683f6734e684580b546fa659c23631e9cd9836797",
+        64199,
+    )
+
+
 def test_st11_dichromatic_number():
     st11 = circulant_tournament(11, (1, 3, 4, 5, 9))
     assert is_k_dicolourable(st11, 3) is None
@@ -206,9 +261,10 @@ def test_shortest_cycle_matches_bfs_reference():
         for _ in range(40):
             d = draw(rng.randint(1, 8))
             rows, irows = d.rows, d.in_rows
+            digon_mask = mask_of(v for v, r in enumerate(d.digon_rows) if r)
             for mask in range(1 << d.n):
                 want = brute_shortest_cycle(rows, irows, mask)
-                got = solver._shortest_cycle(rows, irows, mask)
+                got = solver._shortest_cycle(rows, irows, mask, digon_mask)
                 assert got == want, (group, rows, mask)
                 lengths.add(None if want is None else len(want))
         assert {None, 3} <= lengths, group

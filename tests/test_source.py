@@ -138,3 +138,31 @@ def test_no_recursion_outside_allowlist():
         )
     )
     assert found == []
+
+
+def test_verify_path_shares_no_search_code():
+    # every positive answer is re-checked by code that shares nothing with
+    # the search that found it, so a fault in the search cannot pass its
+    # own answers: follow every package function the checks name, and
+    # every one those name in turn
+    search = {"_creates_cycle", "_dfs_colour", "_shortest_cycle",
+              "enumerate_dicolourings"}
+    defs: dict[str, list] = {}
+    for mod, tree in _modules():
+        for _, fn in _functions(tree, mod):
+            defs.setdefault(fn.name, []).append(fn)
+    reached = set()
+    todo = ["verify_dicolouring", "_mask_acyclic"]
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        for fn in defs[name]:
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Name) and node.id in defs:
+                    todo.append(node.id)
+                elif isinstance(node, ast.Attribute) and node.attr in defs:
+                    todo.append(node.attr)
+    assert "in_rows" in reached  # properties are followed too
+    assert reached & search == set()
