@@ -264,8 +264,7 @@ def delete_vertex(d: Digraph, v: int) -> Digraph:
 
 def is_oriented(d: Digraph) -> bool:
     """True iff the digraph has no digon."""
-    ir = d.in_rows
-    return all((d.rows[v] & ir[v]) == 0 for v in range(d.n))
+    return not any(map(int.__and__, d.rows, d.in_rows))
 
 
 def has_digon(d: Digraph) -> bool:

@@ -403,9 +403,10 @@ def gen_tournaments(n: int) -> list[Digraph]:
 BOUND_CHUNK = 256  # parent tournaments per task of the bound's layers
 
 
-def _chunks(d6s: list[str], k: int) -> list[tuple[int, list[str], int]]:
+def _chunks(d6s: list[str], k: int, *extra) -> list[tuple]:
+    """Tasks (chunk index, parents, k, *extra) of BOUND_CHUNK parents."""
     return [
-        (i // BOUND_CHUNK, d6s[i : i + BOUND_CHUNK], k)
+        (i // BOUND_CHUNK, d6s[i : i + BOUND_CHUNK], k, *extra)
         for i in range(0, len(d6s), BOUND_CHUNK)
     ]
 
@@ -464,12 +465,13 @@ def verify_census_bound(
     not (k-1)-dicolourable: delete any vertex, and the rest cannot take k-1
     colours, or the vertex would take the k-th.  So for k >= 2 and n >= 3 a
     first layer finds those hard order-(n-1) classes (_hard_classes) and
-    only they are extended; k = 1 and n <= 2 extend every class of
-    gen_tournaments(n-1).  Both layers run in chunks of 256 parents, in
-    parallel with jobs > 1; the second resumes from the checkpoint, whose
-    header records how many parents it streams.  The counterexample is the
-    first failing extension of the first failing parent in class order,
-    whatever the layering and the jobs.
+    only they are extended, without proving their hardness again; k = 1
+    and n <= 2 extend every class of gen_tournaments(n-1).  Both layers
+    run in chunks of 256 parents, in parallel with jobs > 1; the second
+    resumes from the checkpoint, whose header records how many parents it
+    streams.  The counterexample is the first failing extension of the
+    first failing parent in class order, whatever the layering and the
+    jobs.
     """
     if n < 1 or k < 1:
         raise ValueError(f"need n >= 1 and k >= 1, got n={n} k={k}")
@@ -482,9 +484,11 @@ def verify_census_bound(
         return True, None  # no order-0 parent to extend
     if k == 1 or n <= 2:
         parents = [d6_encode(t) for t in gen_tournaments(n - 1)]
+        tasks = _chunks(parents, k)
     else:
         parents = _hard_classes(n - 1, k - 1, jobs)
-    tasks = _chunks(parents, k)
+        # the first layer proved them not (k-1)-dicolourable
+        tasks = _chunks(parents, k, True)
     # version 2: records are chunks of the hard parents; a file written
     # when they were chunks of every class must not be trusted
     header = {

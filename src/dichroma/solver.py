@@ -10,15 +10,21 @@ join a colour class C of a dicolouring of T iff S & C is a sink-side suffix
 of C's transitive order.  Every dicolouring of T + S restricts to one of T,
 so T + S is k-dicolourable iff some k-dicolouring of T covers S that way.
 One solve settles T when it is (k-1)-dicolourable, as the new vertex then
-takes a class of its own; otherwise T's k-dicolourings are walked, once per
-class set, until every S is covered, and the masks left over are exact.
+takes a class of its own; otherwise T's partitions into k acyclic classes
+are walked, each once, until every S is covered, and the masks left over
+are exact.
 
 All searches are deterministic: dynamic most-saturated-first vertex choice
 with lowest-index tie-breaks, colour symmetry broken by allowing a vertex
 only colours up to 1 + the number already in use.  The colouring search
 (_dfs_colour) reads each vertex's underlying and digon neighbours into
 lists once per call and keeps one integer frame per placed vertex on an
-explicit stack.  Certificates returned by every positive answer pass
+explicit stack.  On a tournament every pair is adjacent and none is a
+digon, so every unplaced vertex has the same saturation, the number of
+placed vertices, and the tie-break places the vertices in the fixed order
+0..n-1: there the search is _static_colourings, which drops the
+saturation bookkeeping and makes the same class-cycle checks in the same
+order.  Certificates returned by every positive answer pass
 verify_dicolouring, whose acyclicity test (_mask_acyclic) is a sink peel
 driven by out-degree counts and in-rows: it shares no code with the
 class-cycle test (_creates_cycle) or any search, so a fault in a search
@@ -32,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from .digraphs import (
-    Digraph, circulant_tournament, delete_arc, iter_bits, mask_of,
+    Digraph, circulant_tournament, delete_arc, is_oriented, iter_bits, mask_of,
 )
 from .formats import d6_decode, d6_encode
 
@@ -102,22 +108,77 @@ def _creates_cycle(rows, irows, v, cmask):
     return False
 
 
+def _is_tournament(d: Digraph) -> bool:
+    """Does every pair of vertices carry exactly one arc?  With no digon,
+    n(n-1)/2 arcs put one on each pair; the arc count is compared first,
+    so other digraphs mostly pay one integer compare."""
+    return 2 * d.m == d.n * (d.n - 1) and is_oriented(d)
+
+
+def _static_colourings(rows, irows, n: int, k: int) -> Iterator[list[int]]:
+    """Every partition of the vertices into at most k acyclic classes, each
+    once, as 0-based colours numbered in order of first use.
+
+    The vertices are placed in the fixed order 0..n-1 on an explicit
+    stack indexed by vertex: vertex v may take the colours below
+    min(k, 1 + the colours in use before it), tried ascending, so two
+    colourings yielded differ as partitions.  The same list is yielded
+    each time and changes when the walk resumes.
+    """
+    if n == 0:
+        yield []
+        return
+    colour = [0] * n
+    before = [0] * n  # colours in use before each vertex
+    masks = [0] * k
+    last = n - 1
+    v = c = 0
+    limit = min(k, 1)
+    while True:
+        while c < limit and _creates_cycle(rows, irows, v, masks[c]):
+            c += 1
+        if c < limit:
+            colour[v] = c
+            masks[c] |= 1 << v
+            if v < last:
+                used = before[v] + (c == before[v])
+                v += 1
+                before[v] = used
+                c = 0
+                limit = used + 1 if used < k else k
+                continue
+            yield colour
+        elif v:
+            v -= 1
+            c = colour[v]
+            limit = before[v] + 1 if before[v] < k else k
+        else:
+            return
+        masks[c] ^= 1 << v
+        c += 1
+
+
 def _dfs_colour(d: Digraph, k: int) -> list[int] | None:
     """Core search.  Returns 0-based colours.
 
-    Each vertex's underlying and digon neighbours are read once into
-    lists, so a placement or its undo updates the saturations by two
-    plain loops.  (Lists, not tuples: CPython keeps up to 2,000 freed
-    tuples of each small length for reuse, which read as more peak
-    memory.)  A stack frame is [vertex, next colour to try, colour limit,
-    colours in use before the vertex]: the vertex may take the colours
-    below the limit, min(k, 1 + colours in use), tried ascending.
+    A tournament goes to _static_colourings, whose first colouring is this
+    search's (module docstring): with equal saturations, the vertex order
+    is fixed and the colour limits are the same.  Otherwise each vertex's
+    underlying and digon neighbours are read once into lists, so a
+    placement or its undo updates the saturations by two plain loops.
+    (Lists, not tuples: CPython keeps up to 2,000 freed tuples of each
+    small length for reuse, which read as more peak memory.)  A stack
+    frame is [vertex, next colour to try, colour limit, colours in use
+    before the vertex]: the vertex may take the colours below the limit,
+    min(k, 1 + colours in use), tried ascending.
     """
     n = d.n
     if n == 0:
         return []
     rows = d.rows
     irows = d.in_rows
+    if _is_tournament(d):
+        return next(_static_colourings(rows, irows, n, k), None)
     und = [list(iter_bits(r)) for r in d.underlying_rows]
     digons = [list(iter_bits(r)) if r else () for r in d.digon_rows]
     full = (1 << n) - 1
@@ -350,10 +411,13 @@ def is_dicritical(d: Digraph, k: int) -> CriticalityReport:
     )
 
 
-def _shortest_cycle(rows, irows, mask, digon_mask) -> list[int] | None:
+def _shortest_cycle(
+    rows, irows, mask, digon_mask, tournament: bool = False
+) -> list[int] | None:
     """A shortest directed cycle within the mask, as a vertex list, or None.
     The digon_mask must hold every vertex with a digon partner; the digon
-    step scans only its vertices.
+    step scans only its vertices.  tournament says that the rows are a
+    tournament's.
 
     The cycle is the one a BFS from each vertex s of the mask, ascending,
     finds first, out-neighbours scanned ascending, a later s's cycle kept
@@ -365,7 +429,9 @@ def _shortest_cycle(rows, irows, mask, digon_mask) -> list[int] | None:
     at the least such in-neighbour.  A shorter cycle from a later s would
     have to be a digon.  So the answer is the first digon [s, w], s then w
     least; failing that the first triangle [s, u, x], s, then u, then x
-    least.  Only a mask with no digon and no triangle runs the BFS.
+    least.  Only a mask with no digon and no triangle runs the BFS, and
+    not in a tournament: there a shortest cycle is a triangle, since a
+    chord of any longer cycle closes a shorter one, so the mask is acyclic.
     """
     m = mask & digon_mask
     while m:
@@ -390,6 +456,8 @@ def _shortest_cycle(rows, irows, mask, digon_mask) -> list[int] | None:
                     return [s, u, (x & -x).bit_length() - 1]
                 out ^= ulow
         m ^= low
+    if tournament:
+        return None
     best: list[int] | None = None
     for s in iter_bits(mask):
         # BFS from s over arcs inside mask; stop when an in-neighbour of s is hit
@@ -443,6 +511,7 @@ def max_induced_acyclic(d: Digraph) -> list[int]:
     """
     rows, irows = d.rows, d.in_rows
     digon_mask = mask_of(v for v, r in enumerate(d.digon_rows) if r)
+    tournament = _is_tournament(d)
     best_mask = 0
     best = -1
     stack = [((1 << d.n) - 1, 0)]
@@ -451,7 +520,7 @@ def max_induced_acyclic(d: Digraph) -> list[int]:
         size = mask.bit_count()
         if size <= best:
             continue
-        cyc = _shortest_cycle(rows, irows, mask, digon_mask)
+        cyc = _shortest_cycle(rows, irows, mask, digon_mask, tournament)
         if cyc is None:
             best = size
             best_mask = mask
@@ -540,29 +609,35 @@ def _suffixes(rows: Sequence[int], cmask: int) -> frozenset[int]:
     return frozenset(sufs)
 
 
-def _uncovered(t: Digraph, k: int) -> list[int]:
+def _uncovered(t: Digraph, k: int, hard: bool = False) -> list[int]:
     """The masks S, ascending, whose extension _extend_tournament(t, S) of
     the tournament t is not k-dicolourable, by the cover lemma of the
     module docstring: the new vertex beats exactly S, so a cycle through it
     in class C needs some a in S & C that beats some b in C - S.  Each
     colouring the answer relies on passes verify_dicolouring, or
     RuntimeError is raised.
+
+    hard says that t is known not to be (k-1)-dicolourable, which skips
+    the (k-1) solve.  That solve is only a shortcut: were t
+    (k-1)-dicolourable, the walk would meet a partition with an empty
+    class, which covers every S.  The walk visits each partition of t
+    into at most k acyclic classes once (_static_colourings); the
+    colourings it leaves out are relabellings of these, with the same
+    classes, and cover the same masks.  The masks left are those no
+    partition covers, an intersection that does not depend on the order
+    of the walk.
     """
-    if k > 1:
+    if k > 1 and not hard:
         col = is_k_dicolourable(t, k - 1)
         if col is not None:
             _verified(t, col, k - 1)
             return []
     rows = t.rows
     left = list(range(1 << t.n))
-    seen: set[frozenset[int]] = set()
     sufs: dict[int, frozenset[int]] = {}
-    for col in enumerate_dicolourings(t, k):
+    for col in _static_colourings(rows, t.in_rows, t.n, k):
+        col = [c + 1 for c in col]
         classes = _class_masks(col, k)
-        key = frozenset(classes)
-        if key in seen:
-            continue
-        seen.add(key)
         kept = left
         for c in classes:
             if c not in sufs:
@@ -589,11 +664,14 @@ def _bound_chunk(args) -> tuple[int, bool, str | None]:
     extension of the chunk's parent tournaments k-dicolourable?  The
     counterexample is the first failing parent extended by its least
     uncovered mask, the first failure of a scan over parents, then masks
-    ascending."""
-    chunk_idx, parent_d6s, k = args
+    ascending.  args is (chunk index, parents in digraph6, k), with an
+    optional fourth item: true when no parent is (k-1)-dicolourable
+    (_uncovered's hard)."""
+    chunk_idx, parent_d6s, k = args[:3]
+    hard = len(args) > 3 and args[3]
     for s in parent_d6s:
         t = d6_decode(s)
-        left = _uncovered(t, k)
+        left = _uncovered(t, k, hard)
         if left:
             return chunk_idx, False, d6_encode(_extend_tournament(t, left[0]))
     return chunk_idx, True, None

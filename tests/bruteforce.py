@@ -1,16 +1,18 @@
 """Independent brute-force oracles used to cross-check the library.
 
 The oracles recompute from first principles: no solver, canonical-form,
-or generator code is reused beyond the plain data types.  Five references
+or generator code is reused beyond the plain data types.  Six references
 are earlier versions of library internals, on top of the library's other
 layers (the solver, canonical certificates), kept to check their faster
 replacements: brute_bound_chunk, the tournament-bound worker as one solver
 call per dominance mask, which the colouring cover is checked against;
-brute_refine, the canonical search's refinement recounting every vertex
-against every cell in every round; brute_shortest_cycle, the cycle search
-of max_induced_acyclic as a BFS from every vertex; and brute_gen_graphs and
-brute_gen_tournaments, the generators certifying every child at every
-level, which the canonical-deletion skip is checked against.
+brute_uncovered, the colouring cover walking every colouring and skipping
+those whose class set it has seen; brute_refine, the canonical search's
+refinement recounting every vertex against every cell in every round;
+brute_shortest_cycle, the cycle search of max_induced_acyclic as a BFS
+from every vertex; and brute_gen_graphs and brute_gen_tournaments, the
+generators certifying every child at every level, which the
+canonical-deletion skip is checked against.
 """
 
 from __future__ import annotations
@@ -21,7 +23,14 @@ import random
 from dichroma.canon import canonical_cert
 from dichroma.digraphs import Digraph, Graph, iter_bits, mask_of
 from dichroma.formats import d6_decode, d6_encode
-from dichroma.solver import _extend_tournament, is_k_dicolourable
+from dichroma.solver import (
+    _class_masks,
+    _extend_tournament,
+    _suffixes,
+    _verified,
+    enumerate_dicolourings,
+    is_k_dicolourable,
+)
 
 
 def kahn_acyclic(d: Digraph, verts) -> bool:
@@ -421,6 +430,43 @@ def brute_bound_chunk(args) -> tuple[int, bool, str | None]:
             if is_k_dicolourable(child, k) is None:
                 return chunk_idx, False, d6_encode(child)
     return chunk_idx, True, None
+
+
+def brute_uncovered(t: Digraph, k: int) -> list[int]:
+    """The masks S, ascending, whose extension _extend_tournament(t, S) of
+    the tournament t is not k-dicolourable, by the cover lemma of the
+    solver's module docstring: the new vertex beats exactly S, so a cycle
+    through it in class C needs some a in S & C that beats some b in C - S.
+    Each colouring the answer relies on passes verify_dicolouring, or
+    RuntimeError is raised.
+    """
+    if k > 1:
+        col = is_k_dicolourable(t, k - 1)
+        if col is not None:
+            _verified(t, col, k - 1)
+            return []
+    rows = t.rows
+    left = list(range(1 << t.n))
+    seen: set[frozenset[int]] = set()
+    sufs: dict[int, frozenset[int]] = {}
+    for col in enumerate_dicolourings(t, k):
+        classes = _class_masks(col, k)
+        key = frozenset(classes)
+        if key in seen:
+            continue
+        seen.add(key)
+        kept = left
+        for c in classes:
+            if c not in sufs:
+                sufs[c] = _suffixes(rows, c)
+            suf = sufs[c]
+            kept = [s for s in kept if s & c not in suf]
+        if len(kept) < len(left):
+            _verified(t, col, k)
+            left = kept
+            if not left:
+                break
+    return left
 
 
 def brute_refine(out_rows, in_rows, cells):

@@ -19,6 +19,7 @@ from dichroma.enumeration import (
 from dichroma.formats import d6_decode, d6_encode
 from dichroma.solver import (
     _bound_chunk,
+    _class_masks,
     _uncovered,
     dichromatic_number,
     enumerate_dicolourings,
@@ -39,6 +40,7 @@ from bruteforce import (
     brute_list_dicolourable,
     brute_max_induced_acyclic,
     brute_shortest_cycle,
+    brute_uncovered,
     dicolouring_cnf,
     dpll,
     kahn_acyclic,
@@ -205,6 +207,80 @@ def test_colourings_are_frozen(monkeypatch):
     )
 
 
+def test_tournament_colourings_are_frozen(monkeypatch):
+    # sha256 and class-cycle checks, pinned when tournaments still took
+    # the saturation search: the fixed vertex order must give its
+    # colourings and make its checks
+    inputs = gen_tournaments(8)
+    calls = 0
+
+    def counted(*args, real=solver._creates_cycle):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(solver, "_creates_cycle", counted)
+    h = hashlib.sha256()
+    for t in inputs:
+        for k in (2, 3):
+            h.update(repr(is_k_dicolourable(t, k)).encode() + b"\n")
+    assert (h.hexdigest(), calls) == (
+        "ef0fb390a8f78e0a0293dbf8edadd8c81d8dabf6ad82995670d404d00ae12bfd",
+        232312,
+    )
+
+
+def _walk(d, k):
+    return [
+        list(col)
+        for col in solver._static_colourings(d.rows, d.in_rows, d.n, k)
+    ]
+
+
+def test_static_colourings_are_the_distinct_partitions():
+    # each partition into at most k acyclic classes once, colours in order
+    # of first use: the class sets of every colouring, without repeats
+    rng = random.Random(1515)
+    for i in range(300):
+        n = rng.randint(0, 7)
+        p = rng.choice((0.15, 0.3, 0.5, 0.7, 1.0))
+        d = random_digraph(rng, n, p) if i % 3 else random_oriented(rng, n, p)
+        for k in (1, 2, 3):
+            got = []
+            for col in _walk(d, k):
+                assert all(c <= max(col[:v], default=-1) + 1
+                           for v, c in enumerate(col))
+                col = [c + 1 for c in col]
+                assert verify_dicolouring(d, col, k)
+                got.append(frozenset(_class_masks(col, k)) - {0})
+            assert len(set(got)) == len(got), (d.rows, k)
+            want = {
+                frozenset(_class_masks(col, k)) - {0}
+                for col in enumerate_dicolourings(d, k)
+            }
+            assert set(got) == want, (d.rows, k)
+
+
+def test_static_colourings_edge_cases():
+    empty = Digraph.from_arcs(0, [])
+    single = Digraph.from_arcs(1, [])
+    tri = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
+    for k in (0, 1, 2):
+        assert _walk(empty, k) == [[]]
+    assert _walk(single, 0) == []
+    assert _walk(single, 1) == _walk(single, 3) == [[0]]
+    # k > n: never more classes than vertices
+    assert _walk(tt(2), 5) == [[0, 0], [0, 1]]
+    assert _walk(tri, 5) == [[0, 0, 1], [0, 1, 0], [0, 1, 1], [0, 1, 2]]
+    assert is_k_dicolourable(empty, 1) == []
+    assert is_k_dicolourable(single, 1) == [1]
+    assert is_k_dicolourable(tri, 7) == [1, 1, 2]
+    # k = 0 reaches the search through empty lists
+    assert is_list_dicolourable(empty, []) == []
+    for d in (tt(3), tri, Digraph.from_arcs(3, [(0, 1)])):
+        assert is_list_dicolourable(d, [[]] * 3) is None
+
+
 def test_st11_dichromatic_number():
     st11 = circulant_tournament(11, (1, 3, 4, 5, 9))
     assert is_k_dicolourable(st11, 3) is None
@@ -266,6 +342,9 @@ def test_shortest_cycle_matches_bfs_reference():
                 want = brute_shortest_cycle(rows, irows, mask)
                 got = solver._shortest_cycle(rows, irows, mask, digon_mask)
                 assert got == want, (group, rows, mask)
+                if group == "tournaments":
+                    got = solver._shortest_cycle(rows, irows, mask, 0, True)
+                    assert got == want, (group, rows, mask)
                 lengths.add(None if want is None else len(want))
         assert {None, 3} <= lengths, group
         assert (2 in lengths) == (group == "digons"), group
@@ -385,6 +464,42 @@ def test_uncovered_checks_every_colouring_it_uses(monkeypatch):
     for t, k in ((tt(3), 2), (cyclic, 2)):  # (k-1)-solve, then the walk
         with pytest.raises(RuntimeError):
             _uncovered(t, k)
+
+
+def test_uncovered_matches_the_walk_over_every_colouring(monkeypatch):
+    # one colouring per partition leaves the masks that every colouring,
+    # deduplicated by class set, leaves; with the (k-1) solve skipped
+    # too, even where it would have succeeded
+    for n in range(1, 8):
+        for t in gen_tournaments(n):
+            for k in (1, 2, 3):
+                want = brute_uncovered(t, k)
+                assert _uncovered(t, k) == want, (d6_encode(t), k)
+                assert _uncovered(t, k, True) == want, (d6_encode(t), k)
+    hard = [d6_decode(s) for s in _hard_classes(8, 2)]
+    calls = 0
+
+    def counted(*args, real=solver._creates_cycle):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(solver, "_creates_cycle", counted)
+    counts = []
+    for cover in (brute_uncovered, _uncovered, lambda t, k: _uncovered(t, k, True)):
+        calls = 0
+        assert all(cover(t, 3) == [] for t in hard)
+        counts.append(calls)
+    assert counts == [28535, 28535, 3335]
+    # a chunk of known-hard parents makes no (k-1) solve
+    task = (0, [d6_encode(t) for t in hard], 3)
+    assert _bound_chunk(task) == (0, True, None)
+
+    def refuse(*args):
+        raise AssertionError("(k-1) solve of a hard parent")
+
+    monkeypatch.setattr(solver, "is_k_dicolourable", refuse)
+    assert _bound_chunk(task + (True,)) == (0, True, None)
 
 
 def test_hard_classes_are_the_classes_that_fail():
