@@ -45,8 +45,9 @@ from .reductions import (
     verify_equivalence,
 )
 from .solver import (
+    _creates_cycle,
+    _static_colourings,
     dichromatic_number,
-    enumerate_dicolourings,
     find_circulant_candidate,
     is_dicritical,
     is_k_dicolourable,
@@ -279,13 +280,17 @@ def _reduce_oriented(ctx, trials):
     g3 = default_g3()
     eq = make_eq_gadget(g3, min(g3.arcs()))
     neq = make_neq_gadget(eq)
+
+    def partitions(d):  # a colour swap keeps both forcing tests
+        return _static_colourings(d.rows, d.in_rows, d.n, 2, _creates_cycle)
+
     ok, details = _verdict(
         {
             "eq_forcing": all(col[eq.u] == col[eq.v]
-                              for col in enumerate_dicolourings(eq.digraph, 2)),
+                              for col in partitions(eq.digraph)),
             "neq_oriented": is_oriented(neq.digraph),
             "neq_forcing": all(col[neq.u] != col[neq.w]
-                               for col in enumerate_dicolourings(neq.digraph, 2)),
+                               for col in partitions(neq.digraph)),
         },
         {"stage": "gadget"},
     )

@@ -43,6 +43,7 @@ colourings are certificates, so the pruning is exact.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
@@ -53,8 +54,8 @@ from .digraphs import (
 )
 from .formats import checkpointed_map, d6_decode, d6_encode
 from .solver import (
-    _bound_chunk, _class_masks, _creates_cycle, _extend_tournament, _uncovered,
-    is_dicritical, is_k_dicolourable,
+    _bound_chunk, _class_masks, _creates_cycle, _extend_tournament, _static_colourings,
+    _uncovered, is_dicritical, is_k_dicolourable,
 )
 from .structure import gallai_property_check
 
@@ -188,11 +189,11 @@ def _forest_mask(rows: Sequence[int], mask: int) -> bool:
     return edges // 2 == len(verts) - comps
 
 
-def _joins_forest(rows: Sequence[int], forest: int, v: int) -> bool:
-    """Given that the mask forest induces a forest, does it still with v
-    added?  It does iff v's neighbours in it lie in distinct trees, so only
-    the trees of those neighbours are searched, none when v has at most
-    one."""
+def _closes_forest_cycle(rows: Sequence[int], irows, v: int, forest: int) -> bool:
+    """Given that the mask forest induces a forest, does adding v close a
+    cycle?  It does iff two of v's neighbours in it share a tree, so only
+    their trees are searched.  The signature is solver._creates_cycle's;
+    irows is not read."""
     nb = rows[v] & forest
     while nb & (nb - 1):  # two or more neighbours not yet searched
         low = nb & -nb
@@ -203,50 +204,23 @@ def _joins_forest(rows: Sequence[int], forest: int, v: int) -> bool:
             todo ^= w
             new = rows[w.bit_length() - 1] & forest & ~tree
             if new & nb:
-                return False
+                return True
             tree |= new
             todo |= new
-    return True
+    return False
 
 
 def arboricity(g: Graph) -> int:
-    """Vertex arboricity: fewest classes each inducing a forest.
-
-    For k = 1, 2, ... a depth-first search over the k-colourings in which
-    each vertex takes a colour at most one above those before it.  The
-    colour list is the search stack, as in solver.enumerate_dicolourings:
-    vertex v holds the colour being tried, 0 while it is unplaced; the
-    search for k + 1 starts when backtracking leaves vertex 0.  Every class
-    stays a forest throughout, so a placement is tested by _joins_forest
-    against the trees it touches, not by rescanning the class.
-    """
-    n = g.n
+    """Vertex arboricity: fewest classes each inducing a forest, the least
+    k at which solver._static_colourings yields a colouring; at k = 0 only
+    the empty graph has one.  The rows serve as in-rows too; each class
+    stays a forest throughout the walk, so _closes_forest_cycle tests a
+    placement only against the trees it touches."""
     rows = g.rows
-    k = 1 if n else 0
-    masks = [0] * k
-    colour = [0] * n
-    used = [0] * (n + 1)  # used[v]: colours taken by the vertices before v
-    v = 0
-    while v < n:
-        if v < 0:
-            k += 1
-            masks = [0] * k
-            v = 0
-        c = colour[v]  # the next colour to try, 0-based
-        if c:
-            masks[c - 1] &= ~(1 << v)
-        top = min(k, used[v] + 1)
-        while c < top and not _joins_forest(rows, masks[c], v):
-            c += 1
-        if c == top:
-            colour[v] = 0
-            v -= 1
-        else:
-            colour[v] = c + 1
-            masks[c] |= 1 << v
-            used[v + 1] = max(used[v], c + 1)
-            v += 1
-    return k
+    for k in itertools.count():
+        forests = _static_colourings(rows, rows, g.n, k, _closes_forest_cycle)
+        if next(forests, None) is not None:
+            return k
 
 
 def _mixed_cert(n, rows, g, t):
@@ -384,12 +358,6 @@ def _attach(rows, t, mask, back) -> tuple[int, ...]:
     for w in iter_bits(back & ~mask):
         child[w] |= bit
     return tuple(child)
-
-
-def gen_orientations(g: Graph, min_in: int, min_out: int) -> list[Digraph]:
-    """All orientations of g with minimum in/out degrees as given, one per
-    isomorphism class, as digraphs on g's own vertex labels."""
-    return _orientation_stream(g, min_in, min_out)[0]
 
 
 def gen_tournaments(n: int) -> list[Digraph]:

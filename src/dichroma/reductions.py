@@ -19,7 +19,8 @@ from typing import Sequence
 from .digraphs import Digraph, delete_arc, is_oriented
 from .formats import d6_decode, dump_digraph
 from .solver import (
-    enumerate_dicolourings, is_dicritical, is_k_dicolourable, verify_dicolouring
+    _creates_cycle, _static_colourings, _verified, is_dicritical,
+    is_k_dicolourable, verify_dicolouring,
 )
 
 # the unique 20-arc 3-dicritical oriented graph of order 7 (census output),
@@ -248,11 +249,15 @@ class NeqGadget:
 def _endpoint_patterns(
     d: Digraph, a: int, b: int, want: set[tuple[int, int]], forcing: str
 ) -> dict[tuple[int, int], tuple[int, ...]]:
-    """One 2-dicolouring of d per colour pattern on (a, b); the patterns
-    that occur must be exactly want."""
+    """One 2-dicolouring of d per colour pattern on (a, b), the first in
+    lexicographic order; the patterns that occur must be exactly want.
+    In that order come the partitions of _static_colourings, coloured 1
+    and 2 (vertex 0 takes 1), then their colour swaps in reverse order."""
+    walk = _static_colourings(d.rows, d.in_rows, d.n, 2, _creates_cycle)
+    cols = [tuple(c + 1 for c in col) for col in walk]
     found: dict[tuple[int, int], tuple[int, ...]] = {}
-    for col in enumerate_dicolourings(d, 2):
-        found.setdefault((col[a], col[b]), tuple(col))
+    for col in cols + [tuple(3 - c for c in col) for col in reversed(cols)]:
+        found.setdefault((col[a], col[b]), col)
     if set(found) != want:
         raise RuntimeError(
             f"gadget endpoints admit patterns {sorted(found)}; "
@@ -454,9 +459,7 @@ def solve_reduction(output: ReductionOutput) -> list[int] | None:
         ext = neq.extensions[full[copy[neq.u]], full[copy[neq.w]]]
         for v, colour in zip(copy, ext):
             full[v] = colour
-    if not verify_dicolouring(output.digraph, full, 2):
-        raise RuntimeError("lifted colouring failed re-verification")
-    return full
+    return _verified(output.digraph, full, 2)
 
 
 def verify_equivalence(phi: CnfFormula, output: ReductionOutput) -> bool:

@@ -17,18 +17,16 @@ are exact.
 All searches are deterministic: dynamic most-saturated-first vertex choice
 with lowest-index tie-breaks, colour symmetry broken by allowing a vertex
 only colours up to 1 + the number already in use.  The colouring search
-(_dfs_colour) reads each vertex's underlying and digon neighbours into
-lists once per call and keeps one integer frame per placed vertex on an
-explicit stack.  On a tournament every pair is adjacent and none is a
-digon, so every unplaced vertex has the same saturation, the number of
-placed vertices, and the tie-break places the vertices in the fixed order
-0..n-1: there the search is _static_colourings, which drops the
-saturation bookkeeping and makes the same class-cycle checks in the same
-order.  Certificates returned by every positive answer pass
-verify_dicolouring, whose acyclicity test (_mask_acyclic) is a sink peel
-driven by out-degree counts and in-rows: it shares no code with the
-class-cycle test (_creates_cycle) or any search, so a fault in a search
-cannot pass its own answers.
+(_dfs_colour) keeps one integer frame per placed vertex on an explicit
+stack.  On a tournament every unplaced vertex has the same saturation, so
+the vertices go in the fixed order 0..n-1: there the search is
+_static_colourings, the package's one walk over colourings in a fixed
+order, which the cover, the gadget checks and vertex arboricity (with a
+forest test for _creates_cycle) walk too.  Certificates returned by every
+positive answer pass verify_dicolouring, whose acyclicity test
+(_mask_acyclic) is a sink peel driven by out-degree counts and in-rows:
+it shares no code with the class-cycle test (_creates_cycle) or any
+search, so a fault in a search cannot pass its own answers.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ from typing import Iterable, Iterator, Sequence
 from .digraphs import (
     Digraph, circulant_tournament, delete_arc, is_oriented, iter_bits, mask_of,
 )
-from .formats import d6_decode, d6_encode
+from .formats import d6_decode, d6_encode, dump_digraph
 
 # saturation weight for an assigned digon partner; digon partners force the
 # opposite colour at k=2, so they are branched first
@@ -115,15 +113,19 @@ def _is_tournament(d: Digraph) -> bool:
     return 2 * d.m == d.n * (d.n - 1) and is_oriented(d)
 
 
-def _static_colourings(rows, irows, n: int, k: int) -> Iterator[list[int]]:
-    """Every partition of the vertices into at most k acyclic classes, each
-    once, as 0-based colours numbered in order of first use.
+def _static_colourings(rows, irows, n: int, k: int, blocked) -> Iterator[list[int]]:
+    """Every partition of the vertices into at most k classes, each once,
+    as 0-based colours numbered in order of first use, where
+    blocked(rows, irows, v, cmask) says whether v may not join the class
+    cmask (with _creates_cycle, the classes are the acyclic sets).
 
     The vertices are placed in the fixed order 0..n-1 on an explicit
     stack indexed by vertex: vertex v may take the colours below
     min(k, 1 + the colours in use before it), tried ascending, so two
     colourings yielded differ as partitions.  The same list is yielded
-    each time and changes when the walk resumes.
+    each time and changes when the walk resumes.  blocked has no default,
+    so a caller passing _creates_cycle reads it from this module at call
+    time, where a test may replace it to count calls.
     """
     if n == 0:
         yield []
@@ -135,7 +137,7 @@ def _static_colourings(rows, irows, n: int, k: int) -> Iterator[list[int]]:
     v = c = 0
     limit = min(k, 1)
     while True:
-        while c < limit and _creates_cycle(rows, irows, v, masks[c]):
+        while c < limit and blocked(rows, irows, v, masks[c]):
             c += 1
         if c < limit:
             colour[v] = c
@@ -173,12 +175,10 @@ def _dfs_colour(d: Digraph, k: int) -> list[int] | None:
     min(k, 1 + colours in use), tried ascending.
     """
     n = d.n
-    if n == 0:
-        return []
     rows = d.rows
     irows = d.in_rows
-    if _is_tournament(d):
-        return next(_static_colourings(rows, irows, n, k), None)
+    if _is_tournament(d):  # the empty digraph too
+        return next(_static_colourings(rows, irows, n, k, _creates_cycle), None)
     und = [list(iter_bits(r)) for r in d.underlying_rows]
     digons = [list(iter_bits(r)) if r else () for r in d.digon_rows]
     full = (1 << n) - 1
@@ -243,21 +243,17 @@ def is_k_dicolourable(d: Digraph, k: int) -> list[int] | None:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     res = _dfs_colour(d, k)
-    if res is None:
-        return None
-    return [c + 1 for c in res]
+    return None if res is None else [c + 1 for c in res]
 
 
 def dichromatic_number(d: Digraph) -> tuple[int, list[int]]:
     """(least k with a k-dicolouring, certificate).  Empty digraph gives 0."""
     if d.n == 0:
         return 0, []
-    k = 1
-    while True:
+    for k in itertools.count(1):
         res = is_k_dicolourable(d, k)
         if res is not None:
             return k, res
-        k += 1
 
 
 def verify_dicolouring(
@@ -282,35 +278,13 @@ def verify_dicolouring(
     return all(_mask_acyclic(d.rows, irows, m) for m in classes.values())
 
 
-def enumerate_dicolourings(d: Digraph, k: int) -> Iterator[tuple[int, ...]]:
-    """All k-dicolourings (colours 1..k), in lexicographic order.
-
-    Exhaustive by design; meant for gadget-sized inputs.  The colour list
-    is the search stack: vertex v holds the colour being tried, 0 while it
-    is unplaced, so depth is bounded by no recursion limit.
-    """
-    n = d.n
-    rows, irows = d.rows, d.in_rows
-    colour = [0] * n
-    class_masks = [0] * k
-    v = 0
-    while v >= 0:
-        if v == n:
-            yield tuple(colour)
-            v -= 1
-            continue
-        c = colour[v]  # the next colour to try, 0-based
-        if c:
-            class_masks[c - 1] &= ~(1 << v)
-        while c < k and _creates_cycle(rows, irows, v, class_masks[c]):
-            c += 1
-        if c == k:
-            colour[v] = 0
-            v -= 1
-        else:
-            colour[v] = c + 1
-            class_masks[c] |= 1 << v
-            v += 1
+def _verified(d: Digraph, colouring: list[int], k: int) -> list[int]:
+    """The colouring, if it is a k-dicolouring of d; else RuntimeError."""
+    if not verify_dicolouring(d, colouring, k):
+        raise RuntimeError(
+            f"{k}-dicolouring {colouring} of {dump_digraph(d)} fails verification"
+        )
+    return colouring
 
 
 def _class_masks(colouring: Sequence[int], colours: int) -> tuple[int, ...]:
@@ -352,7 +326,8 @@ def is_dicritical(d: Digraph, k: int) -> CriticalityReport:
     """Exact dicriticality check: dichromatic number k and every arc deletion
     drops it.  Arc deletions suffice; vertex deletions are covered because a
     vertex of positive degree loses an arc first, and for k >= 2 the degree
-    check rejects an isolated vertex, whose out-degree 0 is below k - 1."""
+    check rejects an isolated vertex, whose out-degree 0 is below k - 1.
+    A reported colouring that fails verify_dicolouring raises RuntimeError."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if k == 1:
@@ -379,7 +354,7 @@ def is_dicritical(d: Digraph, k: int) -> CriticalityReport:
             is_dicritical=False,
             reason=f"already {k - 1}-dicolourable",
             chi=None,
-            colouring=down,
+            colouring=_verified(d, down, k - 1),
         )
     level = is_k_dicolourable(d, k)
     if level is None:
@@ -388,9 +363,11 @@ def is_dicritical(d: Digraph, k: int) -> CriticalityReport:
             is_dicritical=False,
             reason=f"not even {k}-dicolourable",
         )
+    _verified(d, level, k)
     arc_cols: list[tuple[tuple[int, int], list[int]]] = []
     for u, v in d.arcs():
-        sub = is_k_dicolourable(delete_arc(d, u, v), k - 1)
+        minus = delete_arc(d, u, v)
+        sub = is_k_dicolourable(minus, k - 1)
         if sub is None:
             return CriticalityReport(
                 k=k,
@@ -400,7 +377,7 @@ def is_dicritical(d: Digraph, k: int) -> CriticalityReport:
                 colouring=level,
                 failing_arc=(u, v),
             )
-        arc_cols.append(((u, v), sub))
+        arc_cols.append(((u, v), _verified(minus, sub, k - 1)))
     return CriticalityReport(
         k=k,
         is_dicritical=True,
@@ -635,7 +612,7 @@ def _uncovered(t: Digraph, k: int, hard: bool = False) -> list[int]:
     rows = t.rows
     left = list(range(1 << t.n))
     sufs: dict[int, frozenset[int]] = {}
-    for col in _static_colourings(rows, t.in_rows, t.n, k):
+    for col in _static_colourings(rows, t.in_rows, t.n, k, _creates_cycle):
         col = [c + 1 for c in col]
         classes = _class_masks(col, k)
         kept = left
@@ -650,13 +627,6 @@ def _uncovered(t: Digraph, k: int, hard: bool = False) -> list[int]:
             if not left:
                 break
     return left
-
-
-def _verified(t: Digraph, colouring: Sequence[int], k: int) -> None:
-    if not verify_dicolouring(t, colouring, k):
-        raise RuntimeError(
-            f"{k}-dicolouring {list(colouring)} of {d6_encode(t)} fails verification"
-        )
 
 
 def _bound_chunk(args) -> tuple[int, bool, str | None]:

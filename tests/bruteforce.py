@@ -1,11 +1,13 @@
 """Independent brute-force oracles used to cross-check the library.
 
 The oracles recompute from first principles: no solver, canonical-form,
-or generator code is reused beyond the plain data types.  Six references
+or generator code is reused beyond the plain data types.  Seven references
 are earlier versions of library internals, on top of the library's other
 layers (the solver, canonical certificates), kept to check their faster
-replacements: brute_bound_chunk, the tournament-bound worker as one solver
-call per dominance mask, which the colouring cover is checked against;
+replacements: enumerate_dicolourings, every k-dicolouring in lexicographic
+order, which the solver's one colouring walker is checked against;
+brute_bound_chunk, the tournament-bound worker as one solver call per
+dominance mask, which the colouring cover is checked against;
 brute_uncovered, the colouring cover walking every colouring and skipping
 those whose class set it has seen; brute_refine, the canonical search's
 refinement recounting every vertex against every cell in every round;
@@ -19,7 +21,9 @@ from __future__ import annotations
 
 import itertools
 import random
+from typing import Iterator
 
+from dichroma import solver
 from dichroma.canon import canonical_cert
 from dichroma.digraphs import Digraph, Graph, iter_bits, mask_of
 from dichroma.formats import d6_decode, d6_encode
@@ -28,7 +32,6 @@ from dichroma.solver import (
     _extend_tournament,
     _suffixes,
     _verified,
-    enumerate_dicolourings,
     is_k_dicolourable,
 )
 
@@ -430,6 +433,38 @@ def brute_bound_chunk(args) -> tuple[int, bool, str | None]:
             if is_k_dicolourable(child, k) is None:
                 return chunk_idx, False, d6_encode(child)
     return chunk_idx, True, None
+
+
+def enumerate_dicolourings(d: Digraph, k: int) -> Iterator[tuple[int, ...]]:
+    """All k-dicolourings (colours 1..k), in lexicographic order.
+
+    Exhaustive by design; meant for gadget-sized inputs.  The colour list
+    is the search stack: vertex v holds the colour being tried, 0 while it
+    is unplaced, so depth is bounded by no recursion limit.  The class
+    test is read from the solver module, where a test may count its calls.
+    """
+    n = d.n
+    rows, irows = d.rows, d.in_rows
+    colour = [0] * n
+    class_masks = [0] * k
+    v = 0
+    while v >= 0:
+        if v == n:
+            yield tuple(colour)
+            v -= 1
+            continue
+        c = colour[v]  # the next colour to try, 0-based
+        if c:
+            class_masks[c - 1] &= ~(1 << v)
+        while c < k and solver._creates_cycle(rows, irows, v, class_masks[c]):
+            c += 1
+        if c == k:
+            colour[v] = 0
+            v -= 1
+        else:
+            colour[v] = c + 1
+            class_masks[c] |= 1 << v
+            v += 1
 
 
 def brute_uncovered(t: Digraph, k: int) -> list[int]:

@@ -161,20 +161,14 @@ def test_certificate_bytes_are_frozen():
     )
 
 
-def test_search_work_is_frozen(monkeypatch):
+def test_search_work_is_frozen(count_calls):
     # A changed prune can leave every certificate byte as it was; the
     # number of refinements and leaf encodings the search spends cannot.
     # The inputs are fixed lists, the second every child of every order-5
     # tournament class, so how many children a generator certifies does
     # not enter the counts.
     tournaments = gen_tournaments(5)
-    calls = {"_refine": 0, "_encode": 0}
-    for name in calls:
-        def counted(*args, real=getattr(canon, name), name=name):
-            calls[name] += 1
-            return real(*args)
-
-        monkeypatch.setattr(canon, name, counted)
+    calls = count_calls(canon, "_refine", "_encode")
     for n, conn in ((7, (1, 2, 4)), (11, (1, 3, 4, 5, 9)), (13, (1, 2, 3, 5, 6, 9))):
         canonical_cert(circulant_tournament(n, conn))
     canonical_cert(bidirect(Graph(6, [0b111111 & ~(1 << v) for v in range(6)])))

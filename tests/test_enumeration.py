@@ -18,10 +18,10 @@ from dichroma.digraphs import (
 from dichroma.enumeration import (
     GEN_CAP,
     _census_graph_task,
+    _orientation_stream,
     arboricity,
     dicritical_census,
     gen_graphs,
-    gen_orientations,
     gen_tournaments,
     validate_census,
 )
@@ -109,6 +109,20 @@ def test_arboricity_examples():
     assert arboricity(k5) == 3
     assert arboricity(c5) == 2
     assert arboricity(tree) == 1
+    assert arboricity(build_graph(0, [])) == 0
+
+
+def test_arboricity_work_is_frozen(count_calls):
+    # the forest tests the walk makes, and the graphs the census filter
+    # keeps: its vertex and colour order, not only its answers, must
+    # survive changes to the walk
+    calls = count_calls(enumeration, "_closes_forest_cycle")
+    got = []
+    for n in (7, 8):
+        calls.clear()
+        kept = sum(arboricity(g) >= 3 for g in gen_graphs(n, 4))
+        got.append((calls["_closes_forest_cycle"], kept))
+    assert got == [(1249, 13), (22096, 174)]
 
 
 def _brute_arboricity(g):
@@ -146,7 +160,7 @@ def test_gen_orientations_matches_bruteforce():
     # degree-forced arcs bind; K6 is left out, its brute force takes seconds
     cases += [(g, (2, 2)) for g in gen_graphs(6, 4) if g.m < 15]
     for g, floors in cases:
-        ours = gen_orientations(g, *floors)
+        ours = _orientation_stream(g, *floors)[0]
         brute = brute_orientation_classes(g, *floors)
         assert len(ours) == len(brute)
         assert brute_digraph_classes(ours) == brute_digraph_classes(brute)
@@ -164,7 +178,7 @@ def test_census_task_matches_unfiltered_stream():
         g6 = d6_encode(bidirect(g))
         want = sorted(
             d6_encode(canonical_form(d))
-            for d in gen_orientations(g, 2, 2)
+            for d in _orientation_stream(g, 2, 2)[0]
             if is_dicritical(d, 3).is_dicritical
         )
         assert _census_graph_task((g6, 3))["dicritical"] == want
@@ -223,23 +237,17 @@ def test_generators_match_certifying_every_child():
             assert gen_graphs(n, d) == brute_gen_graphs(n, d)
 
 
-def test_generator_certificate_calls_are_frozen(monkeypatch):
+def test_generator_certificate_calls_are_frozen(count_calls):
     # the number of children the generators certify; certifying every
     # child, as brute_gen_* do, takes 470, 62,422 and 6,416
-    calls = [0]
-
-    def counted(d, real=enumeration.canonical_cert):
-        calls[0] += 1
-        return real(d)
-
-    monkeypatch.setattr(enumeration, "canonical_cert", counted)
+    calls = count_calls(enumeration, "canonical_cert")
     made = []
     for gen in (
         lambda: gen_tournaments(6), lambda: gen_tournaments(8),
         lambda: gen_graphs(8, 4),
     ):
-        calls[0] = 0
-        made.append((len(gen()), calls[0]))
+        calls.clear()
+        made.append((len(gen()), calls["canonical_cert"]))
     assert made == [(56, 174), (6880, 11866), (424, 2613)]
 
 

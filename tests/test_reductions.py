@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -17,8 +19,11 @@ from dichroma.reductions import (
     solve_reduction,
     verify_equivalence,
     _compile,
+    _endpoint_patterns,
 )
-from dichroma.solver import enumerate_dicolourings, verify_dicolouring
+from dichroma.solver import verify_dicolouring
+
+from bruteforce import enumerate_dicolourings, random_digraph
 
 
 def claw():
@@ -233,6 +238,26 @@ def test_neq_gadget_forces_distinct_endpoints():
     # the digon is the trivial inequality gadget
     assert sorted(DIGON.digraph.arcs()) == [(0, 1), (1, 0)]
     assert DIGON.extensions == {(1, 2): (1, 2), (2, 1): (2, 1)}
+    # the colourings lifted into gadget interiors, key order included
+    got = repr((DIGON.extensions, neq.extensions)).encode()
+    assert hashlib.sha256(got).hexdigest() == (
+        "a25897dfb6c270528a48f460f5791db817fd3029accc8d64fa4d93ce9f196da8"
+    )
+
+
+def test_endpoint_patterns_keep_the_first_colouring_per_pattern():
+    # per endpoint pattern, in order of first appearance, the first
+    # 2-dicolouring the lexicographic enumeration lists
+    rng = random.Random(1616)
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        d = random_digraph(rng, n, rng.choice((0.2, 0.35, 0.5)))
+        a, b = rng.randrange(n), rng.randrange(n)
+        want: dict = {}
+        for col in enumerate_dicolourings(d, 2):
+            want.setdefault((col[a], col[b]), col)
+        got = _endpoint_patterns(d, a, b, set(want), "test")
+        assert list(got.items()) == list(want.items()), (d.rows, a, b)
 
 
 # -- compiled instances -----------------------------------------------------

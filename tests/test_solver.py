@@ -22,7 +22,6 @@ from dichroma.solver import (
     _class_masks,
     _uncovered,
     dichromatic_number,
-    enumerate_dicolourings,
     find_circulant_candidate,
     is_acyclic,
     is_dicritical,
@@ -33,6 +32,7 @@ from dichroma.solver import (
 )
 
 from bruteforce import (
+    enumerate_dicolourings,
     brute_bound_chunk,
     brute_chromatic_number,
     brute_dichromatic_number,
@@ -47,6 +47,9 @@ from bruteforce import (
     random_digraph,
     random_oriented,
 )
+
+
+TRI = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])  # the directed triangle
 
 
 def tt(n):
@@ -149,18 +152,16 @@ def test_monotone_under_arc_addition():
 
 
 def test_verify_dicolouring_rejects_bad_input():
-    tri = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
-    assert not verify_dicolouring(tri, [1, 1, 1], 2)
-    assert not verify_dicolouring(tri, [1, 2], 2)  # wrong length
-    assert not verify_dicolouring(tri, [1, 2, 3], 2)  # colour out of range
-    assert verify_dicolouring(tri, [1, 1, 2], 2)
+    assert not verify_dicolouring(TRI, [1, 1, 1], 2)
+    assert not verify_dicolouring(TRI, [1, 2], 2)  # wrong length
+    assert not verify_dicolouring(TRI, [1, 2, 3], 2)  # colour out of range
+    assert verify_dicolouring(TRI, [1, 1, 2], 2)
 
 
 def test_verify_dicolouring_with_lists():
-    tri = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
     lists = [[1], [1, 2], [2]]
-    assert verify_dicolouring(tri, [1, 1, 2], 2, lists=lists)
-    assert not verify_dicolouring(tri, [1, 1, 1], 2, lists=lists)
+    assert verify_dicolouring(TRI, [1, 1, 2], 2, lists=lists)
+    assert not verify_dicolouring(TRI, [1, 1, 1], 2, lists=lists)
 
 
 def test_enumerate_dicolourings_matches_bruteforce_count():
@@ -178,18 +179,11 @@ def test_enumerate_dicolourings_matches_bruteforce_count():
             assert got == want  # same set, same lexicographic order
 
 
-def test_colourings_are_frozen(monkeypatch):
+def test_colourings_are_frozen(count_calls):
     # sha256 over the returned colourings and the number of class-cycle
     # checks the search makes: its vertex and colour order, not only its
     # answers, must survive changes to the search
-    calls = 0
-
-    def counted(*args, real=solver._creates_cycle):
-        nonlocal calls
-        calls += 1
-        return real(*args)
-
-    monkeypatch.setattr(solver, "_creates_cycle", counted)
+    calls = count_calls(solver, "_creates_cycle")
     rng = random.Random(1312)
     inputs = list(gen_tournaments(7))
     for _ in range(2000):
@@ -201,40 +195,31 @@ def test_colourings_are_frozen(monkeypatch):
             h.update(repr(is_k_dicolourable(d, k)).encode() + b"\n")
     st11 = circulant_tournament(11, (1, 3, 4, 5, 9))
     h.update(repr(is_dicritical(st11, 4).arc_colourings).encode())
-    assert (h.hexdigest(), calls) == (
+    assert (h.hexdigest(), calls["_creates_cycle"]) == (
         "b83aeabe61919a1dff82f72683f6734e684580b546fa659c23631e9cd9836797",
         64199,
     )
 
 
-def test_tournament_colourings_are_frozen(monkeypatch):
+def test_tournament_colourings_are_frozen(count_calls):
     # sha256 and class-cycle checks, pinned when tournaments still took
     # the saturation search: the fixed vertex order must give its
     # colourings and make its checks
     inputs = gen_tournaments(8)
-    calls = 0
-
-    def counted(*args, real=solver._creates_cycle):
-        nonlocal calls
-        calls += 1
-        return real(*args)
-
-    monkeypatch.setattr(solver, "_creates_cycle", counted)
+    calls = count_calls(solver, "_creates_cycle")
     h = hashlib.sha256()
     for t in inputs:
         for k in (2, 3):
             h.update(repr(is_k_dicolourable(t, k)).encode() + b"\n")
-    assert (h.hexdigest(), calls) == (
+    assert (h.hexdigest(), calls["_creates_cycle"]) == (
         "ef0fb390a8f78e0a0293dbf8edadd8c81d8dabf6ad82995670d404d00ae12bfd",
         232312,
     )
 
 
 def _walk(d, k):
-    return [
-        list(col)
-        for col in solver._static_colourings(d.rows, d.in_rows, d.n, k)
-    ]
+    walk = solver._static_colourings(d.rows, d.in_rows, d.n, k, solver._creates_cycle)
+    return [list(col) for col in walk]
 
 
 def test_static_colourings_are_the_distinct_partitions():
@@ -264,20 +249,19 @@ def test_static_colourings_are_the_distinct_partitions():
 def test_static_colourings_edge_cases():
     empty = Digraph.from_arcs(0, [])
     single = Digraph.from_arcs(1, [])
-    tri = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
     for k in (0, 1, 2):
         assert _walk(empty, k) == [[]]
     assert _walk(single, 0) == []
     assert _walk(single, 1) == _walk(single, 3) == [[0]]
     # k > n: never more classes than vertices
     assert _walk(tt(2), 5) == [[0, 0], [0, 1]]
-    assert _walk(tri, 5) == [[0, 0, 1], [0, 1, 0], [0, 1, 1], [0, 1, 2]]
+    assert _walk(TRI, 5) == [[0, 0, 1], [0, 1, 0], [0, 1, 1], [0, 1, 2]]
     assert is_k_dicolourable(empty, 1) == []
     assert is_k_dicolourable(single, 1) == [1]
-    assert is_k_dicolourable(tri, 7) == [1, 1, 2]
+    assert is_k_dicolourable(TRI, 7) == [1, 1, 2]
     # k = 0 reaches the search through empty lists
     assert is_list_dicolourable(empty, []) == []
-    for d in (tt(3), tri, Digraph.from_arcs(3, [(0, 1)])):
+    for d in (tt(3), TRI, Digraph.from_arcs(3, [(0, 1)])):
         assert is_list_dicolourable(d, [[]] * 3) is None
 
 
@@ -289,8 +273,7 @@ def test_st11_dichromatic_number():
 
 
 def test_dicritical_examples():
-    tri = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
-    rep = is_dicritical(tri, 2)
+    rep = is_dicritical(TRI, 2)
     assert rep.is_dicritical and rep.k == 2
     # a directed 4-cycle with a chord is 2-chromatic but not 2-dicritical
     c4c = Digraph.from_arcs(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
@@ -306,8 +289,7 @@ def test_dicritical_examples():
 
 
 def test_dicritical_report_json():
-    tri = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
-    obj = is_dicritical(tri, 2).to_json()
+    obj = is_dicritical(TRI, 2).to_json()
     assert obj["k"] == 2 and obj["is_dicritical"] is True
 
 
@@ -371,10 +353,9 @@ def test_max_induced_acyclic_lists_are_frozen():
 
 
 def test_max_induced_acyclic_checks_its_answer(monkeypatch):
-    tri = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
     monkeypatch.setattr(solver, "_shortest_cycle", lambda *a: None)
     with pytest.raises(RuntimeError):
-        max_induced_acyclic(tri)
+        max_induced_acyclic(TRI)
 
 
 def test_max_induced_acyclic_deep_search():
@@ -386,21 +367,33 @@ def test_max_induced_acyclic_deep_search():
 
 
 def test_list_dicolouring_examples():
-    tri = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
     assert is_list_dicolourable(tt(4), [[1]] * 4) == [1] * 4
-    assert is_list_dicolourable(tri, [[1]] * 3) is None
-    col = is_list_dicolourable(tri, [[5], [5], [9]])
+    assert is_list_dicolourable(TRI, [[1]] * 3) is None
+    col = is_list_dicolourable(TRI, [[5], [5], [9]])
     assert col == [5, 5, 9]
     with pytest.raises(ValueError):
-        is_list_dicolourable(tri, [[1], [1]])  # one list per vertex
+        is_list_dicolourable(TRI, [[1], [1]])  # one list per vertex
 
 
 def test_list_dicolouring_is_verified(monkeypatch):
     # a search that returns a wrong colouring is caught, not passed on
     monkeypatch.setattr(solver, "_dfs_colour", lambda d, k: [0] * d.n)
-    tri = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
     with pytest.raises(RuntimeError):
-        is_list_dicolourable(tri, [[1, 2]] * 3)
+        is_list_dicolourable(TRI, [[1, 2]] * 3)
+
+
+def test_dicritical_colourings_are_verified(monkeypatch):
+    # a wrong colouring from the search is caught, whichever the report
+    # would carry: a non-critical digraph's (k-1)-colouring (first solve),
+    # the k-colouring (second) or an arc deletion's (third); a colour past
+    # k is wrong for any digraph
+    real = solver._dfs_colour
+    for d, k, bad in ((circulant_tournament(5, (1, 2)), 3, 1), (TRI, 2, 2), (TRI, 2, 3)):
+        solves = itertools.count(1)
+        monkeypatch.setattr(solver, "_dfs_colour", lambda g, j: (
+            [j] * g.n if next(solves) == bad else real(g, j)))
+        with pytest.raises(RuntimeError):
+            is_dicritical(d, k)
 
 
 def test_list_dicolouring_vs_bruteforce():
@@ -429,13 +422,6 @@ def test_cnf_export_matches_dpll():
             assert dpll(nvars, clauses) == (is_k_dicolourable(d, k) is not None)
 
 
-def test_enumerate_dicolourings_deep_path():
-    # one frame per vertex would pass the recursion limit
-    n = 3000
-    path = Digraph.from_arcs(n, [(v, v + 1) for v in range(n - 1)])
-    assert list(enumerate_dicolourings(path, 1)) == [(1,) * n]
-
-
 def test_bound_chunk_matches_per_mask_loop():
     # the cover against one solve per mask, one parent per call: same
     # verdict and the same first counterexample, failing parents included
@@ -458,15 +444,14 @@ def test_extended_tournament_carries_its_in_rows():
 
 
 def test_uncovered_checks_every_colouring_it_uses(monkeypatch):
-    cyclic = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
-    assert _uncovered(cyclic, 1) == list(range(8))  # nothing to verify
+    assert _uncovered(TRI, 1) == list(range(8))  # nothing to verify
     monkeypatch.setattr(solver, "verify_dicolouring", lambda *a: False)
-    for t, k in ((tt(3), 2), (cyclic, 2)):  # (k-1)-solve, then the walk
+    for t, k in ((tt(3), 2), (TRI, 2)):  # (k-1)-solve, then the walk
         with pytest.raises(RuntimeError):
             _uncovered(t, k)
 
 
-def test_uncovered_matches_the_walk_over_every_colouring(monkeypatch):
+def test_uncovered_matches_the_walk_over_every_colouring(count_calls, monkeypatch):
     # one colouring per partition leaves the masks that every colouring,
     # deduplicated by class set, leaves; with the (k-1) solve skipped
     # too, even where it would have succeeded
@@ -477,19 +462,12 @@ def test_uncovered_matches_the_walk_over_every_colouring(monkeypatch):
                 assert _uncovered(t, k) == want, (d6_encode(t), k)
                 assert _uncovered(t, k, True) == want, (d6_encode(t), k)
     hard = [d6_decode(s) for s in _hard_classes(8, 2)]
-    calls = 0
-
-    def counted(*args, real=solver._creates_cycle):
-        nonlocal calls
-        calls += 1
-        return real(*args)
-
-    monkeypatch.setattr(solver, "_creates_cycle", counted)
+    calls = count_calls(solver, "_creates_cycle")
     counts = []
     for cover in (brute_uncovered, _uncovered, lambda t, k: _uncovered(t, k, True)):
-        calls = 0
+        calls.clear()
         assert all(cover(t, 3) == [] for t in hard)
-        counts.append(calls)
+        counts.append(calls["_creates_cycle"])
     assert counts == [28535, 28535, 3335]
     # a chunk of known-hard parents makes no (k-1) solve
     task = (0, [d6_encode(t) for t in hard], 3)

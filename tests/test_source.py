@@ -68,14 +68,6 @@ def test_no_unused_imports():
     assert found == []
 
 
-# functions kept without a caller in the package, with the reason
-UNCALLED = {
-    # the unfiltered orientation stream, the reference the census
-    # stream is tested against
-    "enumeration.gen_orientations",
-}
-
-
 def test_every_function_has_a_caller_or_is_exported():
     # library code that only tests call belongs in the tests
     refs: dict[str, set] = {}
@@ -99,7 +91,6 @@ def test_every_function_has_a_caller_or_is_exported():
         for mod, fn in defs
         if fn not in dichroma.__all__
         and not refs.get(fn, set()) - {(mod, fn)}
-        and f"{mod}.{fn}" not in UNCALLED
     ]
     assert found == []
 
@@ -146,7 +137,7 @@ def test_verify_path_shares_no_search_code():
     # own answers: follow every package function the checks name, and
     # every one those name in turn
     search = {"_creates_cycle", "_dfs_colour", "_shortest_cycle",
-              "_static_colourings", "enumerate_dicolourings"}
+              "_static_colourings"}
     defs: dict[str, list] = {}
     for mod, tree in _modules():
         for _, fn in _functions(tree, mod):
