@@ -34,11 +34,10 @@ from .enumeration import (
 )
 from .formats import d6_decode, dump_digraph
 from .reductions import (
+    DEFAULT_G3_D6,
     CnfFormula,
     PlanarIncidenceEmbedding,
-    default_g3,
-    make_eq_gadget,
-    make_neq_gadget,
+    default_gadgets,
     reduce_digon,
     reduce_oriented,
     single_face_embedding,
@@ -66,8 +65,8 @@ from .surfaces import (
 )
 
 ST11_SET = (1, 3, 4, 5, 9)
-# frozen outputs of completed census runs; re-derived by the census checks
-CENSUS_7_3_WITNESS = "&FKD`qUFHw?"
+# frozen output of a completed census run, re-derived by the census checks;
+# order 7's is reductions.DEFAULT_G3_D6, the gadget seed
 CENSUS_8_3_WITNESS = "&GCOXA?xOqaUo"
 
 
@@ -139,7 +138,7 @@ def _census73(ctx):
             "orientation_candidates": rep.stats["orientation_candidates"] == 17920,
             "count": rep.count == 3,
             "min_arcs": rep.min_arcs == 20,
-            "witness": rep.witnesses == [CENSUS_7_3_WITNESS],
+            "witness": rep.witnesses == [DEFAULT_G3_D6],
             "validate": not problems,
         },
         {"count": rep.count, "min_arcs": rep.min_arcs,
@@ -184,7 +183,7 @@ def _surface_bounds(ctx):
         ("N7", 3, 4), ("S4, N8", 3, 4), ("N9", 3, 4), ("S5, N10", 4, 4),
     ]
     # census witnesses against the degree and arc bounds of 3-dicriticality
-    witnesses = [d6_decode(w) for w in (CENSUS_7_3_WITNESS, CENSUS_8_3_WITNESS)]
+    witnesses = [d6_decode(w) for w in (DEFAULT_G3_D6, CENSUS_8_3_WITNESS)]
     st11 = circulant_tournament(11, ST11_SET)
     return _verdict(
         {
@@ -277,9 +276,7 @@ def _reduce_digon(ctx, trials):
 
 
 def _reduce_oriented(ctx, trials):
-    g3 = default_g3()
-    eq = make_eq_gadget(g3, min(g3.arcs()))
-    neq = make_neq_gadget(eq)
+    eq, neq = default_gadgets()  # the gadget reduce_oriented compiles with
 
     def partitions(d):  # a colour swap keeps both forcing tests
         return _static_colourings(d.rows, d.in_rows, d.n, 2, _creates_cycle)

@@ -4,10 +4,10 @@ exhaustive tournament bound (every tournament of order n k-dicolourable).
 
 The bound works in layers.  A tournament that is not k-dicolourable stays
 not (k-1)-dicolourable after deleting any vertex, so only the order-(n-1)
-classes that are not (k-1)-dicolourable need extending; a first layer finds
-them by the (k-1) colouring cover of the order-(n-2) classes, and the
-second decides their extensions by the k-cover.  Both stream through a
-checkpointed, optionally parallel task loop.
+classes that are not (k-1)-dicolourable need extending.  A first layer
+finds them as the last level of the tournament generator, filtered by the
+(k-1) colouring cover of each order-(n-2) parent; the second decides their
+extensions by the k-cover, in a checkpointed, optionally parallel task loop.
 
 Graphs and tournaments are generated by vertex extension in one level loop
 (_generate).  Each level keeps, per certificate, the first child P_j + S in
@@ -16,8 +16,8 @@ representatives and their order are fixed by the certificate bytes.  At the
 last level a child is skipped without a certificate when it is known to be
 a duplicate (McKay's canonical deletion, used only to reject): if deleting
 some old vertex v leaves a class of rank i < j among the parents, then
-P_j + S is isomorphic to some P_i + S', which passes the same degree floor
-and comes earlier, so its class is already kept, by an earlier child.  The
+P_j + S is isomorphic to some P_i + S', which passes the same filter and
+comes earlier, so its class is already kept, by an earlier child.  The
 rank of P_j + S - v is read from the level below, where every child is
 certified and its rank recorded: P_j - v is mapped onto its class Q_m by
 the canonical orders of both, and S, less v, through that map.  Below the
@@ -43,9 +43,10 @@ colourings are certificates, so the pruning is exact.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterator, Sequence
 
 from .canon import _canon, canonical_cert, canonical_form
@@ -66,10 +67,11 @@ def _generate(n: int, extend) -> list[Digraph]:
     """One order-n digraph per class reachable by vertex extension from K1,
     in certificate order.  extend(parent, mask) is the child whose new last
     vertex meets the parent's vertices in mask one way and the rest the
-    other (adjacent or not; dominating or dominated), or None when a degree
-    floor filters it.  The skip at the last level (module docstring) needs
-    both to ignore labels: relabelling parent and mask alike gives an
-    isomorphic child, and only a child's class decides whether it is kept.
+    other (adjacent or not; dominating or dominated), or None when a filter
+    rejects it (a degree floor, or the tournament bound's cover).  The skip
+    at the last level (module docstring) needs both to ignore labels:
+    relabelling parent and mask alike gives an isomorphic child, and a
+    filter must depend only on the child's class.
     """
     reps = [Digraph(1, (0,))]
     prev: list[Digraph] | None = None  # the level below reps, once certified
@@ -368,51 +370,29 @@ def gen_tournaments(n: int) -> list[Digraph]:
     return _generate(n, _extend_tournament)
 
 
-BOUND_CHUNK = 256  # parent tournaments per task of the bound's layers
+BOUND_CHUNK = 256  # parent tournaments per task of the bound's second layer
 
 
-def _chunks(d6s: list[str], k: int, *extra) -> list[tuple]:
-    """Tasks (chunk index, parents, k, *extra) of BOUND_CHUNK parents."""
-    return [
-        (i // BOUND_CHUNK, d6s[i : i + BOUND_CHUNK], k, *extra)
-        for i in range(0, len(d6s), BOUND_CHUNK)
-    ]
-
-
-def _hard_children(args) -> dict:
-    """The children of a chunk of parent tournaments that are not
-    k-dicolourable, each the first of its certificate in parent, then mask
-    order, as (certificate, digraph6) pairs."""
-    idx, parent_d6s, k = args
-    first: dict[bytes, str] = {}
-    for s in parent_d6s:
-        t = d6_decode(s)
-        for mask in _uncovered(t, k):
-            child = _extend_tournament(t, mask)
-            cert = canonical_cert(child)
-            if cert not in first:
-                first[cert] = d6_encode(child)
-    return {"chunk": idx, "hard": list(first.items())}
-
-
-def _hard_classes(n: int, k: int, jobs: int = 1) -> list[str]:
+def _hard_classes(n: int, k: int) -> list[str]:
     """The order-n tournament classes that are not k-dicolourable, in
     digraph6, with the representatives and order gen_tournaments(n) gives
     them; n >= 2.
 
-    Every order-n class extends some order-(n-1) class, so the k-cover
-    (solver._uncovered) of gen_tournaments(n-1) meets every hard class.
-    Hardness does not depend on labels, so the first hard child of each
-    certificate is the one gen_tournaments keeps, and sorting by
-    certificate restores its order.
+    Every order-n class extends some order-(n-1) class, so at the last
+    level of _generate the k-cover (solver._uncovered) of each parent,
+    computed once as _generate visits its masks in a row, filters the
+    children.  Hardness is a property of the class, so the last level's
+    skip stays exact and the first hard child of each class is the one
+    gen_tournaments keeps.
     """
-    parents = [d6_encode(t) for t in gen_tournaments(n - 1)]
-    tasks = _chunks(parents, k)
-    first: dict[bytes, str] = {}
-    for rec in checkpointed_map(_hard_children, tasks, "chunk", {}, None, jobs):
-        for cert, s in rec["hard"]:
-            first.setdefault(cert, s)
-    return [first[c] for c in sorted(first)]
+    cover = functools.lru_cache(maxsize=1)(lambda t: set(_uncovered(t, k)))
+
+    def extend(parent: Digraph, mask: int) -> Digraph | None:
+        if parent.n == n - 1 and mask not in cover(parent):
+            return None
+        return _extend_tournament(parent, mask)
+
+    return [d6_encode(t) for t in _generate(n, extend)]
 
 
 def verify_census_bound(
@@ -434,12 +414,12 @@ def verify_census_bound(
     colours, or the vertex would take the k-th.  So for k >= 2 and n >= 3 a
     first layer finds those hard order-(n-1) classes (_hard_classes) and
     only they are extended, without proving their hardness again; k = 1
-    and n <= 2 extend every class of gen_tournaments(n-1).  Both layers
-    run in chunks of 256 parents, in parallel with jobs > 1; the second
-    resumes from the checkpoint, whose header records how many parents it
-    streams.  The counterexample is the first failing extension of the
-    first failing parent in class order, whatever the layering and the
-    jobs.
+    and n <= 2 extend every class of gen_tournaments(n-1).  The first
+    layer runs in this process; the second runs in chunks of 256 parents,
+    in parallel with jobs > 1, and resumes from the checkpoint, whose
+    header records how many parents it streams.  The counterexample is the
+    first failing extension of the first failing parent in class order,
+    whatever the layering and the jobs.
     """
     if n < 1 or k < 1:
         raise ValueError(f"need n >= 1 and k >= 1, got n={n} k={k}")
@@ -450,13 +430,15 @@ def verify_census_bound(
         )
     if n == 1:
         return True, None  # no order-0 parent to extend
-    if k == 1 or n <= 2:
-        parents = [d6_encode(t) for t in gen_tournaments(n - 1)]
-        tasks = _chunks(parents, k)
+    hard = k > 1 and n > 2
+    if hard:  # the first layer proves them not (k-1)-dicolourable
+        parents = _hard_classes(n - 1, k - 1)
     else:
-        parents = _hard_classes(n - 1, k - 1, jobs)
-        # the first layer proved them not (k-1)-dicolourable
-        tasks = _chunks(parents, k, True)
+        parents = [d6_encode(t) for t in gen_tournaments(n - 1)]
+    tasks = [
+        (i // BOUND_CHUNK, parents[i : i + BOUND_CHUNK], k, hard)
+        for i in range(0, len(parents), BOUND_CHUNK)
+    ]
     # version 2: records are chunks of the hard parents; a file written
     # when they were chunks of every class must not be trusted
     header = {
@@ -491,15 +473,7 @@ class CensusReport:
     stats: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "count": self.count,
-            "min_arcs": self.min_arcs,
-            "witnesses": self.witnesses,
-            "all_dicritical": self.all_dicritical,
-            "stats": self.stats,
-        }
+        return asdict(self)
 
 
 def _census_graph_task(args) -> dict:

@@ -13,6 +13,7 @@ oracle at desk scale.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -306,6 +307,16 @@ def make_neq_gadget(eq: EqGadget) -> NeqGadget:
     return _neq_gadget(d, 0, 3)
 
 
+@functools.cache
+def default_gadgets() -> tuple[EqGadget, NeqGadget]:
+    """The equality gadget of the default seed minus its least arc and the
+    oriented inequality gadget spliced from it, built and verified once per
+    process, on first use."""
+    g3 = default_g3()
+    eq = make_eq_gadget(g3, min(g3.arcs()))
+    return eq, make_neq_gadget(eq)
+
+
 @dataclass(frozen=True)
 class ReductionOutput:
     digraph: Digraph
@@ -414,9 +425,7 @@ def reduce_oriented(
     """Digon-free compilation: every inequality link becomes a fresh copy of
     the oriented gadget built from the default seed minus its least arc.
     The seed is not planar, so neither is the output."""
-    g3 = default_g3()
-    neq = make_neq_gadget(make_eq_gadget(g3, min(g3.arcs())))
-    return _compile(phi, embedding, neq, "oriented")
+    return _compile(phi, embedding, default_gadgets()[1], "oriented")
 
 
 def decode_assignment(

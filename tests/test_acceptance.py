@@ -25,6 +25,7 @@ from contextlib import contextmanager
 import pytest
 
 import conftest
+from dichroma import enumeration
 from dichroma.canon import canonical_cert
 from dichroma.claims import CENSUS_8_3_WITNESS, CLAIMS, ClaimContext
 from dichroma.cli import _positive_int
@@ -223,10 +224,14 @@ def test_criterion_11_oracle_suites(claims):
             assert verify_dicolouring(d, col, lists=lists)
 
 
-def test_criterion_12_order_10_tournaments(tmp_path):
+def test_criterion_12_order_10_tournaments(tmp_path, monkeypatch):
     # a file left in the shared temp directory by another build would be
     # refused, or trusted, so the default lives with this run
     ckpt = os.environ.get("DICHROMA_T10_CHECKPOINT", str(tmp_path / "t10.ckpt"))
+    orders = []  # the order of each digraph certified
+    real = enumeration.canonical_cert
+    monkeypatch.setattr(enumeration, "canonical_cert",
+                        lambda d, *a: orders.append(d.n) or real(d, *a))
     with criterion(12, 180, "every tournament on 10 vertices is "
                    "3-dicolourable"):
         ok, cex = verify_census_bound(10, 3, jobs=_env_jobs(), checkpoint=ckpt)
@@ -234,3 +239,6 @@ def test_criterion_12_order_10_tournaments(tmp_path):
         with open(ckpt) as fh:
             header = json.loads(fh.readline())
         assert header["parents"] == 28308  # order-9 classes not 2-dicolourable
+        # the first layer's canonical-deletion skip: not one certificate
+        # per uncovered order-9 child (260,288)
+        assert orders.count(9) <= 30000

@@ -18,6 +18,7 @@ from dichroma.digraphs import (
 from dichroma.enumeration import (
     GEN_CAP,
     _census_graph_task,
+    _hard_classes,
     _orientation_stream,
     arboricity,
     dicritical_census,
@@ -239,16 +240,17 @@ def test_generators_match_certifying_every_child():
 
 def test_generator_certificate_calls_are_frozen(count_calls):
     # the number of children the generators certify; certifying every
-    # child, as brute_gen_* do, takes 470, 62,422 and 6,416
+    # child, as brute_gen_* do, takes 470, 62,422 and 6,416; the hard
+    # order-8 classes certify order 7 in full and 280 order-8 children
     calls = count_calls(enumeration, "canonical_cert")
     made = []
     for gen in (
         lambda: gen_tournaments(6), lambda: gen_tournaments(8),
-        lambda: gen_graphs(8, 4),
+        lambda: gen_graphs(8, 4), lambda: _hard_classes(8, 2),
     ):
         calls.clear()
         made.append((len(gen()), calls["canonical_cert"]))
-    assert made == [(56, 174), (6880, 11866), (424, 2613)]
+    assert made == [(56, 174), (6880, 11866), (424, 2613), (258, 4334)]
 
 
 def test_census_two_dicritical_is_single_directed_cycle():

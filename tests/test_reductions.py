@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from dichroma import reductions
 from dichroma.digraphs import build_digraph, is_oriented
 from dichroma.reductions import (
     DIGON,
@@ -11,6 +12,7 @@ from dichroma.reductions import (
     PlanarIncidenceEmbedding,
     decode_assignment,
     default_g3,
+    default_gadgets,
     make_eq_gadget,
     make_neq_gadget,
     reduce_digon,
@@ -342,6 +344,15 @@ def test_oriented_unsatisfiable_formula():
     assert is_oriented(out.digraph)
     assert solve_reduction(out) is None
     assert verify_equivalence(phi, out)
+
+
+def test_oriented_gadget_is_built_once(count_calls):
+    # built and verified on first use, then shared by every call
+    default_gadgets.cache_clear()
+    calls = count_calls(reductions, "is_dicritical")
+    outs = [reduce_oriented(phi) for phi in (claw(), two_clause(), claw())]
+    assert calls["is_dicritical"] == 1
+    assert all(out.gadget is default_gadgets()[1] for out in outs)
 
 
 def test_oriented_planar_mode():
