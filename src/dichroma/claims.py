@@ -19,14 +19,17 @@ from fractions import Fraction
 from .canon import is_arc_transitive
 from .digraphs import (
     Digraph,
+    bidirect,
     circulant_tournament,
     delete_arc,
     delete_vertex,
+    induced,
     is_k_diregular,
     is_oriented,
+    underlying_graph,
 )
 from .enumeration import (
-    _forest_mask,
+    arboricity,
     dicritical_census,
     gen_tournaments,
     validate_census,
@@ -219,7 +222,7 @@ def _cacti(ctx, trials):
                 "edge_bound": m <= bound,
                 "tight_iff_triangles": tight == triangles,
                 "forest_bound": 3 * len(forest) >= 2 * n,
-                "forest": _forest_mask(g.rows, sum(1 << v for v in forest)),
+                "forest": arboricity(underlying_graph(induced(bidirect(g), forest))) <= 1,
             },
             {"trial": t, "n": n},
         )

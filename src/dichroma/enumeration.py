@@ -169,28 +169,6 @@ def gen_graphs(n: int, min_degree: int) -> list[Graph]:
     return [Graph(n, d.rows) for d in _generate(n, extend)]
 
 
-def _forest_mask(rows: Sequence[int], mask: int) -> bool:
-    """Is the induced undirected subgraph on mask acyclic?"""
-    verts = list(iter_bits(mask))
-    edges = 0
-    comps = 0
-    seen = 0
-    for s in verts:
-        edges += (rows[s] & mask).bit_count()
-        if seen >> s & 1:
-            continue
-        comps += 1
-        stack = [s]
-        seen |= 1 << s
-        while stack:
-            v = stack.pop()
-            todo = rows[v] & mask & ~seen
-            seen |= todo
-            for w in iter_bits(todo):
-                stack.append(w)
-    return edges // 2 == len(verts) - comps
-
-
 def _closes_forest_cycle(rows: Sequence[int], irows, v: int, forest: int) -> bool:
     """Given that the mask forest induces a forest, does adding v close a
     cycle?  It does iff two of v's neighbours in it share a tree, so only
@@ -376,7 +354,9 @@ BOUND_CHUNK = 256  # parent tournaments per task of the bound's second layer
 def _hard_classes(n: int, k: int) -> list[str]:
     """The order-n tournament classes that are not k-dicolourable, in
     digraph6, with the representatives and order gen_tournaments(n) gives
-    them; n >= 2.
+    them; n >= 1 and k >= 0.  k = 0 keeps every class.  Order 1 has no
+    level to filter, so n = 1 gives [K1] whatever k, which a bound may
+    extend as hard: that only skips solver._uncovered's shortcut.
 
     Every order-n class extends some order-(n-1) class, so at the last
     level of _generate the k-cover (solver._uncovered) of each parent,
@@ -411,11 +391,10 @@ def verify_census_bound(
     of T has a class C with S & C a sink-side suffix of C).  An order-n
     tournament that is not k-dicolourable extends one of order n-1 that is
     not (k-1)-dicolourable: delete any vertex, and the rest cannot take k-1
-    colours, or the vertex would take the k-th.  So for k >= 2 and n >= 3 a
-    first layer finds those hard order-(n-1) classes (_hard_classes) and
-    only they are extended, without proving their hardness again; k = 1
-    and n <= 2 extend every class of gen_tournaments(n-1).  The first
-    layer runs in this process; the second runs in chunks of 256 parents,
+    colours, or the vertex would take the k-th.  So a first layer finds
+    those hard order-(n-1) classes (_hard_classes; at k = 1 every class)
+    and only they are extended, without proving their hardness again.  The
+    first layer runs in this process; the second runs in chunks of 256 parents,
     in parallel with jobs > 1, and resumes from the checkpoint, whose
     header records how many parents it streams.  The counterexample is the
     first failing extension of the first failing parent in class order,
@@ -430,13 +409,9 @@ def verify_census_bound(
         )
     if n == 1:
         return True, None  # no order-0 parent to extend
-    hard = k > 1 and n > 2
-    if hard:  # the first layer proves them not (k-1)-dicolourable
-        parents = _hard_classes(n - 1, k - 1)
-    else:
-        parents = [d6_encode(t) for t in gen_tournaments(n - 1)]
+    parents = _hard_classes(n - 1, k - 1)  # hard: _uncovered skips the (k-1) solve
     tasks = [
-        (i // BOUND_CHUNK, parents[i : i + BOUND_CHUNK], k, hard)
+        (i // BOUND_CHUNK, parents[i : i + BOUND_CHUNK], k, True)
         for i in range(0, len(parents), BOUND_CHUNK)
     ]
     # version 2: records are chunks of the hard parents; a file written

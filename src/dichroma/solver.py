@@ -636,11 +636,21 @@ def _bound_chunk(args) -> tuple[int, bool, str | None]:
     uncovered mask, the first failure of a scan over parents, then masks
     ascending.  args is (chunk index, parents in digraph6, k), with an
     optional fourth item: true when no parent is (k-1)-dicolourable
-    (_uncovered's hard)."""
+    (_uncovered's hard), as verify_census_bound sends.  bench/run.py sends
+    the 3-tuple, with mostly 2-dicolourable order-8 parents at k = 3, where
+    the (k-1) solve is the cheaper proof: over all 6,880 order-8 classes,
+    forcing hard took 0.39 -> 0.68 s, and walking first to return at an
+    empty class 0.22-0.26 -> 0.27-0.34 s.  A parent with the wrong arc count
+    for a tournament raises ValueError, since its in-rows are taken as its
+    out-rows' complements less the vertex."""
     chunk_idx, parent_d6s, k = args[:3]
     hard = len(args) > 3 and args[3]
     for s in parent_d6s:
         t = d6_decode(s)
+        if 2 * t.m != t.n * (t.n - 1):
+            raise ValueError(f"parent {s!r} is not a tournament")
+        full = (1 << t.n) - 1
+        t._irows = tuple(full ^ r ^ 1 << v for v, r in enumerate(t.rows))
         left = _uncovered(t, k, hard)
         if left:
             return chunk_idx, False, d6_encode(_extend_tournament(t, left[0]))

@@ -434,6 +434,8 @@ def test_bound_chunk_matches_per_mask_loop():
             assert got == brute_bound_chunk(task), (n, k, task)
             fails += not got[1]
     assert fails == 1 + 2 + 4 + 12 + 56 + 10 + 265  # k=1 at n<=6, k=2 at n=6, 7
+    with pytest.raises(ValueError, match="not a tournament"):
+        _bound_chunk((0, [d6_encode(Digraph(2, (2, 1)))], 1))  # a digon
 
 
 def test_extended_tournament_carries_its_in_rows():
@@ -481,17 +483,19 @@ def test_uncovered_matches_the_walk_over_every_colouring(count_calls, monkeypatc
 
 
 def test_hard_classes_are_the_classes_that_fail():
+    # k = 0 is every class: no tournament with a vertex is 0-dicolourable
     for n in range(2, 9):
         classes = gen_tournaments(n)
+        assert _hard_classes(n, 0) == [d6_encode(t) for t in classes], n
         for k in (1, 2):
             want = [d6_encode(t) for t in classes if is_k_dicolourable(t, k) is None]
             assert _hard_classes(n, k) == want, (n, k)
     assert len(want) == 258
+    # order 1 has no level to filter, so K1 is kept whatever k
+    assert [_hard_classes(1, k) for k in (0, 1, 2)] == [["&@?"]] * 3
 
 
 def test_verify_census_bound_small():
-    assert verify_census_bound(3, 1) == (False, d6_decode("&BP_"))
-    assert verify_census_bound(4, 2) == (True, None)
     assert verify_census_bound(6, 2) == (True, None)
     assert verify_census_bound(7, 2) == (False, d6_decode("&F\\F`GMsPq?"))
     assert verify_census_bound(1, 1) == (True, None)
@@ -504,13 +508,30 @@ def test_verify_census_bound_small():
     assert verify_census_bound(8, 2, jobs=2) == serial
 
 
+def test_verify_census_bound_small_cases_pinned(tmp_path):
+    # k = 1 and n = 2 extend every class: verdicts, parents, checkpoint bytes
+    verdicts, parents, h = [], [], hashlib.sha256()
+    for n, k in [(n, 1) for n in range(2, 8)] + [(2, 2), (2, 3)]:
+        ck = tmp_path / f"bound-{n}-{k}.ckpt"
+        ok, cex = verify_census_bound(n, k, checkpoint=str(ck))
+        verdicts.append(ok or d6_encode(cex))
+        h.update(ck.read_bytes())
+        parents.append(json.loads(ck.read_text().splitlines()[0])["parents"])
+    assert verdicts == [True, "&BP_", "&CWp_", "&D[[WW?", "&E]NFB@_", "&F^Fpw[E@_?",
+                        True, True]
+    assert parents == [1, 1, 2, 4, 12, 56, 1, 1]
+    assert h.hexdigest() == (
+        "cb32ab54db28b1ee8e1abb621f0cbf70a29d313aa78f14566a5079c972a8b69e")
+
+
 def test_verify_census_bound_checks_the_cap_first(monkeypatch):
     # order GEN_CAP + 1 extends tournaments of order GEN_CAP, which is
     # allowed; one more is refused before any generation starts
-    def generate(n):
-        raise AssertionError(f"gen_tournaments({n}) called")
+    def generate(n, *args):
+        raise AssertionError(f"generation of order {n} started")
 
     monkeypatch.setattr(enumeration, "gen_tournaments", generate)
+    monkeypatch.setattr(enumeration, "_generate", generate)
     for k in (1, 2, 3):
         with pytest.raises(ValueError, match="generation cap"):
             verify_census_bound(GEN_CAP + 2, k)
@@ -520,9 +541,7 @@ def test_verify_census_bound_streaming_with_checkpoint(tmp_path):
     # k=2 fails fast, in chunk 0
     ck = tmp_path / "bound.ckpt"
     ok, cex = verify_census_bound(7, 2, checkpoint=str(ck))
-    assert not ok and cex is not None and cex.n == 7
-    assert is_k_dicolourable(cex, 2) is None
-    assert ck.exists()
+    assert not ok and cex.n == 7 and is_k_dicolourable(cex, 2) is None
     # resuming from the finished checkpoint reproduces the verdict
     ok2, cex2 = verify_census_bound(7, 2, checkpoint=str(ck))
     assert not ok2 and cex2 == cex

@@ -108,7 +108,7 @@ def _functions(node, prefix):
             yield from _functions(child, prefix)
 
 
-def test_no_recursion_outside_allowlist():
+def test_no_function_calls_itself():
     # a recursive search is bounded by Python's recursion limit, which
     # inputs within MAX_VERTICES can pass, so every search runs on an
     # explicit stack and no function calls itself
