@@ -36,9 +36,13 @@ bounds force arcs: when vertex t is added, a back-neighbour with no out-
 submasks of the free edges are enumerated, in the same ascending order as a
 full scan.  Vertices not adjacent to t keep their degrees and are not
 rechecked.  In the census, every state also carries the class masks of a
-(k-1)-dicolouring of its prefix; a child first tries to put t into one of
-its parent's classes, and the solver runs only when none takes it.  Found
-colourings are certificates, so the pruning is exact.
+(k-1)-dicolouring of its prefix.  While a parent's children are walked, it
+pools dicolourings of its prefix: the parent's colouring, then its
+siblings', each colouring the solver found for a sibling less t.  Siblings
+share the parent's prefix, so every pooled entry is a dicolouring of it.  A
+child tries to put t into a class of each pooled colouring in that order,
+and the solver runs only when none takes it.  Found colourings are
+certificates, so the pruning is exact.
 """
 
 from __future__ import annotations
@@ -205,16 +209,16 @@ def arboricity(g: Graph) -> int:
 
 def _mixed_cert(n, rows, g, t):
     """Certificate of a partial orientation: oriented arcs as arcs, the not
-    yet oriented edges as digons, vertices split processed/unprocessed."""
-    prefix_mask = (1 << t) - 1
-    mixed = list(rows)
-    for v in range(n):
-        open_nb = g.rows[v] & ~prefix_mask if v < t else g.rows[v]
-        mixed[v] |= open_nb
-    return canonical_cert(
-        Digraph(n, mixed),
-        cells=(list(range(t)), list(range(t, n))),
-    )
+    yet oriented edges as digons, vertices split processed (below t) and
+    unprocessed.  Unprocessed rows are empty, and an open edge is a digon,
+    so a vertex's in-row is its edges less its oriented out-arcs; the bytes
+    are canonical_cert's on that digraph with those two cells."""
+    prefix = (1 << t) - 1
+    gr = g.rows
+    mixed = [rows[v] | gr[v] & ~prefix for v in range(t)] + list(gr[t:])
+    irows = [e & ~r for e, r in zip(gr, rows)]
+    cells = [list(range(t)), list(range(t, n))]
+    return n.to_bytes(2, "big") + _canon(n, mixed, irows, cells)[0]
 
 
 def _submasks(free: int) -> Iterator[int]:
@@ -227,12 +231,16 @@ def _submasks(free: int) -> Iterator[int]:
         sub = (sub - free) & free
 
 
-def _extend(classes, rows, irows, t):
-    """The classes with vertex t added to the first that stays acyclic, or
-    None.  rows[t] and irows[t] hold t's arcs to the earlier vertices."""
-    for c, cmask in enumerate(classes):
-        if not _creates_cycle(rows, irows, t, cmask):
-            return classes[:c] + (cmask | 1 << t,) + classes[c + 1 :]
+def _extend(pool, rows, irows, t):
+    """The first colouring of the pool with vertex t added to the first of
+    its classes that stays acyclic, or None.  The pool holds dicolourings
+    of the prefix below t, as class masks: the parent's colouring, then its
+    siblings'.  rows[t] and irows[t] hold t's arcs to the earlier
+    vertices."""
+    for classes in pool:
+        for c, cmask in enumerate(classes):
+            if not _creates_cycle(rows, irows, t, cmask):
+                return classes[:c] + (cmask | 1 << t,) + classes[c + 1 :]
     return None
 
 
@@ -287,6 +295,9 @@ def _orientation_stream(
                     out_of_t |= wbit
             if into_t & out_of_t:
                 continue
+            # dicolourings of the prefix below t: the parent's, then each
+            # that the solver found for a sibling, less t
+            pool = [classes]
             base = list(rows)
             for sub in _submasks(back & ~into_t & ~out_of_t):
                 mask = out_of_t | sub  # t -> w for w in mask, else w -> t
@@ -296,14 +307,16 @@ def _orientation_stream(
                 irows[t] = back & ~mask
                 if last:
                     candidates += 1
-                    # a colouring of the parent that extends to t settles
-                    # a final candidate before any digraph is built
+                    # a pooled colouring that extends to t settles a final
+                    # candidate before any digraph is built
                     if classes is not None:
-                        if _extend(classes, base, irows, t) is not None:
+                        if _extend(pool, base, irows, t) is not None:
                             continue
                     d = Digraph(n, _attach(rows, t, mask, back))
                     if classes is not None:
-                        if is_k_dicolourable(d, colours) is not None:
+                        col = is_k_dicolourable(d, colours)
+                        if col is not None:
+                            pool.append(_class_masks(col[:t], colours))
                             continue
                     cert = canonical_cert(d)
                     if cert not in seen:
@@ -314,7 +327,7 @@ def _orientation_stream(
                 if cert in seen or cert in rejected:
                     continue
                 if classes is not None:
-                    child_classes = _extend(classes, base, irows, t)
+                    child_classes = _extend(pool, base, irows, t)
                     if child_classes is None:
                         pre = Digraph(t + 1, child[: t + 1])
                         col = is_k_dicolourable(pre, colours)
@@ -322,6 +335,7 @@ def _orientation_stream(
                             rejected.add(cert)
                             continue
                         child_classes = _class_masks(col, colours)
+                        pool.append(_class_masks(col[:t], colours))
                     seen[cert] = (child, child_classes)
                 else:
                     seen[cert] = (child, None)
@@ -478,12 +492,15 @@ def dicritical_census(
 
     Pipeline: graphs of min degree 2(k-1), vertex arboricity filter at k,
     degree bounded orientations, exact dicriticality.  Results are
-    independent of the worker count.
+    independent of the worker count.  An order n <= 2(k-1) has no such
+    graph, so its census is empty.
     """
     if k < 2:
         raise ValueError("census needs k >= 2")
+    if not 1 <= n <= GEN_CAP:
+        raise ValueError(f"order must be within 1..{GEN_CAP}, got {n}")
     t0 = time.perf_counter()
-    graphs = gen_graphs(n, 2 * (k - 1))
+    graphs = gen_graphs(n, 2 * (k - 1)) if n > 2 * (k - 1) else []
     kept = [g for g in graphs if arboricity(g) >= k]
     tasks = [(d6_encode(bidirect(g)), k) for g in kept]
     # keep these exact bytes: checkpoints written when the filter was a

@@ -1,10 +1,11 @@
 """Independent brute-force oracles used to cross-check the library.
 
 The oracles recompute from first principles: no solver, canonical-form,
-or generator code is reused beyond the plain data types.  Seven references
+or generator code is reused beyond the plain data types.  Eight references
 are earlier versions of library internals, on top of the library's other
 layers (the solver, canonical certificates), kept to check their faster
-replacements: enumerate_dicolourings, every k-dicolouring in lexicographic
+replacements: brute_mixed_cert, the orientation stream's partial-state
+certificate as canonical_cert on a built Digraph; enumerate_dicolourings, every k-dicolouring in lexicographic
 order, which the solver's one colouring walker is checked against;
 brute_bound_chunk, the tournament-bound worker as one solver call per
 dominance mask, which the colouring cover is checked against;
@@ -618,3 +619,17 @@ def brute_gen_tournaments(n: int) -> list[Digraph]:
                     seen[cert] = child
         reps = [seen[c] for c in sorted(seen)]
     return reps
+
+
+def brute_mixed_cert(n, rows, g, t):
+    """Certificate of a partial orientation: oriented arcs as arcs, the not
+    yet oriented edges as digons, vertices split processed/unprocessed."""
+    prefix_mask = (1 << t) - 1
+    mixed = list(rows)
+    for v in range(n):
+        open_nb = g.rows[v] & ~prefix_mask if v < t else g.rows[v]
+        mixed[v] |= open_nb
+    return canonical_cert(
+        Digraph(n, mixed),
+        cells=(list(range(t)), list(range(t, n))),
+    )

@@ -90,6 +90,16 @@ def test_census_empty(capsys):
     assert out.splitlines()[0] == "count=0 min_arcs=None unique=False"
 
 
+def test_census_below_the_degree_floor(capsys):
+    for n, k in (("4", "3"), ("2", "2"), ("1", "2")):
+        code, out, _ = run_cli(capsys, "census", n, k)
+        assert code == 0
+        assert out.splitlines() == ["count=0 min_arcs=None unique=False"]
+    code, _, err = run_cli(capsys, "census", "11", "7")
+    assert code == 2
+    assert "error:" in err
+
+
 def test_census_directed_triangle(capsys):
     code, out, _ = run_cli(capsys, "census", "3", "2")
     assert code == 0

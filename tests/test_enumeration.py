@@ -34,6 +34,7 @@ from bruteforce import (
     brute_gen_graphs,
     brute_gen_tournaments,
     brute_graph_classes,
+    brute_mixed_cert,
     brute_orientation_classes,
     brute_tournament_classes,
     is_forest,
@@ -185,6 +186,48 @@ def test_census_task_matches_unfiltered_stream():
         assert _census_graph_task((g6, 3))["dicritical"] == want
 
 
+def _census_tasks(n):
+    return [
+        (d6_encode(bidirect(g)), 3) for g in gen_graphs(n, 4) if arboricity(g) >= 3
+    ]
+
+
+def test_census_worker_work_is_frozen(count_calls):
+    # the stream's solver calls over the 13 filtered order-7 graphs; 3,902
+    # when a child tried its parent's colouring alone, before the pool of
+    # its siblings' colourings
+    calls = count_calls(enumeration, "is_k_dicolourable")
+    results = [_census_graph_task(task) for task in _census_tasks(7)]
+    assert len(results) == 13
+    assert calls["is_k_dicolourable"] == 1684
+    assert sum(r["candidates"] for r in results) == 17920
+    assert sum(len(r["dicritical"]) for r in results) == 3
+
+
+def test_mixed_cert_matches_digraph_cert(monkeypatch):
+    # every partial state the order-6 and order-7 census tasks certify, and
+    # those of colour-free streams of random graphs, gets the bytes of
+    # canonical_cert on the mixed Digraph with the two cells
+    certified = []
+    real = enumeration._mixed_cert
+
+    def both(n, rows, g, t):
+        cert = real(n, rows, g, t)
+        assert cert == brute_mixed_cert(n, rows, g, t)
+        certified.append(cert)
+        return cert
+
+    monkeypatch.setattr(enumeration, "_mixed_cert", both)
+    for task in _census_tasks(6) + _census_tasks(7):
+        _census_graph_task(task)
+    assert len(certified) == 6950  # the pool changes no certificate work
+    rng = random.Random(19)
+    for _ in range(8):
+        g = random_graph(rng, rng.randint(2, 7), 0.5)
+        _orientation_stream(g, *rng.choice(((0, 0), (1, 1))))
+    assert len(certified) > 6950
+
+
 def test_gen_tournaments_counts_and_classes():
     assert [len(gen_tournaments(n)) for n in range(1, 8)] == [
         1, 1, 2, 4, 12, 56, 456,
@@ -281,6 +324,8 @@ def test_census_jobs_agree():
 
 
 def test_census_checkpoint_resume(tmp_path):
+    # resuming from a cut checkpoint is a property test in
+    # test_checkpoint_properties.py
     ck = tmp_path / "census.ckpt"
     first = dicritical_census(5, 2, checkpoint=str(ck))
     lines = [ln for ln in ck.read_text().splitlines() if ln.strip()]
@@ -289,31 +334,26 @@ def test_census_checkpoint_resume(tmp_path):
                                     "filter": "vertex"}
     assert len(lines) > 2
 
-    # truncate to a genuine partial run, then resume
-    partial = tmp_path / "partial.ckpt"
-    partial.write_text("\n".join(lines[:2]) + "\n")
-    resumed = dicritical_census(5, 2, checkpoint=str(partial))
-    assert resumed.all_dicritical == first.all_dicritical
-    assert resumed.count == first.count
-
     # a finished checkpoint answers without recomputation
     again = dicritical_census(5, 2, checkpoint=str(ck))
     assert again.all_dicritical == first.all_dicritical
 
-    # a kill mid-write leaves the last record cut mid-line; it is dropped
-    # and recomputed, giving the same file and report
-    finished = ck.read_bytes()
-    torn = tmp_path / "torn.ckpt"
-    torn.write_bytes(finished[: finished.rstrip(b"\n").rfind(b"\n") + 10])
-    resumed = dicritical_census(5, 2, checkpoint=str(torn))
-    assert torn.read_bytes() == finished
-    for rep in (first, resumed):
-        del rep.stats["seconds"]
-    assert json.dumps(resumed.to_json()) == json.dumps(first.to_json())
-
     # checkpoints are bound to their run parameters
     with pytest.raises(ValueError):
         dicritical_census(4, 2, checkpoint=str(ck))
+
+
+def test_census_below_the_degree_floor_is_empty():
+    # no oriented graph of order n <= 2(k-1) has minimum in- and
+    # out-degree k-1, so there is nothing to generate
+    for n, k in ((4, 3), (2, 2), (1, 2)):
+        rep = dicritical_census(n, k)
+        assert (rep.count, rep.min_arcs, rep.witnesses) == (0, None, [])
+        assert rep.stats["graphs"] == 0
+        assert validate_census(rep) == []
+    for n in (0, GEN_CAP + 1):
+        with pytest.raises(ValueError):
+            dicritical_census(n, 7)
 
 
 def test_census_rejects_bad_parameters():
