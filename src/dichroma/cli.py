@@ -30,7 +30,7 @@ from .reductions import (
     reduce_oriented,
     verify_equivalence,
 )
-from .solver import _verified, dichromatic_number, is_dicritical
+from .solver import dichromatic_number, is_dicritical
 from .structure import (
     cactus_edge_bound,
     cactus_induced_forest,
@@ -103,7 +103,6 @@ def cmd_dichi(args) -> int:
     d = load_digraph(text, args.format)
     t0 = time.perf_counter()
     k, col = dichromatic_number(d)
-    _verified(d, col, max(k, 1))
     report = RunReport(
         command="dichi",
         inputs=_digest(text),

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Iterator, Sequence
@@ -246,12 +247,11 @@ def _extend(pool, rows, irows, t):
 
 def _orientation_stream(
     g: Graph,
-    min_in: int,
-    min_out: int,
+    floor: int,
     colours: int | None = None,
 ) -> tuple[list[Digraph], int]:
-    """Orientation classes of g with the given degree bounds, plus the count
-    of raw final-level candidates that met the degree bounds.
+    """Orientation classes of g with in- and out-degrees at least floor,
+    plus the count of raw final-level candidates that met that bound.
 
     With colours set, only partial states whose prefix is colours-
     dicolourable are kept (sound for hereditary targets), and only complete
@@ -278,10 +278,10 @@ def _orientation_stream(
         for w in iter_bits(back):
             fut = (g.rows[w] & above).bit_count()
             deg = (g.rows[w] & prefix).bit_count()
-            window.append((w, 1 << w, min_out - fut, deg + fut - min_in))
+            window.append((w, 1 << w, floor - fut, deg + fut - floor))
         fut = (g.rows[t] & above).bit_count()
-        lo = min_out - fut  # window of t's own out-degree into the prefix
-        hi = back.bit_count() + fut - min_in
+        lo = floor - fut  # window of t's own out-degree into the prefix
+        hi = back.bit_count() + fut - floor
         last = t == n - 1
         seen: dict[bytes, tuple[tuple[int, ...], tuple[int, ...] | None]] = {}
         rejected: set[bytes] = set()
@@ -434,11 +434,13 @@ def verify_census_bound(
         "kind": "tournament-bound", "version": 2, "n": n, "k": k,
         "parents": len(parents), "chunks": len(tasks),
     }
+    # a record's verdict: True, or the counterexample of a failing chunk
+    read = lambda rec: (rec["chunk"], rec["ok"] or rec["counterexample"])
     # records come in chunk order and none is written past a failure, so
     # the first failure is the lowest failing chunk, whatever the jobs
-    for rec in checkpointed_map(_bound_record, tasks, "chunk", header, checkpoint, jobs):
-        if not rec["ok"]:
-            return False, d6_decode(rec["counterexample"])
+    for _, verdict in checkpointed_map(_bound_record, tasks, read, header, checkpoint, jobs):
+        if verdict is not True:
+            return False, d6_decode(verdict)
     return True, None
 
 
@@ -470,7 +472,7 @@ def _census_graph_task(args) -> dict:
     g = underlying_graph(d6_decode(g6))
     # every proper induced subdigraph of a k-dicritical digraph is
     # (k-1)-dicolourable, so prefixes that are not can be dropped
-    survivors, candidates = _orientation_stream(g, k - 1, k - 1, colours=k - 1)
+    survivors, candidates = _orientation_stream(g, k - 1, colours=k - 1)
     found = []
     for d in survivors:
         if is_dicritical(d, k).is_dicritical:
@@ -507,19 +509,15 @@ def dicritical_census(
     # choice carry "filter", must still resume, and bench/make_reference.py
     # compares against this header
     header = {"kind": "census", "n": n, "k": k, "filter": "vertex"}
-    done = {
-        res["graph"]: res
-        for res in checkpointed_map(
-            _census_graph_task, tasks, "graph", header, checkpoint, jobs
-        )
-    }
-
+    read = operator.itemgetter("graph", "dicritical", "candidates")
     all_dicritical: list[str] = []
     candidates = 0
-    for g6, _ in tasks:
-        res = done[g6]
-        all_dicritical.extend(res["dicritical"])
-        candidates += res["candidates"]
+    # one record per task, in any order: the totals do not depend on it
+    for _, found, count in checkpointed_map(
+        _census_graph_task, tasks, read, header, checkpoint, jobs
+    ):
+        all_dicritical.extend(found)
+        candidates += count
     all_dicritical.sort()
     arcs = [d6_decode(s).m for s in all_dicritical]
     min_arcs = min(arcs) if arcs else None

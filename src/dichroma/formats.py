@@ -129,15 +129,16 @@ def dump_digraph(d: Digraph, fmt: str | None = None) -> str:
     raise ValueError(f"unknown digraph format {fmt!r}")
 
 
-def open_checkpoint(path: str, header: dict) -> tuple[list[dict], TextIO]:
-    """The records of a run checkpoint, and the file opened for appending.
+def open_checkpoint(path: str, header: dict) -> tuple[list[tuple[int, dict]], TextIO]:
+    """The records of a run checkpoint, as (line number, record) pairs, and
+    the file opened for appending.
 
     A checkpoint whose header differs belongs to another run and raises
     ValueError.  A kill mid-write leaves a torn last line (no newline, or
     not JSON); it is dropped and cut off the file before anything is
     appended.  A missing or empty file starts with the header.
     """
-    lines: list[dict] = []
+    lines: list[tuple[int, dict]] = []
     intact = size = 0  # intact: bytes up to the end of the last good line
     if os.path.exists(path):
         with open(path, "rb") as fh:
@@ -148,13 +149,13 @@ def open_checkpoint(path: str, header: dict) -> tuple[list[dict], TextIO]:
         for i, raw in enumerate(whole):
             if raw.strip():
                 try:
-                    lines.append(json.loads(raw))
+                    lines.append((i + 1, json.loads(raw)))
                 except ValueError:
                     if i < last:
                         raise ValueError(f"checkpoint {path}: line {i + 1} is not JSON")
                     break
             intact += len(raw) + 1
-    if lines and lines[0] != header:
+    if lines and lines[0][1] != header:
         raise ValueError(f"checkpoint {path} belongs to a different run")
     if intact < size:
         os.truncate(path, intact)
@@ -168,16 +169,19 @@ def open_checkpoint(path: str, header: dict) -> tuple[list[dict], TextIO]:
 def checkpointed_map(
     fn: Callable[[tuple], dict],
     tasks: list[tuple],
-    key: str,
+    read: Callable[[dict], tuple],
     header: dict,
     checkpoint: str | None,
     jobs: int,
-) -> Iterator[dict]:
-    """Yield the record fn(task) of every task, resuming from a checkpoint.
+) -> Iterator[tuple]:
+    """Yield read(fn(task)) for every task, resuming from a checkpoint.
 
-    A task's first item names it, and its record holds that name under
-    key.  The records a checkpoint already holds (see open_checkpoint) come
-    first, in file order, and their tasks are skipped; the rest run in task
+    A task's first item names it; read(record) is what the run uses of a
+    record, the task's name first.  The records a checkpoint already holds
+    (see open_checkpoint) come first, in file order, and their tasks are
+    skipped; a stored record that is not a JSON object, lacks a field read
+    takes, names no task of the run or repeats one raises ValueError naming
+    the file and line, before any record is yielded.  The rest run in task
     order, in a process pool when jobs > 1, and each new record is appended
     and flushed before it is yielded.  A caller that stops early just leaves
     its loop: closing the generator cancels the tasks not yet started and
@@ -186,9 +190,18 @@ def checkpointed_map(
     records, ck = open_checkpoint(checkpoint, header) if checkpoint else ([], None)
     pool = None
     try:
-        yield from records
-        done = {rec[key] for rec in records}
-        todo = [t for t in tasks if t[0] not in done]
+        names = {t[0] for t in tasks}  # the tasks with no record yet
+        stored = []
+        for line, rec in records:
+            try:
+                got = read(rec)
+                names.remove(got[0])
+            except (KeyError, TypeError):  # a field or the task missing, or a list
+                raise ValueError(f"checkpoint {checkpoint}: line {line} is not a"
+                                 " record of an unrecorded task of this run") from None
+            stored.append(got)
+        yield from stored
+        todo = [t for t in tasks if t[0] in names]
         if jobs > 1 and todo:
             # imported here: serial runs never pay for the pool machinery
             from concurrent.futures import ProcessPoolExecutor
@@ -198,7 +211,7 @@ def checkpointed_map(
             if ck:
                 ck.write(json.dumps(rec) + "\n")
                 ck.flush()
-            yield rec
+            yield read(rec)
     finally:
         if pool:
             pool.shutdown(cancel_futures=True)

@@ -22,11 +22,14 @@ stack.  On a tournament every unplaced vertex has the same saturation, so
 the vertices go in the fixed order 0..n-1: there the search is
 _static_colourings, the package's one walk over colourings in a fixed
 order, which the cover, the gadget checks and vertex arboricity (with a
-forest test for _creates_cycle) walk too.  Certificates returned by every
-positive answer pass verify_dicolouring, whose acyclicity test
-(_mask_acyclic) is a sink peel driven by out-degree counts and in-rows:
-it shares no code with the class-cycle test (_creates_cycle) or any
-search, so a fault in a search cannot pass its own answers.
+forest test for _creates_cycle) walk too.  is_k_dicolourable checks each
+colouring the search finds with verify_dicolouring before returning it, so
+its callers get checked colourings; those it does not return (the cover's
+walk, the list colouring, the induced acyclic set) are checked where they
+are made.  The acyclicity test of those checks (_mask_acyclic) is a sink
+peel driven by out-degree counts and in-rows: it shares no code with the
+class-cycle test (_creates_cycle) or any search, so a fault in a search
+cannot pass its own answers.
 """
 
 from __future__ import annotations
@@ -239,11 +242,12 @@ def _dfs_colour(d: Digraph, k: int) -> list[int] | None:
 
 
 def is_k_dicolourable(d: Digraph, k: int) -> list[int] | None:
-    """A k-dicolouring as a list of colours in 1..k, or None."""
+    """A k-dicolouring as a list of colours in 1..k, or None.  The
+    colouring passes verify_dicolouring, or RuntimeError is raised."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     res = _dfs_colour(d, k)
-    return None if res is None else [c + 1 for c in res]
+    return None if res is None else _verified(d, [c + 1 for c in res], k)
 
 
 def dichromatic_number(d: Digraph) -> tuple[int, list[int]]:
@@ -327,7 +331,7 @@ def is_dicritical(d: Digraph, k: int) -> CriticalityReport:
     drops it.  Arc deletions suffice; vertex deletions are covered because a
     vertex of positive degree loses an arc first, and for k >= 2 the degree
     check rejects an isolated vertex, whose out-degree 0 is below k - 1.
-    A reported colouring that fails verify_dicolouring raises RuntimeError."""
+    Every reported colouring comes from is_k_dicolourable, which checks it."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if k == 1:
@@ -353,8 +357,7 @@ def is_dicritical(d: Digraph, k: int) -> CriticalityReport:
             k=k,
             is_dicritical=False,
             reason=f"already {k - 1}-dicolourable",
-            chi=None,
-            colouring=_verified(d, down, k - 1),
+            colouring=down,
         )
     level = is_k_dicolourable(d, k)
     if level is None:
@@ -363,7 +366,6 @@ def is_dicritical(d: Digraph, k: int) -> CriticalityReport:
             is_dicritical=False,
             reason=f"not even {k}-dicolourable",
         )
-    _verified(d, level, k)
     arc_cols: list[tuple[tuple[int, int], list[int]]] = []
     for u, v in d.arcs():
         minus = delete_arc(d, u, v)
@@ -377,7 +379,7 @@ def is_dicritical(d: Digraph, k: int) -> CriticalityReport:
                 colouring=level,
                 failing_arc=(u, v),
             )
-        arc_cols.append(((u, v), _verified(minus, sub, k - 1)))
+        arc_cols.append(((u, v), sub))
     return CriticalityReport(
         k=k,
         is_dicritical=True,
@@ -604,11 +606,8 @@ def _uncovered(t: Digraph, k: int, hard: bool = False) -> list[int]:
     partition covers, an intersection that does not depend on the order
     of the walk.
     """
-    if k > 1 and not hard:
-        col = is_k_dicolourable(t, k - 1)
-        if col is not None:
-            _verified(t, col, k - 1)
-            return []
+    if k > 1 and not hard and is_k_dicolourable(t, k - 1) is not None:
+        return []
     rows = t.rows
     left = list(range(1 << t.n))
     sufs: dict[int, frozenset[int]] = {}

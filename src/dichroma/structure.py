@@ -25,14 +25,6 @@ BIDIRECTED_ODD_CYCLE = "bidirected-odd-cycle"
 BIDIRECTED_CLIQUE = "bidirected-clique"
 OTHER = "other"
 
-BLOCK_KINDS = (
-    SINGLE_EDGE,
-    DIRECTED_CYCLE,
-    BIDIRECTED_ODD_CYCLE,
-    BIDIRECTED_CLIQUE,
-    OTHER,
-)
-
 
 @dataclass(frozen=True)
 class BlockDecomposition:

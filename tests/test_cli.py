@@ -100,6 +100,16 @@ def test_census_below_the_degree_floor(capsys):
     assert "error:" in err
 
 
+def test_census_malformed_checkpoint_is_usage_error(tmp_path, capsys):
+    ck = tmp_path / "census.ckpt"
+    assert run_cli(capsys, "census", "5", "2", "--checkpoint", str(ck))[0] == 0
+    header = ck.read_text().splitlines()[0]
+    ck.write_text(header + '\n{"graph": "&DKMME?"}\n')
+    code, out, err = run_cli(capsys, "census", "5", "2", "--checkpoint", str(ck))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: checkpoint {ck}: line 2 ")
+
+
 def test_census_directed_triangle(capsys):
     code, out, _ = run_cli(capsys, "census", "3", "2")
     assert code == 0

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 from functools import lru_cache
 from math import comb
 
@@ -25,6 +26,7 @@ from dichroma.enumeration import (
     gen_graphs,
     gen_tournaments,
     validate_census,
+    verify_census_bound,
 )
 from dichroma.formats import d6_decode, d6_encode
 from dichroma.solver import is_dicritical
@@ -157,13 +159,13 @@ def test_gen_orientations_matches_bruteforce():
     graphs = [random_graph(rng, rng.randint(1, 5), 0.5) for _ in range(12)]
     graphs.append(build_graph(4, [(a, b) for a in range(4)
                                   for b in range(a + 1, 4)]))
-    cases = [(g, floors) for g in graphs for floors in ((0, 0), (1, 1))]
-    # floors (2, 2) on minimum degree 4 leave a vertex little slack, so
+    cases = [(g, floor) for g in graphs for floor in (0, 1)]
+    # floor 2 on minimum degree 4 leaves a vertex little slack, so
     # degree-forced arcs bind; K6 is left out, its brute force takes seconds
-    cases += [(g, (2, 2)) for g in gen_graphs(6, 4) if g.m < 15]
-    for g, floors in cases:
-        ours = _orientation_stream(g, *floors)[0]
-        brute = brute_orientation_classes(g, *floors)
+    cases += [(g, 2) for g in gen_graphs(6, 4) if g.m < 15]
+    for g, floor in cases:
+        ours = _orientation_stream(g, floor)[0]
+        brute = brute_orientation_classes(g, floor, floor)
         assert len(ours) == len(brute)
         assert brute_digraph_classes(ours) == brute_digraph_classes(brute)
         for d in ours:
@@ -180,7 +182,7 @@ def test_census_task_matches_unfiltered_stream():
         g6 = d6_encode(bidirect(g))
         want = sorted(
             d6_encode(canonical_form(d))
-            for d in _orientation_stream(g, 2, 2)[0]
+            for d in _orientation_stream(g, 2)[0]
             if is_dicritical(d, 3).is_dicritical
         )
         assert _census_graph_task((g6, 3))["dicritical"] == want
@@ -224,7 +226,7 @@ def test_mixed_cert_matches_digraph_cert(monkeypatch):
     rng = random.Random(19)
     for _ in range(8):
         g = random_graph(rng, rng.randint(2, 7), 0.5)
-        _orientation_stream(g, *rng.choice(((0, 0), (1, 1))))
+        _orientation_stream(g, rng.choice((0, 1)))
     assert len(certified) > 6950
 
 
@@ -341,6 +343,39 @@ def test_census_checkpoint_resume(tmp_path):
     # checkpoints are bound to their run parameters
     with pytest.raises(ValueError):
         dicritical_census(4, 2, checkpoint=str(ck))
+
+
+_DKMME = '{"graph": "&DKMME?", "dicritical": ["&DCD@G?"], "candidates": 1}'
+
+
+@pytest.mark.parametrize("run, records", [
+    ("census", ["5"]),  # not a JSON object
+    ("census", ['["&DKMME?", [], 1]']),
+    ("census", ['{"foo": 1}']),  # fields missing
+    ("census", ['{"graph": "&DKMME?"}']),
+    ("census", ['{"graph": "&DCD@G?", "dicritical": [], "candidates": 1}']),  # no task
+    ("census", ['{"graph": ["&DKMME?"], "dicritical": [], "candidates": 1}']),
+    ("census", [_DKMME, '{"graph": "&DKMME?", "dicritical": [], "candidates": 1}']),
+    ("bound", ['{"chunk": 0}']),
+    ("bound", ['{"chunk": 0, "ok": false}']),  # a failure with no counterexample
+    ("bound", ['{"chunk": 1, "ok": true}']),  # the run has one chunk
+    ("bound", ['{"chunk": 0, "ok": true}', '{"chunk": 0, "ok": false}']),
+])
+def test_malformed_checkpoint_records_are_refused(tmp_path, run, records):
+    # a stored record the run cannot read, of a task the run does not have
+    # or already recorded, is refused with its line, not read as a result;
+    # a repeated record must not replace the first
+    ck = tmp_path / "run.ckpt"
+    rerun = {
+        "census": lambda: dicritical_census(5, 2, checkpoint=str(ck)),
+        "bound": lambda: verify_census_bound(4, 2, checkpoint=str(ck)),
+    }[run]
+    rerun()
+    bad = "\n".join([ck.read_text().splitlines()[0], *records]) + "\n"
+    ck.write_text(bad)
+    with pytest.raises(ValueError, match=f"{re.escape(str(ck))}: line {len(records) + 1} "):
+        rerun()
+    assert ck.read_text() == bad
 
 
 def test_census_below_the_degree_floor_is_empty():

@@ -127,7 +127,7 @@ def test_open_checkpoint_drops_torn_tail(tmp_path):
         ck.write_bytes(good + tail)
         records, fh = open_checkpoint(str(ck), header)
         fh.close()
-        assert records == [{"task": 1}]
+        assert records == [(2, {"task": 1})]
         assert ck.read_bytes() == good
 
     # a bad line before the last is corruption, not a torn write

@@ -13,10 +13,12 @@ from dichroma.digraphs import (
     mask_of,
 )
 from dichroma import enumeration, solver
+from dichroma.cli import main
 from dichroma.enumeration import (
     GEN_CAP, _hard_classes, gen_tournaments, verify_census_bound,
 )
 from dichroma.formats import d6_decode, d6_encode
+from dichroma.reductions import CnfFormula, reduce_digon, solve_reduction
 from dichroma.solver import (
     _bound_chunk,
     _class_masks,
@@ -394,6 +396,26 @@ def test_dicritical_colourings_are_verified(monkeypatch):
             [j] * g.n if next(solves) == bad else real(g, j)))
         with pytest.raises(RuntimeError):
             is_dicritical(d, k)
+
+
+def test_a_faulty_search_is_caught_at_every_entry(monkeypatch, capsys, tmp_path):
+    # one colour for every vertex is wrong on any digraph with a cycle;
+    # is_k_dicolourable checks it, so every caller of the search is covered
+    monkeypatch.setattr(solver, "_dfs_colour", lambda d, k: [0] * d.n)
+    triangle = d6_encode(bidirect(build_graph(3, [(0, 1), (1, 2), (0, 2)])))
+    phi = CnfFormula(3, ((1, -2, 3),))
+    for call in (
+        lambda: is_k_dicolourable(TRI, 2),
+        lambda: dichromatic_number(TRI),
+        lambda: enumeration._census_graph_task((triangle, 2)),
+        lambda: solve_reduction(reduce_digon(phi)),
+    ):
+        with pytest.raises(RuntimeError, match="fails verification"):
+            call()
+    path = tmp_path / "tri.d6"
+    path.write_text(d6_encode(TRI) + "\n")
+    assert main(["dichi", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("internal error: ")
 
 
 def test_list_dicolouring_vs_bruteforce():

@@ -157,3 +157,15 @@ def test_verify_path_shares_no_search_code():
                     todo.append(node.attr)
     assert "in_rows" in reached  # properties are followed too
     assert reached & search == set()
+
+
+def test_certificate_entries_name_their_checker():
+    # each public entry that returns a certificate checks it itself, so a
+    # refactor cannot drop that check without this test failing
+    defs = {fn.name: fn for _, tree in _modules() for _, fn in _functions(tree, "")}
+    for entry, checker in (("is_k_dicolourable", "_verified"),
+                           ("is_list_dicolourable", "verify_dicolouring"),
+                           ("max_induced_acyclic", "_mask_acyclic")):
+        names = {node.id for node in ast.walk(defs[entry])
+                 if isinstance(node, ast.Name)}
+        assert checker in names, entry
