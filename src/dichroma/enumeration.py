@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Iterator, Sequence
@@ -434,11 +433,9 @@ def verify_census_bound(
         "kind": "tournament-bound", "version": 2, "n": n, "k": k,
         "parents": len(parents), "chunks": len(tasks),
     }
-    # a record's verdict: True, or the counterexample of a failing chunk
-    read = lambda rec: (rec["chunk"], rec["ok"] or rec["counterexample"])
     # records come in chunk order and none is written past a failure, so
     # the first failure is the lowest failing chunk, whatever the jobs
-    for _, verdict in checkpointed_map(_bound_record, tasks, read, header, checkpoint, jobs):
+    for _, verdict in checkpointed_map(_bound_record, tasks, _bound_read, header, checkpoint, jobs):
         if verdict is not True:
             return False, d6_decode(verdict)
     return True, None
@@ -451,6 +448,18 @@ def _bound_record(args) -> dict:
     if counter:
         rec["counterexample"] = counter
     return rec
+
+
+def _bound_read(rec: dict) -> tuple:
+    """A bound record's chunk and verdict: True, or the counterexample of a
+    failing chunk.  A field of the wrong type raises TypeError."""
+    chunk, ok = rec["chunk"], rec["ok"]
+    verdict = ok or rec["counterexample"]
+    if type(chunk) is not int or type(ok) is not bool or not (
+        ok or isinstance(verdict, str)
+    ):
+        raise TypeError("bound record field of the wrong type")
+    return chunk, verdict
 
 
 @dataclass
@@ -484,6 +493,17 @@ def _census_graph_task(args) -> dict:
     }
 
 
+def _census_read(rec: dict) -> tuple:
+    """A census record's graph, dicritical outputs and candidate count.  A
+    field of the wrong type raises TypeError."""
+    g6, found, count = rec["graph"], rec["dicritical"], rec["candidates"]
+    if not isinstance(g6, str) or type(count) is not int or not (
+        isinstance(found, list) and all(isinstance(s, str) for s in found)
+    ):
+        raise TypeError("census record field of the wrong type")
+    return g6, found, count
+
+
 def dicritical_census(
     n: int,
     k: int,
@@ -509,12 +529,11 @@ def dicritical_census(
     # choice carry "filter", must still resume, and bench/make_reference.py
     # compares against this header
     header = {"kind": "census", "n": n, "k": k, "filter": "vertex"}
-    read = operator.itemgetter("graph", "dicritical", "candidates")
     all_dicritical: list[str] = []
     candidates = 0
     # one record per task, in any order: the totals do not depend on it
     for _, found, count in checkpointed_map(
-        _census_graph_task, tasks, read, header, checkpoint, jobs
+        _census_graph_task, tasks, _census_read, header, checkpoint, jobs
     ):
         all_dicritical.extend(found)
         candidates += count
@@ -547,14 +566,9 @@ def validate_census(report: CensusReport) -> list[str]:
         d = d6_decode(s)
         if not is_oriented(d):
             problems.append(f"{s}: not oriented")
-        ir = d.in_rows
-        if any(
-            d.rows[v].bit_count() < k - 1 or ir[v].bit_count() < k - 1
-            for v in range(d.n)
-        ):
-            problems.append(f"{s}: degree bound violated")
-        if not is_dicritical(d, k).is_dicritical:
-            problems.append(f"{s}: not {k}-dicritical")
+        crit = is_dicritical(d, k)  # tests the degree bound first
+        if not crit.is_dicritical:
+            problems.append(f"{s}: not {k}-dicritical: {crit.reason}")
         if not gallai_property_check(d, k):
             problems.append(f"{s}: low vertices not a directed cactus")
         if k == 3 and d.n >= 10:

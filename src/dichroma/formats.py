@@ -26,19 +26,11 @@ def d6_encode(d: Digraph) -> str:
     if d.n > D6_MAX:
         raise ValueError(f"digraph6 short form limited to n <= {D6_MAX}")
     n = d.n
-    bits = []
-    for u in range(n):
-        row = d.rows[u]
-        bits.extend((row >> v) & 1 for v in range(n))
-    while len(bits) % 6:
-        bits.append(0)
-    chars = ["&", chr(n + 63)]
-    for i in range(0, len(bits), 6):
-        group = 0
-        for b in bits[i : i + 6]:
-            group = group << 1 | b
-        chars.append(chr(group + 63))
-    return "".join(chars)
+    # row-major, bit v of row u at place u*n + v: the string d6_decode reads
+    bits = "".join(format(r, f"0{n}b")[::-1] for r in d.rows)
+    bits += "0" * (-len(bits) % 6)
+    body = (chr(int(bits[i : i + 6], 2) + 63) for i in range(0, len(bits), 6))
+    return "&" + chr(n + 63) + "".join(body)
 
 
 def d6_decode(s: str) -> Digraph:
@@ -180,10 +172,11 @@ def checkpointed_map(
     record, the task's name first.  The records a checkpoint already holds
     (see open_checkpoint) come first, in file order, and their tasks are
     skipped; a stored record that is not a JSON object, lacks a field read
-    takes, names no task of the run or repeats one raises ValueError naming
-    the file and line, before any record is yielded.  The rest run in task
-    order, in a process pool when jobs > 1, and each new record is appended
-    and flushed before it is yielded.  A caller that stops early just leaves
+    takes, has one of the wrong type (read raises TypeError), names no task
+    of the run or repeats one raises ValueError naming the file and line,
+    before any record is yielded.  The rest run in task order, in a process
+    pool when jobs > 1, and each new record is appended and flushed before
+    it is yielded.  A caller that stops early just leaves
     its loop: closing the generator cancels the tasks not yet started and
     closes the file.
     """

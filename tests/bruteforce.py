@@ -242,79 +242,6 @@ def brute_tournament_classes(n: int):
     return list(reps.values())
 
 
-def dpll(num_vars: int, clauses) -> bool:
-    """Plain DPLL with unit propagation, for CNF cross-checks."""
-
-    def simplify(clauses, lit):
-        out = []
-        for cl in clauses:
-            if lit in cl:
-                continue
-            reduced = [x for x in cl if x != -lit]
-            if not reduced:
-                return None
-            out.append(reduced)
-        return out
-
-    def solve(clauses) -> bool:
-        while True:
-            units = [cl[0] for cl in clauses if len(cl) == 1]
-            if not units:
-                break
-            clauses = simplify(clauses, units[0])
-            if clauses is None:
-                return False
-        if not clauses:
-            return True
-        var = abs(clauses[0][0])
-        for lit in (var, -var):
-            nxt = simplify(clauses, lit)
-            if nxt is not None and solve(nxt):
-                return True
-        return False
-
-    return solve([list(cl) for cl in clauses])
-
-
-def dicolouring_cnf(d: Digraph, k: int) -> tuple[int, list[list[int]]]:
-    """CNF satisfiable iff d is k-dicolourable.
-
-    Variables x(v,c) = 1 + v*k + c ("v gets colour c") and order variables
-    y(u,v) for u < v ("u before v"); a monochromatic arc forces its tail
-    before its head, and transitivity of the order forbids monochromatic
-    cycles.
-    """
-    n = d.n
-    nx = n * k
-
-    def x(v, c):
-        return 1 + v * k + c
-
-    pair_index = {}
-    nxt = nx + 1
-    for u in range(n):
-        for v in range(u + 1, n):
-            pair_index[(u, v)] = nxt
-            nxt += 1
-
-    def before(u, v):
-        # literal meaning "u precedes v"
-        if u < v:
-            return pair_index[(u, v)]
-        return -pair_index[(v, u)]
-
-    clauses: list[list[int]] = []
-    for v in range(n):
-        clauses.append([x(v, c) for c in range(k)])
-    for u, v in d.arcs():
-        for c in range(k):
-            clauses.append([-x(u, c), -x(v, c), before(u, v)])
-    for a, b, c in itertools.combinations(range(n), 3):
-        for p, q, r in itertools.permutations((a, b, c)):
-            clauses.append([-before(p, q), -before(q, r), before(p, r)])
-    return nxt - 1, clauses
-
-
 def random_digraph(rng, n: int, p: float = 0.35) -> Digraph:
     arcs = [
         (u, v)

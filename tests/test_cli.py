@@ -327,6 +327,7 @@ def test_verify_paper_full_censuses_once_per_run(capsys, monkeypatch, tmp_path):
         results.append(json.loads(out)["results"])
     full, quick = results
     assert sorted(full) == sorted(FULL_CLAIMS)
+    assert all(r["pass"] for r in full.values())
     # claims are reseeded per row, so the quick rows repeat exactly
     assert quick == {slug: full[slug] for slug in QUICK_CLAIMS}
     assert [slug for slug, *_ in claims.CLAIMS] == FULL_CLAIMS

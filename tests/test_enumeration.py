@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -14,10 +15,12 @@ from dichroma.digraphs import (
     bidirect,
     build_digraph,
     build_graph,
+    circulant_tournament,
     is_oriented,
 )
 from dichroma.enumeration import (
     GEN_CAP,
+    CensusReport,
     _census_graph_task,
     _hard_classes,
     _orientation_stream,
@@ -29,6 +32,7 @@ from dichroma.enumeration import (
     verify_census_bound,
 )
 from dichroma.formats import d6_decode, d6_encode
+from dichroma.reductions import DEFAULT_G3_D6
 from dichroma.solver import is_dicritical
 
 from bruteforce import (
@@ -317,6 +321,40 @@ def test_census_six_three_is_empty():
     assert validate_census(rep) == []
 
 
+def _circulant(n, diffs):
+    return build_digraph(n, [(v, (v + x) % n) for v in range(n) for x in diffs])
+
+
+@pytest.mark.parametrize("k, d, lines", [
+    (2, build_digraph(2, [(0, 1), (1, 0)]), ["not oriented"]),  # 2-dicritical
+    (3, _circulant(3, (1,)),
+     ["not 3-dicritical: vertex 0 has in- or out-degree below 2"]),
+    (3, circulant_tournament(5, (1, 2)),
+     ["not 3-dicritical: already 2-dicolourable",
+      "low vertices not a directed cactus"]),
+    (3, _circulant(10, (1,)),
+     ["not 3-dicritical: vertex 0 has in- or out-degree below 2",
+      "order >= 10 with fewer than 21 arcs"]),
+    (3, _circulant(10, (1, 3)),
+     ["not 3-dicritical: already 2-dicolourable",
+      "low vertices not a directed cactus",
+      "order >= 10 with fewer than 21 arcs",
+      "order >= 10 and 2-diregular"]),
+], ids=["digon", "triangle", "tournament5", "cycle10", "circulant10"])
+def test_validate_census_names_each_fault(k, d, lines):
+    s = d6_encode(d)
+    rep = CensusReport(n=d.n, k=k, count=1, min_arcs=d.m, witnesses=[s],
+                       all_dicritical=[s])
+    assert validate_census(rep) == [f"{s}: {line}" for line in lines]
+
+
+def test_validate_census_checks_witness_arcs():
+    rep = CensusReport(n=7, k=3, count=1, min_arcs=21, witnesses=[DEFAULT_G3_D6],
+                       all_dicritical=[DEFAULT_G3_D6])
+    assert validate_census(rep) == ["witness arc counts disagree with min_arcs"]
+    assert validate_census(dataclasses.replace(rep, min_arcs=20)) == []
+
+
 def test_census_jobs_agree():
     base = dicritical_census(5, 2)
     jobs = dicritical_census(5, 2, jobs=2)
@@ -360,6 +398,16 @@ _DKMME = '{"graph": "&DKMME?", "dicritical": ["&DCD@G?"], "candidates": 1}'
     ("bound", ['{"chunk": 0, "ok": false}']),  # a failure with no counterexample
     ("bound", ['{"chunk": 1, "ok": true}']),  # the run has one chunk
     ("bound", ['{"chunk": 0, "ok": true}', '{"chunk": 0, "ok": false}']),
+    # fields of the wrong type
+    ("census", ['{"graph": "&DKMME?", "dicritical": 5, "candidates": 1}']),
+    ("census", ['{"graph": "&DKMME?", "dicritical": [5], "candidates": 1}']),
+    ("census", ['{"graph": "&DKMME?", "dicritical": "&DCD@G?", "candidates": 1}']),
+    ("census", ['{"graph": "&DKMME?", "dicritical": [], "candidates": "1"}']),
+    ("census", ['{"graph": "&DKMME?", "dicritical": [], "candidates": true}']),
+    ("bound", ['{"chunk": 0, "ok": 1}']),
+    ("bound", ['{"chunk": 0, "ok": "yes"}']),
+    ("bound", ['{"chunk": 0, "ok": false, "counterexample": 5}']),
+    ("bound", ['{"chunk": false, "ok": true}']),  # False == 0
 ])
 def test_malformed_checkpoint_records_are_refused(tmp_path, run, records):
     # a stored record the run cannot read, of a task the run does not have

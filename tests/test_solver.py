@@ -43,8 +43,6 @@ from bruteforce import (
     brute_max_induced_acyclic,
     brute_shortest_cycle,
     brute_uncovered,
-    dicolouring_cnf,
-    dpll,
     kahn_acyclic,
     random_digraph,
     random_oriented,
@@ -432,16 +430,6 @@ def test_list_dicolouring_vs_bruteforce():
         if got is not None:
             assert all(got[v] in lists[v] for v in range(n))
             assert verify_dicolouring(d, got, lists=lists)
-
-
-def test_cnf_export_matches_dpll():
-    rng = random.Random(55)
-    for _ in range(40):
-        n = rng.randint(1, 5)
-        d = random_digraph(rng, n, 0.5)
-        for k in (1, 2):
-            nvars, clauses = dicolouring_cnf(d, k)
-            assert dpll(nvars, clauses) == (is_k_dicolourable(d, k) is not None)
 
 
 def test_bound_chunk_matches_per_mask_loop():

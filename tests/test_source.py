@@ -32,6 +32,21 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def test_front_ends_import_no_private_name():
+    # the paper re-check checks through the entry points users call, so
+    # its claims cannot re-run a search's internals and share its faults
+    found = [
+        f"{name}.py:{node.lineno} {alias.name}"
+        for name, tree in _modules()
+        if name in ("claims", "cli")
+        for node in ast.walk(tree)
+        if _package_import(node)
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert found == []
+
+
 def test_package_imports_sit_at_module_top():
     # each module states its package dependencies once, in its import
     # block, so an import cycle fails when the package is imported
