@@ -183,11 +183,18 @@ def canonical_cert(
     return n.to_bytes(2, "big") + _canon(n, d.rows, d.in_rows, start)[0]
 
 
+def canonical_labelling(d: Digraph) -> tuple[bytes, list[int]]:
+    """canonical_cert(d) and the canonical order from one search: order[i]
+    is the vertex of d that canonical_form labels i.  d has a vertex."""
+    best, order = _canon(d.n, d.rows, d.in_rows, [list(range(d.n))])
+    return d.n.to_bytes(2, "big") + best, order
+
+
 def canonical_form(d: Digraph) -> Digraph:
     """Canonical representative of the isomorphism class of d."""
     if d.n == 0:
         return d
-    order = _canon(d.n, d.rows, d.in_rows, [list(range(d.n))])[1]
+    order = canonical_labelling(d)[1]
     pos = [0] * d.n
     for new, old in enumerate(order):
         pos[old] = new

@@ -19,10 +19,20 @@ some old vertex v leaves a class of rank i < j among the parents, then
 P_j + S is isomorphic to some P_i + S', which passes the same filter and
 comes earlier, so its class is already kept, by an earlier child.  The
 rank of P_j + S - v is read from the level below, where every child is
-certified and its rank recorded: P_j - v is mapped onto its class Q_m by
-the canonical orders of both, and S, less v, through that map.  Below the
+certified, its rank recorded and its canonical order kept, in the same
+search.  No further search labels P_j - v: each rep carries, per vertex, a
+map of its deletion onto a rep of the level below, built from its own
+parent's maps.  P_j is the child Q + S0 of a rep Q, and deleting its new
+vertex leaves Q itself, unmapped.  An older v goes through Q's map for v,
+which takes P_j - v onto the child of a rep R by S0 less v, mapped; the
+recorded canonical orders of that child and of its rep then finish the
+map.  So P_j + S - v is the child of a known rep by a known mask, and its
+rank is one lookup.  The last level deletes P_j's new vertex first, a row
+of ranks, and each older vertex only from the masks still kept.  Below the
 last level every child is still certified, since a skipped child's class
-would have no rank for the next level.
+would have no rank or canonical order for the next level, and every
+deletion of a kept child must have passed the filter of its level
+(_labels checks this).
 
 Partial orientations carry their unoriented edges as digons and a
 processed/unprocessed vertex partition inside the certificate, so states
@@ -53,7 +63,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from typing import Iterator, Sequence
 
-from .canon import _canon, canonical_cert, canonical_form
+from .canon import _canon, canonical_cert, canonical_form, canonical_labelling
 from .digraphs import (
     Digraph, Graph, bidirect, is_k_diregular, is_oriented, iter_bits, underlying_graph
 )
@@ -75,72 +85,116 @@ def _generate(n: int, extend) -> list[Digraph]:
     rejects it (a degree floor, or the tournament bound's cover).  The skip
     at the last level (module docstring) needs both to ignore labels:
     relabelling parent and mask alike gives an isomorphic child, and a
-    filter must depend only on the child's class.
+    filter must depend only on the child's class.  The carried labellings
+    also need every vertex deletion of a child kept below the last level to
+    pass the filter of its level; _labels raises RuntimeError when one does
+    not.
+
+    A level of order s is recorded as (ranks, orders, origins): the child of
+    rep m of the level below by mask has index m << s-1 | mask, ranks[index]
+    its rank among the level's reps (their count when filtered) and
+    orders[s * index:][:s] its canonical order; origins[r] is the index of
+    the child that rep r is.
     """
     reps = [Digraph(1, (0,))]
-    prev: list[Digraph] | None = None  # the level below reps, once certified
-    # rank among reps of prev[m] + mask, at m << t-1 | mask; the entries share
-    # the int objects of the ranks, so reading them allocates nothing
-    ranks: list[int] = []
+    made = ([0], b"\0", [0])  # the level of reps: K1, child of the order-0 digraph
+    under = None  # the labellings of the reps below reps, and their level
     for t in range(1, n):
-        last = t == n - 1
-        skip = last and prev is not None
-        if skip:
-            labelled = [
-                _canon(q.n, q.rows, q.in_rows, [list(range(q.n))]) for q in prev
-            ]
-            index = {best: m for m, (best, _) in enumerate(labelled)}
-            orders = [order for _, order in labelled]
-        seen: dict[bytes, Digraph] = {}  # certificate -> first child
-        # below the last level, per (parent, mask): the first child of its
-        # class, or None when filtered
-        firsts: list[Digraph | None] = []
-        for j, parent in enumerate(reps):
-            masks = range(1 << t)
-            if skip:
-                low = _deletion_ranks(parent, index, orders, ranks)
-                masks = [s for s in masks if low[s] >= j]
-            for mask in masks:
+        ranks, orders, origins = made
+        if t == n - 1:
+            seen: dict[bytes, Digraph] = {}  # certificate -> first child
+            for j, parent in enumerate(reps):
+                for mask in _kept(j, _labels(origins[j], t, under), ranks):
+                    child = extend(parent, mask)
+                    if child is not None:
+                        seen.setdefault(canonical_labelling(child)[0], child)
+            return [seen[c] for c in sorted(seen)]
+        labelled = [_labels(x, t, under) for x in origins]
+        # certificate -> (index, child) of the first child of its class, and
+        # that pair per child, or None when filtered
+        first: dict[bytes, tuple[int, Digraph]] = {}
+        firsts: list[tuple[int, Digraph] | None] = []
+        child_orders = bytearray()
+        for parent in reps:
+            for mask in range(1 << t):
                 child = extend(parent, mask)
-                if child is not None:
-                    child = seen.setdefault(canonical_cert(child), child)
-                if not last:
-                    firsts.append(child)
-        prev, reps = reps, [seen[c] for c in sorted(seen)]
-        if not last:
-            rank = {d: r for r, d in enumerate(reps)}
-            # a filtered child has no class; len(reps) exceeds every parent index
-            ranks = [len(reps) if d is None else rank[d] for d in firsts]
+                if child is None:
+                    firsts.append(None)
+                    child_orders += bytes(t + 1)
+                    continue
+                cert, order = canonical_labelling(child)
+                firsts.append(first.setdefault(cert, (len(firsts), child)))
+                child_orders.extend(order)
+        kept = [first[c] for c in sorted(first)]
+        reps = [child for _, child in kept]
+        rank = {index: r for r, (index, _) in enumerate(kept)}
+        # a filtered child has no class; len(kept) exceeds every parent index.
+        # The entries share the int objects of the ranks, so reading them
+        # allocates nothing.
+        child_ranks = [len(kept) if f is None else rank[f[0]] for f in firsts]
+        under = (labelled, *made)
+        made = (child_ranks, child_orders, [index for index, _ in kept])
     return reps
 
 
-def _deletion_ranks(p: Digraph, index, orders, ranks) -> list[int]:
-    """low[S]: the least rank, among the order-t classes, of p + S - v over
-    the old vertices v of p (order t); index maps the canonical encoding of
-    each order-(t-1) class to its position m, orders[m] is its canonical
-    order, and ranks[m << t-1 | mask] the rank of its child by mask."""
-    t = p.n
-    rows, irows = p.rows, p.in_rows
-    tables = []
-    for v in range(t):
-        below = (1 << v) - 1
-        rest = [w for w in range(t) if w != v]
-        out = [rows[w] & below | rows[w] >> 1 & ~below for w in rest]
-        inn = [irows[w] & below | irows[w] >> 1 & ~below for w in rest]
-        best, order = _canon(t - 1, out, inn, [list(range(t - 1))])
-        m = index[best]
-        # order lists p - v, and orders[m] the class, in canonical order, so
-        # pairing them maps p - v onto the class; S follows, bit v dropped
-        image = [0] * (t - 1)
-        for u, q in zip(order, orders[m]):
-            image[u] = 1 << q
-        image.insert(v, 0)
-        mapped = [0]
-        for bit in image:
-            mapped += [x | bit for x in mapped]
-        base = m << (t - 1)
-        tables.append([ranks[base | x] for x in mapped])
-    return list(map(min, *tables))
+def _labels(origin: int, t: int, under) -> list[tuple[int, list[int]]]:
+    """The deletion labellings of the order-t rep P whose child index is
+    origin, built from those of its parent q (module docstring): per vertex
+    v of P, (m, image), where u -> image[u] maps P - v onto rep m of the
+    level below, q's; image[v] is not read.  under holds the labellings of
+    the reps of q's level and that level's record (_generate).
+    """
+    s = t - 1
+    q, mask = origin >> s, origin & ((1 << s) - 1)
+    labels = []
+    if s:
+        labelled, ranks, orders, origins = under
+        for v, (m, image) in enumerate(labelled[q]):
+            sub = 0
+            for u in iter_bits(mask & ~(1 << v)):
+                sub |= 1 << image[u]
+            index = m << s - 1 | sub
+            r = ranks[index]
+            if r == len(origins):
+                raise RuntimeError(
+                    f"a vertex deletion of an order-{t} child was filtered at"
+                    f" order {s}: the filter below the last level must keep"
+                    " every deletion of a kept child"
+                )
+            at, to = s * index, s * origins[r]
+            onto = [0] * s
+            for a, b in zip(orders[at : at + s], orders[to : to + s]):
+                onto[a] = b
+            labels.append((r, [onto[x] for x in image] + [onto[s - 1]]))
+    labels.append((q, list(range(t))))
+    return labels
+
+
+def _kept(j: int, labels, ranks) -> list[int]:
+    """The masks S, ascending, for which no old vertex v of P_j, the j-th
+    parent of the last level, leaves P_j + S - v of rank below j; labels
+    are P_j's deletion labellings (_labels) and ranks those of the level of
+    P_j (_generate).  Deleting P_j's new vertex leaves its parent's child by
+    S less that vertex, one row of ranks; each later deletion looks up only
+    the masks left."""
+    t = len(labels)
+    s = t - 1
+    q = labels[-1][0]
+    row = [x for x, r in enumerate(ranks[q << s : q + 1 << s]) if r >= j]
+    masks = row + [x | 1 << s for x in row]
+    half = t // 2
+    cut = (1 << half) - 1
+    for v, (m, image) in enumerate(labels[:-1]):
+        if not masks:
+            break
+        low, high = [0], [0]  # images of the masks' low and high halves
+        for u in range(t):
+            table = low if u < half else high
+            bit = 0 if u == v else 1 << image[u]
+            table += [x | bit for x in table]
+        base = m << s
+        masks = [x for x in masks if ranks[base | low[x & cut] | high[x >> half]] >= j]
+    return masks
 
 
 def gen_graphs(n: int, min_degree: int) -> list[Graph]:
@@ -452,13 +506,16 @@ def _bound_record(args) -> dict:
 
 def _bound_read(rec: dict) -> tuple:
     """A bound record's chunk and verdict: True, or the counterexample of a
-    failing chunk.  A field of the wrong type raises TypeError."""
+    failing chunk.  A field of the wrong type raises TypeError, and a
+    counterexample that is not digraph6 ValueError."""
     chunk, ok = rec["chunk"], rec["ok"]
     verdict = ok or rec["counterexample"]
     if type(chunk) is not int or type(ok) is not bool or not (
         ok or isinstance(verdict, str)
     ):
         raise TypeError("bound record field of the wrong type")
+    if not ok:
+        d6_decode(verdict)
     return chunk, verdict
 
 
@@ -495,12 +552,15 @@ def _census_graph_task(args) -> dict:
 
 def _census_read(rec: dict) -> tuple:
     """A census record's graph, dicritical outputs and candidate count.  A
-    field of the wrong type raises TypeError."""
+    field of the wrong type raises TypeError, and an output that is not
+    digraph6 ValueError."""
     g6, found, count = rec["graph"], rec["dicritical"], rec["candidates"]
     if not isinstance(g6, str) or type(count) is not int or not (
         isinstance(found, list) and all(isinstance(s, str) for s in found)
     ):
         raise TypeError("census record field of the wrong type")
+    for s in found:
+        d6_decode(s)
     return g6, found, count
 
 

@@ -172,11 +172,11 @@ def checkpointed_map(
     record, the task's name first.  The records a checkpoint already holds
     (see open_checkpoint) come first, in file order, and their tasks are
     skipped; a stored record that is not a JSON object, lacks a field read
-    takes, has one of the wrong type (read raises TypeError), names no task
-    of the run or repeats one raises ValueError naming the file and line,
-    before any record is yielded.  The rest run in task order, in a process
-    pool when jobs > 1, and each new record is appended and flushed before
-    it is yielded.  A caller that stops early just leaves
+    takes, has one read refuses (read raises TypeError or ValueError), names
+    no task of the run or repeats one raises ValueError naming the file and
+    line, before any record is yielded.  The rest run in task order, in a
+    process pool when jobs > 1, and each new record is appended and flushed
+    before it is yielded.  A caller that stops early just leaves
     its loop: closing the generator cancels the tasks not yet started and
     closes the file.
     """
@@ -189,7 +189,7 @@ def checkpointed_map(
             try:
                 got = read(rec)
                 names.remove(got[0])
-            except (KeyError, TypeError):  # a field or the task missing, or a list
+            except (KeyError, TypeError, ValueError):  # missing, mistyped or refused
                 raise ValueError(f"checkpoint {checkpoint}: line {line} is not a"
                                  " record of an unrecorded task of this run") from None
             stored.append(got)

@@ -1,7 +1,7 @@
 """Independent brute-force oracles used to cross-check the library.
 
 The oracles recompute from first principles: no solver, canonical-form,
-or generator code is reused beyond the plain data types.  Eight references
+or generator code is reused beyond the plain data types.  Nine references
 are earlier versions of library internals, on top of the library's other
 layers (the solver, canonical certificates), kept to check their faster
 replacements: brute_mixed_cert, the orientation stream's partial-state
@@ -13,9 +13,12 @@ brute_uncovered, the colouring cover walking every colouring and skipping
 those whose class set it has seen; brute_refine, the canonical search's
 refinement recounting every vertex against every cell in every round;
 brute_shortest_cycle, the cycle search of max_induced_acyclic as a BFS
-from every vertex; and brute_gen_graphs and brute_gen_tournaments, the
+from every vertex; brute_gen_graphs and brute_gen_tournaments, the
 generators certifying every child at every level, which the
-canonical-deletion skip is checked against.
+canonical-deletion skip is checked against; and deletion_ranks, with
+brute_kept_masks around it, the skip labelling every deletion by a fresh
+canonical search, which the labellings that generation carries down its
+levels are checked against.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import random
 from typing import Iterator
 
 from dichroma import solver
-from dichroma.canon import canonical_cert
+from dichroma.canon import _canon, canonical_cert
 from dichroma.digraphs import Digraph, Graph, iter_bits, mask_of
 from dichroma.formats import d6_decode, d6_encode
 from dichroma.solver import (
@@ -560,3 +563,65 @@ def brute_mixed_cert(n, rows, g, t):
         Digraph(n, mixed),
         cells=(list(range(t)), list(range(t, n))),
     )
+
+
+def brute_kept_masks(n: int, extend) -> list[list[int]]:
+    """Per parent of the last level of enumeration._generate(n, extend), in
+    order, the masks its canonical-deletion skip keeps, each deletion
+    labelled by a fresh canonical search (deletion_ranks)."""
+    reps = [Digraph(1, (0,))]
+    prev: list[Digraph] | None = None
+    ranks: list[int] = []
+    for t in range(1, n - 1):
+        seen: dict[bytes, Digraph] = {}
+        firsts: list[Digraph | None] = []
+        for parent in reps:
+            for mask in range(1 << t):
+                child = extend(parent, mask)
+                if child is not None:
+                    child = seen.setdefault(canonical_cert(child), child)
+                firsts.append(child)
+        prev, reps = reps, [seen[c] for c in sorted(seen)]
+        rank = {d: r for r, d in enumerate(reps)}
+        ranks = [len(reps) if d is None else rank[d] for d in firsts]
+    if prev is None:
+        return [list(range(1 << (n - 1))) for _ in reps]
+    labelled = [
+        _canon(q.n, q.rows, q.in_rows, [list(range(q.n))]) for q in prev
+    ]
+    index = {best: m for m, (best, _) in enumerate(labelled)}
+    orders = [order for _, order in labelled]
+    kept = []
+    for j, parent in enumerate(reps):
+        low = deletion_ranks(parent, index, orders, ranks)
+        kept.append([s for s in range(1 << parent.n) if low[s] >= j])
+    return kept
+
+
+def deletion_ranks(p: Digraph, index, orders, ranks) -> list[int]:
+    """low[S]: the least rank, among the order-t classes, of p + S - v over
+    the old vertices v of p (order t); index maps the canonical encoding of
+    each order-(t-1) class to its position m, orders[m] is its canonical
+    order, and ranks[m << t-1 | mask] the rank of its child by mask."""
+    t = p.n
+    rows, irows = p.rows, p.in_rows
+    tables = []
+    for v in range(t):
+        below = (1 << v) - 1
+        rest = [w for w in range(t) if w != v]
+        out = [rows[w] & below | rows[w] >> 1 & ~below for w in rest]
+        inn = [irows[w] & below | irows[w] >> 1 & ~below for w in rest]
+        best, order = _canon(t - 1, out, inn, [list(range(t - 1))])
+        m = index[best]
+        # order lists p - v, and orders[m] the class, in canonical order, so
+        # pairing them maps p - v onto the class; S follows, bit v dropped
+        image = [0] * (t - 1)
+        for u, q in zip(order, orders[m]):
+            image[u] = 1 << q
+        image.insert(v, 0)
+        mapped = [0]
+        for bit in image:
+            mapped += [x | bit for x in mapped]
+        base = m << (t - 1)
+        tables.append([ranks[base | x] for x in mapped])
+    return list(map(min, *tables))

@@ -229,9 +229,9 @@ def test_criterion_12_order_10_tournaments(tmp_path, monkeypatch):
     # refused, or trusted, so the default lives with this run
     ckpt = os.environ.get("DICHROMA_T10_CHECKPOINT", str(tmp_path / "t10.ckpt"))
     orders = []  # the order of each digraph certified
-    real = enumeration.canonical_cert
-    monkeypatch.setattr(enumeration, "canonical_cert",
-                        lambda d, *a: orders.append(d.n) or real(d, *a))
+    real = enumeration.canonical_labelling
+    monkeypatch.setattr(enumeration, "canonical_labelling",
+                        lambda d: orders.append(d.n) or real(d))
     with criterion(12, 180, "every tournament on 10 vertices is "
                    "3-dicolourable"):
         ok, cex = verify_census_bound(10, 3, jobs=_env_jobs(), checkpoint=ckpt)

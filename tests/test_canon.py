@@ -5,7 +5,9 @@ import random
 import pytest
 
 from dichroma import canon
-from dichroma.canon import _refine, canonical_cert, canonical_form, is_arc_transitive
+from dichroma.canon import (
+    _refine, canonical_cert, canonical_form, canonical_labelling, is_arc_transitive,
+)
 from dichroma.digraphs import Digraph, Graph, bidirect, circulant_tournament, mask_of
 from dichroma.enumeration import gen_tournaments
 from dichroma.solver import _extend_tournament
@@ -57,6 +59,8 @@ def test_canonical_form_is_canonical():
         d = random_digraph(rng, rng.randint(1, 7), 0.4)
         cf = canonical_form(d)
         assert canonical_cert(cf) == canonical_cert(d)
+        cert, order = canonical_labelling(d)  # the generators' one search
+        assert cert == canonical_cert(d) and sorted(order) == list(range(d.n))
         assert canonical_form(cf) == cf
         perm = list(range(d.n))
         rng.shuffle(perm)

@@ -104,10 +104,12 @@ def test_census_malformed_checkpoint_is_usage_error(tmp_path, capsys):
     ck = tmp_path / "census.ckpt"
     assert run_cli(capsys, "census", "5", "2", "--checkpoint", str(ck))[0] == 0
     header = ck.read_text().splitlines()[0]
-    ck.write_text(header + '\n{"graph": "&DKMME?"}\n')
-    code, out, err = run_cli(capsys, "census", "5", "2", "--checkpoint", str(ck))
-    assert code == 2 and out == ""
-    assert err.startswith(f"error: checkpoint {ck}: line 2 ")
+    for record in ('{"graph": "&DKMME?"}',
+                   '{"graph": "&DKMME?", "dicritical": ["junk"], "candidates": 1}'):
+        ck.write_text(f"{header}\n{record}\n")
+        code, out, err = run_cli(capsys, "census", "5", "2", "--checkpoint", str(ck))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: checkpoint {ck}: line 2 ")
 
 
 def test_census_directed_triangle(capsys):

@@ -9,7 +9,7 @@ from math import comb
 
 import pytest
 
-from dichroma import enumeration
+from dichroma import canon, enumeration
 from dichroma.canon import canonical_cert, canonical_form
 from dichroma.digraphs import (
     bidirect,
@@ -17,6 +17,7 @@ from dichroma.digraphs import (
     build_graph,
     circulant_tournament,
     is_oriented,
+    iter_bits,
 )
 from dichroma.enumeration import (
     GEN_CAP,
@@ -33,13 +34,14 @@ from dichroma.enumeration import (
 )
 from dichroma.formats import d6_decode, d6_encode
 from dichroma.reductions import DEFAULT_G3_D6
-from dichroma.solver import is_dicritical
+from dichroma.solver import _extend_tournament, is_dicritical
 
 from bruteforce import (
     brute_digraph_classes,
     brute_gen_graphs,
     brute_gen_tournaments,
     brute_graph_classes,
+    brute_kept_masks,
     brute_mixed_cert,
     brute_orientation_classes,
     brute_tournament_classes,
@@ -287,18 +289,99 @@ def test_generators_match_certifying_every_child():
             assert gen_graphs(n, d) == brute_gen_graphs(n, d)
 
 
+def test_kept_masks_match_labelling_every_deletion(monkeypatch):
+    # the last level keeps, at every parent, the masks that labelling each
+    # deletion by a fresh canonical search keeps
+    runs = []
+    generate, kept = enumeration._generate, enumeration._kept
+
+    def spy_generate(n, extend):
+        runs.append((n, extend, []))
+        return generate(n, extend)
+
+    def spy_kept(*args):
+        runs[-1][2].append(kept(*args))
+        return runs[-1][2][-1]
+
+    monkeypatch.setattr(enumeration, "_generate", spy_generate)
+    monkeypatch.setattr(enumeration, "_kept", spy_kept)
+    for n in range(3, 8):
+        gen_tournaments(n)
+        for d in range(n):
+            gen_graphs(n, d)
+    _hard_classes(7, 1)
+    _hard_classes(8, 2)
+    assert len(runs) == 5 + 25 + 2
+    for n, extend, got in runs:
+        assert got == brute_kept_masks(n, extend), n
+
+
+def test_carried_labellings_are_isomorphisms(monkeypatch):
+    # every deletion P - v that generation labels, at every level, maps by
+    # its labelling onto exactly the rows of its representative; the reps
+    # of each level are those of certifying every child
+    carried = []
+    labels = enumeration._labels
+    monkeypatch.setattr(
+        enumeration, "_labels", lambda *a: carried.append(labels(*a)) or carried[-1]
+    )
+    runs = [(gen_tournaments, brute_gen_tournaments, None)]
+    runs += [(gen_graphs, brute_gen_graphs, d) for d in range(7)]
+    checked = 0
+    for gen, brute, d in runs:
+        carried.clear()
+        gen(7) if d is None else gen(7, d)
+        levels = [brute(t) if d is None else brute(t, d - (7 - t)) for t in range(1, 7)]
+        # _labels runs once per rep of orders 1..6, level by level, in order
+        assert [len(x) for x in carried] == [t for t in range(1, 7) for _ in levels[t - 1]]
+        for p, labelled in zip(itertools.chain(*levels), carried):
+            t = p.n
+            for v, (m, image) in enumerate(labelled):
+                rest = [u for u in range(t) if u != v]
+                assert sorted(image[u] for u in rest) == list(range(t - 1))
+                rows = [0] * (t - 1)
+                for u in rest:
+                    for w in iter_bits(p.rows[u] & ~(1 << v)):
+                        rows[image[u]] |= 1 << image[w]
+                if t > 1:
+                    assert rows == list(levels[t - 2][m].rows)
+                checked += 1
+    assert checked == 4563  # (rep, deleted vertex) pairs
+
+
+def test_filter_not_closed_under_deletion_is_refused():
+    # the carried labels need every deletion of a rep to be a kept child
+    # of the level below: here no order-3 child may be the directed
+    # triangle, yet order-4 children of the transitive one delete to it
+    def extend(parent, mask):
+        child = _extend_tournament(parent, mask)
+        if child.n == 3 and all(r.bit_count() == 1 for r in child.rows):
+            return None
+        return child
+
+    # every order-4 tournament extends the transitive triple, and order 4
+    # is the last level, so no order-4 rep is labelled
+    assert len(enumeration._generate(4, extend)) == 4
+    with pytest.raises(RuntimeError, match="filter below the last level"):
+        enumeration._generate(5, extend)
+
+
 def test_generator_certificate_calls_are_frozen(count_calls):
     # the number of children the generators certify; certifying every
     # child, as brute_gen_* do, takes 470, 62,422 and 6,416; the hard
-    # order-8 classes certify order 7 in full and 280 order-8 children
-    calls = count_calls(enumeration, "canonical_cert")
+    # order-8 classes certify order 7 in full and 280 order-8 children.
+    # Generation runs no canonical search but these: the last level's
+    # deletions are labelled from the level below, not searched.
+    calls = count_calls(enumeration, "canonical_labelling", "_canon")
+    count_calls(canon, "_canon")
     made = []
     for gen in (
         lambda: gen_tournaments(6), lambda: gen_tournaments(8),
         lambda: gen_graphs(8, 4), lambda: _hard_classes(8, 2),
     ):
         calls.clear()
-        made.append((len(gen()), calls["canonical_cert"]))
+        made.append((len(gen()), calls["canonical_labelling"]))
+        assert calls["_canon"] == calls["canonical_labelling"]
     assert made == [(56, 174), (6880, 11866), (424, 2613), (258, 4334)]
 
 
@@ -408,6 +491,9 @@ _DKMME = '{"graph": "&DKMME?", "dicritical": ["&DCD@G?"], "candidates": 1}'
     ("bound", ['{"chunk": 0, "ok": "yes"}']),
     ("bound", ['{"chunk": 0, "ok": false, "counterexample": 5}']),
     ("bound", ['{"chunk": false, "ok": true}']),  # False == 0
+    # strings that are not digraph6
+    ("census", ['{"graph": "&DKMME?", "dicritical": ["junk"], "candidates": 1}']),
+    ("bound", ['{"chunk": 0, "ok": false, "counterexample": "xyz"}']),
 ])
 def test_malformed_checkpoint_records_are_refused(tmp_path, run, records):
     # a stored record the run cannot read, of a task the run does not have
