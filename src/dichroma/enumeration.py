@@ -12,27 +12,27 @@ extensions by the k-cover, in a checkpointed, optionally parallel task loop.
 Graphs and tournaments are generated by vertex extension in one level loop
 (_generate).  Each level keeps, per certificate, the first child P_j + S in
 (parent, mask) order and sorts the kept children by certificate, so the
-representatives and their order are fixed by the certificate bytes.  At the
-last level a child is skipped without a certificate when it is known to be
-a duplicate (McKay's canonical deletion, used only to reject): if deleting
-some old vertex v leaves a class of rank i < j among the parents, then
-P_j + S is isomorphic to some P_i + S', which passes the same filter and
-comes earlier, so its class is already kept, by an earlier child.  The
-rank of P_j + S - v is read from the level below, where every child is
-certified, its rank recorded and its canonical order kept, in the same
-search.  No further search labels P_j - v: each rep carries, per vertex, a
-map of its deletion onto a rep of the level below, built from its own
-parent's maps.  P_j is the child Q + S0 of a rep Q, and deleting its new
-vertex leaves Q itself, unmapped.  An older v goes through Q's map for v,
-which takes P_j - v onto the child of a rep R by S0 less v, mapped; the
+representatives and their order are fixed by the certificate bytes.  A
+child is certified only when it may be the first of its class (McKay's
+canonical deletion, used only to reject): if deleting some old vertex v
+leaves a class of rank i < j among the parents, then P_j + S is isomorphic
+to some P_i + S', which passes the same filter and comes earlier.  At the
+last level such a child is skipped.  Below it, the child takes the class of
+P_i + S', and its canonical order is that child's composed with the
+isomorphism, so every child of the level has a rank and a canonical order
+for the next one without a search of its own.  The rank of P_j + S - v is
+read from the level below.  No search labels P_j - v: each rep carries, per
+vertex, a map of its deletion onto a rep of the level below, built from its
+own parent's maps.  P_j is the child Q + S0 of a rep Q, and deleting its
+new vertex leaves Q itself, unmapped.  An older v goes through Q's map for
+v, which takes P_j - v onto the child of a rep R by S0 less v, mapped; the
 recorded canonical orders of that child and of its rep then finish the
-map.  So P_j + S - v is the child of a known rep by a known mask, and its
-rank is one lookup.  The last level deletes P_j's new vertex first, a row
-of ranks, and each older vertex only from the masks still kept.  Below the
-last level every child is still certified, since a skipped child's class
-would have no rank or canonical order for the next level, and every
-deletion of a kept child must have passed the filter of its level
-(_labels checks this).
+map.  So P_j + S - v is the child of a known rep P_i by a known mask, its
+rank is one lookup, and the map with v sent to the new vertex takes
+P_j + S onto P_i + S', S' being v's row mapped.  Each parent deletes its
+new vertex first, a row of ranks, and each older vertex only from the masks
+no deletion has settled.  Every deletion of a kept child below the last
+level must have passed the filter of its level (_labels checks this).
 
 Partial orientations carry their unoriented edges as digons and a
 processed/unprocessed vertex partition inside the certificate, so states
@@ -80,15 +80,16 @@ GEN_CAP = 10
 def _generate(n: int, extend) -> list[Digraph]:
     """One order-n digraph per class reachable by vertex extension from K1,
     in certificate order.  extend(parent, mask) is the child whose new last
-    vertex meets the parent's vertices in mask one way and the rest the
-    other (adjacent or not; dominating or dominated), or None when a filter
-    rejects it (a degree floor, or the tournament bound's cover).  The skip
-    at the last level (module docstring) needs both to ignore labels:
-    relabelling parent and mask alike gives an isomorphic child, and a
-    filter must depend only on the child's class.  The carried labellings
+    vertex has the row mask, meeting the parent's vertices in mask one way
+    and the rest the other (adjacent or not; dominating or dominated), or
+    None when a filter rejects it (a degree floor, or the tournament bound's
+    cover).  Canonical deletion (module docstring) needs both to ignore
+    labels: relabelling parent and mask alike gives an isomorphic child, and
+    a filter must depend only on the child's class.  The carried labellings
     also need every vertex deletion of a child kept below the last level to
-    pass the filter of its level; _labels raises RuntimeError when one does
-    not.
+    pass the filter of its level.  _labels raises RuntimeError when one does
+    not, and _generate when a child below the last level passes the filter
+    but the earlier child it is isomorphic to did not.
 
     A level of order s is recorded as (ranks, orders, origins): the child of
     rep m of the level below by mask has index m << s-1 | mask, ranks[index]
@@ -100,14 +101,16 @@ def _generate(n: int, extend) -> list[Digraph]:
     made = ([0], b"\0", [0])  # the level of reps: K1, child of the order-0 digraph
     under = None  # the labellings of the reps below reps, and their level
     for t in range(1, n):
-        ranks, orders, origins = made
+        ranks, _, origins = made
         if t == n - 1:
             seen: dict[bytes, Digraph] = {}  # certificate -> first child
             for j, parent in enumerate(reps):
-                for mask in _kept(j, _labels(origins[j], t, under), ranks):
-                    child = extend(parent, mask)
-                    if child is not None:
-                        seen.setdefault(canonical_labelling(child)[0], child)
+                labels = _labels(origins[j], t, under)
+                for mask, v in enumerate(_first_lower(j, labels, ranks)):
+                    if v < 0:
+                        child = extend(parent, mask)
+                        if child is not None:
+                            seen.setdefault(canonical_labelling(child)[0], child)
             return [seen[c] for c in sorted(seen)]
         labelled = [_labels(x, t, under) for x in origins]
         # certificate -> (index, child) of the first child of its class, and
@@ -115,16 +118,38 @@ def _generate(n: int, extend) -> list[Digraph]:
         first: dict[bytes, tuple[int, Digraph]] = {}
         firsts: list[tuple[int, Digraph] | None] = []
         child_orders = bytearray()
-        for parent in reps:
-            for mask in range(1 << t):
+        for j, (parent, labels) in enumerate(zip(reps, labelled)):
+            for mask, v in enumerate(_first_lower(j, labels, ranks)):
                 child = extend(parent, mask)
                 if child is None:
                     firsts.append(None)
                     child_orders += bytes(t + 1)
-                    continue
-                cert, order = canonical_labelling(child)
-                firsts.append(first.setdefault(cert, (len(firsts), child)))
-                child_orders.extend(order)
+                elif v < 0:
+                    cert, order = canonical_labelling(child)
+                    firsts.append(first.setdefault(cert, (len(firsts), child)))
+                    child_orders.extend(order)
+                else:
+                    # child - v is rep r < j by psi, so the child is rep
+                    # r's child x by v's row, mapped, with v as x's new
+                    # vertex: it takes x's class, and x's order pulled back
+                    r, psi = _onto_rep(labels[v], v, mask, made)
+                    x = r << t
+                    for u in iter_bits(child.rows[v]):
+                        x |= 1 << psi[u]
+                    if firsts[x] is None:
+                        raise RuntimeError(
+                            f"an order-{t + 1} child passed the filter and an"
+                            " isomorphic one did not: the filter must depend"
+                            " only on the child's class"
+                        )
+                    firsts.append(firsts[x])
+                    psi[v] = t
+                    inverse = [0] * (t + 1)
+                    for u, w in enumerate(psi):
+                        inverse[w] = u
+                    at = (t + 1) * x
+                    order = child_orders[at : at + t + 1]
+                    child_orders.extend([inverse[w] for w in order])
         kept = [first[c] for c in sorted(first)]
         reps = [child for _, child in kept]
         rank = {index: r for r, (index, _) in enumerate(kept)}
@@ -135,6 +160,31 @@ def _generate(n: int, extend) -> list[Digraph]:
         under = (labelled, *made)
         made = (child_ranks, child_orders, [index for index, _ in kept])
     return reps
+
+
+def _onto_rep(label, v, mask, record) -> tuple[int, list[int] | None]:
+    """(r, psi): P + mask - v, for v a vertex of a rep P of order s, is rep
+    r of the level recorded as record (ranks, orders, origins), and u ->
+    psi[u] maps it onto that rep, vertex s being the one mask added; psi[v]
+    is not meaningful.  label = (m, image) maps P - v onto rep m of the
+    level below (_labels), so P + mask - v is mapped onto m's child by mask
+    less v, and the recorded canonical orders of that child and of rep r
+    finish the map.  psi is None when that child was filtered."""
+    m, image = label
+    s = len(image)
+    ranks, orders, origins = record
+    sub = 0
+    for u in iter_bits(mask & ~(1 << v)):
+        sub |= 1 << image[u]
+    index = m << s - 1 | sub
+    r = ranks[index]
+    if r == len(origins):
+        return r, None
+    at, to = s * index, s * origins[r]
+    onto = [0] * s
+    for a, b in zip(orders[at : at + s], orders[to : to + s]):
+        onto[a] = b
+    return r, [onto[x] for x in image] + [onto[s - 1]]
 
 
 def _labels(origin: int, t: int, under) -> list[tuple[int, list[int]]]:
@@ -148,53 +198,50 @@ def _labels(origin: int, t: int, under) -> list[tuple[int, list[int]]]:
     q, mask = origin >> s, origin & ((1 << s) - 1)
     labels = []
     if s:
-        labelled, ranks, orders, origins = under
-        for v, (m, image) in enumerate(labelled[q]):
-            sub = 0
-            for u in iter_bits(mask & ~(1 << v)):
-                sub |= 1 << image[u]
-            index = m << s - 1 | sub
-            r = ranks[index]
-            if r == len(origins):
+        labelled, *record = under
+        for v, label in enumerate(labelled[q]):
+            r, psi = _onto_rep(label, v, mask, record)
+            if psi is None:
                 raise RuntimeError(
                     f"a vertex deletion of an order-{t} child was filtered at"
                     f" order {s}: the filter below the last level must keep"
                     " every deletion of a kept child"
                 )
-            at, to = s * index, s * origins[r]
-            onto = [0] * s
-            for a, b in zip(orders[at : at + s], orders[to : to + s]):
-                onto[a] = b
-            labels.append((r, [onto[x] for x in image] + [onto[s - 1]]))
+            labels.append((r, psi))
     labels.append((q, list(range(t))))
     return labels
 
 
-def _kept(j: int, labels, ranks) -> list[int]:
-    """The masks S, ascending, for which no old vertex v of P_j, the j-th
-    parent of the last level, leaves P_j + S - v of rank below j; labels
-    are P_j's deletion labellings (_labels) and ranks those of the level of
-    P_j (_generate).  Deleting P_j's new vertex leaves its parent's child by
-    S less that vertex, one row of ranks; each later deletion looks up only
-    the masks left."""
+def _first_lower(j: int, labels, ranks) -> list[int]:
+    """Per mask S, the first old vertex v of P_j, the j-th rep of its level,
+    for which P_j + S - v ranks below j, or -1 when none does; labels are
+    P_j's deletion labellings (_labels) and ranks those of its level
+    (_generate).  Deleting P_j's new vertex leaves its parent's child by S
+    less that vertex, one row of ranks, so that vertex is tried first; each
+    older vertex in turn is tried only on the masks left."""
     t = len(labels)
     s = t - 1
     q = labels[-1][0]
-    row = [x for x, r in enumerate(ranks[q << s : q + 1 << s]) if r >= j]
-    masks = row + [x | 1 << s for x in row]
+    low = [s if r < j else -1 for r in ranks[q << s : q + 1 << s]]
+    low += low  # the bit of P_j's new vertex is deleted with it
+    masks = [x for x, w in enumerate(low) if w < 0]
     half = t // 2
     cut = (1 << half) - 1
     for v, (m, image) in enumerate(labels[:-1]):
         if not masks:
             break
-        low, high = [0], [0]  # images of the masks' low and high halves
+        lo, hi = [0], [0]  # images of the masks' low and high halves
         for u in range(t):
-            table = low if u < half else high
+            table = lo if u < half else hi
             bit = 0 if u == v else 1 << image[u]
             table += [x | bit for x in table]
         base = m << s
-        masks = [x for x in masks if ranks[base | low[x & cut] | high[x >> half]] >= j]
-    return masks
+        lower = [x for x in masks if ranks[base | lo[x & cut] | hi[x >> half]] < j]
+        if lower:
+            for x in lower:
+                low[x] = v
+            masks = [x for x in masks if low[x] < 0]
+    return low
 
 
 def gen_graphs(n: int, min_degree: int) -> list[Graph]:
@@ -204,7 +251,7 @@ def gen_graphs(n: int, min_degree: int) -> list[Graph]:
     gain at most n-t neighbours, so deg >= min_degree-(n-t) already holds in
     every extendable intermediate graph.  A child is then a graph of its
     order with min degree at least its level's floor, so deleting a vertex
-    leaves one that met the floor below; the last level's skip needs that.
+    leaves one that met the floor below; canonical deletion needs that.
     """
     if not 1 <= n <= GEN_CAP:
         raise ValueError(f"order must be within 1..{GEN_CAP}, got {n}")
@@ -428,8 +475,8 @@ def _hard_classes(n: int, k: int) -> list[str]:
     Every order-n class extends some order-(n-1) class, so at the last
     level of _generate the k-cover (solver._uncovered) of each parent,
     computed once as _generate visits its masks in a row, filters the
-    children.  Hardness is a property of the class, so the last level's
-    skip stays exact and the first hard child of each class is the one
+    children.  Hardness is a property of the class, so canonical deletion
+    stays exact and the first hard child of each class is the one
     gen_tournaments keeps.
     """
     cover = functools.lru_cache(maxsize=1)(lambda t: set(_uncovered(t, k)))
@@ -553,14 +600,18 @@ def _census_graph_task(args) -> dict:
 def _census_read(rec: dict) -> tuple:
     """A census record's graph, dicritical outputs and candidate count.  A
     field of the wrong type raises TypeError, and an output that is not
-    digraph6 ValueError."""
+    digraph6, or cannot be an orientation of the task's bidirected graph
+    (another order, a digon, or not half its arcs), ValueError."""
     g6, found, count = rec["graph"], rec["dicritical"], rec["candidates"]
     if not isinstance(g6, str) or type(count) is not int or not (
         isinstance(found, list) and all(isinstance(s, str) for s in found)
     ):
         raise TypeError("census record field of the wrong type")
+    g = d6_decode(g6)
     for s in found:
-        d6_decode(s)
+        d = d6_decode(s)
+        if d.n != g.n or 2 * d.m != g.m or not is_oriented(d):
+            raise ValueError(f"{s} is not an orientation of {g6}")
     return g6, found, count
 
 

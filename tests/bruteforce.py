@@ -1,7 +1,7 @@
 """Independent brute-force oracles used to cross-check the library.
 
 The oracles recompute from first principles: no solver, canonical-form,
-or generator code is reused beyond the plain data types.  Nine references
+or generator code is reused beyond the plain data types.  Ten references
 are earlier versions of library internals, on top of the library's other
 layers (the solver, canonical certificates), kept to check their faster
 replacements: brute_mixed_cert, the orientation stream's partial-state
@@ -14,11 +14,12 @@ those whose class set it has seen; brute_refine, the canonical search's
 refinement recounting every vertex against every cell in every round;
 brute_shortest_cycle, the cycle search of max_induced_acyclic as a BFS
 from every vertex; brute_gen_graphs and brute_gen_tournaments, the
-generators certifying every child at every level, which the
-canonical-deletion skip is checked against; and deletion_ranks, with
-brute_kept_masks around it, the skip labelling every deletion by a fresh
-canonical search, which the labellings that generation carries down its
-levels are checked against.
+generators certifying every child at every level, and brute_level_records,
+the level loop certifying every child below the last level, which
+canonical deletion is checked against; and deletion_ranks, with
+brute_first_lower around it, canonical deletion labelling every deletion
+by a fresh canonical search, which the labellings that generation carries
+down its levels are checked against.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import random
 from typing import Iterator
 
 from dichroma import solver
-from dichroma.canon import _canon, canonical_cert
+from dichroma.canon import _canon, canonical_cert, canonical_labelling
 from dichroma.digraphs import Digraph, Graph, iter_bits, mask_of
 from dichroma.formats import d6_decode, d6_encode
 from dichroma.solver import (
@@ -565,42 +566,63 @@ def brute_mixed_cert(n, rows, g, t):
     )
 
 
-def brute_kept_masks(n: int, extend) -> list[list[int]]:
-    """Per parent of the last level of enumeration._generate(n, extend), in
-    order, the masks its canonical-deletion skip keeps, each deletion
-    labelled by a fresh canonical search (deletion_ranks)."""
+def brute_level_records(n: int, extend) -> list[tuple[list[Digraph], tuple]]:
+    """Per level of order 1..n-1 of enumeration._generate(n, extend), n >= 2,
+    its reps and its record (ranks, orders, origins) as the level loop made
+    them when it certified every child: per certificate the first child in
+    (parent, mask) order, sorted by certificate, and each child's canonical
+    order from its own search."""
     reps = [Digraph(1, (0,))]
-    prev: list[Digraph] | None = None
-    ranks: list[int] = []
+    levels = [(reps, ([0], b"\0", [0]))]
     for t in range(1, n - 1):
-        seen: dict[bytes, Digraph] = {}
-        firsts: list[Digraph | None] = []
+        first: dict[bytes, tuple[int, Digraph]] = {}
+        firsts: list[tuple[int, Digraph] | None] = []
+        orders = bytearray()
         for parent in reps:
             for mask in range(1 << t):
                 child = extend(parent, mask)
-                if child is not None:
-                    child = seen.setdefault(canonical_cert(child), child)
-                firsts.append(child)
-        prev, reps = reps, [seen[c] for c in sorted(seen)]
-        rank = {d: r for r, d in enumerate(reps)}
-        ranks = [len(reps) if d is None else rank[d] for d in firsts]
-    if prev is None:
-        return [list(range(1 << (n - 1))) for _ in reps]
-    labelled = [
-        _canon(q.n, q.rows, q.in_rows, [list(range(q.n))]) for q in prev
-    ]
-    index = {best: m for m, (best, _) in enumerate(labelled)}
-    orders = [order for _, order in labelled]
-    kept = []
-    for j, parent in enumerate(reps):
-        low = deletion_ranks(parent, index, orders, ranks)
-        kept.append([s for s in range(1 << parent.n) if low[s] >= j])
-    return kept
+                if child is None:
+                    firsts.append(None)
+                    orders += bytes(t + 1)
+                    continue
+                cert, order = canonical_labelling(child)
+                firsts.append(first.setdefault(cert, (len(firsts), child)))
+                orders.extend(order)
+        kept = [first[c] for c in sorted(first)]
+        reps = [child for _, child in kept]
+        rank = {index: r for r, (index, _) in enumerate(kept)}
+        ranks = [len(kept) if f is None else rank[f[0]] for f in firsts]
+        levels.append((reps, (ranks, orders, [index for index, _ in kept])))
+    return levels
 
 
-def deletion_ranks(p: Digraph, index, orders, ranks) -> list[int]:
-    """low[S]: the least rank, among the order-t classes, of p + S - v over
-    the old vertices v of p (order t); index maps the canonical encoding of
+def brute_first_lower(n: int, extend) -> list[list[int]]:
+    """Per parent of every level of enumeration._generate(n, extend), level
+    by level, per mask S the first old vertex v of P_j, the j-th parent, in
+    the order canonical deletion tries them (P_j's new vertex, then the rest
+    ascending) for which P_j + S - v ranks below j, or -1; each deletion is
+    labelled by a fresh canonical search (deletion_ranks)."""
+    levels = brute_level_records(n, extend)
+    low = [[-1, -1]]  # K1's children: nothing ranks below the only parent
+    for (prev, _), (reps, (ranks, _, _)) in zip(levels, levels[1:]):
+        labelled = [
+            _canon(q.n, q.rows, q.in_rows, [list(range(q.n))]) for q in prev
+        ]
+        index = {best: m for m, (best, _) in enumerate(labelled)}
+        orders = [order for _, order in labelled]
+        for j, parent in enumerate(reps):
+            tables = deletion_ranks(parent, index, orders, ranks)
+            tries = [parent.n - 1, *range(parent.n - 1)]
+            low.append([
+                next((v for v in tries if tables[v][s] < j), -1)
+                for s in range(1 << parent.n)
+            ])
+    return low
+
+
+def deletion_ranks(p: Digraph, index, orders, ranks) -> list[list[int]]:
+    """tables[v][S]: the rank, among the order-t classes, of p + S - v for
+    each old vertex v of p (order t); index maps the canonical encoding of
     each order-(t-1) class to its position m, orders[m] is its canonical
     order, and ranks[m << t-1 | mask] the rank of its child by mask."""
     t = p.n
@@ -624,4 +646,4 @@ def deletion_ranks(p: Digraph, index, orders, ranks) -> list[int]:
             mapped += [x | bit for x in mapped]
         base = m << (t - 1)
         tables.append([ranks[base | x] for x in mapped])
-    return list(map(min, *tables))
+    return tables

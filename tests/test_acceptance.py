@@ -239,6 +239,7 @@ def test_criterion_12_order_10_tournaments(tmp_path, monkeypatch):
         with open(ckpt) as fh:
             header = json.loads(fh.readline())
         assert header["parents"] == 28308  # order-9 classes not 2-dicolourable
-        # the first layer's canonical-deletion skip: not one certificate
-        # per uncovered order-9 child (260,288)
+        # the first layer's canonical deletion: not one certificate per
+        # uncovered order-9 child (260,288), nor per order-8 child (58,368)
         assert orders.count(9) <= 30000
+        assert orders.count(8) == 7812

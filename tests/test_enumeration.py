@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -41,7 +42,8 @@ from bruteforce import (
     brute_gen_graphs,
     brute_gen_tournaments,
     brute_graph_classes,
-    brute_kept_masks,
+    brute_first_lower,
+    brute_level_records,
     brute_mixed_cert,
     brute_orientation_classes,
     brute_tournament_classes,
@@ -289,31 +291,80 @@ def test_generators_match_certifying_every_child():
             assert gen_graphs(n, d) == brute_gen_graphs(n, d)
 
 
-def test_kept_masks_match_labelling_every_deletion(monkeypatch):
-    # the last level keeps, at every parent, the masks that labelling each
-    # deletion by a fresh canonical search keeps
+def _each_generation(monkeypatch):
+    """Runs gen_tournaments(3..7), gen_graphs(3..7, d) for every d,
+    _hard_classes(7, 1) and _hard_classes(8, 2), yielding (n, extend) of
+    each _generate(n, extend) call after it has run."""
     runs = []
-    generate, kept = enumeration._generate, enumeration._kept
-
-    def spy_generate(n, extend):
-        runs.append((n, extend, []))
-        return generate(n, extend)
-
-    def spy_kept(*args):
-        runs[-1][2].append(kept(*args))
-        return runs[-1][2][-1]
-
-    monkeypatch.setattr(enumeration, "_generate", spy_generate)
-    monkeypatch.setattr(enumeration, "_kept", spy_kept)
-    for n in range(3, 8):
-        gen_tournaments(n)
-        for d in range(n):
-            gen_graphs(n, d)
-    _hard_classes(7, 1)
-    _hard_classes(8, 2)
+    generate = enumeration._generate
+    monkeypatch.setattr(
+        enumeration, "_generate", lambda n, extend: runs.append((n, extend)) or generate(n, extend)
+    )
+    jobs = [functools.partial(gen_tournaments, n) for n in range(3, 8)]
+    jobs += [functools.partial(gen_graphs, n, d) for n in range(3, 8) for d in range(n)]
+    jobs += [functools.partial(_hard_classes, 7, 1), functools.partial(_hard_classes, 8, 2)]
+    for job in jobs:
+        job()
+        yield runs[-1]
     assert len(runs) == 5 + 25 + 2
-    for n, extend, got in runs:
-        assert got == brute_kept_masks(n, extend), n
+
+
+def test_kept_masks_match_labelling_every_deletion(monkeypatch):
+    # at every level, every parent finds, per mask, the first deletion that
+    # ranks below it, as labelling each deletion by a fresh canonical search
+    # does; the masks where none does are those it certifies
+    got = []
+    first_lower = enumeration._first_lower
+    monkeypatch.setattr(
+        enumeration, "_first_lower", lambda *a: got.append(first_lower(*a)) or got[-1]
+    )
+    for n, extend in _each_generation(monkeypatch):
+        assert got == brute_first_lower(n, extend), n
+        got.clear()
+
+
+def test_level_records_match_certifying_every_child(monkeypatch):
+    # every level has the ranks and origins of certifying every child, and
+    # each child's canonical order, searched or copied from an earlier
+    # child's, relabels it onto its class's canonical form.  The orders of
+    # the level below the last are never read (the last level copies no
+    # child), so they are checked at the levels below it.
+    labels, first_lower = enumeration._labels, enumeration._first_lower
+    calls = []  # (origin, t, under) per _labels call
+    last_ranks = []
+    monkeypatch.setattr(
+        enumeration, "_labels", lambda *a: calls.append(a) or labels(*a)
+    )
+    monkeypatch.setattr(
+        enumeration, "_first_lower",
+        lambda j, lab, ranks: last_ranks.append(ranks) or first_lower(j, lab, ranks),
+    )
+    checked = 0
+    for n, extend in _each_generation(monkeypatch):
+        levels = brute_level_records(n, extend)
+        # _labels runs at order t on the origins of level t, with the
+        # record of level t - 1
+        origins = [[o for o, t, _ in calls if t == s] for s in range(1, n)]
+        records = {t - 1: under[1:] for _, t, under in calls if t > 1}
+        records[n - 1] = (last_ranks[-1], None, origins[-1])
+        for s, (reps, (ranks, orders, origin)) in enumerate(levels, 1):
+            got_ranks, got_orders, got_origins = records[s]
+            assert got_ranks == ranks and got_origins == origin == origins[s - 1], (n, s)
+            if got_orders is None or s == 1:
+                continue
+            below = levels[s - 2][0]
+            for index, r in enumerate(ranks):
+                if r == len(reps):
+                    continue  # filtered
+                child = extend(below[index >> s - 1], index & (1 << s - 1) - 1)
+                pos = [0] * s
+                for i, v in enumerate(got_orders[s * index : s * index + s]):
+                    pos[v] = i
+                assert child.relabel(pos).rows == canonical_form(child).rows
+                checked += 1
+        calls.clear()
+        last_ranks.clear()
+    assert checked == 1810  # 681 searched, 1,129 copied
 
 
 def test_carried_labellings_are_isomorphisms(monkeypatch):
@@ -366,12 +417,28 @@ def test_filter_not_closed_under_deletion_is_refused():
         enumeration._generate(5, extend)
 
 
+def test_label_dependent_filter_is_refused():
+    # the transitive triple's child whose new vertex dominates only the
+    # source is rejected, but not the cyclic triangle's children
+    # isomorphic to it; order 4 is below the last level, so those children
+    # copy the rejected one's class, and there is none
+    def extend(parent, mask):
+        if parent.rows == (6, 4, 0) and mask == 1:
+            return None
+        return _extend_tournament(parent, mask)
+
+    with pytest.raises(RuntimeError, match="an isomorphic one did not"):
+        enumeration._generate(5, extend)
+
+
 def test_generator_certificate_calls_are_frozen(count_calls):
-    # the number of children the generators certify; certifying every
-    # child, as brute_gen_* do, takes 470, 62,422 and 6,416; the hard
-    # order-8 classes certify order 7 in full and 280 order-8 children.
-    # Generation runs no canonical search but these: the last level's
-    # deletions are labelled from the level below, not searched.
+    # the number of children the generators certify: at every level, only
+    # those no deletion of which ranks below their parent.  Certifying
+    # every child, as brute_gen_* do, takes 470, 62,422 and 6,416, and
+    # certifying every child below the last level 174, 11,866, 2,613 and
+    # 4,334; the hard order-8 classes certify 280 order-8 children.
+    # Generation runs no canonical search but these: every deletion is
+    # labelled from the level below, not searched.
     calls = count_calls(enumeration, "canonical_labelling", "_canon")
     count_calls(canon, "_canon")
     made = []
@@ -382,7 +449,7 @@ def test_generator_certificate_calls_are_frozen(count_calls):
         calls.clear()
         made.append((len(gen()), calls["canonical_labelling"]))
         assert calls["_canon"] == calls["canonical_labelling"]
-    assert made == [(56, 174), (6880, 11866), (424, 2613), (258, 4334)]
+    assert made == [(56, 123), (6880, 8531), (424, 977), (258, 999)]
 
 
 def test_census_two_dicritical_is_single_directed_cycle():
@@ -494,6 +561,8 @@ _DKMME = '{"graph": "&DKMME?", "dicritical": ["&DCD@G?"], "candidates": 1}'
     # strings that are not digraph6
     ("census", ['{"graph": "&DKMME?", "dicritical": ["junk"], "candidates": 1}']),
     ("bound", ['{"chunk": 0, "ok": false, "counterexample": "xyz"}']),
+    # digraph6 that no orientation of the task graph is: order 2, one arc
+    ("census", ['{"graph": "&DKMME?", "dicritical": ["&AO"], "candidates": 1}']),
 ])
 def test_malformed_checkpoint_records_are_refused(tmp_path, run, records):
     # a stored record the run cannot read, of a task the run does not have
