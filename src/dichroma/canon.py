@@ -4,11 +4,28 @@ Refinement plus backtracking, no external dependency.  The certificate is the
 lexicographically least adjacency-matrix serialization over the leaves of an
 individualization-refinement tree, searched depth first on an explicit stack
 of frames, one per individualised vertex, so no input meets Python's
-recursion limit.  A leaf whose encoding equals the best one witnesses an
-automorphism mapping it onto the best leaf; the frames above the first index
-where the two paths diverge are then deleted, and the frame at that index
-moves on to its next child.  This collapses the search on highly symmetric
-inputs (bidirected cliques, circulant tournaments).
+recursion limit.  The search returns that least encoding and the first leaf
+in depth-first order that reaches it.
+
+Two prunes skip only leaves that have an earlier leaf, in depth-first order,
+with the same encoding, so neither the least encoding nor the first leaf that
+reaches it can move.  A leaf whose encoding equals the best one yields the
+automorphism sigma: best order[i] -> leaf[i], which respects the initial
+cells.  (1) Jump-back: sigma fixes every vertex the two paths individualised
+above the first index where they diverge, so the rest of the frame's subtree
+at that index holds only images of what the frame already explored; the
+frames above it are deleted and it moves on to its next child.  This
+collapses the search on highly symmetric inputs (bidirected cliques,
+circulant tournaments).  (2) Orbit pruning (McKay and Piperno, Practical
+graph isomorphism, II, 2014): every sigma found in the call is kept, and
+each frame keeps the children it has individualised.  Before a frame at
+depth j individualises v, it computes v's orbit under the kept sigma that
+fix path[:j] pointwise; if the orbit holds a child u the frame explored, it
+skips v.  Such an h fixes the frame's partition, so it maps subtree(u) onto
+subtree(v) leaf by leaf with equal encodings, and subtree(v) comes later.
+Skipping a subtree can also skip a jump-back the plain search took inside
+it, so a few inputs visit leaves that search skipped; all of them are
+images of explored leaves.
 
 Refinement counts only against the cells that just split (McKay and
 Piperno's splitter idea, in rounds): every cell of an equitable partition
@@ -17,6 +34,11 @@ refines against [v] alone, and each later round against the sub-cells the
 previous round produced, less the last sub-cell of each split, whose counts
 follow from its siblings' and its parent's.  The ordered partition, and so
 every certificate byte, is that of recounting against every cell.
+
+A leaf is encoded in one of two forms with the same bytes (_encode).  Up to
+64 vertices, whole-matrix shifts: the leaf's rows packed into one int, each
+new column taken from all rows at once.  Above, a walk over each row's bits,
+the rows joined as bytes.
 
 Only equality semantics are promised: cert(D1) == cert(D2) iff D1 and D2 are
 isomorphic (respecting any given cell partition).  The labelling itself is an
@@ -29,6 +51,9 @@ from __future__ import annotations
 from typing import Sequence
 
 from .digraphs import Digraph, mask_of
+
+# Largest order encoded by whole-matrix shifts (_encode).
+PACKED_MAX = 64
 
 
 def _refine(out_rows, in_rows, cells, fresh):
@@ -72,62 +97,117 @@ def _refine(out_rows, in_rows, cells, fresh):
                         (key << width | (ro & mk).bit_count()) << width
                         | (ri & mk).bit_count()
                     )
-                buckets.setdefault(key, []).append(v)
+                sub = buckets.get(key)
+                if sub is None:
+                    buckets[key] = [v]
+                else:
+                    sub.append(v)
             if len(buckets) == 1:
                 new_cells.append(cell)
-            else:
-                subs = [buckets[key] for key in sorted(buckets)]
-                new_cells += subs
-                new_fresh += [mask_of(sub) for sub in subs[:-1]]
+                continue
+            subs = [buckets[key] for key in sorted(buckets)]
+            new_cells += subs  # an empty cell has no sub-cells: it is dropped
+            for sub in subs[:-1]:
+                mk = 0
+                for v in sub:
+                    mk |= 1 << v
+                new_fresh.append(mk)
         cells = new_cells
         fresh = new_fresh
     return cells
 
 
 def _encode(n, rows, order):
-    """Adjacency bytes of the relabelling that maps order[i] to label i."""
-    pos = [0] * n
-    for new, old in enumerate(order):
-        pos[old] = new
+    """Adjacency bytes of the relabelling that maps order[i] to label i:
+    row i is rows[order[i]] relabelled, nb = ceil(n / 8) bytes big-endian,
+    row 0 first.
+
+    Up to PACKED_MAX vertices the rows are packed into one int a, a field
+    of 8 * nb bits each, and new column j is ((a >> order[j]) & COL) << j,
+    COL holding the low bit of every field: O(n^3 / 64) word operations.  Above it each
+    row's bits are walked, each looked up in a table of 1 << new position,
+    and the rows are joined as bytes: O(arcs) steps.  Per leaf, on random
+    digraphs with out-degree 3 (sparse) and arc probability 1/2 (dense),
+    shifts / walk: n = 8 about 2.3 / 5.0 us sparse and 3.4 / 6.7 us dense;
+    n = 13, 5.1 / 8.5 and 5.2 / 20 us; n = 62, 53 / 58 and 54 / 470 us;
+    n = 150, 570 / 205 and 600 / 3,300 us; n = 1,000, 100 / 2.1 ms sparse
+    and 150 / 180 ms dense (Python 3.11, 2-core x86 VM).  The forms cross
+    near n = 72 on sparse inputs, so the shifts stop at one 64-bit word per
+    row; dense inputs favour them further, but large inputs are the sparse
+    ones.
+    """
     nb = (n + 7) // 8
-    shift = 8 * nb
-    acc = 0
+    if n > PACKED_MAX:
+        bit = [0] * n
+        for new, old in enumerate(order):
+            bit[old] = 1 << new
+        out = []
+        for old in order:
+            r = rows[old]
+            nr = 0
+            while r:
+                low = r & -r
+                nr |= bit[low.bit_length() - 1]
+                r ^= low
+            out.append(nr.to_bytes(nb, "big"))
+        return b"".join(out)
+    stride = 8 * nb
+    a = 0
     for old in order:
-        r = rows[old]
-        nr = 0
-        while r:
-            low = r & -r
-            nr |= 1 << pos[low.bit_length() - 1]
-            r ^= low
-        acc = acc << shift | nr
-    return acc.to_bytes(nb * n, "big")
+        a = a << stride | rows[old]
+    col = ((1 << stride * n) - 1) // ((1 << stride) - 1)
+    enc = 0
+    for old in reversed(order):
+        enc = enc << 1 | a >> old & col
+    return enc.to_bytes(nb * n, "big")
+
+
+def _explored_image(v, autos, fixed, explored) -> bool:
+    """True iff v's orbit, under the automorphisms of autos that fix every
+    vertex of fixed, holds a vertex of explored."""
+    gens = [s for s in autos if all(s[p] == p for p in fixed)]
+    orbit = {v}
+    todo = [v]
+    while todo:
+        x = todo.pop()
+        for s in gens:
+            y = s[x]
+            if y not in orbit:
+                if y in explored:
+                    return True
+                orbit.add(y)
+                todo.append(y)
+    return False
 
 
 def _canon(n, rows, irows, cells):
     """(least leaf encoding, its vertex order) of the search from cells.
 
-    The stack holds one [partition, index of the target cell, next child]
-    frame per level, and path[i] is the vertex frame i individualised last.
-    An equal leaf is the best leaf's image under an automorphism, so the
-    subtree of the frame where their paths first diverge holds only images
-    of what that frame already explored.
+    The stack holds one [partition, index of the target cell, next child,
+    children individualised] frame per level, and path[i] is the vertex
+    frame i individualised last.  autos holds the automorphisms the equal
+    leaves witness, as lists; both prunes are in the module docstring.
     """
     best = order = None
     best_path: list[int] = []
     path: list[int] = []
     stack = []
+    autos: list[list[int]] = []
     cells = _refine(rows, irows, cells, [mask_of(c) for c in cells])
     while True:
-        for target, cell in enumerate(cells):
-            if len(cell) > 1:
-                stack.append([cells, target, 0])
-                break
+        if len(cells) < n:
+            target = next(i for i, c in enumerate(cells) if len(c) > 1)
+            stack.append([cells, target, 0, []])
         else:
             leaf = [c[0] for c in cells]
             enc = _encode(n, rows, leaf)
             if best is None or enc < best:
                 best, order, best_path = enc, leaf, path[:]
             elif enc == best:
+                sigma = [0] * n
+                for u, w in zip(order, leaf):
+                    sigma[u] = w
+                autos.append(sigma)
                 # distinct leaves, so neither path is a prefix of the other
                 j = 0
                 while path[j] == best_path[j]:
@@ -136,8 +216,13 @@ def _canon(n, rows, irows, cells):
         # the deepest frame with a child left individualises its next vertex
         while stack:
             frame = stack[-1]
-            parent, target, i = frame
+            parent, target, i, explored = frame
             cell = parent[target]
+            depth = len(stack) - 1
+            while i < len(cell) and explored and autos and _explored_image(
+                cell[i], autos, path[:depth], explored
+            ):
+                i += 1
             if i < len(cell):
                 break
             stack.pop()
@@ -145,7 +230,8 @@ def _canon(n, rows, irows, cells):
             break
         frame[2] = i + 1
         v = cell[i]
-        del path[len(stack) - 1:]
+        explored.append(v)
+        del path[depth:]
         path.append(v)
         child = parent[:target] + [[v], cell[:i] + cell[i + 1:]]
         cells = _refine(rows, irows, child + parent[target + 1:], [1 << v])

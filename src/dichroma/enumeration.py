@@ -95,7 +95,8 @@ def _generate(n: int, extend) -> list[Digraph]:
     rep m of the level below by mask has index m << s-1 | mask, ranks[index]
     its rank among the level's reps (their count when filtered) and
     orders[s * index:][:s] its canonical order; origins[r] is the index of
-    the child that rep r is.
+    the child that rep r is.  The last level reads only the ranks and
+    origins of the level below it, whose orders are None.
     """
     reps = [Digraph(1, (0,))]
     made = ([0], b"\0", [0])  # the level of reps: K1, child of the order-0 digraph
@@ -143,6 +144,8 @@ def _generate(n: int, extend) -> list[Digraph]:
                             " only on the child's class"
                         )
                     firsts.append(firsts[x])
+                    if t == n - 2:
+                        continue  # the last level reads no order of this one
                     psi[v] = t
                     inverse = [0] * (t + 1)
                     for u, w in enumerate(psi):
@@ -158,6 +161,8 @@ def _generate(n: int, extend) -> list[Digraph]:
         # allocates nothing.
         child_ranks = [len(kept) if f is None else rank[f[0]] for f in firsts]
         under = (labelled, *made)
+        if t == n - 2:
+            child_orders = None  # the copied children's orders are missing
         made = (child_ranks, child_orders, [index for index, _ in kept])
     return reps
 

@@ -1,7 +1,7 @@
 """Independent brute-force oracles used to cross-check the library.
 
 The oracles recompute from first principles: no solver, canonical-form,
-or generator code is reused beyond the plain data types.  Ten references
+or generator code is reused beyond the plain data types.  Twelve references
 are earlier versions of library internals, on top of the library's other
 layers (the solver, canonical certificates), kept to check their faster
 replacements: brute_mixed_cert, the orientation stream's partial-state
@@ -12,6 +12,9 @@ dominance mask, which the colouring cover is checked against;
 brute_uncovered, the colouring cover walking every colouring and skipping
 those whose class set it has seen; brute_refine, the canonical search's
 refinement recounting every vertex against every cell in every round;
+brute_canon and brute_encode, the canonical search pruning by jump-back
+alone and encoding each leaf row by row, which the orbit-pruned search and
+its two leaf encodings are checked against;
 brute_shortest_cycle, the cycle search of max_induced_acyclic as a BFS
 from every vertex; brute_gen_graphs and brute_gen_tournaments, the
 generators certifying every child at every level, and brute_level_records,
@@ -469,6 +472,71 @@ def brute_refine(out_rows, in_rows, cells):
         if not changed:
             return new_cells
         cells = new_cells
+
+
+def brute_encode(n, rows, order):
+    """Adjacency bytes of the relabelling that maps order[i] to label i."""
+    pos = [0] * n
+    for new, old in enumerate(order):
+        pos[old] = new
+    nb = (n + 7) // 8
+    shift = 8 * nb
+    acc = 0
+    for old in order:
+        r = rows[old]
+        nr = 0
+        while r:
+            low = r & -r
+            nr |= 1 << pos[low.bit_length() - 1]
+            r ^= low
+        acc = acc << shift | nr
+    return acc.to_bytes(nb * n, "big")
+
+
+def brute_canon(n, rows, irows, cells):
+    """(least leaf encoding, its vertex order) of the canonical search from
+    cells, pruned only by jumping back to where an equal leaf's path leaves
+    the best leaf's, each partition refined by brute_refine."""
+    best = order = None
+    best_path: list[int] = []
+    path: list[int] = []
+    stack = []
+    cells = brute_refine(rows, irows, cells)
+    while True:
+        for target, cell in enumerate(cells):
+            if len(cell) > 1:
+                stack.append([cells, target, 0])
+                break
+        else:
+            leaf = [c[0] for c in cells]
+            enc = brute_encode(n, rows, leaf)
+            if best is None or enc < best:
+                best, order, best_path = enc, leaf, path[:]
+            elif enc == best:
+                # distinct leaves, so neither path is a prefix of the other
+                j = 0
+                while path[j] == best_path[j]:
+                    j += 1
+                del stack[j + 1:]
+        # the deepest frame with a child left individualises its next vertex
+        while stack:
+            frame = stack[-1]
+            parent, target, i = frame
+            cell = parent[target]
+            if i < len(cell):
+                break
+            stack.pop()
+        else:
+            break
+        frame[2] = i + 1
+        v = cell[i]
+        del path[len(stack) - 1:]
+        path.append(v)
+        child = parent[:target] + [[v], cell[:i] + cell[i + 1:]]
+        cells = brute_refine(rows, irows, child + parent[target + 1:])
+    if best is None:
+        raise RuntimeError("canonical search reached no leaf")
+    return best, order
 
 
 def brute_shortest_cycle(rows, irows, mask) -> list[int] | None:

@@ -6,13 +6,19 @@ import pytest
 
 from dichroma import canon
 from dichroma.canon import (
-    _refine, canonical_cert, canonical_form, canonical_labelling, is_arc_transitive,
+    PACKED_MAX, _canon, _encode, _refine, canonical_cert, canonical_form,
+    canonical_labelling, is_arc_transitive,
 )
-from dichroma.digraphs import Digraph, Graph, bidirect, circulant_tournament, mask_of
+from dichroma.digraphs import (
+    Digraph, Graph, bidirect, circulant_tournament, iter_bits, mask_of,
+)
 from dichroma.enumeration import gen_tournaments
 from dichroma.solver import _extend_tournament
 
-from bruteforce import _digraph_class_key, brute_refine, random_digraph, random_graph
+from bruteforce import (
+    _digraph_class_key, brute_canon, brute_encode, brute_refine, random_digraph,
+    random_graph,
+)
 
 
 def all_digraphs(n):
@@ -170,17 +176,18 @@ def test_search_work_is_frozen(count_calls):
     # number of refinements and leaf encodings the search spends cannot.
     # The inputs are fixed lists, the second every child of every order-5
     # tournament class, so how many children a generator certifies does
-    # not enter the counts.
+    # not enter the counts.  Orbit pruning took them from 134 / 55 and
+    # 686 / 551 (jump-back alone) to the counts below.
     tournaments = gen_tournaments(5)
     calls = count_calls(canon, "_refine", "_encode")
     for n, conn in ((7, (1, 2, 4)), (11, (1, 3, 4, 5, 9)), (13, (1, 2, 3, 5, 6, 9))):
         canonical_cert(circulant_tournament(n, conn))
     canonical_cert(bidirect(Graph(6, [0b111111 & ~(1 << v) for v in range(6)])))
-    assert calls == {"_refine": 134, "_encode": 55}
+    assert calls == {"_refine": 39, "_encode": 15}
     for t in tournaments:
         for mask in range(1 << t.n):
             canonical_cert(_extend_tournament(t, mask))
-    assert calls == {"_refine": 686, "_encode": 551}
+    assert calls == {"_refine": 529, "_encode": 451}
 
 
 def _refine_inputs():
@@ -231,3 +238,103 @@ def test_refine_matches_whole_partition_refinement():
                         step = got
                 want = step
     assert children > 2000
+
+
+def _search_inputs(rng):
+    """(digraph, cells) pairs: random digraphs, bidirected random graphs,
+    circulant digraphs, unions of bidirected cliques and partial
+    orientations in _mixed_cert's shape, each relabelled at random, with
+    one to three initial cells."""
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        yield random_digraph(rng, n, rng.choice((0.1, 0.3, 0.5, 0.7, 0.9))), None
+    for _ in range(200):
+        yield bidirect(random_graph(rng, rng.randint(1, 12), rng.random())), None
+    for _ in range(200):
+        n = rng.randint(2, 15)
+        conn = rng.sample(range(1, n), rng.randint(1, n - 1))
+        yield Digraph.from_arcs(n, [(u, (u + s) % n) for u in range(n) for s in conn]), None
+    for _ in range(100):
+        sizes = [rng.randint(1, 5) for _ in range(rng.randint(1, 4))]
+        arcs, base = [], 0
+        for size in sizes:
+            arcs += [(base + u, base + v) for u in range(size) for v in range(size) if u != v]
+            base += size
+        yield Digraph.from_arcs(base, arcs), None
+    for _ in range(200):
+        # oriented arcs among the processed vertices, open edges as digons
+        n = rng.randint(3, 11)
+        g = random_graph(rng, n, rng.random())
+        t = rng.randint(1, n)
+        arcs = set()
+        for u in range(n):
+            for v in iter_bits(g.rows[u]):
+                if u < v < t:
+                    arcs.add((u, v) if rng.random() < 0.5 else (v, u))
+                elif v >= t:
+                    arcs |= {(u, v), (v, u)}
+        yield Digraph.from_arcs(n, sorted(arcs)), [list(range(t)), list(range(t, n))]
+
+
+def _shrikhande_beside_circulant(rng):
+    """The Shrikhande graph (Z4 x Z4, steps +-(1, 0), +-(0, 1), +-(1, 1))
+    beside the 6-regular circulant on 9 vertices, steps 1, 2 and 3 either
+    way, each relabelled within itself, the circulant first.  Refinement
+    cannot tell the two apart, nor, once a Shrikhande vertex is
+    individualised, the two orbits of its stabiliser on its non-neighbours,
+    so only automorphisms that fix the path may prune there.  The least
+    leaf starts in the Shrikhande graph; with the circulant's vertices
+    first, the jump-back search explores the circulant's orbits quickly."""
+    arcs = [(u, (u + s) % 9) for u in range(9) for s in (1, 2, 3, 6, 7, 8)]
+    for a, b in itertools.product(range(4), repeat=2):
+        for da, db in ((1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)):
+            arcs.append((9 + 4 * a + b, 9 + 4 * ((a + da) % 4) + (b + db) % 4))
+    d = Digraph.from_arcs(25, arcs)
+    return d.relabel(rng.sample(range(9), 9) + rng.sample(range(9, 25), 16))
+
+
+def test_search_matches_jump_back_reference():
+    # Orbit pruning and the packed leaf encoding return the very (best,
+    # order) pair of the search that prunes by jump-back alone.
+    rng = random.Random(2024)
+    cases = []
+    for d, shape in _search_inputs(rng):
+        n = d.n
+        perm = list(range(n))
+        rng.shuffle(perm)
+        d = d.relabel(perm)
+        if shape is not None:
+            cases.append((d, [[perm[v] for v in cell] for cell in shape]))
+            continue
+        cuts = sorted(rng.randint(0, n) for _ in range(2))
+        order = list(range(n))
+        rng.shuffle(order)
+        for cells in (
+            [order],
+            [order[: cuts[1]], order[cuts[1]:]],
+            [order[: cuts[0]], order[cuts[0] : cuts[1]], order[cuts[1]:]],
+        ):
+            cases.append((d, [c for c in cells if c]))
+    # two of these three relabellings lose the least leaf when pruning
+    # uses automorphisms that move the path
+    srg = random.Random(7)
+    cases += [(_shrikhande_beside_circulant(srg), [list(range(25))]) for _ in range(3)]
+    assert len(cases) == 2603
+    for d, cells in cases:
+        got = _canon(d.n, d.rows, d.in_rows, [list(c) for c in cells])
+        assert got == brute_canon(d.n, d.rows, d.in_rows, cells), (d, cells)
+
+
+def test_encode_matches_row_by_row_reference():
+    # both leaf encodings, on each side of PACKED_MAX
+    rng = random.Random(64)
+    sizes = list(range(1, 71)) + [150, 1000]
+    assert PACKED_MAX in sizes and PACKED_MAX + 1 in sizes
+    for n in sizes:
+        for p in (0.5, 3 / n):
+            if n == 1000 and p == 0.5:
+                continue  # the reference takes a quarter second
+            rows = [mask_of(w for w in range(n) if w != v and rng.random() < p) for v in range(n)]
+            order = list(range(n))
+            rng.shuffle(order)
+            assert _encode(n, rows, order) == brute_encode(n, rows, order), (n, p)
