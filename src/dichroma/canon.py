@@ -21,11 +21,11 @@ graph isomorphism, II, 2014): every sigma found in the call is kept, and
 each frame keeps the children it has individualised.  Before a frame at
 depth j individualises v, it computes v's orbit under the kept sigma that
 fix path[:j] pointwise; if the orbit holds a child u the frame explored, it
-skips v.  Such an h fixes the frame's partition, so it maps subtree(u) onto
-subtree(v) leaf by leaf with equal encodings, and subtree(v) comes later.
-Skipping a subtree can also skip a jump-back the plain search took inside
-it, so a few inputs visit leaves that search skipped; all of them are
-images of explored leaves.
+skips v.  A product h of those sigma with h(u) = v fixes the frame's
+partition, so it maps subtree(u) onto subtree(v) leaf by leaf with equal
+encodings, and subtree(v) comes later.  Skipping a subtree can also skip a
+jump-back the plain search took inside it, so a few inputs visit leaves
+that search skipped; all of them are images of explored leaves.
 
 Refinement counts only against the cells that just split (McKay and
 Piperno's splitter idea, in rounds): every cell of an equitable partition
@@ -35,10 +35,8 @@ previous round produced, less the last sub-cell of each split, whose counts
 follow from its siblings' and its parent's.  The ordered partition, and so
 every certificate byte, is that of recounting against every cell.
 
-A leaf is encoded in one of two forms with the same bytes (_encode).  Up to
-64 vertices, whole-matrix shifts: the leaf's rows packed into one int, each
-new column taken from all rows at once.  Above, a walk over each row's bits,
-the rows joined as bytes.
+A leaf is encoded by whole-matrix shifts (_encode): its rows packed into one
+int, each new column taken from all rows at once.
 
 Only equality semantics are promised: cert(D1) == cert(D2) iff D1 and D2 are
 isomorphic (respecting any given cell partition).  The labelling itself is an
@@ -51,9 +49,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from .digraphs import Digraph, mask_of
-
-# Largest order encoded by whole-matrix shifts (_encode).
-PACKED_MAX = 64
 
 
 def _refine(out_rows, in_rows, cells, fresh):
@@ -122,35 +117,16 @@ def _encode(n, rows, order):
     row i is rows[order[i]] relabelled, nb = ceil(n / 8) bytes big-endian,
     row 0 first.
 
-    Up to PACKED_MAX vertices the rows are packed into one int a, a field
-    of 8 * nb bits each, and new column j is ((a >> order[j]) & COL) << j,
-    COL holding the low bit of every field: O(n^3 / 64) word operations.  Above it each
-    row's bits are walked, each looked up in a table of 1 << new position,
-    and the rows are joined as bytes: O(arcs) steps.  Per leaf, on random
-    digraphs with out-degree 3 (sparse) and arc probability 1/2 (dense),
-    shifts / walk: n = 8 about 2.3 / 5.0 us sparse and 3.4 / 6.7 us dense;
-    n = 13, 5.1 / 8.5 and 5.2 / 20 us; n = 62, 53 / 58 and 54 / 470 us;
-    n = 150, 570 / 205 and 600 / 3,300 us; n = 1,000, 100 / 2.1 ms sparse
-    and 150 / 180 ms dense (Python 3.11, 2-core x86 VM).  The forms cross
-    near n = 72 on sparse inputs, so the shifts stop at one 64-bit word per
-    row; dense inputs favour them further, but large inputs are the sparse
-    ones.
+    The rows are packed into one int a, a field of 8 * nb bits each, and new
+    column j is ((a >> order[j]) & COL) << j, COL holding the low bit of
+    every field: n shifts of an n * 8 * nb-bit int, O(n^3 / 64) word
+    operations.  Walking each row's bits instead takes O(arcs) steps.  Per
+    leaf, shifts / walk, on random digraphs of out-degree 3 (sparse) and of
+    arc probability 1/2 (dense): n = 8, 2.0 / 4.2 us sparse and 3.1 / 7.6
+    us dense; n = 1,000 sparse, 120 / 1.1 ms (Python 3.11, 2-core x86 VM).
+    The census and the generators stop at 10 vertices.
     """
     nb = (n + 7) // 8
-    if n > PACKED_MAX:
-        bit = [0] * n
-        for new, old in enumerate(order):
-            bit[old] = 1 << new
-        out = []
-        for old in order:
-            r = rows[old]
-            nr = 0
-            while r:
-                low = r & -r
-                nr |= bit[low.bit_length() - 1]
-                r ^= low
-            out.append(nr.to_bytes(nb, "big"))
-        return b"".join(out)
     stride = 8 * nb
     a = 0
     for old in order:
@@ -162,10 +138,9 @@ def _encode(n, rows, order):
     return enc.to_bytes(nb * n, "big")
 
 
-def _explored_image(v, autos, fixed, explored) -> bool:
-    """True iff v's orbit, under the automorphisms of autos that fix every
-    vertex of fixed, holds a vertex of explored."""
-    gens = [s for s in autos if all(s[p] == p for p in fixed)]
+def _explored_image(v, gens, explored) -> bool:
+    """True iff v's orbit under the automorphisms gens holds a vertex of
+    explored."""
     orbit = {v}
     todo = [v]
     while todo:
@@ -186,13 +161,13 @@ def _canon(n, rows, irows, cells):
     The stack holds one [partition, index of the target cell, next child,
     children individualised] frame per level, and path[i] is the vertex
     frame i individualised last.  autos holds the automorphisms the equal
-    leaves witness, as lists; both prunes are in the module docstring.
+    leaves witness, as tuples; both prunes are in the module docstring.
     """
     best = order = None
     best_path: list[int] = []
     path: list[int] = []
     stack = []
-    autos: list[list[int]] = []
+    autos: set[tuple[int, ...]] = set()
     cells = _refine(rows, irows, cells, [mask_of(c) for c in cells])
     while True:
         if len(cells) < n:
@@ -207,7 +182,7 @@ def _canon(n, rows, irows, cells):
                 sigma = [0] * n
                 for u, w in zip(order, leaf):
                     sigma[u] = w
-                autos.append(sigma)
+                autos.add(tuple(sigma))
                 # distinct leaves, so neither path is a prefix of the other
                 j = 0
                 while path[j] == best_path[j]:
@@ -219,10 +194,13 @@ def _canon(n, rows, irows, cells):
             parent, target, i, explored = frame
             cell = parent[target]
             depth = len(stack) - 1
-            while i < len(cell) and explored and autos and _explored_image(
-                cell[i], autos, path[:depth], explored
-            ):
-                i += 1
+            if i < len(cell) and explored and autos:
+                fixed = path[:depth]
+                gens = [s for s in autos if all(s[p] == p for p in fixed)]
+                while i < len(cell) and gens and _explored_image(
+                    cell[i], gens, explored
+                ):
+                    i += 1
             if i < len(cell):
                 break
             stack.pop()
