@@ -5,8 +5,6 @@ from .digraphs import (
     Digraph,
     Graph,
     bidirect,
-    build_digraph,
-    build_graph,
     circulant_tournament,
     underlying_graph,
 )
@@ -27,8 +25,6 @@ __all__ = [
     "Digraph",
     "Graph",
     "bidirect",
-    "build_digraph",
-    "build_graph",
     "circulant_tournament",
     "underlying_graph",
     "d6_decode",

@@ -177,25 +177,8 @@ class Graph:
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
 
-    def relabel(self, perm: Sequence[int]) -> "Graph":
-        rows = [0] * self.n
-        for u in range(self.n):
-            r = 0
-            for v in iter_bits(self.rows[u]):
-                r |= 1 << perm[v]
-            rows[perm[u]] = r
-        return Graph(self.n, rows)
-
 
 # -- constructors ---------------------------------------------------------
-
-
-def build_digraph(n: int, arcs: Iterable[tuple[int, int]]) -> Digraph:
-    return Digraph.from_arcs(n, arcs)
-
-
-def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    return Graph.from_edges(n, edges)
 
 
 def circulant_tournament(n: int, diffs: Iterable[int]) -> Digraph:
@@ -265,10 +248,6 @@ def delete_vertex(d: Digraph, v: int) -> Digraph:
 def is_oriented(d: Digraph) -> bool:
     """True iff the digraph has no digon."""
     return not any(map(int.__and__, d.rows, d.in_rows))
-
-
-def has_digon(d: Digraph) -> bool:
-    return not is_oriented(d)
 
 
 def is_k_diregular(d: Digraph, k: int) -> bool:

@@ -11,9 +11,8 @@ from typing import Sequence
 from .digraphs import (
     Digraph,
     Graph,
-    build_graph,
-    has_digon,
     induced,
+    is_oriented,
     iter_bits,
     mask_of,
     underlying_graph,
@@ -262,7 +261,7 @@ def gallai_property_check(d: Digraph, k: int) -> bool:
     """Do the low vertices induce a directed cactus (oriented input) or a
     directed Gallai forest (general input)?"""
     sub = induced(d, low_vertices(d, k))
-    if has_digon(d):
+    if not is_oriented(d):
         return is_directed_gallai_forest(sub)
     return is_directed_cactus(sub)
 
@@ -291,4 +290,4 @@ def random_cactus(order: int, seed: int) -> Graph:
         for i in range(clen):
             edges.append((cyc[i], cyc[(i + 1) % clen]))
         n += clen - 1
-    return build_graph(n, edges)
+    return Graph.from_edges(n, edges)

@@ -1,7 +1,7 @@
 """Independent brute-force oracles used to cross-check the library.
 
 The oracles recompute from first principles: no solver, canonical-form,
-or generator code is reused beyond the plain data types.  Twelve references
+or generator code is reused beyond the plain data types.  Ten references
 are earlier versions of library internals, on top of the library's other
 layers (the solver, canonical certificates), kept to check their faster
 replacements: brute_mixed_cert, the orientation stream's partial-state
@@ -16,13 +16,12 @@ brute_canon and brute_encode, the canonical search pruning by jump-back
 alone and encoding each leaf row by row, which the orbit-pruned search and
 its two leaf encodings are checked against;
 brute_shortest_cycle, the cycle search of max_induced_acyclic as a BFS
-from every vertex; brute_gen_graphs and brute_gen_tournaments, the
-generators certifying every child at every level, and brute_level_records,
-the level loop certifying every child below the last level, which
-canonical deletion is checked against; and deletion_ranks, with
-brute_first_lower around it, canonical deletion labelling every deletion
-by a fresh canonical search, which the labellings that generation carries
-down its levels are checked against.
+from every vertex; brute_levels, the generators' level loop certifying
+every child at every level, which canonical deletion is checked against,
+with gen_graphs' extension rule written out as brute_graph_extend; and
+deletion_ranks, with brute_first_lower around it, canonical deletion
+labelling every deletion by a fresh canonical search, which the labellings
+that generation carries down its levels are checked against.
 """
 
 from __future__ import annotations
@@ -580,46 +579,6 @@ def brute_shortest_cycle(rows, irows, mask) -> list[int] | None:
     return best
 
 
-def brute_gen_graphs(n: int, min_degree: int) -> list[Graph]:
-    """gen_graphs with a certificate for every child at every level: per
-    certificate the first child in (parent, mask) order, sorted by
-    certificate."""
-    reps: list[tuple[int, ...]] = [(0,)]
-    for t in range(1, n):
-        floor = min_degree - (n - t - 1)
-        seen: dict[bytes, tuple[int, ...]] = {}
-        for rows in reps:
-            for mask in range(1 << t):
-                if mask.bit_count() < floor:
-                    continue
-                child = [r | (mask >> i & 1) << t for i, r in enumerate(rows)]
-                child.append(mask)
-                if floor > 0 and any(
-                    r.bit_count() < floor for r in child
-                ):
-                    continue
-                cert = canonical_cert(Digraph(t + 1, child))
-                if cert not in seen:
-                    seen[cert] = tuple(child)
-        reps = [seen[c] for c in sorted(seen)]
-    return [Graph(n, rows) for rows in reps]
-
-
-def brute_gen_tournaments(n: int) -> list[Digraph]:
-    """gen_tournaments with a certificate for every child at every level."""
-    reps: list[Digraph] = [Digraph(1, (0,))]
-    for t in range(1, n):
-        seen: dict[bytes, Digraph] = {}
-        for tour in reps:
-            for mask in range(1 << t):
-                child = _extend_tournament(tour, mask)
-                cert = canonical_cert(child)
-                if cert not in seen:
-                    seen[cert] = child
-        reps = [seen[c] for c in sorted(seen)]
-    return reps
-
-
 def brute_mixed_cert(n, rows, g, t):
     """Certificate of a partial orientation: oriented arcs as arcs, the not
     yet oriented edges as digons, vertices split processed/unprocessed."""
@@ -634,15 +593,31 @@ def brute_mixed_cert(n, rows, g, t):
     )
 
 
-def brute_level_records(n: int, extend) -> list[tuple[list[Digraph], tuple]]:
-    """Per level of order 1..n-1 of enumeration._generate(n, extend), n >= 2,
-    its reps and its record (ranks, orders, origins) as the level loop made
-    them when it certified every child: per certificate the first child in
-    (parent, mask) order, sorted by certificate, and each child's canonical
-    order from its own search."""
+def brute_graph_extend(n: int, min_degree: int):
+    """gen_graphs(n, min_degree)'s extension rule, written out: a child of
+    order t + 1 is kept when its every degree meets the level's floor,
+    min_degree less the n - t - 1 vertices still to come."""
+
+    def extend(g: Digraph, mask: int) -> Digraph | None:
+        t = g.n
+        child = [r | (mask >> i & 1) << t for i, r in enumerate(g.rows)]
+        child.append(mask)
+        if min(r.bit_count() for r in child) < min_degree - (n - t - 1):
+            return None
+        return Digraph(t + 1, child)
+
+    return extend
+
+
+def brute_levels(n: int, extend) -> list[tuple[list[Digraph], tuple]]:
+    """Per order 1..n of enumeration._generate(n, extend), that level's reps
+    and its record (ranks, orders, origins), made by certifying every child
+    at every level: per certificate the first child in (parent, mask)
+    order, sorted by certificate, and each child's canonical order from its
+    own search."""
     reps = [Digraph(1, (0,))]
     levels = [(reps, ([0], b"\0", [0]))]
-    for t in range(1, n - 1):
+    for t in range(1, n):
         first: dict[bytes, tuple[int, Digraph]] = {}
         firsts: list[tuple[int, Digraph] | None] = []
         orders = bytearray()
@@ -664,15 +639,16 @@ def brute_level_records(n: int, extend) -> list[tuple[list[Digraph], tuple]]:
     return levels
 
 
-def brute_first_lower(n: int, extend) -> list[list[int]]:
-    """Per parent of every level of enumeration._generate(n, extend), level
-    by level, per mask S the first old vertex v of P_j, the j-th parent, in
-    the order canonical deletion tries them (P_j's new vertex, then the rest
-    ascending) for which P_j + S - v ranks below j, or -1; each deletion is
-    labelled by a fresh canonical search (deletion_ranks)."""
-    levels = brute_level_records(n, extend)
-    low = [[-1, -1]]  # K1's children: nothing ranks below the only parent
-    for (prev, _), (reps, (ranks, _, _)) in zip(levels, levels[1:]):
+def brute_first_lower(levels) -> list[list[int]]:
+    """Per parent of every level but the last of levels (brute_levels),
+    level by level, per mask S the first old vertex v of P_j, the j-th
+    parent, in the order canonical deletion tries them (P_j's new vertex,
+    then the rest ascending) for which P_j + S - v ranks below j, or -1;
+    each deletion is labelled by a fresh canonical search
+    (deletion_ranks)."""
+    parents = levels[:-1]
+    low = [[-1, -1]] if parents else []  # K1's children: nothing ranks below it
+    for (prev, _), (reps, (ranks, _, _)) in zip(parents, parents[1:]):
         labelled = [
             _canon(q.n, q.rows, q.in_rows, [list(range(q.n))]) for q in prev
         ]

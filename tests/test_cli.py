@@ -299,16 +299,6 @@ def test_module_entry_point_subprocess():
     assert "k=2" in proc.stdout
 
 
-def test_verify_paper_quick_all_pass(capsys):
-    code, out, _ = run_cli(capsys, "verify-paper", "--json")
-    assert code == 0
-    blob = json.loads(out)
-    assert blob["command"] == "verify-paper"
-    assert blob["seed"] == 20260825
-    assert sorted(blob["results"]) == sorted(QUICK_CLAIMS)
-    assert all(r["pass"] for r in blob["results"].values())
-
-
 def test_verify_paper_full_censuses_once_per_run(capsys, monkeypatch, tmp_path):
     census = claims.dicritical_census
     calls = []
@@ -320,13 +310,16 @@ def test_verify_paper_full_censuses_once_per_run(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(claims, "dicritical_census", counted)
     monkeypatch.chdir(tmp_path)  # failure artifacts land here
     results = []
-    # every census row is a quick row, so each level censuses (7, 3) once
-    for level in ("full", "quick"):
+    # every census row is a quick row, so each level censuses (7, 3) once;
+    # quick is the default level
+    for level in (("--level", "full"), ()):
         calls.clear()
-        code, out, _ = run_cli(capsys, "verify-paper", "--level", level, "--json")
+        code, out, _ = run_cli(capsys, "verify-paper", *level, "--json")
         assert code == 0
         assert calls.count((7, 3)) == 1
-        results.append(json.loads(out)["results"])
+        blob = json.loads(out)
+        assert blob["command"] == "verify-paper" and blob["seed"] == 20260825
+        results.append(blob["results"])
     full, quick = results
     assert sorted(full) == sorted(FULL_CLAIMS)
     assert all(r["pass"] for r in full.values())

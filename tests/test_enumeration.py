@@ -13,12 +13,12 @@ import pytest
 from dichroma import canon, enumeration
 from dichroma.canon import canonical_cert, canonical_form
 from dichroma.digraphs import (
+    Digraph,
+    Graph,
     bidirect,
-    build_digraph,
-    build_graph,
     circulant_tournament,
+    delete_vertex,
     is_oriented,
-    iter_bits,
 )
 from dichroma.enumeration import (
     GEN_CAP,
@@ -39,11 +39,10 @@ from dichroma.solver import _extend_tournament, is_dicritical
 
 from bruteforce import (
     brute_digraph_classes,
-    brute_gen_graphs,
-    brute_gen_tournaments,
-    brute_graph_classes,
     brute_first_lower,
-    brute_level_records,
+    brute_graph_classes,
+    brute_graph_extend,
+    brute_levels,
     brute_mixed_cert,
     brute_orientation_classes,
     brute_tournament_classes,
@@ -113,15 +112,15 @@ def test_gen_graphs_rejects_bad_parameters():
 
 
 def test_arboricity_examples():
-    k4 = build_graph(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
-    k5 = build_graph(5, [(a, b) for a in range(5) for b in range(a + 1, 5)])
-    c5 = build_graph(5, [(i, (i + 1) % 5) for i in range(5)])
-    tree = build_graph(5, [(0, 1), (0, 2), (1, 3), (1, 4)])
+    k4 = Graph.from_edges(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
+    k5 = Graph.from_edges(5, [(a, b) for a in range(5) for b in range(a + 1, 5)])
+    c5 = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
+    tree = Graph.from_edges(5, [(0, 1), (0, 2), (1, 3), (1, 4)])
     assert arboricity(k4) == 2
     assert arboricity(k5) == 3
     assert arboricity(c5) == 2
     assert arboricity(tree) == 1
-    assert arboricity(build_graph(0, [])) == 0
+    assert arboricity(Graph.from_edges(0, [])) == 0
 
 
 def test_arboricity_work_is_frozen(count_calls):
@@ -159,14 +158,14 @@ def test_arboricity_vs_bruteforce():
 def test_arboricity_long_path():
     # one search frame per vertex, past Python's default recursion limit
     n = 1200
-    assert arboricity(build_graph(n, [(v, v + 1) for v in range(n - 1)])) == 1
+    assert arboricity(Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])) == 1
 
 
 def test_gen_orientations_matches_bruteforce():
     rng = random.Random(7)
     graphs = [random_graph(rng, rng.randint(1, 5), 0.5) for _ in range(12)]
-    graphs.append(build_graph(4, [(a, b) for a in range(4)
-                                  for b in range(a + 1, 4)]))
+    graphs.append(Graph.from_edges(4, [(a, b) for a in range(4)
+                                       for b in range(a + 1, 4)]))
     cases = [(g, floor) for g in graphs for floor in (0, 1)]
     # floor 2 on minimum degree 4 leaves a vertex little slack, so
     # degree-forced arcs bind; K6 is left out, its brute force takes seconds
@@ -282,74 +281,75 @@ def test_generated_representatives_are_frozen():
     )
 
 
-def test_generators_match_certifying_every_child():
-    # the skipped children are duplicates only: same representatives, same
-    # order as certifying every child, for every floor
-    for n in range(1, 8):
-        assert gen_tournaments(n) == brute_gen_tournaments(n)
-        for d in range(n):
-            assert gen_graphs(n, d) == brute_gen_graphs(n, d)
-
-
 def _each_generation(monkeypatch):
-    """Runs gen_tournaments(3..7), gen_graphs(3..7, d) for every d,
-    _hard_classes(7, 1) and _hard_classes(8, 2), yielding (n, extend) of
-    each _generate(n, extend) call after it has run."""
+    """Runs gen_tournaments(1..7), gen_graphs(1..7, d) for every d,
+    _hard_classes(7, 1) and _hard_classes(8, 2), yielding per
+    _generate(n, extend) call, after it has run, n, the extension rule its
+    reference walks and the reps it returned.  gen_graphs' reference walks
+    bruteforce's own rule, the others the rule they were given."""
     runs = []
     generate = enumeration._generate
     monkeypatch.setattr(
-        enumeration, "_generate", lambda n, extend: runs.append((n, extend)) or generate(n, extend)
+        enumeration, "_generate",
+        lambda n, extend: runs.append((n, extend, generate(n, extend))) or runs[-1][2],
     )
-    jobs = [functools.partial(gen_tournaments, n) for n in range(3, 8)]
-    jobs += [functools.partial(gen_graphs, n, d) for n in range(3, 8) for d in range(n)]
-    jobs += [functools.partial(_hard_classes, 7, 1), functools.partial(_hard_classes, 8, 2)]
-    for job in jobs:
+    jobs = [(functools.partial(gen_tournaments, n), None) for n in range(1, 8)]
+    jobs += [
+        (functools.partial(gen_graphs, n, d), brute_graph_extend(n, d))
+        for n in range(1, 8) for d in range(n)
+    ]
+    jobs += [(functools.partial(_hard_classes, *nk), None) for nk in ((7, 1), (8, 2))]
+    for job, rule in jobs:
         job()
-        yield runs[-1]
-    assert len(runs) == 5 + 25 + 2
+        n, extend, reps = runs[-1]
+        yield n, rule or extend, reps
+    assert len(runs) == 7 + 28 + 2
 
 
-def test_kept_masks_match_labelling_every_deletion(monkeypatch):
-    # at every level, every parent finds, per mask, the first deletion that
-    # ranks below it, as labelling each deletion by a fresh canonical search
-    # does; the masks where none does are those it certifies
-    got = []
-    first_lower = enumeration._first_lower
-    monkeypatch.setattr(
-        enumeration, "_first_lower", lambda *a: got.append(first_lower(*a)) or got[-1]
-    )
-    for n, extend in _each_generation(monkeypatch):
-        assert got == brute_first_lower(n, extend), n
-        got.clear()
-
-
-def test_level_records_match_certifying_every_child(monkeypatch):
-    # every level has the ranks and origins of certifying every child, and
-    # each child's canonical order, searched or copied from an earlier
-    # child's, relabels it onto its class's canonical form.  The orders of
-    # the level below the last are never read (the last level copies no
-    # child), so they are checked at the levels below it.
+def test_generation_matches_certifying_every_child(monkeypatch):
+    # Every generation, against brute_levels certifying every child at
+    # every level, has:
+    # - the same reps, in the same order;
+    # - per parent and mask, the first deletion that ranks below the parent
+    #   that labelling each deletion by a fresh search finds; the masks
+    #   where none does are those it certifies;
+    # - at every level below the last, the same ranks and origins, and
+    #   canonical orders, searched or copied from an earlier child's, that
+    #   relabel each child onto its class's canonical form.  The orders of
+    #   the level below the last are never read (the last level copies no
+    #   child), so they are checked below it;
+    # - deletion labellings that map each P - v onto exactly its rep.
     labels, first_lower = enumeration._labels, enumeration._first_lower
-    calls = []  # (origin, t, under) per _labels call
-    last_ranks = []
+    labelled = []  # (origin, t, under, labelling) per _labels call
+    lowered = []  # (ranks, row) per _first_lower call
     monkeypatch.setattr(
-        enumeration, "_labels", lambda *a: calls.append(a) or labels(*a)
+        enumeration, "_labels", lambda *a: labelled.append((*a, labels(*a))) or labelled[-1][3]
     )
     monkeypatch.setattr(
         enumeration, "_first_lower",
-        lambda j, lab, ranks: last_ranks.append(ranks) or first_lower(j, lab, ranks),
+        lambda j, lab, ranks: lowered.append((ranks, first_lower(j, lab, ranks))) or lowered[-1][1],
     )
-    checked = 0
-    for n, extend in _each_generation(monkeypatch):
-        levels = brute_level_records(n, extend)
+    orders_checked = labels_checked = 0
+    for n, extend, got in _each_generation(monkeypatch):
+        levels = brute_levels(n, extend)
+        assert got == levels[-1][0], n
+        assert [row for _, row in lowered] == brute_first_lower(levels), n
         # _labels runs at order t on the origins of level t, with the
-        # record of level t - 1
-        origins = [[o for o, t, _ in calls if t == s] for s in range(1, n)]
-        records = {t - 1: under[1:] for _, t, under in calls if t > 1}
-        records[n - 1] = (last_ranks[-1], None, origins[-1])
-        for s, (reps, (ranks, orders, origin)) in enumerate(levels, 1):
-            got_ranks, got_orders, got_origins = records[s]
-            assert got_ranks == ranks and got_origins == origin == origins[s - 1], (n, s)
+        # record of level t - 1; the last level reads only its parents' ranks
+        records = {t - 1: under[1:] for _, t, under, _ in labelled if t > 1}
+        for s, (reps, (ranks, _, origins)) in enumerate(levels[:-1], 1):
+            calls = [(o, lab) for o, t, _, lab in labelled if t == s]
+            got_ranks, got_orders, got_origins = records.get(
+                s, (lowered[-1][0], None, origins)
+            )
+            assert got_ranks == ranks and got_origins == origins == [o for o, _ in calls], (n, s)
+            for p, (_, lab) in zip(reps, calls):
+                for v, (m, image) in enumerate(lab):
+                    rest = [image[u] for u in range(s) if u != v]
+                    assert sorted(rest) == list(range(s - 1))
+                    if s > 1:
+                        assert delete_vertex(p, v).relabel(rest) == levels[s - 2][0][m]
+                    labels_checked += 1
             if got_orders is None or s == 1:
                 continue
             below = levels[s - 2][0]
@@ -361,43 +361,11 @@ def test_level_records_match_certifying_every_child(monkeypatch):
                 for i, v in enumerate(got_orders[s * index : s * index + s]):
                     pos[v] = i
                 assert child.relabel(pos).rows == canonical_form(child).rows
-                checked += 1
-        calls.clear()
-        last_ranks.clear()
-    assert checked == 1810  # 681 searched, 1,129 copied
-
-
-def test_carried_labellings_are_isomorphisms(monkeypatch):
-    # every deletion P - v that generation labels, at every level, maps by
-    # its labelling onto exactly the rows of its representative; the reps
-    # of each level are those of certifying every child
-    carried = []
-    labels = enumeration._labels
-    monkeypatch.setattr(
-        enumeration, "_labels", lambda *a: carried.append(labels(*a)) or carried[-1]
-    )
-    runs = [(gen_tournaments, brute_gen_tournaments, None)]
-    runs += [(gen_graphs, brute_gen_graphs, d) for d in range(7)]
-    checked = 0
-    for gen, brute, d in runs:
-        carried.clear()
-        gen(7) if d is None else gen(7, d)
-        levels = [brute(t) if d is None else brute(t, d - (7 - t)) for t in range(1, 7)]
-        # _labels runs once per rep of orders 1..6, level by level, in order
-        assert [len(x) for x in carried] == [t for t in range(1, 7) for _ in levels[t - 1]]
-        for p, labelled in zip(itertools.chain(*levels), carried):
-            t = p.n
-            for v, (m, image) in enumerate(labelled):
-                rest = [u for u in range(t) if u != v]
-                assert sorted(image[u] for u in rest) == list(range(t - 1))
-                rows = [0] * (t - 1)
-                for u in rest:
-                    for w in iter_bits(p.rows[u] & ~(1 << v)):
-                        rows[image[u]] |= 1 << image[w]
-                if t > 1:
-                    assert rows == list(levels[t - 2][m].rows)
-                checked += 1
-    assert checked == 4563  # (rep, deleted vertex) pairs
+                orders_checked += 1
+        labelled.clear()
+        lowered.clear()
+    assert orders_checked == 1810  # 681 searched, 1,129 copied
+    assert labels_checked == 9777  # (rep, deleted vertex) pairs
 
 
 def test_filter_not_closed_under_deletion_is_refused():
@@ -434,7 +402,7 @@ def test_label_dependent_filter_is_refused():
 def test_generator_certificate_calls_are_frozen(count_calls):
     # the number of children the generators certify: at every level, only
     # those no deletion of which ranks below their parent.  Certifying
-    # every child, as brute_gen_* do, takes 470, 62,422 and 6,416, and
+    # every child, as brute_levels does, takes 470, 62,422 and 6,416, and
     # certifying every child below the last level 174, 11,866, 2,613 and
     # 4,334; the hard order-8 classes certify 280 order-8 children.
     # Generation runs no canonical search but these: every deletion is
@@ -458,7 +426,7 @@ def test_census_two_dicritical_is_single_directed_cycle():
         assert rep.count == 1
         assert rep.min_arcs == n
         assert len(rep.witnesses) == 1
-        cyc = build_digraph(n, [(i, (i + 1) % n) for i in range(n)])
+        cyc = Digraph.from_arcs(n, [(i, (i + 1) % n) for i in range(n)])
         assert canonical_cert(d6_decode(rep.witnesses[0])) == canonical_cert(cyc)
         assert validate_census(rep) == []
 
@@ -472,11 +440,11 @@ def test_census_six_three_is_empty():
 
 
 def _circulant(n, diffs):
-    return build_digraph(n, [(v, (v + x) % n) for v in range(n) for x in diffs])
+    return Digraph.from_arcs(n, [(v, (v + x) % n) for v in range(n) for x in diffs])
 
 
 @pytest.mark.parametrize("k, d, lines", [
-    (2, build_digraph(2, [(0, 1), (1, 0)]), ["not oriented"]),  # 2-dicritical
+    (2, Digraph.from_arcs(2, [(0, 1), (1, 0)]), ["not oriented"]),  # 2-dicritical
     (3, _circulant(3, (1,)),
      ["not 3-dicritical: vertex 0 has in- or out-degree below 2"]),
     (3, circulant_tournament(5, (1, 2)),

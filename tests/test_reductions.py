@@ -5,7 +5,7 @@ import random
 import pytest
 
 from dichroma import reductions
-from dichroma.digraphs import build_digraph, is_oriented
+from dichroma.digraphs import Digraph, is_oriented
 from dichroma.reductions import (
     DIGON,
     CnfFormula,
@@ -208,7 +208,7 @@ def test_eq_gadget_forces_equal_endpoints():
 
 
 def test_eq_gadget_errors():
-    triangle = build_digraph(3, [(0, 1), (1, 2), (2, 0)])
+    triangle = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
     with pytest.raises(ValueError, match="3-dicritical"):
         make_eq_gadget(triangle, (0, 1))
     g3 = default_g3()

@@ -7,8 +7,8 @@ import pytest
 
 from dichroma.digraphs import (
     Digraph,
+    Graph,
     bidirect,
-    build_graph,
     circulant_tournament,
     mask_of,
 )
@@ -132,7 +132,7 @@ def test_solver_vs_bruteforce():
 
 def test_bidirected_cliques_match_chromatic_number():
     for n in range(1, 7):
-        g = build_graph(n, list(itertools.combinations(range(n), 2)))
+        g = Graph.from_edges(n, list(itertools.combinations(range(n), 2)))
         assert dichromatic_number(bidirect(g))[0] == n == brute_chromatic_number(g)
 
 
@@ -400,7 +400,7 @@ def test_a_faulty_search_is_caught_at_every_entry(monkeypatch, capsys, tmp_path)
     # one colour for every vertex is wrong on any digraph with a cycle;
     # is_k_dicolourable checks it, so every caller of the search is covered
     monkeypatch.setattr(solver, "_dfs_colour", lambda d, k: [0] * d.n)
-    triangle = d6_encode(bidirect(build_graph(3, [(0, 1), (1, 2), (0, 2)])))
+    triangle = d6_encode(bidirect(Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])))
     phi = CnfFormula(3, ((1, -2, 3),))
     for call in (
         lambda: is_k_dicolourable(TRI, 2),

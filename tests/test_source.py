@@ -110,6 +110,32 @@ def test_every_function_has_a_caller_or_is_exported():
     assert found == []
 
 
+def test_every_bruteforce_reference_is_used():
+    # a reference that no test reaches checks nothing: every function of
+    # bruteforce.py is imported by a test module, or named by a bruteforce
+    # function that is
+    tree = ast.parse((TESTS / "bruteforce.py").read_text())
+    names = {
+        top.name: {node.id for node in ast.walk(top) if isinstance(node, ast.Name)}
+        for top in tree.body
+        if isinstance(top, ast.FunctionDef)
+    }
+    todo = [
+        alias.name
+        for path in sorted(TESTS.glob("test_*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module == "bruteforce"
+        for alias in node.names
+    ]
+    reached = set()
+    while todo:
+        name = todo.pop()
+        if name in names and name not in reached:
+            reached.add(name)
+            todo += names[name]
+    assert sorted(names.keys() - reached) == []
+
+
 def _functions(node, prefix):
     """(qualified name, node) of every function below node, methods and
     nested functions included."""

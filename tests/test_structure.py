@@ -6,9 +6,8 @@ import pytest
 
 from dichroma.digraphs import (
     Digraph,
+    Graph,
     bidirect,
-    build_digraph,
-    build_graph,
     circulant_tournament,
 )
 from dichroma.structure import (
@@ -67,46 +66,46 @@ def test_block_decomposition_vs_bruteforce_cut_vertices():
 
 
 def test_block_kinds_handcrafted():
-    assert classify_blocks(build_digraph(2, [(0, 1)])) == [SINGLE_EDGE]
-    assert classify_blocks(build_digraph(2, [(0, 1), (1, 0)])) == [
+    assert classify_blocks(Digraph.from_arcs(2, [(0, 1)])) == [SINGLE_EDGE]
+    assert classify_blocks(Digraph.from_arcs(2, [(0, 1), (1, 0)])) == [
         BIDIRECTED_CLIQUE
     ]
-    ring5 = build_graph(5, [(i, (i + 1) % 5) for i in range(5)])
-    ring4 = build_graph(4, [(i, (i + 1) % 4) for i in range(4)])
-    c5 = build_digraph(5, [(i, (i + 1) % 5) for i in range(5)])
+    ring5 = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
+    ring4 = Graph.from_edges(4, [(i, (i + 1) % 4) for i in range(4)])
+    c5 = Digraph.from_arcs(5, [(i, (i + 1) % 5) for i in range(5)])
     assert classify_blocks(c5) == [DIRECTED_CYCLE]
     assert classify_blocks(bidirect(ring5)) == [BIDIRECTED_ODD_CYCLE]
     assert classify_blocks(bidirect(ring4)) == [OTHER]
-    k4 = build_graph(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
+    k4 = Graph.from_edges(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
     assert classify_blocks(bidirect(k4)) == [BIDIRECTED_CLIQUE]
-    tt3 = build_digraph(3, [(0, 1), (0, 2), (1, 2)])
+    tt3 = Digraph.from_arcs(3, [(0, 1), (0, 2), (1, 2)])
     assert classify_blocks(tt3) == [OTHER]
 
 
 def test_bidirected_triangle_counts_as_clique():
-    tri = build_graph(3, [(0, 1), (1, 2), (0, 2)])
+    tri = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
     assert classify_blocks(bidirect(tri)) == [BIDIRECTED_CLIQUE]
 
 
 def test_cactus_recognition():
     # two triangles sharing a vertex
-    g = build_graph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
+    g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
     assert is_cactus(g)
-    assert not is_cactus(build_graph(4, [(a, b) for a in range(4)
-                                         for b in range(a + 1, 4)]))
-    assert is_cactus(build_graph(1, []))
+    assert not is_cactus(Graph.from_edges(4, [(a, b) for a in range(4)
+                                              for b in range(a + 1, 4)]))
+    assert is_cactus(Graph.from_edges(1, []))
 
 
 def test_directed_cactus_and_gallai_examples():
-    c3 = build_digraph(3, [(0, 1), (1, 2), (2, 0)])
+    c3 = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
     assert is_directed_cactus(c3)
     assert is_directed_gallai_forest(c3)
-    tt3 = build_digraph(3, [(0, 1), (0, 2), (1, 2)])
+    tt3 = Digraph.from_arcs(3, [(0, 1), (0, 2), (1, 2)])
     assert not is_directed_cactus(tt3)
     assert not is_directed_gallai_forest(tt3)
     assert is_directed_gallai_forest(digon_path(3))
     assert not is_directed_cactus(digon_path(1))  # digon is not oriented
-    bid_c4 = bidirect(build_graph(4, [(i, (i + 1) % 4) for i in range(4)]))
+    bid_c4 = bidirect(Graph.from_edges(4, [(i, (i + 1) % 4) for i in range(4)]))
     assert not is_directed_gallai_forest(bid_c4)
 
 
@@ -120,15 +119,15 @@ def test_random_cactus_is_cactus_and_exact_order():
 
 
 def test_cactus_edge_bound_and_tightness():
-    tri2 = build_graph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
+    tri2 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
     m, bound, tight = cactus_edge_bound(tri2)
     assert m == 6 and bound == Fraction(3, 2) * 4 and tight
-    path = build_graph(3, [(0, 1), (1, 2)])
+    path = Graph.from_edges(3, [(0, 1), (1, 2)])
     m, bound, tight = cactus_edge_bound(path)
     assert m == 2 and not tight
     with pytest.raises(ValueError):
-        cactus_edge_bound(build_graph(4, [(a, b) for a in range(4)
-                                          for b in range(a + 1, 4)]))
+        cactus_edge_bound(Graph.from_edges(4, [(a, b) for a in range(4)
+                                               for b in range(a + 1, 4)]))
 
 
 def random_cacti(rng, parts, order):
@@ -144,7 +143,7 @@ def random_cacti(rng, parts, order):
     for c in cacti:
         edges += [(perm[u + off], perm[v + off]) for u, v in c.edges()]
         off += c.n
-    return build_graph(len(perm), edges)
+    return Graph.from_edges(len(perm), edges)
 
 
 def test_cactus_induced_forest_is_exact_maximum():
@@ -179,7 +178,7 @@ def test_cactus_induced_forest_sizes_are_frozen():
 
 
 def test_cactus_induced_forest_two_triangles():
-    g = build_graph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
+    g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
     forest = cactus_induced_forest(g)
     assert len(forest) == 4  # drop the shared vertex alone
 
@@ -188,17 +187,17 @@ def test_low_vertices():
     st11 = circulant_tournament(11, (1, 3, 4, 5, 9))
     assert low_vertices(st11, 6) == list(range(11))  # all 5-diregular
     assert low_vertices(st11, 7) == []
-    mixed = build_digraph(3, [(0, 1), (1, 2)])
+    mixed = Digraph.from_arcs(3, [(0, 1), (1, 2)])
     assert low_vertices(mixed, 2) == [1]  # only the interior has d+ = d- = 1
 
 
 def test_gallai_property_check():
-    c3 = build_digraph(3, [(0, 1), (1, 2), (2, 0)])
+    c3 = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
     assert gallai_property_check(c3, 2)
-    tt3 = build_digraph(3, [(0, 1), (0, 2), (1, 2)])
+    tt3 = Digraph.from_arcs(3, [(0, 1), (0, 2), (1, 2)])
     assert gallai_property_check(tt3, 2)  # no low vertices to violate
     # bidirected even cycle is 2-diregular everywhere and not Gallai
-    bid_c4 = bidirect(build_graph(4, [(i, (i + 1) % 4) for i in range(4)]))
+    bid_c4 = bidirect(Graph.from_edges(4, [(i, (i + 1) % 4) for i in range(4)]))
     assert not gallai_property_check(bid_c4, 3)
 
 
@@ -212,7 +211,7 @@ def test_random_gallai_forest_passes_recognition():
 
 
 def test_decomposition_report_shape():
-    d = build_digraph(3, [(0, 1), (1, 2), (2, 0)])
+    d = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
     rep = decomposition_report(d)
     assert rep["kinds"] == [DIRECTED_CYCLE]
     assert rep["cut_vertices"] == []
