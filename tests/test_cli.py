@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -299,7 +300,34 @@ def test_module_entry_point_subprocess():
     assert "k=2" in proc.stdout
 
 
-def test_verify_paper_full_censuses_once_per_run(capsys, monkeypatch, tmp_path):
+@pytest.fixture(scope="module")
+def quick_run(tmp_path_factory):
+    """verify-paper --json at its default level, run once for the tests
+    that read it: (exit code, JSON report, (n, k) of each census it ran)."""
+    census = claims.dicritical_census
+    calls = []
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            claims, "dicritical_census",
+            lambda n, k, **kwargs: calls.append((n, k)) or census(n, k, **kwargs),
+        )
+        mp.chdir(tmp_path_factory.mktemp("quick"))  # failure artifacts land here
+        with contextlib.redirect_stdout(out):
+            code = main(["verify-paper", "--json"])
+    return code, json.loads(out.getvalue()), calls
+
+
+def test_verify_paper_quick_all_pass(quick_run):
+    code, blob, _ = quick_run
+    assert code == 0
+    assert blob["command"] == "verify-paper"
+    assert blob["seed"] == 20260825
+    assert sorted(blob["results"]) == sorted(QUICK_CLAIMS)
+    assert all(r["pass"] for r in blob["results"].values())
+
+
+def test_verify_paper_full_censuses_once_per_run(capsys, monkeypatch, tmp_path, quick_run):
     census = claims.dicritical_census
     calls = []
 
@@ -309,21 +337,15 @@ def test_verify_paper_full_censuses_once_per_run(capsys, monkeypatch, tmp_path):
 
     monkeypatch.setattr(claims, "dicritical_census", counted)
     monkeypatch.chdir(tmp_path)  # failure artifacts land here
-    results = []
-    # every census row is a quick row, so each level censuses (7, 3) once;
-    # quick is the default level
-    for level in (("--level", "full"), ()):
-        calls.clear()
-        code, out, _ = run_cli(capsys, "verify-paper", *level, "--json")
-        assert code == 0
-        assert calls.count((7, 3)) == 1
-        blob = json.loads(out)
-        assert blob["command"] == "verify-paper" and blob["seed"] == 20260825
-        results.append(blob["results"])
-    full, quick = results
+    code, out, _ = run_cli(capsys, "verify-paper", "--level", "full", "--json")
+    assert code == 0
+    full = json.loads(out)["results"]
+    # every census row is a quick row, so each level censuses (7, 3) once
+    _, quick, quick_calls = quick_run
+    assert calls.count((7, 3)) == quick_calls.count((7, 3)) == 1
     assert sorted(full) == sorted(FULL_CLAIMS)
     assert all(r["pass"] for r in full.values())
     # claims are reseeded per row, so the quick rows repeat exactly
-    assert quick == {slug: full[slug] for slug in QUICK_CLAIMS}
+    assert quick["results"] == {slug: full[slug] for slug in QUICK_CLAIMS}
     assert [slug for slug, *_ in claims.CLAIMS] == FULL_CLAIMS
     assert [slug for slug, _, lvl, _ in claims.CLAIMS if lvl == "quick"] == QUICK_CLAIMS

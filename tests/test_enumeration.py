@@ -306,50 +306,62 @@ def _each_generation(monkeypatch):
     assert len(runs) == 7 + 28 + 2
 
 
-def test_generation_matches_certifying_every_child(monkeypatch):
-    # Every generation, against brute_levels certifying every child at
-    # every level, has:
-    # - the same reps, in the same order;
-    # - per parent and mask, the first deletion that ranks below the parent
-    #   that labelling each deletion by a fresh search finds; the masks
-    #   where none does are those it certifies;
-    # - at every level below the last, the same ranks and origins, and
-    #   canonical orders, searched or copied from an earlier child's, that
-    #   relabel each child onto its class's canonical form.  The orders of
-    #   the level below the last are never read (the last level copies no
-    #   child), so they are checked below it;
-    # - deletion labellings that map each P - v onto exactly its rep.
+@pytest.fixture(scope="module")
+def generations():
+    """Every generation of _each_generation, walked once for the four tests
+    below, with brute_levels certifying every child at every level built
+    once per _generate call: per call, (n, extend, the returned reps, the
+    reference levels, the _first_lower calls as (ranks, row), the _labels
+    calls as (origin, t, under, labelling))."""
     labels, first_lower = enumeration._labels, enumeration._first_lower
-    labelled = []  # (origin, t, under, labelling) per _labels call
-    lowered = []  # (ranks, row) per _first_lower call
-    monkeypatch.setattr(
-        enumeration, "_labels", lambda *a: labelled.append((*a, labels(*a))) or labelled[-1][3]
-    )
-    monkeypatch.setattr(
-        enumeration, "_first_lower",
-        lambda j, lab, ranks: lowered.append((ranks, first_lower(j, lab, ranks))) or lowered[-1][1],
-    )
-    orders_checked = labels_checked = 0
-    for n, extend, got in _each_generation(monkeypatch):
-        levels = brute_levels(n, extend)
+    labelled, lowered, walked = [], [], []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            enumeration, "_labels", lambda *a: labelled.append((*a, labels(*a))) or labelled[-1][3]
+        )
+        mp.setattr(
+            enumeration, "_first_lower",
+            lambda *a: lowered.append((a[2], first_lower(*a))) or lowered[-1][1],
+        )
+        for n, extend, got in _each_generation(mp):
+            walked.append((n, extend, got, brute_levels(n, extend), lowered[:], labelled[:]))
+            labelled.clear()
+            lowered.clear()
+    return walked
+
+
+def test_generators_match_certifying_every_child(generations):
+    # the skipped children are duplicates only: same representatives, same
+    # order as certifying every child, for every floor
+    for n, _, got, levels, _, _ in generations:
         assert got == levels[-1][0], n
+
+
+def test_kept_masks_match_labelling_every_deletion(generations):
+    # at every level, every parent finds, per mask, the first deletion that
+    # ranks below it, as labelling each deletion by a fresh canonical search
+    # does; the masks where none does are those it certifies
+    for n, _, _, levels, lowered, _ in generations:
         assert [row for _, row in lowered] == brute_first_lower(levels), n
+
+
+def test_level_records_match_certifying_every_child(generations):
+    # every level below the last has the ranks and origins of certifying
+    # every child, and each child's canonical order, searched or copied
+    # from an earlier child's, relabels it onto its class's canonical form.
+    # The orders of the level below the last are never read (the last
+    # level copies no child), so they are checked at the levels below it.
+    checked = 0
+    for n, extend, _, levels, lowered, labelled in generations:
         # _labels runs at order t on the origins of level t, with the
         # record of level t - 1; the last level reads only its parents' ranks
         records = {t - 1: under[1:] for _, t, under, _ in labelled if t > 1}
         for s, (reps, (ranks, _, origins)) in enumerate(levels[:-1], 1):
-            calls = [(o, lab) for o, t, _, lab in labelled if t == s]
             got_ranks, got_orders, got_origins = records.get(
                 s, (lowered[-1][0], None, origins)
             )
-            assert got_ranks == ranks and got_origins == origins == [o for o, _ in calls], (n, s)
-            for p, (_, lab) in zip(reps, calls):
-                for v, (m, image) in enumerate(lab):
-                    rest = [image[u] for u in range(s) if u != v]
-                    assert sorted(rest) == list(range(s - 1))
-                    if s > 1:
-                        assert delete_vertex(p, v).relabel(rest) == levels[s - 2][0][m]
-                    labels_checked += 1
+            called = [o for o, t, _, _ in labelled if t == s]
+            assert got_ranks == ranks and got_origins == origins == called, (n, s)
             if got_orders is None or s == 1:
                 continue
             below = levels[s - 2][0]
@@ -361,11 +373,26 @@ def test_generation_matches_certifying_every_child(monkeypatch):
                 for i, v in enumerate(got_orders[s * index : s * index + s]):
                     pos[v] = i
                 assert child.relabel(pos).rows == canonical_form(child).rows
-                orders_checked += 1
-        labelled.clear()
-        lowered.clear()
-    assert orders_checked == 1810  # 681 searched, 1,129 copied
-    assert labels_checked == 9777  # (rep, deleted vertex) pairs
+                checked += 1
+    assert checked == 1810  # 681 searched, 1,129 copied
+
+
+def test_carried_labellings_are_isomorphisms(generations):
+    # every deletion P - v that generation labels, at every level below the
+    # last, maps by its labelling onto exactly its representative
+    checked = 0
+    for n, _, _, levels, _, labelled in generations:
+        for s, (reps, _) in enumerate(levels[:-1], 1):
+            calls = [lab for _, t, _, lab in labelled if t == s]
+            assert len(calls) == len(reps), (n, s)
+            for p, lab in zip(reps, calls):
+                for v, (m, image) in enumerate(lab):
+                    rest = [image[u] for u in range(s) if u != v]
+                    assert sorted(rest) == list(range(s - 1))
+                    if s > 1:
+                        assert delete_vertex(p, v).relabel(rest) == levels[s - 2][0][m]
+                    checked += 1
+    assert checked == 9777  # (rep, deleted vertex) pairs
 
 
 def test_filter_not_closed_under_deletion_is_refused():
