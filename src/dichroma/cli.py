@@ -75,7 +75,7 @@ def _read_text(path: str | None) -> str:
 
 def _positive_int(text: str) -> int:
     """A worker count, from --jobs or DICHROMA_JOBS."""
-    if not text.isdigit() or int(text) < 1:
+    if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(
             f"worker count (--jobs, DICHROMA_JOBS) must be a positive "
             f"integer, got {text!r}"

@@ -573,13 +573,23 @@ def _bound_read(rec: dict) -> tuple:
 
 @dataclass
 class CensusReport:
+    """A census's sorted outputs and stats; count, min_arcs and witnesses
+    are derived from all_dicritical, so they cannot disagree with it."""
     n: int
     k: int
-    count: int
-    min_arcs: int | None
-    witnesses: list[str]
     all_dicritical: list[str]
     stats: dict = field(default_factory=dict)
+    count: int = field(init=False)
+    min_arcs: int | None = field(init=False)
+    witnesses: list[str] = field(init=False)
+
+    def __post_init__(self):
+        arcs = [d6_decode(s).m for s in self.all_dicritical]
+        self.count = len(arcs)
+        self.min_arcs = min(arcs, default=None)
+        self.witnesses = [
+            s for s, m in zip(self.all_dicritical, arcs) if m == self.min_arcs
+        ]
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -654,15 +664,9 @@ def dicritical_census(
         all_dicritical.extend(found)
         candidates += count
     all_dicritical.sort()
-    arcs = [d6_decode(s).m for s in all_dicritical]
-    min_arcs = min(arcs) if arcs else None
-    witnesses = [s for s, m in zip(all_dicritical, arcs) if m == min_arcs]
     return CensusReport(
         n=n,
         k=k,
-        count=len(all_dicritical),
-        min_arcs=min_arcs,
-        witnesses=witnesses,
         all_dicritical=all_dicritical,
         stats={
             "graphs": len(graphs),
@@ -692,8 +696,4 @@ def validate_census(report: CensusReport) -> list[str]:
                 problems.append(f"{s}: order >= 10 with fewer than 21 arcs")
             if is_k_diregular(d, 2):
                 problems.append(f"{s}: order >= 10 and 2-diregular")
-    if report.witnesses:
-        arcs = {d6_decode(s).m for s in report.witnesses}
-        if arcs != {report.min_arcs}:
-            problems.append("witness arc counts disagree with min_arcs")
     return problems

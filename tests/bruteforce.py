@@ -176,6 +176,18 @@ def brute_max_induced_forest(g: Graph) -> int:
     return best
 
 
+def brute_arboricity(g: Graph) -> int:
+    """Fewest classes each inducing a forest, over all k^n assignments."""
+    n = g.n
+    for k in itertools.count(1):
+        for colour in itertools.product(range(k), repeat=n):
+            if all(
+                is_forest(g, [v for v in range(n) if colour[v] == c])
+                for c in range(k)
+            ):
+                return k
+
+
 def _digraph_class_key(d: Digraph) -> int:
     """Smallest adjacency encoding over all vertex relabellings."""
     n = d.n

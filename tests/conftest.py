@@ -1,11 +1,18 @@
 """Shared test plumbing: the acceptance tests register one pass/fail line
 per criterion here so the lines appear in the terminal summary even when
-stdout capture swallows the in-test prints; count_calls counts the calls
+stdout capture swallows the in-test prints; quick_run and full_run run
+verify-paper once per session at each level; count_calls counts the calls
 a pinned search makes."""
 
+import contextlib
+import io
+import json
 from collections import Counter
 
 import pytest
+
+from dichroma import claims
+from dichroma.cli import main
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -15,6 +22,36 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def _verify_paper(workdir, *flags):
+    """verify-paper --json with flags, run in workdir, where failure
+    artifacts land: (exit code, JSON report, (n, k) of each census it ran)."""
+    census = claims.dicritical_census
+    calls = []
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            claims, "dicritical_census",
+            lambda n, k, **kwargs: calls.append((n, k)) or census(n, k, **kwargs),
+        )
+        mp.chdir(workdir)
+        with contextlib.redirect_stdout(out):
+            code = main(["verify-paper", "--json", *flags])
+    return code, json.loads(out.getvalue()), calls
+
+
+@pytest.fixture(scope="session")
+def quick_run(tmp_path_factory):
+    """The session's one verify-paper run at its default level."""
+    return _verify_paper(tmp_path_factory.mktemp("quick"))
+
+
+@pytest.fixture(scope="session")
+def full_run(tmp_path_factory):
+    """The session's one verify-paper --level full run, which the
+    acceptance gate reads."""
+    return _verify_paper(tmp_path_factory.mktemp("full"), "--level", "full")
 
 
 @pytest.fixture

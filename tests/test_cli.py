@@ -1,4 +1,3 @@
-import contextlib
 import io
 import json
 import os
@@ -130,12 +129,13 @@ def test_census_jobs_env(capsys, monkeypatch):
 
 def test_jobs_must_be_positive(capsys, monkeypatch):
     for argv in (["census", "5", "2"], ["verify-paper"]):
-        for jobs in ("-3", "0", "two"):
+        # "²".isdigit() is true, but int() rejects it
+        for jobs in ("-3", "0", "two", "²"):
             with pytest.raises(SystemExit) as exc:
                 main(argv + ["--jobs", jobs])
             assert exc.value.code == 2
             assert "positive integer" in capsys.readouterr().err
-    for jobs in ("-3", "0"):
+    for jobs in ("-3", "0", "²"):
         monkeypatch.setenv("DICHROMA_JOBS", jobs)
         code, out, err = run_cli(capsys, "census", "5", "2")
         assert code == 2 and out == ""
@@ -300,24 +300,6 @@ def test_module_entry_point_subprocess():
     assert "k=2" in proc.stdout
 
 
-@pytest.fixture(scope="module")
-def quick_run(tmp_path_factory):
-    """verify-paper --json at its default level, run once for the tests
-    that read it: (exit code, JSON report, (n, k) of each census it ran)."""
-    census = claims.dicritical_census
-    calls = []
-    out = io.StringIO()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(
-            claims, "dicritical_census",
-            lambda n, k, **kwargs: calls.append((n, k)) or census(n, k, **kwargs),
-        )
-        mp.chdir(tmp_path_factory.mktemp("quick"))  # failure artifacts land here
-        with contextlib.redirect_stdout(out):
-            code = main(["verify-paper", "--json"])
-    return code, json.loads(out.getvalue()), calls
-
-
 def test_verify_paper_quick_all_pass(quick_run):
     code, blob, _ = quick_run
     assert code == 0
@@ -327,19 +309,10 @@ def test_verify_paper_quick_all_pass(quick_run):
     assert all(r["pass"] for r in blob["results"].values())
 
 
-def test_verify_paper_full_censuses_once_per_run(capsys, monkeypatch, tmp_path, quick_run):
-    census = claims.dicritical_census
-    calls = []
-
-    def counted(n, k, **kwargs):
-        calls.append((n, k))
-        return census(n, k, **kwargs)
-
-    monkeypatch.setattr(claims, "dicritical_census", counted)
-    monkeypatch.chdir(tmp_path)  # failure artifacts land here
-    code, out, _ = run_cli(capsys, "verify-paper", "--level", "full", "--json")
+def test_verify_paper_full_censuses_once_per_run(quick_run, full_run):
+    code, blob, calls = full_run
     assert code == 0
-    full = json.loads(out)["results"]
+    full = blob["results"]
     # every census row is a quick row, so each level censuses (7, 3) once
     _, quick, quick_calls = quick_run
     assert calls.count((7, 3)) == quick_calls.count((7, 3)) == 1

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import hashlib
 import itertools
@@ -34,10 +33,10 @@ from dichroma.enumeration import (
     verify_census_bound,
 )
 from dichroma.formats import d6_decode, d6_encode
-from dichroma.reductions import DEFAULT_G3_D6
 from dichroma.solver import _extend_tournament, is_dicritical
 
 from bruteforce import (
+    brute_arboricity,
     brute_digraph_classes,
     brute_first_lower,
     brute_graph_classes,
@@ -46,7 +45,6 @@ from bruteforce import (
     brute_mixed_cert,
     brute_orientation_classes,
     brute_tournament_classes,
-    is_forest,
     random_graph,
 )
 
@@ -136,23 +134,11 @@ def test_arboricity_work_is_frozen(count_calls):
     assert got == [(1249, 13), (22096, 174)]
 
 
-def _brute_arboricity(g):
-    """Fewest classes each inducing a forest, over all k^n assignments."""
-    n = g.n
-    for k in itertools.count(1):
-        for colour in itertools.product(range(k), repeat=n):
-            if all(
-                is_forest(g, [v for v in range(n) if colour[v] == c])
-                for c in range(k)
-            ):
-                return k
-
-
 def test_arboricity_vs_bruteforce():
     graphs = [g for n in range(1, 7) for g in gen_graphs(n, 0)]
     assert len(graphs) == 208
     for g in graphs:
-        assert arboricity(g) == _brute_arboricity(g)
+        assert arboricity(g) == brute_arboricity(g)
 
 
 def test_arboricity_long_path():
@@ -247,6 +233,16 @@ def test_gen_tournaments_counts_and_classes():
         assert brute_digraph_classes(ours) == brute_digraph_classes(
             brute_tournament_classes(n)
         )
+    # order 6: all 2^15 labelled tournaments certify to the 56 classes
+    pairs = list(itertools.combinations(range(6), 2))
+    seen = set()
+    for bits in range(1 << len(pairs)):
+        arcs = [
+            (u, v) if not bits >> i & 1 else (v, u)
+            for i, (u, v) in enumerate(pairs)
+        ]
+        seen.add(canonical_cert(Digraph.from_arcs(6, arcs)))
+    assert len(seen) == 56
     for n in (0, GEN_CAP + 1):
         with pytest.raises(ValueError):
             gen_tournaments(n)
@@ -458,14 +454,6 @@ def test_census_two_dicritical_is_single_directed_cycle():
         assert validate_census(rep) == []
 
 
-def test_census_six_three_is_empty():
-    rep = dicritical_census(6, 3)
-    assert rep.count == 0
-    assert rep.min_arcs is None
-    assert rep.witnesses == []
-    assert validate_census(rep) == []
-
-
 def _circulant(n, diffs):
     return Digraph.from_arcs(n, [(v, (v + x) % n) for v in range(n) for x in diffs])
 
@@ -488,16 +476,8 @@ def _circulant(n, diffs):
 ], ids=["digon", "triangle", "tournament5", "cycle10", "circulant10"])
 def test_validate_census_names_each_fault(k, d, lines):
     s = d6_encode(d)
-    rep = CensusReport(n=d.n, k=k, count=1, min_arcs=d.m, witnesses=[s],
-                       all_dicritical=[s])
+    rep = CensusReport(n=d.n, k=k, all_dicritical=[s])
     assert validate_census(rep) == [f"{s}: {line}" for line in lines]
-
-
-def test_validate_census_checks_witness_arcs():
-    rep = CensusReport(n=7, k=3, count=1, min_arcs=21, witnesses=[DEFAULT_G3_D6],
-                       all_dicritical=[DEFAULT_G3_D6])
-    assert validate_census(rep) == ["witness arc counts disagree with min_arcs"]
-    assert validate_census(dataclasses.replace(rep, min_arcs=20)) == []
 
 
 def test_census_jobs_agree():

@@ -265,13 +265,6 @@ def test_static_colourings_edge_cases():
         assert is_list_dicolourable(d, [[]] * 3) is None
 
 
-def test_st11_dichromatic_number():
-    st11 = circulant_tournament(11, (1, 3, 4, 5, 9))
-    assert is_k_dicolourable(st11, 3) is None
-    col = is_k_dicolourable(st11, 4)
-    assert col is not None and verify_dicolouring(st11, col, 4)
-
-
 def test_dicritical_examples():
     rep = is_dicritical(TRI, 2)
     assert rep.is_dicritical and rep.k == 2
@@ -430,6 +423,30 @@ def test_list_dicolouring_vs_bruteforce():
         if got is not None:
             assert all(got[v] in lists[v] for v in range(n))
             assert verify_dicolouring(d, got, lists=lists)
+
+
+def test_acyclic_set_and_list_bound_match_oracles():
+    # acyclic sets on up to 12 vertices, then lists one colour longer than
+    # each vertex's larger degree, which always admit a dicolouring
+    rng = random.Random(20260825)
+    for _ in range(100):
+        d = random_digraph(rng, rng.randint(1, 12), 0.3)
+        best = max_induced_acyclic(d)
+        assert kahn_acyclic(d, best)
+        assert len(best) == brute_max_induced_acyclic(d)
+    for _ in range(100):
+        d = random_digraph(rng, rng.randint(1, 8), 0.4)
+        pool = range(1, 2 * d.n + 2)
+        lists = [
+            sorted(rng.sample(
+                pool,
+                max(d.out_degree(v), d.in_degree(v)) + 1,
+            ))
+            for v in range(d.n)
+        ]
+        col = is_list_dicolourable(d, lists)
+        assert col is not None
+        assert verify_dicolouring(d, col, lists=lists)
 
 
 def test_bound_chunk_matches_per_mask_loop():

@@ -136,6 +136,32 @@ def test_every_bruteforce_reference_is_used():
     assert sorted(names.keys() - reached) == []
 
 
+def test_one_claim_runner():
+    # the claim table has one runner, verify-paper: no test builds its own
+    # ClaimContext, and the acceptance gate reads the suite's full run
+    # rather than calling searches or brute-force oracles itself
+    found = [
+        f"{path.name}:{node.lineno} ClaimContext"
+        for path in sorted(TESTS.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and "ClaimContext" in (getattr(node.func, "id", None),
+                               getattr(node.func, "attr", None))
+    ]
+    barred = {"bruteforce"} | {
+        f"dichroma.{m}" for m in ("canon", "digraphs", "solver", "structure")
+    }
+    for node in ast.walk(ast.parse((TESTS / "test_acceptance.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module, *(f"{node.module}.{a.name}" for a in node.names)]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        found += [f"test_acceptance.py:{node.lineno} {m}" for m in names if m in barred]
+    assert found == []
+
+
 def _functions(node, prefix):
     """(qualified name, node) of every function below node, methods and
     nested functions included."""

@@ -14,7 +14,6 @@ from dichroma.surfaces import (
     heawood_number,
     parse_surface,
     surface_from_characteristic,
-    surface_table,
     tournament_lower_bound,
 )
 
@@ -125,24 +124,3 @@ def test_dichromatic_bounds_provenance():
     n10 = dichromatic_bounds(Surface(NONORIENTABLE, 10))
     assert (n10.lower, n10.upper) == (4, 4)
     assert "lower-4-characteristic-at-most-minus-8" in n10.provenance
-
-
-def test_surface_table_frozen_rows():
-    rows = surface_table()
-    got = [(r["surface"], r["lower"], r["upper"]) for r in rows]
-    assert got == [
-        ("sphere", 2, 3),
-        ("N1", 3, 3),
-        ("N2", 3, 3),
-        ("S1", 3, 3),
-        ("N3", 3, 3),
-        ("S2, N4", 3, 4),
-        ("N5", 3, 4),
-        ("S3, N6", 3, 4),
-        ("N7", 3, 4),
-        ("S4, N8", 3, 4),
-        ("N9", 3, 4),
-        ("S5, N10", 4, 4),
-    ]
-    for r in rows:
-        assert r["lower"] <= r["upper"]
