@@ -40,7 +40,7 @@ from .structure import (
     is_directed_gallai_forest,
 )
 from .surfaces import (
-    dichromatic_bounds, parse_surface, surface_from_characteristic, surface_table
+    bounds_row, parse_surface, surface_from_characteristic, surface_table
 )
 
 
@@ -140,42 +140,30 @@ def cmd_census(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    results: dict = {}
-    lines: list[str] = []
+    line = "{surface:>22}  c={euler_characteristic:>3}  [{lower},{upper}]"
     if args.surface:
         s = parse_surface(args.surface)
-        rec = dichromatic_bounds(s)
-        results[s.name] = {"lower": rec.lower, "upper": rec.upper,
-                           "provenance": list(rec.provenance)}
-        lines.append(f"[{rec.lower},{rec.upper}]")
+        rows, line = [bounds_row(s.name, (s,))], "[{lower},{upper}]"
     elif args.range:
         lo, hi = args.range
-        if lo > hi:
-            raise ValueError("empty characteristic range")
-        for c in range(hi, lo - 1, -1):
+        rows = []
+        for c in range(min(hi, 2), lo - 1, -1):  # no surface has c > 2
             for kind in ("orientable", "nonorientable"):
                 try:
                     s = surface_from_characteristic(c, kind)
                 except ValueError:
                     continue
-                rec = dichromatic_bounds(s)
-                results[s.name] = {"lower": rec.lower, "upper": rec.upper}
-                lines.append(
-                    f"{s.name:>6}  c={c:>3}  [{rec.lower},{rec.upper}]"
-                )
+                rows.append(bounds_row(s.name, (s,)))
+        if not rows:
+            raise ValueError(f"no surface has Euler characteristic in [{lo}, {hi}]")
     else:
-        for row in surface_table():
-            results[row["surface"]] = row
-            lines.append(
-                f"{row['surface']:>22}  c={row['euler_characteristic']:>3}  "
-                f"[{row['lower']},{row['upper']}]"
-            )
+        rows = surface_table()
     report = RunReport(
         command="bounds",
         inputs=args.surface or (f"range {args.range}" if args.range else "table"),
-        results=results,
+        results={row["surface"]: row for row in rows},
     )
-    _emit(args, report, lines)
+    _emit(args, report, [line.format(**row) for row in rows])
     return 0
 
 
@@ -335,10 +323,11 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("bounds", help="dichromatic number bounds per surface")
-    p.add_argument("--surface", default=None,
-                   help="surface name (sphere, torus, N2, S5, ...)")
-    p.add_argument("--range", type=int, nargs=2, metavar=("LO", "HI"),
-                   default=None, help="Euler characteristic range")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--surface", default=None,
+                       help="surface name (sphere, torus, N2, S5, ...)")
+    which.add_argument("--range", type=int, nargs=2, metavar=("LO", "HI"),
+                       default=None, help="Euler characteristic range")
     add_common(p, fmt_help=None)
     p.set_defaults(func=cmd_bounds)
 

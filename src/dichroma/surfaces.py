@@ -17,6 +17,14 @@ from fractions import Fraction
 ORIENTABLE = "orientable"
 NONORIENTABLE = "nonorientable"
 
+# the surfaces with a name of their own; the rest are S<genus> and N<genus>
+_NAMED = {
+    "sphere": (ORIENTABLE, 0),
+    "torus": (ORIENTABLE, 1),
+    "projective-plane": (NONORIENTABLE, 1),
+    "klein-bottle": (NONORIENTABLE, 2),
+}
+
 
 @dataclass(frozen=True)
 class Surface:
@@ -31,12 +39,10 @@ class Surface:
 
     @property
     def name(self) -> str:
-        if self.kind == ORIENTABLE:
-            return {0: "sphere", 1: "torus"}.get(self.genus, f"S{self.genus}")
-        return {
-            1: "projective-plane",
-            2: "klein-bottle",
-        }.get(self.genus, f"N{self.genus}")
+        for name, key in _NAMED.items():
+            if key == (self.kind, self.genus):
+                return name
+        return f"{'S' if self.kind == ORIENTABLE else 'N'}{self.genus}"
 
 
 def euler_characteristic(s: Surface) -> int:
@@ -60,17 +66,10 @@ def surface_from_characteristic(c: int, kind: str) -> Surface:
 def parse_surface(text: str) -> Surface:
     """Names like sphere, torus, projective-plane, klein-bottle, S3, N7."""
     t = text.strip().lower()
-    named = {
-        "sphere": Surface(ORIENTABLE, 0),
-        "torus": Surface(ORIENTABLE, 1),
-        "projective-plane": Surface(NONORIENTABLE, 1),
-        "klein-bottle": Surface(NONORIENTABLE, 2),
-    }
-    if t in named:
-        return named[t]
-    if len(t) >= 2 and t[0] in "sn" and t[1:].isdigit():
-        kind = ORIENTABLE if t[0] == "s" else NONORIENTABLE
-        return Surface(kind, int(t[1:]))
+    if t in _NAMED:
+        return Surface(*_NAMED[t])
+    if t[:1] in ("s", "n") and t[1:].isdecimal():
+        return Surface(ORIENTABLE if t[0] == "s" else NONORIENTABLE, int(t[1:]))
     raise ValueError(f"cannot parse surface {text!r}")
 
 
@@ -203,21 +202,24 @@ _TABLE_ROWS: tuple[tuple[str, tuple[Surface, ...]], ...] = (
 )
 
 
+def bounds_row(label: str, surfaces: tuple[Surface, ...]) -> dict:
+    """One row of bounds for surfaces that share it: label, Euler
+    characteristic, lower and upper bound, and the provenance tags naming
+    the binding facts.  Raises RuntimeError unless the surfaces agree on
+    every reported value."""
+    values = {(euler_characteristic(s), dichromatic_bounds(s)) for s in surfaces}
+    if len(values) != 1:
+        raise RuntimeError(f"row {label} is not homogeneous")
+    ((c, rec),) = values
+    return {
+        "surface": label,
+        "euler_characteristic": c,
+        "lower": rec.lower,
+        "upper": rec.upper,
+        "provenance": list(rec.provenance),
+    }
+
+
 def surface_table() -> list[dict]:
-    """The per-surface bounds table; surfaces sharing a row agree on every
-    reported value."""
-    rows = []
-    for label, surfaces in _TABLE_ROWS:
-        recs = [dichromatic_bounds(s) for s in surfaces]
-        first = recs[0]
-        if any((r.lower, r.upper) != (first.lower, first.upper) for r in recs):
-            raise RuntimeError(f"row {label} is not homogeneous")
-        rows.append(
-            {
-                "surface": label,
-                "euler_characteristic": euler_characteristic(surfaces[0]),
-                "lower": first.lower,
-                "upper": first.upper,
-            }
-        )
-    return rows
+    """The per-surface bounds table, one bounds_row per group."""
+    return [bounds_row(label, surfaces) for label, surfaces in _TABLE_ROWS]

@@ -32,7 +32,7 @@ from typing import Iterator
 
 from dichroma import solver
 from dichroma.canon import _canon, canonical_cert, canonical_labelling
-from dichroma.digraphs import Digraph, Graph, iter_bits, mask_of
+from dichroma.digraphs import Digraph, Graph, bidirect, iter_bits, mask_of
 from dichroma.formats import d6_decode, d6_encode
 from dichroma.solver import (
     _class_masks,
@@ -224,39 +224,14 @@ def brute_orientation_classes(g: Graph, min_in: int = 0, min_out: int = 0):
 
 def brute_graph_classes(n: int, min_degree: int = 0):
     """One representative per isomorphism class of simple graphs on n
-    vertices with the degree floor."""
+    vertices with the degree floor, keyed as bidirected digraphs."""
     pairs = list(itertools.combinations(range(n), 2))
     reps: dict[int, Graph] = {}
     for bits in range(1 << len(pairs)):
-        edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
-        rows = [0] * n
-        for u, v in edges:
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-        if any(rows[v].bit_count() < min_degree for v in range(n)):
+        g = Graph.from_edges(n, [pairs[i] for i in range(len(pairs)) if bits >> i & 1])
+        if any(g.degree(v) < min_degree for v in range(n)):
             continue
-        key = None
-        for perm in itertools.permutations(range(n)):
-            code = 0
-            for u, v in edges:
-                a, b = sorted((perm[u], perm[v]))
-                code |= 1 << (a * n + b)
-            if key is None or code < key:
-                key = code
-        reps.setdefault(key, Graph(n, rows))
-    return list(reps.values())
-
-
-def brute_tournament_classes(n: int):
-    pairs = list(itertools.combinations(range(n), 2))
-    reps: dict[int, Digraph] = {}
-    for bits in range(1 << len(pairs)):
-        arcs = [
-            (u, v) if not bits >> i & 1 else (v, u)
-            for i, (u, v) in enumerate(pairs)
-        ]
-        d = Digraph.from_arcs(n, arcs)
-        reps.setdefault(_digraph_class_key(d), d)
+        reps.setdefault(_digraph_class_key(bidirect(g)), g)
     return list(reps.values())
 
 
@@ -294,77 +269,30 @@ def random_graph(rng, n: int, p: float = 0.4) -> Graph:
     return Graph(n, rows)
 
 
-def random_gallai_forest(order: int, k: int, seed: int) -> Digraph:
-    """Random directed Gallai forest with total degree at most 2k at every
-    vertex and no bidirected clique beyond K_k.  Growth may stop early if
-    every vertex runs out of degree budget."""
-    if order < 1 or k < 2:
-        raise ValueError("need order >= 1 and k >= 2")
+def random_gallai_forest(order: int, seed: int) -> Digraph:
+    """Random directed Gallai forest on order vertices, grown by attaching
+    at a random vertex a single arc, a directed cycle, a bidirected odd
+    cycle of length at least 5 (a bidirected triangle is a clique) or a
+    bidirected clique, and a single arc when the drawn block does not fit."""
     rng = random.Random(seed)
-    n = 1
-    arcs: list[tuple[int, int]] = []
-    deg = [0]
-    budget = 2 * k
+    n, arcs = 1, []
     while n < order:
-        room = order - n
-        kinds = ["arc"]
-        if room >= 2:
-            kinds += ["dicycle", "bidcycle", "clique"]
-        kind = rng.choice(kinds)
+        kind = rng.choice(("arc", "dicycle", "odd-cycle", "clique"))
+        size = {"arc": 2, "dicycle": rng.randint(3, 6),
+                "odd-cycle": rng.choice((5, 7)), "clique": rng.randint(2, 4)}[kind]
+        if n + size - 1 > order:
+            kind, size = "arc", 2
+        block = [rng.randrange(n), *range(n, n + size - 1)]
+        n += size - 1
+        cycle = list(zip(block, block[1:] + block[:1]))
         if kind == "arc":
-            cost = 1
+            arcs.append(tuple(rng.sample(block, 2)))
         elif kind == "dicycle":
-            cost = 2
-        elif kind == "bidcycle":
-            cost = 4
+            arcs += cycle
+        elif kind == "odd-cycle":
+            arcs += cycle + [(v, u) for u, v in cycle]
         else:
-            size = rng.randint(2, max(2, min(k, room + 1)))
-            cost = 2 * (size - 1)
-        hosts = [v for v in range(n) if deg[v] + cost <= budget]
-        if not hosts:
-            hosts = [v for v in range(n) if deg[v] + 1 <= budget]
-            if not hosts:
-                break
-            kind, cost = "arc", 1
-        attach = rng.choice(hosts)
-        if kind == "arc":
-            new = n
-            deg.append(1)
-            deg[attach] += 1
-            arcs.append((attach, new) if rng.random() < 0.5 else (new, attach))
-            n += 1
-        elif kind == "dicycle":
-            clen = min(rng.randint(3, 6), room + 1)
-            cyc = [attach] + list(range(n, n + clen - 1))
-            for i in range(clen):
-                arcs.append((cyc[i], cyc[(i + 1) % clen]))
-            deg[attach] += 2
-            deg.extend([2] * (clen - 1))
-            n += clen - 1
-        elif kind == "bidcycle":
-            clen = min(rng.choice([3, 5]), room + 1)
-            if clen % 2 == 0:
-                clen -= 1
-            if clen < 3:
-                continue
-            cyc = [attach] + list(range(n, n + clen - 1))
-            for i in range(clen):
-                u, w = cyc[i], cyc[(i + 1) % clen]
-                arcs.append((u, w))
-                arcs.append((w, u))
-            deg[attach] += 4
-            deg.extend([4] * (clen - 1))
-            n += clen - 1
-        else:
-            size = max(2, min(size, room + 1))
-            clique = [attach] + list(range(n, n + size - 1))
-            for i, u in enumerate(clique):
-                for w in clique[i + 1 :]:
-                    arcs.append((u, w))
-                    arcs.append((w, u))
-            deg[attach] += 2 * (size - 1)
-            deg.extend([2 * (size - 1)] * (size - 1))
-            n += size - 1
+            arcs += [(u, v) for u in block for v in block if u != v]
     return Digraph.from_arcs(n, arcs)
 
 

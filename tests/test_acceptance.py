@@ -10,14 +10,14 @@ cross-checks live with the unit tests of the functions they check.
 Criterion 3 re-runs exhaustive censuses that take hours; it is marked
 `extended`, excluded by default (see pyproject), and honours the
 DICHROMA_CENSUS8_CHECKPOINT / DICHROMA_CENSUS9_CHECKPOINT environment
-variables so interrupted runs resume.  Criterion 12 writes its checkpoint
+variables so interrupted runs resume; without them its checkpoints live in
+the test's own temporary directory.  Criterion 12 writes its checkpoint
 under the test's own temporary directory, or at DICHROMA_T10_CHECKPOINT
 when that is set.
 """
 
 import json
 import os
-import tempfile
 import time
 from contextlib import contextmanager
 
@@ -58,12 +58,6 @@ def criterion(num: int, limit: float | None, description: str, spent: float = 0.
     _record(f"criterion {num:>2}: PASS ({elapsed:.1f}s{budget}) {description}")
 
 
-def _checkpoint(env: str, default_name: str) -> str:
-    return os.environ.get(
-        env, os.path.join(tempfile.gettempdir(), default_name)
-    )
-
-
 def _env_jobs() -> int:
     # parsed as the CLI parses it: a bad value fails before any work
     return _positive_int(os.environ.get("DICHROMA_JOBS") or "1")
@@ -96,14 +90,17 @@ def test_criterion_2_census_7_unique_and_6_empty(rows):
 
 
 @pytest.mark.extended
-def test_criterion_3_census_8_and_9():
+def test_criterion_3_census_8_and_9(tmp_path):
+    # a census header does not name the build that wrote it, so a file
+    # another build left in a shared directory would be trusted: the
+    # defaults live with this run
     with criterion(3, None, "3-dicritical census: minimum arc counts 21 "
                    "(order 8) and 23 (order 9), each witness unique"):
         jobs = _env_jobs()
         rep8 = dicritical_census(
             8, 3, jobs=jobs,
-            checkpoint=_checkpoint("DICHROMA_CENSUS8_CHECKPOINT",
-                                   "census8.ckpt"),
+            checkpoint=os.environ.get("DICHROMA_CENSUS8_CHECKPOINT",
+                                      str(tmp_path / "census8.ckpt")),
         )
         assert rep8.count == 171
         assert rep8.min_arcs == 21
@@ -111,8 +108,8 @@ def test_criterion_3_census_8_and_9():
         assert validate_census(rep8) == []
         rep9 = dicritical_census(
             9, 3, jobs=jobs,
-            checkpoint=_checkpoint("DICHROMA_CENSUS9_CHECKPOINT",
-                                   "census9.ckpt"),
+            checkpoint=os.environ.get("DICHROMA_CENSUS9_CHECKPOINT",
+                                      str(tmp_path / "census9.ckpt")),
         )
         assert rep9.min_arcs == 23
         assert len(rep9.witnesses) == 1

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,29 +11,14 @@ import dichroma
 from dichroma import claims, solver
 from dichroma.cli import main
 from dichroma.reductions import CnfFormula, single_face_embedding
+from dichroma.surfaces import parse_surface
 
 TRIANGLE_D6 = "&BP_"
 
-FULL_CLAIMS = [
-    "st11-dichromatic-4",
-    "st11-4-dicritical",
-    "tournaments-6-2-dicolourable",
-    "census-6-3-empty",
-    "census-7-3-min-20-unique",
-    "stearns-tournaments",
-    "stearns-tournaments-8",
-    "circulant-13-no-tt5",
-    "surface-bounds-table",
-    "cactus-suite",
-    "cactus-suite-500",
-    "census-dicritical-gallai",
-    "reduction-digon-equivalence",
-    "reduction-digon-equivalence-50",
-    "reduction-oriented-equivalence",
-    "reduction-oriented-equivalence-20",
-    "solver-oracle",
-    "solver-oracle-200",
-]
+# the benchmark's verify-full workload checks this list of claim slugs
+FULL_CLAIMS = json.loads(
+    (Path(__file__).resolve().parents[1] / "bench" / "reference.json").read_text()
+)["verify-full"]["claims"]
 FULL_ONLY = {
     "stearns-tournaments-8",
     "cactus-suite-500",
@@ -163,9 +149,39 @@ def test_bounds_range(capsys):
     code, out, _ = run_cli(capsys, "bounds", "--range", "-2", "2")
     assert code == 0
     assert "sphere" in out and "klein-bottle" in out
-    code, _, err = run_cli(capsys, "bounds", "--range", "2", "-2")
-    assert code == 2
-    assert "error:" in err
+    # no surface has characteristic above 2, so a range there ends at once
+    for argv in (["--range", "2", "-2"], ["--range", "3", "10000000000"]):
+        code, _, err = run_cli(capsys, "bounds", *argv)
+        assert code == 2
+        assert "error:" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--surface", "N1", "--range", "-2", "2"])
+    assert exc.value.code == 2
+
+
+def test_bounds_json_rows_share_one_shape(capsys):
+    rows = {}
+    for argv in ([], ["--surface", "N10"], ["--range", "-8", "2"]):
+        code, out, _ = run_cli(capsys, "bounds", "--json", *argv)
+        assert code == 0
+        rows[tuple(argv)] = json.loads(out)["results"]
+        for label, row in rows[tuple(argv)].items():
+            assert set(row) == {"surface", "euler_characteristic", "lower",
+                                "upper", "provenance"}
+            assert row["surface"] == label
+    table = rows[()]
+    # every surface of a table row, by its own name, to that row
+    by_surface = {
+        parse_surface(name).name: row
+        for row in table.values()
+        for name in row["surface"].split(", ")
+    }
+    ranged = rows[("--range", "-8", "2")]
+    assert sorted(ranged) == sorted(by_surface)
+    keys = ("euler_characteristic", "lower", "upper", "provenance")
+    for name, row in ranged.items():
+        assert [row[k] for k in keys] == [by_surface[name][k] for k in keys]
+    assert rows[("--surface", "N10")]["N10"] == ranged["N10"]
 
 
 def test_bounds_unknown_surface(capsys):

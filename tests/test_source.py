@@ -1,10 +1,12 @@
 import ast
+import importlib
 from pathlib import Path
 
 import dichroma
 
 PACKAGE = Path(dichroma.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
+BENCH = TESTS.parent / "bench"
 
 
 def _modules():
@@ -81,6 +83,39 @@ def test_no_unused_imports():
             if (alias.asname or alias.name).split(".")[0] not in used
         ]
     assert found == []
+
+
+def test_benchmark_entry_points_exist():
+    # the benchmark calls the package by name, private names included, and
+    # no other test runs it: every name it imports from dichroma and every
+    # attribute it reads off a dichroma module must exist
+    missing, checked = [], set()
+    for path in (BENCH / "run.py", BENCH / "make_reference.py"):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        modules = {"dichroma": dichroma}
+        reads = [
+            (node.lineno, node.module, alias.name, alias.asname or alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and _package_import(node)
+            for alias in node.names
+        ]
+        for lineno, module, name, bound in reads:
+            try:
+                modules[bound] = importlib.import_module(f"{module}.{name}")
+            except ModuleNotFoundError:
+                pass
+        reads += [
+            (node.lineno, modules[node.value.id].__name__, node.attr, None)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id in modules
+        ]
+        for lineno, module, name, _ in reads:
+            checked.add(f"{module}.{name}")
+            if not hasattr(importlib.import_module(module), name):
+                missing.append(f"{path.name}:{lineno} {module}.{name}")
+    assert {"dichroma.solver._bound_chunk", "dichroma.cli._CLAIMS"} <= checked
+    assert missing == []
 
 
 def test_every_function_has_a_caller_or_is_exported():

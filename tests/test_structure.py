@@ -203,11 +203,13 @@ def test_gallai_property_check():
 
 def test_random_gallai_forest_passes_recognition():
     rng = random.Random(44)
+    kinds = set()
     for _ in range(40):
-        n = rng.randint(1, 25)
-        k = rng.randint(2, 4)
-        d = random_gallai_forest(n, k, seed=rng.getrandbits(32))
+        d = random_gallai_forest(rng.randint(1, 25), seed=rng.getrandbits(32))
         assert is_directed_gallai_forest(d)
+        kinds.update(classify_blocks(d))
+    assert kinds == {SINGLE_EDGE, DIRECTED_CYCLE, BIDIRECTED_ODD_CYCLE,
+                     BIDIRECTED_CLIQUE}
 
 
 def test_decomposition_report_shape():

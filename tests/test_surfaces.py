@@ -7,6 +7,7 @@ from dichroma.surfaces import (
     ORIENTABLE,
     Surface,
     arboricity_bound,
+    bounds_row,
     dichromatic_bounds,
     dicritical_min_arcs,
     dicritical_order_bound,
@@ -52,8 +53,9 @@ def test_parse_surface_round_trips():
         assert parse_surface(s.name) == s
     assert parse_surface("  Torus ") == Surface(ORIENTABLE, 1)
     assert parse_surface("n3") == Surface(NONORIENTABLE, 3)
-    for bad in ("", "plane", "S", "Sx", "N-1", "4"):
-        with pytest.raises(ValueError):
+    # "²".isdigit() is true, but int() rejects it
+    for bad in ("", "plane", "S", "Sx", "N-1", "4", "N²"):
+        with pytest.raises(ValueError, match="cannot parse surface"):
             parse_surface(bad)
 
 
@@ -124,3 +126,11 @@ def test_dichromatic_bounds_provenance():
     n10 = dichromatic_bounds(Surface(NONORIENTABLE, 10))
     assert (n10.lower, n10.upper) == (4, 4)
     assert "lower-4-characteristic-at-most-minus-8" in n10.provenance
+
+
+def test_bounds_row_rejects_disagreeing_surfaces():
+    n10 = bounds_row("N10", [Surface(NONORIENTABLE, 10)])
+    pair = bounds_row("S5, N10", [Surface(ORIENTABLE, 5), Surface(NONORIENTABLE, 10)])
+    assert pair == dict(n10, surface="S5, N10")
+    with pytest.raises(RuntimeError, match="not homogeneous"):
+        bounds_row("x", (Surface(ORIENTABLE, 0), Surface(NONORIENTABLE, 1)))
