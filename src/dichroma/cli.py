@@ -16,11 +16,10 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 
 from .claims import CLAIMS as _CLAIMS  # bench/make_reference.py reads cli._CLAIMS
 from .claims import ClaimContext
-from .digraphs import is_oriented, underlying_graph
+from .digraphs import Digraph, is_oriented, underlying_graph
 from .enumeration import dicritical_census, validate_census
 from .formats import dump_digraph, load_digraph
 from .reductions import (
@@ -44,24 +43,6 @@ from .surfaces import (
 )
 
 
-@dataclass
-class RunReport:
-    command: str
-    inputs: str
-    results: dict
-    timings: dict = field(default_factory=dict)
-    seed: int | None = None
-
-    def to_json(self) -> dict:
-        return {
-            "command": self.command,
-            "inputs": self.inputs,
-            "results": self.results,
-            "timings": {k: round(v, 3) for k, v in self.timings.items()},
-            "seed": self.seed,
-        }
-
-
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
@@ -71,6 +52,12 @@ def _read_text(path: str | None) -> str:
         return sys.stdin.read()
     with open(path) as fh:
         return fh.read()
+
+
+def _load(args) -> tuple[str, Digraph]:
+    """The input digraph of args.path and the digest of its text."""
+    text = _read_text(args.path)
+    return _digest(text), load_digraph(text, args.format)
 
 
 def _positive_int(text: str) -> int:
@@ -90,44 +77,39 @@ def _jobs(args) -> int:
     return _positive_int(env) if env else 1
 
 
-def _emit(args, report: RunReport, lines: list[str]) -> None:
+def _emit(args, inputs: str, results: dict, lines: list[str],
+          timings: dict | None = None, seed: int | None = None) -> None:
+    """Print the run report under --json, else the plain lines."""
     if args.json:
-        print(json.dumps(report.to_json(), sort_keys=True))
+        report = {
+            "command": args.command,
+            "inputs": inputs,
+            "results": results,
+            "timings": {k: round(v, 3) for k, v in (timings or {}).items()},
+            "seed": seed,
+        }
+        print(json.dumps(report, sort_keys=True, default=str))
     else:
         for ln in lines:
             print(ln)
 
 
 def cmd_dichi(args) -> int:
-    text = _read_text(args.path)
-    d = load_digraph(text, args.format)
+    digest, d = _load(args)
     t0 = time.perf_counter()
     k, col = dichromatic_number(d)
-    report = RunReport(
-        command="dichi",
-        inputs=_digest(text),
-        results={"n": d.n, "m": d.m, "k": k, "colouring": col},
-        timings={"solve": time.perf_counter() - t0},
-    )
-    _emit(args, report, [f"k={k}", "colouring: " + " ".join(map(str, col))])
+    _emit(args, digest, {"n": d.n, "m": d.m, "k": k, "colouring": col},
+          [f"k={k}", "colouring: " + " ".join(map(str, col))],
+          {"solve": time.perf_counter() - t0})
     return 0
 
 
 def cmd_census(args) -> int:
     t0 = time.perf_counter()
-    rep = dicritical_census(
-        args.n,
-        args.k,
-        jobs=_jobs(args),
-        checkpoint=args.checkpoint,
-    )
+    rep = dicritical_census(args.n, args.k, jobs=_jobs(args),
+                            checkpoint=args.checkpoint)
     problems = validate_census(rep)
-    report = RunReport(
-        command="census",
-        inputs=f"n={args.n} k={args.k}",
-        results=dict(rep.to_json(), problems=problems),
-        timings={"census": time.perf_counter() - t0},
-    )
+    timings = {"census": time.perf_counter() - t0}
     lines = [
         f"count={rep.count} min_arcs={rep.min_arcs} "
         f"unique={len(rep.witnesses) == 1}"
@@ -135,7 +117,8 @@ def cmd_census(args) -> int:
     lines += [f"witness {w}" for w in rep.witnesses]
     if problems:
         lines += [f"PROBLEM {p}" for p in problems]
-    _emit(args, report, lines)
+    _emit(args, f"n={args.n} k={args.k}", dict(rep.to_json(), problems=problems),
+          lines, timings)
     return 1 if problems else 0
 
 
@@ -158,12 +141,9 @@ def cmd_bounds(args) -> int:
             raise ValueError(f"no surface has Euler characteristic in [{lo}, {hi}]")
     else:
         rows = surface_table()
-    report = RunReport(
-        command="bounds",
-        inputs=args.surface or (f"range {args.range}" if args.range else "table"),
-        results={row["surface"]: row for row in rows},
-    )
-    _emit(args, report, [line.format(**row) for row in rows])
+    _emit(args, args.surface or (f"range {args.range}" if args.range else "table"),
+          {row["surface"]: row for row in rows},
+          [line.format(**row) for row in rows])
     return 0
 
 
@@ -186,21 +166,17 @@ def cmd_reduce(args) -> int:
         timings["verify"] = time.perf_counter() - t0
         results["equivalence"] = ok
         code = 0 if ok else 1
-    report = RunReport(
-        command="reduce", inputs=_digest(text), results=results, timings=timings
-    )
     lines = [f"mode={out.mode} n={out.digraph.n} m={out.digraph.m}"]
     lines.append(dump_digraph(out.digraph, args.format))
     lines.append("roles " + json.dumps(out.roles, sort_keys=True))
     if args.verify:
         lines.append(f"equivalence={results['equivalence']}")
-    _emit(args, report, lines)
+    _emit(args, _digest(text), results, lines, timings)
     return code
 
 
 def cmd_structure(args) -> int:
-    text = _read_text(args.path)
-    d = load_digraph(text, args.format)
+    digest, d = _load(args)
     g = underlying_graph(d)
     rep = decomposition_report(d)
     rep["is_cactus"] = is_cactus(g)
@@ -220,28 +196,21 @@ def cmd_structure(args) -> int:
         rep["induced_forest_size"] = len(forest)
         lines.append(f"edges {m} <= {bound} (tight={tight})")
         lines.append(f"induced forest size {len(forest)}")
-    report = RunReport(command="structure", inputs=_digest(text), results=rep)
-    _emit(args, report, lines)
+    _emit(args, digest, rep, lines)
     return 0
 
 
 def cmd_critical_check(args) -> int:
-    text = _read_text(args.path)
-    d = load_digraph(text, args.format)
+    digest, d = _load(args)
     t0 = time.perf_counter()
     rep = is_dicritical(d, args.k)
-    report = RunReport(
-        command="critical-check",
-        inputs=_digest(text),
-        results=rep.to_json(),
-        timings={"check": time.perf_counter() - t0},
-    )
+    timings = {"check": time.perf_counter() - t0}
     lines = [f"dicritical={rep.is_dicritical} k={args.k}"]
     if not rep.is_dicritical:
         lines.append(f"reason: {rep.reason}")
         if rep.failing_arc is not None:
             lines.append(f"failing arc: {rep.failing_arc}")
-    _emit(args, report, lines)
+    _emit(args, digest, rep.to_json(), lines, timings)
     return 0 if rep.is_dicritical else 1
 
 
@@ -275,21 +244,10 @@ def cmd_verify_paper(args) -> int:
                 )
             if not args.json:
                 print(f"      counterexample artifact: {path}")
-    report = RunReport(
-        command="verify-paper",
-        inputs=f"level={args.level}",
-        results=results,
-        timings=timings,
-        seed=args.seed,
-    )
-    if args.json:
-        print(json.dumps(report.to_json(), sort_keys=True, default=str))
-    else:
-        total = len(results)
-        print(
-            f"{total} claims, {total - len(failures)} passed, "
-            f"{len(failures)} failed ({time.perf_counter() - t_all:.1f}s)"
-        )
+    total = len(results)
+    summary = (f"{total} claims, {total - len(failures)} passed, "
+               f"{len(failures)} failed ({time.perf_counter() - t_all:.1f}s)")
+    _emit(args, f"level={args.level}", results, [summary], timings, args.seed)
     return 1 if failures else 0
 
 

@@ -205,24 +205,17 @@ class PlanarIncidenceEmbedding:
                         f"({p},{cj},{q})"
                     )
 
-    def to_json(self) -> dict:
-        return {
-            "faces": [list(w) for w in self.faces],
-            "clause_faces": [list(t) for t in self.clause_faces],
-        }
-
     @classmethod
     def from_json(cls, obj: dict) -> "PlanarIncidenceEmbedding":
         try:
             faces = tuple(tuple(w) for w in obj["faces"])
             if not all(isinstance(x, str) for w in faces for x in w):
                 raise TypeError("face walks must list vertex names")
-            return cls(
-                faces=faces,
-                clause_faces=tuple(
-                    (int(a), int(b), int(c)) for a, b, c in obj["clause_faces"]
-                ),
-            )
+            clause_faces = tuple((a, b, c) for a, b, c in obj["clause_faces"])
+            # type(), not isinstance(): a JSON true is not a face index
+            if not all(type(x) is int for t in clause_faces for x in t):
+                raise TypeError("clause face indices must be integers")
+            return cls(faces=faces, clause_faces=clause_faces)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed embedding JSON: {exc!r}") from None
 

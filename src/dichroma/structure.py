@@ -198,10 +198,11 @@ def _require_cactus(g: Graph) -> BlockDecomposition:
 
 
 def cactus_edge_bound(g: Graph) -> tuple[int, Fraction, bool]:
-    """(m, 3/2(n-1), tight).  Tight exactly when g is connected and every
-    block is a triangle."""
+    """(m, 3/2 max(n-1, 0), tight).  Tight exactly when g is connected and
+    every block is a triangle; the empty graph's bound is 0, and it is
+    tight."""
     _require_cactus(g)
-    bound = Fraction(3, 2) * (g.n - 1)
+    bound = Fraction(3, 2) * max(g.n - 1, 0)
     return g.m, bound, Fraction(g.m) == bound
 
 

@@ -87,11 +87,6 @@ def arboricity_bound(c: int) -> int:
     return (9 + math.isqrt(49 - 24 * c)) // 4
 
 
-def _floor_frac(num: int, den: Fraction | int) -> int:
-    f = Fraction(num) / Fraction(den)
-    return f.numerator // f.denominator
-
-
 def dicritical_order_bound(k: int, c: int, oriented: bool) -> int | None:
     """Best applicable order ceiling for a k-dicritical digraph embeddable
     on a surface of Euler characteristic c, or None if no formula applies.
@@ -109,13 +104,13 @@ def dicritical_order_bound(k: int, c: int, oriented: bool) -> int | None:
         if k == 4:
             bounds.append(4 - 9 * c)
         elif k >= 5:
-            bounds.append(_floor_frac(-3 * c, k - 4))
+            bounds.append(-3 * c // (k - 4))
     if k >= 8:
-        bounds.append(_floor_frac(-6 * c, k - 7))
+        bounds.append(-6 * c // (k - 7))
     if k >= 7:
         kk = k - 1
         eps = Fraction(kk - 2, 2 * kk * kk + 3 * kk - 4)
-        bounds.append(_floor_frac(-6 * c, k - 7 + eps))
+        bounds.append(-6 * c // (k - 7 + eps))
     if not bounds:
         return None
     return min(bounds)

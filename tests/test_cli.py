@@ -10,10 +10,14 @@ import pytest
 import dichroma
 from dichroma import claims, solver
 from dichroma.cli import main
-from dichroma.reductions import CnfFormula, single_face_embedding
 from dichroma.surfaces import parse_surface
 
 TRIANGLE_D6 = "&BP_"
+# README's embedding JSON: the one face of the claw p cnf 3 1 / 1 2 3 0
+CLAW_EMBEDDING = {
+    "faces": [["v1", "c0", "v2", "c0", "v3", "c0"]],
+    "clause_faces": [[0, 0, 0]],
+}
 
 # the benchmark's verify-full workload checks this list of claim slugs
 FULL_CLAIMS = json.loads(
@@ -60,6 +64,30 @@ def test_dichi_json_report(tmp_path, capsys):
     assert blob["results"]["k"] == 2
     assert blob["results"]["n"] == 3
     assert "solve" in blob["timings"]
+
+
+def test_every_json_report_comes_from_one_writer(tmp_path, capsys, quick_run):
+    tri = tmp_path / "tri.d6"
+    tri.write_text(TRIANGLE_D6 + "\n")
+    cnf = tmp_path / "phi.cnf"
+    cnf.write_text("p cnf 3 1\n1 -2 3 0\n")
+    reports = [("verify-paper", quick_run[1], set(QUICK_CLAIMS))]
+    for argv, spans in ((["dichi", str(tri)], {"solve"}),
+                        (["census", "6", "3"], {"census"}),
+                        (["bounds"], set()),
+                        (["reduce", str(cnf), "--verify"], {"reduce", "verify"}),
+                        (["structure", str(tri)], set()),
+                        (["critical-check", str(tri), "2"], {"check"})):
+        code, out, _ = run_cli(capsys, *argv, "--json")
+        assert code == 0
+        reports.append((argv[0], json.loads(out), spans))
+    for command, blob, spans in reports:
+        assert set(blob) == {"command", "inputs", "results", "timings", "seed"}
+        assert blob["command"] == command
+        assert set(blob["timings"]) == spans
+        for t in blob["timings"].values():
+            assert type(t) is float and t == round(t, 3)
+        assert blob["seed"] == (20260825 if command == "verify-paper" else None)
 
 
 def test_dichi_rejects_garbage(tmp_path, capsys):
@@ -231,9 +259,13 @@ def test_reduce_rejects_malformed_embedding(tmp_path, capsys):
     cnf = tmp_path / "phi.cnf"
     cnf.write_text("p cnf 3 1\n1 2 3 0\n")
     emb = tmp_path / "emb.json"
+    # face indices are JSON integers: no float, string or bool is read as one
+    bad_indices = ((0.9, "0", False), (0.9, 0, 0), (0, "0", 0), (0, 0, False))
     for bad in ('{"faces": [["v1", "c0", "v2"]], "clause_faces": [[0, 0, 0]]}',
                 '{"faces": [[["v1"], "c0"]], "clause_faces": [[0, 0, 0]]}',
-                '{"faces": []}', "not json"):
+                '{"faces": []}', "not json",
+                *(json.dumps(dict(CLAW_EMBEDDING, clause_faces=[t]))
+                  for t in bad_indices)):
         emb.write_text(bad)
         code, out, err = run_cli(capsys, "reduce", str(cnf), "--embedding", str(emb))
         assert code == 2 and out == ""
@@ -244,8 +276,7 @@ def test_reduce_planar_with_embedding(tmp_path, capsys):
     cnf = tmp_path / "phi.cnf"
     cnf.write_text("p cnf 3 1\n1 2 3 0\n")
     emb = tmp_path / "emb.json"
-    phi = CnfFormula(3, ((1, 2, 3),))
-    emb.write_text(json.dumps(single_face_embedding(phi).to_json()))
+    emb.write_text(json.dumps(CLAW_EMBEDDING))
     code, out, _ = run_cli(
         capsys, "reduce", str(cnf), "--embedding", str(emb), "--verify",
     )
@@ -262,6 +293,13 @@ def test_structure_directed_triangle(tmp_path, capsys):
     assert "kinds directed-cycle" in out
     assert "cactus=True directed_cactus=True gallai_forest=True" in out
     assert "induced forest size 2" in out
+
+
+def test_structure_of_the_empty_digraph(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("0 0\n"))
+    code, out, _ = run_cli(capsys, "structure")
+    assert code == 0
+    assert "edges 0 <= 0 (tight=True)" in out.splitlines()
 
 
 def test_critical_check_exit_codes(tmp_path, capsys):

@@ -111,8 +111,11 @@ def test_single_face_embedding_validates():
     phi = claw()
     emb = single_face_embedding(phi)
     emb.validate(phi)
-    again = PlanarIncidenceEmbedding.from_json(emb.to_json())
-    assert again == emb
+    readme = {  # README's embedding JSON: the claw's one face
+        "faces": [["v1", "c0", "v2", "c0", "v3", "c0"]],
+        "clause_faces": [[0, 0, 0]],
+    }
+    assert PlanarIncidenceEmbedding.from_json(readme) == emb
     with pytest.raises(ValueError):
         single_face_embedding(two_clause())
 

@@ -125,6 +125,8 @@ def test_cactus_edge_bound_and_tightness():
     path = Graph.from_edges(3, [(0, 1), (1, 2)])
     m, bound, tight = cactus_edge_bound(path)
     assert m == 2 and not tight
+    # 3/2(n-1) would be -3/2 at n = 0, which no graph meets
+    assert cactus_edge_bound(Graph(0, ())) == (0, 0, True)
     with pytest.raises(ValueError):
         cactus_edge_bound(Graph.from_edges(4, [(a, b) for a in range(4)
                                                for b in range(a + 1, 4)]))
