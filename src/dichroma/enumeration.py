@@ -59,7 +59,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import time
 from dataclasses import asdict, dataclass, field
 from typing import Iterator, Sequence
 
@@ -647,7 +646,6 @@ def dicritical_census(
         raise ValueError("census needs k >= 2")
     if not 1 <= n <= GEN_CAP:
         raise ValueError(f"order must be within 1..{GEN_CAP}, got {n}")
-    t0 = time.perf_counter()
     graphs = gen_graphs(n, 2 * (k - 1)) if n > 2 * (k - 1) else []
     kept = [g for g in graphs if arboricity(g) >= k]
     tasks = [(d6_encode(bidirect(g)), k) for g in kept]
@@ -672,7 +670,6 @@ def dicritical_census(
             "graphs": len(graphs),
             "graphs_after_arboricity": len(kept),
             "orientation_candidates": candidates,
-            "seconds": round(time.perf_counter() - t0, 3),
         },
     )
 

@@ -175,10 +175,11 @@ def checkpointed_map(
     takes, has one read refuses (read raises TypeError or ValueError), names
     no task of the run or repeats one raises ValueError naming the file and
     line, before any record is yielded.  The rest run in task order, in a
-    process pool when jobs > 1, and each new record is appended and flushed
-    before it is yielded.  A caller that stops early just leaves
-    its loop: closing the generator cancels the tasks not yet started and
-    closes the file.
+    pool of min(jobs, tasks left, CPUs) worker processes when that is above
+    1 (a fork pool starts every worker at once), else serially, and each new
+    record is appended and flushed before it is yielded.  A caller that
+    stops early just leaves its loop: closing the generator cancels the
+    tasks not yet started and closes the file.
     """
     records, ck = open_checkpoint(checkpoint, header) if checkpoint else ([], None)
     pool = None
@@ -195,11 +196,12 @@ def checkpointed_map(
             stored.append(got)
         yield from stored
         todo = [t for t in tasks if t[0] in names]
-        if jobs > 1 and todo:
+        workers = min(jobs, len(todo), os.cpu_count() or 1)
+        if workers > 1:
             # imported here: serial runs never pay for the pool machinery
             from concurrent.futures import ProcessPoolExecutor
 
-            pool = ProcessPoolExecutor(max_workers=jobs)
+            pool = ProcessPoolExecutor(max_workers=workers)
         for rec in pool.map(fn, todo) if pool else map(fn, todo):
             if ck:
                 ck.write(json.dumps(rec) + "\n")

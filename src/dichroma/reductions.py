@@ -1,19 +1,24 @@
 """Compilation of (planar) 3-SAT into 2-dicolourability.
 
-Two constructions share one clause topology and differ only in the
-inequality gadget installed on every link: the digon, the trivial gadget
-with no interior vertex, or, for digon-free outputs, an oriented gadget
-spliced from copies of an equality gadget (a 3-dicritical oriented graph
-minus one arc forces its endpoints to share a colour).  As in the paper's
-proof, the oriented construction is the digon construction with each digon
-replaced by a gadget.  Every gadget is re-verified exhaustively when built,
-and instance equivalence is checkable against a brute-force satisfiability
+Every compiled instance is its skeleton, the digon compilation of the
+formula (clause rings, a named role per vertex and a digon on every
+inequality link), with one copy of an inequality gadget spliced onto each
+link by _splice, the interiors numbered after the skeleton.  The digon is
+the trivial gadget with no interior vertex, so a digon output is its own
+skeleton; the oriented gadget, for digon-free outputs, is itself spliced
+from two copies of an equality gadget (a 3-dicritical oriented graph minus
+one arc forces its endpoints to share a colour).  As in the paper's proof,
+the oriented construction is the digon construction with each digon
+replaced by a gadget, and solve_reduction decides every output on its
+skeleton.  Every gadget is re-verified exhaustively when built, and
+instance equivalence is checkable against a brute-force satisfiability
 oracle at desk scale.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -221,87 +226,83 @@ class PlanarIncidenceEmbedding:
 
 
 @dataclass(frozen=True)
-class EqGadget:
-    """A 3-dicritical oriented graph minus one arc: 2-dicolourable, and its
-    marked endpoints agree in every 2-dicolouring."""
+class Gadget:
+    """A digraph whose marked endpoints u, w agree (equality gadget: a
+    3-dicritical oriented graph minus its arc u->w) or differ (inequality
+    gadget) in every 2-dicolouring.  extensions holds one full
+    2-dicolouring per endpoint pattern, for lifting skeleton colourings
+    into gadget interiors."""
 
-    digraph: Digraph
-    u: int
-    v: int
-
-
-@dataclass(frozen=True)
-class NeqGadget:
     digraph: Digraph
     u: int
     w: int
-    # one full gadget 2-dicolouring per endpoint pattern, for lifting
-    # skeleton colourings into gadget interiors
     extensions: dict[tuple[int, int], tuple[int, ...]]
 
 
-def _endpoint_patterns(
-    d: Digraph, a: int, b: int, want: set[tuple[int, int]], forcing: str
-) -> dict[tuple[int, int], tuple[int, ...]]:
-    """One 2-dicolouring of d per colour pattern on (a, b), the first in
-    lexicographic order; the patterns that occur must be exactly want.
-    In that order come the partitions of _static_colourings, coloured 1
-    and 2 (vertex 0 takes 1), then their colour swaps in reverse order."""
+def _gadget(d: Digraph, u: int, w: int, want: set[tuple[int, int]],
+            forcing: str) -> Gadget:
+    """d with endpoints u, w and, per colour pattern on (u, w), the first
+    2-dicolouring of d in lexicographic order; the patterns that occur must
+    be exactly want.  In that order come the partitions of
+    _static_colourings, coloured 1 and 2 (vertex 0 takes 1), then their
+    colour swaps in reverse order."""
     walk = _static_colourings(d.rows, d.in_rows, d.n, 2, _creates_cycle)
     cols = [tuple(c + 1 for c in col) for col in walk]
     found: dict[tuple[int, int], tuple[int, ...]] = {}
     for col in cols + [tuple(3 - c for c in col) for col in reversed(cols)]:
-        found.setdefault((col[a], col[b]), col)
+        found.setdefault((col[u], col[w]), col)
     if set(found) != want:
         raise RuntimeError(
             f"gadget endpoints admit patterns {sorted(found)}; "
             f"{forcing} forcing failed"
         )
-    return found
+    return Gadget(digraph=d, u=u, w=w, extensions=found)
 
 
-def make_eq_gadget(g3: Digraph, arc: tuple[int, int]) -> EqGadget:
-    u, v = arc
-    if not g3.has_arc(u, v):
-        raise ValueError(f"({u},{v}) is not an arc of the seed digraph")
+def _splice(arcs: list[tuple[int, int]], n: int, gadget: Gadget,
+            x: int, y: int) -> tuple[int, ...]:
+    """Install a fresh copy of gadget from x to y: its endpoints become x
+    and y, its interior vertices n, n+1, ... in ascending gadget order, and
+    its arcs are appended to arcs.  Returns the map gadget vertex -> vertex."""
+    fresh = itertools.count(n)
+    copy = tuple(
+        x if t == gadget.u else y if t == gadget.w else next(fresh)
+        for t in range(gadget.digraph.n)
+    )
+    arcs.extend((copy[p], copy[q]) for p, q in gadget.digraph.arcs())
+    return copy
+
+
+def make_eq_gadget(g3: Digraph, arc: tuple[int, int]) -> Gadget:
+    u, w = arc
+    if not g3.has_arc(u, w):
+        raise ValueError(f"({u},{w}) is not an arc of the seed digraph")
     if not is_dicritical(g3, 3).is_dicritical:
         raise ValueError("equality gadget seed must be 3-dicritical")
-    gadget = delete_arc(g3, u, v)
-    _endpoint_patterns(gadget, u, v, {(1, 1), (2, 2)}, "equality")
-    return EqGadget(digraph=gadget, u=u, v=v)
-
-
-def _neq_gadget(d: Digraph, u: int, w: int) -> NeqGadget:
-    patterns = _endpoint_patterns(d, u, w, {(1, 2), (2, 1)}, "inequality")
-    return NeqGadget(digraph=d, u=u, w=w, extensions=patterns)
+    return _gadget(delete_arc(g3, u, w), u, w, {(1, 1), (2, 2)}, "equality")
 
 
 # the trivial inequality gadget, with no interior vertex
-DIGON = _neq_gadget(Digraph.from_arcs(2, [(0, 1), (1, 0)]), 0, 1)
+DIGON = _gadget(Digraph.from_arcs(2, [(0, 1), (1, 0)]), 0, 1,
+                {(1, 2), (2, 1)}, "inequality")
 
 
-def make_neq_gadget(eq: EqGadget) -> NeqGadget:
+def make_neq_gadget(eq: Gadget) -> Gadget:
     """u, v1, v2, w with the directed triangle v1->v2->w->v1 and equality
     gadgets splicing u to v1 and u to v2; endpoints u, w then disagree in
     every 2-dicolouring, without any digon."""
-    g = eq.digraph
-    n = 4
-    arcs: list[tuple[int, int]] = [(1, 2), (2, 3), (3, 1)]
+    n, arcs = 4, [(1, 2), (2, 3), (3, 1)]
     for target in (1, 2):
-        mapping = {eq.u: 0, eq.v: target}
-        for x in range(g.n):
-            if x not in mapping:
-                mapping[x] = n
-                n += 1
-        arcs.extend((mapping[p], mapping[q]) for p, q in g.arcs())
+        _splice(arcs, n, eq, 0, target)
+        n += eq.digraph.n - 2
     d = Digraph.from_arcs(n, arcs)
     if not is_oriented(d):
         raise RuntimeError("inequality gadget contains a digon")
-    return _neq_gadget(d, 0, 3)
+    return _gadget(d, 0, 3, {(1, 2), (2, 1)}, "inequality")
 
 
 @functools.cache
-def default_gadgets() -> tuple[EqGadget, NeqGadget]:
+def default_gadgets() -> tuple[Gadget, Gadget]:
     """The equality gadget of the default seed minus its least arc and the
     oriented inequality gadget spliced from it, built and verified once per
     process, on first use."""
@@ -316,10 +317,12 @@ class ReductionOutput:
     roles: dict[str, int]
     mode: str
     formula: CnfFormula
-    gadget: NeqGadget
-    # per inequality link, the map gadget-local vertex -> output vertex
+    gadget: Gadget
+    # per inequality link, the map gadget vertex -> output vertex
     gadget_copies: tuple[tuple[int, ...], ...]
-    embedding: PlanarIncidenceEmbedding | None = None
+    # the digon compilation: the output's first skeleton.n vertices, each
+    # a role, with the clause rings and a digon on every link
+    skeleton: Digraph
 
     def to_json(self) -> dict:
         return {
@@ -331,73 +334,57 @@ class ReductionOutput:
         }
 
 
-class _Builder:
-    def __init__(self, gadget: NeqGadget):
-        self.gadget = gadget
-        self.arcs: list[tuple[int, int]] = []
-        self.n = 0
-        self.roles: dict[str, int] = {}
-        self.copies: list[tuple[int, ...]] = []
+def _compile(phi: CnfFormula, embedding: PlanarIncidenceEmbedding | None,
+             gadget: Gadget) -> ReductionOutput:
+    """The digon compilation of phi as the skeleton, then one copy of the
+    gadget per inequality link, the interiors numbered after the skeleton
+    in link order."""
+    roles: dict[str, int] = {}
 
-    def add(self, role: str | None = None) -> int:
-        v = self.n
-        self.n += 1
-        if role is not None:
-            self.roles[role] = v
-        return v
+    def add(role: str) -> int:
+        return roles.setdefault(role, len(roles))
 
-    def neq(self, x: int, y: int) -> None:
-        """Install a fresh copy of the inequality gadget from x to y."""
-        g = self.gadget
-        mapping = {g.u: x, g.w: y}
-        for t in range(g.digraph.n):
-            if t not in mapping:
-                mapping[t] = self.add()
-        self.arcs.extend((mapping[p], mapping[q]) for p, q in g.digraph.arcs())
-        self.copies.append(tuple(mapping[t] for t in range(g.digraph.n)))
-
-
-def _compile(
-    phi: CnfFormula,
-    embedding: PlanarIncidenceEmbedding | None,
-    gadget: NeqGadget,
-    kind: str,
-) -> ReductionOutput:
-    b = _Builder(gadget)
-    var_vertex = {i: b.add(f"var{i}") for i in range(1, phi.num_vars + 1)}
+    var_vertex = {i: add(f"var{i}") for i in range(1, phi.num_vars + 1)}
     if embedding is not None:
         embedding.validate(phi)
-        face_vertex = [b.add(f"F{f}") for f in range(len(embedding.faces))]
+        face_vertex = [add(f"F{f}") for f in range(len(embedding.faces))]
         clause_faces = embedding.clause_faces
     else:
         # the hub is the one face of every clause
-        face_vertex = [b.add("hub")]
+        face_vertex = [add("hub")]
         clause_faces = ((0, 0, 0),) * len(phi.clauses)
+    arcs: list[tuple[int, int]] = []
+    links: list[tuple[int, int]] = []
     for j, clause in enumerate(phi.clauses):
-        ring = [b.add(f"C{j}:{r}") for r in "xuyvzw"]
-        xc, uc, yc, vc, zc, wc = ring
-        b.arcs.extend(zip(ring, ring[1:] + ring[:1]))
-        tc = b.add(f"C{j}:t")
-        for sep in (uc, vc, wc):
-            b.neq(tc, sep)
-        for f, sep in zip(clause_faces[j], (uc, vc, wc)):
-            b.neq(face_vertex[f], sep)
-        for pos, attach, lit in zip("xyz", (xc, yc, zc), clause):
+        ring = [add(f"C{j}:{r}") for r in "xuyvzw"]
+        arcs.extend(zip(ring, ring[1:] + ring[:1]))
+        tc = add(f"C{j}:t")
+        seps = ring[1::2]  # u, v, w
+        links += [(tc, s) for s in seps]
+        links += [(face_vertex[f], s) for f, s in zip(clause_faces[j], seps)]
+        for pos, attach, lit in zip("xyz", ring[::2], clause):
             a = var_vertex[abs(lit)]
             if lit < 0:
-                b.neq(a, attach)
+                links.append((a, attach))
             else:
-                bar = b.add(f"C{j}:{pos}bar")
-                b.neq(bar, a)
-                b.neq(bar, attach)
+                bar = add(f"C{j}:{pos}bar")
+                links += [(bar, a), (bar, attach)]
+    n = len(roles)
+    skeleton_arcs = list(arcs)
+    copies = []
+    for x, y in links:
+        _splice(skeleton_arcs, n, DIGON, x, y)
+        copies.append(_splice(arcs, n, gadget, x, y))
+        n += gadget.digraph.n - 2
+    kind = "digon" if gadget is DIGON else "oriented"
     return ReductionOutput(
-        digraph=Digraph.from_arcs(b.n, b.arcs),
-        roles=b.roles,
-        mode=f"{kind}-planar" if embedding is not None else f"{kind}-hub",
+        digraph=Digraph.from_arcs(n, arcs),
+        roles=roles,
+        mode=f"{kind}-{'hub' if embedding is None else 'planar'}",
         formula=phi,
         gadget=gadget,
-        gadget_copies=tuple(b.copies),
-        embedding=embedding,
+        gadget_copies=tuple(copies),
+        skeleton=Digraph.from_arcs(len(roles), skeleton_arcs),
     )
 
 
@@ -407,8 +394,9 @@ def reduce_digon(
 ) -> ReductionOutput:
     """Digon-link compilation: satisfiable iff the output is 2-dicolourable.
     With an embedding the output is planar (one t_F per face); without one,
-    a single hub stands in for all the face vertices."""
-    return _compile(phi, embedding, DIGON, "digon")
+    a single hub stands in for all the face vertices.  The output is its
+    own skeleton."""
+    return _compile(phi, embedding, DIGON)
 
 
 def reduce_oriented(
@@ -417,8 +405,10 @@ def reduce_oriented(
 ) -> ReductionOutput:
     """Digon-free compilation: every inequality link becomes a fresh copy of
     the oriented gadget built from the default seed minus its least arc.
-    The seed is not planar, so neither is the output."""
-    return _compile(phi, embedding, default_gadgets()[1], "oriented")
+    The first vertices and the roles are reduce_digon's, and each copy's
+    interior follows them.  The seed is not planar, so neither is the
+    output."""
+    return _compile(phi, embedding, default_gadgets()[1])
 
 
 def decode_assignment(
@@ -438,27 +428,22 @@ def decode_assignment(
 
 
 def solve_reduction(output: ReductionOutput) -> list[int] | None:
-    """Decide 2-dicolourability of a compiled instance.
-
-    Every output is decided on the formula's digon compilation, which for a
-    digon output is the output itself: gadget interiors multiply the search
-    space without changing the answer, since every copy forces its endpoints
-    apart and supports both endpoint patterns (checked exhaustively when the
-    gadget was built).  The digon colouring is lifted through the recorded
-    copies and re-checked on the actual output, so the positive answer never
-    rests on that argument.
+    """Decide 2-dicolourability of a compiled instance on the skeleton it
+    carries, its digon compilation, which for a digon output is the output
+    itself: gadget interiors multiply the search space without changing the
+    answer, since every copy forces its endpoints apart and supports both
+    endpoint patterns (checked exhaustively when the gadget was built).  The
+    skeleton colouring is lifted through the gadget copies and re-checked on
+    the actual output, so the positive answer never rests on that argument.
     """
-    twin = reduce_digon(output.formula, output.embedding)
-    tcol = is_k_dicolourable(twin.digraph, 2)
-    if tcol is None:
+    col = is_k_dicolourable(output.skeleton, 2)
+    if col is None:
         return None
-    full = [0] * output.digraph.n
-    for role, v in output.roles.items():
-        full[v] = tcol[twin.roles[role]]
-    neq = output.gadget
+    full = col + [0] * (output.digraph.n - output.skeleton.n)
+    g = output.gadget
     for copy in output.gadget_copies:
         # each extension agrees with its own endpoint pattern
-        ext = neq.extensions[full[copy[neq.u]], full[copy[neq.w]]]
+        ext = g.extensions[full[copy[g.u]], full[copy[g.w]]]
         for v, colour in zip(copy, ext):
             full[v] = colour
     return _verified(output.digraph, full, 2)

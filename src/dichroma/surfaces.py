@@ -4,8 +4,9 @@ the combined per-surface dichromatic bounds table.
 
 Everything except the tournament lower bound is exact integer or rational
 arithmetic; that one bound divides by a logarithm, so it uses floats by
-necessity (its ceiling is nowhere near an integer boundary in the supported
-range).
+necessity, and takes Heawood numbers only up to 2**53, where each is an
+exact float (at the table's surfaces its ceiling is nowhere near an
+integer boundary).
 """
 
 from __future__ import annotations
@@ -127,8 +128,15 @@ def dicritical_min_arcs(k_plus_1: int, n: int) -> Fraction:
 
 def tournament_lower_bound(c: int) -> int:
     """Some tournament on H(c) vertices has dichromatic number at least
-    H/(2 log2 H + 1); its underlying complete graph embeds by Heawood."""
+    H/(2 log2 H + 1); its underlying complete graph embeds by Heawood.
+    Raises ValueError when H(c) exceeds 2**53: every int up to that is an
+    exact float."""
     h = heawood_number(c)
+    if h > 2**53:
+        raise ValueError(
+            "the tournament bound needs a Heawood number of at most 2**53; "
+            f"this characteristic gives one of {h.bit_length()} bits"
+        )
     if h <= 1:
         return 1
     return math.ceil(h / (2 * math.log2(h) + 1))

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import dichroma
-from dichroma import claims, solver
+from dichroma import claims, cli, solver
 from dichroma.cli import main
 from dichroma.surfaces import parse_surface
 
@@ -102,6 +102,12 @@ def test_census_empty(capsys):
     code, out, _ = run_cli(capsys, "census", "6", "3")
     assert code == 0
     assert out.splitlines()[0] == "count=0 min_arcs=None unique=False"
+    # the wall time lives in timings only, so results are reproducible
+    runs = [run_cli(capsys, "census", "6", "3", "--json") for _ in range(2)]
+    assert [code for code, _, _ in runs] == [0, 0]
+    first, second = (json.loads(out) for _, out, _ in runs)
+    assert first["results"] == second["results"]
+    assert set(first["timings"]) == {"census"}
 
 
 def test_census_below_the_degree_floor(capsys):
@@ -182,6 +188,13 @@ def test_bounds_range(capsys):
         code, _, err = run_cli(capsys, "bounds", *argv)
         assert code == 2
         assert "error:" in err
+    # past the tournament bound's limit a surface is a usage error, not a
+    # traceback
+    huge = "-1" + "0" * 700
+    for argv in (["--range", huge, huge], ["--surface", "S1" + "0" * 700]):
+        code, out, err = run_cli(capsys, "bounds", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: the tournament bound needs")
     with pytest.raises(SystemExit) as exc:
         main(["bounds", "--surface", "N1", "--range", "-2", "2"])
     assert exc.value.code == 2
@@ -376,3 +389,36 @@ def test_verify_paper_full_censuses_once_per_run(quick_run, full_run):
     assert quick["results"] == {slug: full[slug] for slug in QUICK_CLAIMS}
     assert [slug for slug, *_ in claims.CLAIMS] == FULL_CLAIMS
     assert [slug for slug, _, lvl, _ in claims.CLAIMS if lvl == "quick"] == QUICK_CLAIMS
+
+
+def test_verify_paper_failing_row(tmp_path, capsys, monkeypatch):
+    # a row that fails and a row that raises are both failed claims: exit 1,
+    # not an internal error, and one artifact each in the working directory
+    def crash(ctx):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_CLAIMS", [
+        ("always-false", "a claim that fails", "quick",
+         lambda ctx: (False, {"witness": 7})),
+        ("always-raises", "a claim that raises", "quick", crash),
+    ])
+    monkeypatch.chdir(tmp_path)
+    details = {
+        "always-false": {"witness": 7},
+        "always-raises": {"error": "RuntimeError('boom')"},
+    }
+    code, out, _ = run_cli(capsys, "verify-paper")
+    assert code == 1
+    fails = [ln.split()[1] for ln in out.splitlines() if ln.startswith("FAIL  ")]
+    assert fails == ["always-false", "always-raises"]
+    assert out.splitlines()[-1].startswith("2 claims, 0 passed, 2 failed")
+    for slug, desc in (("always-false", "a claim that fails"),
+                       ("always-raises", "a claim that raises")):
+        artifact = json.loads((tmp_path / f"dichroma-failure-{slug}.json").read_text())
+        assert artifact == {"claim": slug, "description": desc,
+                            "details": details[slug]}
+    code, out, _ = run_cli(capsys, "verify-paper", "--json")
+    assert code == 1
+    assert json.loads(out)["results"] == {
+        slug: {"pass": False, "details": d} for slug, d in details.items()
+    }

@@ -21,7 +21,7 @@ from dichroma.reductions import (
     solve_reduction,
     verify_equivalence,
     _compile,
-    _endpoint_patterns,
+    _gadget,
 )
 from dichroma.solver import verify_dicolouring
 
@@ -201,11 +201,11 @@ def test_eq_gadget_forces_equal_endpoints():
     g3 = default_g3()
     for arc in g3.arcs():
         eq = make_eq_gadget(g3, arc)
-        assert (eq.u, eq.v) == arc
+        assert (eq.u, eq.w) == arc
         assert eq.digraph.m == g3.m - 1
         seen = set()
         for col in enumerate_dicolourings(eq.digraph, 2):
-            assert col[eq.u] == col[eq.v]
+            assert col[eq.u] == col[eq.w]
             seen.add(col[eq.u])
         assert seen == {1, 2}
 
@@ -261,7 +261,7 @@ def test_endpoint_patterns_keep_the_first_colouring_per_pattern():
         want: dict = {}
         for col in enumerate_dicolourings(d, 2):
             want.setdefault((col[a], col[b]), col)
-        got = _endpoint_patterns(d, a, b, set(want), "test")
+        got = _gadget(d, a, b, set(want), "test").extensions
         assert list(got.items()) == list(want.items()), (d.rows, a, b)
 
 
@@ -371,9 +371,38 @@ def test_oriented_alternate_arc_choice():
     # sound with the gadget from another arc
     g3 = default_g3()
     neq = make_neq_gadget(make_eq_gadget(g3, max(g3.arcs())))
-    out = _compile(claw(), None, neq, "oriented")
+    out = _compile(claw(), None, neq)
     assert out.gadget is neq and is_oriented(out.digraph)
     assert verify_equivalence(claw(), out)
+
+
+def test_every_output_is_its_skeleton_plus_one_gadget_copy_per_link(count_calls):
+    # the digon compilation is the skeleton of both compilations: its
+    # vertices and roles come first, and every later vertex is interior to
+    # exactly one gadget copy; solving decides the carried skeleton
+    rng = random.Random(3030)
+    cases = [(claw(), single_face_embedding(claw())),
+             (two_clause(), two_clause_embedding())]
+    for _ in range(12):
+        nv = rng.randint(1, 5)
+        clauses = tuple(
+            tuple(rng.randint(1, nv) * rng.choice((1, -1)) for _ in range(3))
+            for _ in range(rng.randint(1, 5))
+        )
+        cases.append((CnfFormula(nv, clauses), None))
+    calls = count_calls(reductions, "_compile")
+    for phi, emb in cases:
+        digon, out = reduce_digon(phi, emb), reduce_oriented(phi, emb)
+        assert digon.skeleton == digon.digraph
+        assert out.skeleton == digon.digraph
+        assert out.roles == digon.roles
+        g = out.gadget
+        interior = sorted(v for copy in out.gadget_copies
+                          for t, v in enumerate(copy) if t not in (g.u, g.w))
+        assert interior == list(range(out.skeleton.n, out.digraph.n))
+        made = calls["_compile"]
+        assert verify_equivalence(phi, out)
+        assert calls["_compile"] == made
 
 
 def test_empty_formula_compiles():

@@ -114,6 +114,13 @@ def test_dicritical_min_arcs():
 def test_tournament_lower_bound():
     assert tournament_lower_bound(-8) == 2
     assert tournament_lower_bound(2) == 1
+    # the limit is Heawood number 2**53; top is the greatest c beyond it
+    top = (49 - (2**54 - 5) ** 2) // 24
+    assert heawood_number(top + 1) == 2**53 < heawood_number(top)
+    assert tournament_lower_bound(top + 1) == -(-(2**53) // 107)
+    for c in (top, -(10**700)):
+        with pytest.raises(ValueError, match=r"at most 2\*\*53"):
+            tournament_lower_bound(c)
 
 
 def test_dichromatic_bounds_provenance():
