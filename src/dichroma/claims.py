@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from fractions import Fraction
 
 from .canon import is_arc_transitive
 from .digraphs import (
@@ -61,9 +60,7 @@ from .structure import (
     gallai_property_check,
     random_cactus,
 )
-from .surfaces import (
-    dicritical_min_arcs, dicritical_order_bound, heawood_number, surface_table
-)
+from .surfaces import dicritical_order_bound, heawood_number, surface_table
 
 ST11_SET = (1, 3, 4, 5, 9)
 # frozen output of a completed census run, re-derived by the census checks;
@@ -183,25 +180,19 @@ def _surface_bounds(ctx):
         ("N3", 3, 3), ("S2, N4", 3, 4), ("N5", 3, 4), ("S3, N6", 3, 4),
         ("N7", 3, 4), ("S4, N8", 3, 4), ("N9", 3, 4), ("S5, N10", 4, 4),
     ]
-    # census witnesses against the degree and arc bounds of 3-dicriticality
+    # the frozen census witnesses of orders 7 and 8
     witnesses = [d6_decode(w) for w in (DEFAULT_G3_D6, CENSUS_8_3_WITNESS)]
     st11 = circulant_tournament(11, ST11_SET)
     return _verdict(
         {
             "heawood": [heawood_number(c) for c in (0, 1, -8)] == [7, 6, 11],
             "table": rows == expected,
-            "order_bounds": (dicritical_order_bound(4, -1, oriented=True),
-                             dicritical_order_bound(4, -8, oriented=True))
-            == (13, 76),
-            "min_arcs": all(dicritical_min_arcs(4, n) == (3 + Fraction(1, 23)) * n
-                            for n in range(1, 31)),
-            "witness_degrees": all(
-                min(r.bit_count() for r in (*d.rows, *d.in_rows)) >= 2
-                and d.m >= 2 * d.n
-                for d in witnesses
+            "order_bounds": (dicritical_order_bound(4, -1),
+                             dicritical_order_bound(4, -8)) == (13, 76),
+            "witnesses_dicritical": all(
+                is_dicritical(w, 3).is_dicritical for w in witnesses
             ),
-            "st11_bounds": Fraction(st11.m) >= dicritical_min_arcs(4, 11)
-            and st11.n <= dicritical_order_bound(4, -8, oriented=True),
+            "st11_bounds": st11.n <= dicritical_order_bound(4, -8),
         },
         {"rows": rows},
     )
@@ -341,7 +332,8 @@ CLAIMS = [
      "a 6-diregular circulant on 13 vertices has maximum acyclic order 4; deletions keep 60+ arcs and degrees 5+",
      "quick", _circulant13),
     ("surface-bounds-table",
-     "closed-form surface bounds and the 12-row bounds table reproduce exactly",
+     "closed-form surface bounds and the 12-row bounds table reproduce "
+     "exactly; both frozen census witnesses are 3-dicritical",
      "quick", _surface_bounds),
     ("cactus-suite",
      "random cacti meet the edge bound and the two-thirds induced forest bound",

@@ -39,8 +39,15 @@ from .structure import (
     is_directed_gallai_forest,
 )
 from .surfaces import (
-    bounds_row, parse_surface, surface_from_characteristic, surface_table
+    bounds_row,
+    euler_characteristic,
+    parse_surface,
+    surface_from_characteristic,
+    surface_table,
 )
+
+# the most Euler characteristics one bounds --range covers, two rows each
+RANGE_LIMIT = 10_000
 
 
 def _digest(text: str) -> str:
@@ -126,19 +133,26 @@ def cmd_bounds(args) -> int:
     line = "{surface:>22}  c={euler_characteristic:>3}  [{lower},{upper}]"
     if args.surface:
         s = parse_surface(args.surface)
-        rows, line = [bounds_row(s.name, (s,))], "[{lower},{upper}]"
+        rows = [bounds_row(s.name, euler_characteristic(s))]
+        line = "[{lower},{upper}]"
     elif args.range:
         lo, hi = args.range
+        top = min(hi, 2)  # no surface has c > 2
+        if top < lo:
+            raise ValueError(f"no surface has Euler characteristic in [{lo}, {hi}]")
+        if top - lo >= RANGE_LIMIT:
+            raise ValueError(
+                f"a range holds at most {RANGE_LIMIT} Euler characteristics; "
+                f"[{lo}, {top}] holds {top - lo + 1}"
+            )
         rows = []
-        for c in range(min(hi, 2), lo - 1, -1):  # no surface has c > 2
+        for c in range(top, lo - 1, -1):
             for kind in ("orientable", "nonorientable"):
                 try:
                     s = surface_from_characteristic(c, kind)
                 except ValueError:
                     continue
-                rows.append(bounds_row(s.name, (s,)))
-        if not rows:
-            raise ValueError(f"no surface has Euler characteristic in [{lo}, {hi}]")
+                rows.append(bounds_row(s.name, c))
     else:
         rows = surface_table()
     _emit(args, args.surface or (f"range {args.range}" if args.range else "table"),

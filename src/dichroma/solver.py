@@ -340,7 +340,7 @@ def is_dicritical(d: Digraph, k: int) -> CriticalityReport:
             k=1,
             is_dicritical=ok,
             reason="single vertex" if ok else "1-dicritical means a single vertex",
-            chi=1 if d.n else 0,
+            chi=d.n if d.n <= 1 else None,  # not computed for larger inputs
         )
     ir = d.in_rows
     # necessary degree bounds: a k-dicritical digraph has min in/out degree k-1

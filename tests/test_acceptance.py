@@ -154,7 +154,7 @@ def test_criterion_9_structure_suite(rows):
 
 def test_criterion_10_bounds_suite(rows):
     rows(10, 1, "closed-form bounds reproduce the 12-row surface table and "
-         "every census witness respects the applicable bounds",
+         "both frozen census witnesses are 3-dicritical",
          "surface-bounds-table")
 
 

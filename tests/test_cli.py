@@ -195,6 +195,14 @@ def test_bounds_range(capsys):
         code, out, err = run_cli(capsys, "bounds", *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: the tournament bound needs")
+    # a range holds at most cli.RANGE_LIMIT characteristics once clipped at
+    # 2, and a wider one is refused before any row is built
+    code, out, _ = run_cli(capsys, "bounds", "--range", "-9997", "2")
+    assert code == 0 and out.splitlines()[-1].split() == ["N9999", "c=-9997", "[15,124]"]
+    for lo in ("-9998", "-10000000000"):
+        code, out, err = run_cli(capsys, "bounds", "--range", lo, "2")
+        assert code == 2 and out == ""
+        assert "at most 10000 Euler characteristics" in err
     with pytest.raises(SystemExit) as exc:
         main(["bounds", "--surface", "N1", "--range", "-2", "2"])
     assert exc.value.code == 2

@@ -274,7 +274,11 @@ def test_dicritical_examples():
     assert not rep.is_dicritical
     assert rep.failing_arc is not None
     single = Digraph.from_arcs(1, [])
+    assert is_dicritical(single, 1).chi == 1
     assert is_dicritical(single, 1).is_dicritical
+    # at k = 1 only the order is checked, so no dichromatic number is claimed
+    rep = is_dicritical(TRI, 1)
+    assert not rep.is_dicritical and rep.chi is None
     # an isolated vertex fails the degree check like any other
     rep = is_dicritical(Digraph.from_arcs(3, [(0, 1), (1, 0)]), 2)
     assert not rep.is_dicritical

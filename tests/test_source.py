@@ -267,7 +267,8 @@ def test_certificate_entries_name_their_checker():
     defs = {fn.name: fn for _, tree in _modules() for _, fn in _functions(tree, "")}
     for entry, checker in (("is_k_dicolourable", "_verified"),
                            ("is_list_dicolourable", "verify_dicolouring"),
-                           ("max_induced_acyclic", "_mask_acyclic")):
+                           ("max_induced_acyclic", "_mask_acyclic"),
+                           ("cactus_induced_forest", "_mask_forest")):
         names = {node.id for node in ast.walk(defs[entry])
                  if isinstance(node, ast.Name)}
         assert checker in names, entry

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from dichroma import structure
 from dichroma.digraphs import (
     Digraph,
     Graph,
@@ -183,6 +184,25 @@ def test_cactus_induced_forest_two_triangles():
     g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
     forest = cactus_induced_forest(g)
     assert len(forest) == 4  # drop the shared vertex alone
+
+
+def test_cactus_induced_forest_checks_its_answer(monkeypatch):
+    # a decomposition that misses the cycle block keeps the whole triangle,
+    # which meets the size guarantee; the forest check catches it
+    triangle = Graph.from_edges(3, [(0, 1), (1, 2), (2, 0)])
+    monkeypatch.setattr(structure, "_require_cactus",
+                        lambda g: block_decomposition(Graph.from_edges(g.n, [])))
+    with pytest.raises(RuntimeError, match="forest check"):
+        cactus_induced_forest(triangle)
+
+
+def test_mask_forest_vs_bruteforce():
+    rng = random.Random(8)
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(0, 9), 0.35)
+        verts = [v for v in range(g.n) if rng.random() < 0.7]
+        mask = sum(1 << v for v in verts)
+        assert structure._mask_forest(g.rows, mask) == is_forest(g, verts)
 
 
 def test_low_vertices():

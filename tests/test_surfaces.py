@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from dichroma.surfaces import (
@@ -9,7 +7,6 @@ from dichroma.surfaces import (
     arboricity_bound,
     bounds_row,
     dichromatic_bounds,
-    dicritical_min_arcs,
     dicritical_order_bound,
     euler_characteristic,
     heawood_number,
@@ -96,19 +93,10 @@ def test_arboricity_bound():
 
 
 def test_dicritical_order_bounds():
-    assert dicritical_order_bound(4, -1, oriented=True) == 13
-    assert dicritical_order_bound(4, -8, oriented=True) == 76
-    assert dicritical_order_bound(5, -8, oriented=True) == 24
-    assert dicritical_order_bound(7, -1, oriented=False) == 129
-    assert dicritical_order_bound(3, -5, oriented=False) is None
-
-
-def test_dicritical_min_arcs():
-    assert dicritical_min_arcs(4, 1) == 3 + Fraction(1, 23)
-    assert dicritical_min_arcs(4, 23) == 70
-    assert dicritical_min_arcs(7, 10) == Fraction(2600, 43)
-    with pytest.raises(ValueError):
-        dicritical_min_arcs(3, 5)
+    assert dicritical_order_bound(4, -1) == 13
+    assert dicritical_order_bound(4, -8) == 76
+    assert dicritical_order_bound(5, -8) == 24
+    assert dicritical_order_bound(3, -5) is None
 
 
 def test_tournament_lower_bound():
@@ -124,20 +112,22 @@ def test_tournament_lower_bound():
 
 
 def test_dichromatic_bounds_provenance():
-    sphere = dichromatic_bounds(Surface(ORIENTABLE, 0))
-    assert (sphere.lower, sphere.upper) == (2, 3)
-    assert "planar-3-dicolourable" in sphere.provenance
-    n1 = dichromatic_bounds(Surface(NONORIENTABLE, 1))
-    assert (n1.lower, n1.upper) == (3, 3)
-    assert "exact-value-3" in n1.provenance
-    n10 = dichromatic_bounds(Surface(NONORIENTABLE, 10))
-    assert (n10.lower, n10.upper) == (4, 4)
-    assert "lower-4-characteristic-at-most-minus-8" in n10.provenance
-
-
-def test_bounds_row_rejects_disagreeing_surfaces():
-    n10 = bounds_row("N10", [Surface(NONORIENTABLE, 10)])
-    pair = bounds_row("S5, N10", [Surface(ORIENTABLE, 5), Surface(NONORIENTABLE, 10)])
-    assert pair == dict(n10, surface="S5, N10")
-    with pytest.raises(RuntimeError, match="not homogeneous"):
-        bounds_row("x", (Surface(ORIENTABLE, 0), Surface(NONORIENTABLE, 1)))
+    # the upper 3 at c = 2, 1, 0: the order bound 4 - 9c leaves no room for
+    # the 7 vertices a 4-dicritical oriented graph needs; at c = -1 it is 13,
+    # so the upper 3 there stays cited
+    low3, order = "lower-3-characteristic-at-most-1", "no-4-dicritical-by-order"
+    expected = {
+        2: (2, 3, ["directed-triangle", order]),
+        1: (3, 3, [low3, "kronk-arboricity", order]),
+        0: (3, 3, [low3, order]),
+        -1: (3, 3, [low3, "exact-value-3"]),
+        -2: (3, 4, [low3, "kronk-arboricity", "upper-4-genus-dominance"]),
+        -8: (4, 4, ["lower-4-characteristic-at-most-minus-8",
+                    "upper-4-genus-dominance"]),
+    }
+    for c, want in expected.items():
+        row = dichromatic_bounds(c)
+        assert (row["lower"], row["upper"], row["provenance"]) == want, c
+        assert bounds_row("x", c) == dict(surface="x", **row)
+    with pytest.raises(ValueError, match="characteristic <= 2"):
+        dichromatic_bounds(3)
