@@ -3,10 +3,8 @@ bounds and satisfiability reductions for digraphs."""
 
 from .digraphs import (
     Digraph,
-    Graph,
     bidirect,
     circulant_tournament,
-    underlying_graph,
 )
 from .formats import d6_decode, d6_encode, load_digraph, dump_digraph
 from .solver import (
@@ -23,10 +21,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Digraph",
-    "Graph",
     "bidirect",
     "circulant_tournament",
-    "underlying_graph",
     "d6_decode",
     "d6_encode",
     "load_digraph",

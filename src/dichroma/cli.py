@@ -19,7 +19,7 @@ import time
 
 from .claims import CLAIMS as _CLAIMS  # bench/make_reference.py reads cli._CLAIMS
 from .claims import ClaimContext
-from .digraphs import Digraph, is_oriented, underlying_graph
+from .digraphs import Digraph, is_oriented
 from .enumeration import dicritical_census, validate_census
 from .formats import dump_digraph, load_digraph
 from .reductions import (
@@ -191,9 +191,8 @@ def cmd_reduce(args) -> int:
 
 def cmd_structure(args) -> int:
     digest, d = _load(args)
-    g = underlying_graph(d)
     rep = decomposition_report(d)
-    rep["is_cactus"] = is_cactus(g)
+    rep["is_cactus"] = is_cactus(d)
     rep["is_oriented"] = is_oriented(d)
     rep["is_directed_cactus"] = is_directed_cactus(d)
     rep["is_directed_gallai_forest"] = is_directed_gallai_forest(d)
@@ -204,8 +203,8 @@ def cmd_structure(args) -> int:
         f"gallai_forest={rep['is_directed_gallai_forest']}",
     ]
     if rep["is_cactus"]:
-        m, bound, tight = cactus_edge_bound(g)
-        forest = cactus_induced_forest(g)
+        m, bound, tight = cactus_edge_bound(d)
+        forest = cactus_induced_forest(d)
         rep["edge_bound"] = {"m": m, "bound": str(bound), "tight": tight}
         rep["induced_forest_size"] = len(forest)
         lines.append(f"edges {m} <= {bound} (tight={tight})")

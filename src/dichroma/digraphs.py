@@ -1,4 +1,6 @@
-"""Core digraph and graph types.
+"""The digraph type.  A graph is a symmetric digraph: its edges are digons,
+so one type carries both (Neumann-Lara's convention), and bidirect is the
+one conversion, from a digraph to its underlying graph.
 
 Dense bitset representation: adjacency is a tuple of Python ints, one row per
 vertex, bit j of row u set iff the arc (u, v=j) is present.  This keeps every
@@ -131,53 +133,6 @@ class Digraph:
         return Digraph(self.n, rows)
 
 
-class Graph:
-    """Immutable simple undirected graph, same bitset layout as Digraph."""
-
-    __slots__ = ("n", "rows", "m")
-
-    def __init__(self, n: int, rows: Sequence[int]):
-        self.n = n
-        self.rows = tuple(rows)
-        self.m = sum(r.bit_count() for r in self.rows) // 2
-
-    @staticmethod
-    def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        if not 0 <= n <= MAX_VERTICES:
-            raise ValueError(f"vertex count {n} outside [0, {MAX_VERTICES}]")
-        rows = [0] * n
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-        return Graph(n, rows)
-
-    def degree(self, v: int) -> int:
-        return self.rows[v].bit_count()
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        for u in range(self.n):
-            for v in iter_bits(self.rows[u] >> u << u):
-                if v > u:
-                    yield (u, v)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Graph)
-            and self.n == other.n
-            and self.rows == other.rows
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.rows))
-
-    def __repr__(self) -> str:
-        return f"Graph(n={self.n}, m={self.m})"
-
-
 # -- constructors ---------------------------------------------------------
 
 
@@ -202,13 +157,10 @@ def circulant_tournament(n: int, diffs: Iterable[int]) -> Digraph:
     )
 
 
-def bidirect(g: Graph) -> Digraph:
-    """Replace every edge by a digon."""
-    return Digraph(g.n, g.rows)
-
-
-def underlying_graph(d: Digraph) -> Graph:
-    return Graph(d.n, d.underlying_rows)
+def bidirect(d: Digraph) -> Digraph:
+    """The symmetric closure, d's underlying graph: every arc gains its
+    reverse.  A graph is already symmetric, so it comes back equal."""
+    return Digraph(d.n, d.underlying_rows)
 
 
 def induced(d: Digraph, vertices: Iterable[int]) -> Digraph:

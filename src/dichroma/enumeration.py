@@ -63,9 +63,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Iterator, Sequence
 
 from .canon import _canon, canonical_cert, canonical_form, canonical_labelling
-from .digraphs import (
-    Digraph, Graph, bidirect, is_k_diregular, is_oriented, iter_bits, underlying_graph
-)
+from .digraphs import Digraph, is_k_diregular, is_oriented, iter_bits
 from .formats import checkpointed_map, d6_decode, d6_encode
 from .solver import (
     _bound_chunk, _class_masks, _creates_cycle, _extend_tournament, _static_colourings,
@@ -248,8 +246,9 @@ def _first_lower(j: int, labels, ranks) -> list[int]:
     return low
 
 
-def gen_graphs(n: int, min_degree: int) -> list[Graph]:
-    """All graphs of the given order and minimum degree, one per class.
+def gen_graphs(n: int, min_degree: int) -> list[Digraph]:
+    """All graphs of the given order and minimum degree, one per class, as
+    symmetric digraphs.
 
     Vertex extension with a degree look-ahead: at order t a vertex can still
     gain at most n-t neighbours, so deg >= min_degree-(n-t) already holds in
@@ -275,7 +274,7 @@ def gen_graphs(n: int, min_degree: int) -> list[Graph]:
         d._irows = d.rows  # symmetric
         return d
 
-    return [Graph(n, d.rows) for d in _generate(n, extend)]
+    return _generate(n, extend)
 
 
 def _closes_forest_cycle(rows: Sequence[int], irows, v: int, forest: int) -> bool:
@@ -299,13 +298,14 @@ def _closes_forest_cycle(rows: Sequence[int], irows, v: int, forest: int) -> boo
     return False
 
 
-def arboricity(g: Graph) -> int:
-    """Vertex arboricity: fewest classes each inducing a forest, the least
-    k at which solver._static_colourings yields a colouring; at k = 0 only
-    the empty graph has one.  The rows serve as in-rows too; each class
-    stays a forest throughout the walk, so _closes_forest_cycle tests a
-    placement only against the trees it touches."""
-    rows = g.rows
+def arboricity(g: Digraph) -> int:
+    """Vertex arboricity of the underlying graph: fewest classes each
+    inducing a forest, the least k at which solver._static_colourings
+    yields a colouring; at k = 0 only the empty graph has one.  The
+    underlying rows serve as in-rows too; each class stays a forest
+    throughout the walk, so _closes_forest_cycle tests a placement only
+    against the trees it touches."""
+    rows = g.underlying_rows
     for k in itertools.count():
         forests = _static_colourings(rows, rows, g.n, k, _closes_forest_cycle)
         if next(forests, None) is not None:
@@ -350,12 +350,12 @@ def _extend(pool, rows, irows, t):
 
 
 def _orientation_stream(
-    g: Graph,
+    g: Digraph,
     floor: int,
     colours: int | None = None,
 ) -> tuple[list[Digraph], int]:
-    """Orientation classes of g with in- and out-degrees at least floor,
-    plus the count of raw final-level candidates that met that bound.
+    """Orientation classes of the graph g with in- and out-degrees at least
+    floor, plus the count of raw final-level candidates that met that bound.
 
     With colours set, only partial states whose prefix is colours-
     dicolourable are kept (sound for hereditary targets), and only complete
@@ -596,7 +596,7 @@ class CensusReport:
 
 def _census_graph_task(args) -> dict:
     g6, k = args
-    g = underlying_graph(d6_decode(g6))
+    g = d6_decode(g6)
     # every proper induced subdigraph of a k-dicritical digraph is
     # (k-1)-dicolourable, so prefixes that are not can be dropped
     survivors, candidates = _orientation_stream(g, k - 1, colours=k - 1)
@@ -648,7 +648,7 @@ def dicritical_census(
         raise ValueError(f"order must be within 1..{GEN_CAP}, got {n}")
     graphs = gen_graphs(n, 2 * (k - 1)) if n > 2 * (k - 1) else []
     kept = [g for g in graphs if arboricity(g) >= k]
-    tasks = [(d6_encode(bidirect(g)), k) for g in kept]
+    tasks = [(d6_encode(g), k) for g in kept]
     # keep these exact bytes: checkpoints written when the filter was a
     # choice carry "filter", must still resume, and bench/make_reference.py
     # compares against this header

@@ -86,15 +86,18 @@ def arclist_decode(text: str) -> Digraph:
         raise ValueError(f"arc-list header must be 'n m', got {lines[0]!r}")
     if len(lines) - 1 != m:
         raise ValueError(f"arc-list declares {m} arcs but has {len(lines) - 1}")
-    arcs = []
+    arcs = set()
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
             raise ValueError(f"bad arc line {ln!r}")
         try:
-            arcs.append((int(parts[0]), int(parts[1])))
+            arc = (int(parts[0]), int(parts[1]))
         except ValueError:
             raise ValueError(f"bad arc line {ln!r}")
+        if arc in arcs:
+            raise ValueError(f"repeated arc line {ln!r}")
+        arcs.add(arc)
     return Digraph.from_arcs(n, arcs)
 
 

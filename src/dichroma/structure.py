@@ -1,5 +1,9 @@
 """Block decompositions and the structural classes built from them:
-cacti, directed cacti and directed Gallai forests."""
+cacti, directed cacti and directed Gallai forests.
+
+A graph is a symmetric digraph.  The functions on graphs (block_decomposition,
+is_cactus, cactus_edge_bound, cactus_induced_forest) read a digraph's
+underlying rows, so any digraph gets its underlying graph's answer."""
 
 from __future__ import annotations
 
@@ -10,12 +14,11 @@ from typing import Sequence
 
 from .digraphs import (
     Digraph,
-    Graph,
+    bidirect,
     induced,
     is_oriented,
     iter_bits,
     mask_of,
-    underlying_graph,
 )
 
 SINGLE_EDGE = "single-edge"
@@ -42,11 +45,11 @@ class BlockDecomposition:
         }
 
 
-def block_decomposition(g: Graph) -> BlockDecomposition:
+def block_decomposition(g: Digraph) -> BlockDecomposition:
     """Biconnected components via an iterative lowpoint search with an edge
     stack.  Isolated vertices form no block and are listed separately."""
     n = g.n
-    adj = [list(iter_bits(g.rows[v])) for v in range(n)]
+    adj = [list(iter_bits(r)) for r in g.underlying_rows]
     visited = [False] * n
     disc = [0] * n
     low = [0] * n
@@ -146,7 +149,7 @@ def _block_kind(d: Digraph, verts: Sequence[int], edges: Sequence[tuple[int, int
 
 def classify_blocks(d: Digraph, dec: BlockDecomposition | None = None) -> list[str]:
     if dec is None:
-        dec = block_decomposition(underlying_graph(d))
+        dec = block_decomposition(d)
     return [
         _block_kind(d, verts, edges)
         for verts, edges in zip(dec.blocks, dec.block_edges)
@@ -154,13 +157,13 @@ def classify_blocks(d: Digraph, dec: BlockDecomposition | None = None) -> list[s
 
 
 def decomposition_report(d: Digraph) -> dict:
-    dec = block_decomposition(underlying_graph(d))
+    dec = block_decomposition(d)
     report = dec.to_json()
     report["kinds"] = classify_blocks(d, dec)
     return report
 
 
-def _cactus_decomposition(g: Graph) -> BlockDecomposition | None:
+def _cactus_decomposition(g: Digraph) -> BlockDecomposition | None:
     """g's block decomposition if every block is a single edge or a cycle."""
     dec = block_decomposition(g)
     if all(
@@ -171,7 +174,7 @@ def _cactus_decomposition(g: Graph) -> BlockDecomposition | None:
     return None
 
 
-def is_cactus(g: Graph) -> bool:
+def is_cactus(g: Digraph) -> bool:
     """Every block is a single edge or a cycle."""
     return _cactus_decomposition(g) is not None
 
@@ -190,23 +193,23 @@ def is_directed_gallai_forest(d: Digraph) -> bool:
     return OTHER not in classify_blocks(d)
 
 
-def _require_cactus(g: Graph) -> BlockDecomposition:
+def _require_cactus(g: Digraph) -> BlockDecomposition:
     dec = _cactus_decomposition(g)
     if dec is None:
         raise ValueError("input is not a cactus")
     return dec
 
 
-def cactus_edge_bound(g: Graph) -> tuple[int, Fraction, bool]:
-    """(m, 3/2 max(n-1, 0), tight).  Tight exactly when g is connected and
-    every block is a triangle; the empty graph's bound is 0, and it is
-    tight."""
-    _require_cactus(g)
+def cactus_edge_bound(g: Digraph) -> tuple[int, Fraction, bool]:
+    """(m, 3/2 max(n-1, 0), tight), m the number of edges.  Tight exactly
+    when g is connected and every block is a triangle; the empty graph's
+    bound is 0, and it is tight."""
+    m = sum(len(edges) for edges in _require_cactus(g).block_edges)
     bound = Fraction(3, 2) * max(g.n - 1, 0)
-    return g.m, bound, Fraction(g.m) == bound
+    return m, bound, Fraction(m) == bound
 
 
-def cactus_induced_forest(g: Graph) -> list[int]:
+def cactus_induced_forest(g: Digraph) -> list[int]:
     """A maximum induced forest of a cactus, which always reaches the
     ceil(2n/3) guarantee.
 
@@ -221,13 +224,14 @@ def cactus_induced_forest(g: Graph) -> list[int]:
     block still unmet that the other vertex would.
     """
     dec = _require_cactus(g)
+    rows = g.underlying_rows
     depth = [-1] * g.n
     for root in range(g.n):
         if depth[root] < 0:
             depth[root] = 0
             queue = [root]
             for x in queue:
-                for w in iter_bits(g.rows[x]):
+                for w in iter_bits(rows[x]):
                     if depth[w] < 0:
                         depth[w] = depth[x] + 1
                         queue.append(w)
@@ -245,7 +249,7 @@ def cactus_induced_forest(g: Graph) -> list[int]:
     need = -(-2 * g.n // 3)
     if len(kept) < need:
         raise RuntimeError("induced forest below the cactus guarantee")
-    if not _mask_forest(g.rows, ((1 << g.n) - 1) & ~dropped):
+    if not _mask_forest(rows, ((1 << g.n) - 1) & ~dropped):
         raise RuntimeError("induced forest check failed: the kept set has a cycle")
     return kept
 
@@ -292,7 +296,7 @@ def gallai_property_check(d: Digraph, k: int) -> bool:
 # -- seeded generator for property harnesses ------------------------------
 
 
-def random_cactus(order: int, seed: int) -> Graph:
+def random_cactus(order: int, seed: int) -> Digraph:
     """Connected random cactus of the exact requested order: grow by
     attaching an edge (probability 1/2) or a cycle of length 3..6 at a
     uniformly random existing vertex."""
@@ -313,4 +317,4 @@ def random_cactus(order: int, seed: int) -> Graph:
         for i in range(clen):
             edges.append((cyc[i], cyc[(i + 1) % clen]))
         n += clen - 1
-    return Graph.from_edges(n, edges)
+    return bidirect(Digraph.from_arcs(n, edges))

@@ -32,7 +32,7 @@ from typing import Iterator
 
 from dichroma import solver
 from dichroma.canon import _canon, canonical_cert, canonical_labelling
-from dichroma.digraphs import Digraph, Graph, bidirect, iter_bits, mask_of
+from dichroma.digraphs import Digraph, bidirect, iter_bits, mask_of
 from dichroma.formats import d6_decode, d6_encode
 from dichroma.solver import (
     _class_masks,
@@ -41,6 +41,17 @@ from dichroma.solver import (
     _verified,
     is_k_dicolourable,
 )
+
+
+def graph(n: int, edges) -> Digraph:
+    """The graph with the given edges, as a symmetric digraph."""
+    return bidirect(Digraph.from_arcs(n, edges))
+
+
+def edge_list(g: Digraph) -> list[tuple[int, int]]:
+    """The edges (u, v), u < v, of g's underlying graph, ascending."""
+    rows = g.underlying_rows
+    return [(u, v) for u in range(g.n) for v in iter_bits(rows[u]) if u < v]
 
 
 def kahn_acyclic(d: Digraph, verts) -> bool:
@@ -104,19 +115,19 @@ def brute_max_induced_acyclic(d: Digraph) -> int:
     return best
 
 
-def brute_chromatic_number(g: Graph) -> int:
+def brute_chromatic_number(g: Digraph) -> int:
     if g.n == 0:
         return 0
     for k in range(1, g.n + 1):
         for assign in itertools.product(range(k), repeat=g.n):
             if all(
-                assign[u] != assign[v] for u, v in g.edges()
+                assign[u] != assign[v] for u, v in edge_list(g)
             ):
                 return k
     raise AssertionError("unreachable")
 
 
-def brute_cut_vertices(g: Graph) -> set[int]:
+def brute_cut_vertices(g: Digraph) -> set[int]:
     """v is a cut vertex iff removing it increases the component count,
     not counting the loss of v's own membership."""
 
@@ -143,7 +154,7 @@ def brute_cut_vertices(g: Graph) -> set[int]:
     return {v for v in range(g.n) if ncomp(v) > base}
 
 
-def is_forest(g: Graph, verts) -> bool:
+def is_forest(g: Digraph, verts) -> bool:
     """Does the subgraph of g induced by verts contain no cycle?"""
     verts = sorted(set(verts))
     seen: set[int] = set()
@@ -167,7 +178,7 @@ def is_forest(g: Graph, verts) -> bool:
     return True
 
 
-def brute_max_induced_forest(g: Graph) -> int:
+def brute_max_induced_forest(g: Digraph) -> int:
     best = 0
     for mask in range(1 << g.n):
         verts = [v for v in range(g.n) if mask >> v & 1]
@@ -176,7 +187,7 @@ def brute_max_induced_forest(g: Graph) -> int:
     return best
 
 
-def brute_arboricity(g: Graph) -> int:
+def brute_arboricity(g: Digraph) -> int:
     """Fewest classes each inducing a forest, over all k^n assignments."""
     n = g.n
     for k in itertools.count(1):
@@ -202,10 +213,10 @@ def brute_digraph_classes(digraphs) -> set[int]:
     return {_digraph_class_key(d) for d in digraphs}
 
 
-def brute_orientation_classes(g: Graph, min_in: int = 0, min_out: int = 0):
+def brute_orientation_classes(g: Digraph, min_in: int = 0, min_out: int = 0):
     """All orientations of g with degree floors, one per isomorphism class,
     by explicit 2^m enumeration and permutation dedup."""
-    edges = list(g.edges())
+    edges = edge_list(g)
     reps: dict[int, Digraph] = {}
     for bits in range(1 << len(edges)):
         arcs = [
@@ -226,12 +237,12 @@ def brute_graph_classes(n: int, min_degree: int = 0):
     """One representative per isomorphism class of simple graphs on n
     vertices with the degree floor, keyed as bidirected digraphs."""
     pairs = list(itertools.combinations(range(n), 2))
-    reps: dict[int, Graph] = {}
+    reps: dict[int, Digraph] = {}
     for bits in range(1 << len(pairs)):
-        g = Graph.from_edges(n, [pairs[i] for i in range(len(pairs)) if bits >> i & 1])
-        if any(g.degree(v) < min_degree for v in range(n)):
+        g = graph(n, [pairs[i] for i in range(len(pairs)) if bits >> i & 1])
+        if any(g.out_degree(v) < min_degree for v in range(n)):
             continue
-        reps.setdefault(_digraph_class_key(bidirect(g)), g)
+        reps.setdefault(_digraph_class_key(g), g)
     return list(reps.values())
 
 
@@ -259,14 +270,14 @@ def random_oriented(rng, n: int, p: float = 0.5) -> Digraph:
     return Digraph(n, rows)
 
 
-def random_graph(rng, n: int, p: float = 0.4) -> Graph:
+def random_graph(rng, n: int, p: float = 0.4) -> Digraph:
     rows = [0] * n
     for u in range(n):
         for v in range(u + 1, n):
             if rng.random() < p:
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
-    return Graph(n, rows)
+    return Digraph(n, rows)
 
 
 def random_gallai_forest(order: int, seed: int) -> Digraph:

@@ -10,7 +10,7 @@ from dichroma.canon import (
     canonical_labelling, is_arc_transitive,
 )
 from dichroma.digraphs import (
-    Digraph, Graph, bidirect, circulant_tournament, iter_bits, mask_of,
+    Digraph, circulant_tournament, iter_bits, mask_of,
 )
 from dichroma.enumeration import gen_tournaments
 from dichroma.solver import _extend_tournament
@@ -144,10 +144,8 @@ def test_graph_cert_invariance():
             for v in range(n):
                 if g.rows[u] >> v & 1:
                     rows[perm[u]] |= 1 << perm[v]
-        assert canonical_cert(bidirect(g)) == canonical_cert(bidirect(Graph(n, rows)))
-    assert canonical_cert(bidirect(random_graph(rng, 5))) != canonical_cert(
-        bidirect(random_graph(rng, 6))
-    )
+        assert canonical_cert(g) == canonical_cert(Digraph(n, rows))
+    assert canonical_cert(random_graph(rng, 5)) != canonical_cert(random_graph(rng, 6))
 
 
 def test_certificate_bytes_are_frozen():
@@ -182,7 +180,7 @@ def test_search_work_is_frozen(count_calls):
     calls = count_calls(canon, "_refine", "_encode")
     for n, conn in ((7, (1, 2, 4)), (11, (1, 3, 4, 5, 9)), (13, (1, 2, 3, 5, 6, 9))):
         canonical_cert(circulant_tournament(n, conn))
-    canonical_cert(bidirect(Graph(6, [0b111111 & ~(1 << v) for v in range(6)])))
+    canonical_cert(Digraph(6, [0b111111 & ~(1 << v) for v in range(6)]))
     assert calls == {"_refine": 39, "_encode": 15}
     for t in tournaments:
         for mask in range(1 << t.n):
@@ -202,7 +200,7 @@ def _refine_inputs():
         yield Digraph.from_arcs(n, [(u, (u + s) % n) for u in range(n) for s in conn])
     for n, conn in ((5, (1, 2)), (7, (1, 2, 4)), (9, (1, 2, 3, 4)), (11, (1, 3, 4, 5, 9))):
         yield circulant_tournament(n, conn)
-    yield bidirect(Graph(6, [0b111111 & ~(1 << v) for v in range(6)]))  # K6
+    yield Digraph(6, [0b111111 & ~(1 << v) for v in range(6)])  # K6
 
 
 def test_refine_matches_whole_partition_refinement():
@@ -249,7 +247,7 @@ def _search_inputs(rng):
         n = rng.randint(1, 12)
         yield random_digraph(rng, n, rng.choice((0.1, 0.3, 0.5, 0.7, 0.9))), None
     for _ in range(200):
-        yield bidirect(random_graph(rng, rng.randint(1, 12), rng.random())), None
+        yield random_graph(rng, rng.randint(1, 12), rng.random()), None
     for _ in range(200):
         n = rng.randint(2, 15)
         conn = rng.sample(range(1, n), rng.randint(1, n - 1))

@@ -8,7 +8,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from dichroma.canon import canonical_cert, canonical_form
-from dichroma.digraphs import Digraph, Graph, bidirect
+from dichroma.digraphs import Digraph
 
 PROPERTY = settings(derandomize=True, deadline=None)
 
@@ -57,7 +57,7 @@ def relabelled_symmetric(draw):
             if bits >> i & 1:
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
-        d = bidirect(Graph(n, rows))
+        d = Digraph(n, rows)
     return d, draw(st.permutations(range(d.n))), draw(st.integers(0, d.n))
 
 

@@ -5,7 +5,6 @@ import pytest
 from dichroma.digraphs import (
     MAX_VERTICES,
     Digraph,
-    Graph,
     bidirect,
     circulant_tournament,
     delete_arc,
@@ -13,8 +12,8 @@ from dichroma.digraphs import (
     induced,
     is_k_diregular,
     is_oriented,
-    underlying_graph,
 )
+from dichroma.enumeration import gen_graphs
 
 
 def test_from_arcs_roundtrip():
@@ -85,18 +84,15 @@ def test_circulant_rejects_bad_sets():
         circulant_tournament(4, (1,))  # even order
 
 
-def test_bidirect_and_underlying():
-    g = Graph.from_edges(3, [(0, 1), (1, 2)])
-    d = bidirect(g)
-    assert d.m == 4 and not is_oriented(d)
-    back = underlying_graph(d)
-    assert sorted(back.edges()) == sorted(g.edges())
-
-
-def test_underlying_merges_digons():
-    d = Digraph.from_arcs(3, [(0, 1), (1, 0), (1, 2)])
-    g = underlying_graph(d)
-    assert sorted(g.edges()) == [(0, 1), (1, 2)]
+def test_bidirect_is_the_symmetric_closure():
+    # one arc, one digon and an isolated vertex
+    d = Digraph.from_arcs(4, [(0, 1), (1, 0), (2, 1)])
+    g = bidirect(d)
+    assert sorted(g.arcs()) == [(0, 1), (1, 0), (1, 2), (2, 1)]
+    assert bidirect(g) == g
+    # a graph is already symmetric, so its digraph6 bytes stay as they are
+    for h in gen_graphs(6, 2):
+        assert bidirect(h) == h
 
 
 def test_induced_relabels_in_order():
@@ -112,12 +108,6 @@ def test_delete_and_add():
     with pytest.raises(ValueError):
         delete_arc(tri, 1, 0)
     assert delete_vertex(tri, 1).n == 2
-
-
-def test_graph_basics():
-    g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    assert g.degree(0) == 2
-    assert len(list(g.edges())) == 4
 
 
 def test_relabel_is_an_isomorphism():

@@ -92,6 +92,8 @@ def test_arclist_errors():
         arclist_decode("3 2\n0 1\n")  # count mismatch
     with pytest.raises(ValueError):
         arclist_decode("3 1\n0 x\n")
+    with pytest.raises(ValueError, match="repeated arc line '0 1'"):
+        arclist_decode("2 2\n0 1\n0 1\n")  # Digraph has no parallel arcs
 
 
 def test_load_sniffs_format():

@@ -7,8 +7,6 @@ import pytest
 
 from dichroma.digraphs import (
     Digraph,
-    Graph,
-    bidirect,
     circulant_tournament,
     mask_of,
 )
@@ -43,6 +41,7 @@ from bruteforce import (
     brute_max_induced_acyclic,
     brute_shortest_cycle,
     brute_uncovered,
+    graph,
     kahn_acyclic,
     random_digraph,
     random_oriented,
@@ -132,8 +131,8 @@ def test_solver_vs_bruteforce():
 
 def test_bidirected_cliques_match_chromatic_number():
     for n in range(1, 7):
-        g = Graph.from_edges(n, list(itertools.combinations(range(n), 2)))
-        assert dichromatic_number(bidirect(g))[0] == n == brute_chromatic_number(g)
+        g = graph(n, itertools.combinations(range(n), 2))
+        assert dichromatic_number(g)[0] == n == brute_chromatic_number(g)
 
 
 def test_monotone_under_arc_addition():
@@ -397,7 +396,7 @@ def test_a_faulty_search_is_caught_at_every_entry(monkeypatch, capsys, tmp_path)
     # one colour for every vertex is wrong on any digraph with a cycle;
     # is_k_dicolourable checks it, so every caller of the search is covered
     monkeypatch.setattr(solver, "_dfs_colour", lambda d, k: [0] * d.n)
-    triangle = d6_encode(bidirect(Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])))
+    triangle = d6_encode(graph(3, [(0, 1), (1, 2), (0, 2)]))
     phi = CnfFormula(3, ((1, -2, 3),))
     for call in (
         lambda: is_k_dicolourable(TRI, 2),

@@ -85,6 +85,25 @@ def test_no_unused_imports():
     assert found == []
 
 
+def test_one_graph_type():
+    # a graph is a symmetric Digraph, so no class beside Digraph stores
+    # bitset rows, as an attribute or as a dataclass field
+    found = sorted(
+        f"{name}.{cls.name}"
+        for name, tree in _modules()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        and any(
+            isinstance(node, ast.Attribute) and node.attr == "rows"
+            and isinstance(node.ctx, ast.Store)
+            or isinstance(node, ast.AnnAssign)
+            and getattr(node.target, "id", None) == "rows"
+            for node in ast.walk(cls)
+        )
+    )
+    assert found == ["digraphs.Digraph"]
+
+
 def test_benchmark_entry_points_exist():
     # the benchmark calls the package by name, private names included, and
     # no other test runs it: every name it imports from dichroma and every

@@ -7,10 +7,11 @@ import pytest
 from dichroma import structure
 from dichroma.digraphs import (
     Digraph,
-    Graph,
     bidirect,
     circulant_tournament,
+    is_oriented,
 )
+from dichroma.enumeration import arboricity
 from dichroma.structure import (
     BIDIRECTED_CLIQUE,
     BIDIRECTED_ODD_CYCLE,
@@ -33,9 +34,12 @@ from dichroma.structure import (
 from bruteforce import (
     brute_cut_vertices,
     brute_max_induced_forest,
+    edge_list,
+    graph,
     is_forest,
     random_gallai_forest,
     random_graph,
+    random_oriented,
 )
 
 
@@ -60,9 +64,9 @@ def test_block_decomposition_vs_bruteforce_cut_vertices():
             for e in edges:
                 assert e not in seen
                 seen.add(e)
-        assert seen == {tuple(sorted(e)) for e in g.edges()}
+        assert seen == set(edge_list(g))
         # isolated vertices are reported, not silently dropped
-        isolated = {v for v in range(n) if g.degree(v) == 0}
+        isolated = {v for v in range(n) if g.out_degree(v) == 0}
         assert set(dec.isolated) == isolated
 
 
@@ -71,30 +75,29 @@ def test_block_kinds_handcrafted():
     assert classify_blocks(Digraph.from_arcs(2, [(0, 1), (1, 0)])) == [
         BIDIRECTED_CLIQUE
     ]
-    ring5 = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
-    ring4 = Graph.from_edges(4, [(i, (i + 1) % 4) for i in range(4)])
+    ring5 = graph(5, [(i, (i + 1) % 5) for i in range(5)])
+    ring4 = graph(4, [(i, (i + 1) % 4) for i in range(4)])
     c5 = Digraph.from_arcs(5, [(i, (i + 1) % 5) for i in range(5)])
     assert classify_blocks(c5) == [DIRECTED_CYCLE]
-    assert classify_blocks(bidirect(ring5)) == [BIDIRECTED_ODD_CYCLE]
-    assert classify_blocks(bidirect(ring4)) == [OTHER]
-    k4 = Graph.from_edges(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
-    assert classify_blocks(bidirect(k4)) == [BIDIRECTED_CLIQUE]
+    assert classify_blocks(ring5) == [BIDIRECTED_ODD_CYCLE]
+    assert classify_blocks(ring4) == [OTHER]
+    k4 = graph(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
+    assert classify_blocks(k4) == [BIDIRECTED_CLIQUE]
     tt3 = Digraph.from_arcs(3, [(0, 1), (0, 2), (1, 2)])
     assert classify_blocks(tt3) == [OTHER]
 
 
 def test_bidirected_triangle_counts_as_clique():
-    tri = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
-    assert classify_blocks(bidirect(tri)) == [BIDIRECTED_CLIQUE]
+    tri = graph(3, [(0, 1), (1, 2), (0, 2)])
+    assert classify_blocks(tri) == [BIDIRECTED_CLIQUE]
 
 
 def test_cactus_recognition():
     # two triangles sharing a vertex
-    g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
+    g = graph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
     assert is_cactus(g)
-    assert not is_cactus(Graph.from_edges(4, [(a, b) for a in range(4)
-                                              for b in range(a + 1, 4)]))
-    assert is_cactus(Graph.from_edges(1, []))
+    assert not is_cactus(graph(4, [(a, b) for a in range(4) for b in range(a + 1, 4)]))
+    assert is_cactus(graph(1, []))
 
 
 def test_directed_cactus_and_gallai_examples():
@@ -106,7 +109,7 @@ def test_directed_cactus_and_gallai_examples():
     assert not is_directed_gallai_forest(tt3)
     assert is_directed_gallai_forest(digon_path(3))
     assert not is_directed_cactus(digon_path(1))  # digon is not oriented
-    bid_c4 = bidirect(Graph.from_edges(4, [(i, (i + 1) % 4) for i in range(4)]))
+    bid_c4 = graph(4, [(i, (i + 1) % 4) for i in range(4)])
     assert not is_directed_gallai_forest(bid_c4)
 
 
@@ -120,17 +123,38 @@ def test_random_cactus_is_cactus_and_exact_order():
 
 
 def test_cactus_edge_bound_and_tightness():
-    tri2 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
+    tri2 = graph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
     m, bound, tight = cactus_edge_bound(tri2)
     assert m == 6 and bound == Fraction(3, 2) * 4 and tight
-    path = Graph.from_edges(3, [(0, 1), (1, 2)])
+    path = graph(3, [(0, 1), (1, 2)])
     m, bound, tight = cactus_edge_bound(path)
     assert m == 2 and not tight
     # 3/2(n-1) would be -3/2 at n = 0, which no graph meets
-    assert cactus_edge_bound(Graph(0, ())) == (0, 0, True)
+    assert cactus_edge_bound(graph(0, [])) == (0, 0, True)
     with pytest.raises(ValueError):
-        cactus_edge_bound(Graph.from_edges(4, [(a, b) for a in range(4)
-                                               for b in range(a + 1, 4)]))
+        cactus_edge_bound(graph(4, [(a, b) for a in range(4) for b in range(a + 1, 4)]))
+
+
+def test_graph_functions_agree_on_a_digraph_and_its_bidirection():
+    # a function that takes a graph gives an oriented digraph its
+    # underlying graph's answer, on random oriented cacti and graphs
+    rng = random.Random(33)
+    cacti = [random_cactus(rng.randint(1, 30), seed=rng.getrandbits(32))
+             for _ in range(40)]
+    cacti = [Digraph.from_arcs(g.n, [rng.choice(((u, v), (v, u))) for u, v in edge_list(g)])
+             for g in cacti]
+    others = [random_oriented(rng, rng.randint(1, 9), rng.choice((0.2, 0.4)))
+              for _ in range(60)]
+    for d in cacti + others:
+        g = bidirect(d)
+        assert is_oriented(d) and g.m == 2 * d.m
+        assert arboricity(d) == arboricity(g)
+        assert block_decomposition(d) == block_decomposition(g)
+        assert is_cactus(d) == is_cactus(g)
+        if is_cactus(g):
+            assert cactus_edge_bound(d) == cactus_edge_bound(g)
+            assert cactus_induced_forest(d) == cactus_induced_forest(g)
+    assert all(map(is_cactus, cacti)) and 0 < sum(map(is_cactus, others)) < 60
 
 
 def random_cacti(rng, parts, order):
@@ -144,9 +168,9 @@ def random_cacti(rng, parts, order):
     rng.shuffle(perm)
     edges, off = [], 0
     for c in cacti:
-        edges += [(perm[u + off], perm[v + off]) for u, v in c.edges()]
+        edges += [(perm[u + off], perm[v + off]) for u, v in edge_list(c)]
         off += c.n
-    return Graph.from_edges(len(perm), edges)
+    return graph(len(perm), edges)
 
 
 def test_cactus_induced_forest_is_exact_maximum():
@@ -181,7 +205,7 @@ def test_cactus_induced_forest_sizes_are_frozen():
 
 
 def test_cactus_induced_forest_two_triangles():
-    g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
+    g = graph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
     forest = cactus_induced_forest(g)
     assert len(forest) == 4  # drop the shared vertex alone
 
@@ -189,9 +213,9 @@ def test_cactus_induced_forest_two_triangles():
 def test_cactus_induced_forest_checks_its_answer(monkeypatch):
     # a decomposition that misses the cycle block keeps the whole triangle,
     # which meets the size guarantee; the forest check catches it
-    triangle = Graph.from_edges(3, [(0, 1), (1, 2), (2, 0)])
+    triangle = graph(3, [(0, 1), (1, 2), (2, 0)])
     monkeypatch.setattr(structure, "_require_cactus",
-                        lambda g: block_decomposition(Graph.from_edges(g.n, [])))
+                        lambda g: block_decomposition(graph(g.n, [])))
     with pytest.raises(RuntimeError, match="forest check"):
         cactus_induced_forest(triangle)
 
@@ -219,7 +243,7 @@ def test_gallai_property_check():
     tt3 = Digraph.from_arcs(3, [(0, 1), (0, 2), (1, 2)])
     assert gallai_property_check(tt3, 2)  # no low vertices to violate
     # bidirected even cycle is 2-diregular everywhere and not Gallai
-    bid_c4 = bidirect(Graph.from_edges(4, [(i, (i + 1) % 4) for i in range(4)]))
+    bid_c4 = graph(4, [(i, (i + 1) % 4) for i in range(4)])
     assert not gallai_property_check(bid_c4, 3)
 
 
