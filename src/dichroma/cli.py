@@ -40,9 +40,8 @@ from .structure import (
 )
 from .surfaces import (
     bounds_row,
-    euler_characteristic,
     parse_surface,
-    surface_from_characteristic,
+    surface_names,
     surface_table,
 )
 
@@ -132,8 +131,7 @@ def cmd_census(args) -> int:
 def cmd_bounds(args) -> int:
     line = "{surface:>22}  c={euler_characteristic:>3}  [{lower},{upper}]"
     if args.surface:
-        s = parse_surface(args.surface)
-        rows = [bounds_row(s.name, euler_characteristic(s))]
+        rows = [bounds_row(*parse_surface(args.surface))]
         line = "[{lower},{upper}]"
     elif args.range:
         lo, hi = args.range
@@ -145,14 +143,8 @@ def cmd_bounds(args) -> int:
                 f"a range holds at most {RANGE_LIMIT} Euler characteristics; "
                 f"[{lo}, {top}] holds {top - lo + 1}"
             )
-        rows = []
-        for c in range(top, lo - 1, -1):
-            for kind in ("orientable", "nonorientable"):
-                try:
-                    s = surface_from_characteristic(c, kind)
-                except ValueError:
-                    continue
-                rows.append(bounds_row(s.name, c))
+        rows = [bounds_row(name, c) for c in range(top, lo - 1, -1)
+                for name in surface_names(c)]
     else:
         rows = surface_table()
     _emit(args, args.surface or (f"range {args.range}" if args.range else "table"),
@@ -167,7 +159,10 @@ def cmd_reduce(args) -> int:
     embedding = None
     if args.embedding:
         with open(args.embedding) as fh:
-            embedding = PlanarIncidenceEmbedding.from_json(json.load(fh))
+            try:  # too deep a nesting raises RecursionError, a RuntimeError
+                embedding = PlanarIncidenceEmbedding.from_json(json.load(fh))
+            except RecursionError as exc:
+                raise ValueError(f"malformed embedding JSON: {exc!r}") from None
     t0 = time.perf_counter()
     reducer = reduce_digon if args.gadget == "digon" else reduce_oriented
     out = reducer(phi, embedding)

@@ -145,7 +145,7 @@ def open_checkpoint(path: str, header: dict) -> tuple[list[tuple[int, dict]], Te
             if raw.strip():
                 try:
                     lines.append((i + 1, json.loads(raw)))
-                except ValueError:
+                except (ValueError, RecursionError):  # nested past the parser
                     if i < last:
                         raise ValueError(f"checkpoint {path}: line {i + 1} is not JSON")
                     break

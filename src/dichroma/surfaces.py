@@ -1,7 +1,9 @@
-"""Closed-form surface bounds: Euler characteristics, Heawood numbers,
-arboricity ceilings, order bounds for dicritical oriented graphs, and the
-bounds on the dichromatic number of oriented graphs on a surface, which
-depend only on its Euler characteristic.
+"""Surface names and Euler characteristics, Heawood numbers, dicritical
+order bounds, the bounds table.
+
+Every bound depends only on the Euler characteristic c of the surface: the
+arboricity ceiling, the order ceilings for dicritical oriented graphs, and
+the bounds on the dichromatic number of oriented graphs on the surface.
 
 Everything except the tournament lower bound is exact integer arithmetic;
 that one bound divides by a logarithm, so it uses floats by necessity, and
@@ -12,65 +14,39 @@ the table's surfaces its ceiling is nowhere near an integer boundary).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-ORIENTABLE = "orientable"
-NONORIENTABLE = "nonorientable"
-
-# the surfaces with a name of their own; the rest are S<genus> and N<genus>
-_NAMED = {
-    "sphere": (ORIENTABLE, 0),
-    "torus": (ORIENTABLE, 1),
-    "projective-plane": (NONORIENTABLE, 1),
-    "klein-bottle": (NONORIENTABLE, 2),
-}
+# the surfaces with a name of their own; every other is S<genus>, the
+# orientable surface of characteristic 2 - 2 genus, or N<genus> (genus >= 1),
+# the nonorientable one of characteristic 2 - genus
+_NAMES = {"S0": "sphere", "S1": "torus", "N1": "projective-plane",
+          "N2": "klein-bottle"}
 
 
-@dataclass(frozen=True)
-class Surface:
-    kind: str
-    genus: int
-
-    def __post_init__(self):
-        if self.kind not in (ORIENTABLE, NONORIENTABLE):
-            raise ValueError(f"unknown surface kind {self.kind!r}")
-        if self.genus < 0 or (self.kind == NONORIENTABLE and self.genus < 1):
-            raise ValueError(f"invalid genus {self.genus} for {self.kind}")
-
-    @property
-    def name(self) -> str:
-        for name, key in _NAMED.items():
-            if key == (self.kind, self.genus):
-                return name
-        return f"{'S' if self.kind == ORIENTABLE else 'N'}{self.genus}"
+def _surface(kind: str, genus: int) -> tuple[str, int]:
+    """The name and Euler characteristic of S<genus> (kind "S") or N<genus>."""
+    key = f"{kind}{genus}"
+    return _NAMES.get(key, key), 2 - (2 if kind == "S" else 1) * genus
 
 
-def euler_characteristic(s: Surface) -> int:
-    if s.kind == ORIENTABLE:
-        return 2 - 2 * s.genus
-    return 2 - s.genus
-
-
-def surface_from_characteristic(c: int, kind: str) -> Surface:
-    if kind == ORIENTABLE:
-        if c > 2 or c % 2 != 0:
-            raise ValueError(f"no orientable surface has characteristic {c}")
-        return Surface(ORIENTABLE, (2 - c) // 2)
-    if kind == NONORIENTABLE:
-        if c > 1:
-            raise ValueError(f"no nonorientable surface has characteristic {c}")
-        return Surface(NONORIENTABLE, 2 - c)
-    raise ValueError(f"unknown surface kind {kind!r}")
-
-
-def parse_surface(text: str) -> Surface:
-    """Names like sphere, torus, projective-plane, klein-bottle, S3, N7."""
+def parse_surface(text: str) -> tuple[str, int]:
+    """The canonical name (S1 as torus) and the Euler characteristic of a
+    surface named sphere, torus, projective-plane, klein-bottle, S<genus> or
+    N<genus>, in any case."""
     t = text.strip().lower()
-    if t in _NAMED:
-        return Surface(*_NAMED[t])
-    if t[:1] in ("s", "n") and t[1:].isdecimal():
-        return Surface(ORIENTABLE if t[0] == "s" else NONORIENTABLE, int(t[1:]))
+    t = next((key.lower() for key, name in _NAMES.items() if name == t), t)
+    kind = {"s": "S", "n": "N"}.get(t[:1])
+    if kind and t[1:].isdecimal() and (kind == "S" or int(t[1:]) >= 1):
+        return _surface(kind, int(t[1:]))
     raise ValueError(f"cannot parse surface {text!r}")
+
+
+def surface_names(c: int) -> list[str]:
+    """The names of the surfaces of Euler characteristic c, the orientable
+    one first; [] when there is none (c > 2)."""
+    kinds = [("S", (2 - c) // 2)] if c <= 2 and c % 2 == 0 else []
+    if c <= 1:
+        kinds.append(("N", 2 - c))
+    return [_surface(kind, genus)[0] for kind, genus in kinds]
 
 
 def heawood_number(c: int) -> int:
@@ -109,8 +85,6 @@ def tournament_lower_bound(c: int) -> int:
             "the tournament bound needs a Heawood number of at most 2**53; "
             f"this characteristic gives one of {h.bit_length()} bits"
         )
-    if h <= 1:
-        return 1
     return math.ceil(h / (2 * math.log2(h) + 1))
 
 

@@ -125,7 +125,9 @@ def test_open_checkpoint_drops_torn_tail(tmp_path):
         fh.write('{"task": 1}\n')
     assert records == []
     good = ck.read_bytes()
-    for tail in (b'{"task": 2', b'{"task": 2, "x"\n', b'\xff\xfe'):
+    # a line nested past the parser's depth is not JSON either
+    deep = b"[" * 100_000 + b"\n"
+    for tail in (b'{"task": 2', b'{"task": 2, "x"\n', b'\xff\xfe', deep):
         ck.write_bytes(good + tail)
         records, fh = open_checkpoint(str(ck), header)
         fh.close()
@@ -133,9 +135,10 @@ def test_open_checkpoint_drops_torn_tail(tmp_path):
         assert ck.read_bytes() == good
 
     # a bad line before the last is corruption, not a torn write
-    ck.write_bytes(good + b"garbage\n" + b'{"task": 2}\n')
-    with pytest.raises(ValueError):
-        open_checkpoint(str(ck), header)
+    for bad in (b"garbage\n", deep):
+        ck.write_bytes(good + bad + b'{"task": 2}\n')
+        with pytest.raises(ValueError, match="line 3 is not JSON"):
+            open_checkpoint(str(ck), header)
 
     # another run's checkpoint is refused and left as it is
     ck.write_bytes(good + b'{"task": 2')

@@ -1,78 +1,46 @@
 import pytest
 
 from dichroma.surfaces import (
-    NONORIENTABLE,
-    ORIENTABLE,
-    Surface,
     arboricity_bound,
     bounds_row,
     dichromatic_bounds,
     dicritical_order_bound,
-    euler_characteristic,
     heawood_number,
     parse_surface,
-    surface_from_characteristic,
+    surface_names,
     tournament_lower_bound,
 )
 
 
-def test_surface_names_and_characteristics():
-    assert Surface(ORIENTABLE, 0).name == "sphere"
-    assert Surface(ORIENTABLE, 1).name == "torus"
-    assert Surface(NONORIENTABLE, 1).name == "projective-plane"
-    assert Surface(NONORIENTABLE, 2).name == "klein-bottle"
-    assert Surface(ORIENTABLE, 3).name == "S3"
-    assert Surface(NONORIENTABLE, 7).name == "N7"
-    assert euler_characteristic(Surface(ORIENTABLE, 0)) == 2
-    assert euler_characteristic(Surface(ORIENTABLE, 2)) == -2
-    assert euler_characteristic(Surface(NONORIENTABLE, 1)) == 1
-    assert euler_characteristic(Surface(NONORIENTABLE, 10)) == -8
-
-
-def test_surface_validation():
-    with pytest.raises(ValueError):
-        Surface("weird", 1)
-    with pytest.raises(ValueError):
-        Surface(ORIENTABLE, -1)
-    with pytest.raises(ValueError):
-        Surface(NONORIENTABLE, 0)
-
-
-def test_parse_surface_round_trips():
-    for s in (
-        Surface(ORIENTABLE, 0),
-        Surface(ORIENTABLE, 1),
-        Surface(ORIENTABLE, 4),
-        Surface(NONORIENTABLE, 1),
-        Surface(NONORIENTABLE, 2),
-        Surface(NONORIENTABLE, 9),
-    ):
-        assert parse_surface(s.name) == s
-    assert parse_surface("  Torus ") == Surface(ORIENTABLE, 1)
-    assert parse_surface("n3") == Surface(NONORIENTABLE, 3)
-    # "²".isdigit() is true, but int() rejects it
-    for bad in ("", "plane", "S", "Sx", "N-1", "4", "N²"):
+def test_parse_surface():
+    expected = {
+        "sphere": ("sphere", 2), "S0": ("sphere", 2), "torus": ("torus", 0),
+        "s1": ("torus", 0), "S01": ("torus", 0), "  Torus ": ("torus", 0),
+        "projective-plane": ("projective-plane", 1),
+        "N1": ("projective-plane", 1), "klein-bottle": ("klein-bottle", 0),
+        "n2": ("klein-bottle", 0), "S3": ("S3", -4), "n3": ("N3", -1),
+        "N10": ("N10", -8),
+    }
+    for text, want in expected.items():
+        assert parse_surface(text) == want, text
+    # "²".isdigit() is true, but int() rejects it; N0 has no genus to lose;
+    # "ſ".upper() is "S", so upper-casing the text would take ſ1 as the torus
+    for bad in ("", "plane", "S", "Sx", "N-1", "S-1", "4", "N²", "N0", "S 1",
+                "ſ1"):
         with pytest.raises(ValueError, match="cannot parse surface"):
             parse_surface(bad)
 
 
-def test_surface_from_characteristic():
-    assert surface_from_characteristic(2, ORIENTABLE) == Surface(ORIENTABLE, 0)
-    assert surface_from_characteristic(-2, ORIENTABLE) == Surface(ORIENTABLE, 2)
-    assert surface_from_characteristic(1, NONORIENTABLE) == Surface(
-        NONORIENTABLE, 1
-    )
-    assert surface_from_characteristic(-8, NONORIENTABLE) == Surface(
-        NONORIENTABLE, 10
-    )
-    with pytest.raises(ValueError):
-        surface_from_characteristic(1, ORIENTABLE)  # odd characteristic
-    with pytest.raises(ValueError):
-        surface_from_characteristic(4, ORIENTABLE)
-    with pytest.raises(ValueError):
-        surface_from_characteristic(2, NONORIENTABLE)
-    with pytest.raises(ValueError):
-        surface_from_characteristic(0, "weird")
+def test_surface_names():
+    assert surface_names(2) == ["sphere"]
+    assert surface_names(1) == ["projective-plane"]
+    assert surface_names(0) == ["torus", "klein-bottle"]
+    assert surface_names(-1) == ["N3"]
+    assert surface_names(-8) == ["S5", "N10"]
+    assert surface_names(3) == []
+    for c in range(-40, 3):
+        for name in surface_names(c):
+            assert parse_surface(name) == (name, c)
 
 
 def test_heawood_numbers():
