@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .digraphs import Digraph, delete_arc, is_oriented
+from .digraphs import MAX_VERTICES, Digraph, delete_arc, is_oriented
 from .formats import d6_decode, dump_digraph
 from .solver import (
     _creates_cycle, _static_colourings, _verified, is_dicritical,
@@ -118,11 +118,27 @@ def _cname(j: int) -> str:
     return f"c{j}"
 
 
+def _reach(adj: dict[str, set[str]], start: str) -> set[str]:
+    """The vertices that a walk along adj reaches from start."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for y in adj[stack.pop()] - seen:
+            seen.add(y)
+            stack.append(y)
+    return seen
+
+
 @dataclass(frozen=True)
 class PlanarIncidenceEmbedding:
     """Faces of the plane-embedded incidence graph as cyclic walks over
     vertex names v<i> (variables, 1-based) and c<j> (clauses, 0-based),
-    plus the three surrounding faces of each clause in literal order."""
+    plus the three surrounding faces of each clause in literal order.
+
+    validate checks that the faces form a sphere: every edge lies on two
+    face sides, the corners at each vertex close into one cycle (so the
+    faces glue into a closed surface) and the face count meets Euler's
+    formula for the sphere."""
 
     faces: tuple[tuple[str, ...], ...]
     clause_faces: tuple[tuple[int, int, int], ...]
@@ -149,17 +165,8 @@ class PlanarIncidenceEmbedding:
             a, b = tuple(e)
             adj[a].add(b)
             adj[b].add(a)
-        if names:
-            seen = set()
-            stack = [next(iter(sorted(names)))]
-            while stack:
-                x = stack.pop()
-                if x in seen:
-                    continue
-                seen.add(x)
-                stack.extend(adj[x] - seen)
-            if seen != names:
-                raise ValueError("incidence graph is not connected")
+        if names and _reach(adj, min(names)) != names:
+            raise ValueError("incidence graph is not connected")
         euler_faces = 2 - len(names) + len(hedges)
         if len(self.faces) != euler_faces:
             raise ValueError(
@@ -184,6 +191,23 @@ class PlanarIncidenceEmbedding:
         bad = {tuple(sorted(e)) for e, c in counts.items() if c != 2}
         if bad:
             raise ValueError(f"edges not on exactly two face sides: {sorted(bad)}")
+        # each corner (prev, x, next) joins prev and next around x; as every
+        # edge lies on two face sides, the corners at x form cycles through
+        # x's neighbours, and on a surface they form exactly one
+        corners: dict[str, dict[str, set[str]]] = {
+            x: {y: set() for y in adj[x]} for x in names
+        }
+        for walk in self.faces:
+            for i, x in enumerate(walk):
+                prev, nxt = walk[i - 1], walk[(i + 1) % len(walk)]
+                corners[x][prev].add(nxt)
+                corners[x][nxt].add(prev)
+        for x in sorted(names):
+            if adj[x] and _reach(corners[x], min(adj[x])) != adj[x]:
+                raise ValueError(
+                    f"the face corners at {x} do not close into one cycle, "
+                    "so the faces do not form a sphere"
+                )
         if len(self.clause_faces) != len(phi.clauses):
             raise ValueError("need exactly one face triple per clause")
 
@@ -339,6 +363,12 @@ def _compile(phi: CnfFormula, embedding: PlanarIncidenceEmbedding | None,
     """The digon compilation of phi as the skeleton, then one copy of the
     gadget per inequality link, the interiors numbered after the skeleton
     in link order."""
+    order = phi.num_vars + 7 * len(phi.clauses)  # a clause ring and its t
+    if order > MAX_VERTICES:
+        raise ValueError(
+            f"the output has at least {order} vertices, one per variable and "
+            f"seven per clause, over MAX_VERTICES = {MAX_VERTICES}"
+        )
     roles: dict[str, int] = {}
 
     def add(role: str) -> int:

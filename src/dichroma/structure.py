@@ -1,5 +1,7 @@
 """Block decompositions and the structural classes built from them:
-cacti, directed cacti and directed Gallai forests.
+cacti, directed cacti and directed Gallai forests.  A directed cactus is an
+oriented directed Gallai forest, since the two bidirected block kinds need
+digons.
 
 A graph is a symmetric digraph.  The functions on graphs (block_decomposition,
 is_cactus, cactus_edge_bound, cactus_induced_forest) read a digraph's
@@ -33,6 +35,7 @@ class BlockDecomposition:
     n: int
     blocks: tuple[tuple[int, ...], ...]
     block_edges: tuple[tuple[tuple[int, int], ...], ...]
+    entries: tuple[int, ...]
     cut_vertices: frozenset[int]
     isolated: tuple[int, ...]
 
@@ -47,7 +50,10 @@ class BlockDecomposition:
 
 def block_decomposition(g: Digraph) -> BlockDecomposition:
     """Biconnected components via an iterative lowpoint search with an edge
-    stack.  Isolated vertices form no block and are listed separately."""
+    stack, started at each component's least vertex.  A block closes at its
+    entry, its vertex nearest that least vertex, and only after every block
+    that hangs below it, so blocks come children-first.  Isolated vertices
+    form no block and are listed separately."""
     n = g.n
     adj = [list(iter_bits(r)) for r in g.underlying_rows]
     visited = [False] * n
@@ -56,6 +62,7 @@ def block_decomposition(g: Digraph) -> BlockDecomposition:
     timer = 1
     edge_stack: list[tuple[int, int]] = []
     blocks_edges: list[list[tuple[int, int]]] = []
+    entries: list[int] = []
     cut: set[int] = set()
     isolated = tuple(v for v in range(n) if not adj[v])
 
@@ -104,6 +111,7 @@ def block_decomposition(g: Digraph) -> BlockDecomposition:
                         if e == (u, v):
                             break
                     blocks_edges.append(blk)
+                    entries.append(u)
         if root_children >= 2:
             cut.add(s)
 
@@ -117,33 +125,28 @@ def block_decomposition(g: Digraph) -> BlockDecomposition:
         n=n,
         blocks=tuple(blocks),
         block_edges=tuple(bedges),
+        entries=tuple(entries),
         cut_vertices=frozenset(cut),
         isolated=isolated,
     )
 
 
 def _block_kind(d: Digraph, verts: Sequence[int], edges: Sequence[tuple[int, int]]) -> str:
-    def digon(u, v):
-        return d.has_arc(u, v) and d.has_arc(v, u)
-
+    """Decided by how many of the block's edges are digons: all (a clique or
+    an odd cycle), none (a single arc or a directed cycle) or some."""
     nv, ne = len(verts), len(edges)
-    if ne == 1:
-        u, v = edges[0]
-        return BIDIRECTED_CLIQUE if digon(u, v) else SINGLE_EDGE
-    all_digons = all(digon(u, v) for u, v in edges)
-    if ne == nv * (nv - 1) // 2 and all_digons:
-        return BIDIRECTED_CLIQUE
-    if ne == nv:
-        if all_digons:
-            return BIDIRECTED_ODD_CYCLE if nv % 2 == 1 else OTHER
-        vset = 0
-        for v in verts:
-            vset |= 1 << v
-        if all(not digon(u, v) for u, v in edges) and all(
-            (d.rows[v] & vset).bit_count() == 1 for v in verts
-        ):
+    digons = sum(d.has_arc(u, v) and d.has_arc(v, u) for u, v in edges)
+    if digons == ne:
+        if ne == nv * (nv - 1) // 2:
+            return BIDIRECTED_CLIQUE
+        if ne == nv and nv % 2:
+            return BIDIRECTED_ODD_CYCLE
+    elif not digons:
+        if ne == 1:
+            return SINGLE_EDGE
+        vset = mask_of(verts)
+        if ne == nv and all((d.rows[v] & vset).bit_count() == 1 for v in verts):
             return DIRECTED_CYCLE
-        return OTHER
     return OTHER
 
 
@@ -180,11 +183,9 @@ def is_cactus(g: Digraph) -> bool:
 
 
 def is_directed_cactus(d: Digraph) -> bool:
-    """Oriented, with every block a single arc or a directed cycle.  A
-    digon's block is a bidirected clique or other, so the kinds reject it."""
-    return all(
-        kind in (SINGLE_EDGE, DIRECTED_CYCLE) for kind in classify_blocks(d)
-    )
+    """Oriented, with every block a single arc or a directed cycle: an
+    oriented directed Gallai forest."""
+    return is_oriented(d) and is_directed_gallai_forest(d)
 
 
 def is_directed_gallai_forest(d: Digraph) -> bool:
@@ -215,35 +216,18 @@ def cactus_induced_forest(g: Digraph) -> list[int]:
 
     In a cactus the cycles are exactly the cycle blocks, so a maximum
     induced forest drops a least vertex set that meets every cycle block.
-    Root each component at its least vertex.  A block is entered through
-    its unique vertex nearest the root, its entry.  Take the cycle blocks
-    deepest entry first, and drop the entry of each block that no dropped
+    Take the cycle blocks in the children-first order of
+    block_decomposition, and drop the entry of each block that no dropped
     vertex meets yet.  This is exact by exchange: besides this block, any
-    other vertex of it lies only in blocks that hang below it.  Their
-    entries are deeper, so they were met before, and the entry meets every
-    block still unmet that the other vertex would.
+    other vertex of it lies only in blocks that hang below it.  They closed
+    before it, so they were met before, and the entry meets every block
+    still unmet that the other vertex would.
     """
     dec = _require_cactus(g)
     rows = g.underlying_rows
-    depth = [-1] * g.n
-    for root in range(g.n):
-        if depth[root] < 0:
-            depth[root] = 0
-            queue = [root]
-            for x in queue:
-                for w in iter_bits(rows[x]):
-                    if depth[w] < 0:
-                        depth[w] = depth[x] + 1
-                        queue.append(w)
-    cycles = [
-        (min(verts, key=depth.__getitem__), mask_of(verts))
-        for verts, edges in zip(dec.blocks, dec.block_edges)
-        if len(edges) > 1
-    ]
-    cycles.sort(key=lambda c: depth[c[0]], reverse=True)
     dropped = 0
-    for entry, verts in cycles:
-        if not dropped & verts:
+    for entry, verts, edges in zip(dec.entries, dec.blocks, dec.block_edges):
+        if len(edges) > 1 and not dropped & mask_of(verts):
             dropped |= 1 << entry
     kept = [v for v in range(g.n) if not dropped >> v & 1]
     need = -(-2 * g.n // 3)
@@ -285,12 +269,9 @@ def low_vertices(d: Digraph, k: int) -> list[int]:
 
 
 def gallai_property_check(d: Digraph, k: int) -> bool:
-    """Do the low vertices induce a directed cactus (oriented input) or a
-    directed Gallai forest (general input)?"""
-    sub = induced(d, low_vertices(d, k))
-    if not is_oriented(d):
-        return is_directed_gallai_forest(sub)
-    return is_directed_cactus(sub)
+    """Do the low vertices induce a directed Gallai forest?  On oriented
+    input that is a directed cactus."""
+    return is_directed_gallai_forest(induced(d, low_vertices(d, k)))
 
 
 # -- seeded generator for property harnesses ------------------------------

@@ -5,14 +5,16 @@ Every bound depends only on the Euler characteristic c of the surface: the
 arboricity ceiling, the order ceilings for dicritical oriented graphs, and
 the bounds on the dichromatic number of oriented graphs on the surface.
 
-Everything except the tournament lower bound is exact integer arithmetic;
-that one bound divides by a logarithm, so it uses floats by necessity, and
-takes Heawood numbers only up to 2**53, where each is an exact float (at
-the table's surfaces its ceiling is nowhere near an integer boundary).
+Everything except the tournament lower bound is exact integer arithmetic.
+That one bound is the ceiling of a ratio with a logarithm in it: it takes
+Heawood numbers only up to 2**53, where each is an exact float, keeps the
+float ratio where it is farther from an integer than its rounding error,
+and recomputes it in 60-digit decimal arithmetic elsewhere.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 
 # the surfaces with a name of their own; every other is S<genus>, the
@@ -85,7 +87,14 @@ def tournament_lower_bound(c: int) -> int:
             "the tournament bound needs a Heawood number of at most 2**53; "
             f"this characteristic gives one of {h.bit_length()} bits"
         )
-    return math.ceil(h / (2 * math.log2(h) + 1))
+    x = h / (2 * math.log2(h) + 1)
+    # log2, one addition and one division leave a relative error of a few
+    # units of 2**-53, far below 2**-48
+    if abs(x - round(x)) > x * 2**-48:
+        return math.ceil(x)
+    with decimal.localcontext(prec=60):
+        hd = decimal.Decimal(h)
+        return math.ceil(hd / (2 * hd.ln() / decimal.Decimal(2).ln() + 1))
 
 
 def _rules(c: int):

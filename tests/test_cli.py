@@ -306,6 +306,23 @@ def test_reduce_planar_with_embedding(tmp_path, capsys):
     assert "equivalence=True" in out
 
 
+def test_reduce_rejects_a_non_sphere_embedding(tmp_path, capsys):
+    # K_{3,3}'s faces on the projective plane with a claw's face joined at
+    # v1 pass Euler's formula; the corners at v1 show it is no sphere
+    cnf = tmp_path / "phi.cnf"
+    cnf.write_text("p cnf 5 4\n1 2 3 0\n1 2 3 0\n1 2 3 0\n1 4 5 0\n")
+    emb = tmp_path / "emb.json"
+    emb.write_text(json.dumps({
+        "faces": [["v1", "c0", "v3", "c1"], ["c0", "v2", "c2", "v3"],
+                  ["v2", "c1", "v1", "c2"], ["v1", "c0", "v2", "c1", "v3", "c2"],
+                  ["v1", "c3", "v4", "c3", "v5", "c3"]],
+        "clause_faces": [[3, 1, 0], [2, 3, 0], [2, 1, 3], [4, 4, 4]],
+    }))
+    code, out, err = run_cli(capsys, "reduce", str(cnf), "--embedding", str(emb))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "corners at v1" in err
+
+
 def test_structure_directed_triangle(tmp_path, capsys):
     path = tmp_path / "tri.d6"
     path.write_text(TRIANGLE_D6 + "\n")

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from dichroma import reductions
-from dichroma.digraphs import Digraph, is_oriented
+from dichroma.digraphs import MAX_VERTICES, Digraph, is_oriented
 from dichroma.reductions import (
     DIGON,
     CnfFormula,
@@ -414,6 +414,26 @@ def test_empty_formula_compiles():
     assert col is not None
     assert decode_assignment(out, col) == [True, True]
     assert verify_equivalence(phi, out)
+
+
+def test_oversized_formula_rejected_before_compiling(monkeypatch):
+    # every variable is an output vertex and every clause adds seven, so a
+    # formula whose output must pass MAX_VERTICES fails before any role or
+    # digraph is built
+    gadgets = (DIGON, default_gadgets()[1])
+
+    def unreachable(n, arcs):
+        raise AssertionError("Digraph.from_arcs reached")
+
+    monkeypatch.setattr(Digraph, "from_arcs", staticmethod(unreachable))
+    too_many_vars = CnfFormula(num_vars=MAX_VERTICES + 1, clauses=())
+    too_many_clauses = CnfFormula(
+        num_vars=3, clauses=((1, 2, 3),) * ((MAX_VERTICES - 3) // 7 + 1)
+    )
+    for phi in (too_many_vars, too_many_clauses):
+        for gadget in gadgets:
+            with pytest.raises(ValueError, match="MAX_VERTICES"):
+                _compile(phi, None, gadget)
 
 
 def test_reduction_output_json():

@@ -37,6 +37,7 @@ from bruteforce import (
     edge_list,
     graph,
     is_forest,
+    random_digraph,
     random_gallai_forest,
     random_graph,
     random_oriented,
@@ -263,3 +264,61 @@ def test_decomposition_report_shape():
     rep = decomposition_report(d)
     assert rep["kinds"] == [DIRECTED_CYCLE]
     assert rep["cut_vertices"] == []
+
+
+def random_directed_cacti(rng, parts, order):
+    """The disjoint union of `parts` random oriented cacti of 1..order
+    vertices, each grown by attaching an arc of either direction or a
+    directed cycle of length 3..6, relabelled at random."""
+    arcs, n = [], 0
+    for _ in range(parts):
+        size, base = rng.randint(1, order), n
+        n += 1
+        while n - base < size:
+            attach = rng.randrange(base, n)
+            clen = min(rng.randint(3, 6), size - (n - base) + 1)
+            if clen < 3 or rng.random() < 0.5:
+                arcs.append(rng.choice(((attach, n), (n, attach))))
+                n += 1
+                continue
+            cyc = [attach, *range(n, n + clen - 1)]
+            arcs += list(zip(cyc, cyc[1:] + cyc[:1]))
+            n += clen - 1
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Digraph.from_arcs(n, [(perm[u], perm[v]) for u, v in arcs])
+
+
+def test_structure_answers_are_frozen():
+    # sha256 over the block kinds, the four class predicates, the low-vertex
+    # checks at k = 2 and 3 and the cactus forest lists of seeded random
+    # digraphs with and without digons, Gallai forests and relabelled
+    # unions of random cacti, directed and undirected
+    rng = random.Random(35)
+    inputs = []
+    for _ in range(600):
+        n = rng.randint(0, 9)
+        inputs.append(random_digraph(rng, n, rng.choice((0.15, 0.25, 0.35))))
+        inputs.append(random_oriented(rng, n, rng.choice((0.3, 0.5, 0.7))))
+    for _ in range(150):
+        d = random_gallai_forest(rng.randint(2, 14), seed=rng.getrandbits(32))
+        inputs += [d, Digraph.from_arcs(d.n, [*d.arcs(), rng.sample(range(d.n), 2)])]
+    for _ in range(150):
+        parts = rng.randint(1, 3)
+        inputs.append(random_cacti(rng, parts, 30 // parts))
+        inputs.append(random_directed_cacti(rng, parts, 30 // parts))
+    h = hashlib.sha256()
+    for d in inputs:
+        cactus = is_cactus(d)
+        h.update(repr((
+            classify_blocks(d),
+            cactus,
+            is_directed_cactus(d),
+            is_directed_gallai_forest(d),
+            gallai_property_check(d, 2),
+            gallai_property_check(d, 3),
+            cactus_induced_forest(d) if cactus else None,
+        )).encode())
+    assert h.hexdigest() == (
+        "994decbba775e20af598556e25f32865b0dc5e794549457eef3237dcd1f69cba"
+    )

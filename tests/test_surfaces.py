@@ -74,6 +74,11 @@ def test_tournament_lower_bound():
     top = (49 - (2**54 - 5) ** 2) // 24
     assert heawood_number(top + 1) == 2**53 < heawood_number(top)
     assert tournament_lower_bound(top + 1) == -(-(2**53) // 107)
+    # H = 28997246598466 and the ratio is 320617176591.000036..., which the
+    # float ratio rounds down to the integer
+    c = parse_surface("N140140051715350503533426805")[1]
+    assert heawood_number(c) == 28997246598466
+    assert tournament_lower_bound(c) == 320617176592
     for c in (top, -(10**700)):
         with pytest.raises(ValueError, match=r"at most 2\*\*53"):
             tournament_lower_bound(c)
