@@ -63,7 +63,7 @@ def _read_text(path: str | None) -> str:
 def _load(args) -> tuple[str, Digraph]:
     """The input digraph of args.path and the digest of its text."""
     text = _read_text(args.path)
-    return _digest(text), load_digraph(text, args.format)
+    return _digest(text), load_digraph(text)
 
 
 def _positive_int(text: str) -> int:
@@ -167,7 +167,8 @@ def cmd_reduce(args) -> int:
     reducer = reduce_digon if args.gadget == "digon" else reduce_oriented
     out = reducer(phi, embedding)
     timings = {"reduce": time.perf_counter() - t0}
-    results = out.to_json()
+    rendered = dump_digraph(out.digraph, args.format)
+    results = dict(out.to_json(), digraph=rendered)
     code = 0
     if args.verify:
         t0 = time.perf_counter()
@@ -175,9 +176,8 @@ def cmd_reduce(args) -> int:
         timings["verify"] = time.perf_counter() - t0
         results["equivalence"] = ok
         code = 0 if ok else 1
-    lines = [f"mode={out.mode} n={out.digraph.n} m={out.digraph.m}"]
-    lines.append(dump_digraph(out.digraph, args.format))
-    lines.append("roles " + json.dumps(out.roles, sort_keys=True))
+    lines = [f"mode={out.mode} n={out.digraph.n} m={out.digraph.m}", rendered,
+             "roles " + json.dumps(out.roles, sort_keys=True)]
     if args.verify:
         lines.append(f"equivalence={results['equivalence']}")
     _emit(args, _digest(text), results, lines, timings)
@@ -245,13 +245,18 @@ def cmd_verify_paper(args) -> int:
         if not ok:
             failures.append(slug)
             path = os.path.abspath(f"dichroma-failure-{slug}.json")
-            with open(path, "w") as fh:
-                json.dump(
-                    {"claim": slug, "description": desc, "details": details},
-                    fh, indent=2, default=str,
-                )
-            if not args.json:
-                print(f"      counterexample artifact: {path}")
+            try:
+                with open(path, "w") as fh:
+                    json.dump(
+                        {"claim": slug, "description": desc, "details": details},
+                        fh, indent=2, default=str,
+                    )
+            except OSError as exc:  # a failed claim still exits 1, not 2
+                print(f"cannot write counterexample artifact {path}: {exc}",
+                      file=sys.stderr)
+            else:
+                if not args.json:
+                    print(f"      counterexample artifact: {path}")
     total = len(results)
     summary = (f"{total} claims, {total - len(failures)} passed, "
                f"{len(failures)} failed ({time.perf_counter() - t_all:.1f}s)")
@@ -266,38 +271,37 @@ def main(argv=None) -> int:
         "and 3-SAT compilation for digraphs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the arguments subcommands share, each declared once
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--json", action="store_true",
+                        help="emit a JSON run report")
+    digraph = argparse.ArgumentParser(add_help=False, parents=[report])
+    digraph.add_argument("path", nargs="?", default="-",
+                         help="digraph6 or arc-list file, or - for stdin")
+    jobs = argparse.ArgumentParser(add_help=False, parents=[report])
+    jobs.add_argument("--jobs", type=_positive_int, default=None)
 
-    def add_common(p, fmt_help="input format override (default: sniff)"):
-        p.add_argument("--json", action="store_true",
-                       help="emit a JSON run report")
-        if fmt_help:
-            p.add_argument("--format", choices=("d6", "arclist"), default=None,
-                           help=fmt_help)
+    sub.add_parser("dichi", parents=[digraph], help="dichromatic number "
+                   "with certificate").set_defaults(func=cmd_dichi)
 
-    p = sub.add_parser("dichi", help="dichromatic number with certificate")
-    p.add_argument("path", nargs="?", default="-",
-                   help="digraph file or - for stdin")
-    add_common(p)
-    p.set_defaults(func=cmd_dichi)
-
-    p = sub.add_parser("census", help="isomorph-free dicritical census")
+    p = sub.add_parser("census", parents=[jobs],
+                       help="isomorph-free dicritical census")
     p.add_argument("n", type=int)
     p.add_argument("k", type=int)
-    p.add_argument("--jobs", type=_positive_int, default=None)
     p.add_argument("--checkpoint", default=None)
-    add_common(p, fmt_help=None)
     p.set_defaults(func=cmd_census)
 
-    p = sub.add_parser("bounds", help="dichromatic number bounds per surface")
+    p = sub.add_parser("bounds", parents=[report],
+                       help="dichromatic number bounds per surface")
     which = p.add_mutually_exclusive_group()
     which.add_argument("--surface", default=None,
                        help="surface name (sphere, torus, N2, S5, ...)")
     which.add_argument("--range", type=int, nargs=2, metavar=("LO", "HI"),
                        default=None, help="Euler characteristic range")
-    add_common(p, fmt_help=None)
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("reduce", help="compile 3-SAT into 2-dicolourability")
+    p = sub.add_parser("reduce", parents=[report],
+                       help="compile 3-SAT into 2-dicolourability")
     p.add_argument("path", nargs="?", default="-",
                    help="DIMACS CNF file or - for stdin")
     p.add_argument("--gadget", choices=("digon", "oriented"), default="digon")
@@ -306,27 +310,23 @@ def main(argv=None) -> int:
                    "instead of a single hub")
     p.add_argument("--verify", action="store_true",
                    help="also run the brute-force equivalence check")
-    add_common(p, fmt_help="output digraph format "
-               "(default: digraph6 when it fits, else arc list)")
+    p.add_argument("--format", choices=("d6", "arclist"), default=None,
+                   help="output digraph format, printed and in the JSON "
+                   "report (default: digraph6 when it fits, else arc list)")
     p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("structure", help="block decomposition and recognition")
-    p.add_argument("path", nargs="?", default="-")
-    add_common(p)
-    p.set_defaults(func=cmd_structure)
+    sub.add_parser("structure", parents=[digraph], help="block decomposition "
+                   "and recognition").set_defaults(func=cmd_structure)
 
-    p = sub.add_parser("critical-check", help="verify k-dicriticality")
-    p.add_argument("path", nargs="?", default="-")
+    p = sub.add_parser("critical-check", parents=[digraph],
+                       help="verify k-dicriticality")
     p.add_argument("k", type=int)
-    add_common(p)
     p.set_defaults(func=cmd_critical_check)
 
-    p = sub.add_parser("verify-paper",
+    p = sub.add_parser("verify-paper", parents=[jobs],
                        help="run the claim suite and print a pass/fail table")
     p.add_argument("--level", choices=("quick", "full"), default="quick")
-    p.add_argument("--jobs", type=_positive_int, default=None)
     p.add_argument("--seed", type=int, default=20260825)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify_paper)
 
     args = parser.parse_args(argv)

@@ -5,7 +5,12 @@ row-major adjacency bits (bit i*n+j = 1 iff arc i->j) packed big-endian into
 6-bit groups, each emitted as chr(group+63), zero-padded.  Non-zero
 padding is rejected, so each digraph has exactly one string.
 
-Arc list: first line "n m", then m lines "u v" (0-indexed, arc u->v).
+Arc list: first line "n m", then m lines "u v" (0-indexed, arc u->v),
+every integer of ASCII digits.
+
+load_digraph tells the two apart by the leading '&' (after whitespace),
+which digraph6 text always has and arc-list text never does, so sniffing
+reads any text in either format as that format would.
 
 Run checkpoints are JSON lines: a header naming the run, then one record
 per finished task.
@@ -73,27 +78,28 @@ def arclist_encode(d: Digraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _pair(line: str) -> tuple[int, int] | None:
+    """The two integers of an arc-list line, each of ASCII digits, else None."""
+    parts = line.split()
+    if len(parts) != 2 or not all(p.isascii() and p.isdigit() for p in parts):
+        return None
+    return int(parts[0]), int(parts[1])
+
+
 def arclist_decode(text: str) -> Digraph:
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
         raise ValueError("empty arc-list input")
-    head = lines[0].split()
-    if len(head) != 2:
+    head = _pair(lines[0])
+    if head is None:
         raise ValueError(f"arc-list header must be 'n m', got {lines[0]!r}")
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError:
-        raise ValueError(f"arc-list header must be 'n m', got {lines[0]!r}")
+    n, m = head
     if len(lines) - 1 != m:
         raise ValueError(f"arc-list declares {m} arcs but has {len(lines) - 1}")
     arcs = set()
     for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"bad arc line {ln!r}")
-        try:
-            arc = (int(parts[0]), int(parts[1]))
-        except ValueError:
+        arc = _pair(ln)
+        if arc is None:
             raise ValueError(f"bad arc line {ln!r}")
         if arc in arcs:
             raise ValueError(f"repeated arc line {ln!r}")
@@ -101,16 +107,9 @@ def arclist_decode(text: str) -> Digraph:
     return Digraph.from_arcs(n, arcs)
 
 
-def load_digraph(text: str, fmt: str | None = None) -> Digraph:
-    """Parse digraph6 or arc-list text; sniff by the '&' header when fmt is None."""
-    if fmt is None:
-        stripped = text.lstrip()
-        fmt = "d6" if stripped.startswith("&") else "arclist"
-    if fmt == "d6":
-        return d6_decode(text)
-    if fmt == "arclist":
-        return arclist_decode(text)
-    raise ValueError(f"unknown digraph format {fmt!r}")
+def load_digraph(text: str) -> Digraph:
+    """Parse digraph6 text, which starts with '&', else an arc list."""
+    return (d6_decode if text.lstrip().startswith("&") else arclist_decode)(text)
 
 
 def dump_digraph(d: Digraph, fmt: str | None = None) -> str:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .digraphs import MAX_VERTICES, Digraph, delete_arc, is_oriented
-from .formats import d6_decode, dump_digraph
+from .formats import d6_decode
 from .solver import (
     _creates_cycle, _static_colourings, _verified, is_dicritical,
     is_k_dicolourable,
@@ -74,6 +74,10 @@ class CnfFormula:
 
     @classmethod
     def from_dimacs(cls, text: str) -> "CnfFormula":
+        """Parse DIMACS CNF: one 'p cnf VARS CLAUSES' header before any
+        literal, 'c' comment lines, and 0-terminated clauses of three
+        literals; every integer is ASCII digits, a literal's with an
+        optional leading '-'."""
         num_vars = None
         num_clauses = None
         lits: list[int] = []
@@ -84,11 +88,20 @@ class CnfFormula:
                 continue
             if line.startswith("p"):
                 parts = line.split()
-                if len(parts) != 4 or parts[1] != "cnf":
+                if len(parts) != 4 or parts[1] != "cnf" or not all(
+                    t.isascii() and t.isdigit() for t in parts[2:]
+                ):
                     raise ValueError(f"bad DIMACS header {line!r}")
+                if num_vars is not None:
+                    raise ValueError(f"second DIMACS header {line!r}")
                 num_vars, num_clauses = int(parts[2]), int(parts[3])
                 continue
+            if num_vars is None:
+                raise ValueError(f"clause line {line!r} before the DIMACS header")
             for tok in line.split():
+                digits = tok.removeprefix("-")
+                if not (digits.isascii() and digits.isdigit()):
+                    raise ValueError(f"bad DIMACS literal {tok!r} in line {line!r}")
                 lit = int(tok)
                 if lit == 0:
                     if len(lits) != 3:
@@ -103,7 +116,7 @@ class CnfFormula:
             raise ValueError("trailing literals without terminating 0")
         if num_vars is None:
             raise ValueError("missing DIMACS header")
-        if num_clauses is not None and num_clauses != len(clauses):
+        if num_clauses != len(clauses):
             raise ValueError(
                 f"header announces {num_clauses} clauses, found {len(clauses)}"
             )
@@ -349,11 +362,12 @@ class ReductionOutput:
     skeleton: Digraph
 
     def to_json(self) -> dict:
+        """The report's fields but the digraph, which its reader renders in
+        the format it wants (formats.dump_digraph)."""
         return {
             "mode": self.mode,
             "n": self.digraph.n,
             "m": self.digraph.m,
-            "digraph": dump_digraph(self.digraph),
             "roles": self.roles,
         }
 

@@ -10,6 +10,8 @@ import pytest
 import dichroma
 from dichroma import claims, cli, solver
 from dichroma.cli import main
+from dichroma.formats import load_digraph
+from dichroma.reductions import CnfFormula, reduce_digon
 from dichroma.surfaces import parse_surface
 
 TRIANGLE_D6 = "&BP_"
@@ -276,6 +278,23 @@ def test_reduce_format_is_an_output_format(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+def test_reduce_json_reports_the_printed_digraph(tmp_path, capsys):
+    # --format renders the digraph once, for the printed line and the report
+    cnf = tmp_path / "phi.cnf"
+    cnf.write_text("p cnf 3 1\n1 2 3 0\n")
+    expected = reduce_digon(CnfFormula.from_dimacs(cnf.read_text())).digraph
+    for fmt, head in (("arclist", f"{expected.n} {expected.m}\n"), ("d6", "&")):
+        code, out, _ = run_cli(capsys, "reduce", str(cnf), "--format", fmt)
+        assert code == 0
+        code, report, _ = run_cli(capsys, "reduce", str(cnf), "--format", fmt,
+                                  "--json")
+        assert code == 0
+        digraph = json.loads(report)["results"]["digraph"]
+        assert digraph.startswith(head)
+        assert out.split("\n", 1)[1].startswith(digraph + "\n")
+        assert load_digraph(digraph) == expected
+
+
 def test_reduce_rejects_malformed_embedding(tmp_path, capsys):
     cnf = tmp_path / "phi.cnf"
     cnf.write_text("p cnf 3 1\n1 2 3 0\n")
@@ -321,6 +340,28 @@ def test_reduce_rejects_a_non_sphere_embedding(tmp_path, capsys):
     code, out, err = run_cli(capsys, "reduce", str(cnf), "--embedding", str(emb))
     assert code == 2 and out == ""
     assert err.startswith("error:") and "corners at v1" in err
+
+
+def test_digraph_format_is_read_from_the_text(tmp_path, capsys, monkeypatch):
+    # the leading '&' tells digraph6 from an arc list, so one digraph gives
+    # the same output from either format, from a file or from stdin, and no
+    # subcommand that reads a digraph takes --format
+    texts = (TRIANGLE_D6 + "\n", "3 3\n2 0\n0 1\n1 2\n")
+    for command, rest in (("dichi", []), ("structure", []),
+                          ("critical-check", ["2"])):
+        runs = []
+        for i, text in enumerate(texts):
+            path = tmp_path / f"input{i}"
+            path.write_text(text)
+            runs.append(run_cli(capsys, command, str(path), *rest))
+            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+            runs.append(run_cli(capsys, command, "-", *rest))
+        assert len(runs) == 4 and len(set(runs)) == 1
+        assert runs[0][0] == 0 and runs[0][1] and runs[0][2] == ""
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(path), *rest, "--format", "arclist"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format" in capsys.readouterr().err
 
 
 def test_structure_directed_triangle(tmp_path, capsys):
@@ -447,3 +488,33 @@ def test_verify_paper_failing_row(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["results"] == {
         slug: {"pass": False, "details": d} for slug, d in details.items()
     }
+
+
+def test_verify_paper_unwritable_artifact(tmp_path, capsys, monkeypatch):
+    # an artifact that cannot be written (its path is a directory) is named
+    # on stderr, and the run goes on: every row is reported, and the failed
+    # claim exits 1, not 2
+    forced = "st11-dichromatic-4"
+    monkeypatch.setattr(cli, "_CLAIMS", [
+        (slug, desc, level,
+         (lambda ctx: (False, {"forced": True})) if slug == forced else check)
+        for slug, desc, level, check in claims.CLAIMS
+    ])
+    monkeypatch.chdir(tmp_path)
+    artifact = tmp_path / f"dichroma-failure-{forced}.json"
+    artifact.mkdir()
+    code, out, err = run_cli(capsys, "verify-paper")
+    assert code == 1
+    rows = [ln.split()[:2] for ln in out.splitlines() if ln[:6] in ("PASS  ", "FAIL  ")]
+    assert [slug for _, slug in rows] == QUICK_CLAIMS
+    assert [slug for status, slug in rows if status == "FAIL"] == [forced]
+    assert "counterexample artifact" not in out
+    assert out.splitlines()[-1].startswith(
+        f"{len(QUICK_CLAIMS)} claims, {len(QUICK_CLAIMS) - 1} passed, 1 failed")
+    assert err == (f"cannot write counterexample artifact {artifact}: "
+                   f"[Errno 21] Is a directory: '{artifact}'\n")
+    code, out, err = run_cli(capsys, "verify-paper", "--json")
+    assert code == 1 and str(artifact) in err
+    results = json.loads(out)["results"]
+    assert sorted(results) == sorted(QUICK_CLAIMS)
+    assert [slug for slug, r in results.items() if not r["pass"]] == [forced]

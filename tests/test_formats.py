@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -94,15 +95,26 @@ def test_arclist_errors():
         arclist_decode("3 1\n0 x\n")
     with pytest.raises(ValueError, match="repeated arc line '0 1'"):
         arclist_decode("2 2\n0 1\n0 1\n")  # Digraph has no parallel arcs
+    # integers are ASCII digits: int() also reads '1_0', '+3' and '３'
+    six_arcs = "0 1\n1 0\n1 2\n2 1\n0 2\n2 0\n"
+    for head in ("3 1_0", "3 +6", "３ 6", "3 -6"):
+        with pytest.raises(ValueError, match=re.escape(f"header must be 'n m', got '{head}'")):
+            arclist_decode(f"{head}\n{six_arcs}")
+    for arc in ("0 1_0", "+0 1", "0 １", "-0 1"):
+        with pytest.raises(ValueError, match=re.escape(f"bad arc line '{arc}'")):
+            arclist_decode(f"2 1\n{arc}\n")
 
 
 def test_load_sniffs_format():
     tri = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
     assert load_digraph("&BP_") == tri
     assert load_digraph("3 3\n0 1\n1 2\n2 0\n") == tri
-    assert load_digraph(arclist_encode(tri), "arclist") == tri
-    with pytest.raises(ValueError):
-        load_digraph("&BP_", "nonsense")
+    assert load_digraph(" \n&BP_\n") == tri
+    # text that is neither format fails as an arc list, '&' text as digraph6
+    with pytest.raises(ValueError, match="arc-list header"):
+        load_digraph("BP_")
+    with pytest.raises(ValueError, match="digraph6 body length"):
+        load_digraph("&BP")
 
 
 def test_dump_prefers_d6_when_it_fits():

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import re
 
 import pytest
 
@@ -102,6 +103,18 @@ def test_dimacs_errors():
         CnfFormula.from_dimacs("p cnf 3 2\n1 2 3 0\n")  # count mismatch
     with pytest.raises(ValueError):
         CnfFormula.from_dimacs("p cnf 2 1\n1 2 3 0\n")  # literal range
+    # exactly one header, before any literal
+    with pytest.raises(ValueError, match="second DIMACS header 'p cnf 4 1'"):
+        CnfFormula.from_dimacs("p cnf 3 1\np cnf 4 1\n1 2 4 0\n")
+    with pytest.raises(ValueError, match="clause line '1 2 3 0' before"):
+        CnfFormula.from_dimacs("1 2 3 0\np cnf 3 1\n")
+    # integers are ASCII digits, a literal's with an optional leading '-'
+    for head in ("p cnf 1_0 1", "p cnf +3 1", "p cnf ３ 1", "p cnf -3 1"):
+        with pytest.raises(ValueError, match=re.escape(f"bad DIMACS header '{head}'")):
+            CnfFormula.from_dimacs(f"{head}\n1 2 3 0\n")
+    for lit in ("+1", "1_0", "３", "--1", "-"):
+        with pytest.raises(ValueError, match=re.escape(f"bad DIMACS literal '{lit}'")):
+            CnfFormula.from_dimacs(f"p cnf 3 1\n{lit} 2 3 0\n")
 
 
 # -- embeddings -------------------------------------------------------------

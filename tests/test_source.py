@@ -1,5 +1,6 @@
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import dichroma
@@ -291,3 +292,18 @@ def test_certificate_entries_name_their_checker():
         names = {node.id for node in ast.walk(defs[entry])
                  if isinstance(node, ast.Name)}
         assert checker in names, entry
+
+
+def test_cli_declares_each_option_once():
+    # an option that subcommands share is declared once, in a parent parser
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    declared = Counter(
+        arg.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) == "add_argument"
+        for arg in node.args
+        if isinstance(arg, ast.Constant) and str(arg.value).startswith("--")
+    )
+    assert "--json" in declared
+    assert sorted(opt for opt, count in declared.items() if count > 1) == []
