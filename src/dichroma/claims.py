@@ -239,7 +239,7 @@ def _random_formula(rng):
 def _reduce_digon(ctx, trials):
     for t in range(trials):
         phi = _random_formula(ctx.rng)
-        if not verify_equivalence(phi, reduce_digon(phi)):
+        if not verify_equivalence(reduce_digon(phi)):
             return False, {"trial": t, "clauses": phi.clauses}
     one = CnfFormula(3, ((1, -2, 3),))
     claw = CnfFormula(3, ((1, 2, 3),))
@@ -260,7 +260,7 @@ def _reduce_digon(ctx, trials):
         (two, two_faces),
     ]
     for phi, emb in fixed:
-        if not verify_equivalence(phi, reduce_digon(phi, emb)):
+        if not verify_equivalence(reduce_digon(phi, emb)):
             return False, {"clauses": phi.clauses, "planar": emb is not None}
     return True, {"trials": trials}
 
@@ -276,7 +276,7 @@ def _reduce_oriented(ctx, trials):
         out = reduce_oriented(phi)
         if not is_oriented(out.digraph):
             return False, {"trial": t}
-        if not verify_equivalence(phi, out):
+        if not verify_equivalence(out):
             return False, {"trial": t, "clauses": phi.clauses}
     return True, {"trials": trials}
 

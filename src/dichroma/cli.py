@@ -2,10 +2,9 @@
 compilation, structure reports, and the claim-verification driver.
 
 Exit codes: 0 success, 1 a verified claim or property fails, 2 usage or
-parse errors, 3 an internal error (a self-check of the program failed).
-DICHROMA_JOBS sets the default worker count, a positive integer like
---jobs.  All randomness sits behind --seed with a fixed default, so reruns
-are bit-reproducible.
+parse errors, 3 an internal error (a self-check of the program failed),
+141 a closed stdout.  DICHROMA_JOBS is the default of --jobs.  All
+randomness sits behind --seed with a fixed default, so reruns are bit-identical.
 """
 
 from __future__ import annotations
@@ -16,12 +15,13 @@ import json
 import os
 import sys
 import time
+from pathlib import Path
 
 from .claims import CLAIMS as _CLAIMS  # bench/make_reference.py reads cli._CLAIMS
 from .claims import ClaimContext
-from .digraphs import Digraph, is_oriented
+from .digraphs import is_oriented
 from .enumeration import dicritical_census, validate_census
-from .formats import dump_digraph, load_digraph
+from .formats import dump_digraph, load_digraph, read_int, read_json
 from .reductions import (
     CnfFormula,
     PlanarIncidenceEmbedding,
@@ -49,38 +49,33 @@ from .surfaces import (
 RANGE_LIMIT = 10_000
 
 
-def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+def _load(args, parse=load_digraph):
+    """The digest of the text at args.path (- for stdin) and parse(text)."""
+    text = sys.stdin.read() if args.path == "-" else Path(args.path).read_text()
+    return hashlib.sha256(text.encode()).hexdigest()[:16], parse(text)
 
 
-def _read_text(path: str | None) -> str:
-    if path is None or path == "-":
-        return sys.stdin.read()
-    with open(path) as fh:
-        return fh.read()
-
-
-def _load(args) -> tuple[str, Digraph]:
-    """The input digraph of args.path and the digest of its text."""
-    text = _read_text(args.path)
-    return _digest(text), load_digraph(text)
+def _int_arg(text: str) -> int:
+    """read_int(text, negative=True); argparse prints an ArgumentTypeError's message."""
+    try:
+        return read_int(text, negative=True)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _positive_int(text: str) -> int:
     """A worker count, from --jobs or DICHROMA_JOBS."""
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(
-            f"worker count (--jobs, DICHROMA_JOBS) must be a positive "
-            f"integer, got {text!r}"
-        )
-    return int(text)
+    try:
+        if (jobs := read_int(text)) >= 1:
+            return jobs
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"worker count (--jobs, DICHROMA_JOBS) "
+                                     f"must be a positive integer, got {text!r}")
 
 
 def _jobs(args) -> int:
-    if args.jobs is not None:
-        return args.jobs
-    env = os.environ.get("DICHROMA_JOBS")
-    return _positive_int(env) if env else 1
+    return args.jobs or _positive_int(os.environ.get("DICHROMA_JOBS") or "1")
 
 
 def _emit(args, inputs: str, results: dict, lines: list[str],
@@ -96,8 +91,8 @@ def _emit(args, inputs: str, results: dict, lines: list[str],
         }
         print(json.dumps(report, sort_keys=True, default=str))
     else:
-        for ln in lines:
-            print(ln)
+        print(*lines, sep="\n")
+    sys.stdout.flush()  # a closed stdout fails in main's handler, not at exit
 
 
 def cmd_dichi(args) -> int:
@@ -116,13 +111,10 @@ def cmd_census(args) -> int:
                             checkpoint=args.checkpoint)
     problems = validate_census(rep)
     timings = {"census": time.perf_counter() - t0}
-    lines = [
-        f"count={rep.count} min_arcs={rep.min_arcs} "
-        f"unique={len(rep.witnesses) == 1}"
-    ]
+    lines = [f"count={rep.count} min_arcs={rep.min_arcs} "
+             f"unique={len(rep.witnesses) == 1}"]
     lines += [f"witness {w}" for w in rep.witnesses]
-    if problems:
-        lines += [f"PROBLEM {p}" for p in problems]
+    lines += [f"PROBLEM {p}" for p in problems]
     _emit(args, f"n={args.n} k={args.k}", dict(rep.to_json(), problems=problems),
           lines, timings)
     return 1 if problems else 0
@@ -154,34 +146,26 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    text = _read_text(args.path)
-    phi = CnfFormula.from_dimacs(text)
+    digest, phi = _load(args, CnfFormula.from_dimacs)
     embedding = None
     if args.embedding:
-        with open(args.embedding) as fh:
-            try:  # too deep a nesting raises RecursionError, a RuntimeError
-                embedding = PlanarIncidenceEmbedding.from_json(json.load(fh))
-            except RecursionError as exc:
-                raise ValueError(f"malformed embedding JSON: {exc!r}") from None
+        embedding = PlanarIncidenceEmbedding.from_json(
+            read_json(Path(args.embedding).read_text()))
     t0 = time.perf_counter()
     reducer = reduce_digon if args.gadget == "digon" else reduce_oriented
     out = reducer(phi, embedding)
     timings = {"reduce": time.perf_counter() - t0}
     rendered = dump_digraph(out.digraph, args.format)
     results = dict(out.to_json(), digraph=rendered)
-    code = 0
-    if args.verify:
-        t0 = time.perf_counter()
-        ok = verify_equivalence(phi, out)
-        timings["verify"] = time.perf_counter() - t0
-        results["equivalence"] = ok
-        code = 0 if ok else 1
     lines = [f"mode={out.mode} n={out.digraph.n} m={out.digraph.m}", rendered,
              "roles " + json.dumps(out.roles, sort_keys=True)]
     if args.verify:
+        t0 = time.perf_counter()
+        results["equivalence"] = verify_equivalence(out)
+        timings["verify"] = time.perf_counter() - t0
         lines.append(f"equivalence={results['equivalence']}")
-    _emit(args, _digest(text), results, lines, timings)
-    return code
+    _emit(args, digest, results, lines, timings)
+    return 0 if results.get("equivalence", True) else 1
 
 
 def cmd_structure(args) -> int:
@@ -239,9 +223,8 @@ def cmd_verify_paper(args) -> int:
         dt = time.perf_counter() - t0
         timings[slug] = dt
         results[slug] = {"pass": ok, "details": details}
-        status = "PASS" if ok else "FAIL"
         if not args.json:
-            print(f"{status}  {slug:<38} {dt:6.1f}s  {desc}")
+            print(f"{'PASS' if ok else 'FAIL'}  {slug:<38} {dt:6.1f}s  {desc}")
         if not ok:
             failures.append(slug)
             path = os.path.abspath(f"dichroma-failure-{slug}.json")
@@ -275,63 +258,63 @@ def main(argv=None) -> int:
     report = argparse.ArgumentParser(add_help=False)
     report.add_argument("--json", action="store_true",
                         help="emit a JSON run report")
-    digraph = argparse.ArgumentParser(add_help=False, parents=[report])
-    digraph.add_argument("path", nargs="?", default="-",
-                         help="digraph6 or arc-list file, or - for stdin")
+    source = argparse.ArgumentParser(add_help=False, parents=[report])
+    source.add_argument("path", nargs="?", default="-",
+                        help="input file (see README, Formats), or - for stdin")
     jobs = argparse.ArgumentParser(add_help=False, parents=[report])
-    jobs.add_argument("--jobs", type=_positive_int, default=None)
+    jobs.add_argument("--jobs", type=_positive_int)
 
-    sub.add_parser("dichi", parents=[digraph], help="dichromatic number "
+    sub.add_parser("dichi", parents=[source], help="dichromatic number "
                    "with certificate").set_defaults(func=cmd_dichi)
 
     p = sub.add_parser("census", parents=[jobs],
                        help="isomorph-free dicritical census")
-    p.add_argument("n", type=int)
-    p.add_argument("k", type=int)
-    p.add_argument("--checkpoint", default=None)
+    p.add_argument("n", type=_int_arg)
+    p.add_argument("k", type=_int_arg)
+    p.add_argument("--checkpoint")
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("bounds", parents=[report],
                        help="dichromatic number bounds per surface")
     which = p.add_mutually_exclusive_group()
-    which.add_argument("--surface", default=None,
-                       help="surface name (sphere, torus, N2, S5, ...)")
-    which.add_argument("--range", type=int, nargs=2, metavar=("LO", "HI"),
-                       default=None, help="Euler characteristic range")
+    which.add_argument("--surface", help="surface name (sphere, torus, N2, S5, ...)")
+    which.add_argument("--range", type=_int_arg, nargs=2, metavar=("LO", "HI"),
+                       help="Euler characteristic range")
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("reduce", parents=[report],
+    p = sub.add_parser("reduce", parents=[source],
                        help="compile 3-SAT into 2-dicolourability")
-    p.add_argument("path", nargs="?", default="-",
-                   help="DIMACS CNF file or - for stdin")
     p.add_argument("--gadget", choices=("digon", "oriented"), default="digon")
-    p.add_argument("--embedding", default=None,
-                   help="JSON face data; one face vertex per face "
-                   "instead of a single hub")
+    p.add_argument("--embedding", help="JSON face data; one face vertex per "
+                   "face instead of a single hub")
     p.add_argument("--verify", action="store_true",
                    help="also run the brute-force equivalence check")
-    p.add_argument("--format", choices=("d6", "arclist"), default=None,
+    p.add_argument("--format", choices=("d6", "arclist"),
                    help="output digraph format, printed and in the JSON "
                    "report (default: digraph6 when it fits, else arc list)")
     p.set_defaults(func=cmd_reduce)
 
-    sub.add_parser("structure", parents=[digraph], help="block decomposition "
+    sub.add_parser("structure", parents=[source], help="block decomposition "
                    "and recognition").set_defaults(func=cmd_structure)
 
-    p = sub.add_parser("critical-check", parents=[digraph],
+    p = sub.add_parser("critical-check", parents=[source],
                        help="verify k-dicriticality")
-    p.add_argument("k", type=int)
+    p.add_argument("k", type=_int_arg)
     p.set_defaults(func=cmd_critical_check)
 
     p = sub.add_parser("verify-paper", parents=[jobs],
                        help="run the claim suite and print a pass/fail table")
     p.add_argument("--level", choices=("quick", "full"), default="quick")
-    p.add_argument("--seed", type=int, default=20260825)
+    p.add_argument("--seed", type=_int_arg, default=20260825)
     p.set_defaults(func=cmd_verify_paper)
 
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:  # stdout's reader left, as head does: exit as a
+        # shell reports SIGPIPE, 128 + 13, with /dev/null taking the exit flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

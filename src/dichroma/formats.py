@@ -5,8 +5,7 @@ row-major adjacency bits (bit i*n+j = 1 iff arc i->j) packed big-endian into
 6-bit groups, each emitted as chr(group+63), zero-padded.  Non-zero
 padding is rejected, so each digraph has exactly one string.
 
-Arc list: first line "n m", then m lines "u v" (0-indexed, arc u->v),
-every integer of ASCII digits.
+Arc list: first line "n m", then m lines "u v" (0-indexed, arc u->v).
 
 load_digraph tells the two apart by the leading '&' (after whitespace),
 which digraph6 text always has and arc-list text never does, so sniffing
@@ -25,6 +24,25 @@ from typing import Callable, Iterator, TextIO
 from .digraphs import Digraph
 
 D6_MAX = 62
+
+
+def read_int(text: str, negative: bool = False) -> int:
+    """The one reader of integer text: ASCII digits, after a leading '-'
+    only where negative is true and only before a nonzero value, else
+    ValueError naming the text (int() also reads '+3', '1_0', '３', '-0')."""
+    digits = text[1:] if negative and text[:1] == "-" else text
+    if digits.isascii() and digits.isdigit() and (digits == text or digits.strip("0")):
+        return int(text)
+    raise ValueError(f"not an integer of ASCII digits: {text!r}")
+
+
+def read_json(text: str | bytes):
+    """The one reader of JSON text: nesting too deep for the parser raises
+    ValueError like any other bad JSON, not RecursionError (a RuntimeError)."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to parse") from None
 
 
 def d6_encode(d: Digraph) -> str:
@@ -78,32 +96,25 @@ def arclist_encode(d: Digraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _pair(line: str) -> tuple[int, int] | None:
-    """The two integers of an arc-list line, each of ASCII digits, else None."""
-    parts = line.split()
-    if len(parts) != 2 or not all(p.isascii() and p.isdigit() for p in parts):
-        return None
-    return int(parts[0]), int(parts[1])
-
-
 def arclist_decode(text: str) -> Digraph:
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
         raise ValueError("empty arc-list input")
-    head = _pair(lines[0])
-    if head is None:
-        raise ValueError(f"arc-list header must be 'n m', got {lines[0]!r}")
-    n, m = head
+    try:  # unpacking other than two fields raises ValueError too
+        n, m = map(read_int, lines[0].split())
+    except ValueError:
+        raise ValueError(f"arc-list header must be 'n m', got {lines[0]!r}") from None
     if len(lines) - 1 != m:
         raise ValueError(f"arc-list declares {m} arcs but has {len(lines) - 1}")
     arcs = set()
     for ln in lines[1:]:
-        arc = _pair(ln)
-        if arc is None:
-            raise ValueError(f"bad arc line {ln!r}")
-        if arc in arcs:
+        try:
+            u, v = map(read_int, ln.split())
+        except ValueError:
+            raise ValueError(f"bad arc line {ln!r}") from None
+        if (u, v) in arcs:
             raise ValueError(f"repeated arc line {ln!r}")
-        arcs.add(arc)
+        arcs.add((u, v))
     return Digraph.from_arcs(n, arcs)
 
 
@@ -143,8 +154,8 @@ def open_checkpoint(path: str, header: dict) -> tuple[list[tuple[int, dict]], Te
         for i, raw in enumerate(whole):
             if raw.strip():
                 try:
-                    lines.append((i + 1, json.loads(raw)))
-                except (ValueError, RecursionError):  # nested past the parser
+                    lines.append((i + 1, read_json(raw)))
+                except ValueError:
                     if i < last:
                         raise ValueError(f"checkpoint {path}: line {i + 1} is not JSON")
                     break

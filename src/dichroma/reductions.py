@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .digraphs import MAX_VERTICES, Digraph, delete_arc, is_oriented
-from .formats import d6_decode
+from .formats import d6_decode, read_int
 from .solver import (
     _creates_cycle, _static_colourings, _verified, is_dicritical,
     is_k_dicolourable,
@@ -76,10 +76,9 @@ class CnfFormula:
     def from_dimacs(cls, text: str) -> "CnfFormula":
         """Parse DIMACS CNF: one 'p cnf VARS CLAUSES' header before any
         literal, 'c' comment lines, and 0-terminated clauses of three
-        literals; every integer is ASCII digits, a literal's with an
-        optional leading '-'."""
-        num_vars = None
-        num_clauses = None
+        literals; formats.read_int reads every integer, a literal's with
+        an optional leading '-' before a nonzero value."""
+        num_vars = num_clauses = None
         lits: list[int] = []
         clauses: list[tuple[int, int, int]] = []
         for raw in text.splitlines():
@@ -87,22 +86,23 @@ class CnfFormula:
             if not line or line.startswith("c"):
                 continue
             if line.startswith("p"):
-                parts = line.split()
-                if len(parts) != 4 or parts[1] != "cnf" or not all(
-                    t.isascii() and t.isdigit() for t in parts[2:]
-                ):
-                    raise ValueError(f"bad DIMACS header {line!r}")
                 if num_vars is not None:
                     raise ValueError(f"second DIMACS header {line!r}")
-                num_vars, num_clauses = int(parts[2]), int(parts[3])
+                parts = line.split()
+                try:  # other than two counts fails to unpack, a ValueError too
+                    num_vars, num_clauses = map(
+                        read_int, parts[2:] if parts[1:2] == ["cnf"] else [])
+                except ValueError:
+                    raise ValueError(f"bad DIMACS header {line!r}") from None
                 continue
             if num_vars is None:
                 raise ValueError(f"clause line {line!r} before the DIMACS header")
             for tok in line.split():
-                digits = tok.removeprefix("-")
-                if not (digits.isascii() and digits.isdigit()):
-                    raise ValueError(f"bad DIMACS literal {tok!r} in line {line!r}")
-                lit = int(tok)
+                try:
+                    lit = read_int(tok, negative=True)
+                except ValueError:
+                    raise ValueError(f"bad DIMACS literal {tok!r} in line "
+                                     f"{line!r}") from None
                 if lit == 0:
                     if len(lits) != 3:
                         raise ValueError(
@@ -493,15 +493,15 @@ def solve_reduction(output: ReductionOutput) -> list[int] | None:
     return _verified(output.digraph, full, 2)
 
 
-def verify_equivalence(phi: CnfFormula, output: ReductionOutput) -> bool:
-    """Brute-force satisfiability against solver 2-dicolourability, plus
-    decode checking on the satisfiable side (solve_reduction has already
-    checked the colouring itself)."""
-    sat = phi.brute_force_satisfiable()
+def verify_equivalence(output: ReductionOutput) -> bool:
+    """Brute-force satisfiability of the compiled formula against solver
+    2-dicolourability, plus decode checking on the satisfiable side
+    (solve_reduction has already checked the colouring itself)."""
+    sat = output.formula.brute_force_satisfiable()
     col = solve_reduction(output)
     if (sat is not None) != (col is not None):
         return False
-    return col is None or phi.evaluate(decode_assignment(output, col))
+    return col is None or output.formula.evaluate(decode_assignment(output, col))
 
 
 def single_face_embedding(phi: CnfFormula) -> PlanarIncidenceEmbedding:

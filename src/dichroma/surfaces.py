@@ -17,6 +17,8 @@ from __future__ import annotations
 import decimal
 import math
 
+from .formats import read_int
+
 # the surfaces with a name of their own; every other is S<genus>, the
 # orientable surface of characteristic 2 - 2 genus, or N<genus> (genus >= 1),
 # the nonorientable one of characteristic 2 - genus
@@ -33,12 +35,16 @@ def _surface(kind: str, genus: int) -> tuple[str, int]:
 def parse_surface(text: str) -> tuple[str, int]:
     """The canonical name (S1 as torus) and the Euler characteristic of a
     surface named sphere, torus, projective-plane, klein-bottle, S<genus> or
-    N<genus>, in any case."""
+    N<genus>, in any case, the genus read by formats.read_int."""
     t = text.strip().lower()
     t = next((key.lower() for key, name in _NAMES.items() if name == t), t)
     kind = {"s": "S", "n": "N"}.get(t[:1])
-    if kind and t[1:].isdecimal() and (kind == "S" or int(t[1:]) >= 1):
-        return _surface(kind, int(t[1:]))
+    try:
+        genus = read_int(t[1:])
+    except ValueError:
+        kind = None
+    if kind and (kind == "S" or genus >= 1):
+        return _surface(kind, genus)
     raise ValueError(f"cannot parse surface {text!r}")
 
 
@@ -92,7 +98,7 @@ def tournament_lower_bound(c: int) -> int:
     # units of 2**-53, far below 2**-48
     if abs(x - round(x)) > x * 2**-48:
         return math.ceil(x)
-    with decimal.localcontext(prec=60):
+    with decimal.localcontext(decimal.Context(prec=60)):
         hd = decimal.Decimal(h)
         return math.ceil(hd / (2 * hd.ln() / decimal.Decimal(2).ln() + 1))
 

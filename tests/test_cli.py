@@ -142,6 +142,19 @@ def test_census_directed_triangle(capsys):
     assert lines[1].startswith("witness ")
 
 
+def test_census_jobs_2_matches_jobs_1(capsys):
+    runs = [run_cli(capsys, "census", "7", "3", "--jobs", jobs) for jobs in "12"]
+    assert runs[0] == runs[1]
+    assert runs[0] == (0, "count=3 min_arcs=20 unique=True\nwitness &FKD`qUFHw?\n", "")
+
+
+def test_census_problems_fail_the_run(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "validate_census", lambda rep: ["a planted problem"])
+    code, out, _ = run_cli(capsys, "census", "3", "2")
+    assert code == 1
+    assert out.splitlines()[-1] == "PROBLEM a planted problem"
+
+
 def test_census_jobs_env(capsys, monkeypatch):
     monkeypatch.setenv("DICHROMA_JOBS", "2")
     code, out, _ = run_cli(capsys, "census", "3", "2")
@@ -151,13 +164,13 @@ def test_census_jobs_env(capsys, monkeypatch):
 
 def test_jobs_must_be_positive(capsys, monkeypatch):
     for argv in (["census", "5", "2"], ["verify-paper"]):
-        # "²".isdigit() is true, but int() rejects it
-        for jobs in ("-3", "0", "two", "²"):
+        # "²".isdigit() is true, but int() rejects it; int() reads "２"
+        for jobs in ("-3", "0", "two", "²", "２"):
             with pytest.raises(SystemExit) as exc:
                 main(argv + ["--jobs", jobs])
             assert exc.value.code == 2
             assert "positive integer" in capsys.readouterr().err
-    for jobs in ("-3", "0", "²"):
+    for jobs in ("-3", "0", "²", "２"):
         monkeypatch.setenv("DICHROMA_JOBS", jobs)
         code, out, err = run_cli(capsys, "census", "5", "2")
         assert code == 2 and out == ""
@@ -236,9 +249,28 @@ def test_bounds_json_rows_share_one_shape(capsys):
 
 
 def test_bounds_unknown_surface(capsys):
-    code, _, err = run_cli(capsys, "bounds", "--surface", "plane")
-    assert code == 2
-    assert "error:" in err
+    # a genus is ASCII digits: int() reads the Arabic-Indic "١" and the
+    # full-width "２"
+    for name in ("plane", "S١", "N２"):
+        code, out, err = run_cli(capsys, "bounds", "--surface", name)
+        assert code == 2 and out == ""
+        assert err == f"error: cannot parse surface {name!r}\n"
+
+
+def test_integer_arguments_are_ascii_digits(capsys, monkeypatch):
+    # int() reads all of these; the usage error names the text
+    for argv, bad in ((["census", "６", "3"], "６"), (["census", "+6", "3"], "+6"),
+                      (["bounds", "--range", "-10", "0_2"], "0_2"),
+                      (["verify-paper", "--seed", "1_0"], "1_0"),
+                      (["critical-check", "-", "３"], "３")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert repr(bad) in capsys.readouterr().err
+    monkeypatch.setattr(sys, "stdin", io.StringIO("p cnf 3 1\n1 2 -0 3 0\n"))
+    code, out, err = run_cli(capsys, "reduce")
+    assert code == 2 and out == ""
+    assert err == "error: bad DIMACS literal '-0' in line '1 2 -0 3 0'\n"
 
 
 def test_reduce_verify_roundtrip(tmp_path, capsys):
@@ -398,6 +430,15 @@ def test_critical_check_exit_codes(tmp_path, capsys):
     assert code == 1
     assert "dicritical=False" in out
     assert "reason:" in out
+    # two disjoint bidirected K4 are 4-dichromatic, and deleting an arc of
+    # one leaves the other: the report names the first arc that fails
+    path = tmp_path / "two-k4.arcs"
+    arcs = [f"{u} {v}\n" for block in (range(4), range(4, 8))
+            for u in block for v in block if u != v]
+    path.write_text(f"8 {len(arcs)}\n" + "".join(arcs))
+    code, out, _ = run_cli(capsys, "critical-check", str(path), "4")
+    assert code == 1
+    assert out.splitlines()[-1] == "failing arc: (0, 1)"
 
 
 def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
@@ -431,6 +472,32 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert "k=2" in proc.stdout
+
+
+def test_closed_stdout_exits_141_quietly():
+    # the reader takes one row and closes the pipe, as head -1 does; the
+    # rows left overfill a pipe buffer, so a write meets the closed end
+    argv = [sys.executable, "-m", "dichroma.cli", "bounds"]
+    src = os.path.dirname(os.path.dirname(dichroma.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONUNBUFFERED", None)  # a pipe is block-buffered, as for users
+    with subprocess.Popen(argv + ["--range", "-9997", "2"], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, env=env) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+        assert proc.stderr.read() == b""
+    assert first.split()[0] == b"sphere"
+    # a pipe closed before the run: the 12-row table fits the output buffer,
+    # so the write fails when the report is flushed, not at exit
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE,
+                              env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 def test_verify_paper_quick_all_pass(quick_run):

@@ -13,6 +13,8 @@ from dichroma.formats import (
     dump_digraph,
     load_digraph,
     open_checkpoint,
+    read_int,
+    read_json,
 )
 
 
@@ -53,6 +55,7 @@ def test_d6_rejects_garbage():
 @pytest.mark.parametrize(
     "text, error",
     [
+        ("&", "truncated"),
         ("&~", "order byte"),  # n = 63
         ("&BP", "body length"),
         ("&BP\x7f", "character"),
@@ -82,6 +85,26 @@ def test_arclist_roundtrip():
         ]
         d = Digraph.from_arcs(n, arcs)
         assert arclist_decode(arclist_encode(d)) == d
+
+
+def test_read_int():
+    assert [read_int(t) for t in ("0", "007", "4096")] == [0, 7, 4096]
+    assert [read_int(t, negative=True) for t in ("-12", "0", "12")] == [-12, 0, 12]
+    # int() reads all of these; a '-' comes only before a nonzero value
+    for text in ("", "-", "+3", "1_0", " 1", "３", "²", "١", "-0", "-00", "--1"):
+        for negative in (False, True):
+            with pytest.raises(ValueError, match=re.escape(repr(text))):
+                read_int(text, negative)
+    with pytest.raises(ValueError, match="not an integer of ASCII digits: '-3'"):
+        read_int("-3")
+
+
+def test_read_json():
+    assert read_json(b'{"a": [1, 2]}') == read_json('{"a": [1, 2]}') == {"a": [1, 2]}
+    # nesting past the parser's depth is bad JSON, not a RecursionError
+    for text in ("not json", "[" * 100_000):
+        with pytest.raises(ValueError):
+            read_json(text)
 
 
 def test_arclist_errors():

@@ -282,6 +282,9 @@ def test_dicritical_examples():
     rep = is_dicritical(Digraph.from_arcs(3, [(0, 1), (1, 0)]), 2)
     assert not rep.is_dicritical
     assert rep.reason == "vertex 2 has in- or out-degree below 1"
+    # a bidirected K5 passes the degree check at k = 4 but needs 5 colours
+    rep = is_dicritical(graph(5, itertools.combinations(range(5), 2)), 4)
+    assert not rep.is_dicritical and rep.reason == "not even 4-dicolourable"
 
 
 def test_dicritical_report_json():

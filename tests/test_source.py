@@ -307,3 +307,32 @@ def test_cli_declares_each_option_once():
     )
     assert "--json" in declared
     assert sorted(opt for opt, count in declared.items() if count > 1) == []
+
+
+def test_integers_and_json_have_one_reader():
+    # formats.read_int and read_json decide the syntax of every integer and
+    # JSON document the program reads: no other code checks digits, hands
+    # argparse int or calls json.load(s)
+    found = []
+    for name, tree in _modules():
+        inside = {
+            id(node)
+            for qualified, fn in _functions(tree, name)
+            if qualified in ("formats.read_int", "formats.read_json")
+            for node in ast.walk(fn)
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or id(node) in inside:
+                continue
+            func = node.func
+            attr = getattr(func, "attr", None)
+            if (
+                attr in ("isdigit", "isdecimal", "isnumeric")
+                or attr in ("load", "loads")
+                and getattr(func.value, "id", None) == "json"
+                or attr == "add_argument"
+                and any(kw.arg == "type" and getattr(kw.value, "id", None) == "int"
+                        for kw in node.keywords)
+            ):
+                found.append(f"{name}.py:{node.lineno} {attr}")
+    assert found == []
