@@ -377,11 +377,18 @@ def _compile(phi: CnfFormula, embedding: PlanarIncidenceEmbedding | None,
     """The digon compilation of phi as the skeleton, then one copy of the
     gadget per inequality link, the interiors numbered after the skeleton
     in link order."""
-    order = phi.num_vars + 7 * len(phi.clauses)  # a clause ring and its t
+    # a role per variable and face, per clause a ring and its t, and a bar
+    # per positive literal; a gadget interior per link, nine per clause and
+    # one per bar
+    bars = sum(lit > 0 for clause in phi.clauses for lit in clause)
+    faces = 1 if embedding is None else len(embedding.faces)
+    links = 9 * len(phi.clauses) + bars
+    order = (phi.num_vars + faces + 7 * len(phi.clauses) + bars
+             + links * (gadget.digraph.n - 2))
     if order > MAX_VERTICES:
         raise ValueError(
-            f"the output has at least {order} vertices, one per variable and "
-            f"seven per clause, over MAX_VERTICES = {MAX_VERTICES}"
+            f"the output would have {order} vertices, over MAX_VERTICES = "
+            f"{MAX_VERTICES}"
         )
     roles: dict[str, int] = {}
 

@@ -14,22 +14,20 @@ takes a class of its own; otherwise T's partitions into k acyclic classes
 are walked, each once, until every S is covered, and the masks left over
 are exact.
 
-All searches are deterministic: dynamic most-saturated-first vertex choice
-with lowest-index tie-breaks, colour symmetry broken by allowing a vertex
-only colours up to 1 + the number already in use.  The colouring search
-(_dfs_colour) keeps one integer frame per placed vertex on an explicit
-stack.  On a tournament every unplaced vertex has the same saturation, so
-the vertices go in the fixed order 0..n-1: there the search is
-_static_colourings, the package's one walk over colourings in a fixed
-order, which the cover, the gadget checks and vertex arboricity (with a
-forest test for _creates_cycle) walk too.  is_k_dicolourable checks each
-colouring the search finds with verify_dicolouring before returning it, so
-its callers get checked colourings; those it does not return (the cover's
-walk, the list colouring, the induced acyclic set) are checked where they
-are made.  The acyclicity test of those checks (_mask_acyclic) is a sink
-peel driven by out-degree counts and in-rows: it shares no code with the
-class-cycle test (_creates_cycle) or any search, so a fault in a search
-cannot pass its own answers.
+All searches are deterministic.  _static_colourings is the package's one
+colouring search: it places the vertices in a fixed order, each allowed
+only the colours up to 1 + the number already in use, which breaks colour
+symmetry.  The cover, the gadget checks and vertex arboricity (with a
+forest test for _creates_cycle) walk it in the order 0..n-1; _dfs_colour
+takes its first colouring in an order fixed once per digraph.
+is_k_dicolourable checks each colouring the search finds with
+verify_dicolouring before returning it, so its callers get checked
+colourings; those it does not return (the cover's walk, the list
+colouring, the induced acyclic set) are checked where they are made.  The
+acyclicity test of those checks (_mask_acyclic) is a sink peel driven by
+out-degree counts and in-rows: it shares no code with the class-cycle
+test (_creates_cycle) or any search, so a fault in a search cannot pass
+its own answers.
 """
 
 from __future__ import annotations
@@ -42,10 +40,6 @@ from .digraphs import (
     Digraph, circulant_tournament, delete_arc, is_oriented, iter_bits, mask_of,
 )
 from .formats import d6_decode, d6_encode, dump_digraph
-
-# saturation weight for an assigned digon partner; digon partners force the
-# opposite colour at k=2, so they are branched first
-_DIGON_W = 1 << 20
 
 
 def _mask_acyclic(rows: Sequence[int], irows: Sequence[int], mask: int) -> bool:
@@ -163,82 +157,43 @@ def _static_colourings(rows, irows, n: int, k: int, blocked) -> Iterator[list[in
         c += 1
 
 
-def _dfs_colour(d: Digraph, k: int) -> list[int] | None:
-    """Core search.  Returns 0-based colours.
-
-    A tournament goes to _static_colourings, whose first colouring is this
-    search's (module docstring): with equal saturations, the vertex order
-    is fixed and the colour limits are the same.  Otherwise each vertex's
-    underlying and digon neighbours are read once into lists, so a
-    placement or its undo updates the saturations by two plain loops.
-    (Lists, not tuples: CPython keeps up to 2,000 freed tuples of each
-    small length for reuse, which read as more peak memory.)  A stack
-    frame is [vertex, next colour to try, colour limit, colours in use
-    before the vertex]: the vertex may take the colours below the limit,
-    min(k, 1 + colours in use), tried ascending.
-    """
+def _saturation_ranks(d: Digraph) -> list[int]:
+    """Each vertex's place in the colouring search's vertex order: next
+    comes the unplaced vertex with the most placed digon partners, then
+    the most placed neighbours in the underlying graph, the least index on
+    a tie.  Each count is kept per vertex and raised as its neighbours are
+    placed; a placed vertex's score drops below every unplaced one's."""
     n = d.n
-    rows = d.rows
-    irows = d.in_rows
-    if _is_tournament(d):  # the empty digraph too
-        return next(_static_colourings(rows, irows, n, k, _creates_cycle), None)
-    und = [list(iter_bits(r)) for r in d.underlying_rows]
-    digons = [list(iter_bits(r)) if r else () for r in d.digon_rows]
-    full = (1 << n) - 1
-
-    colour = [-1] * n
-    class_masks = [0] * k
-    assigned = 0
-    sat = [0] * n
-    used = 0
-
-    def pick() -> int:
-        best_v, best_s = -1, -1
-        r = full & ~assigned
+    rows, irows = d.rows, d.in_rows
+    score = [0] * n  # n per placed digon partner, plus 1 per placed neighbour
+    rank = [0] * n
+    left = (1 << n) - 1
+    for i in range(n):
+        v = score.index(max(score))
+        rank[v] = i
+        score[v] = -1
+        left ^= 1 << v
+        r = (rows[v] | irows[v]) & left
+        dig = rows[v] & irows[v]
         while r:
             low = r & -r
-            v = low.bit_length() - 1
-            if sat[v] > best_s:
-                best_s = sat[v]
-                best_v = v
+            score[low.bit_length() - 1] += n + 1 if dig & low else 1
             r ^= low
-        return best_v
+    return rank
 
-    stack = [[pick(), 0, min(k, 1), 0]]
-    while stack:
-        fr = stack[-1]
-        v = fr[0]
-        c = colour[v]
-        if c >= 0:
-            colour[v] = -1
-            class_masks[c] &= ~(1 << v)
-            assigned &= ~(1 << v)
-            used = fr[3]
-            for w in und[v]:
-                sat[w] -= 1
-            for w in digons[v]:
-                sat[w] -= _DIGON_W
-        c = fr[1]
-        limit = fr[2]
-        while c < limit and _creates_cycle(rows, irows, v, class_masks[c]):
-            c += 1
-        if c == limit:
-            stack.pop()
-            continue
-        fr[1] = c + 1
-        colour[v] = c
-        class_masks[c] |= 1 << v
-        assigned |= 1 << v
-        if c == used:
-            used = c + 1
-        for w in und[v]:
-            sat[w] += 1
-        for w in digons[v]:
-            sat[w] += _DIGON_W
-        if assigned == full:
-            return colour
-        stack.append([pick(), 0, min(k, used + 1), used])
-    return None
+
+def _dfs_colour(d: Digraph, k: int) -> list[int] | None:
+    """Core search.  Returns 0-based colours: the first colouring of
+    _static_colourings in the order _saturation_ranks fixes, found on d
+    relabelled into that order and mapped back.  In a tournament every
+    unplaced vertex has every placed one as a neighbour and none as a
+    digon partner, so the order is 0..n-1 and d is searched as it is."""
+    if _is_tournament(d):  # the empty digraph too
+        return next(_static_colourings(d.rows, d.in_rows, d.n, k, _creates_cycle), None)
+    rank = _saturation_ranks(d)
+    r = d.relabel(rank)
+    col = next(_static_colourings(r.rows, r.in_rows, r.n, k, _creates_cycle), None)
+    return None if col is None else [col[i] for i in rank]
 
 
 def is_k_dicolourable(d: Digraph, k: int) -> list[int] | None:

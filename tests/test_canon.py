@@ -71,6 +71,9 @@ def test_canonical_form_is_canonical():
         perm = list(range(d.n))
         rng.shuffle(perm)
         assert canonical_form(d.relabel(perm)) == cf
+    empty = Digraph(0, [])
+    assert canonical_cert(empty) == b"\x00\x00"
+    assert canonical_form(empty) == empty
 
 
 def test_arc_transitive_examples():

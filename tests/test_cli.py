@@ -262,7 +262,8 @@ def test_integer_arguments_are_ascii_digits(capsys, monkeypatch):
     for argv, bad in ((["census", "６", "3"], "６"), (["census", "+6", "3"], "+6"),
                       (["bounds", "--range", "-10", "0_2"], "0_2"),
                       (["verify-paper", "--seed", "1_0"], "1_0"),
-                      (["critical-check", "-", "３"], "３")):
+                      (["critical-check", "-", "３"], "３"),
+                      (["census", "1" + "0" * 4400, "3"], "1" + "0" * 19)):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

@@ -82,6 +82,10 @@ def test_circulant_rejects_bad_sets():
         circulant_tournament(5, (1,))  # not one of each pair
     with pytest.raises(ValueError):
         circulant_tournament(4, (1,))  # even order
+    with pytest.raises(ValueError, match="difference 5 out of range"):
+        circulant_tournament(5, (1, 5))
+    with pytest.raises(ValueError, match="contains both 1 and 4"):
+        circulant_tournament(5, (1, 4))
 
 
 def test_bidirect_is_the_symmetric_closure():
@@ -100,6 +104,8 @@ def test_induced_relabels_in_order():
     sub = induced(d, [0, 2, 4])
     assert sub.n == 3
     assert sorted(sub.arcs()) == [(0, 1), (1, 2), (2, 0)]
+    with pytest.raises(ValueError, match="vertex 5 out of range"):
+        induced(d, [0, 5])
 
 
 def test_delete_and_add():
@@ -108,6 +114,8 @@ def test_delete_and_add():
     with pytest.raises(ValueError):
         delete_arc(tri, 1, 0)
     assert delete_vertex(tri, 1).n == 2
+    with pytest.raises(ValueError, match="vertex 3 out of range"):
+        delete_vertex(tri, 3)
 
 
 def test_relabel_is_an_isomorphism():

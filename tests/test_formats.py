@@ -97,6 +97,11 @@ def test_read_int():
                 read_int(text, negative)
     with pytest.raises(ValueError, match="not an integer of ASCII digits: '-3'"):
         read_int("-3")
+    # past int()'s digit limit: the start of the text, not int()'s advice
+    with pytest.raises(ValueError) as exc:
+        read_int("-1" + "0" * 4400, negative=True)
+    prefix = "-1" + "0" * 18
+    assert str(exc.value) == f"integer of 4401 digits, too long to read: {prefix!r}..."
 
 
 def test_read_json():

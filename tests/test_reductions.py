@@ -95,6 +95,8 @@ def test_dimacs_errors():
         CnfFormula.from_dimacs("p cnf x\n")
     with pytest.raises(ValueError):
         CnfFormula.from_dimacs("1 2 3 0\n")  # no header
+    with pytest.raises(ValueError, match="missing DIMACS header"):
+        CnfFormula.from_dimacs("c comments\nc only\n")
     with pytest.raises(ValueError):
         CnfFormula.from_dimacs("p cnf 4 1\n1 2 3 4 0\n")
     with pytest.raises(ValueError):
@@ -204,6 +206,14 @@ def test_embedding_rejects_bad_clause_face_data():
         PlanarIncidenceEmbedding(
             faces=faces, clause_faces=((0, 0, 0), (0, 1, 2))
         ).validate(phi)
+    with pytest.raises(ValueError, match="one face triple per clause"):
+        PlanarIncidenceEmbedding(
+            faces=faces, clause_faces=((0, 1, 2),)
+        ).validate(phi)
+    with pytest.raises(ValueError, match="empty face walk"):
+        PlanarIncidenceEmbedding(
+            faces=faces[:2] + ((),), clause_faces=((0, 1, 2), (0, 1, 2))
+        ).validate(phi)
 
 
 # -- gadgets ----------------------------------------------------------------
@@ -237,6 +247,13 @@ def test_eq_gadget_errors():
     )
     with pytest.raises(ValueError, match="not an arc"):
         make_eq_gadget(g3, non_arc)
+    # the digon's endpoints differ, so it is no equality gadget, and an
+    # inequality gadget spliced from it has digons
+    with pytest.raises(RuntimeError, match=re.escape(
+            "admit patterns [(1, 2), (2, 1)]; equality forcing failed")):
+        _gadget(DIGON.digraph, 0, 1, {(1, 1), (2, 2)}, "equality")
+    with pytest.raises(RuntimeError, match="inequality gadget contains a digon"):
+        make_neq_gadget(DIGON)
 
 
 def test_neq_gadget_forces_distinct_endpoints():
@@ -431,20 +448,20 @@ def test_empty_formula_compiles():
 
 
 def test_oversized_formula_rejected_before_compiling(monkeypatch):
-    # every variable is an output vertex and every clause adds seven, so a
-    # formula whose output must pass MAX_VERTICES fails before any role or
-    # digraph is built
+    # the output's order is counted from the formula, so one whose output
+    # would pass MAX_VERTICES fails before any role or digraph is built: on
+    # three variables, an all-positive clause takes ten roles, so 409 fill
+    # 4,094 vertices and 410 are refused; 584 make 5,844 (89,940 with the
+    # oriented gadget), though seven per clause would count only 4,091
     gadgets = (DIGON, default_gadgets()[1])
+    assert _compile(CnfFormula(3, ((1, 2, 3),) * 409), None, DIGON).digraph.n == 4094
 
     def unreachable(n, arcs):
         raise AssertionError("Digraph.from_arcs reached")
 
     monkeypatch.setattr(Digraph, "from_arcs", staticmethod(unreachable))
     too_many_vars = CnfFormula(num_vars=MAX_VERTICES + 1, clauses=())
-    too_many_clauses = CnfFormula(
-        num_vars=3, clauses=((1, 2, 3),) * ((MAX_VERTICES - 3) // 7 + 1)
-    )
-    for phi in (too_many_vars, too_many_clauses):
+    for phi in (too_many_vars, *(CnfFormula(3, ((1, 2, 3),) * m) for m in (410, 584))):
         for gadget in gadgets:
             with pytest.raises(ValueError, match="MAX_VERTICES"):
                 _compile(phi, None, gadget)

@@ -216,6 +216,28 @@ def test_tournament_colourings_are_frozen(count_calls):
     )
 
 
+def test_skeleton_colourings_are_frozen(count_calls):
+    # the same pin on reduction skeletons: orders in the hundreds, each a
+    # clause ring in a web of digons, where the order's digon weighting
+    # decides the search; satisfiable and unsatisfiable formulas both
+    calls = count_calls(solver, "_creates_cycle")
+    rng = random.Random(4242)
+    h = hashlib.sha256()
+    for _ in range(12):
+        nv = rng.randint(3, 8)
+        clauses = tuple(
+            tuple(rng.choice((1, -1)) * v for v in rng.sample(range(1, nv + 1), 3))
+            for _ in range(rng.randint(nv, 8 * nv))
+        )
+        skeleton = reduce_digon(CnfFormula(nv, clauses)).skeleton
+        for k in (2, 3):
+            h.update(repr(is_k_dicolourable(skeleton, k)).encode() + b"\n")
+    assert (h.hexdigest(), calls["_creates_cycle"]) == (
+        "b54567bb20477e7965493abbddb1e998185d84dfe7cd1b38a06ea906c9088e1e",
+        12289,
+    )
+
+
 def _walk(d, k):
     walk = solver._static_colourings(d.rows, d.in_rows, d.n, k, solver._creates_cycle)
     return [list(col) for col in walk]
@@ -285,6 +307,8 @@ def test_dicritical_examples():
     # a bidirected K5 passes the degree check at k = 4 but needs 5 colours
     rep = is_dicritical(graph(5, itertools.combinations(range(5), 2)), 4)
     assert not rep.is_dicritical and rep.reason == "not even 4-dicolourable"
+    with pytest.raises(ValueError, match="k must be >= 1, got 0"):
+        is_dicritical(TRI, 0)
 
 
 def test_dicritical_report_json():

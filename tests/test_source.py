@@ -253,13 +253,32 @@ def test_no_function_calls_itself():
     assert found == []
 
 
+def test_one_colouring_search():
+    # solver._static_colourings is the one walk over colourings: it calls
+    # the class test through its blocked argument, and by name only the
+    # census pool's one-step extension calls _creates_cycle, so no second
+    # search can grow around it; passing _creates_cycle as blocked is fine
+    found = sorted(
+        name
+        for mod, tree in _modules()
+        for name, fn in _functions(tree, mod)
+        if any(
+            isinstance(call, ast.Call)
+            and "_creates_cycle" in (getattr(call.func, "id", None),
+                                     getattr(call.func, "attr", None))
+            for call in ast.walk(fn)
+        )
+    )
+    assert found == ["enumeration._extend"]
+
+
 def test_verify_path_shares_no_search_code():
     # every positive answer is re-checked by code that shares nothing with
     # the search that found it, so a fault in the search cannot pass its
     # own answers: follow every package function the checks name, and
     # every one those name in turn
-    search = {"_creates_cycle", "_dfs_colour", "_shortest_cycle",
-              "_static_colourings"}
+    search = {"_creates_cycle", "_dfs_colour", "_saturation_ranks",
+              "_shortest_cycle", "_static_colourings"}
     defs: dict[str, list] = {}
     for mod, tree in _modules():
         for _, fn in _functions(tree, mod):

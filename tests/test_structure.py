@@ -121,6 +121,8 @@ def test_random_cactus_is_cactus_and_exact_order():
         g = random_cactus(n, seed=rng.getrandbits(32))
         assert g.n == n
         assert is_cactus(g)
+    with pytest.raises(ValueError, match="order must be positive"):
+        random_cactus(0, seed=5)
 
 
 def test_cactus_edge_bound_and_tightness():
