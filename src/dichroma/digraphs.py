@@ -123,14 +123,23 @@ class Digraph:
         return f"Digraph(n={self.n}, m={self.m})"
 
     def relabel(self, perm: Sequence[int]) -> "Digraph":
-        """Image under the permutation old-label -> perm[old-label]."""
+        """Image under the permutation old-label -> perm[old-label], with
+        its in-rows built in the same pass."""
         rows = [0] * self.n
-        for u in range(self.n):
+        irows = [0] * self.n
+        for u, row in enumerate(self.rows):
+            bit = 1 << perm[u]
             r = 0
-            for v in iter_bits(self.rows[u]):
-                r |= 1 << perm[v]
+            while row:
+                low = row & -row
+                v = perm[low.bit_length() - 1]
+                r |= 1 << v
+                irows[v] |= bit
+                row ^= low
             rows[perm[u]] = r
-        return Digraph(self.n, rows)
+        image = Digraph(self.n, rows)
+        image._irows = tuple(irows)
+        return image
 
 
 # -- constructors ---------------------------------------------------------

@@ -66,8 +66,8 @@ from .canon import _canon, canonical_cert, canonical_form, canonical_labelling
 from .digraphs import Digraph, is_k_diregular, is_oriented, iter_bits
 from .formats import checkpointed_map, d6_decode, d6_encode
 from .solver import (
-    _bound_chunk, _class_masks, _creates_cycle, _extend_tournament, _static_colourings,
-    _uncovered, is_dicritical, is_k_dicolourable,
+    _bound_chunk, _class_masks, _creates_cycle, _extend_tournament, _mask_acyclic,
+    _static_colourings, _uncovered, is_dicritical, is_k_dicolourable,
 )
 from .structure import gallai_property_check
 
@@ -304,12 +304,18 @@ def arboricity(g: Digraph) -> int:
     yields a colouring; at k = 0 only the empty graph has one.  The
     underlying rows serve as in-rows too; each class stays a forest
     throughout the walk, so _closes_forest_cycle tests a placement only
-    against the trees it touches."""
+    against the trees it touches.  The census drops a graph on this
+    answer, so each class of the partition found is checked by the leaf
+    peel of solver._mask_acyclic, which shares nothing with the walk."""
     rows = g.underlying_rows
     for k in itertools.count():
-        forests = _static_colourings(rows, rows, g.n, k, _closes_forest_cycle)
-        if next(forests, None) is not None:
-            return k
+        col = next(_static_colourings(rows, rows, g.n, k, _closes_forest_cycle), None)
+        if col is not None:
+            break
+    classes = _class_masks([c + 1 for c in col], k)
+    if not all(_mask_acyclic(rows, rows, m, 1) for m in classes):
+        raise RuntimeError(f"a class of a {k}-forest partition of order {g.n} has a cycle")
+    return k
 
 
 def _mixed_cert(n, rows, g, t):

@@ -23,11 +23,13 @@ takes its first colouring in an order fixed once per digraph.
 is_k_dicolourable checks each colouring the search finds with
 verify_dicolouring before returning it, so its callers get checked
 colourings; those it does not return (the cover's walk, the list
-colouring, the induced acyclic set) are checked where they are made.  The
-acyclicity test of those checks (_mask_acyclic) is a sink peel driven by
-out-degree counts and in-rows: it shares no code with the class-cycle
-test (_creates_cycle) or any search, so a fault in a search cannot pass
-its own answers.
+colouring, the induced acyclic set, vertex arboricity's forest partition)
+are checked where they are made.  _mask_acyclic is the package's one mask
+checker, a peel driven by out-degree counts and in-rows: at limit 0 it
+removes sinks and passes the acyclic sets, at limit 1 on a graph's
+symmetric rows it removes leaves and passes the forests.  It shares no
+code with the class tests (_creates_cycle, _closes_forest_cycle) or any
+search, so a fault in a search cannot pass its own answers.
 """
 
 from __future__ import annotations
@@ -42,40 +44,39 @@ from .digraphs import (
 from .formats import d6_decode, d6_encode, dump_digraph
 
 
-def _mask_acyclic(rows: Sequence[int], irows: Sequence[int], mask: int) -> bool:
-    """Is the subdigraph induced by the mask acyclic?  A sink peel: each
-    vertex counts its out-neighbours inside the mask, and removing a sink
-    takes one from the count of each of its in-neighbours there.  The
-    subdigraph is acyclic iff every vertex is removed.  Each vertex is
-    removed at most once, so no pass rescans the mask."""
+def _mask_acyclic(rows: Sequence[int], irows: Sequence[int], mask: int, limit=0) -> bool:
+    """Is the mask's (limit + 1)-core empty?  A peel: each vertex counts its
+    out-neighbours in the mask, one whose count is at most limit is
+    removed, and that takes one from the count of each of its in-neighbours
+    there.  Limit 0 peels sinks and empties the acyclic masks; limit 1 on a
+    graph's symmetric rows peels leaves and empties the forests.  Counts
+    only fall, so each vertex is queued once and no pass rescans the mask."""
     out = [0] * len(rows)
-    sinks = []
-    left = 0
+    peel = []
     m = mask
     while m:
         low = m & -m
         v = low.bit_length() - 1
-        deg = (rows[v] & mask).bit_count()
-        if deg:
-            out[v] = deg
-            left += 1
-        else:
-            sinks.append(v)
+        out[v] = deg = (rows[v] & mask).bit_count()
+        if deg <= limit:
+            peel.append(v)
         m ^= low
-    while sinks:
-        r = irows[sinks.pop()] & mask
+    left = mask.bit_count() - len(peel)
+    while peel:
+        r = irows[peel.pop()] & mask
         while r:
             low = r & -r
             u = low.bit_length() - 1
             out[u] -= 1
-            if not out[u]:
-                sinks.append(u)
+            if out[u] == limit:
+                peel.append(u)
                 left -= 1
             r ^= low
     return not left
 
 
 def is_acyclic(d: Digraph) -> bool:
+    """Is the digraph acyclic?  The sink peel on every vertex."""
     return _mask_acyclic(d.rows, d.in_rows, (1 << d.n) - 1)
 
 

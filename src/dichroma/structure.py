@@ -22,6 +22,7 @@ from .digraphs import (
     iter_bits,
     mask_of,
 )
+from .solver import _mask_acyclic
 
 SINGLE_EDGE = "single-edge"
 DIRECTED_CYCLE = "directed-cycle"
@@ -233,29 +234,9 @@ def cactus_induced_forest(g: Digraph) -> list[int]:
     need = -(-2 * g.n // 3)
     if len(kept) < need:
         raise RuntimeError("induced forest below the cactus guarantee")
-    if not _mask_forest(rows, ((1 << g.n) - 1) & ~dropped):
+    if not _mask_acyclic(rows, rows, ((1 << g.n) - 1) & ~dropped, 1):
         raise RuntimeError("induced forest check failed: the kept set has a cycle")
     return kept
-
-
-def _mask_forest(rows: Sequence[int], mask: int) -> bool:
-    """Does the mask induce a forest?  A leaf peel: each vertex counts its
-    neighbours inside the mask, and removing a vertex whose count is at most
-    1 takes one from the count of each neighbour still there.  A forest
-    loses every vertex; the vertices of a cycle keep counts of 2 or more."""
-    deg = [(r & mask).bit_count() for r in rows]
-    leaves = [v for v in range(len(rows)) if mask >> v & 1 and deg[v] <= 1]
-    while leaves:
-        v = leaves.pop()
-        mask &= ~(1 << v)
-        nb = rows[v] & mask
-        while nb:
-            w = (nb & -nb).bit_length() - 1
-            nb &= nb - 1
-            deg[w] -= 1
-            if deg[w] == 1:
-                leaves.append(w)
-    return not mask
 
 
 def low_vertices(d: Digraph, k: int) -> list[int]:

@@ -13,6 +13,7 @@ import pytest
 
 from dichroma import canon, enumeration
 from dichroma.canon import canonical_cert, canonical_form
+from dichroma.cli import main
 from dichroma.digraphs import (
     Digraph,
     bidirect,
@@ -133,6 +134,18 @@ def test_arboricity_work_is_frozen(count_calls):
         kept = sum(arboricity(g) >= 3 for g in gen_graphs(n, 4))
         got.append((calls["_closes_forest_cycle"], kept))
     assert got == [(1249, 13), (22096, 174)]
+
+
+def test_a_faulty_forest_walk_is_caught(monkeypatch, capsys):
+    # the census drops every graph the walk splits into k - 1 forests, a
+    # graph no census check sees again; a forest test that never blocks
+    # puts all of K4 in one class, and the leaf peel refuses it
+    monkeypatch.setattr(enumeration, "_closes_forest_cycle", lambda *a: False)
+    k4 = graph(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
+    with pytest.raises(RuntimeError, match="1-forest partition"):
+        arboricity(k4)
+    assert main(["census", "7", "3"]) == 3
+    assert capsys.readouterr().err.startswith("internal error: ")
 
 
 def test_arboricity_vs_bruteforce():

@@ -87,6 +87,12 @@ def test_mask_acyclic_matches_bruteforce():
         assert is_acyclic(Digraph.from_arcs(n, arcs))
         # a digon at the end away from the sink: all the rest is peeled
         assert not is_acyclic(Digraph.from_arcs(n, arcs + [far]))
+    # the leaf peel at limit 1 likewise: the bidirected path is a forest,
+    # and one chord leaves a cycle after its two tails are peeled
+    full = (1 << n) - 1
+    for edges, forest in ((forward, True), (forward + [(100, n - 100)], False)):
+        rows = graph(n, edges).rows
+        assert solver._mask_acyclic(rows, rows, full, 1) == forest
 
 
 def test_k_validation():

@@ -277,8 +277,8 @@ def test_verify_path_shares_no_search_code():
     # the search that found it, so a fault in the search cannot pass its
     # own answers: follow every package function the checks name, and
     # every one those name in turn
-    search = {"_creates_cycle", "_dfs_colour", "_saturation_ranks",
-              "_shortest_cycle", "_static_colourings"}
+    search = {"_closes_forest_cycle", "_creates_cycle", "_dfs_colour",
+              "_saturation_ranks", "_shortest_cycle", "_static_colourings"}
     defs: dict[str, list] = {}
     for mod, tree in _modules():
         for _, fn in _functions(tree, mod):
@@ -307,7 +307,8 @@ def test_certificate_entries_name_their_checker():
     for entry, checker in (("is_k_dicolourable", "_verified"),
                            ("is_list_dicolourable", "verify_dicolouring"),
                            ("max_induced_acyclic", "_mask_acyclic"),
-                           ("cactus_induced_forest", "_mask_forest")):
+                           ("cactus_induced_forest", "_mask_acyclic"),
+                           ("arboricity", "_mask_acyclic")):
         names = {node.id for node in ast.walk(defs[entry])
                  if isinstance(node, ast.Name)}
         assert checker in names, entry

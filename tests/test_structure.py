@@ -4,14 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from dichroma import structure
+from dichroma import solver, structure
 from dichroma.digraphs import (
     Digraph,
     bidirect,
     circulant_tournament,
     is_oriented,
 )
-from dichroma.enumeration import arboricity
+from dichroma.enumeration import arboricity, gen_graphs
 from dichroma.structure import (
     BIDIRECTED_CLIQUE,
     BIDIRECTED_ODD_CYCLE,
@@ -223,13 +223,20 @@ def test_cactus_induced_forest_checks_its_answer(monkeypatch):
         cactus_induced_forest(triangle)
 
 
-def test_mask_forest_vs_bruteforce():
+def test_forest_peel_vs_bruteforce():
+    # the peel at limit 1 on a graph's symmetric rows empties the forests:
+    # random masks, then every mask of every graph of order up to 6
     rng = random.Random(8)
+    cases = []
     for _ in range(200):
         g = random_graph(rng, rng.randint(0, 9), 0.35)
-        verts = [v for v in range(g.n) if rng.random() < 0.7]
-        mask = sum(1 << v for v in verts)
-        assert structure._mask_forest(g.rows, mask) == is_forest(g, verts)
+        cases.append((g, sum(1 << v for v in range(g.n) if rng.random() < 0.7)))
+    cases += [(g, mask) for n in range(1, 7) for g in gen_graphs(n, 0)
+              for mask in range(1 << n)]
+    assert len(cases) == 200 + 11290
+    for g, mask in cases:
+        verts = [v for v in range(g.n) if mask >> v & 1]
+        assert solver._mask_acyclic(g.rows, g.rows, mask, 1) == is_forest(g, verts)
 
 
 def test_low_vertices():
