@@ -251,7 +251,6 @@ def _reduce_digon(ctx, trials):
             ("v2", "c0", "v3", "c1"),
             ("v1", "c0", "v3", "c1"),
         ),
-        clause_faces=((0, 1, 2), (0, 1, 2)),
     )
     fixed = [
         (one, None),

@@ -122,10 +122,10 @@ def cmd_census(args) -> int:
 
 def cmd_bounds(args) -> int:
     line = "{surface:>22}  c={euler_characteristic:>3}  [{lower},{upper}]"
-    if args.surface:
+    if args.surface is not None:
         rows = [bounds_row(*parse_surface(args.surface))]
         line = "[{lower},{upper}]"
-    elif args.range:
+    elif args.range is not None:
         lo, hi = args.range
         top = min(hi, 2)  # no surface has c > 2
         if top < lo:
@@ -148,7 +148,7 @@ def cmd_bounds(args) -> int:
 def cmd_reduce(args) -> int:
     digest, phi = _load(args, CnfFormula.from_dimacs)
     embedding = None
-    if args.embedding:
+    if args.embedding is not None:
         embedding = PlanarIncidenceEmbedding.from_json(
             read_json(Path(args.embedding).read_text()))
     t0 = time.perf_counter()

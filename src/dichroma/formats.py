@@ -199,7 +199,7 @@ def checkpointed_map(
     stops early just leaves its loop: closing the generator cancels the
     tasks not yet started and closes the file.
     """
-    records, ck = open_checkpoint(checkpoint, header) if checkpoint else ([], None)
+    records, ck = ([], None) if checkpoint is None else open_checkpoint(checkpoint, header)
     pool = None
     try:
         names = {t[0] for t in tasks}  # the tasks with no record yet

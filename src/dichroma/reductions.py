@@ -145,119 +145,95 @@ def _reach(adj: dict[str, set[str]], start: str) -> set[str]:
 @dataclass(frozen=True)
 class PlanarIncidenceEmbedding:
     """Faces of the plane-embedded incidence graph as cyclic walks over
-    vertex names v<i> (variables, 1-based) and c<j> (clauses, 0-based),
-    plus the three surrounding faces of each clause in literal order.
-
-    validate checks that the faces form a sphere: every edge lies on two
-    face sides, the corners at each vertex close into one cycle (so the
-    faces glue into a closed surface) and the face count meets Euler's
-    formula for the sphere."""
+    vertex names v<i> (variables, 1-based) and c<j> (clauses, 0-based).
+    A 2-cell embedding is its facial walks, so the faces around each
+    clause are not given but read off its corners by validate."""
 
     faces: tuple[tuple[str, ...], ...]
-    clause_faces: tuple[tuple[int, int, int], ...]
 
-    def validate(self, phi: CnfFormula) -> None:
+    def validate(self, phi: CnfFormula) -> tuple[tuple[int, int, int], ...]:
+        """Each clause's faces in literal order, the faces of its corners
+        between its first and second, second and third, and third and first
+        variables; ValueError unless the faces form a sphere: every edge
+        lies on two face sides, the corners at each vertex close into one
+        cycle (so the faces glue into a closed surface) and the face count
+        meets Euler's formula for the sphere.  A clause vertex then has
+        three corners, and as they close into one cycle through its three
+        distinct neighbours, each pair of them is one corner, on one face.
+        """
         names = {_vname(i) for i in range(1, phi.num_vars + 1)}
         names |= {_cname(j) for j in range(len(phi.clauses))}
-        cvars: list[tuple[int, int, int]] = []
-        hedges: set[frozenset[str]] = set()
+        adj: dict[str, set[str]] = {nm: set() for nm in names}
+        cvars: list[tuple[str, ...]] = []
         for j, cl in enumerate(phi.clauses):
-            vs = tuple(abs(lit) for lit in cl)
+            vs = tuple(_vname(abs(lit)) for lit in cl)
             if len(set(vs)) != 3:
                 raise ValueError(
                     f"clause {j} repeats a variable; planar wiring "
                     "needs three distinct variables per clause"
                 )
             cvars.append(vs)
+            adj[_cname(j)].update(vs)
             for v in vs:
-                hedges.add(frozenset((_vname(v), _cname(j))))
+                adj[v].add(_cname(j))
         # connected incidence graph required: the forcing walk of the
         # equivalence proof must reach every face vertex
-        adj: dict[str, set[str]] = {nm: set() for nm in names}
-        for e in hedges:
-            a, b = tuple(e)
-            adj[a].add(b)
-            adj[b].add(a)
         if names and _reach(adj, min(names)) != names:
             raise ValueError("incidence graph is not connected")
-        euler_faces = 2 - len(names) + len(hedges)
+        # the face sides of each edge
+        counts = {frozenset((x, y)): 0 for x in names for y in adj[x]}
+        euler_faces = 2 - len(names) + len(counts)
         if len(self.faces) != euler_faces:
             raise ValueError(
                 f"{len(self.faces)} faces supplied, Euler's formula "
                 f"requires {euler_faces}"
             )
-        counts: dict[frozenset[str], int] = {e: 0 for e in hedges}
-        for walk in self.faces:
+        # each corner (prev, x, next) joins prev and next around x, and
+        # face_at holds its face
+        corners: dict[str, dict[str, set[str]]] = {x: {} for x in names}
+        face_at: dict[tuple[str, frozenset[str]], int] = {}
+        for f, walk in enumerate(self.faces):
             if not walk:
                 raise ValueError("empty face walk")
-            ln = len(walk)
             for i, x in enumerate(walk):
                 if x not in names:
                     raise ValueError(f"unknown vertex {x!r} in face walk")
-                e = frozenset((x, walk[(i + 1) % ln]))
+                prev, nxt = walk[i - 1], walk[(i + 1) % len(walk)]
+                e = frozenset((x, nxt))
                 if e not in counts:
                     raise ValueError(
                         f"face walk uses non-edge {sorted(e)} of the "
                         "incidence graph"
                     )
                 counts[e] += 1
+                corners[x].setdefault(prev, set()).add(nxt)
+                corners[x].setdefault(nxt, set()).add(prev)
+                face_at[x, frozenset((prev, nxt))] = f
         bad = {tuple(sorted(e)) for e, c in counts.items() if c != 2}
         if bad:
             raise ValueError(f"edges not on exactly two face sides: {sorted(bad)}")
-        # each corner (prev, x, next) joins prev and next around x; as every
-        # edge lies on two face sides, the corners at x form cycles through
-        # x's neighbours, and on a surface they form exactly one
-        corners: dict[str, dict[str, set[str]]] = {
-            x: {y: set() for y in adj[x]} for x in names
-        }
-        for walk in self.faces:
-            for i, x in enumerate(walk):
-                prev, nxt = walk[i - 1], walk[(i + 1) % len(walk)]
-                corners[x][prev].add(nxt)
-                corners[x][nxt].add(prev)
+        # as every edge lies on two face sides, the corners at x form cycles
+        # through x's neighbours, and on a surface they form exactly one
         for x in sorted(names):
             if adj[x] and _reach(corners[x], min(adj[x])) != adj[x]:
                 raise ValueError(
                     f"the face corners at {x} do not close into one cycle, "
                     "so the faces do not form a sphere"
                 )
-        if len(self.clause_faces) != len(phi.clauses):
-            raise ValueError("need exactly one face triple per clause")
-
-        def on_face(fi: int, a: str, c: str, b: str) -> bool:
-            walk = self.faces[fi]
-            ln = len(walk)
-            for i, x in enumerate(walk):
-                if x != c:
-                    continue
-                prev, nxt = walk[i - 1], walk[(i + 1) % ln]
-                if (prev, nxt) in ((a, b), (b, a)):
-                    return True
-            return False
-
-        for j, (f1, f2, f3) in enumerate(self.clause_faces):
-            a, b, c = (_vname(v) for v in cvars[j])
-            cj = _cname(j)
-            for fi, (p, q) in ((f1, (a, b)), (f2, (b, c)), (f3, (c, a))):
-                if not 0 <= fi < len(self.faces):
-                    raise ValueError(f"clause {j}: face index {fi} out of range")
-                if not on_face(fi, p, cj, q):
-                    raise ValueError(
-                        f"clause {j}: face {fi} does not pass through "
-                        f"({p},{cj},{q})"
-                    )
+        return tuple(
+            tuple(face_at[_cname(j), frozenset(pair)]
+                  for pair in ((a, b), (b, c), (c, a)))
+            for j, (a, b, c) in enumerate(cvars)
+        )
 
     @classmethod
     def from_json(cls, obj: dict) -> "PlanarIncidenceEmbedding":
+        """The embedding of a JSON object's "faces"; other keys are ignored."""
         try:
             faces = tuple(tuple(w) for w in obj["faces"])
             if not all(isinstance(x, str) for w in faces for x in w):
                 raise TypeError("face walks must list vertex names")
-            clause_faces = tuple((a, b, c) for a, b, c in obj["clause_faces"])
-            # type(), not isinstance(): a JSON true is not a face index
-            if not all(type(x) is int for t in clause_faces for x in t):
-                raise TypeError("clause face indices must be integers")
-            return cls(faces=faces, clause_faces=clause_faces)
+            return cls(faces=faces)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed embedding JSON: {exc!r}") from None
 
@@ -397,9 +373,8 @@ def _compile(phi: CnfFormula, embedding: PlanarIncidenceEmbedding | None,
 
     var_vertex = {i: add(f"var{i}") for i in range(1, phi.num_vars + 1)}
     if embedding is not None:
-        embedding.validate(phi)
+        clause_faces = embedding.validate(phi)
         face_vertex = [add(f"F{f}") for f in range(len(embedding.faces))]
-        clause_faces = embedding.clause_faces
     else:
         # the hub is the one face of every clause
         face_vertex = [add("hub")]
@@ -520,4 +495,4 @@ def single_face_embedding(phi: CnfFormula) -> PlanarIncidenceEmbedding:
     a, b, c = (abs(lit) for lit in phi.clauses[0])
     cj = _cname(0)
     walk = (_vname(a), cj, _vname(b), cj, _vname(c), cj)
-    return PlanarIncidenceEmbedding(faces=(walk,), clause_faces=((0, 0, 0),))
+    return PlanarIncidenceEmbedding(faces=(walk,))

@@ -22,6 +22,8 @@ with gen_graphs' extension rule written out as brute_graph_extend; and
 deletion_ranks, with brute_first_lower around it, canonical deletion
 labelling every deletion by a fresh canonical search, which the labellings
 that generation carries down its levels are checked against.
+rotation_faces traces the faces of a rotation system, which gives the face
+checker of reductions embeddings whose surface Euler's formula names.
 """
 
 from __future__ import annotations
@@ -244,6 +246,27 @@ def brute_graph_classes(n: int, min_degree: int = 0):
             continue
         reps.setdefault(_digraph_class_key(g), g)
     return list(reps.values())
+
+
+def rotation_faces(adj, rotation) -> list[tuple]:
+    """The faces of the rotation system of the graph adj (vertex -> its
+    neighbours) in which rotation[y] lists y's neighbours in cyclic order,
+    as closed walks: dart (x, y) is followed by (y, the successor of x
+    around y), and each face is one orbit of the darts, traced from its
+    least dart."""
+    succ = {(y, x): ring[(i + 1) % len(ring)]
+            for y, ring in rotation.items() for i, x in enumerate(ring)}
+    seen: set[tuple] = set()
+    faces = []
+    for dart in sorted((x, y) for x in adj for y in adj[x]):
+        walk = []
+        while dart not in seen:
+            seen.add(dart)
+            walk.append(dart[0])
+            dart = (dart[1], succ[dart[1], dart[0]])
+        if walk:
+            faces.append(tuple(walk))
+    return faces
 
 
 def random_digraph(rng, n: int, p: float = 0.35) -> Digraph:

@@ -16,10 +16,7 @@ from dichroma.surfaces import parse_surface
 
 TRIANGLE_D6 = "&BP_"
 # README's embedding JSON: the one face of the claw p cnf 3 1 / 1 2 3 0
-CLAW_EMBEDDING = {
-    "faces": [["v1", "c0", "v2", "c0", "v3", "c0"]],
-    "clause_faces": [[0, 0, 0]],
-}
+CLAW_EMBEDDING = {"faces": [["v1", "c0", "v2", "c0", "v3", "c0"]]}
 
 # the benchmark's verify-full workload checks this list of claim slugs
 FULL_CLAIMS = json.loads(
@@ -257,6 +254,18 @@ def test_bounds_unknown_surface(capsys):
         assert err == f"error: cannot parse surface {name!r}\n"
 
 
+def test_empty_option_values_are_usage_errors(tmp_path, capsys):
+    # "" is a value given, not the option left out: no whole table, no hub
+    # mode and no run without a checkpoint
+    cnf = tmp_path / "phi.cnf"
+    cnf.write_text("p cnf 3 1\n1 2 3 0\n")
+    for argv in (["bounds", "--surface", ""], ["reduce", str(cnf), "--embedding", ""],
+                 ["census", "5", "2", "--checkpoint", ""]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
+
+
 def test_integer_arguments_are_ascii_digits(capsys, monkeypatch):
     # int() reads all of these; the usage error names the text
     for argv, bad in ((["census", "６", "3"], "６"), (["census", "+6", "3"], "+6"),
@@ -332,13 +341,9 @@ def test_reduce_rejects_malformed_embedding(tmp_path, capsys):
     cnf = tmp_path / "phi.cnf"
     cnf.write_text("p cnf 3 1\n1 2 3 0\n")
     emb = tmp_path / "emb.json"
-    # face indices are JSON integers: no float, string or bool is read as one
-    bad_indices = ((0.9, "0", False), (0.9, 0, 0), (0, "0", 0), (0, 0, False))
-    for bad in ('{"faces": [["v1", "c0", "v2"]], "clause_faces": [[0, 0, 0]]}',
-                '{"faces": [[["v1"], "c0"]], "clause_faces": [[0, 0, 0]]}',
-                '{"faces": []}', "not json", "[" * 100_000,
-                *(json.dumps(dict(CLAW_EMBEDDING, clause_faces=[t]))
-                  for t in bad_indices)):
+    for bad in ('{"faces": [["v1", "c0", "v2"]]}', '{"faces": [[["v1"], "c0"]]}',
+                '{"faces": []}', '{"clause_faces": [[0, 0, 0]]}', "not json",
+                "[" * 100_000):
         emb.write_text(bad)
         code, out, err = run_cli(capsys, "reduce", str(cnf), "--embedding", str(emb))
         assert code == 2 and out == ""
@@ -356,6 +361,12 @@ def test_reduce_planar_with_embedding(tmp_path, capsys):
     assert code == 0
     assert "mode=digon-planar" in out
     assert "equivalence=True" in out
+    # a clause's faces are read off its corners: an older file's
+    # clause_faces is ignored, even where it contradicts the faces
+    for old in ([[0, 0, 0]], [[1, 2, 3]], [[0.9, "0", False]]):
+        emb.write_text(json.dumps(dict(CLAW_EMBEDDING, clause_faces=old)))
+        assert run_cli(capsys, "reduce", str(cnf), "--embedding", str(emb),
+                       "--verify") == (0, out, "")
 
 
 def test_reduce_rejects_a_non_sphere_embedding(tmp_path, capsys):
@@ -368,7 +379,6 @@ def test_reduce_rejects_a_non_sphere_embedding(tmp_path, capsys):
         "faces": [["v1", "c0", "v3", "c1"], ["c0", "v2", "c2", "v3"],
                   ["v2", "c1", "v1", "c2"], ["v1", "c0", "v2", "c1", "v3", "c2"],
                   ["v1", "c3", "v4", "c3", "v5", "c3"]],
-        "clause_faces": [[3, 1, 0], [2, 3, 0], [2, 1, 3], [4, 4, 4]],
     }))
     code, out, err = run_cli(capsys, "reduce", str(cnf), "--embedding", str(emb))
     assert code == 2 and out == ""

@@ -26,7 +26,7 @@ from dichroma.reductions import (
 )
 from dichroma.solver import verify_dicolouring
 
-from bruteforce import enumerate_dicolourings, random_digraph
+from bruteforce import enumerate_dicolourings, random_digraph, rotation_faces
 
 
 def claw():
@@ -45,7 +45,6 @@ def two_clause_embedding():
             ("v2", "c0", "v3", "c1"),
             ("v1", "c0", "v3", "c1"),
         ),
-        clause_faces=((0, 1, 2), (0, 1, 2)),
     )
 
 
@@ -126,26 +125,23 @@ def test_dimacs_errors():
 def test_single_face_embedding_validates():
     phi = claw()
     emb = single_face_embedding(phi)
-    emb.validate(phi)
-    readme = {  # README's embedding JSON: the claw's one face
-        "faces": [["v1", "c0", "v2", "c0", "v3", "c0"]],
-        "clause_faces": [[0, 0, 0]],
-    }
+    assert emb.validate(phi) == ((0, 0, 0),)
+    # README's embedding JSON: the claw's one face
+    readme = {"faces": [["v1", "c0", "v2", "c0", "v3", "c0"]]}
     assert PlanarIncidenceEmbedding.from_json(readme) == emb
     with pytest.raises(ValueError):
         single_face_embedding(two_clause())
 
 
 def test_two_clause_embedding_validates():
-    two_clause_embedding().validate(two_clause())
+    # each clause meets face i at the corner between its i-th and next variable
+    assert two_clause_embedding().validate(two_clause()) == ((0, 1, 2), (0, 1, 2))
 
 
 def test_embedding_rejects_wrong_face_count():
     phi = claw()
     walk = single_face_embedding(phi).faces[0]
-    bad = PlanarIncidenceEmbedding(
-        faces=(walk, walk), clause_faces=((0, 0, 0),)
-    )
+    bad = PlanarIncidenceEmbedding(faces=(walk, walk))
     with pytest.raises(ValueError, match="Euler"):
         bad.validate(phi)
 
@@ -154,7 +150,6 @@ def test_embedding_rejects_bad_edge_coverage():
     phi = claw()
     bad = PlanarIncidenceEmbedding(
         faces=(("v1", "c0", "v2", "c0", "v1", "c0"),),
-        clause_faces=((0, 0, 0),),
     )
     with pytest.raises(ValueError, match="two face sides"):
         bad.validate(phi)
@@ -165,12 +160,10 @@ def test_embedding_rejects_nonedges_and_unknown_vertices():
     with pytest.raises(ValueError, match="unknown vertex"):
         PlanarIncidenceEmbedding(
             faces=(("c9", "v1", "c0", "v2", "c0", "v3"),),
-            clause_faces=((0, 0, 0),),
         ).validate(phi)
     with pytest.raises(ValueError, match="non-edge"):
         PlanarIncidenceEmbedding(
             faces=(("v1", "v2", "c0", "v2", "v1", "c0"),),
-            clause_faces=((0, 0, 0),),
         ).validate(phi)
 
 
@@ -178,9 +171,7 @@ def test_embedding_rejects_disconnected_incidence_graph():
     phi = CnfFormula(num_vars=6, clauses=((1, 2, 3), (4, 5, 6)))
     w0 = ("v1", "c0", "v2", "c0", "v3", "c0")
     w1 = ("v4", "c1", "v5", "c1", "v6", "c1")
-    bad = PlanarIncidenceEmbedding(
-        faces=(w0, w1), clause_faces=((0, 0, 0), (1, 1, 1))
-    )
+    bad = PlanarIncidenceEmbedding(faces=(w0, w1))
     with pytest.raises(ValueError, match="not connected"):
         bad.validate(phi)
 
@@ -189,31 +180,61 @@ def test_embedding_rejects_repeated_variable():
     phi = CnfFormula(num_vars=2, clauses=((1, 1, 2),))
     emb = PlanarIncidenceEmbedding(
         faces=(("v1", "c0", "v1", "c0", "v2", "c0"),),
-        clause_faces=((0, 0, 0),),
     )
     with pytest.raises(ValueError, match="repeats a variable"):
         emb.validate(phi)
 
 
-def test_embedding_rejects_bad_clause_face_data():
-    phi = two_clause()
+def test_validate_accepts_exactly_the_sphere_rotation_systems():
+    # a rotation system always closes an orientable surface, so on a
+    # connected incidence graph V - E + F = 2 says it is the sphere; each
+    # traced walk is written from a random start, in a random direction
+    rng = random.Random(4040)
+    verdicts = {True: 0, False: 0}
+    while min(verdicts.values()) < 100:
+        nv, nc = rng.randint(3, 5), rng.randint(1, 3)
+        phi = CnfFormula(nv, tuple(
+            tuple(v * rng.choice((1, -1)) for v in rng.sample(range(1, nv + 1), 3))
+            for _ in range(nc)))
+        adj = {f"v{i}": set() for i in range(1, nv + 1)}
+        for j, clause in enumerate(phi.clauses):
+            adj[f"c{j}"] = {f"v{abs(lit)}" for lit in clause}
+            for v in adj[f"c{j}"]:
+                adj[v].add(f"c{j}")
+        reached, todo = set(), ["v1"]
+        while todo:
+            x = todo.pop()
+            if x not in reached:
+                reached.add(x)
+                todo += adj[x]
+        if reached != set(adj):
+            continue
+        rotation = {x: rng.sample(sorted(ys), len(ys)) for x, ys in adj.items()}
+        faces = []
+        for walk in rotation_faces(adj, rotation):
+            k = rng.randrange(len(walk))
+            walk = walk[k:] + walk[:k]
+            faces.append(walk[::-1] if rng.random() < 0.5 else walk)
+        emb = PlanarIncidenceEmbedding(faces=tuple(faces))
+        sphere = len(adj) - 3 * nc + len(faces) == 2
+        verdicts[sphere] += 1
+        if not sphere:
+            with pytest.raises(ValueError, match="Euler"):
+                emb.validate(phi)
+            continue
+        for j, (clause, triple) in enumerate(zip(phi.clauses, emb.validate(phi))):
+            names = [f"v{abs(lit)}" for lit in clause]
+            for i, f in enumerate(triple):
+                corner = {names[i], names[(i + 1) % 3]}
+                walk = faces[f]
+                assert any(x == f"c{j}" and {walk[p - 1], walk[(p + 1) % len(walk)]}
+                           == corner for p, x in enumerate(walk))
+
+
+def test_embedding_rejects_an_empty_face_walk():
     faces = two_clause_embedding().faces
-    with pytest.raises(ValueError, match="out of range"):
-        PlanarIncidenceEmbedding(
-            faces=faces, clause_faces=((0, 1, 5), (0, 1, 2))
-        ).validate(phi)
-    with pytest.raises(ValueError, match="does not pass through"):
-        PlanarIncidenceEmbedding(
-            faces=faces, clause_faces=((0, 0, 0), (0, 1, 2))
-        ).validate(phi)
-    with pytest.raises(ValueError, match="one face triple per clause"):
-        PlanarIncidenceEmbedding(
-            faces=faces, clause_faces=((0, 1, 2),)
-        ).validate(phi)
     with pytest.raises(ValueError, match="empty face walk"):
-        PlanarIncidenceEmbedding(
-            faces=faces[:2] + ((),), clause_faces=((0, 1, 2), (0, 1, 2))
-        ).validate(phi)
+        PlanarIncidenceEmbedding(faces=faces[:2] + ((),)).validate(two_clause())
 
 
 # -- gadgets ----------------------------------------------------------------
@@ -479,6 +500,6 @@ def test_reduction_output_json():
 def test_invalid_embedding_rejected_at_compile_time():
     phi = claw()
     walk = single_face_embedding(phi).faces[0]
-    bad = PlanarIncidenceEmbedding(faces=(walk, walk), clause_faces=((0, 0, 0),))
+    bad = PlanarIncidenceEmbedding(faces=(walk, walk))
     with pytest.raises(ValueError):
         reduce_digon(phi, bad)

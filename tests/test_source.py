@@ -139,7 +139,10 @@ def test_benchmark_entry_points_exist():
 
 
 def test_every_function_has_a_caller_or_is_exported():
-    # library code that only tests call belongs in the tests
+    # library code that only tests call belongs in the tests: a top-level
+    # function is exported or referenced outside its own body, and a
+    # method of a top-level class other than a dunder is referenced
+    # outside its class
     refs: dict[str, set] = {}
     defs = []
     for name, tree in _modules():
@@ -147,7 +150,12 @@ def test_every_function_has_a_caller_or_is_exported():
             owner = None
             if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 owner = top.name
-                defs.append((name, owner))
+                defs.append((name, owner, owner))
+            elif isinstance(top, ast.ClassDef):
+                owner = top.name
+                defs += [(name, owner, node.name) for node in top.body
+                         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                         and not node.name.startswith("__")]
             for node in ast.walk(top):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     ref = node.id
@@ -157,10 +165,10 @@ def test_every_function_has_a_caller_or_is_exported():
                     continue
                 refs.setdefault(ref, set()).add((name, owner))
     found = [
-        f"{mod}.{fn}"
-        for mod, fn in defs
+        f"{mod}.{fn}" if owner == fn else f"{mod}.{owner}.{fn}"
+        for mod, owner, fn in defs
         if fn not in dichroma.__all__
-        and not refs.get(fn, set()) - {(mod, fn)}
+        and not refs.get(fn, set()) - {(mod, owner)}
     ]
     assert found == []
 
