@@ -9,6 +9,7 @@ from .digraphs import (
 from .formats import d6_decode, d6_encode, load_digraph, dump_digraph
 from .solver import (
     dichromatic_number,
+    induced_acyclic_set,
     is_acyclic,
     is_dicritical,
     is_k_dicolourable,
@@ -28,6 +29,7 @@ __all__ = [
     "load_digraph",
     "dump_digraph",
     "dichromatic_number",
+    "induced_acyclic_set",
     "is_acyclic",
     "is_dicritical",
     "is_k_dicolourable",

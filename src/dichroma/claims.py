@@ -47,8 +47,8 @@ from .solver import (
     dichromatic_number,
     find_circulant_candidate,
     is_dicritical,
+    induced_acyclic_set,
     is_k_dicolourable,
-    max_induced_acyclic,
     verify_dicolouring,
 )
 from .structure import (
@@ -151,7 +151,7 @@ def _stearns(ctx, orders):
         if len(ts) != expected[n]:
             return False, details
         floor = n.bit_length()  # floor(log2 n) + 1
-        if any(len(max_induced_acyclic(t)) < floor for t in ts):
+        if any(induced_acyclic_set(t, floor) is None for t in ts):
             return False, details
     return True, details
 

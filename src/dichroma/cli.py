@@ -49,9 +49,17 @@ from .surfaces import (
 RANGE_LIMIT = 10_000
 
 
+def _read(path: str, what: str) -> str:
+    """The text of the file at path.  An empty path is a usage error, not
+    the working directory that Path("") names."""
+    if not path:
+        raise ValueError(f"empty {what} path ''")
+    return Path(path).read_text()
+
+
 def _load(args, parse=load_digraph):
     """The digest of the text at args.path (- for stdin) and parse(text)."""
-    text = sys.stdin.read() if args.path == "-" else Path(args.path).read_text()
+    text = sys.stdin.read() if args.path == "-" else _read(args.path, "input")
     return hashlib.sha256(text.encode()).hexdigest()[:16], parse(text)
 
 
@@ -75,7 +83,9 @@ def _positive_int(text: str) -> int:
 
 
 def _jobs(args) -> int:
-    return args.jobs or _positive_int(os.environ.get("DICHROMA_JOBS") or "1")
+    """--jobs, else DICHROMA_JOBS, else 1; an empty DICHROMA_JOBS is a bad
+    count, not an unset one."""
+    return args.jobs or _positive_int(os.environ.get("DICHROMA_JOBS", "1"))
 
 
 def _emit(args, inputs: str, results: dict, lines: list[str],
@@ -150,7 +160,7 @@ def cmd_reduce(args) -> int:
     embedding = None
     if args.embedding is not None:
         embedding = PlanarIncidenceEmbedding.from_json(
-            read_json(Path(args.embedding).read_text()))
+            read_json(_read(args.embedding, "--embedding")))
     t0 = time.perf_counter()
     reducer = reduce_digon if args.gadget == "digon" else reduce_oriented
     out = reducer(phi, embedding)

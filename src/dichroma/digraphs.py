@@ -40,7 +40,7 @@ class Digraph:
     digraph with no digon.
     """
 
-    __slots__ = ("n", "rows", "m", "_irows", "_urows")
+    __slots__ = ("n", "rows", "m", "_irows", "_urows", "_blocks")
 
     def __init__(self, n: int, rows: Sequence[int]):
         self.n = n
@@ -48,6 +48,7 @@ class Digraph:
         self.m = sum(r.bit_count() for r in self.rows)
         self._irows: tuple[int, ...] | None = None
         self._urows: tuple[int, ...] | None = None
+        self._blocks = None  # structure.block_decomposition's, once asked for
 
     # -- construction -----------------------------------------------------
 

@@ -230,10 +230,16 @@ class PlanarIncidenceEmbedding:
     def from_json(cls, obj: dict) -> "PlanarIncidenceEmbedding":
         """The embedding of a JSON object's "faces"; other keys are ignored."""
         try:
-            faces = tuple(tuple(w) for w in obj["faces"])
-            if not all(isinstance(x, str) for w in faces for x in w):
-                raise TypeError("face walks must list vertex names")
-            return cls(faces=faces)
+            walks = obj["faces"]
+            if not isinstance(walks, list):
+                raise TypeError(f"faces must be a JSON list, got {type(walks).__name__}")
+            for w in walks:
+                if not isinstance(w, list):
+                    raise TypeError(f"a face walk must be a JSON list, "
+                                    f"got {type(w).__name__}")
+                if not all(isinstance(x, str) for x in w):
+                    raise TypeError("face walks must list vertex names")
+            return cls(faces=tuple(map(tuple, walks)))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed embedding JSON: {exc!r}") from None
 
@@ -244,12 +250,14 @@ class Gadget:
     3-dicritical oriented graph minus its arc u->w) or differ (inequality
     gadget) in every 2-dicolouring.  extensions holds one full
     2-dicolouring per endpoint pattern, for lifting skeleton colourings
-    into gadget interiors."""
+    into gadget interiors; arcs holds the digraph's arcs, listed once for
+    every copy _splice installs."""
 
     digraph: Digraph
     u: int
     w: int
     extensions: dict[tuple[int, int], tuple[int, ...]]
+    arcs: tuple[tuple[int, int], ...]
 
 
 def _gadget(d: Digraph, u: int, w: int, want: set[tuple[int, int]],
@@ -269,7 +277,7 @@ def _gadget(d: Digraph, u: int, w: int, want: set[tuple[int, int]],
             f"gadget endpoints admit patterns {sorted(found)}; "
             f"{forcing} forcing failed"
         )
-    return Gadget(digraph=d, u=u, w=w, extensions=found)
+    return Gadget(digraph=d, u=u, w=w, extensions=found, arcs=tuple(d.arcs()))
 
 
 def _splice(arcs: list[tuple[int, int]], n: int, gadget: Gadget,
@@ -282,7 +290,7 @@ def _splice(arcs: list[tuple[int, int]], n: int, gadget: Gadget,
         x if t == gadget.u else y if t == gadget.w else next(fresh)
         for t in range(gadget.digraph.n)
     )
-    arcs.extend((copy[p], copy[q]) for p, q in gadget.digraph.arcs())
+    arcs.extend((copy[p], copy[q]) for p, q in gadget.arcs)
     return copy
 
 

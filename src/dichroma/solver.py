@@ -1,8 +1,9 @@
 """Exact decision procedures for dicolouring: dicolourability, the
 dichromatic number, list-dicolourability (by reduction to dicolourability),
-dicriticality and maximum induced acyclic sets, plus the chunk worker that
-checks dominance extensions of tournaments for the exhaustive tournament
-bound (the bound itself lives with tournament generation).
+dicriticality and induced acyclic sets (a maximum one, or one of a given
+order), plus the chunk worker that checks dominance extensions of
+tournaments for the exhaustive tournament bound (the bound itself lives
+with tournament generation).
 
 The worker decides all 2^n extensions of a parent tournament T at once by
 a colouring cover (_uncovered).  A new vertex beating exactly the set S can
@@ -23,13 +24,19 @@ takes its first colouring in an order fixed once per digraph.
 is_k_dicolourable checks each colouring the search finds with
 verify_dicolouring before returning it, so its callers get checked
 colourings; those it does not return (the cover's walk, the list
-colouring, the induced acyclic set, vertex arboricity's forest partition)
+colouring, the induced acyclic sets, vertex arboricity's forest partition)
 are checked where they are made.  _mask_acyclic is the package's one mask
 checker, a peel driven by out-degree counts and in-rows: at limit 0 it
 removes sinks and passes the acyclic sets, at limit 1 on a graph's
 symmetric rows it removes leaves and passes the forests.  It shares no
 code with the class tests (_creates_cycle, _closes_forest_cycle) or any
 search, so a fault in a search cannot pass its own answers.
+
+The two acyclic-set entries share one branch and bound, _acyclic_masks,
+which yields each larger acyclic set it meets.  max_induced_acyclic reads
+it to the end, which proves its last set maximum; induced_acyclic_set
+stops at the first set of the order asked, which decides that such a set
+exists and proves nothing about larger ones.
 """
 
 from __future__ import annotations
@@ -430,25 +437,24 @@ def _shortest_cycle(
     return best
 
 
-def max_induced_acyclic(d: Digraph) -> list[int]:
-    """A maximum vertex set inducing an acyclic subdigraph, ascending.
+def _acyclic_masks(d: Digraph, best: int) -> Iterator[int]:
+    """The acyclic vertex masks of more than best vertices that a
+    depth-first branch and bound meets, each yielded only when larger than
+    every mask before it, so the last is a maximum one.  None is yielded
+    when no acyclic mask has more than best vertices.
 
-    Branch and bound: branch over the vertices of a shortest remaining
-    directed cycle (each must lose a vertex), pruning by candidate count and
-    by cycles made unbreakable by earlier keep decisions.  The search runs
-    depth first on an explicit stack of (mask, keep) pairs, so its depth is
-    not bounded by Python's recursion limit.  A node's children go on in
-    reverse, the i-th keeping the cycle vertices the earlier ones removed,
-    and a child is pruned when it is popped, against the best that its
-    earlier siblings' subtrees left.  The answer is confirmed by the sink
-    peel of _mask_acyclic, which shares nothing with the cycle search;
-    RuntimeError is raised if it fails.
+    The search branches over the vertices of a shortest remaining directed
+    cycle (each must lose a vertex), pruning by candidate count and by
+    cycles made unbreakable by earlier keep decisions.  It runs on an
+    explicit stack of (mask, keep) pairs, so its depth is not bounded by
+    Python's recursion limit.  A node's children go on in reverse, the
+    i-th keeping the cycle vertices the earlier ones removed, and a child
+    is pruned when it is popped, against the best that its earlier
+    siblings' subtrees left.
     """
     rows, irows = d.rows, d.in_rows
     digon_mask = mask_of(v for v, r in enumerate(d.digon_rows) if r)
     tournament = _is_tournament(d)
-    best_mask = 0
-    best = -1
     stack = [((1 << d.n) - 1, 0)]
     while stack:
         mask, keep = stack.pop()
@@ -458,7 +464,7 @@ def max_induced_acyclic(d: Digraph) -> list[int]:
         cyc = _shortest_cycle(rows, irows, mask, digon_mask, tournament)
         if cyc is None:
             best = size
-            best_mask = mask
+            yield mask
             continue
         children = []
         for v in cyc:
@@ -466,11 +472,37 @@ def max_induced_acyclic(d: Digraph) -> list[int]:
                 children.append((mask & ~(1 << v), keep))
                 keep |= 1 << v
         stack.extend(reversed(children))
-    if not _mask_acyclic(rows, irows, best_mask):
+
+
+def max_induced_acyclic(d: Digraph) -> list[int]:
+    """A maximum vertex set inducing an acyclic subdigraph, ascending: the
+    last mask of _acyclic_masks.  The answer is confirmed by the sink peel
+    of _mask_acyclic, which shares nothing with the cycle search;
+    RuntimeError is raised if it fails.
+    """
+    best_mask = 0
+    for best_mask in _acyclic_masks(d, -1):
+        pass
+    if not _mask_acyclic(d.rows, d.in_rows, best_mask):
         raise RuntimeError(
             f"induced set {list(iter_bits(best_mask))} is not acyclic"
         )
     return list(iter_bits(best_mask))
+
+
+def induced_acyclic_set(d: Digraph, size: int) -> list[int] | None:
+    """A vertex set of at least size vertices inducing an acyclic
+    subdigraph, ascending, or None when there is none: the first mask of
+    _acyclic_masks above size - 1.  The set is confirmed by _mask_acyclic,
+    or RuntimeError is raised."""
+    mask = next(_acyclic_masks(d, size - 1), None)
+    if mask is None:
+        return None
+    if mask.bit_count() < size or not _mask_acyclic(d.rows, d.in_rows, mask):
+        raise RuntimeError(
+            f"induced set {list(iter_bits(mask))} is not acyclic of order {size}"
+        )
+    return list(iter_bits(mask))
 
 
 def is_list_dicolourable(
@@ -616,7 +648,8 @@ def find_circulant_candidate(
     n: int = 13, acyclic_order: int = 4
 ) -> tuple[Digraph, tuple[int, ...]]:
     """Search circulant tournaments on n vertices for one whose largest
-    induced acyclic set has exactly the requested order.
+    induced acyclic set has exactly the requested order: it has an induced
+    acyclic set of that order and none of one more.
 
     Connection sets take one difference from each pair {d, n-d}; the
     lexicographically least hit is returned with its digraph.  Raises
@@ -631,7 +664,8 @@ def find_circulant_candidate(
         if best is not None and s >= best:
             continue
         d = circulant_tournament(n, s)
-        if len(max_induced_acyclic(d)) == acyclic_order:
+        if (induced_acyclic_set(d, acyclic_order) is not None
+                and induced_acyclic_set(d, acyclic_order + 1) is None):
             best = s
     if best is None:
         raise ValueError(

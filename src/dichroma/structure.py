@@ -50,6 +50,15 @@ class BlockDecomposition:
 
 
 def block_decomposition(g: Digraph) -> BlockDecomposition:
+    """g's blocks, computed by _lowpoint_blocks the first time they are
+    asked for and kept on g, as its in-rows are, so the recognisers and
+    cactus bounds that read one digraph share one decomposition."""
+    if g._blocks is None:
+        g._blocks = _lowpoint_blocks(g)
+    return g._blocks
+
+
+def _lowpoint_blocks(g: Digraph) -> BlockDecomposition:
     """Biconnected components via an iterative lowpoint search with an edge
     stack, started at each component's least vertex.  A block closes at its
     entry, its vertex nearest that least vertex, and only after every block
@@ -151,9 +160,8 @@ def _block_kind(d: Digraph, verts: Sequence[int], edges: Sequence[tuple[int, int
     return OTHER
 
 
-def classify_blocks(d: Digraph, dec: BlockDecomposition | None = None) -> list[str]:
-    if dec is None:
-        dec = block_decomposition(d)
+def classify_blocks(d: Digraph) -> list[str]:
+    dec = block_decomposition(d)
     return [
         _block_kind(d, verts, edges)
         for verts, edges in zip(dec.blocks, dec.block_edges)
@@ -161,9 +169,8 @@ def classify_blocks(d: Digraph, dec: BlockDecomposition | None = None) -> list[s
 
 
 def decomposition_report(d: Digraph) -> dict:
-    dec = block_decomposition(d)
-    report = dec.to_json()
-    report["kinds"] = classify_blocks(d, dec)
+    report = block_decomposition(d).to_json()
+    report["kinds"] = classify_blocks(d)
     return report
 
 

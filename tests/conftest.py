@@ -1,8 +1,9 @@
 """Shared test plumbing: the acceptance tests register one pass/fail line
 per criterion here so the lines appear in the terminal summary even when
 stdout capture swallows the in-test prints; quick_run and full_run run
-verify-paper once per session at each level; count_calls counts the calls
-a pinned search makes."""
+verify-paper once per session at each level, counting the calls of the
+searches in RUN_SEARCHES; count_calls counts the calls a pinned search
+makes."""
 
 import contextlib
 import io
@@ -11,10 +12,12 @@ from collections import Counter
 
 import pytest
 
-from dichroma import claims
+from dichroma import claims, solver, structure
 from dichroma.cli import main
 
 ACCEPTANCE_LINES: list[str] = []
+# the searches whose calls a session's verify-paper run counts
+RUN_SEARCHES = ((solver, "_shortest_cycle"), (structure, "_lowpoint_blocks"))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -24,17 +27,29 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
+def _counted(calls: Counter, key, real):
+    """real, counting each call under key in calls."""
+    def counted(*args, **kwargs):
+        calls[key] += 1
+        return real(*args, **kwargs)
+    return counted
+
+
 def _verify_paper(workdir, *flags):
     """verify-paper --json with flags, run in workdir, where failure
-    artifacts land: (exit code, JSON report, (n, k) of each census it ran)."""
+    artifacts land: (exit code, JSON report, calls), calls counting the
+    runs of each census by (n, k) and the calls of each of RUN_SEARCHES by
+    name."""
     census = claims.dicritical_census
-    calls = []
+    calls: Counter = Counter()
     out = io.StringIO()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(
             claims, "dicritical_census",
-            lambda n, k, **kwargs: calls.append((n, k)) or census(n, k, **kwargs),
+            lambda n, k, **kwargs: calls.update([(n, k)]) or census(n, k, **kwargs),
         )
+        for module, name in RUN_SEARCHES:
+            mp.setattr(module, name, _counted(calls, name, getattr(module, name)))
         mp.chdir(workdir)
         with contextlib.redirect_stdout(out):
             code = main(["verify-paper", "--json", *flags])
@@ -62,11 +77,7 @@ def count_calls(monkeypatch):
 
     def install(module, *names):
         for name in names:
-            def counted(*args, real=getattr(module, name), name=name, **kwargs):
-                calls[name] += 1
-                return real(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(module, name, _counted(calls, name, getattr(module, name)))
         return calls
 
     return install

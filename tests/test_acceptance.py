@@ -60,7 +60,7 @@ def criterion(num: int, limit: float | None, description: str, spent: float = 0.
 
 def _env_jobs() -> int:
     # parsed as the CLI parses it: a bad value fails before any work
-    return _positive_int(os.environ.get("DICHROMA_JOBS") or "1")
+    return _positive_int(os.environ.get("DICHROMA_JOBS", "1"))
 
 
 @pytest.fixture

@@ -167,7 +167,8 @@ def test_jobs_must_be_positive(capsys, monkeypatch):
                 main(argv + ["--jobs", jobs])
             assert exc.value.code == 2
             assert "positive integer" in capsys.readouterr().err
-    for jobs in ("-3", "0", "²", "２"):
+    # an empty DICHROMA_JOBS is a bad count, not an unset one
+    for jobs in ("-3", "0", "²", "２", ""):
         monkeypatch.setenv("DICHROMA_JOBS", jobs)
         code, out, err = run_cli(capsys, "census", "5", "2")
         assert code == 2 and out == ""
@@ -264,6 +265,10 @@ def test_empty_option_values_are_usage_errors(tmp_path, capsys):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error:")
+    # an empty path names itself, not the working directory Path("") reads
+    for argv, what in ((["reduce", ""], "input"),
+                       (["reduce", str(cnf), "--embedding", ""], "--embedding")):
+        assert run_cli(capsys, *argv) == (2, "", f"error: empty {what} path ''\n")
 
 
 def test_integer_arguments_are_ascii_digits(capsys, monkeypatch):
@@ -348,6 +353,14 @@ def test_reduce_rejects_malformed_embedding(tmp_path, capsys):
         code, out, err = run_cli(capsys, "reduce", str(cnf), "--embedding", str(emb))
         assert code == 2 and out == ""
         assert err.startswith("error:")
+    # a walk, or the face list, given as a string is not read as a list of
+    # its characters: the error names the type
+    for bad, message in (('{"faces": ["v1c0v2c0v3c0"]}', "a face walk must be a JSON list, got str"),
+                         ('{"faces": "v1c0"}', "faces must be a JSON list, got str")):
+        emb.write_text(bad)
+        code, out, err = run_cli(capsys, "reduce", str(cnf), "--embedding", str(emb))
+        assert code == 2 and out == ""
+        assert err.startswith("error: malformed embedding JSON") and message in err
 
 
 def test_reduce_planar_with_embedding(tmp_path, capsys):
@@ -526,13 +539,27 @@ def test_verify_paper_full_censuses_once_per_run(quick_run, full_run):
     full = blob["results"]
     # every census row is a quick row, so each level censuses (7, 3) once
     _, quick, quick_calls = quick_run
-    assert calls.count((7, 3)) == quick_calls.count((7, 3)) == 1
+    assert calls[7, 3] == quick_calls[7, 3] == 1
     assert sorted(full) == sorted(FULL_CLAIMS)
     assert all(r["pass"] for r in full.values())
     # claims are reseeded per row, so the quick rows repeat exactly
     assert quick["results"] == {slug: full[slug] for slug in QUICK_CLAIMS}
     assert [slug for slug, *_ in claims.CLAIMS] == FULL_CLAIMS
     assert [slug for slug, _, lvl, _ in claims.CLAIMS if lvl == "quick"] == QUICK_CLAIMS
+
+
+def test_verify_paper_rows_decide_what_they_ask(quick_run, full_run):
+    # the Stearns rows stop at each tournament's first acyclic set of
+    # floor(log2 n) + 1 vertices, and the circulant row asks for a set of 4
+    # and none of 5: 2,200 (orders 4-7) + 41,825 (order 8) + 338 cycle
+    # searches, where proving each maximum took 5,213 + 124,776 + 867
+    quick, full = quick_run[2], full_run[2]
+    assert (quick["_shortest_cycle"], full["_shortest_cycle"]) == (2_538, 44_363)
+    # one block decomposition per cactus (100 quick, 500 full), where the
+    # edge bound, the triangle test and the induced forest took one each,
+    # and one per low-vertex digraph of the 3 census witnesses, checked by
+    # census-7-3-min-20-unique and census-dicritical-gallai
+    assert (quick["_lowpoint_blocks"], full["_lowpoint_blocks"]) == (106, 606)
 
 
 def test_verify_paper_failing_row(tmp_path, capsys, monkeypatch):

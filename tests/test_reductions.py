@@ -408,6 +408,8 @@ def test_oriented_gadget_is_built_once(count_calls):
     outs = [reduce_oriented(phi) for phi in (claw(), two_clause(), claw())]
     assert calls["is_dicritical"] == 1
     assert all(out.gadget is default_gadgets()[1] for out in outs)
+    # each gadget lists its arcs once, for every copy spliced from it
+    assert all(g.arcs == tuple(g.digraph.arcs()) for g in (DIGON, *default_gadgets()))
 
 
 def test_oriented_planar_mode():

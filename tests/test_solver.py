@@ -23,6 +23,7 @@ from dichroma.solver import (
     _uncovered,
     dichromatic_number,
     find_circulant_candidate,
+    induced_acyclic_set,
     is_acyclic,
     is_dicritical,
     is_k_dicolourable,
@@ -385,6 +386,32 @@ def test_max_induced_acyclic_checks_its_answer(monkeypatch):
     monkeypatch.setattr(solver, "_shortest_cycle", lambda *a: None)
     with pytest.raises(RuntimeError):
         max_induced_acyclic(TRI)
+
+
+def test_induced_acyclic_set_vs_bruteforce():
+    # None exactly when the maximum is below size, else an acyclic set of
+    # at least size vertices, for every size from 0 to n + 1
+    rng = random.Random(41)
+    for i in range(160):
+        n = rng.randint(0, 8)
+        if i % 2:
+            d = random_oriented(rng, n, 1.0)  # a tournament
+        else:
+            d = random_digraph(rng, n, rng.choice((0.2, 0.45, 0.7)))
+        best = brute_max_induced_acyclic(d)
+        for size in range(n + 2):
+            got = induced_acyclic_set(d, size)
+            if size > best:
+                assert got is None, (d.rows, size)
+            else:
+                assert got == sorted(got) and len(got) >= size, (d.rows, size)
+                assert kahn_acyclic(d, got), (d.rows, size)
+
+
+def test_induced_acyclic_set_checks_its_answer(monkeypatch):
+    monkeypatch.setattr(solver, "_shortest_cycle", lambda *a: None)
+    with pytest.raises(RuntimeError):
+        induced_acyclic_set(TRI, 3)
 
 
 def test_max_induced_acyclic_deep_search():

@@ -315,6 +315,7 @@ def test_certificate_entries_name_their_checker():
     for entry, checker in (("is_k_dicolourable", "_verified"),
                            ("is_list_dicolourable", "verify_dicolouring"),
                            ("max_induced_acyclic", "_mask_acyclic"),
+                           ("induced_acyclic_set", "_mask_acyclic"),
                            ("cactus_induced_forest", "_mask_acyclic"),
                            ("arboricity", "_mask_acyclic")):
         names = {node.id for node in ast.walk(defs[entry])

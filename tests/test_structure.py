@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from dichroma import solver, structure
+from dichroma.cli import main
 from dichroma.digraphs import (
     Digraph,
     bidirect,
@@ -12,6 +13,7 @@ from dichroma.digraphs import (
     is_oriented,
 )
 from dichroma.enumeration import arboricity, gen_graphs
+from dichroma.formats import dump_digraph
 from dichroma.structure import (
     BIDIRECTED_CLIQUE,
     BIDIRECTED_ODD_CYCLE,
@@ -136,6 +138,20 @@ def test_cactus_edge_bound_and_tightness():
     assert cactus_edge_bound(graph(0, [])) == (0, 0, True)
     with pytest.raises(ValueError):
         cactus_edge_bound(graph(4, [(a, b) for a in range(4) for b in range(a + 1, 4)]))
+
+
+def test_structure_decomposes_its_input_once(count_calls, tmp_path, capsys):
+    # the decomposition is kept on the digraph, so the structure command's
+    # report, recognisers and cactus bounds share one
+    g = random_cactus(12, seed=5)
+    assert block_decomposition(g) is block_decomposition(g)
+    assert block_decomposition(g) == structure._lowpoint_blocks(g)
+    path = tmp_path / "cactus.d6"
+    path.write_text(dump_digraph(g) + "\n")
+    calls = count_calls(structure, "_lowpoint_blocks")
+    assert main(["structure", str(path)]) == 0
+    assert "induced forest size" in capsys.readouterr().out
+    assert calls["_lowpoint_blocks"] == 1
 
 
 def test_graph_functions_agree_on_a_digraph_and_its_bidirection():
