@@ -13,7 +13,6 @@ from .solver import (
     is_acyclic,
     is_dicritical,
     is_k_dicolourable,
-    is_list_dicolourable,
     max_induced_acyclic,
     verify_dicolouring,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "is_acyclic",
     "is_dicritical",
     "is_k_dicolourable",
-    "is_list_dicolourable",
     "max_induced_acyclic",
     "verify_dicolouring",
     "__version__",

@@ -619,14 +619,16 @@ def _census_graph_task(args) -> dict:
 
 def _census_read(rec: dict) -> tuple:
     """A census record's graph, dicritical outputs and candidate count.  A
-    field of the wrong type raises TypeError, and an output that is not
-    digraph6, or cannot be an orientation of the task's bidirected graph
-    (another order, a digon, or not half its arcs), ValueError."""
+    field of the wrong type raises TypeError; outputs not strictly ascending
+    (as the worker writes them), or one not digraph6 or not an orientation
+    of the task's graph (order, digon, arc count), ValueError."""
     g6, found, count = rec["graph"], rec["dicritical"], rec["candidates"]
     if not isinstance(g6, str) or type(count) is not int or not (
         isinstance(found, list) and all(isinstance(s, str) for s in found)
     ):
         raise TypeError("census record field of the wrong type")
+    if any(a >= b for a, b in zip(found, found[1:])):
+        raise ValueError(f"outputs of {g6} are not strictly ascending")
     g = d6_decode(g6)
     for s in found:
         d = d6_decode(s)
@@ -683,9 +685,10 @@ def dicritical_census(
 def validate_census(report: CensusReport) -> list[str]:
     """Independent re-verification of a census report; returns a list of
     failure descriptions (empty when everything checks out)."""
-    problems = []
+    outs = sorted(report.all_dicritical)
+    problems = [f"{s}: listed twice" for s, t in zip(outs, outs[1:]) if s == t]
     k = report.k
-    for s in report.all_dicritical:
+    for s in dict.fromkeys(report.all_dicritical):
         d = d6_decode(s)
         if not is_oriented(d):
             problems.append(f"{s}: not oriented")

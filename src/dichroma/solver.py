@@ -1,9 +1,8 @@
 """Exact decision procedures for dicolouring: dicolourability, the
-dichromatic number, list-dicolourability (by reduction to dicolourability),
-dicriticality and induced acyclic sets (a maximum one, or one of a given
-order), plus the chunk worker that checks dominance extensions of
-tournaments for the exhaustive tournament bound (the bound itself lives
-with tournament generation).
+dichromatic number, dicriticality and induced acyclic sets (a maximum
+one, or one of a given order), plus the chunk worker that checks
+dominance extensions of tournaments for the exhaustive tournament bound
+(the bound itself lives with tournament generation).
 
 The worker decides all 2^n extensions of a parent tournament T at once by
 a colouring cover (_uncovered).  A new vertex beating exactly the set S can
@@ -23,14 +22,14 @@ forest test for _creates_cycle) walk it in the order 0..n-1; _dfs_colour
 takes its first colouring in an order fixed once per digraph.
 is_k_dicolourable checks each colouring the search finds with
 verify_dicolouring before returning it, so its callers get checked
-colourings; those it does not return (the cover's walk, the list
-colouring, the induced acyclic sets, vertex arboricity's forest partition)
-are checked where they are made.  _mask_acyclic is the package's one mask
-checker, a peel driven by out-degree counts and in-rows: at limit 0 it
-removes sinks and passes the acyclic sets, at limit 1 on a graph's
-symmetric rows it removes leaves and passes the forests.  It shares no
-code with the class tests (_creates_cycle, _closes_forest_cycle) or any
-search, so a fault in a search cannot pass its own answers.
+colourings; those it does not return (the cover's walk, the induced
+acyclic sets, vertex arboricity's forest partition) are checked where
+they are made.  _mask_acyclic is the package's one mask checker, a peel
+driven by out-degree counts and in-rows: at limit 0 it removes sinks and
+passes the acyclic sets, at limit 1 on a graph's symmetric rows it
+removes leaves and passes the forests.  It shares no code with the class
+tests (_creates_cycle, _closes_forest_cycle) or any search, so a fault
+in a search cannot pass its own answers.
 
 The two acyclic-set entries share one branch and bound, _acyclic_masks,
 which yields each larger acyclic set it meets.  max_induced_acyclic reads
@@ -43,7 +42,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .digraphs import (
     Digraph, circulant_tournament, delete_arc, is_oriented, iter_bits, mask_of,
@@ -223,21 +222,10 @@ def dichromatic_number(d: Digraph) -> tuple[int, list[int]]:
             return k, res
 
 
-def verify_dicolouring(
-    d: Digraph,
-    colouring: Sequence[int],
-    k: int | None = None,
-    lists: Sequence[Iterable[int]] | None = None,
-) -> bool:
+def verify_dicolouring(d: Digraph, colouring: Sequence[int], k: int) -> bool:
     """Independent certificate check (no use of the search code path)."""
-    if len(colouring) != d.n:
+    if len(colouring) != d.n or any(not 1 <= c <= k for c in colouring):
         return False
-    if k is not None and any(not 1 <= c <= k for c in colouring):
-        return False
-    if lists is not None:
-        for v, c in enumerate(colouring):
-            if c not in set(lists[v]):
-                return False
     classes: dict[int, int] = {}
     for v, c in enumerate(colouring):
         classes[c] = classes.get(c, 0) | 1 << v
@@ -503,41 +491,6 @@ def induced_acyclic_set(d: Digraph, size: int) -> list[int] | None:
             f"induced set {list(iter_bits(mask))} is not acyclic of order {size}"
         )
     return list(iter_bits(mask))
-
-
-def is_list_dicolourable(
-    d: Digraph, lists: Sequence[Iterable[int]]
-) -> list[int] | None:
-    """A colouring with each colour drawn from the vertex's own list, or None.
-
-    Reduces to k-dicolourability with k the number of distinct list values:
-    one new vertex per value, the new vertices a bidirected clique, and a
-    digon from v to each value vertex whose value is not in v's list.  The
-    clique takes all k colours, a digon keeps v out of its partner's class,
-    and a value vertex has no arc inside its own class, so the colourings
-    of d that the extension allows are exactly the list colourings.
-    """
-    if len(lists) != d.n:
-        raise ValueError("one list per vertex required")
-    n = d.n
-    allowed = [set(lst) for lst in lists]
-    values = sorted(set().union(*allowed))
-    k = len(values)
-    clique = ((1 << k) - 1) << n
-    rows = list(d.rows) + [clique & ~(1 << (n + i)) for i in range(k)]
-    for i, c in enumerate(values):
-        for v in range(n):
-            if c not in allowed[v]:
-                rows[v] |= 1 << (n + i)
-                rows[n + i] |= 1 << v
-    res = _dfs_colour(Digraph(n + k, rows), k)
-    if res is None:
-        return None
-    value_of = {res[n + i]: c for i, c in enumerate(values)}
-    col = [value_of[c] for c in res[:n]]
-    if not verify_dicolouring(d, col, lists=allowed):
-        raise RuntimeError("list colouring failed verification")
-    return col
 
 
 # -- the exhaustive tournament bound's worker ------------------------------

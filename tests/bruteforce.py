@@ -100,14 +100,6 @@ def brute_dichromatic_number(d: Digraph) -> int:
     return k
 
 
-def brute_list_dicolourable(d: Digraph, lists):
-    domains = [sorted(lists[v]) for v in range(d.n)]
-    for assign in itertools.product(*domains):
-        if colouring_ok(d, assign):
-            return list(assign)
-    return None
-
-
 def brute_max_induced_acyclic(d: Digraph) -> int:
     best = 0
     for mask in range(1 << d.n):

@@ -494,6 +494,14 @@ def test_validate_census_names_each_fault(k, d, lines):
     assert validate_census(rep) == [f"{s}: {line}" for line in lines]
 
 
+def test_validate_census_names_a_repeated_output():
+    # a repeat across checkpoint records passes each record's own check
+    s = dicritical_census(5, 2).all_dicritical[0]
+    rep = CensusReport(n=5, k=2, all_dicritical=[s, s])
+    assert rep.count == 2
+    assert validate_census(rep) == [f"{s}: listed twice"]
+
+
 def test_census_jobs_agree():
     base = dicritical_census(5, 2)
     jobs = dicritical_census(5, 2, jobs=2)
@@ -574,6 +582,8 @@ _DKMME = '{"graph": "&DKMME?", "dicritical": ["&DCD@G?"], "candidates": 1}'
     ("bound", ['{"chunk": 0, "ok": false, "counterexample": "xyz"}']),
     # digraph6 that no orientation of the task graph is: order 2, one arc
     ("census", ['{"graph": "&DKMME?", "dicritical": ["&AO"], "candidates": 1}']),
+    # one output listed twice: the worker writes them sorted and distinct
+    ("census", ['{"graph": "&DKMME?", "dicritical": ["&DCD@G?", "&DCD@G?"], "candidates": 1}']),
 ])
 def test_malformed_checkpoint_records_are_refused(tmp_path, run, records):
     # a stored record the run cannot read, of a task the run does not have

@@ -27,7 +27,6 @@ from dichroma.solver import (
     is_acyclic,
     is_dicritical,
     is_k_dicolourable,
-    is_list_dicolourable,
     max_induced_acyclic,
     verify_dicolouring,
 )
@@ -38,7 +37,6 @@ from bruteforce import (
     brute_chromatic_number,
     brute_dichromatic_number,
     brute_dicolourable,
-    brute_list_dicolourable,
     brute_max_induced_acyclic,
     brute_shortest_cycle,
     brute_uncovered,
@@ -161,13 +159,8 @@ def test_verify_dicolouring_rejects_bad_input():
     assert not verify_dicolouring(TRI, [1, 1, 1], 2)
     assert not verify_dicolouring(TRI, [1, 2], 2)  # wrong length
     assert not verify_dicolouring(TRI, [1, 2, 3], 2)  # colour out of range
+    assert not verify_dicolouring(TRI, [0, 1, 1], 2)
     assert verify_dicolouring(TRI, [1, 1, 2], 2)
-
-
-def test_verify_dicolouring_with_lists():
-    lists = [[1], [1, 2], [2]]
-    assert verify_dicolouring(TRI, [1, 1, 2], 2, lists=lists)
-    assert not verify_dicolouring(TRI, [1, 1, 1], 2, lists=lists)
 
 
 def test_enumerate_dicolourings_matches_bruteforce_count():
@@ -287,10 +280,9 @@ def test_static_colourings_edge_cases():
     assert is_k_dicolourable(empty, 1) == []
     assert is_k_dicolourable(single, 1) == [1]
     assert is_k_dicolourable(TRI, 7) == [1, 1, 2]
-    # k = 0 reaches the search through empty lists
-    assert is_list_dicolourable(empty, []) == []
+    # k = 0, which vertex arboricity walks: no colouring of a nonempty digraph
     for d in (tt(3), TRI, Digraph.from_arcs(3, [(0, 1)])):
-        assert is_list_dicolourable(d, [[]] * 3) is None
+        assert _walk(d, 0) == []
 
 
 def test_dicritical_examples():
@@ -422,22 +414,6 @@ def test_max_induced_acyclic_deep_search():
     assert max_induced_acyclic(star) == list(range(n))
 
 
-def test_list_dicolouring_examples():
-    assert is_list_dicolourable(tt(4), [[1]] * 4) == [1] * 4
-    assert is_list_dicolourable(TRI, [[1]] * 3) is None
-    col = is_list_dicolourable(TRI, [[5], [5], [9]])
-    assert col == [5, 5, 9]
-    with pytest.raises(ValueError):
-        is_list_dicolourable(TRI, [[1], [1]])  # one list per vertex
-
-
-def test_list_dicolouring_is_verified(monkeypatch):
-    # a search that returns a wrong colouring is caught, not passed on
-    monkeypatch.setattr(solver, "_dfs_colour", lambda d, k: [0] * d.n)
-    with pytest.raises(RuntimeError):
-        is_list_dicolourable(TRI, [[1, 2]] * 3)
-
-
 def test_dicritical_colourings_are_verified(monkeypatch):
     # a wrong colouring from the search is caught, whichever the report
     # would carry: a non-critical digraph's (k-1)-colouring (first solve),
@@ -472,25 +448,9 @@ def test_a_faulty_search_is_caught_at_every_entry(monkeypatch, capsys, tmp_path)
     assert capsys.readouterr().err.startswith("internal error: ")
 
 
-def test_list_dicolouring_vs_bruteforce():
-    rng = random.Random(21)
-    for _ in range(60):
-        n = rng.randint(1, 6)
-        d = random_digraph(rng, n, 0.45)
-        lists = [
-            rng.sample(range(1, 6), rng.randint(1, 3)) for _ in range(n)
-        ]
-        got = is_list_dicolourable(d, lists)
-        want = brute_list_dicolourable(d, lists)
-        assert (got is None) == (want is None)
-        if got is not None:
-            assert all(got[v] in lists[v] for v in range(n))
-            assert verify_dicolouring(d, got, lists=lists)
-
-
 def test_acyclic_set_and_list_bound_match_oracles():
-    # acyclic sets on up to 12 vertices, then lists one colour longer than
-    # each vertex's larger degree, which always admit a dicolouring
+    # acyclic sets on up to 12 vertices, then one colour more than the
+    # largest degree, which always admits a dicolouring
     rng = random.Random(20260825)
     for _ in range(100):
         d = random_digraph(rng, rng.randint(1, 12), 0.3)
@@ -499,17 +459,12 @@ def test_acyclic_set_and_list_bound_match_oracles():
         assert len(best) == brute_max_induced_acyclic(d)
     for _ in range(100):
         d = random_digraph(rng, rng.randint(1, 8), 0.4)
-        pool = range(1, 2 * d.n + 2)
-        lists = [
-            sorted(rng.sample(
-                pool,
-                max(d.out_degree(v), d.in_degree(v)) + 1,
-            ))
-            for v in range(d.n)
-        ]
-        col = is_list_dicolourable(d, lists)
+        k = 1 + max(
+            max(d.out_degree(v), d.in_degree(v)) for v in range(d.n)
+        )
+        col = is_k_dicolourable(d, k)
         assert col is not None
-        assert verify_dicolouring(d, col, lists=lists)
+        assert verify_dicolouring(d, col, k)
 
 
 def test_bound_chunk_matches_per_mask_loop():
