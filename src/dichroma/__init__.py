@@ -1,6 +1,7 @@
 """Exact dicolouring toolkit: solver, censuses, structure tests, surface
 bounds and satisfiability reductions for digraphs."""
 
+from .certify import is_acyclic, verify_dicolouring
 from .digraphs import (
     Digraph,
     bidirect,
@@ -10,11 +11,9 @@ from .formats import d6_decode, d6_encode, load_digraph, dump_digraph
 from .solver import (
     dichromatic_number,
     induced_acyclic_set,
-    is_acyclic,
     is_dicritical,
     is_k_dicolourable,
     max_induced_acyclic,
-    verify_dicolouring,
 )
 
 __version__ = "0.1.0"

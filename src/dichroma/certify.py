@@ -1,0 +1,77 @@
+"""The checks of the searches' answers.  This module imports only digraphs
+and formats, so a check cannot share code with the search it checks.
+
+solver.is_k_dicolourable checks each colouring the search finds with
+verify_dicolouring before returning it, so its callers get checked
+colourings; those it does not return (the cover's walk, the induced
+acyclic sets, vertex arboricity's forest partition) are checked where
+they are made.  _mask_acyclic is the package's one mask checker, a peel
+driven by out-degree counts and in-rows: at limit 0 it removes sinks and
+passes the acyclic sets, at limit 1 on a graph's symmetric rows it
+removes leaves and passes the forests.  It shares no code with the class
+tests (_creates_cycle, _closes_forest_cycle) or any search, so a fault
+in a search cannot pass its own answers.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+from .digraphs import Digraph
+from .formats import dump_digraph
+
+
+def _mask_acyclic(rows: Sequence[int], irows: Sequence[int], mask: int, limit=0) -> bool:
+    """Is the mask's (limit + 1)-core empty?  A peel: each vertex counts its
+    out-neighbours in the mask, one whose count is at most limit is
+    removed, and that takes one from the count of each of its in-neighbours
+    there.  Limit 0 peels sinks and empties the acyclic masks; limit 1 on a
+    graph's symmetric rows peels leaves and empties the forests.  Counts
+    only fall, so each vertex is queued once and no pass rescans the mask."""
+    out = [0] * len(rows)
+    peel = []
+    m = mask
+    while m:
+        low = m & -m
+        v = low.bit_length() - 1
+        out[v] = deg = (rows[v] & mask).bit_count()
+        if deg <= limit:
+            peel.append(v)
+        m ^= low
+    left = mask.bit_count() - len(peel)
+    while peel:
+        r = irows[peel.pop()] & mask
+        while r:
+            low = r & -r
+            u = low.bit_length() - 1
+            out[u] -= 1
+            if out[u] == limit:
+                peel.append(u)
+                left -= 1
+            r ^= low
+    return not left
+
+
+def is_acyclic(d: Digraph) -> bool:
+    """Is the digraph acyclic?  The sink peel on every vertex."""
+    return _mask_acyclic(d.rows, d.in_rows, (1 << d.n) - 1)
+
+
+def verify_dicolouring(d: Digraph, colouring: Sequence[int], k: int) -> bool:
+    """Independent certificate check (no use of the search code path)."""
+    if len(colouring) != d.n or any(not 1 <= c <= k for c in colouring):
+        return False
+    classes: dict[int, int] = {}
+    for v, c in enumerate(colouring):
+        classes[c] = classes.get(c, 0) | 1 << v
+    irows = d.in_rows
+    return all(_mask_acyclic(d.rows, irows, m) for m in classes.values())
+
+
+def _verified(d: Digraph, colouring: list[int], k: int) -> list[int]:
+    """The colouring, if it is a k-dicolouring of d; else RuntimeError."""
+    if not verify_dicolouring(d, colouring, k):
+        raise RuntimeError(
+            f"{k}-dicolouring {colouring} of {dump_digraph(d)} fails verification"
+        )
+    return colouring

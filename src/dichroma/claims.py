@@ -16,6 +16,7 @@ import itertools
 import random
 
 from .canon import is_arc_transitive
+from .certify import verify_dicolouring
 from .digraphs import (
     Digraph,
     circulant_tournament,
@@ -49,7 +50,6 @@ from .solver import (
     is_dicritical,
     induced_acyclic_set,
     is_k_dicolourable,
-    verify_dicolouring,
 )
 from .structure import (
     block_decomposition,

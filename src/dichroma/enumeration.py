@@ -63,10 +63,11 @@ from dataclasses import asdict, dataclass, field
 from typing import Iterator, Sequence
 
 from .canon import _canon, canonical_cert, canonical_form, canonical_labelling
+from .certify import _mask_acyclic
 from .digraphs import Digraph, is_k_diregular, is_oriented, iter_bits
 from .formats import checkpointed_map, d6_decode, d6_encode
 from .solver import (
-    _bound_chunk, _class_masks, _creates_cycle, _extend_tournament, _mask_acyclic,
+    _bound_chunk, _class_masks, _creates_cycle, _extend_tournament,
     _static_colourings, _uncovered, is_dicritical, is_k_dicolourable,
 )
 from .structure import gallai_property_check
@@ -306,7 +307,7 @@ def arboricity(g: Digraph) -> int:
     throughout the walk, so _closes_forest_cycle tests a placement only
     against the trees it touches.  The census drops a graph on this
     answer, so each class of the partition found is checked by the leaf
-    peel of solver._mask_acyclic, which shares nothing with the walk."""
+    peel of certify._mask_acyclic, which shares nothing with the walk."""
     rows = g.underlying_rows
     for k in itertools.count():
         col = next(_static_colourings(rows, rows, g.n, k, _closes_forest_cycle), None)

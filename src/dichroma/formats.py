@@ -191,13 +191,14 @@ def checkpointed_map(
     (see open_checkpoint) come first, in file order, and their tasks are
     skipped; a stored record that is not a JSON object, lacks a field read
     takes, has one read refuses (read raises TypeError or ValueError), names
-    no task of the run or repeats one raises ValueError naming the file and
-    line, before any record is yielded.  The rest run in task order, in a
-    pool of min(jobs, tasks left, CPUs) worker processes when that is above
-    1 (a fork pool starts every worker at once), else serially, and each new
-    record is appended and flushed before it is yielded.  A caller that
-    stops early just leaves its loop: closing the generator cancels the
-    tasks not yet started and closes the file.
+    no task of the run or repeats one raises ValueError naming the file, the
+    line and which of these it is (with read's own message), before any
+    record is yielded.  The rest run in task order, in a pool of min(jobs,
+    tasks left, CPUs) worker processes when that is above 1 (a fork pool
+    starts every worker at once), else serially, and each new record is
+    appended and flushed before it is yielded.  A caller that stops early
+    just leaves its loop: closing the generator cancels the tasks not yet
+    started and closes the file.
     """
     records, ck = ([], None) if checkpoint is None else open_checkpoint(checkpoint, header)
     pool = None
@@ -205,12 +206,19 @@ def checkpointed_map(
         names = {t[0] for t in tasks}  # the tasks with no record yet
         stored = []
         for line, rec in records:
+            where = f"checkpoint {checkpoint}: line {line} "
+            if not isinstance(rec, dict):
+                raise ValueError(f"{where}is not a JSON object")
             try:
                 got = read(rec)
-                names.remove(got[0])
-            except (KeyError, TypeError, ValueError):  # missing, mistyped or refused
-                raise ValueError(f"checkpoint {checkpoint}: line {line} is not a"
-                                 " record of an unrecorded task of this run") from None
+            except KeyError as e:
+                raise ValueError(f"{where}lacks field {e.args[0]!r}") from None
+            except (TypeError, ValueError) as e:
+                raise ValueError(f"{where}is refused: {e}") from None
+            if got[0] not in names:
+                raise ValueError(
+                    f"{where}names a task this run lacks or has already recorded")
+            names.remove(got[0])
             stored.append(got)
         yield from stored
         todo = [t for t in tasks if t[0] in names]

@@ -22,11 +22,11 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
+from .certify import _verified
 from .digraphs import MAX_VERTICES, Digraph, delete_arc, is_oriented
 from .formats import d6_decode, read_int
 from .solver import (
-    _creates_cycle, _static_colourings, _verified, is_dicritical,
-    is_k_dicolourable,
+    _creates_cycle, _static_colourings, is_dicritical, is_k_dicolourable,
 )
 
 # the unique 20-arc 3-dicritical oriented graph of order 7 (census output),

@@ -19,17 +19,8 @@ colouring search: it places the vertices in a fixed order, each allowed
 only the colours up to 1 + the number already in use, which breaks colour
 symmetry.  The cover, the gadget checks and vertex arboricity (with a
 forest test for _creates_cycle) walk it in the order 0..n-1; _dfs_colour
-takes its first colouring in an order fixed once per digraph.
-is_k_dicolourable checks each colouring the search finds with
-verify_dicolouring before returning it, so its callers get checked
-colourings; those it does not return (the cover's walk, the induced
-acyclic sets, vertex arboricity's forest partition) are checked where
-they are made.  _mask_acyclic is the package's one mask checker, a peel
-driven by out-degree counts and in-rows: at limit 0 it removes sinks and
-passes the acyclic sets, at limit 1 on a graph's symmetric rows it
-removes leaves and passes the forests.  It shares no code with the class
-tests (_creates_cycle, _closes_forest_cycle) or any search, so a fault
-in a search cannot pass its own answers.
+takes its first colouring in an order fixed once per digraph.  The
+checks of their answers live in certify.
 
 The two acyclic-set entries share one branch and bound, _acyclic_masks,
 which yields each larger acyclic set it meets.  max_induced_acyclic reads
@@ -44,46 +35,11 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
+from .certify import _mask_acyclic, _verified
 from .digraphs import (
     Digraph, circulant_tournament, delete_arc, is_oriented, iter_bits, mask_of,
 )
-from .formats import d6_decode, d6_encode, dump_digraph
-
-
-def _mask_acyclic(rows: Sequence[int], irows: Sequence[int], mask: int, limit=0) -> bool:
-    """Is the mask's (limit + 1)-core empty?  A peel: each vertex counts its
-    out-neighbours in the mask, one whose count is at most limit is
-    removed, and that takes one from the count of each of its in-neighbours
-    there.  Limit 0 peels sinks and empties the acyclic masks; limit 1 on a
-    graph's symmetric rows peels leaves and empties the forests.  Counts
-    only fall, so each vertex is queued once and no pass rescans the mask."""
-    out = [0] * len(rows)
-    peel = []
-    m = mask
-    while m:
-        low = m & -m
-        v = low.bit_length() - 1
-        out[v] = deg = (rows[v] & mask).bit_count()
-        if deg <= limit:
-            peel.append(v)
-        m ^= low
-    left = mask.bit_count() - len(peel)
-    while peel:
-        r = irows[peel.pop()] & mask
-        while r:
-            low = r & -r
-            u = low.bit_length() - 1
-            out[u] -= 1
-            if out[u] == limit:
-                peel.append(u)
-                left -= 1
-            r ^= low
-    return not left
-
-
-def is_acyclic(d: Digraph) -> bool:
-    """Is the digraph acyclic?  The sink peel on every vertex."""
-    return _mask_acyclic(d.rows, d.in_rows, (1 << d.n) - 1)
+from .formats import d6_decode, d6_encode
 
 
 def _creates_cycle(rows, irows, v, cmask):
@@ -220,26 +176,6 @@ def dichromatic_number(d: Digraph) -> tuple[int, list[int]]:
         res = is_k_dicolourable(d, k)
         if res is not None:
             return k, res
-
-
-def verify_dicolouring(d: Digraph, colouring: Sequence[int], k: int) -> bool:
-    """Independent certificate check (no use of the search code path)."""
-    if len(colouring) != d.n or any(not 1 <= c <= k for c in colouring):
-        return False
-    classes: dict[int, int] = {}
-    for v, c in enumerate(colouring):
-        classes[c] = classes.get(c, 0) | 1 << v
-    irows = d.in_rows
-    return all(_mask_acyclic(d.rows, irows, m) for m in classes.values())
-
-
-def _verified(d: Digraph, colouring: list[int], k: int) -> list[int]:
-    """The colouring, if it is a k-dicolouring of d; else RuntimeError."""
-    if not verify_dicolouring(d, colouring, k):
-        raise RuntimeError(
-            f"{k}-dicolouring {colouring} of {dump_digraph(d)} fails verification"
-        )
-    return colouring
 
 
 def _class_masks(colouring: Sequence[int], colours: int) -> tuple[int, ...]:
@@ -598,7 +534,7 @@ def _bound_chunk(args) -> tuple[int, bool, str | None]:
 
 
 def find_circulant_candidate(
-    n: int = 13, acyclic_order: int = 4
+    n: int, acyclic_order: int
 ) -> tuple[Digraph, tuple[int, ...]]:
     """Search circulant tournaments on n vertices for one whose largest
     induced acyclic set has exactly the requested order: it has an induced

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .certify import _mask_acyclic
 from .digraphs import (
     Digraph,
     bidirect,
@@ -22,7 +23,6 @@ from .digraphs import (
     iter_bits,
     mask_of,
 )
-from .solver import _mask_acyclic
 
 SINGLE_EDGE = "single-edge"
 DIRECTED_CYCLE = "directed-cycle"

@@ -34,13 +34,13 @@ from typing import Iterator
 
 from dichroma import solver
 from dichroma.canon import _canon, canonical_cert, canonical_labelling
+from dichroma.certify import _verified
 from dichroma.digraphs import Digraph, bidirect, iter_bits, mask_of
 from dichroma.formats import d6_decode, d6_encode
 from dichroma.solver import (
     _class_masks,
     _extend_tournament,
     _suffixes,
-    _verified,
     is_k_dicolourable,
 )
 

@@ -123,12 +123,19 @@ def test_census_malformed_checkpoint_is_usage_error(tmp_path, capsys):
     ck = tmp_path / "census.ckpt"
     assert run_cli(capsys, "census", "5", "2", "--checkpoint", str(ck))[0] == 0
     header = ck.read_text().splitlines()[0]
-    for record in ('{"graph": "&DKMME?"}',
-                   '{"graph": "&DKMME?", "dicritical": ["junk"], "candidates": 1}'):
+    for record, reason in (
+        ('{"graph": "&DKMME?"}', "lacks field 'dicritical'"),
+        ('{"graph": "&DKMME?", "dicritical": ["junk"], "candidates": 1}',
+         "is refused: digraph6 input must start with '&'"),
+        ('{"graph": "&DKMME?", "dicritical": ["&DCD@G?", "&DCD@G?"], "candidates": 1}',
+         "is refused: outputs of &DKMME? are not strictly ascending"),
+        ('{"graph": "&DKMME?", "dicritical": 5, "candidates": 1}',
+         "is refused: census record field of the wrong type"),
+    ):
         ck.write_text(f"{header}\n{record}\n")
         code, out, err = run_cli(capsys, "census", "5", "2", "--checkpoint", str(ck))
         assert code == 2 and out == ""
-        assert err.startswith(f"error: checkpoint {ck}: line 2 ")
+        assert err.startswith(f"error: checkpoint {ck}: line 2 {reason}")
 
 
 def test_census_directed_triangle(capsys):

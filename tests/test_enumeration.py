@@ -555,40 +555,54 @@ def test_census_checkpoint_resume(tmp_path):
 _DKMME = '{"graph": "&DKMME?", "dicritical": ["&DCD@G?"], "candidates": 1}'
 
 
-@pytest.mark.parametrize("run, records", [
-    ("census", ["5"]),  # not a JSON object
-    ("census", ['["&DKMME?", [], 1]']),
-    ("census", ['{"foo": 1}']),  # fields missing
-    ("census", ['{"graph": "&DKMME?"}']),
-    ("census", ['{"graph": "&DCD@G?", "dicritical": [], "candidates": 1}']),  # no task
-    ("census", ['{"graph": ["&DKMME?"], "dicritical": [], "candidates": 1}']),
-    ("census", [_DKMME, '{"graph": "&DKMME?", "dicritical": [], "candidates": 1}']),
-    ("bound", ['{"chunk": 0}']),
-    ("bound", ['{"chunk": 0, "ok": false}']),  # a failure with no counterexample
-    ("bound", ['{"chunk": 1, "ok": true}']),  # the run has one chunk
-    ("bound", ['{"chunk": 0, "ok": true}', '{"chunk": 0, "ok": false}']),
+# (run, records after the header, what the refusal of the last one says)
+_MALFORMED = [
+    ("census", ["5"], "is not a JSON object"),
+    ("census", ['["&DKMME?", [], 1]'], "is not a JSON object"),
+    ("census", ['{"foo": 1}'], "lacks field 'graph'"),
+    ("census", ['{"graph": "&DKMME?"}'], "lacks field 'dicritical'"),
+    ("census", ['{"graph": "&DCD@G?", "dicritical": [], "candidates": 1}'],
+     "names a task this run lacks"),
+    ("census", ['{"graph": ["&DKMME?"], "dicritical": [], "candidates": 1}'], "wrong type"),
+    ("census", [_DKMME, '{"graph": "&DKMME?", "dicritical": [], "candidates": 1}'],
+     "or has already recorded"),
+    ("bound", ['{"chunk": 0}'], "lacks field 'ok'"),
+    # a failure with no counterexample
+    ("bound", ['{"chunk": 0, "ok": false}'], "lacks field 'counterexample'"),
+    ("bound", ['{"chunk": 1, "ok": true}'], "names a task"),  # the run has one chunk
+    ("bound", ['{"chunk": 0, "ok": true}', '{"chunk": 0, "ok": false}'],
+     "lacks field 'counterexample'"),
     # fields of the wrong type
-    ("census", ['{"graph": "&DKMME?", "dicritical": 5, "candidates": 1}']),
-    ("census", ['{"graph": "&DKMME?", "dicritical": [5], "candidates": 1}']),
-    ("census", ['{"graph": "&DKMME?", "dicritical": "&DCD@G?", "candidates": 1}']),
-    ("census", ['{"graph": "&DKMME?", "dicritical": [], "candidates": "1"}']),
-    ("census", ['{"graph": "&DKMME?", "dicritical": [], "candidates": true}']),
-    ("bound", ['{"chunk": 0, "ok": 1}']),
-    ("bound", ['{"chunk": 0, "ok": "yes"}']),
-    ("bound", ['{"chunk": 0, "ok": false, "counterexample": 5}']),
-    ("bound", ['{"chunk": false, "ok": true}']),  # False == 0
+    ("census", ['{"graph": "&DKMME?", "dicritical": 5, "candidates": 1}'], "wrong type"),
+    ("census", ['{"graph": "&DKMME?", "dicritical": [5], "candidates": 1}'], "wrong type"),
+    ("census", ['{"graph": "&DKMME?", "dicritical": "&DCD@G?", "candidates": 1}'],
+     "wrong type"),
+    ("census", ['{"graph": "&DKMME?", "dicritical": [], "candidates": "1"}'], "wrong type"),
+    ("census", ['{"graph": "&DKMME?", "dicritical": [], "candidates": true}'], "wrong type"),
+    ("bound", ['{"chunk": 0, "ok": 1}'], "wrong type"),
+    ("bound", ['{"chunk": 0, "ok": "yes"}'], "wrong type"),
+    ("bound", ['{"chunk": 0, "ok": false, "counterexample": 5}'], "wrong type"),
+    ("bound", ['{"chunk": false, "ok": true}'], "wrong type"),  # False == 0
     # strings that are not digraph6
-    ("census", ['{"graph": "&DKMME?", "dicritical": ["junk"], "candidates": 1}']),
-    ("bound", ['{"chunk": 0, "ok": false, "counterexample": "xyz"}']),
+    ("census", ['{"graph": "&DKMME?", "dicritical": ["junk"], "candidates": 1}'],
+     "is refused: digraph6 input must start with '&'"),
+    ("bound", ['{"chunk": 0, "ok": false, "counterexample": "xyz"}'],
+     "is refused: digraph6 input must start with '&'"),
     # digraph6 that no orientation of the task graph is: order 2, one arc
-    ("census", ['{"graph": "&DKMME?", "dicritical": ["&AO"], "candidates": 1}']),
+    ("census", ['{"graph": "&DKMME?", "dicritical": ["&AO"], "candidates": 1}'],
+     "&AO is not an orientation of &DKMME?"),
     # one output listed twice: the worker writes them sorted and distinct
-    ("census", ['{"graph": "&DKMME?", "dicritical": ["&DCD@G?", "&DCD@G?"], "candidates": 1}']),
-])
-def test_malformed_checkpoint_records_are_refused(tmp_path, run, records):
+    ("census", ['{"graph": "&DKMME?", "dicritical": ["&DCD@G?", "&DCD@G?"], "candidates": 1}'],
+     "not strictly ascending"),
+]
+
+
+@pytest.mark.parametrize("run, records, reason", _MALFORMED,
+                         ids=[f"{run}-records{i}" for i, (run, *_) in enumerate(_MALFORMED)])
+def test_malformed_checkpoint_records_are_refused(tmp_path, run, records, reason):
     # a stored record the run cannot read, of a task the run does not have
-    # or already recorded, is refused with its line, not read as a result;
-    # a repeated record must not replace the first
+    # or already recorded, is refused with its line and the reason, not
+    # read as a result; a repeated record must not replace the first
     ck = tmp_path / "run.ckpt"
     rerun = {
         "census": lambda: dicritical_census(5, 2, checkpoint=str(ck)),
@@ -597,7 +611,8 @@ def test_malformed_checkpoint_records_are_refused(tmp_path, run, records):
     rerun()
     bad = "\n".join([ck.read_text().splitlines()[0], *records]) + "\n"
     ck.write_text(bad)
-    with pytest.raises(ValueError, match=f"{re.escape(str(ck))}: line {len(records) + 1} "):
+    with pytest.raises(ValueError, match=f"{re.escape(str(ck))}: line {len(records) + 1} "
+                                         f".*{re.escape(reason)}"):
         rerun()
     assert ck.read_text() == bad
 

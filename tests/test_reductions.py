@@ -6,6 +6,7 @@ import re
 import pytest
 
 from dichroma import reductions
+from dichroma.certify import verify_dicolouring
 from dichroma.digraphs import MAX_VERTICES, Digraph, is_oriented
 from dichroma.reductions import (
     DIGON,
@@ -24,7 +25,6 @@ from dichroma.reductions import (
     _compile,
     _gadget,
 )
-from dichroma.solver import verify_dicolouring
 
 from bruteforce import enumerate_dicolourings, random_digraph, rotation_faces
 

@@ -10,7 +10,8 @@ from dichroma.digraphs import (
     circulant_tournament,
     mask_of,
 )
-from dichroma import enumeration, solver
+from dichroma import certify, enumeration, solver
+from dichroma.certify import is_acyclic, verify_dicolouring
 from dichroma.cli import main
 from dichroma.enumeration import (
     GEN_CAP, _hard_classes, gen_tournaments, verify_census_bound,
@@ -24,11 +25,9 @@ from dichroma.solver import (
     dichromatic_number,
     find_circulant_candidate,
     induced_acyclic_set,
-    is_acyclic,
     is_dicritical,
     is_k_dicolourable,
     max_induced_acyclic,
-    verify_dicolouring,
 )
 
 from bruteforce import (
@@ -73,7 +72,7 @@ def test_mask_acyclic_matches_bruteforce():
         for _ in range(8):
             mask = rng.getrandbits(n)
             want = kahn_acyclic(d, [v for v in range(n) if mask >> v & 1])
-            assert solver._mask_acyclic(d.rows, d.in_rows, mask) == want
+            assert certify._mask_acyclic(d.rows, d.in_rows, mask) == want
             seen.add(want)
         assert is_acyclic(d) == kahn_acyclic(d, range(n))
     assert seen == {False, True}
@@ -91,7 +90,7 @@ def test_mask_acyclic_matches_bruteforce():
     full = (1 << n) - 1
     for edges, forest in ((forward, True), (forward + [(100, n - 100)], False)):
         rows = graph(n, edges).rows
-        assert solver._mask_acyclic(rows, rows, full, 1) == forest
+        assert certify._mask_acyclic(rows, rows, full, 1) == forest
 
 
 def test_k_validation():
@@ -492,7 +491,7 @@ def test_extended_tournament_carries_its_in_rows():
 
 def test_uncovered_checks_every_colouring_it_uses(monkeypatch):
     assert _uncovered(TRI, 1) == list(range(8))  # nothing to verify
-    monkeypatch.setattr(solver, "verify_dicolouring", lambda *a: False)
+    monkeypatch.setattr(certify, "verify_dicolouring", lambda *a: False)
     for t, k in ((tt(3), 2), (TRI, 2)):  # (k-1)-solve, then the walk
         with pytest.raises(RuntimeError):
             _uncovered(t, k)

@@ -283,29 +283,17 @@ def test_one_colouring_search():
 def test_verify_path_shares_no_search_code():
     # every positive answer is re-checked by code that shares nothing with
     # the search that found it, so a fault in the search cannot pass its
-    # own answers: follow every package function the checks name, and
-    # every one those name in turn
-    search = {"_closes_forest_cycle", "_creates_cycle", "_dfs_colour",
-              "_saturation_ranks", "_shortest_cycle", "_static_colourings"}
-    defs: dict[str, list] = {}
-    for mod, tree in _modules():
-        for _, fn in _functions(tree, mod):
-            defs.setdefault(fn.name, []).append(fn)
-    reached = set()
-    todo = ["verify_dicolouring", "_mask_acyclic"]
-    while todo:
-        name = todo.pop()
-        if name in reached:
-            continue
-        reached.add(name)
-        for fn in defs[name]:
-            for node in ast.walk(fn):
-                if isinstance(node, ast.Name) and node.id in defs:
-                    todo.append(node.id)
-                elif isinstance(node, ast.Attribute) and node.attr in defs:
-                    todo.append(node.attr)
-    assert "in_rows" in reached  # properties are followed too
-    assert reached & search == set()
+    # own answers: the checks live in certify, and neither it nor what it
+    # imports imports a search (an import of any other form adds a name)
+    imports = {name: {getattr(node, "module", None) for node in ast.walk(tree)
+                      if _package_import(node)} for name, tree in _modules()}
+    assert (imports["certify"], imports["formats"], imports["digraphs"]) == (
+        {"digraphs", "formats"}, {"digraphs"}, set())
+    checks = ("_mask_acyclic", "is_acyclic", "verify_dicolouring", "_verified")
+    assert {getattr(dichroma.certify, name).__module__ for name in checks} == {
+        "dichroma.certify"}
+    assert [name for mod, tree in _modules() if mod != "certify"
+            for name, fn in _functions(tree, mod) if fn.name in checks] == []
 
 
 def test_certificate_entries_name_their_checker():
