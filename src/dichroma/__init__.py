@@ -13,7 +13,6 @@ from .solver import (
     induced_acyclic_set,
     is_dicritical,
     is_k_dicolourable,
-    max_induced_acyclic,
 )
 
 __version__ = "0.1.0"
@@ -31,7 +30,6 @@ __all__ = [
     "is_acyclic",
     "is_dicritical",
     "is_k_dicolourable",
-    "max_induced_acyclic",
     "verify_dicolouring",
     "__version__",
 ]

@@ -684,8 +684,11 @@ def dicritical_census(
 
 
 def validate_census(report: CensusReport) -> list[str]:
-    """Independent re-verification of a census report; returns a list of
-    failure descriptions (empty when everything checks out)."""
+    """Re-check a census report; returns a list of failure descriptions
+    (empty when everything checks out).  Each output goes through
+    is_dicritical again, the census's own search, so only the colourings
+    it reports are checked independently (by verify_dicolouring); its
+    answers that no colouring exists are trusted search output."""
     outs = sorted(report.all_dicritical)
     problems = [f"{s}: listed twice" for s, t in zip(outs, outs[1:]) if s == t]
     k = report.k

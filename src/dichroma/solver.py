@@ -1,8 +1,8 @@
 """Exact decision procedures for dicolouring: dicolourability, the
-dichromatic number, dicriticality and induced acyclic sets (a maximum
-one, or one of a given order), plus the chunk worker that checks
-dominance extensions of tournaments for the exhaustive tournament bound
-(the bound itself lives with tournament generation).
+dichromatic number, dicriticality and induced acyclic sets of a given
+order, plus the chunk worker that checks dominance extensions of
+tournaments for the exhaustive tournament bound (the bound itself lives
+with tournament generation).
 
 The worker decides all 2^n extensions of a parent tournament T at once by
 a colouring cover (_uncovered).  A new vertex beating exactly the set S can
@@ -22,11 +22,8 @@ forest test for _creates_cycle) walk it in the order 0..n-1; _dfs_colour
 takes its first colouring in an order fixed once per digraph.  The
 checks of their answers live in certify.
 
-The two acyclic-set entries share one branch and bound, _acyclic_masks,
-which yields each larger acyclic set it meets.  max_induced_acyclic reads
-it to the end, which proves its last set maximum; induced_acyclic_set
-stops at the first set of the order asked, which decides that such a set
-exists and proves nothing about larger ones.
+induced_acyclic_set stops at the first acyclic set of the order asked,
+which decides that such a set exists and proves nothing about larger ones.
 """
 
 from __future__ import annotations
@@ -361,20 +358,19 @@ def _shortest_cycle(
     return best
 
 
-def _acyclic_masks(d: Digraph, best: int) -> Iterator[int]:
-    """The acyclic vertex masks of more than best vertices that a
-    depth-first branch and bound meets, each yielded only when larger than
-    every mask before it, so the last is a maximum one.  None is yielded
-    when no acyclic mask has more than best vertices.
+def induced_acyclic_set(d: Digraph, size: int) -> list[int] | None:
+    """A vertex set of at least size vertices inducing an acyclic
+    subdigraph, ascending, or None when there is none: the first acyclic
+    mask of a depth-first branch and bound.  The set is confirmed by the
+    sink peel of _mask_acyclic, which shares nothing with the cycle
+    search, or RuntimeError is raised.
 
     The search branches over the vertices of a shortest remaining directed
-    cycle (each must lose a vertex), pruning by candidate count and by
-    cycles made unbreakable by earlier keep decisions.  It runs on an
-    explicit stack of (mask, keep) pairs, so its depth is not bounded by
-    Python's recursion limit.  A node's children go on in reverse, the
-    i-th keeping the cycle vertices the earlier ones removed, and a child
-    is pruned when it is popped, against the best that its earlier
-    siblings' subtrees left.
+    cycle (each must lose a vertex), pruning a mask of fewer than size
+    vertices and a cycle made unbreakable by earlier keep decisions.  It
+    runs on an explicit stack of (mask, keep) pairs, so its depth is not
+    bounded by Python's recursion limit.  A node's children go on in
+    reverse, the i-th keeping the cycle vertices the earlier ones removed.
     """
     rows, irows = d.rows, d.in_rows
     digon_mask = mask_of(v for v, r in enumerate(d.digon_rows) if r)
@@ -382,51 +378,21 @@ def _acyclic_masks(d: Digraph, best: int) -> Iterator[int]:
     stack = [((1 << d.n) - 1, 0)]
     while stack:
         mask, keep = stack.pop()
-        size = mask.bit_count()
-        if size <= best:
+        if mask.bit_count() < size:
             continue
         cyc = _shortest_cycle(rows, irows, mask, digon_mask, tournament)
         if cyc is None:
-            best = size
-            yield mask
-            continue
+            if not _mask_acyclic(rows, irows, mask):
+                raise RuntimeError(
+                    f"induced set {list(iter_bits(mask))} is not acyclic")
+            return list(iter_bits(mask))
         children = []
         for v in cyc:
             if not keep >> v & 1:
                 children.append((mask & ~(1 << v), keep))
                 keep |= 1 << v
         stack.extend(reversed(children))
-
-
-def max_induced_acyclic(d: Digraph) -> list[int]:
-    """A maximum vertex set inducing an acyclic subdigraph, ascending: the
-    last mask of _acyclic_masks.  The answer is confirmed by the sink peel
-    of _mask_acyclic, which shares nothing with the cycle search;
-    RuntimeError is raised if it fails.
-    """
-    best_mask = 0
-    for best_mask in _acyclic_masks(d, -1):
-        pass
-    if not _mask_acyclic(d.rows, d.in_rows, best_mask):
-        raise RuntimeError(
-            f"induced set {list(iter_bits(best_mask))} is not acyclic"
-        )
-    return list(iter_bits(best_mask))
-
-
-def induced_acyclic_set(d: Digraph, size: int) -> list[int] | None:
-    """A vertex set of at least size vertices inducing an acyclic
-    subdigraph, ascending, or None when there is none: the first mask of
-    _acyclic_masks above size - 1.  The set is confirmed by _mask_acyclic,
-    or RuntimeError is raised."""
-    mask = next(_acyclic_masks(d, size - 1), None)
-    if mask is None:
-        return None
-    if mask.bit_count() < size or not _mask_acyclic(d.rows, d.in_rows, mask):
-        raise RuntimeError(
-            f"induced set {list(iter_bits(mask))} is not acyclic of order {size}"
-        )
-    return list(iter_bits(mask))
+    return None
 
 
 # -- the exhaustive tournament bound's worker ------------------------------
@@ -540,25 +506,19 @@ def find_circulant_candidate(
     induced acyclic set has exactly the requested order: it has an induced
     acyclic set of that order and none of one more.
 
-    Connection sets take one difference from each pair {d, n-d}; the
-    lexicographically least hit is returned with its digraph.  Raises
-    ValueError when no circulant qualifies.
+    Connection sets take one difference from each pair {d, n-d}; they are
+    scanned in ascending order, and the first hit is returned with its
+    digraph.  Raises ValueError when no circulant qualifies.
     """
     if n < 3 or n % 2 == 0:
         raise ValueError("circulant tournaments need odd n >= 3")
     pairs = [(d0, n - d0) for d0 in range(1, n // 2 + 1)]
-    best: tuple[int, ...] | None = None
-    for choice in itertools.product(*pairs):
-        s = tuple(sorted(choice))
-        if best is not None and s >= best:
-            continue
+    for s in sorted(tuple(sorted(choice)) for choice in itertools.product(*pairs)):
         d = circulant_tournament(n, s)
         if (induced_acyclic_set(d, acyclic_order) is not None
                 and induced_acyclic_set(d, acyclic_order + 1) is None):
-            best = s
-    if best is None:
-        raise ValueError(
-            f"no circulant tournament on {n} vertices has maximum induced "
-            f"acyclic order {acyclic_order}"
-        )
-    return circulant_tournament(n, best), best
+            return d, s
+    raise ValueError(
+        f"no circulant tournament on {n} vertices has maximum induced "
+        f"acyclic order {acyclic_order}"
+    )

@@ -15,7 +15,7 @@ refinement recounting every vertex against every cell in every round;
 brute_canon and brute_encode, the canonical search pruning by jump-back
 alone and encoding each leaf row by row, which the orbit-pruned search and
 its two leaf encodings are checked against;
-brute_shortest_cycle, the cycle search of max_induced_acyclic as a BFS
+brute_shortest_cycle, the cycle search of induced_acyclic_set as a BFS
 from every vertex; brute_levels, the generators' level loop certifying
 every child at every level, which canonical deletion is checked against,
 with gen_graphs' extension rule written out as brute_graph_extend; and

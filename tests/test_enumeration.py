@@ -570,8 +570,8 @@ _MALFORMED = [
     # a failure with no counterexample
     ("bound", ['{"chunk": 0, "ok": false}'], "lacks field 'counterexample'"),
     ("bound", ['{"chunk": 1, "ok": true}'], "names a task"),  # the run has one chunk
-    ("bound", ['{"chunk": 0, "ok": true}', '{"chunk": 0, "ok": false}'],
-     "lacks field 'counterexample'"),
+    ("bound", ['{"chunk": 0, "ok": true}', '{"chunk": 0, "ok": true}'],
+     "or has already recorded"),
     # fields of the wrong type
     ("census", ['{"graph": "&DKMME?", "dicritical": 5, "candidates": 1}'], "wrong type"),
     ("census", ['{"graph": "&DKMME?", "dicritical": [5], "candidates": 1}'], "wrong type"),

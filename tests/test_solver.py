@@ -27,7 +27,6 @@ from dichroma.solver import (
     induced_acyclic_set,
     is_dicritical,
     is_k_dicolourable,
-    max_induced_acyclic,
 )
 
 from bruteforce import (
@@ -314,18 +313,6 @@ def test_dicritical_report_json():
     assert obj["k"] == 2 and obj["is_dicritical"] is True
 
 
-def test_max_induced_acyclic_vs_bruteforce():
-    rng = random.Random(77)
-    for _ in range(60):
-        n = rng.randint(1, 8)
-        d = random_digraph(rng, n, 0.45)
-        got = max_induced_acyclic(d)
-        assert kahn_acyclic(d, got)
-        assert len(got) == brute_max_induced_acyclic(d)
-    acyclic = tt(7)
-    assert sorted(max_induced_acyclic(acyclic)) == list(range(7))
-
-
 def test_shortest_cycle_matches_bfs_reference():
     # the digon and triangle steps must return the BFS's own first
     # shortest cycle, on every mask
@@ -354,10 +341,9 @@ def test_shortest_cycle_matches_bfs_reference():
         assert 4 in lengths or group == "tournaments", group
 
 
-def test_max_induced_acyclic_lists_are_frozen():
-    # sha256 over the returned lists, computed with the recursive search
-    # and the BFS cycle search: the visit order, not only the size, must
-    # survive changes to the search
+def test_induced_acyclic_sets_are_frozen():
+    # sha256 over the first-hit sets, every size from 0 to n + 1: the
+    # visit order, not only the size, must survive changes to the search
     rng = random.Random(3)
     h = hashlib.sha256()
     inputs = list(gen_tournaments(7))
@@ -367,16 +353,11 @@ def test_max_induced_acyclic_lists_are_frozen():
         d = random_digraph(rng, n, p) if i % 2 else random_oriented(rng, n, p)
         inputs.append(d)
     for d in inputs:
-        h.update(repr(max_induced_acyclic(d)).encode() + b"\n")
+        for size in range(d.n + 2):
+            h.update(repr(induced_acyclic_set(d, size)).encode() + b"\n")
     assert h.hexdigest() == (
-        "23a056af4ce11dc3510c134fb29f9ab3974f016426a5d4565a189c4b564380a3"
+        "bf7005e65bcc7f7e048198293d807a7c235623fa0cdf0ad387f6b2ae957bd472"
     )
-
-
-def test_max_induced_acyclic_checks_its_answer(monkeypatch):
-    monkeypatch.setattr(solver, "_shortest_cycle", lambda *a: None)
-    with pytest.raises(RuntimeError):
-        max_induced_acyclic(TRI)
 
 
 def test_induced_acyclic_set_vs_bruteforce():
@@ -405,12 +386,14 @@ def test_induced_acyclic_set_checks_its_answer(monkeypatch):
         induced_acyclic_set(TRI, 3)
 
 
-def test_max_induced_acyclic_deep_search():
-    # digons from the hub, labelled last, to 1,200 leaves: the first branch
-    # drops the leaves one by one, one frame per leaf for a recursive search
+def test_induced_acyclic_set_deep_search():
+    # digons from the hub, labelled last, to 1,200 leaves: at size 1 the
+    # first branch drops the leaves one by one, one frame per leaf for a
+    # recursive search; at size n it keeps the leaves by dropping the hub
     n = 1200
     star = Digraph.from_arcs(n + 1, [a for v in range(n) for a in ((v, n), (n, v))])
-    assert max_induced_acyclic(star) == list(range(n))
+    assert induced_acyclic_set(star, 1) == [n]
+    assert induced_acyclic_set(star, n) == list(range(n))
 
 
 def test_dicritical_colourings_are_verified(monkeypatch):
@@ -453,9 +436,10 @@ def test_acyclic_set_and_list_bound_match_oracles():
     rng = random.Random(20260825)
     for _ in range(100):
         d = random_digraph(rng, rng.randint(1, 12), 0.3)
-        best = max_induced_acyclic(d)
-        assert kahn_acyclic(d, best)
-        assert len(best) == brute_max_induced_acyclic(d)
+        best = brute_max_induced_acyclic(d)
+        got = induced_acyclic_set(d, best)
+        assert kahn_acyclic(d, got) and len(got) >= best
+        assert induced_acyclic_set(d, best + 1) is None
     for _ in range(100):
         d = random_digraph(rng, rng.randint(1, 8), 0.4)
         k = 1 + max(
@@ -617,6 +601,8 @@ def test_bound_checkpoint_is_versioned(tmp_path):
 def test_find_circulant_candidate_small():
     d, s = find_circulant_candidate(3, 2)
     assert s == (1,) and d.n == 3
+    # every circulant on 5 vertices qualifies: the least of them is returned
+    assert find_circulant_candidate(5, 3)[1] == (1, 2)
     with pytest.raises(ValueError):
         find_circulant_candidate(3, 3)  # a triangle has no acyclic triple
     with pytest.raises(ValueError):

@@ -301,7 +301,6 @@ def test_certificate_entries_name_their_checker():
     # refactor cannot drop that check without this test failing
     defs = {fn.name: fn for _, tree in _modules() for _, fn in _functions(tree, "")}
     for entry, checker in (("is_k_dicolourable", "_verified"),
-                           ("max_induced_acyclic", "_mask_acyclic"),
                            ("induced_acyclic_set", "_mask_acyclic"),
                            ("cactus_induced_forest", "_mask_acyclic"),
                            ("arboricity", "_mask_acyclic")):
