@@ -278,9 +278,9 @@ def _shortest_cycle(
     rows, irows, mask, digon_mask, tournament: bool = False
 ) -> list[int] | None:
     """A shortest directed cycle within the mask, as a vertex list, or None.
-    The digon_mask must hold every vertex with a digon partner; the digon
-    step scans only its vertices.  tournament says that the rows are a
-    tournament's.
+    The digon_mask must hold every vertex with a digon partner inside the
+    mask; the digon step scans only its vertices.  tournament says that
+    the rows are a tournament's.
 
     The cycle is the one a BFS from each vertex s of the mask, ascending,
     finds first, out-neighbours scanned ascending, a later s's cycle kept
@@ -368,28 +368,32 @@ def induced_acyclic_set(d: Digraph, size: int) -> list[int] | None:
     The search branches over the vertices of a shortest remaining directed
     cycle (each must lose a vertex), pruning a mask of fewer than size
     vertices and a cycle made unbreakable by earlier keep decisions.  It
-    runs on an explicit stack of (mask, keep) pairs, so its depth is not
-    bounded by Python's recursion limit.  A node's children go on in
+    runs on an explicit stack of (mask, keep, digons) entries, so its depth
+    is not bounded by Python's recursion limit.  A node's children go on in
     reverse, the i-th keeping the cycle vertices the earlier ones removed.
+    digons holds the vertices that may have a digon partner in the mask: a
+    digon [s, w] shows that none below s has one, and a longer cycle that
+    none has, so no node rescans the pairs its ancestors broke.
     """
     rows, irows = d.rows, d.in_rows
-    digon_mask = mask_of(v for v, r in enumerate(d.digon_rows) if r)
     tournament = _is_tournament(d)
-    stack = [((1 << d.n) - 1, 0)]
+    stack = [((1 << d.n) - 1, 0,
+              mask_of(v for v, r in enumerate(d.digon_rows) if r))]
     while stack:
-        mask, keep = stack.pop()
+        mask, keep, digons = stack.pop()
         if mask.bit_count() < size:
             continue
-        cyc = _shortest_cycle(rows, irows, mask, digon_mask, tournament)
+        cyc = _shortest_cycle(rows, irows, mask, digons, tournament)
         if cyc is None:
             if not _mask_acyclic(rows, irows, mask):
                 raise RuntimeError(
                     f"induced set {list(iter_bits(mask))} is not acyclic")
             return list(iter_bits(mask))
+        digons = digons >> cyc[0] << cyc[0] if len(cyc) == 2 else 0
         children = []
         for v in cyc:
             if not keep >> v & 1:
-                children.append((mask & ~(1 << v), keep))
+                children.append((mask & ~(1 << v), keep, digons))
                 keep |= 1 << v
         stack.extend(reversed(children))
     return None

@@ -1,20 +1,14 @@
 """Surface names and Euler characteristics, Heawood numbers, dicritical
 order bounds, the bounds table.
 
-Every bound depends only on the Euler characteristic c of the surface: the
-arboricity ceiling, the order ceilings for dicritical oriented graphs, and
-the bounds on the dichromatic number of oriented graphs on the surface.
-
-Everything except the tournament lower bound is exact integer arithmetic.
-That one bound is the ceiling of a ratio with a logarithm in it: it takes
-Heawood numbers only up to 2**53, where each is an exact float, keeps the
-float ratio where it is farther from an integer than its rounding error,
-and recomputes it in 60-digit decimal arithmetic elsewhere.
+Every bound depends only on the Euler characteristic c of the surface and
+is exact integer arithmetic: the arboricity ceiling, the order ceilings for
+dicritical oriented graphs, and the bounds on the dichromatic number of
+oriented graphs on the surface.
 """
 
 from __future__ import annotations
 
-import decimal
 import math
 
 from .formats import read_int
@@ -40,11 +34,12 @@ def parse_surface(text: str) -> tuple[str, int]:
     t = next((key.lower() for key, name in _NAMES.items() if name == t), t)
     kind = {"s": "S", "n": "N"}.get(t[:1])
     try:
-        genus = read_int(t[1:])
+        name, c = _surface(kind, read_int(t[1:]))
+        str(c)  # every report prints c: ValueError past the int-text limit
     except ValueError:
         kind = None
-    if kind and (kind == "S" or genus >= 1):
-        return _surface(kind, genus)
+    if kind and (kind == "S" or c <= 1):
+        return name, c
     raise ValueError(f"cannot parse surface {text!r}")
 
 
@@ -73,8 +68,9 @@ def arboricity_bound(c: int) -> int:
 
 def dicritical_order_bound(k: int, c: int) -> int | None:
     """Order ceiling for a k-dicritical oriented graph embeddable on a
-    surface of Euler characteristic c: 4-9c at k=4 and floor(-3c/(k-4))
-    for k >= 5, or None below k=4, where no formula applies."""
+    surface of Euler characteristic c, from Euler's m <= 3n - 3c: 4-9c at
+    k=4 by m >= (10n-4)/3 (Kostochka and Stiebitz, Graphs Combin. 2020),
+    floor(-3c/(k-4)) at k >= 5 by degrees >= k-1, m >= (k-1)n; else None."""
     if k == 4:
         return 4 - 9 * c
     if k >= 5:
@@ -83,24 +79,26 @@ def dicritical_order_bound(k: int, c: int) -> int | None:
 
 
 def tournament_lower_bound(c: int) -> int:
-    """Some tournament on H(c) vertices has dichromatic number at least
-    H/(2 log2 H + 1); its underlying complete graph embeds by Heawood.
-    Raises ValueError when H(c) exceeds 2**53: every int up to that is an
-    exact float."""
-    h = heawood_number(c)
-    if h > 2**53:
-        raise ValueError(
-            "the tournament bound needs a Heawood number of at most 2**53; "
-            f"this characteristic gives one of {h.bit_length()} bits"
-        )
-    x = h / (2 * math.log2(h) + 1)
-    # log2, one addition and one division leave a relative error of a few
-    # units of 2**-53, far below 2**-48
-    if abs(x - round(x)) > x * 2**-48:
-        return math.ceil(x)
-    with decimal.localcontext(decimal.Context(prec=60)):
-        hd = decimal.Decimal(h)
-        return math.ceil(hd / (2 * hd.ln() / decimal.Decimal(2).ln() + 1))
+    """ceil(n/(t-1)) for n = H(c) and the least t with perm(n, t) <
+    2**C(t, 2): a random tournament on n vertices then averages under one
+    transitive subtournament of order t, so some tournament, on a K_n that
+    embeds by Heawood, has acyclic sets of < t vertices (Erdos and Moser
+    1964).  perm(n, t) lies in [lo, hi] * 2**shift, running products
+    rounded to p bits; p doubles until every test decides, as it does once
+    nothing rounds.  t <= 2b + 1, b = n.bit_length(): perm(n, t) < 2**(bt)."""
+    n = heawood_number(c)
+    p = 8
+    while True:
+        lo, hi, shift = 1, 1, 0
+        for t, x in enumerate(range(n, -1, -1), 1):  # perm(n, t) ends in x
+            s = max((hi * x).bit_length() - p, 0)
+            lo, hi, shift = lo * x >> s, -(-hi * x >> s), shift + s
+            k = t * (t - 1) // 2 - shift  # is lo or hi below 2**k?
+            if not lo or lo.bit_length() <= k:
+                break
+        if hi.bit_length() <= k:
+            return -(-n // (t - 1))
+        p *= 2
 
 
 def _rules(c: int):
@@ -111,7 +109,8 @@ def _rules(c: int):
         yield "lower", 3, "lower-3-characteristic-at-most-1"
     if c <= -8:
         yield "lower", 4, "lower-4-characteristic-at-most-minus-8"
-    yield "lower", tournament_lower_bound(c), "heawood-tournament"
+    if heawood_number(c) >= 8:  # K_H embeds; K7 misses the Klein bottle
+        yield "lower", tournament_lower_bound(c), "tournament-counting"
     if c <= 1:
         yield "upper", arboricity_bound(c), "kronk-arboricity"
     if c >= -8:

@@ -1,7 +1,7 @@
 """Independent brute-force oracles used to cross-check the library.
 
 The oracles recompute from first principles: no solver, canonical-form,
-or generator code is reused beyond the plain data types.  Ten references
+or generator code is reused beyond the plain data types.  Eleven references
 are earlier versions of library internals, on top of the library's other
 layers (the solver, canonical certificates), kept to check their faster
 replacements: brute_mixed_cert, the orientation stream's partial-state
@@ -18,17 +18,23 @@ its two leaf encodings are checked against;
 brute_shortest_cycle, the cycle search of induced_acyclic_set as a BFS
 from every vertex; brute_levels, the generators' level loop certifying
 every child at every level, which canonical deletion is checked against,
-with gen_graphs' extension rule written out as brute_graph_extend; and
+with gen_graphs' extension rule written out as brute_graph_extend;
 deletion_ranks, with brute_first_lower around it, canonical deletion
 labelling every deletion by a fresh canonical search, which the labellings
-that generation carries down its levels are checked against.
+that generation carries down its levels are checked against; and
+brute_tournament_closed_form, the tournament lower bound's earlier closed
+form in float and decimal arithmetic, which the counting bound must never
+fall below.  brute_least_transitive_free is that bound's order t by the
+naive loop over math.perm.
 rotation_faces traces the faces of a rotation system, which gives the face
 checker of reductions embeddings whose surface Euler's formula names.
 """
 
 from __future__ import annotations
 
+import decimal
 import itertools
+import math
 import random
 from typing import Iterator
 
@@ -657,3 +663,32 @@ def deletion_ranks(p: Digraph, index, orders, ranks) -> list[list[int]]:
         base = m << (t - 1)
         tables.append([ranks[base | x] for x in mapped])
     return tables
+
+
+def brute_least_transitive_free(n: int) -> int:
+    """The least t with perm(n, t) < 2**C(t, 2), t = 1, 2, ... in turn."""
+    t = 1
+    while math.perm(n, t) >= 1 << t * (t - 1) // 2:
+        t += 1
+    return t
+
+
+def brute_tournament_closed_form(h: int) -> int:
+    """The earlier tournament lower bound at Heawood number h, verbatim:
+    ceil(h/(2 log2 h + 1)) in floating point, recomputed in 60-digit
+    decimal arithmetic where the float ratio is within its rounding error
+    of an integer; ValueError past 2**53, where ints stop being exact
+    floats."""
+    if h > 2**53:
+        raise ValueError(
+            "the tournament bound needs a Heawood number of at most 2**53; "
+            f"this characteristic gives one of {h.bit_length()} bits"
+        )
+    x = h / (2 * math.log2(h) + 1)
+    # log2, one addition and one division leave a relative error of a few
+    # units of 2**-53, far below 2**-48
+    if abs(x - round(x)) > x * 2**-48:
+        return math.ceil(x)
+    with decimal.localcontext(decimal.Context(prec=60)):
+        hd = decimal.Decimal(h)
+        return math.ceil(hd / (2 * hd.ln() / decimal.Decimal(2).ln() + 1))

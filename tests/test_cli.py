@@ -208,17 +208,19 @@ def test_bounds_range(capsys):
         code, _, err = run_cli(capsys, "bounds", *argv)
         assert code == 2
         assert "error:" in err
-    # past the tournament bound's limit a surface is a usage error, not a
-    # traceback
+    # the tournament bound has no cap: c = -10**700 gets its rows, and the
+    # row of N<10**700 + 2> is the one --surface prints
     huge = "-1" + "0" * 700
-    for argv in (["--range", huge, huge], ["--surface", "S1" + "0" * 700]):
-        code, out, err = run_cli(capsys, "bounds", *argv)
-        assert code == 2 and out == ""
-        assert err.startswith("error: the tournament bound needs")
+    code, out, _ = run_cli(capsys, "bounds", "--range", huge, huge)
+    rows = [line.split() for line in out.splitlines()]
+    assert code == 0 and [r[0][:2] for r in rows] == ["S5", "N1"]
+    assert rows[0][1:] == rows[1][1:] == [f"c={huge}", rows[1][2]]
+    code, out, _ = run_cli(capsys, "bounds", "--surface", "N1" + "0" * 699 + "2")
+    assert code == 0 and out.strip() == rows[1][2]
     # a range holds at most cli.RANGE_LIMIT characteristics once clipped at
     # 2, and a wider one is refused before any row is built
     code, out, _ = run_cli(capsys, "bounds", "--range", "-9997", "2")
-    assert code == 0 and out.splitlines()[-1].split() == ["N9999", "c=-9997", "[15,124]"]
+    assert code == 0 and out.splitlines()[-1].split() == ["N9999", "c=-9997", "[16,124]"]
     for lo in ("-9998", "-10000000000"):
         code, out, err = run_cli(capsys, "bounds", "--range", lo, "2")
         assert code == 2 and out == ""
@@ -226,6 +228,21 @@ def test_bounds_range(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bounds", "--surface", "N1", "--range", "-2", "2"])
     assert exc.value.code == 2
+
+
+def test_bounds_reach_every_genus_read_int_admits(capsys):
+    # read_int admits 4,300 digits: the deepest N<genus> and S<genus> get
+    # their rows, and S9 then 4,299 zeros, whose characteristic has 4,301
+    # digits, exits 2 naming the text rather than with Python's advice on
+    # its int-to-text limit
+    for name in ("N" + "9" * 4300, "S4" + "9" * 4299, "S5" + "0" * 4299):
+        code, out, _ = run_cli(capsys, "bounds", "--json", "--surface", name)
+        row = json.loads(out)["results"][name]
+        assert code == 0 and row["euler_characteristic"] == parse_surface(name)[1]
+        assert 2 < row["lower"] < row["upper"]
+    name = "S9" + "0" * 4299
+    code, out, err = run_cli(capsys, "bounds", "--json", "--surface", name)
+    assert code == 2 and out == "" and err == f"error: cannot parse surface {name!r}\n"
 
 
 def test_bounds_json_rows_share_one_shape(capsys):

@@ -396,6 +396,28 @@ def test_induced_acyclic_set_deep_search():
     assert induced_acyclic_set(star, n) == list(range(n))
 
 
+def test_digon_step_work_is_linear(monkeypatch):
+    # on a digon matching (pairs 2i <-> 2i+1) the first branch breaks one
+    # pair per node; the digon candidates scanned below each digon answer
+    # [s, w] stay linear in the pairs, where rescanning every broken pair
+    # from vertex 0 at each node is quadratic
+    pairs = 2000
+    d = Digraph.from_arcs(2 * pairs, [
+        a for i in range(pairs) for a in ((2 * i, 2 * i + 1), (2 * i + 1, 2 * i))
+    ])
+    real, scanned = solver._shortest_cycle, []
+
+    def counted(rows, irows, mask, digon_mask, tournament=False):
+        cyc = real(rows, irows, mask, digon_mask, tournament)
+        if cyc is not None and len(cyc) == 2:
+            scanned.append((mask & digon_mask & ((1 << cyc[0]) - 1)).bit_count())
+        return cyc
+
+    monkeypatch.setattr(solver, "_shortest_cycle", counted)
+    assert induced_acyclic_set(d, 1) == list(range(1, 2 * pairs, 2))
+    assert len(scanned) == pairs and sum(scanned) <= pairs
+
+
 def test_dicritical_colourings_are_verified(monkeypatch):
     # a wrong colouring from the search is caught, whichever the report
     # would carry: a non-critical digraph's (k-1)-colouring (first solve),

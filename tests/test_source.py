@@ -351,3 +351,25 @@ def test_integers_and_json_have_one_reader():
             ):
                 found.append(f"{name}.py:{node.lineno} {attr}")
     assert found == []
+
+
+def test_surface_bounds_are_integer_arithmetic():
+    # surfaces' docstring says every bound is exact integer arithmetic: no
+    # decimal, no logarithm, ceiling or float() call, no float literal and
+    # no true division, so a float path cannot come back unnoticed
+    tree = dict(_modules())["surfaces"]
+    assert "is exact integer arithmetic" in ast.get_docstring(tree)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import | ast.ImportFrom):
+            names = [getattr(node, "module", None) or "", *(a.name for a in node.names)]
+            bad = any(m.split(".")[0] == "decimal" for m in names)
+        elif isinstance(node, ast.Call):
+            called = ast.unparse(node.func)
+            bad = called in ("float", "math.ceil") or called.startswith("math.log")
+        else:
+            bad = isinstance(node, ast.Div) or (
+                isinstance(node, ast.Constant) and isinstance(node.value, float))
+        if bad:
+            found.append(f"{getattr(node, 'lineno', '')} {type(node).__name__}")
+    assert found == []

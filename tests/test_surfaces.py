@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from dichroma.surfaces import (
@@ -10,6 +12,8 @@ from dichroma.surfaces import (
     surface_names,
     tournament_lower_bound,
 )
+
+from bruteforce import brute_least_transitive_free, brute_tournament_closed_form
 
 
 def test_parse_surface():
@@ -68,20 +72,29 @@ def test_dicritical_order_bounds():
 
 
 def test_tournament_lower_bound():
-    assert tournament_lower_bound(-8) == 2
-    assert tournament_lower_bound(2) == 1
-    # the limit is Heawood number 2**53; top is the greatest c beyond it
-    top = (49 - (2**54 - 5) ** 2) // 24
-    assert heawood_number(top + 1) == 2**53 < heawood_number(top)
-    assert tournament_lower_bound(top + 1) == -(-(2**53) // 107)
-    # H = 28997246598466 and the ratio is 320617176591.000036..., which the
-    # float ratio rounds down to the integer
-    c = parse_surface("N140140051715350503533426805")[1]
-    assert heawood_number(c) == 28997246598466
-    assert tournament_lower_bound(c) == 320617176592
-    for c in (top, -(10**700)):
-        with pytest.raises(ValueError, match=r"at most 2\*\*53"):
-            tournament_lower_bound(c)
+    # ceil(n/(t-1)) for the naive loop's least t, n = H(c), and never below
+    # the closed form ceil(H/(2 log2 H + 1)) that it replaced
+    least = {}
+    for c in range(-20000, 3):
+        n = heawood_number(c)
+        if n not in least:
+            least[n] = brute_least_transitive_free(n)
+        assert tournament_lower_bound(c) == -(-n // (least[n] - 1)), c
+        assert c > -9 or tournament_lower_bound(c) >= brute_tournament_closed_form(n), c
+    pins = {2: 2, -8: 2, -20: 3, -1000: 7, -10**4: 16, -10**6: 107,
+            -10**12: 56965}
+    for c, want in pins.items():
+        assert tournament_lower_bound(c) == want, c
+    # a genus of 701 digits: t = 2329 is least, as perm(n, t) / 2**C(t, 2)
+    # is at least 1 below t = n.bit_length() and falls from there on, and
+    # the two exact products straddle 1
+    c = parse_surface("N1" + "0" * 700)[1]
+    n, t = heawood_number(c), 2329
+    assert n.bit_length() < t
+    before = math.perm(n, t - 1)
+    assert before >= 1 << (t - 1) * (t - 2) // 2
+    assert before * (n - t + 1) < 1 << t * (t - 1) // 2
+    assert tournament_lower_bound(c) == -(-n // (t - 1))
 
 
 def test_dichromatic_bounds_provenance():
