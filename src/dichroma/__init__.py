@@ -1,7 +1,7 @@
 """Exact dicolouring toolkit: solver, censuses, structure tests, surface
 bounds and satisfiability reductions for digraphs."""
 
-from .certify import is_acyclic, verify_dicolouring
+from .certify import verify_dicolouring
 from .digraphs import (
     Digraph,
     bidirect,
@@ -27,7 +27,6 @@ __all__ = [
     "dump_digraph",
     "dichromatic_number",
     "induced_acyclic_set",
-    "is_acyclic",
     "is_dicritical",
     "is_k_dicolourable",
     "verify_dicolouring",

@@ -39,14 +39,15 @@ A leaf is encoded by whole-matrix shifts (_encode): its rows packed into one
 int, each new column taken from all rows at once.
 
 Only equality semantics are promised: cert(D1) == cert(D2) iff D1 and D2 are
-isomorphic (respecting any given cell partition).  The labelling itself is an
-implementation detail, but it is kept stable and its bytes are pinned by the
-tests: generated representatives and stored results are picked by it.
+isomorphic.  _canon's encodings from two ordered partitions into non-empty
+cells of matching shape are equal iff an isomorphism maps each cell onto its
+counterpart; arc-transitivity and the census's partial states use that.
+The labelling itself is an implementation detail, but it is kept stable and
+its bytes are pinned by the tests: generated representatives and stored
+results are picked by it.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 from .digraphs import Digraph, mask_of
 
@@ -218,46 +219,22 @@ def _canon(n, rows, irows, cells):
     return best, order
 
 
-def canonical_cert(
-    d: Digraph, cells: Sequence[Sequence[int]] | None = None
-) -> bytes:
-    """Certificate equal across digraphs iff they are isomorphic.
-
-    An optional ordered partition restricts isomorphisms to those preserving
-    each cell setwise; certs are comparable only across calls with matching
-    cell shape.
-    """
-    n = d.n
-    if n == 0:
-        return b"\x00\x00"
-    if cells is None:
-        start = [list(range(n))]
-    else:
-        start = []
-        covered = set()
-        for cell in cells:
-            for v in cell:
-                if not 0 <= v < n or v in covered:
-                    raise ValueError("cells must partition the vertices")
-                covered.add(v)
-            if cell:
-                start.append(list(cell))
-        if len(covered) != n:
-            raise ValueError("cells must partition the vertices")
-    return n.to_bytes(2, "big") + _canon(n, d.rows, d.in_rows, start)[0]
+def canonical_cert(d: Digraph) -> bytes:
+    """Certificate equal across digraphs iff they are isomorphic."""
+    return canonical_labelling(d)[0]
 
 
 def canonical_labelling(d: Digraph) -> tuple[bytes, list[int]]:
     """canonical_cert(d) and the canonical order from one search: order[i]
-    is the vertex of d that canonical_form labels i.  d has a vertex."""
+    is the vertex of d that canonical_form labels i."""
+    if d.n == 0:
+        return b"\x00\x00", []
     best, order = _canon(d.n, d.rows, d.in_rows, [list(range(d.n))])
     return d.n.to_bytes(2, "big") + best, order
 
 
 def canonical_form(d: Digraph) -> Digraph:
     """Canonical representative of the isomorphism class of d."""
-    if d.n == 0:
-        return d
     order = canonical_labelling(d)[1]
     pos = [0] * d.n
     for new, old in enumerate(order):
@@ -268,13 +245,15 @@ def canonical_form(d: Digraph) -> Digraph:
 def is_arc_transitive(d: Digraph) -> bool:
     """True iff the automorphism group acts transitively on arcs.
 
-    Arcs (u,v), (u',v') lie in one orbit iff the certs of d with the cells
-    ([u], [v], rest) and ([u'], [v'], rest') coincide.
+    Arcs (u,v), (u',v') lie in one orbit iff the searches of d from the
+    cells ([u], [v], rest) and ([u'], [v'], rest') reach equal encodings;
+    rest is left out when empty, as _canon takes non-empty cells only.
     """
     ref = None
     for u, v in d.arcs():
         rest = [w for w in range(d.n) if w != u and w != v]
-        c = canonical_cert(d, cells=([u], [v], rest))
+        cells = [[u], [v], rest] if rest else [[u], [v]]
+        c = _canon(d.n, d.rows, d.in_rows, cells)[0]
         if ref is None:
             ref = c
         elif c != ref:

@@ -52,11 +52,6 @@ def _mask_acyclic(rows: Sequence[int], irows: Sequence[int], mask: int, limit=0)
     return not left
 
 
-def is_acyclic(d: Digraph) -> bool:
-    """Is the digraph acyclic?  The sink peel on every vertex."""
-    return _mask_acyclic(d.rows, d.in_rows, (1 << d.n) - 1)
-
-
 def verify_dicolouring(d: Digraph, colouring: Sequence[int], k: int) -> bool:
     """Independent certificate check (no use of the search code path)."""
     if len(colouring) != d.n or any(not 1 <= c <= k for c in colouring):

@@ -22,12 +22,10 @@ from .digraphs import (
     circulant_tournament,
     delete_arc,
     delete_vertex,
-    induced,
     is_k_diregular,
     is_oriented,
 )
 from .enumeration import (
-    arboricity,
     dicritical_census,
     gen_tournaments,
     validate_census,
@@ -203,13 +201,13 @@ def _cacti(ctx, trials):
         g = random_cactus(n, seed=rng.getrandbits(32))
         m, bound, tight = cactus_edge_bound(g)
         triangles = all(len(e) == 3 for e in block_decomposition(g).block_edges)
-        forest = cactus_induced_forest(g)
+        # checks its forest itself: RuntimeError below ceil(2n/3) vertices
+        # or on a cycle, which fails the row
+        cactus_induced_forest(g)
         ok, details = _verdict(
             {
                 "edge_bound": m <= bound,
                 "tight_iff_triangles": tight == triangles,
-                "forest_bound": 3 * len(forest) >= 2 * n,
-                "forest": arboricity(induced(g, forest)) <= 1,
             },
             {"trial": t, "n": n},
         )

@@ -21,7 +21,7 @@ from .claims import CLAIMS as _CLAIMS  # bench/make_reference.py reads cli._CLAI
 from .claims import ClaimContext
 from .digraphs import is_oriented
 from .enumeration import dicritical_census, validate_census
-from .formats import dump_digraph, load_digraph, read_int, read_json
+from .formats import dump_digraph, excerpt, load_digraph, read_int, read_json
 from .reductions import (
     CnfFormula,
     PlanarIncidenceEmbedding,
@@ -78,8 +78,8 @@ def _positive_int(text: str) -> int:
             return jobs
     except ValueError:
         pass
-    raise argparse.ArgumentTypeError(f"worker count (--jobs, DICHROMA_JOBS) "
-                                     f"must be a positive integer, got {text!r}")
+    raise argparse.ArgumentTypeError(f"worker count (--jobs, DICHROMA_JOBS) must be "
+                                     f"a positive integer, got {excerpt(text)}")
 
 
 def _jobs(args) -> int:

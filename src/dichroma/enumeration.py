@@ -324,7 +324,7 @@ def _mixed_cert(n, rows, g, t):
     yet oriented edges as digons, vertices split processed (below t) and
     unprocessed.  Unprocessed rows are empty, and an open edge is a digon,
     so a vertex's in-row is its edges less its oriented out-arcs; the bytes
-    are canonical_cert's on that digraph with those two cells."""
+    are n's two and _canon's encoding of that digraph from those two cells."""
     prefix = (1 << t) - 1
     gr = g.rows
     mixed = [rows[v] | gr[v] & ~prefix for v in range(t)] + list(gr[t:])

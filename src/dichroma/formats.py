@@ -26,19 +26,25 @@ from .digraphs import Digraph
 D6_MAX = 62
 
 
+def excerpt(text: str) -> str:
+    """The text quoted for an error message: its first 20 characters, then
+    '...' when there are more, so a huge input prints a short line."""
+    return f"{text[:20]!r}..." if len(text) > 20 else repr(text)
+
+
 def read_int(text: str, negative: bool = False) -> int:
     """The one reader of integer text: ASCII digits, after a leading '-'
     only where negative is true and only before a nonzero value, else
-    ValueError naming the text (int() also reads '+3', '1_0', '３', '-0'),
-    or its start where int() refuses it as too long."""
+    ValueError quoting the text's excerpt (int() also reads '+3', '1_0',
+    '３', '-0'); so is text of more digits than int() reads."""
     digits = text[1:] if negative and text[:1] == "-" else text
     if digits.isascii() and digits.isdigit() and (digits == text or digits.strip("0")):
         try:
             return int(text)
         except ValueError:  # more digits than sys.get_int_max_str_digits()
             raise ValueError(f"integer of {len(digits)} digits, too long to read: "
-                             f"{text[:20]!r}...") from None
-    raise ValueError(f"not an integer of ASCII digits: {text!r}")
+                             f"{excerpt(text)}") from None
+    raise ValueError(f"not an integer of ASCII digits: {excerpt(text)}")
 
 
 def read_json(text: str | bytes):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .formats import read_int
+from .formats import excerpt, read_int
 
 # the surfaces with a name of their own; every other is S<genus>, the
 # orientable surface of characteristic 2 - 2 genus, or N<genus> (genus >= 1),
@@ -40,7 +40,7 @@ def parse_surface(text: str) -> tuple[str, int]:
         kind = None
     if kind and (kind == "S" or c <= 1):
         return name, c
-    raise ValueError(f"cannot parse surface {text!r}")
+    raise ValueError(f"cannot parse surface {excerpt(text)}")
 
 
 def surface_names(c: int) -> list[str]:

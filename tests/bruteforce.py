@@ -5,7 +5,7 @@ or generator code is reused beyond the plain data types.  Eleven references
 are earlier versions of library internals, on top of the library's other
 layers (the solver, canonical certificates), kept to check their faster
 replacements: brute_mixed_cert, the orientation stream's partial-state
-certificate as canonical_cert on a built Digraph; enumerate_dicolourings, every k-dicolouring in lexicographic
+certificate as cell_cert on a built Digraph; enumerate_dicolourings, every k-dicolouring in lexicographic
 order, which the solver's one colouring walker is checked against;
 brute_bound_chunk, the tournament-bound worker as one solver call per
 dominance mask, which the colouring cover is checked against;
@@ -39,7 +39,7 @@ import random
 from typing import Iterator
 
 from dichroma import solver
-from dichroma.canon import _canon, canonical_cert, canonical_labelling
+from dichroma.canon import _canon, canonical_labelling
 from dichroma.certify import _verified
 from dichroma.digraphs import Digraph, bidirect, iter_bits, mask_of
 from dichroma.formats import d6_decode, d6_encode
@@ -60,6 +60,14 @@ def edge_list(g: Digraph) -> list[tuple[int, int]]:
     """The edges (u, v), u < v, of g's underlying graph, ascending."""
     rows = g.underlying_rows
     return [(u, v) for u in range(g.n) for v in iter_bits(rows[u]) if u < v]
+
+
+def cell_cert(d: Digraph, cells) -> bytes:
+    """The certificate of d restricted to an ordered partition of its
+    vertices into cells: n's two bytes and _canon's encoding from the
+    non-empty cells, as canonical_cert is from the one cell of all."""
+    start = [list(c) for c in cells if c]
+    return d.n.to_bytes(2, "big") + _canon(d.n, d.rows, d.in_rows, start)[0]
 
 
 def kahn_acyclic(d: Digraph, verts) -> bool:
@@ -559,10 +567,7 @@ def brute_mixed_cert(n, rows, g, t):
     for v in range(n):
         open_nb = g.rows[v] & ~prefix_mask if v < t else g.rows[v]
         mixed[v] |= open_nb
-    return canonical_cert(
-        Digraph(n, mixed),
-        cells=(list(range(t)), list(range(t, n))),
-    )
+    return cell_cert(Digraph(n, mixed), (range(t), range(t, n)))
 
 
 def brute_graph_extend(n: int, min_degree: int):

@@ -12,12 +12,13 @@ from collections import Counter
 
 import pytest
 
-from dichroma import claims, solver, structure
+from dichroma import canon, claims, solver, structure
 from dichroma.cli import main
 
 ACCEPTANCE_LINES: list[str] = []
 # the searches whose calls a session's verify-paper run counts
-RUN_SEARCHES = ((solver, "_shortest_cycle"), (structure, "_lowpoint_blocks"))
+RUN_SEARCHES = ((solver, "_shortest_cycle"), (structure, "_lowpoint_blocks"),
+                (canon, "_canon"))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

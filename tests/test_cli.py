@@ -232,17 +232,36 @@ def test_bounds_range(capsys):
 
 def test_bounds_reach_every_genus_read_int_admits(capsys):
     # read_int admits 4,300 digits: the deepest N<genus> and S<genus> get
-    # their rows, and S9 then 4,299 zeros, whose characteristic has 4,301
-    # digits, exits 2 naming the text rather than with Python's advice on
-    # its int-to-text limit
+    # their rows (S9 then 4,299 zeros, whose characteristic has 4,301
+    # digits, is refused in test_errors_quote_the_first_20_characters)
     for name in ("N" + "9" * 4300, "S4" + "9" * 4299, "S5" + "0" * 4299):
         code, out, _ = run_cli(capsys, "bounds", "--json", "--surface", name)
         row = json.loads(out)["results"][name]
         assert code == 0 and row["euler_characteristic"] == parse_surface(name)[1]
         assert 2 < row["lower"] < row["upper"]
+
+
+def test_errors_quote_the_first_20_characters(capsys, monkeypatch):
+    # a refused input is quoted by its first 20 characters, so a huge one
+    # prints one short line: S9 then 4,299 zeros exits 2 naming its start,
+    # not with Python's advice on its int-to-text limit, and so do a
+    # 5,000-character census order and worker count
     name = "S9" + "0" * 4299
     code, out, err = run_cli(capsys, "bounds", "--json", "--surface", name)
-    assert code == 2 and out == "" and err == f"error: cannot parse surface {name!r}\n"
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot parse surface {name[:20]!r}...\n"
+    xs = "x" * 5000
+    for argv in (["census", xs, "3"], ["census", "5", "2", "--jobs", xs]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if "error:" in line]
+        assert exc.value.code == 2 and len(errors) == 1
+        assert errors[0].endswith(f" {xs[:20]!r}...") and len(errors[0]) < 200
+    monkeypatch.setenv("DICHROMA_JOBS", xs)
+    code, out, err = run_cli(capsys, "census", "5", "2")
+    assert (code, out) == (2, "") and err.endswith(f" {xs[:20]!r}...\n")
+    assert err.count("\n") == 1 and len(err) < 200
 
 
 def test_bounds_json_rows_share_one_shape(capsys):
@@ -584,6 +603,10 @@ def test_verify_paper_rows_decide_what_they_ask(quick_run, full_run):
     # and one per low-vertex digraph of the 3 census witnesses, checked by
     # census-7-3-min-20-unique and census-dicritical-gallai
     assert (quick["_lowpoint_blocks"], full["_lowpoint_blocks"]) == (106, 606)
+    # the canonical searches reached through canon's global _canon, not
+    # the census's partial states, which import it: one per arc of ST11
+    # for its arc-transitivity (55), the rest canonical_labelling's
+    assert (quick["_canon"], full["_canon"]) == (1_220, 9_751)
 
 
 def test_verify_paper_failing_row(tmp_path, capsys, monkeypatch):

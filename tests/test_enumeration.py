@@ -215,7 +215,7 @@ def test_census_worker_work_is_frozen(count_calls):
 def test_mixed_cert_matches_digraph_cert(monkeypatch):
     # every partial state the order-6 and order-7 census tasks certify, and
     # those of colour-free streams of random graphs, gets the bytes of
-    # canonical_cert on the mixed Digraph with the two cells
+    # _canon on the mixed Digraph with the two cells
     certified = []
     real = enumeration._mixed_cert
 

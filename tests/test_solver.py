@@ -11,7 +11,7 @@ from dichroma.digraphs import (
     mask_of,
 )
 from dichroma import certify, enumeration, solver
-from dichroma.certify import is_acyclic, verify_dicolouring
+from dichroma.certify import verify_dicolouring
 from dichroma.cli import main
 from dichroma.enumeration import (
     GEN_CAP, _hard_classes, gen_tournaments, verify_census_bound,
@@ -46,6 +46,11 @@ from bruteforce import (
 
 
 TRI = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])  # the directed triangle
+
+
+def is_acyclic(d):
+    """The one-colour check: verify_dicolouring's sink peel on every vertex."""
+    return verify_dicolouring(d, [1] * d.n, 1)
 
 
 def tt(n):
@@ -452,7 +457,7 @@ def test_a_faulty_search_is_caught_at_every_entry(monkeypatch, capsys, tmp_path)
     assert capsys.readouterr().err.startswith("internal error: ")
 
 
-def test_acyclic_set_and_list_bound_match_oracles():
+def test_acyclic_set_matches_oracle_and_max_degree_plus_one_colours_suffice():
     # acyclic sets on up to 12 vertices, then one colour more than the
     # largest degree, which always admits a dicolouring
     rng = random.Random(20260825)

@@ -138,9 +138,9 @@ def test_benchmark_entry_points_exist():
     assert missing == []
 
 
-def test_every_function_has_a_caller_or_is_exported():
-    # library code that only tests call belongs in the tests: a top-level
-    # function is exported or referenced outside its own body, and a
+def test_every_function_has_a_caller():
+    # library code that only tests call belongs in the tests, exported or
+    # not: a top-level function is referenced outside its own body, and a
     # method of a top-level class other than a dunder is referenced
     # outside its class
     refs: dict[str, set] = {}
@@ -167,8 +167,7 @@ def test_every_function_has_a_caller_or_is_exported():
     found = [
         f"{mod}.{fn}" if owner == fn else f"{mod}.{owner}.{fn}"
         for mod, owner, fn in defs
-        if fn not in dichroma.__all__
-        and not refs.get(fn, set()) - {(mod, owner)}
+        if not refs.get(fn, set()) - {(mod, owner)}
     ]
     assert found == []
 
@@ -289,7 +288,7 @@ def test_verify_path_shares_no_search_code():
                       if _package_import(node)} for name, tree in _modules()}
     assert (imports["certify"], imports["formats"], imports["digraphs"]) == (
         {"digraphs", "formats"}, {"digraphs"}, set())
-    checks = ("_mask_acyclic", "is_acyclic", "verify_dicolouring", "_verified")
+    checks = ("_mask_acyclic", "verify_dicolouring", "_verified")
     assert {getattr(dichroma.certify, name).__module__ for name in checks} == {
         "dichroma.certify"}
     assert [name for mod, tree in _modules() if mod != "certify"
