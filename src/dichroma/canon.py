@@ -26,6 +26,8 @@ partition, so it maps subtree(u) onto subtree(v) leaf by leaf with equal
 encodings, and subtree(v) comes later.  Skipping a subtree can also skip a
 jump-back the plain search took inside it, so a few inputs visit leaves
 that search skipped; all of them are images of explored leaves.
+canonical_labelling returns the automorphisms found, and the generators'
+last level certifies one child per orbit of a parent's automorphisms.
 
 Refinement counts only against the cells that just split (McKay and
 Piperno's splitter idea, in rounds): every cell of an equitable partition
@@ -33,7 +35,10 @@ has constant counts towards every cell, so after individualising v a child
 refines against [v] alone, and each later round against the sub-cells the
 previous round produced, less the last sub-cell of each split, whose counts
 follow from its siblings' and its parent's.  The ordered partition, and so
-every certificate byte, is that of recounting against every cell.
+every certificate byte, is that of recounting against every cell.  A
+symmetric digraph or a tournament is refined on out-counts alone, as its
+in-counts follow from them (_in_counts); the census's partial states,
+with digons and arcs, keep both.
 
 A leaf is encoded by whole-matrix shifts (_encode): its rows packed into one
 int, each new column taken from all rows at once.
@@ -73,6 +78,15 @@ def _refine(out_rows, in_rows, cells, fresh):
     comparing counts towards them alone gives the same buckets in the same
     order.  Each (out, in) pair is one fixed-width field of an int key, so
     int order is tuple order.
+
+    in_rows None takes out-counts alone, which is exact when they fix the
+    in-counts (_in_counts): in a symmetric digraph in = out, and in a
+    tournament v's in-count towards a fresh cell M is |M| - out - [v in M].
+    M and the cell being split are both cells of the partition the round
+    starts from, so [v in M] is constant inside that cell.  Either way equal
+    out-counts give equal in-counts, and the first entry of two (out, in)
+    tuples to differ is an out-count, so the buckets and their order are
+    those of both counts.
     """
     n = len(out_rows)
     width = n.bit_length()
@@ -86,13 +100,17 @@ def _refine(out_rows, in_rows, cells, fresh):
             buckets: dict[int, list[int]] = {}
             for v in cell:
                 ro = out_rows[v]
-                ri = in_rows[v]
                 key = 0
-                for mk in fresh:
-                    key = (
-                        (key << width | (ro & mk).bit_count()) << width
-                        | (ri & mk).bit_count()
-                    )
+                if in_rows is None:
+                    for mk in fresh:
+                        key = key << width | (ro & mk).bit_count()
+                else:
+                    ri = in_rows[v]
+                    for mk in fresh:
+                        key = (
+                            (key << width | (ro & mk).bit_count()) << width
+                            | (ri & mk).bit_count()
+                        )
                 sub = buckets.get(key)
                 if sub is None:
                     buckets[key] = [v]
@@ -156,19 +174,36 @@ def _explored_image(v, gens, explored) -> bool:
     return False
 
 
-def _canon(n, rows, irows, cells):
+def _in_counts(d: Digraph):
+    """The in-rows _refine counts for d: None, for out-counts alone, when
+    those fix the in-counts.  They do in a symmetric digraph, whose in-rows
+    are its rows, and in a tournament, where n(n - 1) / 2 arcs and no digon
+    put one arc on every pair."""
+    irows = d.in_rows
+    if irows == d.rows or (
+        2 * d.m == d.n * (d.n - 1) and not any(map(int.__and__, d.rows, irows))
+    ):
+        return None
+    return irows
+
+
+def _canon(n, rows, irows, cells, autos=None):
     """(least leaf encoding, its vertex order) of the search from cells.
 
     The stack holds one [partition, index of the target cell, next child,
     children individualised] frame per level, and path[i] is the vertex
     frame i individualised last.  autos holds the automorphisms the equal
-    leaves witness, as tuples; both prunes are in the module docstring.
+    leaves witness, as tuples; both prunes are in the module docstring.  A
+    caller that passes an empty set as autos gets them there: each respects
+    the cells.  irows None refines on out-counts alone (_refine), which a
+    caller asks for once per search, when _in_counts says they suffice.
     """
     best = order = None
     best_path: list[int] = []
     path: list[int] = []
     stack = []
-    autos: set[tuple[int, ...]] = set()
+    if autos is None:
+        autos = set()
     cells = _refine(rows, irows, cells, [mask_of(c) for c in cells])
     while True:
         if len(cells) < n:
@@ -224,13 +259,15 @@ def canonical_cert(d: Digraph) -> bytes:
     return canonical_labelling(d)[0]
 
 
-def canonical_labelling(d: Digraph) -> tuple[bytes, list[int]]:
-    """canonical_cert(d) and the canonical order from one search: order[i]
-    is the vertex of d that canonical_form labels i."""
+def canonical_labelling(d: Digraph) -> tuple[bytes, list[int], set[tuple[int, ...]]]:
+    """canonical_cert(d), the canonical order and automorphisms from one
+    search: order[i] is the vertex of d that canonical_form labels i, and
+    each automorphism sigma the search found (_canon) maps v to sigma[v]."""
+    autos: set[tuple[int, ...]] = set()
     if d.n == 0:
-        return b"\x00\x00", []
-    best, order = _canon(d.n, d.rows, d.in_rows, [list(range(d.n))])
-    return d.n.to_bytes(2, "big") + best, order
+        return b"\x00\x00", [], autos
+    best, order = _canon(d.n, d.rows, _in_counts(d), [list(range(d.n))], autos)
+    return d.n.to_bytes(2, "big") + best, order, autos
 
 
 def canonical_form(d: Digraph) -> Digraph:
@@ -250,10 +287,11 @@ def is_arc_transitive(d: Digraph) -> bool:
     rest is left out when empty, as _canon takes non-empty cells only.
     """
     ref = None
+    irows = _in_counts(d)
     for u, v in d.arcs():
         rest = [w for w in range(d.n) if w != u and w != v]
         cells = [[u], [v], rest] if rest else [[u], [v]]
-        c = _canon(d.n, d.rows, d.in_rows, cells)[0]
+        c = _canon(d.n, d.rows, irows, cells)[0]
         if ref is None:
             ref = c
         elif c != ref:

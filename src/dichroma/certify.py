@@ -1,5 +1,6 @@
 """The checks of the searches' answers.  This module imports only digraphs
-and formats, so a check cannot share code with the search it checks.
+and formats (and math), so a check cannot share code with the search it
+checks.
 
 solver.is_k_dicolourable checks each colouring the search finds with
 verify_dicolouring before returning it, so its callers get checked
@@ -10,11 +11,14 @@ driven by out-degree counts and in-rows: at limit 0 it removes sinks and
 passes the acyclic sets, at limit 1 on a graph's symmetric rows it
 removes leaves and passes the forests.  It shares no code with the class
 tests (_creates_cycle, _closes_forest_cycle) or any search, so a fault
-in a search cannot pass its own answers.
+in a search cannot pass its own answers.  class_count checks the
+generators' lists by their length: it counts the classes without listing
+any.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 from .digraphs import Digraph
@@ -70,3 +74,40 @@ def _verified(d: Digraph, colouring: list[int], k: int) -> list[int]:
             f"{k}-dicolouring {colouring} of {dump_digraph(d)} fails verification"
         )
     return colouring
+
+
+def class_count(n: int, kind: str) -> int:
+    """The number of classes of tournaments (kind "tournament") or graphs
+    ("graph") of order n, by Burnside's lemma over cycle types (Harary and
+    Palmer, Graphical Enumeration, 1973).  A permutation with cycle lengths
+    l_i fixes 2^e labelled graphs, e the sum of gcd(l_i, l_j) over pairs of
+    cycles and of floor(l_i / 2) over cycles, and as many tournaments when
+    every l_i is odd, else none.  A list of pairwise distinct certificates
+    is complete when its length is this count; a filtered list rests
+    instead on its filter being a class property, which _generate checks."""
+    if kind not in ("tournament", "graph"):
+        raise ValueError(f"kind must be tournament or graph, got {kind!r}")
+    perms = math.factorial(n)
+    total = 0
+    parts = [n] if n else []  # partitions of n, reverse lexicographic
+    while True:
+        if kind == "graph" or all(l % 2 for l in parts):
+            e = sum(l // 2 for l in parts)
+            z = 1  # perms / z permutations have this cycle type
+            for i, l in enumerate(parts):
+                e += sum(math.gcd(l, m) for m in parts[i + 1:])
+                z *= l * parts[: i + 1].count(l)
+            total += perms // z << e
+        ones = 0
+        while parts and parts[-1] == 1:
+            ones += parts.pop()
+        if not parts:
+            return total // perms
+        # the last part above 1 loses one, and it and the ones refill
+        # parts of that new size, and a remainder
+        parts[-1] -= 1
+        size, left = parts[-1], ones + 1
+        while left > size:
+            parts.append(size)
+            left -= size
+        parts.append(left)

@@ -45,7 +45,7 @@ class Digraph:
     def __init__(self, n: int, rows: Sequence[int]):
         self.n = n
         self.rows = tuple(rows)
-        self.m = sum(r.bit_count() for r in self.rows)
+        self.m = sum(map(int.bit_count, self.rows))
         self._irows: tuple[int, ...] | None = None
         self._urows: tuple[int, ...] | None = None
         self._blocks = None  # structure.block_decomposition's, once asked for

@@ -34,6 +34,19 @@ new vertex first, a row of ranks, and each older vertex only from the masks
 no deletion has settled.  Every deletion of a kept child below the last
 level must have passed the filter of its level (_labels checks this).
 
+At the last level a parent P also certifies only the least mask of each
+orbit of its automorphisms acting on masks (McKay's orbit pruning; McKay,
+Isomorph-free exhaustive generation, 1998).  An automorphism g of P maps
+P + S onto P + g(S) and fixes the new vertex, so the two children are
+isomorphic and their old-vertex deletions rank alike: both or neither pass
+canonical deletion, and a filter that depends only on the class keeps both
+or neither.  So the orbit's least mask, visited first, is certified
+whenever another of its masks would be, and its child is the one kept.  The
+automorphisms are those the search that certified P found (canon._canon's
+equal leaves); the step is exact for any subgroup, and runs no search.
+Below the last level every child is still visited, as the next level
+reads a rank and a canonical order for each.
+
 Partial orientations carry their unoriented edges as digons and a
 processed/unprocessed vertex partition inside the certificate, so states
 whose completions explore isomorphic territory collapse early; that is what
@@ -83,39 +96,44 @@ def _generate(n: int, extend) -> list[Digraph]:
     None when a filter rejects it (a degree floor, or the tournament bound's
     cover).  Canonical deletion (module docstring) needs both to ignore
     labels: relabelling parent and mask alike gives an isomorphic child, and
-    a filter must depend only on the child's class.  The carried labellings
-    also need every vertex deletion of a child kept below the last level to
-    pass the filter of its level.  _labels raises RuntimeError when one does
-    not, and _generate when a child below the last level passes the filter
-    but the earlier child it is isomorphic to did not.
+    a filter must depend only on the child's class; so does the last
+    level's orbit step, which certifies only the least mask of each orbit
+    of the parent's automorphisms.  The carried labellings also need every
+    vertex deletion of a child kept below the last level to pass the filter
+    of its level.  _labels raises RuntimeError when one does not, and
+    _generate when a child below the last level passes the filter but the
+    earlier child it is isomorphic to did not.
 
     A level of order s is recorded as (ranks, orders, origins): the child of
     rep m of the level below by mask has index m << s-1 | mask, ranks[index]
     its rank among the level's reps (their count when filtered) and
     orders[s * index:][:s] its canonical order; origins[r] is the index of
     the child that rep r is.  The last level reads only the ranks and
-    origins of the level below it, whose orders are None.
+    origins of the level below it, whose orders are None, and groups[r],
+    the automorphisms of rep r that the search certifying it found.
     """
     reps = [Digraph(1, (0,))]
+    groups = [set()]  # per rep, the automorphisms its search found
     made = ([0], b"\0", [0])  # the level of reps: K1, child of the order-0 digraph
     under = None  # the labellings of the reps below reps, and their level
     for t in range(1, n):
         ranks, _, origins = made
         if t == n - 1:
             seen: dict[bytes, Digraph] = {}  # certificate -> first child
-            for j, parent in enumerate(reps):
+            for j, (parent, autos) in enumerate(zip(reps, groups)):
                 labels = _labels(origins[j], t, under)
-                for mask, v in enumerate(_first_lower(j, labels, ranks)):
-                    if v < 0:
-                        child = extend(parent, mask)
-                        if child is not None:
-                            seen.setdefault(canonical_labelling(child)[0], child)
+                low = _first_lower(j, labels, ranks)
+                masks = [x for x, v in enumerate(low) if v < 0]
+                for mask in _orbit_least(masks, autos, t):
+                    child = extend(parent, mask)
+                    if child is not None:
+                        seen.setdefault(canonical_labelling(child)[0], child)
             return [seen[c] for c in sorted(seen)]
         labelled = [_labels(x, t, under) for x in origins]
-        # certificate -> (index, child) of the first child of its class, and
-        # that pair per child, or None when filtered
-        first: dict[bytes, tuple[int, Digraph]] = {}
-        firsts: list[tuple[int, Digraph] | None] = []
+        # certificate -> (index, child, automorphisms) of the first child of
+        # its class, and that triple per child, or None when filtered
+        first: dict[bytes, tuple[int, Digraph, set]] = {}
+        firsts: list[tuple[int, Digraph, set] | None] = []
         child_orders = bytearray()
         for j, (parent, labels) in enumerate(zip(reps, labelled)):
             for mask, v in enumerate(_first_lower(j, labels, ranks)):
@@ -124,8 +142,8 @@ def _generate(n: int, extend) -> list[Digraph]:
                     firsts.append(None)
                     child_orders += bytes(t + 1)
                 elif v < 0:
-                    cert, order = canonical_labelling(child)
-                    firsts.append(first.setdefault(cert, (len(firsts), child)))
+                    cert, order, autos = canonical_labelling(child)
+                    firsts.append(first.setdefault(cert, (len(firsts), child, autos)))
                     child_orders.extend(order)
                 else:
                     # child - v is rep r < j by psi, so the child is rep
@@ -152,8 +170,9 @@ def _generate(n: int, extend) -> list[Digraph]:
                     order = child_orders[at : at + t + 1]
                     child_orders.extend([inverse[w] for w in order])
         kept = [first[c] for c in sorted(first)]
-        reps = [child for _, child in kept]
-        rank = {index: r for r, (index, _) in enumerate(kept)}
+        reps = [child for _, child, _ in kept]
+        groups = [autos for _, _, autos in kept]
+        rank = {index: r for r, (index, _, _) in enumerate(kept)}
         # a filtered child has no class; len(kept) exceeds every parent index.
         # The entries share the int objects of the ranks, so reading them
         # allocates nothing.
@@ -161,8 +180,48 @@ def _generate(n: int, extend) -> list[Digraph]:
         under = (labelled, *made)
         if t == n - 2:
             child_orders = None  # the copied children's orders are missing
-        made = (child_ranks, child_orders, [index for index, _ in kept])
+        made = (child_ranks, child_orders, [index for index, _, _ in kept])
     return reps
+
+
+def _half_tables(bits, half) -> tuple[list[int], list[int]]:
+    """(lo, hi): the image of a mask x whose bit u goes to bits[u] is
+    lo[x & (1 << half) - 1] | hi[x >> half], the images of its low and high
+    halves, so a map of masks costs two lookups."""
+    lo, hi = [0], [0]
+    for u, bit in enumerate(bits):
+        table = lo if u < half else hi
+        table += [x | bit for x in table]
+    return lo, hi
+
+
+def _orbit_least(masks, autos, t) -> list[int]:
+    """The masks, ascending, that are least in their orbit under the group
+    that autos, automorphisms of an order-t parent, generate.  masks must
+    be ascending and a union of orbits.  Each automorphism maps a mask by
+    two half-tables, and each orbit is walked once on an explicit stack;
+    its first mask in ascending order is its least."""
+    if not autos:
+        return masks
+    half = t // 2
+    cut = (1 << half) - 1
+    tables = [_half_tables([1 << w for w in sigma], half) for sigma in autos]
+    met = bytearray(1 << t)
+    least = []
+    for x in masks:
+        if met[x]:
+            continue
+        least.append(x)
+        met[x] = 1
+        todo = [x]
+        while todo:
+            y = todo.pop()
+            for lo, hi in tables:
+                z = lo[y & cut] | hi[y >> half]
+                if not met[z]:
+                    met[z] = 1
+                    todo.append(z)
+    return least
 
 
 def _onto_rep(label, v, mask, record) -> tuple[int, list[int] | None]:
@@ -233,11 +292,7 @@ def _first_lower(j: int, labels, ranks) -> list[int]:
     for v, (m, image) in enumerate(labels[:-1]):
         if not masks:
             break
-        lo, hi = [0], [0]  # images of the masks' low and high halves
-        for u in range(t):
-            table = lo if u < half else hi
-            bit = 0 if u == v else 1 << image[u]
-            table += [x | bit for x in table]
+        lo, hi = _half_tables([0 if u == v else 1 << image[u] for u in range(t)], half)
         base = m << s
         lower = [x for x in masks if ranks[base | lo[x & cut] | hi[x >> half]] < j]
         if lower:

@@ -605,7 +605,7 @@ def brute_levels(n: int, extend) -> list[tuple[list[Digraph], tuple]]:
                     firsts.append(None)
                     orders += bytes(t + 1)
                     continue
-                cert, order = canonical_labelling(child)
+                cert, order, _ = canonical_labelling(child)
                 firsts.append(first.setdefault(cert, (len(firsts), child)))
                 orders.extend(order)
         kept = [first[c] for c in sorted(first)]

@@ -4,8 +4,8 @@ import random
 
 from dichroma import canon
 from dichroma.canon import (
-    _canon, _encode, _refine, canonical_cert, canonical_form,
-    canonical_labelling, is_arc_transitive,
+    _canon, _encode, _in_counts, _refine, canonical_cert,
+    canonical_form, canonical_labelling, is_arc_transitive,
 )
 from dichroma.digraphs import (
     Digraph, circulant_tournament, iter_bits, mask_of,
@@ -15,7 +15,7 @@ from dichroma.solver import _extend_tournament
 
 from bruteforce import (
     _digraph_class_key, brute_canon, brute_encode, brute_refine, cell_cert,
-    random_digraph, random_graph,
+    random_digraph, random_graph, random_oriented,
 )
 
 
@@ -63,12 +63,18 @@ def test_canonical_form_is_canonical():
         d = random_digraph(rng, rng.randint(1, 7), 0.4)
         cf = canonical_form(d)
         assert canonical_cert(cf) == canonical_cert(d)
-        cert, order = canonical_labelling(d)  # the generators' one search
+        cert, order, autos = canonical_labelling(d)  # the generators' one search
         assert cert == canonical_cert(d) and sorted(order) == list(range(d.n))
+        assert all(d.relabel(list(sigma)) == d for sigma in autos)
         assert canonical_form(cf) == cf
         perm = list(range(d.n))
         rng.shuffle(perm)
         assert canonical_form(d.relabel(perm)) == cf
+    # the automorphisms handed out are automorphisms, on symmetric inputs too
+    for n, conn in ((7, (1, 2, 4)), (11, (1, 3, 4, 5, 9))):
+        d = circulant_tournament(n, conn)
+        autos = canonical_labelling(d)[2]
+        assert autos and all(d.relabel(list(sigma)) == d for sigma in autos)
     empty = Digraph(0, [])
     assert canonical_cert(empty) == b"\x00\x00"
     assert canonical_form(empty) == empty
@@ -190,39 +196,88 @@ def _refine_inputs():
     yield Digraph(6, [0b111111 & ~(1 << v) for v in range(6)])  # K6
 
 
+def _refine_walk(rng, d, counts) -> int:
+    """Asserts that _refine with in-rows counts gives brute_refine's ordered
+    partition with both counts at the root (one cell, and two unsorted
+    cells) and at every child of one random branch of the search from
+    each; returns the number of children."""
+    n = d.n
+    rows, irows = d.rows, d.in_rows
+    perm = list(range(n))
+    rng.shuffle(perm)
+    t = rng.randint(1, n - 1) if n > 1 else 1
+    children = 0
+    for cells in ([list(range(n))], [perm[:t], perm[t:]]):
+        cells = [c for c in cells if c]
+        fresh = [mask_of(c) for c in cells]
+        want = brute_refine(rows, irows, cells)
+        assert _refine(rows, counts, cells, fresh) == want
+        while len(want) < n:
+            target = next(i for i, c in enumerate(want) if len(c) > 1)
+            cell = want[target]
+            step = None
+            for v in cell:
+                child = (
+                    want[:target] + [[v], [w for w in cell if w != v]]
+                    + want[target + 1:]
+                )
+                got = _refine(rows, counts, child, [1 << v])
+                assert got == brute_refine(rows, irows, child)
+                children += 1
+                if step is None or rng.random() < 0.5:
+                    step = got
+            want = step
+    return children
+
+
 def test_refine_matches_whole_partition_refinement():
     # _refine counts only against the cells that just split; brute_refine
     # recounts against every cell.  Same ordered partition at the root (one
     # cell or two) and at every child of one random branch of the search.
     rng = random.Random(8)
-    children = 0
-    for d in _refine_inputs():
-        n = d.n
-        rows, irows = d.rows, d.in_rows
-        perm = list(range(n))
-        rng.shuffle(perm)
-        t = rng.randint(1, n - 1) if n > 1 else 1
-        for cells in ([list(range(n))], [perm[:t], perm[t:]]):
-            cells = [c for c in cells if c]
-            fresh = [mask_of(c) for c in cells]
-            want = brute_refine(rows, irows, cells)
-            assert _refine(rows, irows, cells, fresh) == want
-            while len(want) < n:
-                target = next(i for i, c in enumerate(want) if len(c) > 1)
-                cell = want[target]
-                step = None
-                for v in cell:
-                    child = (
-                        want[:target] + [[v], [w for w in cell if w != v]]
-                        + want[target + 1:]
-                    )
-                    got = _refine(rows, irows, child, [1 << v])
-                    assert got == brute_refine(rows, irows, child)
-                    children += 1
-                    if step is None or rng.random() < 0.5:
-                        step = got
-                want = step
+    children = sum(_refine_walk(rng, d, d.in_rows) for d in _refine_inputs())
     assert children > 2000
+
+
+def _labelled_as_brute(d) -> bool:
+    """Does canonical_labelling(d) give brute_canon's pair, both counts?"""
+    best, order = brute_canon(d.n, d.rows, d.in_rows, [list(range(d.n))])
+    return canonical_labelling(d)[:2] == (d.n.to_bytes(2, "big") + best, order)
+
+
+def test_out_counts_alone_refine_tournaments_and_graphs():
+    # tournaments and bidirected graphs refine on out-counts alone: the
+    # partitions are brute_refine's with both counts, at the root and at
+    # the search's children, and the search takes that shortcut on them
+    rng = random.Random(48)
+    children = 0
+    for i in range(400):
+        n = rng.randint(1, 12)
+        if i % 2:
+            d = random_oriented(rng, n, 1.0)
+        else:
+            d = random_graph(rng, n, rng.choice((0.1, 0.3, 0.5, 0.7, 0.9)))
+        assert _in_counts(d) is None and _labelled_as_brute(d)
+        children += _refine_walk(rng, d, None)
+    for n, conn in ((7, (1, 2, 4)), (11, (1, 3, 4, 5, 9))):
+        children += _refine_walk(rng, circulant_tournament(n, conn), None)
+    assert children > 1500
+    # n(n - 1) / 2 arcs with one digon, and a tournament less one arc: the
+    # out-counts do not fix the in-counts, and on some of these out-counts
+    # alone refine differently, so the search keeps both
+    differs = 0
+    for _ in range(200):
+        n = rng.randint(3, 9)
+        arcs = list(random_oriented(rng, n, 1.0).arcs())
+        rng.shuffle(arcs)
+        u, v = arcs[1]
+        for d in (Digraph.from_arcs(n, arcs[1:] + [(v, u)]),
+                  Digraph.from_arcs(n, arcs[1:])):
+            assert _in_counts(d) == d.in_rows and _labelled_as_brute(d)
+            whole = [list(range(n))]
+            differs += _refine(d.rows, None, whole, [mask_of(whole[0])]) != brute_refine(
+                d.rows, d.in_rows, whole)
+    assert differs > 0
 
 
 def _search_inputs(rng):

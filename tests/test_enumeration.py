@@ -11,8 +11,9 @@ from math import comb
 
 import pytest
 
-from dichroma import canon, enumeration
+from dichroma import canon, claims, enumeration
 from dichroma.canon import canonical_cert, canonical_form
+from dichroma.certify import class_count
 from dichroma.cli import main
 from dichroma.digraphs import (
     Digraph,
@@ -262,6 +263,42 @@ def test_gen_tournaments_counts_and_classes():
             gen_tournaments(n)
 
 
+def test_class_count_matches_oeis_and_the_generators():
+    # Burnside's counts: OEIS A000568 (tournaments) and A000088 (graphs),
+    # and the length of every unfiltered generated list up to order 7
+    assert [class_count(n, "tournament") for n in range(13)] == [
+        1, 1, 1, 2, 4, 12, 56, 456, 6880, 191536, 9733056, 903753248,
+        154108311168,
+    ]
+    assert [class_count(n, "graph") for n in range(11)] == [
+        1, 1, 2, 4, 11, 34, 156, 1044, 12346, 274668, 12005168,
+    ]
+    for n in range(1, 8):
+        assert len(gen_tournaments(n)) == class_count(n, "tournament")
+        assert len(gen_graphs(n, 0)) == class_count(n, "graph")
+    with pytest.raises(ValueError, match="kind"):
+        class_count(4, "digraph")
+
+
+def test_stearns_row_fails_when_generation_skips_a_mask(monkeypatch):
+    # the order-7 Stearns row counts its list against class_count, so a
+    # last level that skips one mask it should certify (here the fourth of
+    # the first parent, whose class no other certified mask reaches) fails it
+    least = enumeration._orbit_least
+    parents = []
+
+    def skip_one(masks, autos, t):
+        kept = least(masks, autos, t)
+        parents.append(t)
+        if parents == [6]:
+            del kept[3]
+        return kept
+
+    assert claims._stearns(None, (7,)) == (True, {7: 456})
+    monkeypatch.setattr(enumeration, "_orbit_least", skip_one)
+    assert claims._stearns(None, (7,)) == (False, {7: 455})
+
+
 def test_generated_representatives_are_frozen():
     # The representatives and their order feed stored results (census
     # inputs, the hard classes of the tournament bound, the benchmark
@@ -405,6 +442,57 @@ def test_carried_labellings_are_isomorphisms(generations):
     assert checked == 9777  # (rep, deleted vertex) pairs
 
 
+def test_orbit_step_skips_only_images_of_certified_masks(monkeypatch):
+    # at the last level a parent certifies only the least mask of each
+    # orbit of its automorphisms: every mask with no deletion ranking below
+    # the parent that it skips has the child, by certificate (or the
+    # filter's None), of a smaller mask it certified
+    events = []  # _first_lower rows, and (parent, mask) per extension
+    skipped = []
+    first_lower, generate = enumeration._first_lower, enumeration._generate
+    monkeypatch.setattr(
+        enumeration, "_first_lower", lambda *a: events.append(first_lower(*a)) or events[-1]
+    )
+
+    def run(n, extend):
+        events.clear()
+        reps = generate(n, lambda p, mask: events.append((p, mask)) or extend(p, mask))
+        groups = []  # per last-level parent: its row and the masks it extended
+        for e in events:
+            if isinstance(e, list) and len(e) == 1 << n - 1:
+                groups.append((e, []))
+            elif isinstance(e, tuple) and e[0].n == n - 1:
+                groups[-1][1].append(e)
+        for row, extended in groups:
+            wanted = [x for x, v in enumerate(row) if v < 0]
+            kept = [mask for _, mask in extended]
+            assert set(kept) <= set(wanted) and kept == sorted(kept)
+            if not kept:
+                assert not wanted
+                continue
+            parent = extended[0][0]
+
+            def cert(mask):
+                child = extend(parent, mask)
+                return None if child is None else canonical_cert(child)
+
+            certs = {mask: cert(mask) for mask in kept}
+            for mask in set(wanted) - set(kept):
+                c = cert(mask)
+                assert any(x < mask and certs[x] == c for x in kept), (n, mask)
+                skipped.append(mask)
+        return reps
+
+    monkeypatch.setattr(enumeration, "_generate", run)
+    for n in range(1, 8):
+        gen_tournaments(n)
+        for d in range(n):
+            gen_graphs(n, d)
+        for k in range(3):
+            _hard_classes(n, k)
+    assert len(skipped) == 4747
+
+
 def test_filter_not_closed_under_deletion_is_refused():
     # the carried labels need every deletion of a rep to be a kept child
     # of the level below: here no order-3 child may be the directed
@@ -438,12 +526,15 @@ def test_label_dependent_filter_is_refused():
 
 def test_generator_certificate_calls_are_frozen(count_calls):
     # the number of children the generators certify: at every level, only
-    # those no deletion of which ranks below their parent.  Certifying
-    # every child, as brute_levels does, takes 470, 62,422 and 6,416, and
-    # certifying every child below the last level 174, 11,866, 2,613 and
-    # 4,334; the hard order-8 classes certify 280 order-8 children.
-    # Generation runs no canonical search but these: every deletion is
-    # labelled from the level below, not searched.
+    # those no deletion of which ranks below their parent, and at the last
+    # level only the least mask of each orbit of the parent's automorphisms.
+    # Certifying every child, as brute_levels does, takes 470, 62,422 and
+    # 6,416, and certifying every child below the last level 174, 11,866,
+    # 2,613 and 4,334; without the orbit step these counts were 123, 8,531,
+    # 977 and 999, and the hard order-8 classes certified 280 order-8
+    # children, now 274.  Generation runs no canonical search but these:
+    # every deletion is labelled from the level below, not searched, and
+    # the automorphisms come from the searches that certified the parents.
     calls = count_calls(enumeration, "canonical_labelling", "_canon")
     count_calls(canon, "_canon")
     made = []
@@ -454,7 +545,7 @@ def test_generator_certificate_calls_are_frozen(count_calls):
         calls.clear()
         made.append((len(gen()), calls["canonical_labelling"]))
         assert calls["_canon"] == calls["canonical_labelling"]
-    assert made == [(56, 123), (6880, 8531), (424, 977), (258, 999)]
+    assert made == [(56, 109), (6880, 7855), (424, 761), (258, 993)]
 
 
 def test_census_two_dicritical_is_single_directed_cycle():
