@@ -54,7 +54,7 @@ results are picked by it.
 
 from __future__ import annotations
 
-from .digraphs import Digraph, mask_of
+from .digraphs import Digraph, is_tournament, mask_of
 
 
 def _refine(out_rows, in_rows, cells, fresh):
@@ -180,11 +180,7 @@ def _in_counts(d: Digraph):
     are its rows, and in a tournament, where n(n - 1) / 2 arcs and no digon
     put one arc on every pair."""
     irows = d.in_rows
-    if irows == d.rows or (
-        2 * d.m == d.n * (d.n - 1) and not any(map(int.__and__, d.rows, irows))
-    ):
-        return None
-    return irows
+    return None if irows == d.rows or is_tournament(d) else irows
 
 
 def _canon(n, rows, irows, cells, autos=None):

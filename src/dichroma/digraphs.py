@@ -212,6 +212,13 @@ def is_oriented(d: Digraph) -> bool:
     return not any(map(int.__and__, d.rows, d.in_rows))
 
 
+def is_tournament(d: Digraph) -> bool:
+    """Does every pair of vertices carry exactly one arc?  With no digon,
+    n(n-1)/2 arcs put one on each pair; the arc count is compared first,
+    so other digraphs mostly pay one integer compare."""
+    return 2 * d.m == d.n * (d.n - 1) and is_oriented(d)
+
+
 def is_k_diregular(d: Digraph, k: int) -> bool:
     ir = d.in_rows
     return all(

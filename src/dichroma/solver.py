@@ -34,7 +34,7 @@ from typing import Iterator, Sequence
 
 from .certify import _mask_acyclic, _verified
 from .digraphs import (
-    Digraph, circulant_tournament, delete_arc, is_oriented, iter_bits, mask_of,
+    Digraph, circulant_tournament, delete_arc, is_tournament, iter_bits, mask_of,
 )
 from .formats import d6_decode, d6_encode
 
@@ -61,13 +61,6 @@ def _creates_cycle(rows, irows, v, cmask):
             f ^= low
         frontier = nxt & cmask & ~reach
     return False
-
-
-def _is_tournament(d: Digraph) -> bool:
-    """Does every pair of vertices carry exactly one arc?  With no digon,
-    n(n-1)/2 arcs put one on each pair; the arc count is compared first,
-    so other digraphs mostly pay one integer compare."""
-    return 2 * d.m == d.n * (d.n - 1) and is_oriented(d)
 
 
 def _static_colourings(rows, irows, n: int, k: int, blocked) -> Iterator[list[int]]:
@@ -148,7 +141,7 @@ def _dfs_colour(d: Digraph, k: int) -> list[int] | None:
     relabelled into that order and mapped back.  In a tournament every
     unplaced vertex has every placed one as a neighbour and none as a
     digon partner, so the order is 0..n-1 and d is searched as it is."""
-    if _is_tournament(d):  # the empty digraph too
+    if is_tournament(d):  # the empty digraph too
         return next(_static_colourings(d.rows, d.in_rows, d.n, k, _creates_cycle), None)
     rank = _saturation_ranks(d)
     r = d.relabel(rank)
@@ -376,7 +369,7 @@ def induced_acyclic_set(d: Digraph, size: int) -> list[int] | None:
     none has, so no node rescans the pairs its ancestors broke.
     """
     rows, irows = d.rows, d.in_rows
-    tournament = _is_tournament(d)
+    tournament = is_tournament(d)
     stack = [((1 << d.n) - 1, 0,
               mask_of(v for v, r in enumerate(d.digon_rows) if r))]
     while stack:

@@ -3,7 +3,9 @@ per criterion here so the lines appear in the terminal summary even when
 stdout capture swallows the in-test prints; quick_run and full_run run
 verify-paper once per session at each level, counting the calls of the
 searches in RUN_SEARCHES; count_calls counts the calls a pinned search
-makes."""
+makes.  The property tests draw their examples under one hypothesis
+profile: derandomized, so every run draws the same examples, and with no
+deadline, so a slow host cannot fail a correct example."""
 
 import contextlib
 import io
@@ -11,9 +13,13 @@ import json
 from collections import Counter
 
 import pytest
+from hypothesis import settings
 
 from dichroma import canon, claims, solver, structure
 from dichroma.cli import main
+
+settings.register_profile("dichroma", derandomize=True, deadline=None)
+settings.load_profile("dichroma")
 
 ACCEPTANCE_LINES: list[str] = []
 # the searches whose calls a session's verify-paper run counts

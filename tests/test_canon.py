@@ -2,6 +2,8 @@ import hashlib
 import itertools
 import random
 
+from hypothesis import given, strategies as st
+
 from dichroma import canon
 from dichroma.canon import (
     _canon, _encode, _in_counts, _refine, canonical_cert,
@@ -45,16 +47,6 @@ def test_cert_equality_iff_isomorphic_sampled_n5():
     for a, b in itertools.combinations(ds, 2):
         same = _digraph_class_key(a) == _digraph_class_key(b)
         assert (canonical_cert(a) == canonical_cert(b)) == same
-
-
-def test_relabelling_invariance():
-    rng = random.Random(7)
-    for _ in range(50):
-        n = rng.randint(1, 7)
-        d = random_digraph(rng, n, 0.4)
-        perm = list(range(n))
-        rng.shuffle(perm)
-        assert canonical_cert(d) == canonical_cert(d.relabel(perm))
 
 
 def test_canonical_form_is_canonical():
@@ -102,19 +94,6 @@ def test_roots_pin_vertices():
     assert cell_cert(path, [[0], [1, 2]]) == cell_cert(rev, [[2], [0, 1]])
 
 
-def test_cells_relabelling_consistency():
-    rng = random.Random(31)
-    for _ in range(30):
-        n = rng.randint(2, 7)
-        d = random_digraph(rng, n, 0.4)
-        t = rng.randint(1, n - 1)
-        cells = [list(range(t)), list(range(t, n))]
-        perm = list(range(n))
-        rng.shuffle(perm)
-        pcells = [sorted(perm[v] for v in cell) for cell in cells]
-        assert cell_cert(d, cells) == cell_cert(d.relabel(perm), pcells)
-
-
 def test_cells_restrict_isomorphisms():
     # an undirected-square orientation whose colour split breaks symmetry
     c4 = Digraph.from_arcs(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -125,20 +104,64 @@ def test_cells_restrict_isomorphisms():
     assert split != other  # cell shapes agree, orbits differ
 
 
-def test_graph_cert_invariance():
-    rng = random.Random(13)
-    for _ in range(30):
-        n = rng.randint(1, 7)
-        g = random_graph(rng, n)
-        perm = list(range(n))
-        rng.shuffle(perm)
+@st.composite
+def relabelled_digraphs(draw):
+    """(digraph on at most 9 vertices, a permutation of its vertices, a
+    cut point splitting them into two cells)."""
+    n = draw(st.integers(1, 9))
+    slots = [(u, v) for u in range(n) for v in range(n) if u != v]
+    bits = draw(st.integers(0, (1 << len(slots)) - 1))
+    d = Digraph.from_arcs(n, [a for i, a in enumerate(slots) if bits >> i & 1])
+    return d, draw(st.permutations(range(n))), draw(st.integers(0, n))
+
+
+def _assert_relabelling_invariant(d, perm, t):
+    image = d.relabel(perm)
+    assert canonical_cert(image) == canonical_cert(d)
+    cells = [list(range(t)), list(range(t, d.n))]
+    pcells = [sorted(perm[v] for v in cell) for cell in cells]
+    assert cell_cert(image, pcells) == cell_cert(d, cells)
+
+
+@given(relabelled_digraphs())
+def test_certificate_is_relabelling_invariant(case):
+    _assert_relabelling_invariant(*case)
+
+
+@st.composite
+def relabelled_symmetric(draw):
+    """(circulant digraph on at most 13 vertices with a random connection
+    set, or a bidirected graph on at most 9, a permutation of its vertices,
+    a cut point): inputs with automorphisms, where the search prunes by
+    orbits; random digraphs are almost never symmetric."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 13))
+        conn = draw(st.sets(st.integers(1, n - 1), min_size=1))
+        d = Digraph.from_arcs(n, [(u, (u + s) % n) for u in range(n) for s in conn])
+    else:
+        n = draw(st.integers(1, 9))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        bits = draw(st.integers(0, (1 << len(pairs)) - 1))
         rows = [0] * n
-        for u in range(n):
-            for v in range(n):
-                if g.rows[u] >> v & 1:
-                    rows[perm[u]] |= 1 << perm[v]
-        assert canonical_cert(g) == canonical_cert(Digraph(n, rows))
-    assert canonical_cert(random_graph(rng, 5)) != canonical_cert(random_graph(rng, 6))
+        for i, (u, v) in enumerate(pairs):
+            if bits >> i & 1:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+        d = Digraph(n, rows)
+    return d, draw(st.permutations(range(d.n))), draw(st.integers(0, d.n))
+
+
+@given(relabelled_symmetric())
+def test_certificate_of_symmetric_input_is_relabelling_invariant(case):
+    _assert_relabelling_invariant(*case)
+
+
+@given(relabelled_digraphs())
+def test_canonical_form_is_idempotent(case):
+    d, perm, _ = case
+    form = canonical_form(d)
+    assert canonical_form(form) == form
+    assert canonical_form(d.relabel(perm)) == form
 
 
 def test_certificate_bytes_are_frozen():

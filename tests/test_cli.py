@@ -38,21 +38,6 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_dichi_from_file(tmp_path, capsys):
-    path = tmp_path / "tri.d6"
-    path.write_text(TRIANGLE_D6 + "\n")
-    code, out, _ = run_cli(capsys, "dichi", str(path))
-    assert code == 0
-    assert out.splitlines()[0] == "k=2"
-
-
-def test_dichi_from_stdin(capsys, monkeypatch):
-    monkeypatch.setattr(sys, "stdin", io.StringIO(TRIANGLE_D6 + "\n"))
-    code, out, _ = run_cli(capsys, "dichi")
-    assert code == 0
-    assert "k=2" in out
-
-
 def test_dichi_json_report(tmp_path, capsys):
     path = tmp_path / "tri.d6"
     path.write_text(TRIANGLE_D6 + "\n")
@@ -446,8 +431,9 @@ def test_digraph_format_is_read_from_the_text(tmp_path, capsys, monkeypatch):
     # the same output from either format, from a file or from stdin, and no
     # subcommand that reads a digraph takes --format
     texts = (TRIANGLE_D6 + "\n", "3 3\n2 0\n0 1\n1 2\n")
-    for command, rest in (("dichi", []), ("structure", []),
-                          ("critical-check", ["2"])):
+    for command, rest, first in (("dichi", [], "k=2"),
+                                 ("structure", [], "blocks=1 cut_vertices=[]"),
+                                 ("critical-check", ["2"], "dicritical=True k=2")):
         runs = []
         for i, text in enumerate(texts):
             path = tmp_path / f"input{i}"
@@ -456,7 +442,8 @@ def test_digraph_format_is_read_from_the_text(tmp_path, capsys, monkeypatch):
             monkeypatch.setattr(sys, "stdin", io.StringIO(text))
             runs.append(run_cli(capsys, command, "-", *rest))
         assert len(runs) == 4 and len(set(runs)) == 1
-        assert runs[0][0] == 0 and runs[0][1] and runs[0][2] == ""
+        assert runs[0][0] == 0 and runs[0][2] == ""
+        assert runs[0][1].splitlines()[0] == first
         with pytest.raises(SystemExit) as exc:
             main([command, str(path), *rest, "--format", "arclist"])
         assert exc.value.code == 2

@@ -12,6 +12,7 @@ from dichroma.digraphs import (
     induced,
     is_k_diregular,
     is_oriented,
+    is_tournament,
 )
 from dichroma.enumeration import gen_graphs
 
@@ -68,6 +69,13 @@ def test_digon_bookkeeping():
     assert not is_oriented(d)
     assert d.digon_rows[0] == 0b010
     assert is_oriented(Digraph.from_arcs(3, [(0, 1), (1, 2)]))
+    # the empty digraph, K1 and the transitive tournament TT4 are
+    # tournaments; C(4, 2) arcs with one digon and one empty pair are not
+    tt4 = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+    for n, arcs in ((0, []), (1, []), (4, tt4)):
+        assert is_tournament(Digraph.from_arcs(n, arcs))
+    one_digon = Digraph.from_arcs(4, tt4[:-1] + [(1, 0)])
+    assert one_digon.m == 6 and not is_tournament(one_digon)
 
 
 def test_circulant_tournament_st11_shape():

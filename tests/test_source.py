@@ -224,6 +224,21 @@ def test_one_claim_runner():
     assert found == []
 
 
+def test_no_test_skips_itself():
+    # the test extra (pytest and hypothesis) is the one test environment:
+    # no test module calls pytest's skip, its mark or its form for a module
+    # that fails to import (any callee named *skip), so a missing module
+    # fails the run instead of silently dropping the property tests
+    found = [
+        f"{path.name}:{node.lineno} {ast.unparse(node.func)}"
+        for path in sorted(TESTS.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) or getattr(node.func, "attr", "")).endswith("skip")
+    ]
+    assert found == []
+
+
 def _functions(node, prefix):
     """(qualified name, node) of every function below node, methods and
     nested functions included."""
