@@ -77,6 +77,7 @@ def _static_colourings(rows, irows, n: int, k: int, blocked) -> Iterator[list[in
     so a caller passing _creates_cycle reads it from this module at call
     time, where a test may replace it to count calls.
     """
+    k = min(k, n)  # at most n classes, and one mask per class
     if n == 0:
         yield []
         return

@@ -38,18 +38,6 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_dichi_json_report(tmp_path, capsys):
-    path = tmp_path / "tri.d6"
-    path.write_text(TRIANGLE_D6 + "\n")
-    code, out, _ = run_cli(capsys, "dichi", str(path), "--json")
-    assert code == 0
-    blob = json.loads(out)
-    assert blob["command"] == "dichi"
-    assert blob["results"]["k"] == 2
-    assert blob["results"]["n"] == 3
-    assert "solve" in blob["timings"]
-
-
 def test_every_json_report_comes_from_one_writer(tmp_path, capsys, quick_run):
     tri = tmp_path / "tri.d6"
     tri.write_text(TRIANGLE_D6 + "\n")
@@ -65,6 +53,8 @@ def test_every_json_report_comes_from_one_writer(tmp_path, capsys, quick_run):
         code, out, _ = run_cli(capsys, *argv, "--json")
         assert code == 0
         reports.append((argv[0], json.loads(out), spans))
+    dichi = reports[1][1]["results"]
+    assert (dichi["k"], dichi["n"]) == (2, 3)
     for command, blob, spans in reports:
         assert set(blob) == {"command", "inputs", "results", "timings", "seed"}
         assert blob["command"] == command
@@ -94,33 +84,16 @@ def test_census_empty(capsys):
     assert set(first["timings"]) == {"census"}
 
 
-def test_census_below_the_degree_floor(capsys):
-    for n, k in (("4", "3"), ("2", "2"), ("1", "2")):
-        code, out, _ = run_cli(capsys, "census", n, k)
-        assert code == 0
-        assert out.splitlines() == ["count=0 min_arcs=None unique=False"]
-    code, _, err = run_cli(capsys, "census", "11", "7")
-    assert code == 2
-    assert "error:" in err
-
-
 def test_census_malformed_checkpoint_is_usage_error(tmp_path, capsys):
     ck = tmp_path / "census.ckpt"
     assert run_cli(capsys, "census", "5", "2", "--checkpoint", str(ck))[0] == 0
+    # every malformed record is refused in test_enumeration's _MALFORMED;
+    # here one refusal reaches the command line as a usage error
     header = ck.read_text().splitlines()[0]
-    for record, reason in (
-        ('{"graph": "&DKMME?"}', "lacks field 'dicritical'"),
-        ('{"graph": "&DKMME?", "dicritical": ["junk"], "candidates": 1}',
-         "is refused: digraph6 input must start with '&'"),
-        ('{"graph": "&DKMME?", "dicritical": ["&DCD@G?", "&DCD@G?"], "candidates": 1}',
-         "is refused: outputs of &DKMME? are not strictly ascending"),
-        ('{"graph": "&DKMME?", "dicritical": 5, "candidates": 1}',
-         "is refused: census record field of the wrong type"),
-    ):
-        ck.write_text(f"{header}\n{record}\n")
-        code, out, err = run_cli(capsys, "census", "5", "2", "--checkpoint", str(ck))
-        assert code == 2 and out == ""
-        assert err.startswith(f"error: checkpoint {ck}: line 2 {reason}")
+    ck.write_text(f'{header}\n{{"graph": "&DKMME?"}}\n')
+    code, out, err = run_cli(capsys, "census", "5", "2", "--checkpoint", str(ck))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: checkpoint {ck}: line 2 lacks field 'dicritical'")
 
 
 def test_census_directed_triangle(capsys):
@@ -129,12 +102,7 @@ def test_census_directed_triangle(capsys):
     lines = out.splitlines()
     assert lines[0] == "count=1 min_arcs=3 unique=True"
     assert lines[1].startswith("witness ")
-
-
-def test_census_jobs_2_matches_jobs_1(capsys):
-    runs = [run_cli(capsys, "census", "7", "3", "--jobs", jobs) for jobs in "12"]
-    assert runs[0] == runs[1]
-    assert runs[0] == (0, "count=3 min_arcs=20 unique=True\nwitness &FKD`qUFHw?\n", "")
+    assert run_cli(capsys, "census", "3", "2", "--jobs", "2") == (0, out, "")
 
 
 def test_census_problems_fail_the_run(capsys, monkeypatch):
@@ -165,23 +133,6 @@ def test_jobs_must_be_positive(capsys, monkeypatch):
         code, out, err = run_cli(capsys, "census", "5", "2")
         assert code == 2 and out == ""
         assert "positive integer" in err
-
-
-def test_bounds_single_surface(capsys):
-    code, out, _ = run_cli(capsys, "bounds", "--surface", "N10")
-    assert code == 0
-    assert out.strip() == "[4,4]"
-    code, out2, _ = run_cli(capsys, "bounds", "--surface", "n10")
-    assert out2.strip() == "[4,4]"
-
-
-def test_bounds_table_and_determinism(capsys):
-    code, out1, _ = run_cli(capsys, "bounds")
-    assert code == 0
-    assert len(out1.splitlines()) == 12
-    assert "sphere" in out1 and "S5, N10" in out1
-    _, out2, _ = run_cli(capsys, "bounds")
-    assert out1 == out2
 
 
 def test_bounds_range(capsys):

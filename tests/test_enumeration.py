@@ -175,37 +175,31 @@ def test_gen_orientations_matches_bruteforce():
             assert 2 * d.m == g.m
 
 
-def test_census_task_matches_unfiltered_stream():
-    # the census worker prunes by dicolouring; the reference orients every
-    # order-7 census graph without any colouring and checks each class
-    graphs = [g for g in gen_graphs(7, 4) if arboricity(g) >= 3]
-    assert len(graphs) == 13
-    for g in graphs:
-        g6 = d6_encode(g)
-        want = sorted(
-            d6_encode(canonical_form(d))
-            for d in _orientation_stream(g, 2)[0]
-            if is_dicritical(d, 3).is_dicritical
-        )
-        assert _census_graph_task((g6, 3))["dicritical"] == want
-
-
 def _census_tasks(n):
     return [
         (d6_encode(g), 3) for g in gen_graphs(n, 4) if arboricity(g) >= 3
     ]
 
 
-def test_census_worker_work_is_frozen(count_calls):
-    # the stream's solver calls over the 13 filtered order-7 graphs; 3,902
-    # when a child tried its parent's colouring alone, before the pool of
-    # its siblings' colourings
+def test_census_task_matches_unfiltered_stream(count_calls):
+    # the census worker prunes by dicolouring; the reference orients every
+    # order-7 census graph without any colouring and checks each class.
+    # The worker's solver calls are frozen: 3,902 when a child tried its
+    # parent's colouring alone, before the pool of its siblings' colourings
     calls = count_calls(enumeration, "is_k_dicolourable")
-    results = [_census_graph_task(task) for task in _census_tasks(7)]
+    tasks = _census_tasks(7)
+    results = [_census_graph_task(task) for task in tasks]
     assert len(results) == 13
     assert calls["is_k_dicolourable"] == 1684
     assert sum(r["candidates"] for r in results) == 17920
     assert sum(len(r["dicritical"]) for r in results) == 3
+    for (g6, _), result in zip(tasks, results):
+        want = sorted(
+            d6_encode(canonical_form(d))
+            for d in _orientation_stream(d6_decode(g6), 2)[0]
+            if is_dicritical(d, 3).is_dicritical
+        )
+        assert result["dicritical"] == want
 
 
 def test_mixed_cert_matches_digraph_cert(monkeypatch):
@@ -615,31 +609,32 @@ def test_census_pool_is_bounded_by_tasks_and_cpus(monkeypatch):
         assert requested == want
 
 
-def test_census_checkpoint_resume(tmp_path):
-    # resuming from a cut checkpoint is test_census_resumes_from_any_cut
-    ck = tmp_path / "census.ckpt"
-    first = dicritical_census(5, 2, checkpoint=str(ck))
-    lines = [ln for ln in ck.read_text().splitlines() if ln.strip()]
-    # the header binds the run; changing it would orphan old checkpoints
-    assert json.loads(lines[0]) == {"kind": "census", "n": 5, "k": 2,
-                                    "filter": "vertex"}
-    assert len(lines) > 2
-
-    # a finished checkpoint answers without recomputation
-    again = dicritical_census(5, 2, checkpoint=str(ck))
-    assert again.all_dicritical == first.all_dicritical
-
-    # checkpoints are bound to their run parameters
-    with pytest.raises(ValueError):
-        dicritical_census(4, 2, checkpoint=str(ck))
-
-
 @pytest.fixture(scope="module")
 def finished(tmp_path_factory):
     """A finished census(5, 2) checkpoint's bytes and its report's JSON."""
     ck = tmp_path_factory.mktemp("finished") / "census.ckpt"
     rep = dicritical_census(5, 2, checkpoint=str(ck))
     return ck.read_bytes(), json.dumps(rep.to_json())
+
+
+def test_census_checkpoint_resume(finished, tmp_path):
+    # resuming from a cut checkpoint is test_census_resumes_from_any_cut
+    blob, report = finished
+    lines = [ln for ln in blob.decode().splitlines() if ln.strip()]
+    # the header binds the run; changing it would orphan old checkpoints
+    assert json.loads(lines[0]) == {"kind": "census", "n": 5, "k": 2,
+                                    "filter": "vertex"}
+    assert len(lines) > 2
+
+    # a finished checkpoint answers without recomputation
+    ck = tmp_path / "census.ckpt"
+    ck.write_bytes(blob)
+    again = dicritical_census(5, 2, checkpoint=str(ck))
+    assert json.dumps(again.to_json()) == report
+
+    # checkpoints are bound to their run parameters
+    with pytest.raises(ValueError):
+        dicritical_census(4, 2, checkpoint=str(ck))
 
 
 @settings(max_examples=40)

@@ -175,7 +175,9 @@ def test_every_function_has_a_caller():
 def test_every_bruteforce_reference_is_used():
     # a reference that no test reaches checks nothing: every function of
     # bruteforce.py is imported by a test module, or named by a bruteforce
-    # function that is
+    # function that is; and every helper of a test module or conftest.py,
+    # a top-level function that is no test, fixture, Hypothesis strategy
+    # or pytest hook, is named outside its own body
     tree = ast.parse((TESTS / "bruteforce.py").read_text())
     names = {
         top.name: {node.id for node in ast.walk(top) if isinstance(node, ast.Name)}
@@ -196,6 +198,20 @@ def test_every_bruteforce_reference_is_used():
             reached.add(name)
             todo += names[name]
     assert sorted(names.keys() - reached) == []
+    unused = []
+    for path in [TESTS / "conftest.py", *sorted(TESTS.glob("test_*.py"))]:
+        body = ast.parse(path.read_text()).body
+        named = [{n.id for n in ast.walk(top) if isinstance(n, ast.Name)} for top in body]
+        for i, top in enumerate(body):
+            if not isinstance(top, ast.FunctionDef) or top.name.startswith(("test_", "pytest_")):
+                continue
+            decorators = {getattr(getattr(dec, "func", dec), "attr", None)
+                          for dec in top.decorator_list}
+            if not decorators & {"fixture", "composite"} and not any(
+                top.name in names for j, names in enumerate(named) if j != i
+            ):
+                unused.append(f"{path.name}:{top.lineno} {top.name}")
+    assert unused == []
 
 
 def test_one_claim_runner():

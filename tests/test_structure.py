@@ -86,13 +86,10 @@ def test_block_kinds_handcrafted():
     assert classify_blocks(ring4) == [OTHER]
     k4 = graph(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
     assert classify_blocks(k4) == [BIDIRECTED_CLIQUE]
+    # an odd cycle too, the bidirected triangle counts as a clique
+    assert classify_blocks(graph(3, [(0, 1), (1, 2), (0, 2)])) == [BIDIRECTED_CLIQUE]
     tt3 = Digraph.from_arcs(3, [(0, 1), (0, 2), (1, 2)])
     assert classify_blocks(tt3) == [OTHER]
-
-
-def test_bidirected_triangle_counts_as_clique():
-    tri = graph(3, [(0, 1), (1, 2), (0, 2)])
-    assert classify_blocks(tri) == [BIDIRECTED_CLIQUE]
 
 
 def test_cactus_recognition():
