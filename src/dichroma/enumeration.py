@@ -77,7 +77,9 @@ from typing import Iterator, Sequence
 
 from .canon import _canon, canonical_cert, canonical_form, canonical_labelling
 from .certify import _mask_acyclic
-from .digraphs import Digraph, is_k_diregular, is_oriented, iter_bits
+from .digraphs import (
+    Digraph, bidirect, is_k_diregular, is_oriented, is_tournament, iter_bits,
+)
 from .formats import checkpointed_map, d6_decode, d6_encode
 from .solver import (
     _bound_chunk, _class_masks, _creates_cycle, _extend_tournament,
@@ -602,7 +604,8 @@ def verify_census_bound(
     }
     # records come in chunk order and none is written past a failure, so
     # the first failure is the lowest failing chunk, whatever the jobs
-    for _, verdict in checkpointed_map(_bound_record, tasks, _bound_read, header, checkpoint, jobs):
+    read = functools.partial(_bound_read, n, k)
+    for _, verdict in checkpointed_map(_bound_record, tasks, read, header, checkpoint, jobs):
         if verdict is not True:
             return False, d6_decode(verdict)
     return True, None
@@ -617,10 +620,11 @@ def _bound_record(args) -> dict:
     return rec
 
 
-def _bound_read(rec: dict) -> tuple:
+def _bound_read(n: int, k: int, rec: dict) -> tuple:
     """A bound record's chunk and verdict: True, or the counterexample of a
     failing chunk.  A field of the wrong type raises TypeError, and a
-    counterexample that is not digraph6 ValueError."""
+    counterexample that is not digraph6, not an order-n tournament, or
+    k-dicolourable, ValueError."""
     chunk, ok = rec["chunk"], rec["ok"]
     verdict = ok or rec["counterexample"]
     if type(chunk) is not int or type(ok) is not bool or not (
@@ -628,7 +632,10 @@ def _bound_read(rec: dict) -> tuple:
     ):
         raise TypeError("bound record field of the wrong type")
     if not ok:
-        d6_decode(verdict)
+        cex = d6_decode(verdict)
+        if cex.n != n or not is_tournament(cex) or is_k_dicolourable(cex, k) is not None:
+            raise ValueError(
+                f"{verdict} is not an order-{n} tournament with no {k}-dicolouring")
     return chunk, verdict
 
 
@@ -677,7 +684,7 @@ def _census_read(rec: dict) -> tuple:
     """A census record's graph, dicritical outputs and candidate count.  A
     field of the wrong type raises TypeError; outputs not strictly ascending
     (as the worker writes them), or one not digraph6 or not an orientation
-    of the task's graph (order, digon, arc count), ValueError."""
+    of the task's graph (by certificate: outputs are canonical), ValueError."""
     g6, found, count = rec["graph"], rec["dicritical"], rec["candidates"]
     if not isinstance(g6, str) or type(count) is not int or not (
         isinstance(found, list) and all(isinstance(s, str) for s in found)
@@ -685,10 +692,10 @@ def _census_read(rec: dict) -> tuple:
         raise TypeError("census record field of the wrong type")
     if any(a >= b for a, b in zip(found, found[1:])):
         raise ValueError(f"outputs of {g6} are not strictly ascending")
-    g = d6_decode(g6)
+    cert = canonical_cert(d6_decode(g6)) if found else None
     for s in found:
         d = d6_decode(s)
-        if d.n != g.n or 2 * d.m != g.m or not is_oriented(d):
+        if not is_oriented(d) or canonical_cert(bidirect(d)) != cert:
             raise ValueError(f"{s} is not an orientation of {g6}")
     return g6, found, count
 

@@ -117,7 +117,7 @@ def test_criterion_3_census_8_and_9(tmp_path):
 
 
 def test_criterion_4_order_6_tournaments(rows):
-    rows(4, 5, "all 56 tournaments on 6 vertices are 2-dicolourable",
+    rows(4, 5, "every tournament on 6 vertices is 2-dicolourable",
          "tournaments-6-2-dicolourable")
 
 
@@ -148,13 +148,13 @@ def test_criterion_8_oriented_gadgets_and_reductions(rows):
 def test_criterion_9_structure_suite(rows):
     rows(9, 60, "500 random cacti meet the 3/2(n-1) edge bound with "
          "triangle-only tightness and have induced forests of 2n/3 "
-         "vertices; census graphs pass the low-vertex check",
+         "vertices; the order-8 census witness passes the low-vertex check",
          "cactus-suite-500", "census-dicritical-gallai")
 
 
 def test_criterion_10_bounds_suite(rows):
     rows(10, 1, "closed-form bounds reproduce the 12-row surface table and "
-         "both frozen census witnesses are 3-dicritical",
+         "the frozen order-8 census witness is 3-dicritical",
          "surface-bounds-table")
 
 

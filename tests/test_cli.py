@@ -538,14 +538,17 @@ def test_verify_paper_rows_decide_what_they_ask(quick_run, full_run):
     assert (quick["_shortest_cycle"], full["_shortest_cycle"]) == (2_538, 44_363)
     # one block decomposition per cactus (100 quick, 500 full), where the
     # edge bound, the triangle test and the induced forest took one each,
-    # and one per low-vertex digraph of the 3 census witnesses, checked by
-    # census-7-3-min-20-unique and census-dicritical-gallai
-    assert (quick["_lowpoint_blocks"], full["_lowpoint_blocks"]) == (106, 606)
+    # and one per low-vertex digraph of census 7's 3 outputs, checked once
+    # by validate_census, and of the order-8 witness, by
+    # census-dicritical-gallai
+    assert (quick["_lowpoint_blocks"], full["_lowpoint_blocks"]) == (104, 604)
     # the canonical searches reached through canon's global _canon, not
     # the census's partial states, which import it: one per arc of ST11
-    # for its arc-transitivity (55), the rest canonical_labelling's.  The
-    # generators' orbit step took them from 1,220 and 9,751
-    assert (quick["_canon"], full["_canon"]) == (1_089, 8_944)
+    # for its arc-transitivity (55), 5 for reading census 7's records
+    # (the 2 graphs with outputs and the underlying graphs of the 3
+    # outputs), the rest canonical_labelling's.  The generators' orbit
+    # step took them from 1,220 and 9,751
+    assert (quick["_canon"], full["_canon"]) == (985, 8_840)
 
 
 def test_verify_paper_failing_row(tmp_path, capsys, monkeypatch):

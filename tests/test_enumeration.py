@@ -693,6 +693,16 @@ _MALFORMED = [
     # one output listed twice: the worker writes them sorted and distinct
     ("census", ['{"graph": "&DKMME?", "dicritical": ["&DCD@G?", "&DCD@G?"], "candidates": 1}'],
      "not strictly ascending"),
+    # a directed triangle with a two-arc tail: an oriented graph with the
+    # 5-cycle's order and size whose underlying graph is not the 5-cycle
+    ("census", ['{"graph": "&DKMME?", "dicritical": ["&D?DCB?"], "candidates": 1}'],
+     "&D?DCB? is not an orientation of &DKMME?"),
+    # counterexamples that a run of order 4 at k = 2 cannot have found:
+    # K1, and the transitive 4-tournament, which is acyclic
+    ("bound", ['{"chunk": 0, "ok": false, "counterexample": "&@?"}'],
+     "&@? is not an order-4 tournament"),
+    ("bound", ['{"chunk": 0, "ok": false, "counterexample": "&C[p?"}'],
+     "&C[p? is not an order-4 tournament with no 2-dicolouring"),
 ]
 
 
