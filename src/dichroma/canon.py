@@ -38,7 +38,9 @@ follow from its siblings' and its parent's.  The ordered partition, and so
 every certificate byte, is that of recounting against every cell.  A
 symmetric digraph or a tournament is refined on out-counts alone, as its
 in-counts follow from them (_in_counts); the census's partial states,
-with digons and arcs, keep both.
+with digons and arcs, keep both.  A caller that ran the first round itself
+passes its cells and fresh masks to _canon, and a root refined to
+singletons is the only leaf, so no search starts.
 
 A leaf is encoded by whole-matrix shifts (_encode): its rows packed into one
 int, each new column taken from all rows at once.
@@ -54,7 +56,7 @@ results are picked by it.
 
 from __future__ import annotations
 
-from .digraphs import Digraph, is_tournament, mask_of
+from .digraphs import Digraph, mask_of
 
 
 def _refine(out_rows, in_rows, cells, fresh):
@@ -93,29 +95,35 @@ def _refine(out_rows, in_rows, cells, fresh):
     while fresh and len(cells) < n:
         new_cells = []
         new_fresh = []
+        lone = fresh[0] if len(fresh) == 1 else 0  # a fresh mask is never 0
         for cell in cells:
             if len(cell) == 1:
                 new_cells.append(cell)
                 continue
             buckets: dict[int, list[int]] = {}
-            for v in cell:
-                ro = out_rows[v]
-                key = 0
-                if in_rows is None:
-                    for mk in fresh:
-                        key = key << width | (ro & mk).bit_count()
+            if in_rows is None:
+                if lone:
+                    for v in cell:
+                        buckets.setdefault((out_rows[v] & lone).bit_count(), []).append(v)
                 else:
-                    ri = in_rows[v]
+                    for v in cell:
+                        ro = out_rows[v]
+                        key = 0
+                        for mk in fresh:
+                            key = key << width | (ro & mk).bit_count()
+                        buckets.setdefault(key, []).append(v)
+            elif lone:
+                for v in cell:
+                    key = (out_rows[v] & lone).bit_count() << width
+                    buckets.setdefault(key | (in_rows[v] & lone).bit_count(), []).append(v)
+            else:
+                for v in cell:
+                    ro, ri = out_rows[v], in_rows[v]
+                    key = 0
                     for mk in fresh:
-                        key = (
-                            (key << width | (ro & mk).bit_count()) << width
-                            | (ri & mk).bit_count()
-                        )
-                sub = buckets.get(key)
-                if sub is None:
-                    buckets[key] = [v]
-                else:
-                    sub.append(v)
+                        key = (key << width | (ro & mk).bit_count()) << width
+                        key |= (ri & mk).bit_count()
+                    buckets.setdefault(key, []).append(v)
             if len(buckets) == 1:
                 new_cells.append(cell)
                 continue
@@ -179,11 +187,13 @@ def _in_counts(d: Digraph):
     those fix the in-counts.  They do in a symmetric digraph, whose in-rows
     are its rows, and in a tournament, where n(n - 1) / 2 arcs and no digon
     put one arc on every pair."""
-    irows = d.in_rows
-    return None if irows == d.rows or is_tournament(d) else irows
+    rows, irows = d.rows, d.in_rows
+    if irows == rows or 2 * d.m == d.n * (d.n - 1) and not any(map(int.__and__, rows, irows)):
+        return None
+    return irows
 
 
-def _canon(n, rows, irows, cells, autos=None):
+def _canon(n, rows, irows, cells, autos=None, fresh=None):
     """(least leaf encoding, its vertex order) of the search from cells.
 
     The stack holds one [partition, index of the target cell, next child,
@@ -193,14 +203,23 @@ def _canon(n, rows, irows, cells, autos=None):
     caller that passes an empty set as autos gets them there: each respects
     the cells.  irows None refines on out-counts alone (_refine), which a
     caller asks for once per search, when _in_counts says they suffice.
+    fresh, the masks _refine counts against first, is None for every
+    cell, or the next fresh of a first round the caller made itself.  A
+    root refined to singletons is the one leaf, returned before the search
+    is set up.
     """
+    if fresh is None:
+        fresh = [mask_of(c) for c in cells]
+    cells = _refine(rows, irows, cells, fresh)
+    if len(cells) == n:
+        order = [c[0] for c in cells]
+        return _encode(n, rows, order), order
     best = order = None
     best_path: list[int] = []
     path: list[int] = []
     stack = []
     if autos is None:
         autos = set()
-    cells = _refine(rows, irows, cells, [mask_of(c) for c in cells])
     while True:
         if len(cells) < n:
             target = next(i for i, c in enumerate(cells) if len(c) > 1)
@@ -262,7 +281,8 @@ def canonical_labelling(d: Digraph) -> tuple[bytes, list[int], set[tuple[int, ..
     autos: set[tuple[int, ...]] = set()
     if d.n == 0:
         return b"\x00\x00", [], autos
-    best, order = _canon(d.n, d.rows, _in_counts(d), [list(range(d.n))], autos)
+    n = d.n
+    best, order = _canon(n, d.rows, _in_counts(d), [list(range(n))], autos, [(1 << n) - 1])
     return d.n.to_bytes(2, "big") + best, order, autos
 
 

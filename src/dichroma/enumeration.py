@@ -44,14 +44,25 @@ or neither.  So the orbit's least mask, visited first, is certified
 whenever another of its masks would be, and its child is the one kept.  The
 automorphisms are those the search that certified P found (canon._canon's
 equal leaves); the step is exact for any subgroup, and runs no search.
-Below the last level every child is still visited, as the next level
-reads a rank and a canonical order for each.
+Below the last level every admitted child is still visited, as the next
+level reads a rank and a canonical order for each.
+
+A filter is handed to _generate as the ascending list of masks each parent
+admits: every mask, the degree floor's forced vertices plus enough others,
+or the tournament bound's cover.  Only those masks are ranked, orbit-walked
+and built; every other child is filtered with no call.  The admitted set
+depends only on the child's class, so it is a union of orbits of the
+parent's automorphisms, and canonical deletion and the orbit step certify
+exactly the masks they would among all children.
 
 Partial orientations carry their unoriented edges as digons and a
 processed/unprocessed vertex partition inside the certificate, so states
 whose completions explore isomorphic territory collapse early; that is what
 keeps dense underlying graphs (whole tournaments in the worst case) within
-reach.
+reach.  The children of one level share the graph, the partition and every
+open edge, so one certifier per level (_level_certifier) builds those
+parts, and the first refinement round of the unprocessed cell, once; per
+child it adds the oriented rows and the processed cell's first round.
 
 Each orientation state carries what its parent already proved.  Degree
 bounds force arcs: when vertex t is added, a back-neighbour with no out-
@@ -78,11 +89,11 @@ from typing import Iterator, Sequence
 from .canon import _canon, canonical_cert, canonical_form, canonical_labelling
 from .certify import _mask_acyclic
 from .digraphs import (
-    Digraph, bidirect, is_k_diregular, is_oriented, is_tournament, iter_bits,
+    Digraph, bidirect, is_k_diregular, is_oriented, is_tournament, iter_bits, mask_of,
 )
 from .formats import checkpointed_map, d6_decode, d6_encode
 from .solver import (
-    _bound_chunk, _class_masks, _creates_cycle, _extend_tournament,
+    _bound_chunk, _class_masks, _creates_cycle, _extend_tournament, _saturation_ranks,
     _static_colourings, _uncovered, is_dicritical, is_k_dicolourable,
 )
 from .structure import gallai_property_check
@@ -90,21 +101,24 @@ from .structure import gallai_property_check
 GEN_CAP = 10
 
 
-def _generate(n: int, extend) -> list[Digraph]:
+def _generate(n: int, extend, admitted) -> list[Digraph]:
     """One order-n digraph per class reachable by vertex extension from K1,
-    in certificate order.  extend(parent, mask) is the child whose new last
-    vertex has the row mask, meeting the parent's vertices in mask one way
-    and the rest the other (adjacent or not; dominating or dominated), or
-    None when a filter rejects it (a degree floor, or the tournament bound's
-    cover).  Canonical deletion (module docstring) needs both to ignore
-    labels: relabelling parent and mask alike gives an isomorphic child, and
-    a filter must depend only on the child's class; so does the last
-    level's orbit step, which certifies only the least mask of each orbit
-    of the parent's automorphisms.  The carried labellings also need every
-    vertex deletion of a child kept below the last level to pass the filter
-    of its level.  _labels raises RuntimeError when one does not, and
-    _generate when a child below the last level passes the filter but the
-    earlier child it is isomorphic to did not.
+    in certificate order.  admitted(parent) lists, ascending, the masks
+    whose child the rule keeps (all, or those a degree floor or the
+    tournament bound's cover keeps), and extend(parent, mask) builds such a
+    child: its new last vertex has the row mask, meeting the parent's
+    vertices in mask one way and the rest the other (adjacent or not;
+    dominating or dominated).  The child of any other mask is filtered
+    without a call.  Canonical deletion (module docstring) needs both to
+    ignore labels: relabelling parent and mask alike gives an isomorphic
+    child, and whether a child is admitted must depend only on its class,
+    so the admitted masks are a union of orbits of the parent's
+    automorphisms; so does the last level's orbit step, which certifies
+    only the least mask of each orbit.  The carried labellings also need
+    every vertex deletion of a child kept below the last level to be
+    admitted at its level.  _labels raises RuntimeError when one is not,
+    and _generate when a child below the last level is admitted but the
+    earlier child it is isomorphic to was not.
 
     A level of order s is recorded as (ranks, orders, origins): the child of
     rep m of the level below by mask has index m << s-1 | mask, ranks[index]
@@ -123,30 +137,29 @@ def _generate(n: int, extend) -> list[Digraph]:
         if t == n - 1:
             seen: dict[bytes, Digraph] = {}  # certificate -> first child
             for j, (parent, autos) in enumerate(zip(reps, groups)):
-                labels = _labels(origins[j], t, under)
-                low = _first_lower(j, labels, ranks)
-                masks = [x for x, v in enumerate(low) if v < 0]
+                masks = admitted(parent)
+                low = _first_lower(j, _labels(origins[j], t, under), ranks, masks)
+                masks = [x for x, v in zip(masks, low) if v < 0]
                 for mask in _orbit_least(masks, autos, t):
                     child = extend(parent, mask)
-                    if child is not None:
-                        seen.setdefault(canonical_labelling(child)[0], child)
+                    seen.setdefault(canonical_labelling(child)[0], child)
             return [seen[c] for c in sorted(seen)]
         labelled = [_labels(x, t, under) for x in origins]
         # certificate -> (index, child, automorphisms) of the first child of
-        # its class, and that triple per child, or None when filtered
+        # its class, and that triple per child index, or None when filtered
         first: dict[bytes, tuple[int, Digraph, set]] = {}
-        firsts: list[tuple[int, Digraph, set] | None] = []
-        child_orders = bytearray()
+        firsts: list[tuple[int, Digraph, set] | None] = [None] * (len(reps) << t)
+        child_orders = bytearray((t + 1) * len(firsts))
         for j, (parent, labels) in enumerate(zip(reps, labelled)):
-            for mask, v in enumerate(_first_lower(j, labels, ranks)):
+            masks = admitted(parent)
+            for mask, v in zip(masks, _first_lower(j, labels, ranks, masks)):
+                index = j << t | mask
+                at = (t + 1) * index
                 child = extend(parent, mask)
-                if child is None:
-                    firsts.append(None)
-                    child_orders += bytes(t + 1)
-                elif v < 0:
+                if v < 0:
                     cert, order, autos = canonical_labelling(child)
-                    firsts.append(first.setdefault(cert, (len(firsts), child, autos)))
-                    child_orders.extend(order)
+                    firsts[index] = first.setdefault(cert, (index, child, autos))
+                    child_orders[at : at + t + 1] = order
                 else:
                     # child - v is rep r < j by psi, so the child is rep
                     # r's child x by v's row, mapped, with v as x's new
@@ -161,16 +174,15 @@ def _generate(n: int, extend) -> list[Digraph]:
                             " isomorphic one did not: the filter must depend"
                             " only on the child's class"
                         )
-                    firsts.append(firsts[x])
+                    firsts[index] = firsts[x]
                     if t == n - 2:
                         continue  # the last level reads no order of this one
                     psi[v] = t
                     inverse = [0] * (t + 1)
                     for u, w in enumerate(psi):
                         inverse[w] = u
-                    at = (t + 1) * x
-                    order = child_orders[at : at + t + 1]
-                    child_orders.extend([inverse[w] for w in order])
+                    order = child_orders[(t + 1) * x : (t + 1) * (x + 1)]
+                    child_orders[at : at + t + 1] = bytes(inverse[w] for w in order)
         kept = [first[c] for c in sorted(first)]
         reps = [child for _, child, _ in kept]
         groups = [autos for _, _, autos in kept]
@@ -276,32 +288,33 @@ def _labels(origin: int, t: int, under) -> list[tuple[int, list[int]]]:
     return labels
 
 
-def _first_lower(j: int, labels, ranks) -> list[int]:
-    """Per mask S, the first old vertex v of P_j, the j-th rep of its level,
-    for which P_j + S - v ranks below j, or -1 when none does; labels are
-    P_j's deletion labellings (_labels) and ranks those of its level
-    (_generate).  Deleting P_j's new vertex leaves its parent's child by S
-    less that vertex, one row of ranks, so that vertex is tried first; each
-    older vertex in turn is tried only on the masks left."""
+def _first_lower(j: int, labels, ranks, masks) -> list[int]:
+    """Per mask S of masks, the admitted masks of P_j, the j-th rep of its
+    level, the first old vertex v of P_j for which P_j + S - v ranks below
+    j, or -1 when none does; labels are P_j's deletion labellings (_labels)
+    and ranks those of its level (_generate).  Deleting P_j's new vertex
+    leaves its parent's child by S less that vertex, one row of ranks, so
+    that vertex is tried first; each older vertex in turn is tried only on
+    the masks left."""
     t = len(labels)
     s = t - 1
     q = labels[-1][0]
     low = [s if r < j else -1 for r in ranks[q << s : q + 1 << s]]
     low += low  # the bit of P_j's new vertex is deleted with it
-    masks = [x for x, w in enumerate(low) if w < 0]
+    left = [x for x in masks if low[x] < 0]
     half = t // 2
     cut = (1 << half) - 1
     for v, (m, image) in enumerate(labels[:-1]):
-        if not masks:
+        if not left:
             break
         lo, hi = _half_tables([0 if u == v else 1 << image[u] for u in range(t)], half)
         base = m << s
-        lower = [x for x in masks if ranks[base | lo[x & cut] | hi[x >> half]] < j]
+        lower = [x for x in left if ranks[base | lo[x & cut] | hi[x >> half]] < j]
         if lower:
             for x in lower:
                 low[x] = v
-            masks = [x for x in masks if low[x] < 0]
-    return low
+            left = [x for x in left if low[x] < 0]
+    return [low[x] for x in masks]
 
 
 def gen_graphs(n: int, min_degree: int) -> list[Digraph]:
@@ -313,26 +326,29 @@ def gen_graphs(n: int, min_degree: int) -> list[Digraph]:
     every extendable intermediate graph.  A child is then a graph of its
     order with min degree at least its level's floor, so deleting a vertex
     leaves one that met the floor below; canonical deletion needs that.
+    Every vertex of a parent met the floor less one, so the masks a parent
+    admits are forced | S for S a submask of the other vertices, with at
+    least floor bits: forced holds the vertices a degree short of it.
     """
     if not 1 <= n <= GEN_CAP:
         raise ValueError(f"order must be within 1..{GEN_CAP}, got {n}")
     if min_degree < 0 or min_degree >= n:
         raise ValueError(f"min degree {min_degree} infeasible at order {n}")
 
-    def extend(g: Digraph, mask: int) -> Digraph | None:
+    def admitted(g: Digraph) -> list[int]:
         t = g.n
         floor = min_degree - (n - t - 1)
-        if mask.bit_count() < floor:
-            return None
-        child = [r | (mask >> i & 1) << t for i, r in enumerate(g.rows)]
-        child.append(mask)
-        if floor > 0 and any(r.bit_count() < floor for r in child):
-            return None
-        d = Digraph(t + 1, child)
+        forced = mask_of(v for v, r in enumerate(g.rows) if r.bit_count() < floor)
+        masks = (forced | sub for sub in _submasks((1 << t) - 1 ^ forced))
+        return [x for x in masks if x.bit_count() >= floor]
+
+    def extend(g: Digraph, mask: int) -> Digraph:
+        t = g.n
+        d = Digraph(t + 1, [r | (mask >> i & 1) << t for i, r in enumerate(g.rows)] + [mask])
         d._irows = d.rows  # symmetric
         return d
 
-    return _generate(n, extend)
+    return _generate(n, extend, admitted)
 
 
 def _closes_forest_cycle(rows: Sequence[int], irows, v: int, forest: int) -> bool:
@@ -376,18 +392,53 @@ def arboricity(g: Digraph) -> int:
     return k
 
 
-def _mixed_cert(n, rows, g, t):
-    """Certificate of a partial orientation: oriented arcs as arcs, the not
-    yet oriented edges as digons, vertices split processed (below t) and
-    unprocessed.  Unprocessed rows are empty, and an open edge is a digon,
-    so a vertex's in-row is its edges less its oriented out-arcs; the bytes
-    are n's two and _canon's encoding of that digraph from those two cells."""
-    prefix = (1 << t) - 1
-    gr = g.rows
-    mixed = [rows[v] | gr[v] & ~prefix for v in range(t)] + list(gr[t:])
-    irows = [e & ~r for e, r in zip(gr, rows)]
-    cells = [list(range(t)), list(range(t, n))]
-    return n.to_bytes(2, "big") + _canon(n, mixed, irows, cells)[0]
+def _round(cell, keys) -> tuple[list[list[int]], list[int]]:
+    """One round of canon._refine on one cell, its vertices' count keys
+    given: the sub-cells in ascending key order, and the masks of all but
+    the last, the next round's fresh cells (none when it does not split)."""
+    buckets: dict[int, list[int]] = {}
+    for v, key in zip(cell, keys):
+        buckets.setdefault(key, []).append(v)
+    subs = [buckets[key] for key in sorted(buckets)]
+    return subs, [mask_of(sub) for sub in subs[:-1]]
+
+
+def _level_certifier(g: Digraph, s: int):
+    """The certificate of a partial orientation of g, processed below s, as
+    a function of its rows: n's two bytes, then _canon's encoding from the
+    cells P (processed) and R of oriented arcs as arcs and open edges as
+    digons.  R's rows are empty, so v in P has the row rows[v] | g[v] & R
+    and the in-row g[v] ^ rows[v], and v in R has g[v] as both.  What g and
+    s fix is built once: those rows of R and digons, and the first round of
+    refinement against [P, R], whose keys on R depend on g alone; v in P
+    counts |rows[v]| out and |g[v] & P| - |rows[v]| in towards P, and
+    |g[v] & R| both ways towards R."""
+    n = g.n
+    edges, rest = g.rows[:s], list(g.rows[s:])
+    inner = (1 << s) - 1
+    digons = [e & ~inner for e in edges]
+    w = n.bit_length()
+
+    def key(out_p, in_p, to_r):  # _refine's key for counts towards [P, R]
+        return ((out_p << w | in_p) << w | to_r) << w | to_r
+
+    base = [key(0, (e & inner).bit_count(), d.bit_count()) for e, d in zip(edges, digons)]
+    step = key(1, 0, 0) - key(0, 1, 0)
+    cell = list(range(s))
+    r_keys = []
+    for e in rest:
+        a = (e & inner).bit_count()
+        r_keys.append(key(a, a, (e & ~inner).bit_count()))
+    r_cells, r_fresh = _round(range(s, n), r_keys)
+    head = n.to_bytes(2, "big")
+
+    def cert(rows) -> bytes:
+        cells, fresh = _round(cell, [b + r.bit_count() * step for b, r in zip(base, rows)])
+        mixed = [r | d for r, d in zip(rows, digons)] + rest
+        irows = [e ^ r for e, r in zip(edges, rows)] + rest
+        return head + _canon(n, mixed, irows, cells + r_cells, fresh=fresh + r_fresh)[0]
+
+    return cert
 
 
 def _submasks(free: int) -> Iterator[int]:
@@ -451,6 +502,11 @@ def _orientation_stream(
         lo = floor - fut  # window of t's own out-degree into the prefix
         hi = back.bit_count() + fut - floor
         last = t == n - 1
+        # the solver's vertex order for every candidate of the level: an
+        # oriented digraph's depends only on its underlying graph (g's
+        # prefix), as it has no digon partners (solver._saturation_ranks)
+        order = _saturation_ranks(Digraph(t + 1, [r & (2 << t) - 1 for r in g.rows[: t + 1]]))
+        cert_of = None if last else _level_certifier(g, t + 1)
         seen: dict[bytes, tuple[tuple[int, ...], tuple[int, ...] | None]] = {}
         rejected: set[bytes] = set()
         for rows, classes in states:
@@ -482,7 +538,7 @@ def _orientation_stream(
                             continue
                     d = Digraph(n, _attach(rows, t, mask, back))
                     if classes is not None:
-                        col = is_k_dicolourable(d, colours)
+                        col = is_k_dicolourable(d, colours, order)
                         if col is not None:
                             pool.append(_class_masks(col[:t], colours))
                             continue
@@ -491,14 +547,14 @@ def _orientation_stream(
                         seen[cert] = (d.rows, None)
                     continue
                 child = _attach(rows, t, mask, back)
-                cert = _mixed_cert(n, child, g, t + 1)
+                cert = cert_of(child)
                 if cert in seen or cert in rejected:
                     continue
                 if classes is not None:
                     child_classes = _extend(pool, base, irows, t)
                     if child_classes is None:
                         pre = Digraph(t + 1, child[: t + 1])
-                        col = is_k_dicolourable(pre, colours)
+                        col = is_k_dicolourable(pre, colours, order)
                         if col is None:
                             rejected.add(cert)
                             continue
@@ -527,7 +583,7 @@ def gen_tournaments(n: int) -> list[Digraph]:
     vertex dominates exactly the mask-selected old vertices."""
     if not 1 <= n <= GEN_CAP:
         raise ValueError(f"order must be within 1..{GEN_CAP}, got {n}")
-    return _generate(n, _extend_tournament)
+    return _generate(n, _extend_tournament, lambda parent: range(1 << parent.n))
 
 
 BOUND_CHUNK = 256  # parent tournaments per task of the bound's second layer
@@ -541,20 +597,17 @@ def _hard_classes(n: int, k: int) -> list[str]:
     extend as hard: that only skips solver._uncovered's shortcut.
 
     Every order-n class extends some order-(n-1) class, so at the last
-    level of _generate the k-cover (solver._uncovered) of each parent,
-    computed once as _generate visits its masks in a row, filters the
-    children.  Hardness is a property of the class, so canonical deletion
-    stays exact and the first hard child of each class is the one
-    gen_tournaments keeps.
+    level of _generate each parent admits the masks its k-cover
+    (solver._uncovered) leaves, an ascending list computed once per parent.
+    Hardness is a property of the class, so canonical deletion stays exact
+    and the first hard child of each class is the one gen_tournaments
+    keeps.
     """
-    cover = functools.lru_cache(maxsize=1)(lambda t: set(_uncovered(t, k)))
 
-    def extend(parent: Digraph, mask: int) -> Digraph | None:
-        if parent.n == n - 1 and mask not in cover(parent):
-            return None
-        return _extend_tournament(parent, mask)
+    def admitted(parent: Digraph):
+        return _uncovered(parent, k) if parent.n == n - 1 else range(1 << parent.n)
 
-    return [d6_encode(t) for t in _generate(n, extend)]
+    return [d6_encode(t) for t in _generate(n, _extend_tournament, admitted)]
 
 
 def verify_census_bound(

@@ -136,26 +136,29 @@ def _saturation_ranks(d: Digraph) -> list[int]:
     return rank
 
 
-def _dfs_colour(d: Digraph, k: int) -> list[int] | None:
+def _dfs_colour(d: Digraph, k: int, order: list[int] | None = None) -> list[int] | None:
     """Core search.  Returns 0-based colours: the first colouring of
     _static_colourings in the order _saturation_ranks fixes, found on d
-    relabelled into that order and mapped back.  In a tournament every
-    unplaced vertex has every placed one as a neighbour and none as a
-    digon partner, so the order is 0..n-1 and d is searched as it is."""
+    relabelled into that order and mapped back.  A caller that knows that
+    order passes it as order, each vertex's place as _saturation_ranks(d)
+    gives it.  In a tournament every unplaced vertex has every placed one
+    as a neighbour and none as a digon partner, so the order is 0..n-1 and
+    d is searched as it is."""
     if is_tournament(d):  # the empty digraph too
         return next(_static_colourings(d.rows, d.in_rows, d.n, k, _creates_cycle), None)
-    rank = _saturation_ranks(d)
+    rank = _saturation_ranks(d) if order is None else order
     r = d.relabel(rank)
     col = next(_static_colourings(r.rows, r.in_rows, r.n, k, _creates_cycle), None)
     return None if col is None else [col[i] for i in rank]
 
 
-def is_k_dicolourable(d: Digraph, k: int) -> list[int] | None:
+def is_k_dicolourable(d: Digraph, k: int, order: list[int] | None = None) -> list[int] | None:
     """A k-dicolouring as a list of colours in 1..k, or None.  The
-    colouring passes verify_dicolouring, or RuntimeError is raised."""
+    colouring passes verify_dicolouring, or RuntimeError is raised.  order,
+    when given, is the search's vertex order (_dfs_colour)."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    res = _dfs_colour(d, k)
+    res = _dfs_colour(d, k, order)
     return None if res is None else _verified(d, [c + 1 for c in res], k)
 
 

@@ -302,8 +302,8 @@ def test_out_counts_alone_refine_tournaments_and_graphs():
 def _search_inputs(rng):
     """(digraph, cells) pairs: random digraphs, bidirected random graphs,
     circulant digraphs, unions of bidirected cliques and partial
-    orientations in _mixed_cert's shape, each relabelled at random, with
-    one to three initial cells."""
+    orientations in the census's partial-state shape, each relabelled at
+    random, with one to three initial cells."""
     for _ in range(300):
         n = rng.randint(1, 12)
         yield random_digraph(rng, n, rng.choice((0.1, 0.3, 0.5, 0.7, 0.9))), None

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dichroma import canon, claims, enumeration
-from dichroma.canon import canonical_cert, canonical_form
+from dichroma.canon import canonical_cert, canonical_form, canonical_labelling
 from dichroma.certify import class_count
 from dichroma.cli import main
 from dichroma.digraphs import (
@@ -22,6 +22,7 @@ from dichroma.digraphs import (
     circulant_tournament,
     delete_vertex,
     is_oriented,
+    iter_bits,
 )
 from dichroma.enumeration import (
     GEN_CAP,
@@ -37,7 +38,7 @@ from dichroma.enumeration import (
     verify_census_bound,
 )
 from dichroma.formats import d6_decode, d6_encode
-from dichroma.solver import _extend_tournament, is_dicritical
+from dichroma.solver import _extend_tournament, _saturation_ranks, is_dicritical
 
 from bruteforce import (
     brute_arboricity,
@@ -48,6 +49,7 @@ from bruteforce import (
     brute_levels,
     brute_mixed_cert,
     brute_orientation_classes,
+    brute_uncovered,
     graph,
     random_graph,
 )
@@ -202,20 +204,48 @@ def test_census_task_matches_unfiltered_stream(count_calls):
         assert result["dicritical"] == want
 
 
+def test_stream_passes_each_candidate_its_own_solver_order(monkeypatch):
+    # the stream computes the solver's vertex order once per level, from
+    # g's prefix; on every order-7 census task, and on orientations of
+    # random graphs, it is the order _dfs_colour computes for the candidate
+    asked = []
+    real = enumeration.is_k_dicolourable
+
+    def checked(d, k, order):
+        assert order == _saturation_ranks(d), (d, order)
+        asked.append(d.n)
+        return real(d, k, order)
+
+    monkeypatch.setattr(enumeration, "is_k_dicolourable", checked)
+    for task in _census_tasks(7):
+        _census_graph_task(task)
+    census = len(asked)
+    rng = random.Random(29)
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(3, 6), rng.uniform(0.3, 0.9))
+        _orientation_stream(g, rng.choice((0, 1)), colours=rng.choice((1, 2)))
+    assert census and len(asked) > census
+
+
 def test_mixed_cert_matches_digraph_cert(monkeypatch):
     # every partial state the order-6 and order-7 census tasks certify, and
-    # those of colour-free streams of random graphs, gets the bytes of
-    # _canon on the mixed Digraph with the two cells
+    # those of colour-free streams of random graphs, gets from its level's
+    # certifier the bytes of _canon on the mixed Digraph with the two cells
     certified = []
-    real = enumeration._mixed_cert
+    real = enumeration._level_certifier
 
-    def both(n, rows, g, t):
-        cert = real(n, rows, g, t)
-        assert cert == brute_mixed_cert(n, rows, g, t)
-        certified.append(cert)
-        return cert
+    def checked(g, s):
+        cert_of = real(g, s)
 
-    monkeypatch.setattr(enumeration, "_mixed_cert", both)
+        def both(rows):
+            cert = cert_of(rows)
+            assert cert == brute_mixed_cert(g.n, rows, g, s)
+            certified.append(cert)
+            return cert
+
+        return both
+
+    monkeypatch.setattr(enumeration, "_level_certifier", checked)
     for task in _census_tasks(6) + _census_tasks(7):
         _census_graph_task(task)
     assert len(certified) == 6950  # the pool changes no certificate work
@@ -314,38 +344,67 @@ def test_generated_representatives_are_frozen():
     )
 
 
-def _each_generation(monkeypatch):
-    """Runs gen_tournaments(1..7), gen_graphs(1..7, d) for every d,
-    _hard_classes(7, 1) and _hard_classes(8, 2), yielding per
-    _generate(n, extend) call, after it has run, n, the extension rule its
-    reference walks and the reps it returned.  gen_graphs' reference walks
-    bruteforce's own rule, the others the rule they were given."""
-    runs = []
-    generate = enumeration._generate
-    monkeypatch.setattr(
-        enumeration, "_generate",
-        lambda n, extend: runs.append((n, extend, generate(n, extend))) or runs[-1][2],
-    )
-    jobs = [(functools.partial(gen_tournaments, n), None) for n in range(1, 8)]
+def _hard_rule(n: int, k: int):
+    """_hard_classes(n, k)'s extension rule, written out: a child of the
+    last level is kept when brute_uncovered, the parent's cover by every
+    colouring, leaves its mask."""
+    left = {}
+
+    def extend(parent: Digraph, mask: int) -> Digraph | None:
+        if parent.n == n - 1:
+            if parent.rows not in left:
+                left[parent.rows] = set(brute_uncovered(parent, k))
+            if mask not in left[parent.rows]:
+                return None
+        return _extend_tournament(parent, mask)
+
+    return extend
+
+
+def _generation_jobs():
+    """gen_tournaments(1..7), gen_graphs(1..7, d) for every d,
+    _hard_classes(7, 1) and _hard_classes(8, 2), each with an extension
+    rule written apart from generation's (None for a filtered child):
+    every child for gen_tournaments, bruteforce's for gen_graphs, and
+    _hard_rule's."""
+    jobs = [(functools.partial(gen_tournaments, n), _extend_tournament) for n in range(1, 8)]
     jobs += [
         (functools.partial(gen_graphs, n, d), brute_graph_extend(n, d))
         for n in range(1, 8) for d in range(n)
     ]
-    jobs += [(functools.partial(_hard_classes, *nk), None) for nk in ((7, 1), (8, 2))]
+    jobs += [(functools.partial(_hard_classes, *nk), _hard_rule(*nk)) for nk in ((7, 1), (8, 2))]
+    return jobs
+
+
+def _each_generation(monkeypatch, jobs):
+    """Runs each (job, rule) of jobs, yielding per _generate(n, extend,
+    admitted) call, after it has run, n, the rule, the reps it returned
+    and, per parent in the order asked, (parent, its admitted masks)."""
+    runs = []
+    generate = enumeration._generate
+
+    def recorded(n, extend, admitted):
+        asked = []
+        reps = generate(n, extend, lambda p: asked.append((p, admitted(p))) or asked[-1][1])
+        runs.append((n, reps, asked))
+        return reps
+
+    monkeypatch.setattr(enumeration, "_generate", recorded)
     for job, rule in jobs:
         job()
-        n, extend, reps = runs[-1]
-        yield n, rule or extend, reps
-    assert len(runs) == 7 + 28 + 2
+        n, reps, asked = runs[-1]
+        yield n, rule, reps, asked
+    assert len(runs) == len(jobs)
 
 
 @pytest.fixture(scope="module")
 def generations():
-    """Every generation of _each_generation, walked once for the four tests
+    """Every generation of _generation_jobs, walked once for the tests
     below, with brute_levels certifying every child at every level built
     once per _generate call: per call, (n, extend, the returned reps, the
-    reference levels, the _first_lower calls as (ranks, row), the _labels
-    calls as (origin, t, under, labelling))."""
+    reference levels, the _first_lower calls as (ranks, masks, row), the
+    _labels calls as (origin, t, under, labelling), the admitted masks as
+    (parent, masks))."""
     labels, first_lower = enumeration._labels, enumeration._first_lower
     labelled, lowered, walked = [], [], []
     with pytest.MonkeyPatch.context() as mp:
@@ -354,10 +413,12 @@ def generations():
         )
         mp.setattr(
             enumeration, "_first_lower",
-            lambda *a: lowered.append((a[2], first_lower(*a))) or lowered[-1][1],
+            lambda *a: lowered.append((a[2], a[3], first_lower(*a))) or lowered[-1][2],
         )
-        for n, extend, got in _each_generation(mp):
-            walked.append((n, extend, got, brute_levels(n, extend), lowered[:], labelled[:]))
+        for n, extend, got, asked in _each_generation(mp, _generation_jobs()):
+            walked.append(
+                (n, extend, got, brute_levels(n, extend), lowered[:], labelled[:], asked)
+            )
             labelled.clear()
             lowered.clear()
     return walked
@@ -366,16 +427,40 @@ def generations():
 def test_generators_match_certifying_every_child(generations):
     # the skipped children are duplicates only: same representatives, same
     # order as certifying every child, for every floor
-    for n, _, got, levels, _, _ in generations:
+    for n, _, got, levels, _, _, _ in generations:
         assert got == levels[-1][0], n
 
 
 def test_kept_masks_match_labelling_every_deletion(generations):
-    # at every level, every parent finds, per mask, the first deletion that
-    # ranks below it, as labelling each deletion by a fresh canonical search
-    # does; the masks where none does are those it certifies
-    for n, _, _, levels, lowered, _ in generations:
-        assert [row for _, row in lowered] == brute_first_lower(levels), n
+    # at every level, every parent finds, per admitted mask, the first
+    # deletion that ranks below it, as labelling each deletion by a fresh
+    # canonical search does; the masks where none does are those it
+    # certifies
+    for n, _, _, levels, lowered, _, _ in generations:
+        want = brute_first_lower(levels)
+        assert len(lowered) == len(want), n
+        for (_, masks, row), full in zip(lowered, want):
+            assert row == [full[x] for x in masks], n
+
+
+def test_admitted_masks_are_the_rule_s_and_unions_of_orbits(generations, monkeypatch):
+    # every parent of every level admits, ascending, exactly the masks
+    # whose child the independent rule keeps, and each automorphism its
+    # certifying search found maps them onto themselves, as canonical
+    # deletion and the orbit step need; gen_graphs(8, 4) is walked here,
+    # without the fixture's reference levels
+    walks = [(rule, asked) for _, rule, _, _, _, _, asked in generations]
+    job = (functools.partial(gen_graphs, 8, 4), brute_graph_extend(8, 4))
+    walks += [(rule, asked) for _, rule, _, asked in _each_generation(monkeypatch, [job])]
+    parents = 0
+    for rule, asked in walks:
+        for parent, masks in asked:
+            masks = list(masks)
+            assert masks == [x for x in range(1 << parent.n) if rule(parent, x) is not None]
+            for sigma in canonical_labelling(parent)[2]:
+                assert {sum(1 << sigma[u] for u in iter_bits(x)) for x in masks} == set(masks)
+            parents += 1
+    assert parents == 2010  # the parents of every level of every walk
 
 
 def test_level_records_match_certifying_every_child(generations):
@@ -385,7 +470,7 @@ def test_level_records_match_certifying_every_child(generations):
     # The orders of the level below the last are never read (the last
     # level copies no child), so they are checked at the levels below it.
     checked = 0
-    for n, extend, _, levels, lowered, labelled in generations:
+    for n, extend, _, levels, lowered, labelled, _ in generations:
         # _labels runs at order t on the origins of level t, with the
         # record of level t - 1; the last level reads only its parents' ranks
         records = {t - 1: under[1:] for _, t, under, _ in labelled if t > 1}
@@ -414,7 +499,7 @@ def test_carried_labellings_are_isomorphisms(generations):
     # every deletion P - v that generation labels, at every level below the
     # last, maps by its labelling onto exactly its representative
     checked = 0
-    for n, _, _, levels, _, labelled in generations:
+    for n, _, _, levels, _, labelled, _ in generations:
         for s, (reps, _) in enumerate(levels[:-1], 1):
             calls = [lab for _, t, _, lab in labelled if t == s]
             assert len(calls) == len(reps), (n, s)
@@ -430,41 +515,39 @@ def test_carried_labellings_are_isomorphisms(generations):
 
 def test_orbit_step_skips_only_images_of_certified_masks(monkeypatch):
     # at the last level a parent certifies only the least mask of each
-    # orbit of its automorphisms: every mask with no deletion ranking below
-    # the parent that it skips has the child, by certificate (or the
-    # filter's None), of a smaller mask it certified
-    events = []  # _first_lower rows, and (parent, mask) per extension
+    # orbit of its automorphisms: every admitted mask with no deletion
+    # ranking below the parent that it skips has the child, by
+    # certificate, of a smaller mask it certified
+    events = []  # per _first_lower call (order, masks, row), per extension (parent, mask)
     skipped = []
     first_lower, generate = enumeration._first_lower, enumeration._generate
-    monkeypatch.setattr(
-        enumeration, "_first_lower", lambda *a: events.append(first_lower(*a)) or events[-1]
-    )
 
-    def run(n, extend):
+    def lowered(j, labels, ranks, masks):
+        row = first_lower(j, labels, ranks, masks)
+        events.append((len(labels), masks, row))
+        return row
+
+    monkeypatch.setattr(enumeration, "_first_lower", lowered)
+
+    def run(n, extend, admitted):
         events.clear()
-        reps = generate(n, lambda p, mask: events.append((p, mask)) or extend(p, mask))
-        groups = []  # per last-level parent: its row and the masks it extended
+        reps = generate(n, lambda p, mask: events.append((p, mask)) or extend(p, mask), admitted)
+        groups = []  # per last-level parent: the masks it wants and the ones it extended
         for e in events:
-            if isinstance(e, list) and len(e) == 1 << n - 1:
-                groups.append((e, []))
-            elif isinstance(e, tuple) and e[0].n == n - 1:
+            if len(e) == 3 and e[0] == n - 1:
+                groups.append(([x for x, v in zip(e[1], e[2]) if v < 0], []))
+            elif len(e) == 2 and e[0].n == n - 1:
                 groups[-1][1].append(e)
-        for row, extended in groups:
-            wanted = [x for x, v in enumerate(row) if v < 0]
+        for wanted, extended in groups:
             kept = [mask for _, mask in extended]
             assert set(kept) <= set(wanted) and kept == sorted(kept)
             if not kept:
                 assert not wanted
                 continue
             parent = extended[0][0]
-
-            def cert(mask):
-                child = extend(parent, mask)
-                return None if child is None else canonical_cert(child)
-
-            certs = {mask: cert(mask) for mask in kept}
+            certs = {mask: canonical_cert(extend(parent, mask)) for mask in kept}
             for mask in set(wanted) - set(kept):
-                c = cert(mask)
+                c = canonical_cert(extend(parent, mask))
                 assert any(x < mask and certs[x] == c for x in kept), (n, mask)
                 skipped.append(mask)
         return reps
@@ -476,24 +559,26 @@ def test_orbit_step_skips_only_images_of_certified_masks(monkeypatch):
             gen_graphs(n, d)
         for k in range(3):
             _hard_classes(n, k)
-    assert len(skipped) == 4747
+    # 4,747 when every mask reached the orbit step: the other 2,436 have
+    # children the degree floor or the cover rejects, none ever certified
+    assert len(skipped) == 2311
 
 
 def test_filter_not_closed_under_deletion_is_refused():
     # the carried labels need every deletion of a rep to be a kept child
     # of the level below: here no order-3 child may be the directed
     # triangle, yet order-4 children of the transitive one delete to it
-    def extend(parent, mask):
-        child = _extend_tournament(parent, mask)
-        if child.n == 3 and all(r.bit_count() == 1 for r in child.rows):
-            return None
-        return child
+    def admitted(parent):
+        return [
+            mask for mask in range(1 << parent.n) if parent.n != 2
+            or not all(r.bit_count() == 1 for r in _extend_tournament(parent, mask).rows)
+        ]
 
     # every order-4 tournament extends the transitive triple, and order 4
     # is the last level, so no order-4 rep is labelled
-    assert len(enumeration._generate(4, extend)) == 4
+    assert len(enumeration._generate(4, _extend_tournament, admitted)) == 4
     with pytest.raises(RuntimeError, match="filter below the last level"):
-        enumeration._generate(5, extend)
+        enumeration._generate(5, _extend_tournament, admitted)
 
 
 def test_label_dependent_filter_is_refused():
@@ -501,13 +586,11 @@ def test_label_dependent_filter_is_refused():
     # source is rejected, but not the cyclic triangle's children
     # isomorphic to it; order 4 is below the last level, so those children
     # copy the rejected one's class, and there is none
-    def extend(parent, mask):
-        if parent.rows == (6, 4, 0) and mask == 1:
-            return None
-        return _extend_tournament(parent, mask)
+    def admitted(parent):
+        return [mask for mask in range(1 << parent.n) if parent.rows != (6, 4, 0) or mask != 1]
 
     with pytest.raises(RuntimeError, match="an isomorphic one did not"):
-        enumeration._generate(5, extend)
+        enumeration._generate(5, _extend_tournament, admitted)
 
 
 def test_generator_certificate_calls_are_frozen(count_calls):

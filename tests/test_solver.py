@@ -431,8 +431,8 @@ def test_dicritical_colourings_are_verified(monkeypatch):
     real = solver._dfs_colour
     for d, k, bad in ((circulant_tournament(5, (1, 2)), 3, 1), (TRI, 2, 2), (TRI, 2, 3)):
         solves = itertools.count(1)
-        monkeypatch.setattr(solver, "_dfs_colour", lambda g, j: (
-            [j] * g.n if next(solves) == bad else real(g, j)))
+        monkeypatch.setattr(solver, "_dfs_colour", lambda g, j, order: (
+            [j] * g.n if next(solves) == bad else real(g, j, order)))
         with pytest.raises(RuntimeError):
             is_dicritical(d, k)
 
@@ -442,7 +442,7 @@ def test_a_faulty_search_is_caught_at_every_entry(monkeypatch):
     # is_k_dicolourable checks it, so every caller of the search is covered
     # (test_cli's test_internal_error_exit_code maps the RuntimeError that
     # dichromatic_number raises here to dichi's exit 3)
-    monkeypatch.setattr(solver, "_dfs_colour", lambda d, k: [0] * d.n)
+    monkeypatch.setattr(solver, "_dfs_colour", lambda d, k, order: [0] * d.n)
     triangle = d6_encode(graph(3, [(0, 1), (1, 2), (0, 2)]))
     phi = CnfFormula(3, ((1, -2, 3),))
     for call in (
