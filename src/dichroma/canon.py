@@ -1,4 +1,4 @@
-"""Canonical forms for digraphs and graphs.
+"""Canonical forms for digraphs and graphs, and the census's certificates.
 
 Refinement plus backtracking, no external dependency.  The certificate is the
 lexicographically least adjacency-matrix serialization over the leaves of an
@@ -38,9 +38,11 @@ follow from its siblings' and its parent's.  The ordered partition, and so
 every certificate byte, is that of recounting against every cell.  A
 symmetric digraph or a tournament is refined on out-counts alone, as its
 in-counts follow from them (_in_counts); the census's partial states,
-with digons and arcs, keep both.  A caller that ran the first round itself
-passes its cells and fresh masks to _canon, and a root refined to
-singletons is the only leaf, so no search starts.
+with digons and arcs, keep both.  canon certifies those states a level of
+the orientation stream at a time (_level_certifier): what a level fixes,
+and the first round on its unprocessed cell, are built once, and each
+state's own first round (_round) goes to _canon as its cells and fresh
+masks.  A root refined to singletons is the only leaf, so no search starts.
 
 A leaf is encoded by whole-matrix shifts (_encode): its rows packed into one
 int, each new column taken from all rows at once.
@@ -139,6 +141,57 @@ def _refine(out_rows, in_rows, cells, fresh):
     return cells
 
 
+def _round(cell, keys) -> tuple[list[list[int]], list[int]]:
+    """One round of _refine on one cell, its vertices' count keys
+    given: the sub-cells in ascending key order, and the masks of all but
+    the last, the next round's fresh cells (none when it does not split)."""
+    buckets: dict[int, list[int]] = {}
+    for v, key in zip(cell, keys):
+        buckets.setdefault(key, []).append(v)
+    subs = [buckets[key] for key in sorted(buckets)]
+    return subs, [mask_of(sub) for sub in subs[:-1]]
+
+
+def _level_certifier(g: Digraph, s: int):
+    """The certificate of a partial orientation of g, processed below s, as
+    a function of its rows: n's two bytes, then _canon's encoding from the
+    cells P (processed) and R of oriented arcs as arcs and open edges as
+    digons.  R's rows are empty, so v in P has the row rows[v] | g[v] & R
+    and the in-row g[v] ^ rows[v], and v in R has g[v] as both.  What g and
+    s fix is built once: those rows of R and digons, and the first round of
+    refinement against [P, R], whose keys on R depend on g alone; v in P
+    counts |rows[v]| out and |g[v] & P| - |rows[v]| in towards P, and
+    |g[v] & R| both ways towards R.  At s = n the keys are (out, in) per
+    vertex, _refine's first round on [all]; out-counts alone split a
+    tournament alike (_in_counts), so the bytes are canonical_cert's."""
+    n = g.n
+    edges, rest = g.rows[:s], list(g.rows[s:])
+    inner = (1 << s) - 1
+    digons = [e & ~inner for e in edges]
+    w = n.bit_length()
+
+    def key(out_p, in_p, to_r):  # _refine's key for counts towards [P, R]
+        return ((out_p << w | in_p) << w | to_r) << w | to_r
+
+    base = [key(0, (e & inner).bit_count(), d.bit_count()) for e, d in zip(edges, digons)]
+    step = key(1, 0, 0) - key(0, 1, 0)
+    cell = list(range(s))
+    r_keys = []
+    for e in rest:
+        a = (e & inner).bit_count()
+        r_keys.append(key(a, a, (e & ~inner).bit_count()))
+    r_cells, r_fresh = _round(range(s, n), r_keys)
+    head = n.to_bytes(2, "big")
+
+    def cert(rows) -> bytes:
+        cells, fresh = _round(cell, [b + r.bit_count() * step for b, r in zip(base, rows)])
+        mixed = [r | d for r, d in zip(rows, digons)] + rest
+        irows = [e ^ r for e, r in zip(edges, rows)] + rest
+        return head + _canon(n, mixed, irows, cells + r_cells, fresh=fresh + r_fresh)[0]
+
+    return cert
+
+
 def _encode(n, rows, order):
     """Adjacency bytes of the relabelling that maps order[i] to label i:
     row i is rows[order[i]] relabelled, nb = ceil(n / 8) bytes big-endian,
@@ -204,7 +257,7 @@ def _canon(n, rows, irows, cells, autos=None, fresh=None):
     the cells.  irows None refines on out-counts alone (_refine), which a
     caller asks for once per search, when _in_counts says they suffice.
     fresh, the masks _refine counts against first, is None for every
-    cell, or the next fresh of a first round the caller made itself.  A
+    cell, or the next fresh of a first round _level_certifier made.  A
     root refined to singletons is the one leaf, returned before the search
     is set up.
     """

@@ -60,9 +60,10 @@ processed/unprocessed vertex partition inside the certificate, so states
 whose completions explore isomorphic territory collapse early; that is what
 keeps dense underlying graphs (whole tournaments in the worst case) within
 reach.  The children of one level share the graph, the partition and every
-open edge, so one certifier per level (_level_certifier) builds those
-parts, and the first refinement round of the unprocessed cell, once; per
-child it adds the oriented rows and the processed cell's first round.
+open edge, so one certifier per level (canon._level_certifier) builds
+those parts, and the first refinement round of the unprocessed cell, once;
+per child it adds the oriented rows and the processed cell's first round.
+The final level uses the same certifier, with every vertex processed.
 
 Each orientation state carries what its parent already proved.  Degree
 bounds force arcs: when vertex t is added, a back-neighbour with no out-
@@ -86,7 +87,7 @@ import itertools
 from dataclasses import asdict, dataclass, field
 from typing import Iterator, Sequence
 
-from .canon import _canon, canonical_cert, canonical_form, canonical_labelling
+from .canon import _level_certifier, canonical_cert, canonical_form, canonical_labelling
 from .certify import _mask_acyclic
 from .digraphs import (
     Digraph, bidirect, is_k_diregular, is_oriented, is_tournament, iter_bits, mask_of,
@@ -392,55 +393,6 @@ def arboricity(g: Digraph) -> int:
     return k
 
 
-def _round(cell, keys) -> tuple[list[list[int]], list[int]]:
-    """One round of canon._refine on one cell, its vertices' count keys
-    given: the sub-cells in ascending key order, and the masks of all but
-    the last, the next round's fresh cells (none when it does not split)."""
-    buckets: dict[int, list[int]] = {}
-    for v, key in zip(cell, keys):
-        buckets.setdefault(key, []).append(v)
-    subs = [buckets[key] for key in sorted(buckets)]
-    return subs, [mask_of(sub) for sub in subs[:-1]]
-
-
-def _level_certifier(g: Digraph, s: int):
-    """The certificate of a partial orientation of g, processed below s, as
-    a function of its rows: n's two bytes, then _canon's encoding from the
-    cells P (processed) and R of oriented arcs as arcs and open edges as
-    digons.  R's rows are empty, so v in P has the row rows[v] | g[v] & R
-    and the in-row g[v] ^ rows[v], and v in R has g[v] as both.  What g and
-    s fix is built once: those rows of R and digons, and the first round of
-    refinement against [P, R], whose keys on R depend on g alone; v in P
-    counts |rows[v]| out and |g[v] & P| - |rows[v]| in towards P, and
-    |g[v] & R| both ways towards R."""
-    n = g.n
-    edges, rest = g.rows[:s], list(g.rows[s:])
-    inner = (1 << s) - 1
-    digons = [e & ~inner for e in edges]
-    w = n.bit_length()
-
-    def key(out_p, in_p, to_r):  # _refine's key for counts towards [P, R]
-        return ((out_p << w | in_p) << w | to_r) << w | to_r
-
-    base = [key(0, (e & inner).bit_count(), d.bit_count()) for e, d in zip(edges, digons)]
-    step = key(1, 0, 0) - key(0, 1, 0)
-    cell = list(range(s))
-    r_keys = []
-    for e in rest:
-        a = (e & inner).bit_count()
-        r_keys.append(key(a, a, (e & ~inner).bit_count()))
-    r_cells, r_fresh = _round(range(s, n), r_keys)
-    head = n.to_bytes(2, "big")
-
-    def cert(rows) -> bytes:
-        cells, fresh = _round(cell, [b + r.bit_count() * step for b, r in zip(base, rows)])
-        mixed = [r | d for r, d in zip(rows, digons)] + rest
-        irows = [e ^ r for e, r in zip(edges, rows)] + rest
-        return head + _canon(n, mixed, irows, cells + r_cells, fresh=fresh + r_fresh)[0]
-
-    return cert
-
-
 def _submasks(free: int) -> Iterator[int]:
     """The submasks of free, ascending."""
     sub = 0
@@ -506,7 +458,7 @@ def _orientation_stream(
         # oriented digraph's depends only on its underlying graph (g's
         # prefix), as it has no digon partners (solver._saturation_ranks)
         order = _saturation_ranks(Digraph(t + 1, [r & (2 << t) - 1 for r in g.rows[: t + 1]]))
-        cert_of = None if last else _level_certifier(g, t + 1)
+        cert_of = _level_certifier(g, t + 1)
         seen: dict[bytes, tuple[tuple[int, ...], tuple[int, ...] | None]] = {}
         rejected: set[bytes] = set()
         for rows, classes in states:
@@ -533,18 +485,15 @@ def _orientation_stream(
                     candidates += 1
                     # a pooled colouring that extends to t settles a final
                     # candidate before any digraph is built
+                    if classes is not None and _extend(pool, base, irows, t) is not None:
+                        continue
+                    child = _attach(rows, t, mask, back)
                     if classes is not None:
-                        if _extend(pool, base, irows, t) is not None:
-                            continue
-                    d = Digraph(n, _attach(rows, t, mask, back))
-                    if classes is not None:
-                        col = is_k_dicolourable(d, colours, order)
+                        col = is_k_dicolourable(Digraph(n, child), colours, order)
                         if col is not None:
                             pool.append(_class_masks(col[:t], colours))
                             continue
-                    cert = canonical_cert(d)
-                    if cert not in seen:
-                        seen[cert] = (d.rows, None)
+                    seen.setdefault(cert_of(child), (child, None))
                     continue
                 child = _attach(rows, t, mask, back)
                 cert = cert_of(child)
@@ -735,14 +684,17 @@ def _census_graph_task(args) -> dict:
 
 def _census_read(rec: dict) -> tuple:
     """A census record's graph, dicritical outputs and candidate count.  A
-    field of the wrong type raises TypeError; outputs not strictly ascending
-    (as the worker writes them), or one not digraph6 or not an orientation
-    of the task's graph (by certificate: outputs are canonical), ValueError."""
+    field of the wrong type raises TypeError; a negative count, outputs not
+    strictly ascending (as the worker writes them), or one not digraph6 or
+    not an orientation of the task's graph (by certificate: outputs are
+    canonical), ValueError."""
     g6, found, count = rec["graph"], rec["dicritical"], rec["candidates"]
     if not isinstance(g6, str) or type(count) is not int or not (
         isinstance(found, list) and all(isinstance(s, str) for s in found)
     ):
         raise TypeError("census record field of the wrong type")
+    if count < 0:
+        raise ValueError(f"{g6} has a negative candidate count")
     if any(a >= b for a, b in zip(found, found[1:])):
         raise ValueError(f"outputs of {g6} are not strictly ascending")
     cert = canonical_cert(d6_decode(g6)) if found else None

@@ -10,6 +10,7 @@ underlying rows, so any digraph gets its underlying graph's answer."""
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -63,7 +64,8 @@ def _lowpoint_blocks(g: Digraph) -> BlockDecomposition:
     stack, started at each component's least vertex.  A block closes at its
     entry, its vertex nearest that least vertex, and only after every block
     that hangs below it, so blocks come children-first.  Isolated vertices
-    form no block and are listed separately."""
+    form no block and are listed separately.  A vertex is a cut vertex
+    exactly when it lies in two or more blocks."""
     n = g.n
     adj = [list(iter_bits(r)) for r in g.underlying_rows]
     visited = [False] * n
@@ -73,7 +75,6 @@ def _lowpoint_blocks(g: Digraph) -> BlockDecomposition:
     edge_stack: list[tuple[int, int]] = []
     blocks_edges: list[list[tuple[int, int]]] = []
     entries: list[int] = []
-    cut: set[int] = set()
     isolated = tuple(v for v in range(n) if not adj[v])
 
     for s in range(n):
@@ -82,7 +83,6 @@ def _lowpoint_blocks(g: Digraph) -> BlockDecomposition:
         visited[s] = True
         disc[s] = low[s] = timer
         timer += 1
-        root_children = 0
         stack = [(s, -1, iter(adj[s]))]
         while stack:
             v, parent, it = stack[-1]
@@ -96,8 +96,6 @@ def _lowpoint_blocks(g: Digraph) -> BlockDecomposition:
                     disc[w] = low[w] = timer
                     timer += 1
                     stack.append((w, v, iter(adj[w])))
-                    if v == s:
-                        root_children += 1
                     descended = True
                     break
                 if disc[w] < disc[v]:
@@ -112,8 +110,6 @@ def _lowpoint_blocks(g: Digraph) -> BlockDecomposition:
                 if low[v] < low[u]:
                     low[u] = low[v]
                 if low[v] >= disc[u]:
-                    if u != s:
-                        cut.add(u)
                     blk: list[tuple[int, int]] = []
                     while edge_stack:
                         e = edge_stack.pop()
@@ -122,8 +118,6 @@ def _lowpoint_blocks(g: Digraph) -> BlockDecomposition:
                             break
                     blocks_edges.append(blk)
                     entries.append(u)
-        if root_children >= 2:
-            cut.add(s)
 
     blocks = []
     bedges = []
@@ -131,12 +125,13 @@ def _lowpoint_blocks(g: Digraph) -> BlockDecomposition:
         verts = sorted({x for e in blk for x in e})
         blocks.append(tuple(verts))
         bedges.append(tuple(sorted((min(u, w), max(u, w)) for u, w in blk)))
+    in_blocks = Counter(v for b in blocks for v in b)
     return BlockDecomposition(
         n=n,
         blocks=tuple(blocks),
         block_edges=tuple(bedges),
         entries=tuple(entries),
-        cut_vertices=frozenset(cut),
+        cut_vertices=frozenset(v for v, c in in_blocks.items() if c > 1),
         isolated=isolated,
     )
 

@@ -10,6 +10,7 @@ import pytest
 import dichroma
 from dichroma import claims, cli, solver
 from dichroma.cli import main
+from dichroma.digraphs import Digraph
 from dichroma.formats import load_digraph
 from dichroma.reductions import CnfFormula, reduce_digon
 from dichroma.surfaces import parse_surface
@@ -542,13 +543,13 @@ def test_verify_paper_rows_decide_what_they_ask(quick_run, full_run):
     # by validate_census, and of the order-8 witness, by
     # census-dicritical-gallai
     assert (quick["_lowpoint_blocks"], full["_lowpoint_blocks"]) == (104, 604)
-    # the canonical searches reached through canon's global _canon, not
-    # the census's partial states, which import it: one per arc of ST11
-    # for its arc-transitivity (55), 5 for reading census 7's records
-    # (the 2 graphs with outputs and the underlying graphs of the 3
-    # outputs), the rest canonical_labelling's.  The generators' orbit
-    # step took them from 1,220 and 9,751
-    assert (quick["_canon"], full["_canon"]) == (985, 8_840)
+    # the canonical searches, every one through canon's _canon: one per
+    # arc of ST11 for its arc-transitivity (55), 5 for reading census 7's
+    # records (the 2 graphs with outputs and the underlying graphs of the
+    # 3 outputs), 6,969 for the states of census 6's and 7's orientation
+    # streams, the rest canonical_labelling's.  The generators' orbit step
+    # took them from 8,170 and 16,701
+    assert (quick["_canon"], full["_canon"]) == (7_935, 15_790)
 
 
 def test_verify_paper_failing_row(tmp_path, capsys, monkeypatch):
@@ -582,6 +583,45 @@ def test_verify_paper_failing_row(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["results"] == {
         slug: {"pass": False, "details": d} for slug, d in details.items()
     }
+
+
+# (row, name in claims, what stands in for it, details the failed row
+# gives): each reaches one of the rows' failure returns, which no passing
+# run executes
+_FAILING_ROWS = [
+    ("st11-4-dicritical", "is_dicritical", lambda d, k: solver.is_dicritical(d, k - 1),
+     {"arcs": 55, "reason": "not even 3-dicolourable"}),
+    ("st11-4-dicritical", "is_k_dicolourable", lambda d, k: [1] * d.n,
+     {"deleted": [0, 1], "two_dicolourable": True}),
+    ("stearns-tournaments", "induced_acyclic_set", lambda d, size: None, {"4": 4}),
+    ("circulant-13-no-tt5", "is_k_diregular", lambda d, k: False,
+     {"set": [1, 2, 3, 5, 6, 9]}),
+    ("circulant-13-no-tt5", "delete_vertex", lambda d, v: Digraph(12, [0] * 12),
+     {"set": [1, 2, 3, 5, 6, 9], "deleted": 0}),
+    ("cactus-suite", "cactus_edge_bound", lambda g: (1, 0, False), {"trial": 0}),
+    ("reduction-digon-equivalence", "verify_equivalence", lambda out: False, {"trial": 0}),
+    ("reduction-digon-equivalence", "verify_equivalence",
+     lambda out: out.mode == "digon-hub", {"clauses": [[1, -2, 3]], "planar": True}),
+    ("reduction-oriented-equivalence", "is_oriented", lambda d: False, {"trial": 0}),
+    ("reduction-oriented-equivalence", "verify_equivalence", lambda out: False,
+     {"trial": 0}),
+    ("solver-oracle", "is_k_dicolourable", lambda d, k: None, {"trial": 0}),
+]
+
+
+@pytest.mark.parametrize("slug, name, stand_in, expected", _FAILING_ROWS,
+                         ids=[f"{slug}-{name}" for slug, name, *_ in _FAILING_ROWS])
+def test_every_claim_row_can_fail(tmp_path, capsys, monkeypatch, slug, name, stand_in,
+                                  expected):
+    # a row is only a check if a wrong answer from what it calls fails it:
+    # verify-paper runs the one row with one name of claims replaced
+    monkeypatch.setattr(cli, "_CLAIMS", [row for row in claims.CLAIMS if row[0] == slug])
+    monkeypatch.setattr(claims, name, stand_in)
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, "verify-paper", "--json")
+    result = json.loads(out)["results"][slug]
+    assert code == 1 and result["pass"] is False
+    assert {key: result["details"].get(key) for key in expected} == expected
 
 
 def test_verify_paper_unwritable_artifact(tmp_path, capsys, monkeypatch):

@@ -228,9 +228,10 @@ def test_stream_passes_each_candidate_its_own_solver_order(monkeypatch):
 
 
 def test_mixed_cert_matches_digraph_cert(monkeypatch):
-    # every partial state the order-6 and order-7 census tasks certify, and
-    # those of colour-free streams of random graphs, gets from its level's
-    # certifier the bytes of _canon on the mixed Digraph with the two cells
+    # every state the order-6 and order-7 census tasks certify, the final
+    # ones included, and those of colour-free streams of random graphs, gets
+    # from its level's certifier the bytes of _canon on the mixed Digraph
+    # with the two cells
     certified = []
     real = enumeration._level_certifier
 
@@ -248,12 +249,12 @@ def test_mixed_cert_matches_digraph_cert(monkeypatch):
     monkeypatch.setattr(enumeration, "_level_certifier", checked)
     for task in _census_tasks(6) + _census_tasks(7):
         _census_graph_task(task)
-    assert len(certified) == 6950  # the pool changes no certificate work
+    assert len(certified) == 6969  # the pool changes no certificate work
     rng = random.Random(19)
     for _ in range(8):
         g = random_graph(rng, rng.randint(2, 7), 0.5)
         _orientation_stream(g, rng.choice((0, 1)))
-    assert len(certified) > 6950
+    assert len(certified) > 6969
 
 
 def test_gen_tournaments_counts_and_classes():
@@ -604,7 +605,7 @@ def test_generator_certificate_calls_are_frozen(count_calls):
     # children, now 274.  Generation runs no canonical search but these:
     # every deletion is labelled from the level below, not searched, and
     # the automorphisms come from the searches that certified the parents.
-    calls = count_calls(enumeration, "canonical_labelling", "_canon")
+    calls = count_calls(enumeration, "canonical_labelling")
     count_calls(canon, "_canon")
     made = []
     for gen in (
@@ -786,6 +787,9 @@ _MALFORMED = [
      "&@? is not an order-4 tournament"),
     ("bound", ['{"chunk": 0, "ok": false, "counterexample": "&C[p?"}'],
      "&C[p? is not an order-4 tournament with no 2-dicolouring"),
+    # a count no stream can have seen: the run's total would drop by it
+    ("census", ['{"graph": "&DKMME?", "dicritical": [], "candidates": -5000}'],
+     "&DKMME? has a negative candidate count"),
 ]
 
 

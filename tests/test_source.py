@@ -105,6 +105,27 @@ def test_one_graph_type():
     assert found == ["digraphs.Digraph"]
 
 
+def test_one_canonical_search():
+    # canon._canon is the one canonical search: no other module names it,
+    # its refinement or its leaf encoding, so every certificate, the
+    # census's partial states included, comes from canon's own code
+    private = {"_canon", "_refine", "_encode"}
+    found = sorted(
+        f"{name}.py:{node.lineno} {ref}"
+        for name, tree in _modules()
+        if name != "canon"
+        for node in ast.walk(tree)
+        for ref in (
+            [node.id] if isinstance(node, ast.Name)
+            else [node.attr] if isinstance(node, ast.Attribute)
+            else [a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+            else []
+        )
+        if ref in private
+    )
+    assert found == []
+
+
 def test_benchmark_entry_points_exist():
     # the benchmark calls the package by name, private names included, and
     # no other test runs it: every name it imports from dichroma and every
