@@ -35,7 +35,9 @@ has constant counts towards every cell, so after individualising v a child
 refines against [v] alone, and each later round against the sub-cells the
 previous round produced, less the last sub-cell of each split, whose counts
 follow from its siblings' and its parent's.  The ordered partition, and so
-every certificate byte, is that of recounting against every cell.  A
+every certificate byte, is that of recounting against every cell.  Most
+cells the census splits are two vertices wide, and _refine orders those by
+their first pair of counts to differ, with no key, dict or sort.  A
 symmetric digraph or a tournament is refined on out-counts alone, as its
 in-counts follow from them (_in_counts); the census's partial states,
 with digons and arcs, keep both.  canon certifies those states a level of
@@ -81,7 +83,10 @@ def _refine(out_rows, in_rows, cells, fresh):
     differ.  The other sub-cells are the next round's fresh cells, and
     comparing counts towards them alone gives the same buckets in the same
     order.  Each (out, in) pair is one fixed-width field of an int key, so
-    int order is tuple order.
+    int order is tuple order.  A two-vertex cell builds no key: its counts
+    are compared mask by mask in fresh order, out then in, and the lower of
+    the first pair to differ goes first, as the first differing entry orders
+    two tuples; no difference leaves the cell whole.
 
     in_rows None takes out-counts alone, which is exact when they fix the
     in-counts (_in_counts): in a symmetric digraph in = out, and in a
@@ -101,6 +106,22 @@ def _refine(out_rows, in_rows, cells, fresh):
         for cell in cells:
             if len(cell) == 1:
                 new_cells.append(cell)
+                continue
+            if len(cell) == 2:
+                a, b = cell
+                ra, rb = out_rows[a], out_rows[b]
+                for mk in fresh:
+                    ca, cb = (ra & mk).bit_count(), (rb & mk).bit_count()
+                    if ca == cb and in_rows is not None:
+                        ca, cb = (in_rows[a] & mk).bit_count(), (in_rows[b] & mk).bit_count()
+                    if ca != cb:
+                        if cb < ca:
+                            a, b = b, a
+                        new_cells += [a], [b]
+                        new_fresh.append(1 << a)
+                        break
+                else:
+                    new_cells.append(cell)
                 continue
             buckets: dict[int, list[int]] = {}
             if in_rows is None:
@@ -144,12 +165,24 @@ def _refine(out_rows, in_rows, cells, fresh):
 def _round(cell, keys) -> tuple[list[list[int]], list[int]]:
     """One round of _refine on one cell, its vertices' count keys
     given: the sub-cells in ascending key order, and the masks of all but
-    the last, the next round's fresh cells (none when it does not split)."""
-    buckets: dict[int, list[int]] = {}
-    for v, key in zip(cell, keys):
-        buckets.setdefault(key, []).append(v)
-    subs = [buckets[key] for key in sorted(buckets)]
-    return subs, [mask_of(sub) for sub in subs[:-1]]
+    the last, the next round's fresh cells (none when it does not split).
+    One sort of the (key, vertex) pairs makes each run of equal keys a
+    sub-cell; its vertices ascend, which is _refine's order when the cell
+    does, as the ranges _level_certifier passes do; and that caller keeps
+    only the least encoding, which no order inside a cell moves."""
+    subs: list[list[int]] = []
+    fresh = []
+    last = mk = None
+    for key, v in sorted(zip(keys, cell)):
+        if key != last:
+            if subs:
+                fresh.append(mk)
+            subs.append([v])
+            last, mk = key, 1 << v
+        else:
+            subs[-1].append(v)
+            mk |= 1 << v
+    return subs, fresh
 
 
 def _level_certifier(g: Digraph, s: int):

@@ -138,16 +138,19 @@ def _census73(ctx):
 
 
 def _stearns(ctx, orders):
-    # the list is complete when its length is Burnside's count of classes
+    # the list is complete when its length is Burnside's count of classes;
+    # orders are string keys, as in the JSON report, beside "failed"
     details = {}
     for n in orders:
         ts = gen_tournaments(n)
-        details[n] = len(ts)
-        if len(ts) != class_count(n, "tournament"):
-            return False, details
+        details[str(n)] = len(ts)
         floor = n.bit_length()  # floor(log2 n) + 1
-        if any(induced_acyclic_set(t, floor) is None for t in ts):
-            return False, details
+        ok, out = _verdict({
+            "count": len(ts) == class_count(n, "tournament"),
+            "acyclic_set": all(induced_acyclic_set(t, floor) is not None for t in ts),
+        }, details)
+        if not ok:
+            return ok, out
     return True, details
 
 
@@ -155,14 +158,17 @@ def _circulant13(ctx):
     # the search returns a circulant only if its maximum acyclic order is 4
     d, s = find_circulant_candidate(13, 4)
     details = {"set": s}
-    if s != (1, 2, 3, 5, 6, 9) or not is_k_diregular(d, 6):
-        return False, details
+    checks = {"set": s == (1, 2, 3, 5, 6, 9), "diregular": is_k_diregular(d, 6)}
+    if not all(checks.values()):
+        return _verdict(checks, details)
     for v in range(13):
         dd = delete_vertex(d, v)
-        if dd.m != 66 or any(
-            dd.out_degree(u) < 5 or dd.in_degree(u) < 5 for u in range(dd.n)
-        ):
-            return False, dict(details, deleted=v)
+        ok, out = _verdict({
+            "arcs": dd.m == 66,
+            "degrees": all(min(dd.out_degree(u), dd.in_degree(u)) >= 5 for u in range(dd.n)),
+        }, dict(details, deleted=v))
+        if not ok:
+            return ok, out
     return True, details
 
 

@@ -38,7 +38,12 @@ from dichroma.enumeration import (
     verify_census_bound,
 )
 from dichroma.formats import d6_decode, d6_encode
-from dichroma.solver import _extend_tournament, _saturation_ranks, is_dicritical
+from dichroma.solver import (
+    _extend_tournament,
+    _saturation_ranks,
+    is_dicritical,
+    is_k_dicolourable,
+)
 
 from bruteforce import (
     brute_arboricity,
@@ -204,6 +209,27 @@ def test_census_task_matches_unfiltered_stream(count_calls):
         assert result["dicritical"] == want
 
 
+def test_census_stream_and_generation_find_one_set_of_hard_tournaments():
+    # two engines, one answer: the census stream on K_n with floor 0 keeps
+    # the tournament classes that are not 2-dicolourable and have a labelling
+    # whose first n - 1 vertices are, so (prefixes being hereditary) a
+    # 2-dicolourable vertex deletion; generation's _hard_classes keeps every
+    # class that is not 2-dicolourable.  A hard class the stream omits must
+    # have every deletion hard (none does at these orders)
+    for n, count in ((7, 4), (8, 258)):
+        k_n = graph(n, itertools.combinations(range(n), 2))
+        streamed = [canonical_cert(d) for d in _orientation_stream(k_n, 0, colours=2)[0]]
+        seen = set(streamed)
+        hard = {canonical_cert(t): t for t in map(d6_decode, _hard_classes(n, 2))}
+        assert len(seen) == len(streamed) and seen <= hard.keys()
+        omitted = [t for cert, t in hard.items() if cert not in seen]
+        assert not any(
+            is_k_dicolourable(delete_vertex(t, v), 2) is not None
+            for t in omitted for v in range(n)
+        )
+        assert (len(streamed), len(hard)) == (count, count)
+
+
 def test_stream_passes_each_candidate_its_own_solver_order(monkeypatch):
     # the stream computes the solver's vertex order once per level, from
     # g's prefix; on every order-7 census task, and on orientations of
@@ -311,9 +337,9 @@ def test_stearns_row_fails_when_generation_skips_a_mask(monkeypatch):
             del kept[3]
         return kept
 
-    assert claims._stearns(None, (7,)) == (True, {7: 456})
+    assert claims._stearns(None, (7,)) == (True, {"7": 456})
     monkeypatch.setattr(enumeration, "_orbit_least", skip_one)
-    assert claims._stearns(None, (7,)) == (False, {7: 455})
+    assert claims._stearns(None, (7,)) == (False, {"7": 455, "failed": ["count"]})
 
 
 def test_generated_representatives_are_frozen():
