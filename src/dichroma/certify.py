@@ -58,13 +58,18 @@ def _mask_acyclic(rows: Sequence[int], irows: Sequence[int], mask: int, limit=0)
 
 def verify_dicolouring(d: Digraph, colouring: Sequence[int], k: int) -> bool:
     """Independent certificate check (no use of the search code path)."""
-    if len(colouring) != d.n or any(not 1 <= c <= k for c in colouring):
+    if len(colouring) != d.n:
         return False
-    classes: dict[int, int] = {}
+    classes: dict[int, int] = {}  # a dict, not a list: k may be huge
     for v, c in enumerate(colouring):
+        if not 1 <= c <= k:
+            return False
         classes[c] = classes.get(c, 0) | 1 << v
-    irows = d.in_rows
-    return all(_mask_acyclic(d.rows, irows, m) for m in classes.values())
+    rows, irows = d.rows, d.in_rows
+    for m in classes.values():
+        if not _mask_acyclic(rows, irows, m):
+            return False
+    return True
 
 
 def _verified(d: Digraph, colouring: list[int], k: int) -> list[int]:

@@ -91,13 +91,16 @@ def d6_decode(s: str) -> Digraph:
     pad = 6 * need - n * n
     if x & ((1 << pad) - 1):
         raise ValueError("digraph6 padding bits must be zero")
-    # read as one binary number, the reversed string has bit u*n + v set
-    # iff u -> v, so row u is the n-bit slice ending n*u digits from its end
-    bits = format(x >> pad, f"0{n * n}b")[::-1]
-    rows = [int(bits[(n - 1 - u) * n : (n - u) * n], 2) for u in range(n)]
+    # the matrix's bit string, reversed and read as one binary number, has
+    # bit u*n + v set iff u -> v, so row u is its u-th n-bit slice
+    z = int(format(x >> pad, f"0{n * n}b")[::-1], 2)
+    full = (1 << n) - 1
+    rows = []
     for u in range(n):
-        if rows[u] >> u & 1:
+        r = z >> u * n & full
+        if r >> u & 1:
             raise ValueError("digraph6 input encodes a self-loop")
+        rows.append(r)
     return Digraph(n, rows)
 
 

@@ -12,7 +12,9 @@ so T + S is k-dicolourable iff some k-dicolouring of T covers S that way.
 One solve settles T when it is (k-1)-dicolourable, as the new vertex then
 takes a class of its own; otherwise T's partitions into k acyclic classes
 are walked, each once, until every S is covered, and the masks left over
-are exact.
+are exact.  The masks are the bits of one int, bit S for mask S, and C
+covers the OR over its suffixes sigma of Z << sigma, Z the masks disjoint
+from C: S & C is sigma exactly when S is sigma plus such a mask.
 
 All searches are deterministic.  _static_colourings is the package's one
 colouring search: it places the vertices in a fixed order, each allowed
@@ -420,16 +422,17 @@ def _extend_tournament(t: Digraph, mask: int) -> Digraph:
     return child
 
 
-def _suffixes(rows: Sequence[int], cmask: int) -> frozenset[int]:
-    """The sink-side suffixes of an acyclic class of a tournament, empty
-    and whole class included.  The class is transitive, so its vertices
-    have distinct out-degrees inside it, and a suffix is a set of the
-    vertices of least such degree."""
-    order = sorted(iter_bits(cmask), key=lambda v: (rows[v] & cmask).bit_count())
-    sufs = [0]
-    for v in order:
-        sufs.append(sufs[-1] | 1 << v)
-    return frozenset(sufs)
+def _cover(rows: Sequence[int], n: int, cmask: int) -> int:
+    """The masks, as bits, that the acyclic class cmask of an n-vertex
+    tournament covers (module docstring); suffixes grow from its sink up."""
+    z = 1
+    for b in iter_bits((1 << n) - 1 & ~cmask):
+        z |= z << (1 << b)
+    cover, sigma = z, 0
+    for v in sorted(iter_bits(cmask), key=lambda v: (rows[v] & cmask).bit_count()):
+        sigma |= 1 << v
+        cover |= z << sigma
+    return cover
 
 
 def _uncovered(t: Digraph, k: int, hard: bool = False) -> list[int]:
@@ -438,7 +441,7 @@ def _uncovered(t: Digraph, k: int, hard: bool = False) -> list[int]:
     module docstring: the new vertex beats exactly S, so a cycle through it
     in class C needs some a in S & C that beats some b in C - S.  Each
     colouring the answer relies on passes verify_dicolouring, or
-    RuntimeError is raised.
+    RuntimeError is raised.  The masks not yet covered are one int's bits.
 
     hard says that t is known not to be (k-1)-dicolourable, which skips
     the (k-1) solve.  That solve is only a shortcut: were t
@@ -452,24 +455,22 @@ def _uncovered(t: Digraph, k: int, hard: bool = False) -> list[int]:
     """
     if k > 1 and not hard and is_k_dicolourable(t, k - 1) is not None:
         return []
-    rows = t.rows
-    left = list(range(1 << t.n))
-    sufs: dict[int, frozenset[int]] = {}
-    for col in _static_colourings(rows, t.in_rows, t.n, k, _creates_cycle):
+    n, rows = t.n, t.rows
+    left = (1 << (1 << n)) - 1  # bit S stands for mask S
+    covers: dict[int, int] = {}
+    for col in _static_colourings(rows, t.in_rows, n, k, _creates_cycle):
         col = [c + 1 for c in col]
-        classes = _class_masks(col, k)
         kept = left
-        for c in classes:
-            if c not in sufs:
-                sufs[c] = _suffixes(rows, c)
-            suf = sufs[c]
-            kept = [s for s in kept if s & c not in suf]
-        if len(kept) < len(left):
+        for c in _class_masks(col, k):
+            if c not in covers:
+                covers[c] = _cover(rows, n, c)
+            kept &= ~covers[c]
+        if kept != left:
             _verified(t, col, k)
             left = kept
             if not left:
                 break
-    return left
+    return list(iter_bits(left))
 
 
 def _bound_chunk(args) -> tuple[int, bool, str | None]:
@@ -482,10 +483,9 @@ def _bound_chunk(args) -> tuple[int, bool, str | None]:
     (_uncovered's hard), as verify_census_bound sends.  bench/run.py sends
     the 3-tuple, with mostly 2-dicolourable order-8 parents at k = 3, where
     the (k-1) solve is the cheaper proof: over all 6,880 order-8 classes,
-    forcing hard took 0.39 -> 0.68 s, and walking first to return at an
-    empty class 0.22-0.26 -> 0.27-0.34 s.  A parent with the wrong arc count
-    for a tournament raises ValueError, since its in-rows are taken as its
-    out-rows' complements less the vertex."""
+    0.21 s against 0.24 s with hard forced.  A parent with the wrong arc
+    count for a tournament raises ValueError, as its in-rows are taken as
+    its out-rows' complements less the vertex."""
     chunk_idx, parent_d6s, k = args[:3]
     hard = len(args) > 3 and args[3]
     for s in parent_d6s:

@@ -10,7 +10,8 @@ order, which the solver's one colouring walker is checked against;
 brute_bound_chunk, the tournament-bound worker as one solver call per
 dominance mask, which the colouring cover is checked against;
 brute_uncovered, the colouring cover walking every colouring and skipping
-those whose class set it has seen; brute_refine, the canonical search's
+those whose class set it has seen, each class tested for an arc out of
+S & C into C - S; brute_refine, the canonical search's
 refinement recounting every vertex against every cell in every round;
 brute_canon and brute_encode, the canonical search pruning by jump-back
 alone and encoding each leaf row by row, which the orbit-pruned search and
@@ -26,6 +27,8 @@ brute_tournament_closed_form, the tournament lower bound's earlier closed
 form in float and decimal arithmetic, which the counting bound must never
 fall below.  brute_least_transitive_free is that bound's order t by the
 naive loop over math.perm.
+brute_d6_decode reads digraph6 bit by bit from the format the formats
+module documents, which the decoder is checked against.
 rotation_faces traces the faces of a rotation system, which gives the face
 checker of reductions embeddings whose surface Euler's formula names.
 """
@@ -43,12 +46,7 @@ from dichroma.canon import _canon, canonical_labelling
 from dichroma.certify import _verified
 from dichroma.digraphs import Digraph, bidirect, iter_bits, mask_of
 from dichroma.formats import d6_decode, d6_encode
-from dichroma.solver import (
-    _class_masks,
-    _extend_tournament,
-    _suffixes,
-    is_k_dicolourable,
-)
+from dichroma.solver import _class_masks, _extend_tournament, is_k_dicolourable
 
 
 def graph(n: int, edges) -> Digraph:
@@ -349,6 +347,36 @@ def brute_bound_chunk(args) -> tuple[int, bool, str | None]:
     return chunk_idx, True, None
 
 
+def brute_d6_decode(s: str) -> Digraph:
+    """digraph6 read bit by bit from the format in the formats module
+    docstring, refusing what d6_decode refuses, in its order and with its
+    messages."""
+    s = s.strip()
+    if not s.startswith("&"):
+        raise ValueError("digraph6 input must start with '&'")
+    if len(s) < 2:
+        raise ValueError("truncated digraph6 input")
+    n = ord(s[1]) - 63
+    if n not in range(63):
+        raise ValueError(f"bad digraph6 order byte {s[1]!r}")
+    body = s[2:]
+    need = -(-n * n // 6)
+    if len(body) != need:
+        raise ValueError(f"digraph6 body length {len(body)}, expected {need} for n={n}")
+    bits = []
+    for ch in body:
+        group = ord(ch) - 63
+        if group not in range(64):
+            raise ValueError(f"bad digraph6 character {ch!r}")
+        bits += [group >> 5 - i & 1 for i in range(6)]  # big-endian
+    if any(bits[n * n:]):
+        raise ValueError("digraph6 padding bits must be zero")
+    arcs = [(i, j) for i in range(n) for j in range(n) if bits[i * n + j]]
+    if any(i == j for i, j in arcs):
+        raise ValueError("digraph6 input encodes a self-loop")
+    return Digraph.from_arcs(n, arcs)
+
+
 def enumerate_dicolourings(d: Digraph, k: int) -> Iterator[tuple[int, ...]]:
     """All k-dicolourings (colours 1..k), in lexicographic order.
 
@@ -386,8 +414,9 @@ def brute_uncovered(t: Digraph, k: int) -> list[int]:
     the tournament t is not k-dicolourable, by the cover lemma of the
     solver's module docstring: the new vertex beats exactly S, so a cycle
     through it in class C needs some a in S & C that beats some b in C - S.
-    Each colouring the answer relies on passes verify_dicolouring, or
-    RuntimeError is raised.
+    That arc is looked for directly, so no suffix code is shared with the
+    cover.  Each colouring the answer relies on passes verify_dicolouring,
+    or RuntimeError is raised.
     """
     if k > 1:
         col = is_k_dicolourable(t, k - 1)
@@ -397,19 +426,16 @@ def brute_uncovered(t: Digraph, k: int) -> list[int]:
     rows = t.rows
     left = list(range(1 << t.n))
     seen: set[frozenset[int]] = set()
-    sufs: dict[int, frozenset[int]] = {}
     for col in enumerate_dicolourings(t, k):
         classes = _class_masks(col, k)
         key = frozenset(classes)
         if key in seen:
             continue
         seen.add(key)
-        kept = left
-        for c in classes:
-            if c not in sufs:
-                sufs[c] = _suffixes(rows, c)
-            suf = sufs[c]
-            kept = [s for s in kept if s & c not in suf]
+        kept = [
+            s for s in left
+            if all(any(rows[a] & c & ~s for a in iter_bits(s & c)) for c in classes)
+        ]
         if len(kept) < len(left):
             _verified(t, col, k)
             left = kept

@@ -17,6 +17,8 @@ from dichroma.formats import (
     read_json,
 )
 
+from bruteforce import brute_d6_decode
+
 
 def test_triangle_frozen_encoding():
     tri = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
@@ -51,6 +53,11 @@ def test_d6_size_cap():
     assert d6_encode(Digraph(D6_MAX, [0] * D6_MAX))
 
 
+def exactly(message):
+    """A pattern that matches the whole message and nothing else."""
+    return f"^{re.escape(message)}$"
+
+
 @pytest.mark.parametrize(
     "text, error",
     [
@@ -61,11 +68,42 @@ def test_d6_size_cap():
         ("&BP\x7f", "character"),
         ("&@_", "self-loop"),  # the one arc of n = 1 is 0 -> 0
         ("&BP`", "padding"),  # "&BP_" with its last padding bit set
+        # one case per refusal, each with its whole message
+        ("", exactly("digraph6 input must start with '&'")),
+        (" & ", exactly("truncated digraph6 input")),
+        ("&>", exactly("bad digraph6 order byte '>'")),  # n = -1
+        ("&BP_?", exactly("digraph6 body length 3, expected 2 for n=3")),
+        ("&B>_", exactly("bad digraph6 character '>'")),  # below '?'
+        ("&BP\x7f", exactly("bad digraph6 character '\\x7f'")),  # above '~'
+        ("&BP\u00e9", exactly("bad digraph6 character '\u00e9'")),  # one non-ASCII character
+        ("&@@", exactly("digraph6 padding bits must be zero")),  # n = 1, a padding bit set
+        ("&B_?", exactly("digraph6 input encodes a self-loop")),  # 0 -> 0, first row
+        ("&B?G", exactly("digraph6 input encodes a self-loop")),  # 2 -> 2, last row
     ],
 )
 def test_d6_decode_errors(text, error):
     with pytest.raises(ValueError, match=error):
         d6_decode(text)
+
+
+@given(digraphs(D6_MAX), st.data())
+def test_d6_decode_matches_bit_by_bit_reference(d, data):
+    # the decoder against the format read bit by bit: the same digraph for
+    # a valid string, and after one character is changed, the same digraph
+    # or the same refusal
+    text = d6_encode(d)
+    assert d6_decode(text) == brute_d6_decode(text) == d
+    i = data.draw(st.integers(0, len(text) - 1))
+    ch = data.draw(st.one_of(st.characters(min_codepoint=62, max_codepoint=127),
+                             st.characters()))
+    text = text[:i] + ch + text[i + 1:]
+    try:
+        want = brute_d6_decode(text)
+    except ValueError as e:
+        with pytest.raises(ValueError, match=exactly(str(e))):
+            d6_decode(text)
+    else:
+        assert d6_decode(text) == want
 
 
 def test_d6_empty_digraph():

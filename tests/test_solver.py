@@ -4,6 +4,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from dichroma.digraphs import (
     Digraph,
@@ -156,6 +157,25 @@ def test_verify_dicolouring_rejects_bad_input():
     assert not verify_dicolouring(TRI, [1, 2, 3], 2)  # colour out of range
     assert not verify_dicolouring(TRI, [0, 1, 1], 2)
     assert verify_dicolouring(TRI, [1, 1, 2], 2)
+
+
+@given(st.data())
+def test_verify_dicolouring_matches_its_definition(data):
+    # True exactly when the colouring has n colours, each in 1..k, and
+    # every class is acyclic by Kahn's peel; wrong lengths, colours 0 and
+    # k + 1 and a k too large for a list of classes are drawn too
+    n = data.draw(st.integers(0, 9))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    d = Digraph.from_arcs(n, data.draw(st.sets(st.sampled_from(pairs))) if pairs else ())
+    k = data.draw(st.sampled_from([1, 2, 3, 2**63]))
+    size = data.draw(st.sampled_from([n, n, n, n + 1, max(n - 1, 0)]))
+    colour = st.one_of(st.integers(1, min(k, 3)), st.just(k))
+    col = data.draw(st.lists(colour, min_size=size, max_size=size))
+    if col and data.draw(st.booleans()):  # one colour out of range
+        col[data.draw(st.integers(0, size - 1))] = data.draw(st.sampled_from([0, k + 1]))
+    want = (len(col) == n and all(1 <= c <= k for c in col)
+            and all(kahn_acyclic(d, [v for v in range(n) if col[v] == c]) for c in set(col)))
+    assert verify_dicolouring(d, col, k) == want
 
 
 def test_enumerate_dicolourings_matches_bruteforce_count():
