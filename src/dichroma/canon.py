@@ -42,9 +42,11 @@ symmetric digraph or a tournament is refined on out-counts alone, as its
 in-counts follow from them (_in_counts); the census's partial states,
 with digons and arcs, keep both.  canon certifies those states a level of
 the orientation stream at a time (_level_certifier): what a level fixes,
-and the first round on its unprocessed cell, are built once, and each
-state's own first round (_round) goes to _canon as its cells and fresh
-masks.  A root refined to singletons is the only leaf, so no search starts.
+and the first round on its unprocessed cell, are built once; one pass
+over a state's processed vertices builds their first-round (key, vertex)
+pairs, mixed rows and in-rows, and _round, the one splitter for both
+cells, turns the pairs into the cells and fresh masks _canon starts from.
+A root refined to singletons is the only leaf, so no search starts.
 
 A leaf is encoded by whole-matrix shifts (_encode): its rows packed into one
 int, each new column taken from all rows at once.
@@ -162,18 +164,20 @@ def _refine(out_rows, in_rows, cells, fresh):
     return cells
 
 
-def _round(cell, keys) -> tuple[list[list[int]], list[int]]:
-    """One round of _refine on one cell, its vertices' count keys
-    given: the sub-cells in ascending key order, and the masks of all but
-    the last, the next round's fresh cells (none when it does not split).
-    One sort of the (key, vertex) pairs makes each run of equal keys a
-    sub-cell; its vertices ascend, which is _refine's order when the cell
-    does, as the ranges _level_certifier passes do; and that caller keeps
-    only the least encoding, which no order inside a cell moves."""
+def _round(pairs) -> tuple[list[list[int]], list[int]]:
+    """One round of _refine on one cell, given as its vertices' (count
+    key, vertex) pairs: the sub-cells in ascending key order, and the masks
+    of all but the last, the next round's fresh cells (none when it does
+    not split).  One sort of the pairs, in place, makes each run of equal
+    keys a sub-cell; its vertices ascend, which is _refine's order when
+    the cell's do, as the ranges _level_certifier passes do; and that
+    caller keeps only the least encoding, which no order inside a cell
+    moves."""
     subs: list[list[int]] = []
     fresh = []
     last = mk = None
-    for key, v in sorted(zip(keys, cell)):
+    pairs.sort()
+    for key, v in pairs:
         if key != last:
             if subs:
                 fresh.append(mk)
@@ -206,21 +210,29 @@ def _level_certifier(g: Digraph, s: int):
     def key(out_p, in_p, to_r):  # _refine's key for counts towards [P, R]
         return ((out_p << w | in_p) << w | to_r) << w | to_r
 
-    base = [key(0, (e & inner).bit_count(), d.bit_count()) for e, d in zip(edges, digons)]
+    # per processed vertex: its key at out-count 0 (each arc out adds
+    # step), its row of g and its open edges
+    fixed = [(key(0, (e & inner).bit_count(), d.bit_count()), e, d)
+             for e, d in zip(edges, digons)]
     step = key(1, 0, 0) - key(0, 1, 0)
-    cell = list(range(s))
-    r_keys = []
-    for e in rest:
+    r_pairs = []
+    for v, e in enumerate(rest, s):
         a = (e & inner).bit_count()
-        r_keys.append(key(a, a, (e & ~inner).bit_count()))
-    r_cells, r_fresh = _round(range(s, n), r_keys)
+        r_pairs.append((key(a, a, (e & ~inner).bit_count()), v))
+    r_cells, r_fresh = _round(r_pairs)
     head = n.to_bytes(2, "big")
 
     def cert(rows) -> bytes:
-        cells, fresh = _round(cell, [b + r.bit_count() * step for b, r in zip(base, rows)])
-        mixed = [r | d for r, d in zip(rows, digons)] + rest
-        irows = [e ^ r for e, r in zip(edges, rows)] + rest
-        return head + _canon(n, mixed, irows, cells + r_cells, fresh=fresh + r_fresh)[0]
+        # P's first-round pairs, mixed rows and in-rows in one pass
+        pairs, mixed, irows = [], [], []
+        for v, (b, e, d) in enumerate(fixed):
+            r = rows[v]
+            pairs.append((b + r.bit_count() * step, v))
+            mixed.append(r | d)
+            irows.append(e ^ r)
+        cells, fresh = _round(pairs)
+        return head + _canon(n, mixed + rest, irows + rest, cells + r_cells,
+                             fresh=fresh + r_fresh)[0]
 
     return cert
 

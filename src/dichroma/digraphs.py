@@ -124,23 +124,16 @@ class Digraph:
         return f"Digraph(n={self.n}, m={self.m})"
 
     def relabel(self, perm: Sequence[int]) -> "Digraph":
-        """Image under the permutation old-label -> perm[old-label], with
-        its in-rows built in the same pass."""
+        """Image under the permutation old-label -> perm[old-label]."""
         rows = [0] * self.n
-        irows = [0] * self.n
         for u, row in enumerate(self.rows):
-            bit = 1 << perm[u]
             r = 0
             while row:
                 low = row & -row
-                v = perm[low.bit_length() - 1]
-                r |= 1 << v
-                irows[v] |= bit
+                r |= 1 << perm[low.bit_length() - 1]
                 row ^= low
             rows[perm[u]] = r
-        image = Digraph(self.n, rows)
-        image._irows = tuple(irows)
-        return image
+        return Digraph(self.n, rows)
 
 
 # -- constructors ---------------------------------------------------------

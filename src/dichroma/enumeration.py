@@ -76,8 +76,10 @@ pools dicolourings of its prefix: the parent's colouring, then its
 siblings', each colouring the solver found for a sibling less t.  Siblings
 share the parent's prefix, so every pooled entry is a dicolouring of it.  A
 child tries to put t into a class of each pooled colouring in that order,
-and the solver runs only when none takes it.  Found colourings are
-certificates, so the pruning is exact.
+and the solver runs only when none takes it.  A complete orientation needs
+only to know whether one does, so it first tries every pooled class that t
+has no arc into or none from, which takes t with no cycle search.  Found
+colourings are certificates, so the pruning is exact.
 """
 
 from __future__ import annotations
@@ -404,16 +406,31 @@ def _submasks(free: int) -> Iterator[int]:
 
 
 def _extend(pool, rows, irows, t):
-    """The first colouring of the pool with vertex t added to the first of
-    its classes that stays acyclic, or None.  The pool holds dicolourings
-    of the prefix below t, as class masks: the parent's colouring, then its
-    siblings'.  rows[t] and irows[t] hold t's arcs to the earlier
-    vertices."""
+    """(colouring, slot): the first colouring of the pool, and the first of
+    its classes, that takes vertex t and stays acyclic; None when none
+    does.  The pool holds dicolourings of the prefix below t, as class
+    masks: the parent's colouring, then its siblings'.  rows[t] and
+    irows[t] hold t's arcs to the earlier vertices; a class that t has no
+    arc into, or none from, takes it with no cycle search."""
+    out, into = rows[t], irows[t]
     for classes in pool:
         for c, cmask in enumerate(classes):
-            if not _creates_cycle(rows, irows, t, cmask):
-                return classes[:c] + (cmask | 1 << t,) + classes[c + 1 :]
+            if not (out & cmask and into & cmask) or not _creates_cycle(rows, irows, t, cmask):
+                return classes, c
     return None
+
+
+def _settles(pool, rows, irows, t) -> bool:
+    """Does a colouring of the pool take vertex t into one of its classes
+    and stay acyclic (_extend)?  The answer does not depend on the order
+    the classes are tried in, so every class that t has no arc into, or
+    none from, is tried first, with no cycle search."""
+    out, into = rows[t], irows[t]
+    for classes in pool:
+        for cmask in classes:
+            if not (out & cmask and into & cmask):
+                return True
+    return _extend(pool, rows, irows, t) is not None
 
 
 def _orientation_stream(
@@ -485,7 +502,7 @@ def _orientation_stream(
                     candidates += 1
                     # a pooled colouring that extends to t settles a final
                     # candidate before any digraph is built
-                    if classes is not None and _extend(pool, base, irows, t) is not None:
+                    if classes is not None and _settles(pool, base, irows, t):
                         continue
                     child = _attach(rows, t, mask, back)
                     if classes is not None:
@@ -500,8 +517,8 @@ def _orientation_stream(
                 if cert in seen or cert in rejected:
                     continue
                 if classes is not None:
-                    child_classes = _extend(pool, base, irows, t)
-                    if child_classes is None:
+                    hit = _extend(pool, base, irows, t)
+                    if hit is None:
                         pre = Digraph(t + 1, child[: t + 1])
                         col = is_k_dicolourable(pre, colours, order)
                         if col is None:
@@ -509,6 +526,9 @@ def _orientation_stream(
                             continue
                         child_classes = _class_masks(col, colours)
                         pool.append(_class_masks(col[:t], colours))
+                    else:
+                        pooled, c = hit
+                        child_classes = pooled[:c] + (pooled[c] | 1 << t,) + pooled[c + 1 :]
                     seen[cert] = (child, child_classes)
                 else:
                     seen[cert] = (child, None)
@@ -522,8 +542,11 @@ def _attach(rows, t, mask, back) -> tuple[int, ...]:
     child = list(rows)
     child[t] = mask
     bit = 1 << t
-    for w in iter_bits(back & ~mask):
-        child[w] |= bit
+    into = back & ~mask
+    while into:
+        low = into & -into
+        child[low.bit_length() - 1] |= bit
+        into ^= low
     return tuple(child)
 
 

@@ -21,8 +21,10 @@ colouring search: it places the vertices in a fixed order, each allowed
 only the colours up to 1 + the number already in use, which breaks colour
 symmetry.  The cover, the gadget checks and vertex arboricity (with a
 forest test for _creates_cycle) walk it in the order 0..n-1; _dfs_colour
-takes its first colouring in an order fixed once per digraph.  The
-checks of their answers live in certify.
+takes its first colouring in an order fixed once per digraph, placing
+the vertices in that order on the digraph's own labels: no copy is
+relabelled, and the search and its check read the digraph's one in-rows.
+The checks of their answers live in certify.
 
 induced_acyclic_set stops at the first acyclic set of the order asked,
 which decides that such a set exists and proves nothing about larger ones.
@@ -49,45 +51,63 @@ def _creates_cycle(rows, irows, v, cmask):
     tgt = irows[v] & cmask
     if not tgt:
         return False
-    reach = 0
     frontier = succ
     while frontier:
         if frontier & tgt:
             return True
-        reach |= frontier
+        cmask ^= frontier  # what is reached leaves the class
         nxt = 0
-        f = frontier
-        while f:
-            low = f & -f
+        while frontier:
+            low = frontier & -frontier
             nxt |= rows[low.bit_length() - 1]
-            f ^= low
-        frontier = nxt & cmask & ~reach
+            frontier ^= low
+        frontier = nxt & cmask
     return False
 
 
-def _static_colourings(rows, irows, n: int, k: int, blocked) -> Iterator[list[int]]:
-    """Every partition of the vertices into at most k classes, each once,
-    as 0-based colours numbered in order of first use, where
-    blocked(rows, irows, v, cmask) says whether v may not join the class
-    cmask (with _creates_cycle, the classes are the acyclic sets).
+# each vertex's successor and predecessor in the order 0..n-1, shared by
+# every walk of at most 256 vertices in that order (the cover's, a
+# tournament's): indexing them costs what v + 1 and v - 1 cost, so such a
+# walk builds no links and does no more work per step than one written
+# for that order alone
+_SUCC = tuple(range(1, 257))
+_PRED = tuple(range(-1, 255))
 
-    The vertices are placed in the fixed order 0..n-1 on an explicit
-    stack indexed by vertex: vertex v may take the colours below
-    min(k, 1 + the colours in use before it), tried ascending, so two
-    colourings yielded differ as partitions.  The same list is yielded
-    each time and changes when the walk resumes.  blocked has no default,
-    so a caller passing _creates_cycle reads it from this module at call
-    time, where a test may replace it to count calls.
+
+def _static_colourings(rows, irows, n: int, k: int, blocked, seq=None) -> Iterator[list[int]]:
+    """Every partition of the vertices into at most k classes, each once,
+    as a list of 0-based colours by vertex, numbered in order of first use
+    along seq, where blocked(rows, irows, v, cmask) says whether v may not
+    join the class cmask (with _creates_cycle, the classes are the acyclic
+    sets).
+
+    The vertices are placed in the order seq, a sequence of them all
+    (0..n-1 when None), on the digraph's own labels, on an explicit stack
+    indexed by vertex and linked by each vertex's successor and
+    predecessor in seq: vertex v may take the colours below min(k, 1 +
+    the colours in use before it), tried ascending, so two colourings
+    yielded differ as partitions.  The same list is yielded each time and
+    changes when the walk resumes.  blocked has no default, so a caller
+    passing _creates_cycle reads it from this module at call time, where a
+    test may replace it to count calls.
     """
     k = min(k, n)  # at most n classes, and one mask per class
     if n == 0:
         yield []
         return
+    first, last, nxt, prv = 0, n - 1, _SUCC, _PRED
+    if seq is not None or n > 256:
+        seq = range(n) if seq is None else seq
+        nxt, prv = [0] * n, [0] * n
+        for a, b in zip(seq, seq[1:]):
+            nxt[a] = b
+            prv[b] = a
+        first, last = seq[0], seq[-1]
     colour = [0] * n
     before = [0] * n  # colours in use before each vertex
     masks = [0] * k
-    last = n - 1
-    v = c = 0
+    v = first
+    c = 0
     limit = min(k, 1)
     while True:
         while c < limit and blocked(rows, irows, v, masks[c]):
@@ -95,16 +115,16 @@ def _static_colourings(rows, irows, n: int, k: int, blocked) -> Iterator[list[in
         if c < limit:
             colour[v] = c
             masks[c] |= 1 << v
-            if v < last:
+            if v != last:
                 used = before[v] + (c == before[v])
-                v += 1
+                v = nxt[v]
                 before[v] = used
                 c = 0
                 limit = used + 1 if used < k else k
                 continue
             yield colour
-        elif v:
-            v -= 1
+        elif v != first:
+            v = prv[v]
             c = colour[v]
             limit = before[v] + 1 if before[v] < k else k
         else:
@@ -140,18 +160,17 @@ def _saturation_ranks(d: Digraph) -> list[int]:
 
 def _dfs_colour(d: Digraph, k: int, order: list[int] | None = None) -> list[int] | None:
     """Core search.  Returns 0-based colours: the first colouring of
-    _static_colourings in the order _saturation_ranks fixes, found on d
-    relabelled into that order and mapped back.  A caller that knows that
-    order passes it as order, each vertex's place as _saturation_ranks(d)
-    gives it.  In a tournament every unplaced vertex has every placed one
-    as a neighbour and none as a digon partner, so the order is 0..n-1 and
-    d is searched as it is."""
-    if is_tournament(d):  # the empty digraph too
-        return next(_static_colourings(d.rows, d.in_rows, d.n, k, _creates_cycle), None)
-    rank = _saturation_ranks(d) if order is None else order
-    r = d.relabel(rank)
-    col = next(_static_colourings(r.rows, r.in_rows, r.n, k, _creates_cycle), None)
-    return None if col is None else [col[i] for i in rank]
+    _static_colourings on d as it is, its vertices placed in the order
+    _saturation_ranks fixes.  A caller that knows that order passes it as
+    order, each vertex's place as _saturation_ranks(d) gives it.  In a
+    tournament every unplaced vertex has every placed one as a neighbour
+    and none as a digon partner, so the order is 0..n-1."""
+    seq = None
+    if not is_tournament(d):  # the empty digraph is one
+        seq = [0] * d.n
+        for v, place in enumerate(_saturation_ranks(d) if order is None else order):
+            seq[place] = v
+    return next(_static_colourings(d.rows, d.in_rows, d.n, k, _creates_cycle, seq), None)
 
 
 def is_k_dicolourable(d: Digraph, k: int, order: list[int] | None = None) -> list[int] | None:

@@ -1,10 +1,13 @@
 """Independent brute-force oracles used to cross-check the library.
 
 The oracles recompute from first principles: no solver, canonical-form,
-or generator code is reused beyond the plain data types.  Eleven references
+or generator code is reused beyond the plain data types.  Twelve references
 are earlier versions of library internals, on top of the library's other
 layers (the solver, canonical certificates), kept to check their faster
-replacements: brute_mixed_cert, the orientation stream's partial-state
+replacements: relabelled_dfs_colour, the colouring search run on the
+digraph relabelled into its vertex order and mapped back, which the search
+placing the vertices in that order on their own labels is checked against;
+brute_mixed_cert, the orientation stream's partial-state
 certificate as cell_cert on a built Digraph; enumerate_dicolourings, every k-dicolouring in lexicographic
 order, which the solver's one colouring walker is checked against;
 brute_bound_chunk, the tournament-bound worker as one solver call per
@@ -44,7 +47,7 @@ from typing import Iterator
 from dichroma import solver
 from dichroma.canon import _canon, canonical_labelling
 from dichroma.certify import _verified
-from dichroma.digraphs import Digraph, bidirect, iter_bits, mask_of
+from dichroma.digraphs import Digraph, bidirect, is_tournament, iter_bits, mask_of
 from dichroma.formats import d6_decode, d6_encode
 from dichroma.solver import _class_masks, _extend_tournament, is_k_dicolourable
 
@@ -375,6 +378,20 @@ def brute_d6_decode(s: str) -> Digraph:
     if any(i == j for i, j in arcs):
         raise ValueError("digraph6 input encodes a self-loop")
     return Digraph.from_arcs(n, arcs)
+
+
+def relabelled_dfs_colour(d: Digraph, k: int, order=None) -> list[int] | None:
+    """solver._dfs_colour's first colouring, 0-based, or None, found on d
+    relabelled so that vertex v becomes order[v] (_saturation_ranks(d)
+    when None; 0..n-1 in a tournament, whatever order says), searched in
+    the order 0..n-1 and mapped back."""
+    if is_tournament(d):
+        rank = list(range(d.n))
+    else:
+        rank = solver._saturation_ranks(d) if order is None else order
+    r = d.relabel(rank)
+    col = next(solver._static_colourings(r.rows, r.in_rows, r.n, k, solver._creates_cycle), None)
+    return None if col is None else [col[i] for i in rank]
 
 
 def enumerate_dicolourings(d: Digraph, k: int) -> Iterator[tuple[int, ...]]:

@@ -141,7 +141,5 @@ def test_relabel_is_an_isomorphism():
         rng.shuffle(perm)
         r = d.relabel(perm)
         assert r.m == d.m
-        # the in-rows built with the image are its rows transposed
-        assert r.in_rows == Digraph(n, r.rows).in_rows
         for u, v in d.arcs():
             assert r.has_arc(perm[u], perm[v])

@@ -55,6 +55,7 @@ from bruteforce import (
     brute_mixed_cert,
     brute_orientation_classes,
     brute_uncovered,
+    colouring_ok,
     graph,
     random_graph,
 )
@@ -251,6 +252,55 @@ def test_stream_passes_each_candidate_its_own_solver_order(monkeypatch):
         g = random_graph(rng, rng.randint(3, 6), rng.uniform(0.3, 0.9))
         _orientation_stream(g, rng.choice((0, 1)), colours=rng.choice((1, 2)))
     assert census and len(asked) > census
+
+
+def _pool_takes(pool, rows, irows, t):
+    """The (colouring, slot) pairs of the pool, in its order, whose class
+    takes vertex t and stays acyclic in the candidate's prefix, by Kahn's
+    peel on the prefix built as a Digraph."""
+    child = list(rows[: t + 1])
+    for w in iter_bits(irows[t]):
+        child[w] |= 1 << t
+    d = Digraph(t + 1, child)
+    for classes in pool:
+        col = [0] * (t + 1)
+        for c, cmask in enumerate(classes):
+            for v in iter_bits(cmask):
+                col[v] = c
+        for c in range(len(classes)):
+            col[t] = c
+            if colouring_ok(d, col):
+                yield classes, c
+
+
+def test_pool_answers_are_dicolourings(monkeypatch):
+    # the pooled colouring and slot _extend returns is the first in pool
+    # order whose class takes t, and _settles says yes exactly when one
+    # does: on every order-7 census task, and on random graphs' streams
+    asked = []
+    real_extend, real_settles = enumeration._extend, enumeration._settles
+
+    def extend(pool, rows, irows, t):
+        hit = real_extend(pool, rows, irows, t)
+        assert hit == next(_pool_takes(pool, rows, irows, t), None)
+        asked.append(hit is not None)
+        return hit
+
+    def settles(pool, rows, irows, t):
+        yes = real_settles(pool, rows, irows, t)
+        assert yes == any(_pool_takes(pool, rows, irows, t))
+        asked.append(yes)
+        return yes
+
+    monkeypatch.setattr(enumeration, "_extend", extend)
+    monkeypatch.setattr(enumeration, "_settles", settles)
+    for task in _census_tasks(7):
+        _census_graph_task(task)
+    rng = random.Random(31)
+    for _ in range(30):
+        g = random_graph(rng, rng.randint(3, 7), rng.uniform(0.3, 0.9))
+        _orientation_stream(g, rng.choice((0, 1)), colours=rng.choice((1, 2)))
+    assert True in asked and False in asked
 
 
 def test_mixed_cert_matches_digraph_cert(monkeypatch):

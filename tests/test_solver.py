@@ -42,6 +42,7 @@ from bruteforce import (
     kahn_acyclic,
     random_digraph,
     random_oriented,
+    relabelled_dfs_colour,
 )
 
 
@@ -176,6 +177,24 @@ def test_verify_dicolouring_matches_its_definition(data):
     want = (len(col) == n and all(1 <= c <= k for c in col)
             and all(kahn_acyclic(d, [v for v in range(n) if col[v] == c]) for c in set(col)))
     assert verify_dicolouring(d, col, k) == want
+
+
+@given(st.data())
+def test_search_in_place_matches_the_relabelled_search(data):
+    # the search places the vertices in the order asked on d's own labels:
+    # the colouring the relabelled search finds, mapped back, in the
+    # saturation order, in random orders, and in a tournament's 0..n-1
+    n = data.draw(st.integers(0, 9))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    arcs = data.draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    if data.draw(st.booleans()):  # a tournament: u -> v for u < v when drawn
+        arcs = {(u, v) if (u, v) in arcs else (v, u) for u, v in pairs if u < v}
+    d = Digraph.from_arcs(n, arcs)
+    k = data.draw(st.integers(1, 3))
+    order = data.draw(st.one_of(st.none(), st.permutations(range(n))))
+    order = solver._saturation_ranks(d) if order is None else list(order)
+    assert solver._dfs_colour(d, k, order) == relabelled_dfs_colour(d, k, order)
+    assert solver._dfs_colour(d, k) == relabelled_dfs_colour(d, k)
 
 
 def test_enumerate_dicolourings_matches_bruteforce_count():
