@@ -62,7 +62,7 @@ results are picked by it.
 
 from __future__ import annotations
 
-from .digraphs import Digraph, mask_of
+from .digraphs import Digraph, is_tournament, mask_of
 
 
 def _refine(out_rows, in_rows, cells, fresh):
@@ -285,10 +285,7 @@ def _in_counts(d: Digraph):
     those fix the in-counts.  They do in a symmetric digraph, whose in-rows
     are its rows, and in a tournament, where n(n - 1) / 2 arcs and no digon
     put one arc on every pair."""
-    rows, irows = d.rows, d.in_rows
-    if irows == rows or 2 * d.m == d.n * (d.n - 1) and not any(map(int.__and__, rows, irows)):
-        return None
-    return irows
+    return None if is_tournament(d) or d.in_rows == d.rows else d.in_rows
 
 
 def _canon(n, rows, irows, cells, autos=None, fresh=None):

@@ -96,7 +96,7 @@ from .digraphs import (
 )
 from .formats import checkpointed_map, d6_decode, d6_encode
 from .solver import (
-    _bound_chunk, _class_masks, _creates_cycle, _extend_tournament, _saturation_ranks,
+    _bound_chunk, _class_masks, _creates_cycle, _extend_tournament, _saturation_order,
     _static_colourings, _uncovered, is_dicritical, is_k_dicolourable,
 )
 from .structure import gallai_property_check
@@ -389,7 +389,7 @@ def arboricity(g: Digraph) -> int:
         col = next(_static_colourings(rows, rows, g.n, k, _closes_forest_cycle), None)
         if col is not None:
             break
-    classes = _class_masks([c + 1 for c in col], k)
+    classes = _class_masks(col, k)
     if not all(_mask_acyclic(rows, rows, m, 1) for m in classes):
         raise RuntimeError(f"a class of a {k}-forest partition of order {g.n} has a cycle")
     return k
@@ -410,12 +410,11 @@ def _extend(pool, rows, irows, t):
     its classes, that takes vertex t and stays acyclic; None when none
     does.  The pool holds dicolourings of the prefix below t, as class
     masks: the parent's colouring, then its siblings'.  rows[t] and
-    irows[t] hold t's arcs to the earlier vertices; a class that t has no
-    arc into, or none from, takes it with no cycle search."""
-    out, into = rows[t], irows[t]
+    irows[t] hold t's arcs to the earlier vertices; _creates_cycle answers
+    for a class that t has no arc into, or none from, with no search."""
     for classes in pool:
         for c, cmask in enumerate(classes):
-            if not (out & cmask and into & cmask) or not _creates_cycle(rows, irows, t, cmask):
+            if not _creates_cycle(rows, irows, t, cmask):
                 return classes, c
     return None
 
@@ -473,11 +472,11 @@ def _orientation_stream(
         last = t == n - 1
         # the solver's vertex order for every candidate of the level: an
         # oriented digraph's depends only on its underlying graph (g's
-        # prefix), as it has no digon partners (solver._saturation_ranks)
-        order = _saturation_ranks(Digraph(t + 1, [r & (2 << t) - 1 for r in g.rows[: t + 1]]))
+        # prefix), as it has no digon partners (solver._saturation_order)
+        seq = _saturation_order(Digraph(t + 1, [r & (2 << t) - 1 for r in g.rows[: t + 1]]))
         cert_of = _level_certifier(g, t + 1)
-        seen: dict[bytes, tuple[tuple[int, ...], tuple[int, ...] | None]] = {}
-        rejected: set[bytes] = set()
+        # each certificate's state; None for a prefix with no dicolouring
+        seen: dict[bytes, tuple[tuple[int, ...], tuple[int, ...] | None] | None] = {}
         for rows, classes in states:
             into_t = out_of_t = 0
             for w, wbit, low, high in window:
@@ -506,7 +505,7 @@ def _orientation_stream(
                         continue
                     child = _attach(rows, t, mask, back)
                     if classes is not None:
-                        col = is_k_dicolourable(Digraph(n, child), colours, order)
+                        col = is_k_dicolourable(Digraph(t + 1, child[: t + 1]), colours, seq)
                         if col is not None:
                             pool.append(_class_masks(col[:t], colours))
                             continue
@@ -514,15 +513,14 @@ def _orientation_stream(
                     continue
                 child = _attach(rows, t, mask, back)
                 cert = cert_of(child)
-                if cert in seen or cert in rejected:
+                if cert in seen:
                     continue
                 if classes is not None:
                     hit = _extend(pool, base, irows, t)
                     if hit is None:
-                        pre = Digraph(t + 1, child[: t + 1])
-                        col = is_k_dicolourable(pre, colours, order)
+                        col = is_k_dicolourable(Digraph(t + 1, child[: t + 1]), colours, seq)
                         if col is None:
-                            rejected.add(cert)
+                            seen[cert] = None
                             continue
                         child_classes = _class_masks(col, colours)
                         pool.append(_class_masks(col[:t], colours))
@@ -532,7 +530,7 @@ def _orientation_stream(
                     seen[cert] = (child, child_classes)
                 else:
                     seen[cert] = (child, None)
-        states = [seen[c] for c in sorted(seen)]
+        states = [s for _, s in sorted(seen.items()) if s is not None]
     return [Digraph(n, rows) for rows, _ in states], candidates
 
 

@@ -268,7 +268,7 @@ def _gadget(d: Digraph, u: int, w: int, want: set[tuple[int, int]],
     _static_colourings, coloured 1 and 2 (vertex 0 takes 1), then their
     colour swaps in reverse order."""
     walk = _static_colourings(d.rows, d.in_rows, d.n, 2, _creates_cycle)
-    cols = [tuple(c + 1 for c in col) for col in walk]
+    cols = [tuple(col) for col in walk]
     found: dict[tuple[int, int], tuple[int, ...]] = {}
     for col in cols + [tuple(3 - c for c in col) for col in reversed(cols)]:
         found.setdefault((col[u], col[w]), col)

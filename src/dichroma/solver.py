@@ -17,14 +17,16 @@ covers the OR over its suffixes sigma of Z << sigma, Z the masks disjoint
 from C: S & C is sigma exactly when S is sigma plus such a mask.
 
 All searches are deterministic.  _static_colourings is the package's one
-colouring search: it places the vertices in a fixed order, each allowed
-only the colours up to 1 + the number already in use, which breaks colour
-symmetry.  The cover, the gadget checks and vertex arboricity (with a
-forest test for _creates_cycle) walk it in the order 0..n-1; _dfs_colour
-takes its first colouring in an order fixed once per digraph, placing
-the vertices in that order on the digraph's own labels: no copy is
-relabelled, and the search and its check read the digraph's one in-rows.
-The checks of their answers live in certify.
+colouring search: it places the vertices in the sequence it is handed,
+each allowed only the colours up to 1 + the number already in use, which
+breaks colour symmetry, and numbers the colours 1..k as a k-dicolouring
+does, so no caller renumbers them.  The cover, the gadget checks and
+vertex arboricity (with a forest test for _creates_cycle) walk it in the
+order 0..n-1; _dfs_colour takes its first colouring in the sequence
+_saturation_order fixes once per digraph, which a caller that knows it
+passes, placing the vertices in that order on the digraph's own labels:
+no copy is relabelled, and the search and its check read the digraph's
+one in-rows.  The checks of their answers live in certify.
 
 induced_acyclic_set stops at the first acyclic set of the order asked,
 which decides that such a set exists and proves nothing about larger ones.
@@ -76,7 +78,7 @@ _PRED = tuple(range(-1, 255))
 
 def _static_colourings(rows, irows, n: int, k: int, blocked, seq=None) -> Iterator[list[int]]:
     """Every partition of the vertices into at most k classes, each once,
-    as a list of 0-based colours by vertex, numbered in order of first use
+    as a list of colours 1..k by vertex, numbered in order of first use
     along seq, where blocked(rows, irows, v, cmask) says whether v may not
     join the class cmask (with _creates_cycle, the classes are the acyclic
     sets).
@@ -84,7 +86,7 @@ def _static_colourings(rows, irows, n: int, k: int, blocked, seq=None) -> Iterat
     The vertices are placed in the order seq, a sequence of them all
     (0..n-1 when None), on the digraph's own labels, on an explicit stack
     indexed by vertex and linked by each vertex's successor and
-    predecessor in seq: vertex v may take the colours below min(k, 1 +
+    predecessor in seq: vertex v may take the colours up to min(k, 1 +
     the colours in use before it), tried ascending, so two colourings
     yielded differ as partitions.  The same list is yielded each time and
     changes when the walk resumes.  blocked has no default, so a caller
@@ -105,21 +107,21 @@ def _static_colourings(rows, irows, n: int, k: int, blocked, seq=None) -> Iterat
         first, last = seq[0], seq[-1]
     colour = [0] * n
     before = [0] * n  # colours in use before each vertex
-    masks = [0] * k
+    masks = [0] * (k + 1)  # each colour's class, by colour
     v = first
-    c = 0
+    c = 1
     limit = min(k, 1)
     while True:
-        while c < limit and blocked(rows, irows, v, masks[c]):
+        while c <= limit and blocked(rows, irows, v, masks[c]):
             c += 1
-        if c < limit:
+        if c <= limit:
             colour[v] = c
             masks[c] |= 1 << v
             if v != last:
-                used = before[v] + (c == before[v])
+                used = before[v] + (c > before[v])
                 v = nxt[v]
                 before[v] = used
-                c = 0
+                c = 1
                 limit = used + 1 if used < k else k
                 continue
             yield colour
@@ -133,20 +135,21 @@ def _static_colourings(rows, irows, n: int, k: int, blocked, seq=None) -> Iterat
         c += 1
 
 
-def _saturation_ranks(d: Digraph) -> list[int]:
-    """Each vertex's place in the colouring search's vertex order: next
-    comes the unplaced vertex with the most placed digon partners, then
-    the most placed neighbours in the underlying graph, the least index on
-    a tie.  Each count is kept per vertex and raised as its neighbours are
-    placed; a placed vertex's score drops below every unplaced one's."""
+def _saturation_order(d: Digraph) -> list[int]:
+    """The colouring search's vertex order, as the vertices in the order
+    they are placed: next comes the unplaced vertex with the most placed
+    digon partners, then the most placed neighbours in the underlying
+    graph, the least index on a tie.  Each count is kept per vertex and
+    raised as its neighbours are placed; a placed vertex's score drops
+    below every unplaced one's."""
     n = d.n
     rows, irows = d.rows, d.in_rows
     score = [0] * n  # n per placed digon partner, plus 1 per placed neighbour
-    rank = [0] * n
+    seq = []
     left = (1 << n) - 1
-    for i in range(n):
+    for _ in range(n):
         v = score.index(max(score))
-        rank[v] = i
+        seq.append(v)
         score[v] = -1
         left ^= 1 << v
         r = (rows[v] | irows[v]) & left
@@ -155,32 +158,30 @@ def _saturation_ranks(d: Digraph) -> list[int]:
             low = r & -r
             score[low.bit_length() - 1] += n + 1 if dig & low else 1
             r ^= low
-    return rank
+    return seq
 
 
-def _dfs_colour(d: Digraph, k: int, order: list[int] | None = None) -> list[int] | None:
-    """Core search.  Returns 0-based colours: the first colouring of
-    _static_colourings on d as it is, its vertices placed in the order
-    _saturation_ranks fixes.  A caller that knows that order passes it as
-    order, each vertex's place as _saturation_ranks(d) gives it.  In a
-    tournament every unplaced vertex has every placed one as a neighbour
-    and none as a digon partner, so the order is 0..n-1."""
-    seq = None
-    if not is_tournament(d):  # the empty digraph is one
-        seq = [0] * d.n
-        for v, place in enumerate(_saturation_ranks(d) if order is None else order):
-            seq[place] = v
+def _dfs_colour(d: Digraph, k: int, seq: list[int] | None = None) -> list[int] | None:
+    """Core search: the first colouring of _static_colourings on d as it
+    is, colours 1..k, its vertices placed in the order seq, which is
+    _saturation_order(d) when None; a caller that knows that order passes
+    it.  In a tournament every unplaced vertex has every placed one as a
+    neighbour and none as a digon partner, so the order is 0..n-1."""
+    if is_tournament(d):  # the empty digraph is one
+        seq = None
+    elif seq is None:
+        seq = _saturation_order(d)
     return next(_static_colourings(d.rows, d.in_rows, d.n, k, _creates_cycle, seq), None)
 
 
-def is_k_dicolourable(d: Digraph, k: int, order: list[int] | None = None) -> list[int] | None:
+def is_k_dicolourable(d: Digraph, k: int, seq: list[int] | None = None) -> list[int] | None:
     """A k-dicolouring as a list of colours in 1..k, or None.  The
-    colouring passes verify_dicolouring, or RuntimeError is raised.  order,
+    colouring passes verify_dicolouring, or RuntimeError is raised.  seq,
     when given, is the search's vertex order (_dfs_colour)."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    res = _dfs_colour(d, k, order)
-    return None if res is None else _verified(d, [c + 1 for c in res], k)
+    res = _dfs_colour(d, k, seq)
+    return None if res is None else _verified(d, res, k)
 
 
 def dichromatic_number(d: Digraph) -> tuple[int, list[int]]:
@@ -478,7 +479,6 @@ def _uncovered(t: Digraph, k: int, hard: bool = False) -> list[int]:
     left = (1 << (1 << n)) - 1  # bit S stands for mask S
     covers: dict[int, int] = {}
     for col in _static_colourings(rows, t.in_rows, n, k, _creates_cycle):
-        col = [c + 1 for c in col]
         kept = left
         for c in _class_masks(col, k):
             if c not in covers:

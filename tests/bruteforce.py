@@ -5,8 +5,9 @@ or generator code is reused beyond the plain data types.  Twelve references
 are earlier versions of library internals, on top of the library's other
 layers (the solver, canonical certificates), kept to check their faster
 replacements: relabelled_dfs_colour, the colouring search run on the
-digraph relabelled into its vertex order and mapped back, which the search
-placing the vertices in that order on their own labels is checked against;
+digraph relabelled so that its vertex sequence becomes 0..n-1, and mapped
+back, which the search placing the vertices of that sequence on their own
+labels is checked against;
 brute_mixed_cert, the orientation stream's partial-state
 certificate as cell_cert on a built Digraph; enumerate_dicolourings, every k-dicolouring in lexicographic
 order, which the solver's one colouring walker is checked against;
@@ -380,15 +381,15 @@ def brute_d6_decode(s: str) -> Digraph:
     return Digraph.from_arcs(n, arcs)
 
 
-def relabelled_dfs_colour(d: Digraph, k: int, order=None) -> list[int] | None:
-    """solver._dfs_colour's first colouring, 0-based, or None, found on d
-    relabelled so that vertex v becomes order[v] (_saturation_ranks(d)
-    when None; 0..n-1 in a tournament, whatever order says), searched in
-    the order 0..n-1 and mapped back."""
-    if is_tournament(d):
-        rank = list(range(d.n))
-    else:
-        rank = solver._saturation_ranks(d) if order is None else order
+def relabelled_dfs_colour(d: Digraph, k: int, seq=None) -> list[int] | None:
+    """solver._dfs_colour's first colouring, colours 1..k, or None, found
+    on d relabelled so that the vertex at place i of seq becomes vertex i
+    (seq is _saturation_order(d) when None, and 0..n-1 in a tournament,
+    whatever seq says), searched in the order 0..n-1 and mapped back."""
+    rank = list(range(d.n))
+    if not is_tournament(d):
+        for place, v in enumerate(solver._saturation_order(d) if seq is None else seq):
+            rank[v] = place
     r = d.relabel(rank)
     col = next(solver._static_colourings(r.rows, r.in_rows, r.n, k, solver._creates_cycle), None)
     return None if col is None else [col[i] for i in rank]

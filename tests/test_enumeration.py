@@ -40,7 +40,7 @@ from dichroma.enumeration import (
 from dichroma.formats import d6_decode, d6_encode
 from dichroma.solver import (
     _extend_tournament,
-    _saturation_ranks,
+    _saturation_order,
     is_dicritical,
     is_k_dicolourable,
 )
@@ -238,10 +238,10 @@ def test_stream_passes_each_candidate_its_own_solver_order(monkeypatch):
     asked = []
     real = enumeration.is_k_dicolourable
 
-    def checked(d, k, order):
-        assert order == _saturation_ranks(d), (d, order)
+    def checked(d, k, seq):
+        assert seq == _saturation_order(d), (d, seq)
         asked.append(d.n)
-        return real(d, k, order)
+        return real(d, k, seq)
 
     monkeypatch.setattr(enumeration, "is_k_dicolourable", checked)
     for task in _census_tasks(7):

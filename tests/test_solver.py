@@ -191,9 +191,9 @@ def test_search_in_place_matches_the_relabelled_search(data):
         arcs = {(u, v) if (u, v) in arcs else (v, u) for u, v in pairs if u < v}
     d = Digraph.from_arcs(n, arcs)
     k = data.draw(st.integers(1, 3))
-    order = data.draw(st.one_of(st.none(), st.permutations(range(n))))
-    order = solver._saturation_ranks(d) if order is None else list(order)
-    assert solver._dfs_colour(d, k, order) == relabelled_dfs_colour(d, k, order)
+    seq = data.draw(st.one_of(st.none(), st.permutations(range(n))))
+    seq = solver._saturation_order(d) if seq is None else list(seq)
+    assert solver._dfs_colour(d, k, seq) == relabelled_dfs_colour(d, k, seq)
     assert solver._dfs_colour(d, k) == relabelled_dfs_colour(d, k)
 
 
@@ -288,9 +288,8 @@ def test_static_colourings_are_the_distinct_partitions():
         for k in (1, 2, 3):
             got = []
             for col in _walk(d, k):
-                assert all(c <= max(col[:v], default=-1) + 1
+                assert all(c <= max(col[:v], default=0) + 1
                            for v, c in enumerate(col))
-                col = [c + 1 for c in col]
                 assert verify_dicolouring(d, col, k)
                 got.append(frozenset(_class_masks(col, k)) - {0})
             assert len(set(got)) == len(got), (d.rows, k)
@@ -307,10 +306,10 @@ def test_static_colourings_edge_cases():
     for k in (0, 1, 2):
         assert _walk(empty, k) == [[]]
     assert _walk(single, 0) == []
-    assert _walk(single, 1) == _walk(single, 3) == [[0]]
+    assert _walk(single, 1) == _walk(single, 3) == [[1]]
     # k > n: never more classes than vertices
-    assert _walk(tt(2), 5) == [[0, 0], [0, 1]]
-    assert _walk(TRI, 5) == [[0, 0, 1], [0, 1, 0], [0, 1, 1], [0, 1, 2]]
+    assert _walk(tt(2), 5) == [[1, 1], [1, 2]]
+    assert _walk(TRI, 5) == [[1, 1, 2], [1, 2, 1], [1, 2, 2], [1, 2, 3]]
     assert is_k_dicolourable(empty, 1) == []
     assert is_k_dicolourable(single, 1) == [1]
     assert is_k_dicolourable(TRI, 7) == [1, 1, 2]
@@ -470,8 +469,8 @@ def test_dicritical_colourings_are_verified(monkeypatch):
     real = solver._dfs_colour
     for d, k, bad in ((circulant_tournament(5, (1, 2)), 3, 1), (TRI, 2, 2), (TRI, 2, 3)):
         solves = itertools.count(1)
-        monkeypatch.setattr(solver, "_dfs_colour", lambda g, j, order: (
-            [j] * g.n if next(solves) == bad else real(g, j, order)))
+        monkeypatch.setattr(solver, "_dfs_colour", lambda g, j, seq: (
+            [j + 1] * g.n if next(solves) == bad else real(g, j, seq)))
         with pytest.raises(RuntimeError):
             is_dicritical(d, k)
 
@@ -481,7 +480,7 @@ def test_a_faulty_search_is_caught_at_every_entry(monkeypatch):
     # is_k_dicolourable checks it, so every caller of the search is covered
     # (test_cli's test_internal_error_exit_code maps the RuntimeError that
     # dichromatic_number raises here to dichi's exit 3)
-    monkeypatch.setattr(solver, "_dfs_colour", lambda d, k, order: [0] * d.n)
+    monkeypatch.setattr(solver, "_dfs_colour", lambda d, k, seq: [1] * d.n)
     triangle = d6_encode(graph(3, [(0, 1), (1, 2), (0, 2)]))
     phi = CnfFormula(3, ((1, -2, 3),))
     for call in (

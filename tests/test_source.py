@@ -4,6 +4,7 @@ from collections import Counter
 from pathlib import Path
 
 import dichroma
+from mutants import EQUIVALENT, MUTANTS
 
 PACKAGE = Path(dichroma.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
@@ -233,6 +234,25 @@ def test_every_bruteforce_reference_is_used():
             ):
                 unused.append(f"{path.name}:{top.lineno} {top.name}")
     assert unused == []
+
+
+def test_mutants_name_live_code():
+    # each mutant of mutants.py replaces text that occurs exactly once in
+    # its file and names tests that exist, so a change that rewrites the
+    # code must rewrite its mutant instead of silently dropping it
+    tests = {
+        f"tests/{path.name}": {node.name for node in ast.parse(path.read_text()).body
+                               if isinstance(node, ast.FunctionDef)}
+        for path in TESTS.glob("test_*.py")
+    }
+    names = [m.name for m in MUTANTS + EQUIVALENT]
+    assert len(set(names)) == len(names)
+    for m in MUTANTS + EQUIVALENT:
+        assert (PACKAGE / m.path).read_text().count(m.old) == 1, m.name
+        assert m.kills or m in EQUIVALENT, m.name
+        for node in m.kills:
+            path, test = node.split("::")
+            assert test.split("[")[0] in tests[path], (m.name, node)
 
 
 def test_one_claim_runner():
