@@ -37,16 +37,17 @@ class Digraph:
     """Immutable digraph on vertices 0..n-1 (no loops, no parallel arcs).
 
     A digon (pair of opposite arcs) is two arcs; an oriented graph is a
-    digraph with no digon.
+    digraph with no digon.  irows, passed by a caller that knows them, are
+    the in-rows, the transpose of rows: in_rows returns them unchecked.
     """
 
     __slots__ = ("n", "rows", "m", "_irows", "_urows", "_blocks")
 
-    def __init__(self, n: int, rows: Sequence[int]):
+    def __init__(self, n: int, rows: Sequence[int], irows: Iterable[int] | None = None):
         self.n = n
         self.rows = tuple(rows)
         self.m = sum(map(int.bit_count, self.rows))
-        self._irows: tuple[int, ...] | None = None
+        self._irows = None if irows is None else tuple(irows)
         self._urows: tuple[int, ...] | None = None
         self._blocks = None  # structure.block_decomposition's, once asked for
 
@@ -127,12 +128,7 @@ class Digraph:
         """Image under the permutation old-label -> perm[old-label]."""
         rows = [0] * self.n
         for u, row in enumerate(self.rows):
-            r = 0
-            while row:
-                low = row & -row
-                r |= 1 << perm[low.bit_length() - 1]
-                row ^= low
-            rows[perm[u]] = r
+            rows[perm[u]] = mask_of(perm[v] for v in iter_bits(row))
         return Digraph(self.n, rows)
 
 

@@ -64,6 +64,10 @@ open edge, so one certifier per level (canon._level_certifier) builds
 those parts, and the first refinement round of the unprocessed cell, once;
 per child it adds the oriented rows and the processed cell's first round.
 The final level uses the same certifier, with every vertex processed.
+_orientation_stream loops over the levels, and _orientation_level extends
+a level's states by vertex t.  No state carries in-rows: a state orients
+each edge of g's prefix one way, so v's in-row is g's row of v within the
+prefix xor v's out-row, and the solver's candidates are built with them.
 
 Each orientation state carries what its parent already proved.  Degree
 bounds force arcs: when vertex t is added, a back-neighbour with no out-
@@ -87,6 +91,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import asdict, dataclass, field
+from operator import xor
 from typing import Iterator, Sequence
 
 from .canon import _level_certifier, canonical_cert, canonical_form, canonical_labelling
@@ -347,9 +352,8 @@ def gen_graphs(n: int, min_degree: int) -> list[Digraph]:
 
     def extend(g: Digraph, mask: int) -> Digraph:
         t = g.n
-        d = Digraph(t + 1, [r | (mask >> i & 1) << t for i, r in enumerate(g.rows)] + [mask])
-        d._irows = d.rows  # symmetric
-        return d
+        rows = [r | (mask >> i & 1) << t for i, r in enumerate(g.rows)] + [mask]
+        return Digraph(t + 1, rows, rows)  # symmetric
 
     return _generate(n, extend, admitted)
 
@@ -405,13 +409,14 @@ def _submasks(free: int) -> Iterator[int]:
         sub = (sub - free) & free
 
 
-def _extend(pool, rows, irows, t):
+def _extend(pool, rows, into, t):
     """(colouring, slot): the first colouring of the pool, and the first of
     its classes, that takes vertex t and stays acyclic; None when none
     does.  The pool holds dicolourings of the prefix below t, as class
-    masks: the parent's colouring, then its siblings'.  rows[t] and
-    irows[t] hold t's arcs to the earlier vertices; _creates_cycle answers
-    for a class that t has no arc into, or none from, with no search."""
+    masks: the parent's colouring, then its siblings'.  rows[t] and into
+    are t's out- and in-row into the prefix; _creates_cycle answers for a
+    class that t has no arc into, or none from, with no search."""
+    irows = {t: into}  # the one in-row _creates_cycle reads
     for classes in pool:
         for c, cmask in enumerate(classes):
             if not _creates_cycle(rows, irows, t, cmask):
@@ -419,17 +424,17 @@ def _extend(pool, rows, irows, t):
     return None
 
 
-def _settles(pool, rows, irows, t) -> bool:
+def _settles(pool, rows, into, t) -> bool:
     """Does a colouring of the pool take vertex t into one of its classes
     and stay acyclic (_extend)?  The answer does not depend on the order
     the classes are tried in, so every class that t has no arc into, or
     none from, is tried first, with no cycle search."""
-    out, into = rows[t], irows[t]
+    out = rows[t]
     for classes in pool:
         for cmask in classes:
             if not (out & cmask and into & cmask):
                 return True
-    return _extend(pool, rows, irows, t) is not None
+    return _extend(pool, rows, into, t) is not None
 
 
 def _orientation_stream(
@@ -445,93 +450,94 @@ def _orientation_stream(
     orientations that are not; the final test runs before the last
     deduplication, so the stream is then isomorph-free within that set.
     """
-    n = g.n
-    if n == 0:
+    if g.n == 0:
         return [], 0
     # a state is (rows, classes): the arcs among the processed prefix and,
     # with colours, the class masks of a colours-dicolouring of the prefix
-    states: list[tuple[tuple[int, ...], tuple[int, ...] | None]] = [
-        ((0,) * n, None if colours is None else (0,) * colours)
-    ]
+    states = [((0,) * g.n, None if colours is None else (0,) * colours)]
+    for t in range(g.n):
+        states, candidates = _orientation_level(g, t, states, floor, colours)
+    return [Digraph(g.n, rows) for rows, _ in states], candidates
+
+
+def _orientation_level(g: Digraph, t: int, states, floor: int, colours: int | None):
+    """(states, candidates): level t of _orientation_stream, the states'
+    extensions by vertex t that the degree window allows, one per
+    certificate in certificate order (at t = n - 1 the surviving complete
+    orientations), and the count of those extensions, the candidates."""
+    # g's prefix through t; a candidate orients each of its edges one way,
+    # so v's in-row is gpre[v] ^ rows[v]
+    gpre = [r & (2 << t) - 1 for r in g.rows[: t + 1]]
+    back = gpre[t]
+    # each back-neighbour w's out-degree in the prefix must lie in a
+    # window, or the edge wt is forced: below it w -> t, above it t -> w;
+    # fut counts the edges to vertices after t
+    window = []
+    for w in iter_bits(back):
+        fut = (g.rows[w] >> t + 1).bit_count()
+        window.append((w, 1 << w, floor - fut, g.rows[w].bit_count() - 1 - floor))
+    lo = floor - (g.rows[t] >> t + 1).bit_count()  # window of t's own out-degree
+    hi = g.rows[t].bit_count() - floor
+    last = t == g.n - 1
+    # the solver's vertex order for every candidate of the level: an
+    # oriented digraph's depends only on its underlying graph (g's
+    # prefix), as it has no digon partners (solver._saturation_order)
+    seq = _saturation_order(Digraph(t + 1, gpre, gpre))
+    cert_of = _level_certifier(g, t + 1)
+    # each certificate's state; None for a prefix with no dicolouring
+    seen: dict[bytes, tuple[tuple[int, ...], tuple[int, ...] | None] | None] = {}
     candidates = 0
-    irows = [0] * n  # _creates_cycle reads only the placed vertex's in-row
-    for t in range(n):
-        prefix = (1 << t) - 1
-        back = g.rows[t] & prefix
-        above = ~((2 << t) - 1)
-        # each back-neighbour w's out-degree in the prefix must lie in a
-        # window, or the edge wt is forced: below it w -> t, above it t -> w
-        window = []
-        for w in iter_bits(back):
-            fut = (g.rows[w] & above).bit_count()
-            deg = (g.rows[w] & prefix).bit_count()
-            window.append((w, 1 << w, floor - fut, deg + fut - floor))
-        fut = (g.rows[t] & above).bit_count()
-        lo = floor - fut  # window of t's own out-degree into the prefix
-        hi = back.bit_count() + fut - floor
-        last = t == n - 1
-        # the solver's vertex order for every candidate of the level: an
-        # oriented digraph's depends only on its underlying graph (g's
-        # prefix), as it has no digon partners (solver._saturation_order)
-        seq = _saturation_order(Digraph(t + 1, [r & (2 << t) - 1 for r in g.rows[: t + 1]]))
-        cert_of = _level_certifier(g, t + 1)
-        # each certificate's state; None for a prefix with no dicolouring
-        seen: dict[bytes, tuple[tuple[int, ...], tuple[int, ...] | None] | None] = {}
-        for rows, classes in states:
-            into_t = out_of_t = 0
-            for w, wbit, low, high in window:
-                outd = rows[w].bit_count()
-                if outd < low:
-                    into_t |= wbit
-                if outd > high:
-                    out_of_t |= wbit
-            if into_t & out_of_t:
+
+    def solved(child, pool):
+        """child's colours-dicolouring or None; a found one, less t, is pooled."""
+        d = Digraph(t + 1, child[: t + 1], map(xor, gpre, child))
+        col = is_k_dicolourable(d, colours, seq)
+        if col is not None:
+            pool.append(_class_masks(col[:t], colours))
+        return col
+
+    for rows, classes in states:
+        into_t = out_of_t = 0
+        for w, wbit, low, high in window:
+            outd = rows[w].bit_count()
+            if outd < low:
+                into_t |= wbit
+            if outd > high:
+                out_of_t |= wbit
+        if into_t & out_of_t:
+            continue
+        # dicolourings of the prefix below t: the parent's, then each
+        # that the solver found for a sibling, less t
+        pool = [classes]
+        base = list(rows)
+        for sub in _submasks(back & ~into_t & ~out_of_t):
+            mask = out_of_t | sub  # t -> w for w in mask, else w -> t
+            if not lo <= mask.bit_count() <= hi:
                 continue
-            # dicolourings of the prefix below t: the parent's, then each
-            # that the solver found for a sibling, less t
-            pool = [classes]
-            base = list(rows)
-            for sub in _submasks(back & ~into_t & ~out_of_t):
-                mask = out_of_t | sub  # t -> w for w in mask, else w -> t
-                if not lo <= mask.bit_count() <= hi:
-                    continue
-                base[t] = mask
-                irows[t] = back & ~mask
-                if last:
-                    candidates += 1
-                    # a pooled colouring that extends to t settles a final
-                    # candidate before any digraph is built
-                    if classes is not None and _settles(pool, base, irows, t):
-                        continue
-                    child = _attach(rows, t, mask, back)
-                    if classes is not None:
-                        col = is_k_dicolourable(Digraph(t + 1, child[: t + 1]), colours, seq)
-                        if col is not None:
-                            pool.append(_class_masks(col[:t], colours))
-                            continue
-                    seen.setdefault(cert_of(child), (child, None))
+            candidates += 1
+            base[t] = mask
+            if last:
+                # a pooled colouring that extends to t settles a final
+                # candidate before any digraph is built
+                if classes is not None and _settles(pool, base, back ^ mask, t):
                     continue
                 child = _attach(rows, t, mask, back)
-                cert = cert_of(child)
-                if cert in seen:
-                    continue
-                if classes is not None:
-                    hit = _extend(pool, base, irows, t)
-                    if hit is None:
-                        col = is_k_dicolourable(Digraph(t + 1, child[: t + 1]), colours, seq)
-                        if col is None:
-                            seen[cert] = None
-                            continue
-                        child_classes = _class_masks(col, colours)
-                        pool.append(_class_masks(col[:t], colours))
-                    else:
-                        pooled, c = hit
-                        child_classes = pooled[:c] + (pooled[c] | 1 << t,) + pooled[c + 1 :]
-                    seen[cert] = (child, child_classes)
-                else:
-                    seen[cert] = (child, None)
-        states = [s for _, s in sorted(seen.items()) if s is not None]
-    return [Digraph(n, rows) for rows, _ in states], candidates
+                if classes is None or solved(child, pool) is None:
+                    seen.setdefault(cert_of(child), (child, None))
+                continue
+            child = _attach(rows, t, mask, back)
+            cert = cert_of(child)
+            if cert in seen:
+                continue
+            if classes is None:
+                seen[cert] = (child, None)
+            elif (hit := _extend(pool, base, back ^ mask, t)) is not None:
+                pooled, c = hit
+                seen[cert] = (child, pooled[:c] + (pooled[c] | 1 << t,) + pooled[c + 1 :])
+            else:
+                col = solved(child, pool)
+                seen[cert] = None if col is None else (child, _class_masks(col, colours))
+    return [s for _, s in sorted(seen.items()) if s is not None], candidates
 
 
 def _attach(rows, t, mask, back) -> tuple[int, ...]:

@@ -437,9 +437,7 @@ def _extend_tournament(t: Digraph, mask: int) -> Digraph:
             rows[v] |= new
     rows.append(mask)
     irows.append((new - 1) & ~mask)
-    child = Digraph(n + 1, rows)
-    child._irows = tuple(irows)
-    return child
+    return Digraph(n + 1, rows, irows)
 
 
 def _cover(rows: Sequence[int], n: int, cmask: int) -> int:
@@ -512,7 +510,7 @@ def _bound_chunk(args) -> tuple[int, bool, str | None]:
         if 2 * t.m != t.n * (t.n - 1):
             raise ValueError(f"parent {s!r} is not a tournament")
         full = (1 << t.n) - 1
-        t._irows = tuple(full ^ r ^ 1 << v for v, r in enumerate(t.rows))
+        t = Digraph(t.n, t.rows, (full ^ r ^ 1 << v for v, r in enumerate(t.rows)))
         left = _uncovered(t, k, hard)
         if left:
             return chunk_idx, False, d6_encode(_extend_tournament(t, left[0]))

@@ -105,6 +105,40 @@ MUTANTS = (
         "            irows.append(e & r)",
         (_ENUM + "test_mixed_cert_matches_digraph_cert",),
     ),
+    # -- the in-rows the census stream derives from g's prefix
+    Mutant(
+        "stream-candidate-in-rows-from-the-parent-state",
+        "enumeration.py",
+        "map(xor, gpre, child)",
+        "map(xor, gpre, rows)",
+        (
+            _ENUM + "test_census_task_matches_unfiltered_stream",
+            _ENUM + "test_census_stream_and_generation_find_one_set_of_hard_tournaments",
+            _ENUM + "test_stream_passes_each_candidate_its_own_solver_order",
+            _ENUM + "test_mixed_cert_matches_digraph_cert",
+        ),
+    ),
+    Mutant(
+        "final-level-in-row-or",
+        "enumeration.py",
+        "_settles(pool, base, back ^ mask, t)",
+        "_settles(pool, base, back | mask, t)",
+        (_ENUM + "test_census_task_matches_unfiltered_stream",),
+    ),
+    Mutant(
+        "middle-level-in-row-or",
+        "enumeration.py",
+        "_extend(pool, base, back ^ mask, t)",
+        "_extend(pool, base, back | mask, t)",
+        (_ENUM + "test_census_task_matches_unfiltered_stream",),
+    ),
+    Mutant(
+        "digraph-drops-the-in-rows-it-is-handed",
+        "digraphs.py",
+        "        self._irows = None if irows is None else tuple(irows)",
+        "        self._irows = None",
+        (_ENUM + "test_stream_passes_each_candidate_its_own_solver_order",),
+    ),
     # -- the tournament bound's cover
     Mutant(
         "cover-without-the-whole-class-suffix",

@@ -19,10 +19,6 @@ TRIANGLE_D6 = "&BP_"
 # README's embedding JSON: the one face of the claw p cnf 3 1 / 1 2 3 0
 CLAW_EMBEDDING = {"faces": [["v1", "c0", "v2", "c0", "v3", "c0"]]}
 
-# the benchmark's verify-full workload checks this list of claim slugs
-FULL_CLAIMS = json.loads(
-    (Path(__file__).resolve().parents[1] / "bench" / "reference.json").read_text()
-)["verify-full"]["claims"]
 FULL_ONLY = {
     "stearns-tournaments-8",
     "cactus-suite-500",
@@ -30,7 +26,19 @@ FULL_ONLY = {
     "reduction-oriented-equivalence-20",
     "solver-oracle-200",
 }
-QUICK_CLAIMS = [s for s in FULL_CLAIMS if s not in FULL_ONLY]
+
+
+def _full_claims():
+    """The claim slugs the benchmark's verify-full workload checks.  Read
+    by each test that needs them, so a copy of the repository without
+    bench/ fails those tests and still collects the others."""
+    return json.loads(
+        (Path(__file__).resolve().parents[1] / "bench" / "reference.json").read_text()
+    )["verify-full"]["claims"]
+
+
+def _quick_claims():
+    return [s for s in _full_claims() if s not in FULL_ONLY]
 
 
 def run_cli(capsys, *argv):
@@ -44,7 +52,7 @@ def test_every_json_report_comes_from_one_writer(tmp_path, capsys, quick_run):
     tri.write_text(TRIANGLE_D6 + "\n")
     cnf = tmp_path / "phi.cnf"
     cnf.write_text("p cnf 3 1\n1 -2 3 0\n")
-    reports = [("verify-paper", quick_run[1], set(QUICK_CLAIMS))]
+    reports = [("verify-paper", quick_run[1], set(_quick_claims()))]
     for argv, spans in ((["dichi", str(tri)], {"solve"}),
                         (["census", "6", "3"], {"census"}),
                         (["bounds"], set()),
@@ -511,7 +519,7 @@ def test_verify_paper_quick_all_pass(quick_run):
     assert code == 0
     assert blob["command"] == "verify-paper"
     assert blob["seed"] == 20260825
-    assert sorted(blob["results"]) == sorted(QUICK_CLAIMS)
+    assert sorted(blob["results"]) == sorted(_quick_claims())
     assert all(r["pass"] for r in blob["results"].values())
 
 
@@ -522,12 +530,13 @@ def test_verify_paper_full_censuses_once_per_run(quick_run, full_run):
     # every census row is a quick row, so each level censuses (7, 3) once
     _, quick, quick_calls = quick_run
     assert calls[7, 3] == quick_calls[7, 3] == 1
-    assert sorted(full) == sorted(FULL_CLAIMS)
+    full_claims, quick_claims = _full_claims(), _quick_claims()
+    assert sorted(full) == sorted(full_claims)
     assert all(r["pass"] for r in full.values())
     # claims are reseeded per row, so the quick rows repeat exactly
-    assert quick["results"] == {slug: full[slug] for slug in QUICK_CLAIMS}
-    assert [slug for slug, *_ in claims.CLAIMS] == FULL_CLAIMS
-    assert [slug for slug, _, lvl, _ in claims.CLAIMS if lvl == "quick"] == QUICK_CLAIMS
+    assert quick["results"] == {slug: full[slug] for slug in quick_claims}
+    assert [slug for slug, *_ in claims.CLAIMS] == full_claims
+    assert [slug for slug, _, lvl, _ in claims.CLAIMS if lvl == "quick"] == quick_claims
 
 
 def test_verify_paper_rows_decide_what_they_ask(quick_run, full_run):
@@ -638,18 +647,19 @@ def test_verify_paper_unwritable_artifact(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     artifact = tmp_path / f"dichroma-failure-{forced}.json"
     artifact.mkdir()
+    quick_claims = _quick_claims()
     code, out, err = run_cli(capsys, "verify-paper")
     assert code == 1
     rows = [ln.split()[:2] for ln in out.splitlines() if ln[:6] in ("PASS  ", "FAIL  ")]
-    assert [slug for _, slug in rows] == QUICK_CLAIMS
+    assert [slug for _, slug in rows] == quick_claims
     assert [slug for status, slug in rows if status == "FAIL"] == [forced]
     assert "counterexample artifact" not in out
     assert out.splitlines()[-1].startswith(
-        f"{len(QUICK_CLAIMS)} claims, {len(QUICK_CLAIMS) - 1} passed, 1 failed")
+        f"{len(quick_claims)} claims, {len(quick_claims) - 1} passed, 1 failed")
     assert err == (f"cannot write counterexample artifact {artifact}: "
                    f"[Errno 21] Is a directory: '{artifact}'\n")
     code, out, err = run_cli(capsys, "verify-paper", "--json")
     assert code == 1 and str(artifact) in err
     results = json.loads(out)["results"]
-    assert sorted(results) == sorted(QUICK_CLAIMS)
+    assert sorted(results) == sorted(quick_claims)
     assert [slug for slug, r in results.items() if not r["pass"]] == [forced]

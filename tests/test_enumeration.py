@@ -23,6 +23,7 @@ from dichroma.digraphs import (
     delete_vertex,
     is_oriented,
     iter_bits,
+    mask_of,
 )
 from dichroma.enumeration import (
     GEN_CAP,
@@ -234,11 +235,17 @@ def test_census_stream_and_generation_find_one_set_of_hard_tournaments():
 def test_stream_passes_each_candidate_its_own_solver_order(monkeypatch):
     # the stream computes the solver's vertex order once per level, from
     # g's prefix; on every order-7 census task, and on orientations of
-    # random graphs, it is the order _dfs_colour computes for the candidate
+    # random graphs, it is the order _dfs_colour computes for the candidate.
+    # Each candidate also arrives with its in-rows set, derived from g's
+    # prefix and not by Digraph.in_rows' transpose, and they are the
+    # transpose of its rows: verify_dicolouring reads them
     asked = []
     real = enumeration.is_k_dicolourable
 
     def checked(d, k, seq):
+        assert d._irows == tuple(
+            mask_of(u for u in range(d.n) if d.rows[u] >> v & 1) for v in range(d.n)
+        ), d
         assert seq == _saturation_order(d), (d, seq)
         asked.append(d.n)
         return real(d, k, seq)
@@ -254,12 +261,12 @@ def test_stream_passes_each_candidate_its_own_solver_order(monkeypatch):
     assert census and len(asked) > census
 
 
-def _pool_takes(pool, rows, irows, t):
+def _pool_takes(pool, rows, into, t):
     """The (colouring, slot) pairs of the pool, in its order, whose class
     takes vertex t and stays acyclic in the candidate's prefix, by Kahn's
-    peel on the prefix built as a Digraph."""
+    peel on the prefix built as a Digraph; into is t's in-row."""
     child = list(rows[: t + 1])
-    for w in iter_bits(irows[t]):
+    for w in iter_bits(into):
         child[w] |= 1 << t
     d = Digraph(t + 1, child)
     for classes in pool:
@@ -280,15 +287,15 @@ def test_pool_answers_are_dicolourings(monkeypatch):
     asked = []
     real_extend, real_settles = enumeration._extend, enumeration._settles
 
-    def extend(pool, rows, irows, t):
-        hit = real_extend(pool, rows, irows, t)
-        assert hit == next(_pool_takes(pool, rows, irows, t), None)
+    def extend(pool, rows, into, t):
+        hit = real_extend(pool, rows, into, t)
+        assert hit == next(_pool_takes(pool, rows, into, t), None)
         asked.append(hit is not None)
         return hit
 
-    def settles(pool, rows, irows, t):
-        yes = real_settles(pool, rows, irows, t)
-        assert yes == any(_pool_takes(pool, rows, irows, t))
+    def settles(pool, rows, into, t):
+        yes = real_settles(pool, rows, into, t)
+        assert yes == any(_pool_takes(pool, rows, into, t))
         asked.append(yes)
         return yes
 

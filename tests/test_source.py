@@ -106,6 +106,20 @@ def test_one_graph_type():
     assert found == ["digraphs.Digraph"]
 
 
+def test_only_digraphs_sets_in_rows():
+    # a Digraph's in-rows are its transpose, built by in_rows or handed to
+    # the constructor by a caller that knows them, so no module but
+    # digraphs names the cached _irows, to write it or otherwise
+    found = sorted(
+        f"{name}.py:{node.lineno}"
+        for name, tree in _modules()
+        if name != "digraphs"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "_irows"
+    )
+    assert found == []
+
+
 def test_one_canonical_search():
     # canon._canon is the one canonical search: no other module names it,
     # its refinement or its leaf encoding, so every certificate, the
